@@ -18,9 +18,10 @@
    recommendation so job counts can be checked for identical results.
 
    --json <file> runs the full pipeline once and writes stage wall-times
-   and Runtime.Stats counters in a stable schema (schema_version 6) as a
-   machine-readable perf baseline for future PRs.  The pipeline runs at
-   the --probe-budget (default 16 per query; 0 = unlimited) and the
+   and the result in a stable schema (schema_version 7) as a
+   machine-readable perf baseline; per-layer counters come from
+   --trace.  The pipeline runs at the --probe-budget (default 16 per
+   query; 0 = unlimited) and the
    "inum" section records the lazy-probing stats of that run next to an
    unlimited-budget leg whose certified objective is bit-identical to
    eager probing (regret 0).  It also times the LP
@@ -87,8 +88,7 @@ let macro_suite ~jobs ~probe_budget =
   in
   Fmt.pr "recommendation jobs=%d: objective=%.6f indexes=[%s]@." jobs
     r.Cophy.Advisor.report.Cophy.Solver.objective
-    (String.concat "; " (config_indexes r.Cophy.Advisor.config));
-  Fmt.pr "%a@." Runtime.Stats.pp r.Cophy.Advisor.timings.Cophy.Advisor.stats
+    (String.concat "; " (config_indexes r.Cophy.Advisor.config))
 
 let backend_of_kind = function
   | `Sparse -> Lp.Backend.default
@@ -417,9 +417,8 @@ let json_mode ?(check = false) ~jobs ~backend_kind ~probe_budget file =
   in
   let schema = Catalog.Tpch.schema () in
   let w = Workload.Gen.hom schema ~n:bench_n ~seed:bench_seed in
-  let stats = Runtime.Stats.create () in
   let r =
-    Cophy.Advisor.advise ~jobs ~stats
+    Cophy.Advisor.advise ~jobs
       ~backend:(backend_of_kind backend_kind) ~certify:check ?probe_budget
       schema w ~budget_fraction:bench_budget_fraction
   in
@@ -456,12 +455,11 @@ let json_mode ?(check = false) ~jobs ~backend_kind ~probe_budget file =
   in
   let json =
     Printf.sprintf
-      {|{"schema_version":6,"workload":{"shape":"hom","n":%d,"seed":%d},"jobs":%d,"backend":"%s","budget_fraction":%g,"timings":{"inum_seconds":%.6f,"build_seconds":%.6f,"solve_seconds":%.6f},"stats":%s,"result":{"objective":%.6f,"bound":%.6f,"gap":%.6f,"probe_regret":%.6f,"total_init_calls":%d,"indexes":[%s]},"inum":%s,"lp":%s,"serve":%s,"bip":%s,"trace":%s}|}
+      {|{"schema_version":7,"workload":{"shape":"hom","n":%d,"seed":%d},"jobs":%d,"backend":"%s","budget_fraction":%g,"timings":{"inum_seconds":%.6f,"build_seconds":%.6f,"solve_seconds":%.6f},"result":{"objective":%.6f,"bound":%.6f,"gap":%.6f,"probe_regret":%.6f,"total_init_calls":%d,"indexes":[%s]},"inum":%s,"lp":%s,"serve":%s,"bip":%s,"trace":%s}|}
       bench_n bench_seed jobs
       (backend_name backend_kind)
       bench_budget_fraction t.Cophy.Advisor.inum_seconds
       t.Cophy.Advisor.build_seconds t.Cophy.Advisor.solve_seconds
-      (Runtime.Stats.to_json stats)
       r.Cophy.Advisor.report.Cophy.Solver.objective
       r.Cophy.Advisor.report.Cophy.Solver.bound
       r.Cophy.Advisor.report.Cophy.Solver.gap

@@ -187,8 +187,6 @@ let advise_cmd =
       r.Cophy.Advisor.timings.Cophy.Advisor.inum_seconds
       r.Cophy.Advisor.timings.Cophy.Advisor.build_seconds
       r.Cophy.Advisor.timings.Cophy.Advisor.solve_seconds;
-    if verbose then
-      Fmt.epr "%a@." Runtime.Stats.pp r.Cophy.Advisor.timings.Cophy.Advisor.stats;
     Storage.Config.iter
       (fun ix ->
         Fmt.pr "CREATE INDEX ON %s; -- %.1f MB@."

@@ -8,8 +8,7 @@
 type timings = {
   inum_seconds : float;
   build_seconds : float;   (* candidate generation + BIP construction *)
-  solve_seconds : float;
-  stats : Runtime.Stats.t; (* per-stage counters and accumulated timers *)
+  solve_seconds : float;   (* first solve + probe-budget refine rounds *)
 }
 
 type recommendation = {
@@ -29,29 +28,24 @@ let total_seconds r =
 let advise ?(params = Optimizer.Cost_params.default)
     ?(constraints = Constr.empty) ?candidates ?(dba_candidates = [])
     ?(solver_options = Solver.default_options)
-    ?(baseline = Storage.Config.empty) ?(jobs = 1) ?stats ?backend ?certify
+    ?(baseline = Storage.Config.empty) ?(jobs = 1) ?backend ?certify
     ?probe_budget schema (w : Sqlast.Ast.workload) ~budget_fraction =
   (* Batch advice is the one-shot form of an interactive session: create
      (INUM through the keyed store + candidate generation), build the
-     BIP, retune once.  The two entry points share one code spine. *)
-  let stats = match stats with Some s -> s | None -> Runtime.Stats.create () in
+     BIP, recommend.  The two entry points share one code spine. *)
   let budget = budget_fraction *. Catalog.Tpch.database_size schema in
   let t0 = Runtime.Clock.now () in
   let session =
     Runtime.Trace.span "advisor.inum_build" (fun () ->
         Interactive.create ~params ~constraints:constraints.Constr.hard
-          ~baseline ~jobs ?candidates ~dba_candidates ~stats ?probe_budget
-          schema w ~budget)
+          ~baseline ~jobs ?candidates ~dba_candidates ?probe_budget schema w
+          ~budget)
   in
   let t1 = Runtime.Clock.now () in
-  Runtime.Stats.add_stage_seconds stats Runtime.Stats.Inum_build (t1 -. t0);
-  let sp =
-    Runtime.Trace.span "advisor.bip_build" (fun () ->
-        Interactive.problem session)
-  in
+  ignore
+    (Runtime.Trace.span "advisor.bip_build" (fun () ->
+         Interactive.problem session));
   let t2 = Runtime.Clock.now () in
-  Runtime.Stats.add_stage_seconds stats Runtime.Stats.Bip_build (t2 -. t1);
-  let solver_options = { solver_options with Solver.jobs } in
   let solver_options =
     match backend with
     | Some b -> { solver_options with Solver.backend = b }
@@ -62,34 +56,11 @@ let advise ?(params = Optimizer.Cost_params.default)
     | Some c -> { solver_options with Solver.certify = c }
     | None -> solver_options
   in
-  let report =
-    Runtime.Trace.span "advisor.solve" (fun () ->
-        Interactive.retune ~options:solver_options session)
-  in
-  (* Probe-budget completion loop: force the deferred INUM probes whose
-     bound interval overlaps the recommendation's best instantiation,
-     then warm-started re-solve against the tightened (at this
-     configuration, exact) cost model; repeat until the incumbent's cost
-     model is exact, i.e. [refine_at] forces nothing.  The iteration cap
-     is a safety net — each round spends probes only where the previous
-     recommendation was optimistic, so rounds shrink fast; if the cap
-     ever bites, the report still carries the certified [probe_regret]
-     bound. *)
-  let report =
-    Runtime.Trace.span "advisor.refine" (fun () ->
-        let rec converge report rounds =
-          if rounds = 0 then report
-          else if Interactive.refine_at session report.Solver.config = 0 then
-            report
-          else converge (Interactive.retune ~options:solver_options session)
-                 (rounds - 1)
-        in
-        converge report 8)
-  in
+  let report = Interactive.recommend ~options:solver_options session in
   let t3 = Runtime.Clock.now () in
-  Runtime.Stats.add_stage_seconds stats Runtime.Stats.Solve (t3 -. t2);
-  Runtime.Stats.add_whatif_calls stats
-    (Optimizer.Whatif.whatif_calls (Interactive.env session));
+  (* The BIP the final re-solve ran on: refine rounds rebuild it, so the
+     one built above may predate the tightened cost model. *)
+  let sp = Interactive.problem session in
   let cands = Array.of_list (Interactive.candidates session) in
   let zero = Array.make (Array.length cands) false in
   {
@@ -103,7 +74,6 @@ let advise ?(params = Optimizer.Cost_params.default)
         inum_seconds = t1 -. t0;
         build_seconds = t2 -. t1;
         solve_seconds = t3 -. t2;
-        stats;
       };
     estimated_cost = report.Solver.objective;
     estimated_base = Sproblem.eval ~jobs sp zero;

@@ -3,16 +3,13 @@
 type timings = {
   inum_seconds : float;   (** INUM cache construction *)
   build_seconds : float;  (** candidate generation + BIP construction *)
-  solve_seconds : float;
-  stats : Runtime.Stats.t;
-      (** per-stage counters (what-if calls, INUM probes/templates,
-          subproblem solves, cost evals) and accumulated stage timers *)
+  solve_seconds : float;  (** first solve + probe-budget refine rounds *)
 }
 
 type recommendation = {
   config : Storage.Config.t;      (** the recommended X* *)
   report : Solver.report;
-  problem : Sproblem.t;
+  problem : Sproblem.t;  (** the BIP the final re-solve ran on *)
   cache : Inum.workload_cache;
   candidates : Storage.Index.t array;
   timings : timings;
@@ -34,10 +31,8 @@ val total_seconds : recommendation -> float
       size (the paper's M).
     @param jobs domains for the INUM build and solver fan-outs
       (default [1]; the recommendation is identical at every job count —
-      use {!Runtime.recommended_jobs} to saturate the machine).
-    @param stats caller-supplied stats sink; a fresh one is created (and
-      returned in [timings.stats]) when omitted.  [jobs], [stats] and
-      [backend] override the corresponding [solver_options] fields.
+      use {!Runtime.recommended_jobs} to saturate the machine); it
+      overrides [solver_options.jobs].
     @param backend LP backend for every LP the solve runs (default: the
       [solver_options] setting, itself {!Lp.Backend.default}).
     @param certify overrides [solver_options.certify]: debug mode that
@@ -59,7 +54,6 @@ val advise :
   ?solver_options:Solver.options ->
   ?baseline:Storage.Config.t ->
   ?jobs:int ->
-  ?stats:Runtime.Stats.t ->
   ?backend:Lp.Backend.t ->
   ?certify:bool ->
   ?probe_budget:int ->

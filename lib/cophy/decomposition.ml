@@ -45,7 +45,6 @@ type options = {
   warm_z : Storage.Index.t list option;
   local_search_period : int;
   jobs : int;
-  stats : Runtime.Stats.t option;
   backend : Lp.Backend.t;  (* LP backend for the z subproblem *)
   (* Core-guided bound tightening (BCD2-style): benefit-initialized
      multipliers, reduced-cost hardening of z variables against the
@@ -66,7 +65,6 @@ let default_options =
     warm_z = None;
     local_search_period = 10;
     jobs = 1;
-    stats = None;
     backend = Lp.Backend.default;
     core_guided = true;
   }
@@ -515,17 +513,6 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
      everything downstream — block subproblems, cost evaluations, local
      search — is unchanged except in cost. *)
   let sp = if core then Sproblem.compress sp else sp in
-  let count_sproblems k =
-    match options.stats with
-    | Some st -> Runtime.Stats.add_subproblem_solves st k
-    | None -> ()
-  in
-  let eval z =
-    (match options.stats with
-    | Some st -> Runtime.Stats.add_cost_evals st 1
-    | None -> ());
-    Sproblem.eval ~jobs sp z
-  in
   let nblocks = Array.length sp.Sproblem.blocks in
   let ncand = Array.length sp.Sproblem.candidates in
   (* forced selections from z rows: mandatory (Ge 1 singleton) and
@@ -595,7 +582,9 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
      candidates (appendix E.5) *)
   let empty = Array.make ncand false in
   let best_z = ref empty in
-  let best_obj = ref (if accept empty then eval empty else infinity) in
+  let best_obj =
+    ref (if accept empty then Sproblem.eval ~jobs sp empty else infinity)
+  in
   (* When the black box rejects a selection, trim it: drop the least
      valuable index (cost increase per byte) and retry — this services
      cardinality-style UDFs and bottoms out at the empty selection. *)
@@ -635,7 +624,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
     in
     let z = if accept z then z else trim_to_acceptance z in
     if z_feasible sp ~budget ~z_rows z && accept z then begin
-      let obj = eval z in
+      let obj = Sproblem.eval ~jobs sp z in
       if obj < !best_obj then begin
         best_z := z;
         best_obj := obj
@@ -667,7 +656,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
       let zr = if accept zr then zr else trim_to_acceptance zr in
       if z_feasible sp ~budget ~z_rows zr && accept zr then begin
         if not intact then Runtime.Trace.incr tr_warm_repaired;
-        let obj = eval zr in
+        let obj = Sproblem.eval ~jobs sp zr in
         if obj < !best_obj then begin
           best_z := zr;
           best_obj := obj
@@ -736,7 +725,6 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
                ~excluded:forced_zero)
            block_indices
        in
-       count_sproblems nblocks;
        Runtime.Trace.add tr_block_solves nblocks;
        let lower = ref sp.Sproblem.fixed in
        Array.iteri
@@ -872,7 +860,6 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
             z_bip ~jobs ~w ~sizes:sp.Sproblem.sizes ~budget ~z_rows
               ~forced_one ~forced_zero
           in
-          count_sproblems 1;
           if Runtime.Fx.is_inf zb then begin
             best_bound := (if !cg_hardened > 0 then !best_obj else infinity);
             raise Exit
@@ -913,7 +900,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
          used_order;
        Array.iteri (fun a f -> if f then zr.(a) <- false) forced_zero;
        let zr = repair ~jobs sp ~budget ~z_rows zr in
-       let obj = eval zr in
+       let obj = Sproblem.eval ~jobs sp zr in
        let candidate_z, candidate_obj =
          if
            obj < !best_obj *. 1.02
@@ -931,7 +918,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
           (* trim toward the black box and take the result if it wins *)
           let zt = trim_to_acceptance candidate_z in
           if accept zt then begin
-            let objt = eval zt in
+            let objt = Sproblem.eval ~jobs sp zt in
             if objt < !best_obj -. 1e-9 then begin
               best_z := zt;
               best_obj := objt
@@ -955,7 +942,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
        if !gnorm2 > 1e-12 then begin
          let ub_ref =
            if !best_obj < infinity then !best_obj
-           else eval (Array.make ncand false)
+           else Sproblem.eval ~jobs sp (Array.make ncand false)
          in
          let step = !theta *. (ub_ref -. lower) /. !gnorm2 in
          let step = max 0.0 step in

@@ -37,8 +37,6 @@ type options = {
           incumbents and the returned result are identical at every job
           count: per-block solves are independent and every float
           reduction runs in fixed block order. *)
-  stats : Runtime.Stats.t option;
-      (** when set, accumulates subproblem-solve / cost-eval counters *)
   backend : Lp.Backend.t;
       (** LP backend for the z subproblem (used when extra z-rows make
           the greedy fractional knapsack inapplicable) *)

@@ -12,7 +12,7 @@
    order of magnitude faster than solving from scratch (Fig. 6b).
 
    [Advisor.advise] is the one-shot form of a session: create, build
-   the problem, retune once. *)
+   the problem, [recommend]. *)
 
 open Sqlast
 
@@ -20,7 +20,6 @@ type session = {
   env : Optimizer.Whatif.env;
   jobs : int;  (* domains for INUM builds and solver fan-outs *)
   store : Inum.Keyed.store;  (* canonical key -> INUM templates *)
-  stats : Runtime.Stats.t;
   mutable workload : Ast.workload;
   mutable cache : Inum.workload_cache;
   mutable candidates : Storage.Index.t array;
@@ -36,10 +35,7 @@ type session = {
 let create ?(params = Optimizer.Cost_params.default)
     ?(constraints = [ Constr.At_most_one_clustered ])
     ?(baseline = Storage.Config.empty) ?(jobs = 1) ?candidates
-    ?(dba_candidates = []) ?stats ?store ?probe_budget schema workload ~budget =
-  let stats =
-    match stats with Some s -> s | None -> Runtime.Stats.create ()
-  in
+    ?(dba_candidates = []) ?store ?probe_budget schema workload ~budget =
   let store =
     match store with
     | Some st -> st
@@ -47,9 +43,7 @@ let create ?(params = Optimizer.Cost_params.default)
         Inum.Keyed.create ?probe_budget (Optimizer.Whatif.make_env ~params schema)
   in
   let env = Inum.Keyed.env store in
-  let cache =
-    Inum.add_statements ~jobs ~stats store Inum.empty_cache workload
-  in
+  let cache = Inum.add_statements ~jobs store Inum.empty_cache workload in
   let candidates =
     match candidates with
     | Some c -> Array.of_list c
@@ -59,7 +53,6 @@ let create ?(params = Optimizer.Cost_params.default)
     env;
     jobs;
     store;
-    stats;
     workload;
     cache;
     candidates;
@@ -74,7 +67,6 @@ let create ?(params = Optimizer.Cost_params.default)
 
 let env s = s.env
 let store s = s.store
-let stats s = s.stats
 let workload s = s.workload
 let cache s = s.cache
 let candidates s = Array.to_list s.candidates
@@ -112,7 +104,7 @@ let set_baseline s b = s.baseline <- b
    statements already in the session — are cache hits and cost zero
    optimizer probes (counted in the [inum.cache_hits] trace counter). *)
 let add_statements s stmts =
-  s.cache <- Inum.add_statements ~jobs:s.jobs ~stats:s.stats s.store s.cache stmts;
+  s.cache <- Inum.add_statements ~jobs:s.jobs s.store s.cache stmts;
   s.workload <- s.workload @ stmts;
   s.problem <- None
 
@@ -207,7 +199,6 @@ let retune ?options s =
       Solver.warm = s.multipliers;
       warm_z = s.incumbent;
       jobs = s.jobs;
-      stats = Some s.stats;
     }
   in
   let report =
@@ -233,6 +224,25 @@ let refine_at s config =
   let forced = Inum.refine_cache s.cache ~config in
   if forced > 0 then s.problem <- None;
   forced
+
+(* Probe-budget completion loop: solve, then force the deferred INUM
+   probes whose bound interval overlaps the recommendation's best
+   instantiation and re-solve warm against the tightened (at this
+   configuration, exact) cost model; repeat until [refine_at] forces
+   nothing.  The round cap is a safety net — each round spends probes
+   only where the previous recommendation was optimistic, so rounds
+   shrink fast; if the cap ever bites, the report still carries the
+   certified [probe_regret] bound.  With an unlimited probe budget
+   [refine_at] is a no-op and the first report stands. *)
+let max_refine_rounds = 8
+
+let recommend ?options s =
+  Runtime.Trace.span "interactive.recommend" @@ fun () ->
+  let rec converge report rounds =
+    if rounds = 0 || refine_at s report.Solver.config = 0 then report
+    else converge (retune ?options s) (rounds - 1)
+  in
+  converge (retune ?options s) max_refine_rounds
 
 (* Certified INUM probe regret of the session's current cost model
    (weighted; zero when probing was unlimited or fully refined). *)

@@ -12,10 +12,10 @@ type session
     [candidates] overrides it ([dba_candidates] extends it).  [jobs]
     (default [1]) sets the domain fan-out for the session's INUM builds
     and re-tunes.  [store] shares a keyed store across sessions (its
-    environment is used; [params] and [probe_budget] are then ignored);
-    [stats] shares a stats sink.  [probe_budget] caps the optimizer
-    probes each INUM build spends up front (see {!Inum.build}); deferred
-    probes resolve lazily through {!refine_at} / {!Inum.cost}. *)
+    environment is used; [params] and [probe_budget] are then ignored).
+    [probe_budget] caps the optimizer probes each INUM build spends up
+    front (see {!Inum.build}); deferred probes resolve lazily through
+    {!refine_at} / {!recommend} / {!Inum.cost}. *)
 val create :
   ?params:Optimizer.Cost_params.t ->
   ?constraints:Constr.t list ->
@@ -23,7 +23,6 @@ val create :
   ?jobs:int ->
   ?candidates:Storage.Index.t list ->
   ?dba_candidates:Storage.Index.t list ->
-  ?stats:Runtime.Stats.t ->
   ?store:Inum.Keyed.store ->
   ?probe_budget:int ->
   Catalog.Schema.t ->
@@ -33,7 +32,6 @@ val create :
 
 val env : session -> Optimizer.Whatif.env
 val store : session -> Inum.Keyed.store
-val stats : session -> Runtime.Stats.t
 val workload : session -> Sqlast.Ast.workload
 val cache : session -> Inum.workload_cache
 val candidates : session -> Storage.Index.t list
@@ -85,6 +83,17 @@ val retune : ?options:Solver.options -> session -> Solver.report
     against the tightened cost model.  [0] means the session's cost
     model is already exact at [config]. *)
 val refine_at : session -> Storage.Config.t -> int
+
+(** [recommend ?options s] — {!retune}, then {!refine_at} the report's
+    configuration and {!retune} again until [refine_at] forces nothing
+    (at most 8 rounds), all under one [interactive.recommend] trace span.
+    The returned report's cost model is exact at its own configuration
+    unless the round cap bit; [report.probe_regret] certifies the
+    residual model-wide bound either way.  Afterwards {!problem} is the
+    BIP the final re-solve ran on (no rebuild).  [options] is passed to
+    every {!retune}.
+    @raise Solver.Infeasible when the hard constraints cannot hold. *)
+val recommend : ?options:Solver.options -> session -> Solver.report
 
 (** Certified INUM probe regret of the current cost model (weighted sum
     of {!Inum.probe_regret}); zero when probing was unlimited. *)

@@ -39,7 +39,6 @@ type options = {
      [consider] on the decomposed path. *)
   warm_z : Storage.Index.t list option;
   jobs : int;                (* domains for the decomposition fan-outs *)
-  stats : Runtime.Stats.t option;
   backend : Lp.Backend.t;    (* LP backend for every LP this solve runs *)
   (* Debug mode: statically check the materialized BIP before solving,
      certify branch-and-bound incumbents, and certify the final selection
@@ -62,7 +61,6 @@ let default_options =
     warm = None;
     warm_z = None;
     jobs = 1;
-    stats = None;
     backend = Lp.Backend.default;
     certify = false;
     core_guided = true;
@@ -295,7 +293,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
           warm_z = options.warm_z;
           log_events = options.log_events;
           jobs = options.jobs;
-          stats = options.stats;
           backend = options.backend;
           core_guided = options.core_guided;
           on_event =

@@ -34,8 +34,6 @@ type options = {
   jobs : int;
       (** domains for the decomposition's parallel fan-outs (default [1];
           the result is identical at every job count) *)
-  stats : Runtime.Stats.t option;
-      (** when set, the solve accumulates its counters into it *)
   backend : Lp.Backend.t;
       (** LP backend used for every LP this solve runs: the feasibility
           probe, branch-and-bound relaxations on the exact path, and the

@@ -886,7 +886,7 @@ let refine_cache cache ~config =
     (fun acc (_, _, t) -> acc + refine t ~config)
     0 cache.selects
 
-let add_statements ?jobs ?stats (store : Keyed.store) cache (w : Ast.workload) =
+let add_statements ?jobs (store : Keyed.store) cache (w : Ast.workload) =
   Runtime.Trace.span "inum.add_statements" @@ fun () ->
   let keyed =
     List.map (fun (q, weight) -> (Canon.key q, q, weight)) (Ast.selects w)
@@ -938,17 +938,6 @@ let add_statements ?jobs ?stats (store : Keyed.store) cache (w : Ast.workload) =
   let selects_delta =
     List.map (fun (k, q, weight) -> (q, weight, Hashtbl.find resolved k)) keyed
   in
-  let fresh_probes =
-    Array.fold_left (fun acc (_, c) -> acc + c.init_calls) 0 built
-  in
-  (match stats with
-  | None -> ()
-  | Some st ->
-      Runtime.Stats.add_inum_probes st fresh_probes;
-      Runtime.Stats.add_inum_templates st
-        (Array.fold_left
-           (fun acc (_, c) -> acc + Array.length c.templates)
-           0 built));
   {
     selects = cache.selects @ selects_delta;
     updates = cache.updates @ Ast.updates w;
@@ -964,11 +953,11 @@ let remove_statements cache ~drop =
       List.filter (fun (u, _) -> not (drop (Ast.Update u))) cache.updates;
   }
 
-let build_workload ?jobs ?stats ?probe_budget env (w : Ast.workload) =
+let build_workload ?jobs ?probe_budget env (w : Ast.workload) =
   Runtime.Trace.span "inum.build_workload" @@ fun () ->
   (* One-shot form of the incremental path: a fresh store, one delta.
      Statement order and [total_init_calls] stay independent of [jobs]. *)
-  add_statements ?jobs ?stats (Keyed.create ?probe_budget env) empty_cache w
+  add_statements ?jobs (Keyed.create ?probe_budget env) empty_cache w
 
 (* INUM approximation of the total workload cost under [config], including
    index-maintenance and base-update costs. *)

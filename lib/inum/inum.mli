@@ -200,12 +200,10 @@ val refine_cache : workload_cache -> config:Storage.Config.t -> int
     Statement caches are resolved through [store]: repeat keys are hits
     (zero probes), and only missing keys are built — with [store]'s probe
     budget — fanned over up to [jobs] domains.  The result is independent
-    of [jobs].  When [stats] is given, accumulates probe / template
-    counters for the fresh builds only.  Entries evicted from [store] by
-    capacity pressure stay referenced by the returned cache. *)
+    of [jobs].  Entries evicted from [store] by capacity pressure stay
+    referenced by the returned cache. *)
 val add_statements :
   ?jobs:int ->
-  ?stats:Runtime.Stats.t ->
   Keyed.store ->
   workload_cache ->
   Sqlast.Ast.workload ->
@@ -222,11 +220,9 @@ val remove_statements :
     fanning statement cache construction over up to [jobs] domains
     (default {!Runtime.recommended_jobs}).  Statement order and
     {!total_init_calls} are independent of [jobs]; [jobs:1] runs entirely
-    on the calling domain.  When [stats] is given, accumulates
-    INUM probe / template counters into it. *)
+    on the calling domain. *)
 val build_workload :
   ?jobs:int ->
-  ?stats:Runtime.Stats.t ->
   ?probe_budget:int ->
   Optimizer.Whatif.env ->
   Sqlast.Ast.workload ->

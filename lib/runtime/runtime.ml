@@ -73,7 +73,7 @@ module Clock = struct
   let[@lint.allow nondet_source] [@dsa.allow
                                    nondet
                                      "Clock IS the sanctioned wall-clock \
-                                      source; consumers only feed Stats"]
+                                      source; consumers only feed timers"]
     start =
     Unix.gettimeofday ()
 
@@ -85,7 +85,7 @@ module Clock = struct
   let[@lint.allow nondet_source] [@dsa.allow
                                    nondet
                                      "Clock IS the sanctioned wall-clock \
-                                      source; consumers only feed Stats"]
+                                      source; consumers only feed timers"]
     now () =
     let t = Unix.gettimeofday () -. start in
     let rec clamp () =
@@ -266,96 +266,6 @@ let parallel_map ?jobs f arr =
     | None ->
         Array.map (function Some v -> v | None -> assert false) results
   end
-
-(* ------------------------------------------------------------------ *)
-(* Stats                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Stats = struct
-  type stage = Inum_build | Bip_build | Solve
-
-  type t = {
-    whatif_calls : int Atomic.t;
-    inum_probes : int Atomic.t;
-    inum_templates : int Atomic.t;
-    subproblem_solves : int Atomic.t;
-    cost_evals : int Atomic.t;
-    inum_build_s : float Atomic.t;
-    bip_build_s : float Atomic.t;
-    solve_s : float Atomic.t;
-  }
-
-  let create () =
-    {
-      whatif_calls = Atomic.make 0;
-      inum_probes = Atomic.make 0;
-      inum_templates = Atomic.make 0;
-      subproblem_solves = Atomic.make 0;
-      cost_evals = Atomic.make 0;
-      inum_build_s = Atomic.make 0.0;
-      bip_build_s = Atomic.make 0.0;
-      solve_s = Atomic.make 0.0;
-    }
-
-  let reset t =
-    Atomic.set t.whatif_calls 0;
-    Atomic.set t.inum_probes 0;
-    Atomic.set t.inum_templates 0;
-    Atomic.set t.subproblem_solves 0;
-    Atomic.set t.cost_evals 0;
-    Atomic.set t.inum_build_s 0.0;
-    Atomic.set t.bip_build_s 0.0;
-    Atomic.set t.solve_s 0.0
-
-  let add a k = if k <> 0 then ignore (Atomic.fetch_and_add a k)
-  let add_whatif_calls t k = add t.whatif_calls k
-  let add_inum_probes t k = add t.inum_probes k
-  let add_inum_templates t k = add t.inum_templates k
-  let add_subproblem_solves t k = add t.subproblem_solves k
-  let add_cost_evals t k = add t.cost_evals k
-  let whatif_calls t = Atomic.get t.whatif_calls
-  let inum_probes t = Atomic.get t.inum_probes
-  let inum_templates t = Atomic.get t.inum_templates
-  let subproblem_solves t = Atomic.get t.subproblem_solves
-  let cost_evals t = Atomic.get t.cost_evals
-
-  let add_float a dt =
-    let rec go () =
-      let prev = Atomic.get a in
-      if not (Atomic.compare_and_set a prev (prev +. dt)) then go ()
-    in
-    if Fx.nonzero dt then go ()
-
-  let stage_cell t = function
-    | Inum_build -> t.inum_build_s
-    | Bip_build -> t.bip_build_s
-    | Solve -> t.solve_s
-
-  let add_stage_seconds t stage dt = add_float (stage_cell t stage) dt
-  let stage_seconds t stage = Atomic.get (stage_cell t stage)
-
-  let timed t stage f =
-    let t0 = Clock.now () in
-    Fun.protect ~finally:(fun () -> add_stage_seconds t stage (Clock.now () -. t0)) f
-
-  let pp ppf t =
-    Fmt.pf ppf
-      "@[<v>counters: whatif=%d inum_probes=%d templates=%d sproblems=%d \
-       cost_evals=%d@,\
-       stages:   inum_build=%.3fs bip_build=%.3fs solve=%.3fs@]"
-      (whatif_calls t) (inum_probes t) (inum_templates t) (subproblem_solves t)
-      (cost_evals t)
-      (stage_seconds t Inum_build)
-      (stage_seconds t Bip_build) (stage_seconds t Solve)
-
-  let to_json t =
-    Printf.sprintf
-      {|{"counters":{"whatif_calls":%d,"inum_probes":%d,"inum_templates":%d,"subproblem_solves":%d,"cost_evals":%d},"stage_seconds":{"inum_build":%.6f,"bip_build":%.6f,"solve":%.6f}}|}
-      (whatif_calls t) (inum_probes t) (inum_templates t) (subproblem_solves t)
-      (cost_evals t)
-      (stage_seconds t Inum_build)
-      (stage_seconds t Bip_build) (stage_seconds t Solve)
-end
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -585,50 +495,6 @@ module Trace = struct
     Buffer.add_string b (to_metrics_json ());
     Buffer.add_char b '}';
     Buffer.contents b
-end
-
-(* --- Request batching --- *)
-
-(* A deferred fan-out queue over the domain pool.  Producers [add]
-   independent requests as thunks; [flush] runs everything pending in one
-   [parallel_map] fan-out and returns the results in submission order.
-   The win over calling [parallel_map] at every request is amortization:
-   a stream of small requests (the serve daemon's per-event INUM builds,
-   multi-configuration what-if probes) pays one fan-out per drain instead
-   of one per request, and single-item drains never touch the pool.
-
-   Batches are owned by their creator and are not safe for concurrent
-   [add]/[flush] from multiple domains; the thunks themselves run on pool
-   workers and must be independent, exactly as for [parallel_map]. *)
-module Batch = struct
-  type 'a t = {
-    jobs : int;
-    mutable pending : (unit -> 'a) list;  (* reverse submission order *)
-    mutable npending : int;
-  }
-
-  let tr_items = Trace.counter "runtime.batch_items"
-  let tr_flushes = Trace.counter "runtime.batch_flushes"
-
-  let create ?(jobs = 1) () = { jobs = max 1 jobs; pending = []; npending = 0 }
-
-  let add b thunk =
-    b.pending <- thunk :: b.pending;
-    b.npending <- b.npending + 1
-
-  let length b = b.npending
-
-  let flush b =
-    match b.pending with
-    | [] -> []
-    | pending ->
-        let thunks = Array.of_list (List.rev pending) in
-        b.pending <- [];
-        b.npending <- 0;
-        Trace.add tr_items (Array.length thunks);
-        Trace.incr tr_flushes;
-        parallel_map ~jobs:b.jobs (fun thunk -> thunk ()) thunks
-        |> Array.to_list
 end
 
 module Search = struct

@@ -80,53 +80,6 @@ module Clock : sig
       from any domain. *)
 end
 
-(** Atomic instrumentation counters shared across domains.  A [Stats.t]
-    value can be handed to every pipeline stage and mutated concurrently;
-    all updates are monotonic (counters only grow, timers only
-    accumulate). *)
-module Stats : sig
-  type t
-
-  type stage =
-    | Inum_build  (** INUM workload-cache construction (what-if probing) *)
-    | Bip_build  (** structured BIP ([Sproblem]) construction *)
-    | Solve  (** BIP solve (exact or decomposition) *)
-
-  val create : unit -> t
-  val reset : t -> unit
-
-  (** Counter increments (thread-safe, monotonic). *)
-
-  val add_whatif_calls : t -> int -> unit
-  val add_inum_probes : t -> int -> unit
-  val add_inum_templates : t -> int -> unit
-  val add_subproblem_solves : t -> int -> unit
-  val add_cost_evals : t -> int -> unit
-
-  (** Counter reads. *)
-
-  val whatif_calls : t -> int
-  val inum_probes : t -> int
-  val inum_templates : t -> int
-  val subproblem_solves : t -> int
-  val cost_evals : t -> int
-
-  val add_stage_seconds : t -> stage -> float -> unit
-  (** Accumulate wall time into a stage timer. *)
-
-  val stage_seconds : t -> stage -> float
-
-  val timed : t -> stage -> (unit -> 'a) -> 'a
-  (** [timed t stage f] runs [f ()] and charges its wall time (measured on
-      {!Clock.now}) to [stage], even if [f] raises. *)
-
-  val pp : Format.formatter -> t -> unit
-
-  val to_json : t -> string
-  (** Stable one-object JSON dump:
-      [{"counters":{...},"stage_seconds":{...}}]. *)
-end
-
 (** Zero-overhead-when-off observability: named atomic counters and
     monotonic-clock spans recorded into fixed-capacity per-domain ring
     buffers, with Chrome [trace_event] and flat-metrics JSON exporters.
@@ -208,32 +161,6 @@ module Trace : sig
       Perfetto): one complete ("ph":"X") event per span, microsecond
       timestamps, plus the {!to_metrics_json} object under a top-level
       ["metrics"] key. *)
-end
-
-(** Deferred request batching over the domain pool: queue independent
-    requests as thunks, then run everything pending in one
-    {!parallel_map} fan-out.  Amortizes fan-out cost for request streams
-    (the serve daemon batches INUM builds and what-if evaluations this
-    way); a single-item flush runs on the calling domain.
-
-    A batch is single-owner state: [add]/[flush] must not race from
-    several domains.  Thunks must be independent, exactly as for
-    {!parallel_map}; results come back in submission order, and a thunk
-    that raises propagates its exception out of [flush] after the
-    drain. *)
-module Batch : sig
-  type 'a t
-
-  val create : ?jobs:int -> unit -> 'a t
-  (** [jobs] caps the flush fan-out (default [1] = sequential). *)
-
-  val add : 'a t -> (unit -> 'a) -> unit
-  val length : 'a t -> int
-  (** Requests queued since the last flush. *)
-
-  val flush : 'a t -> 'a list
-  (** Run all pending thunks (one pool fan-out) and clear the queue;
-      [[]] when nothing is pending. *)
 end
 
 (** Deterministic bulk-synchronous best-first search driver — the

@@ -3,7 +3,9 @@
 
    Requests (one object per line):
      {"op":"statement","sql":"SELECT ...","delta":2.0}
-         observe a statement with a frequency delta (default 1.0)
+         observe a statement with a frequency delta (default 1.0; a
+         delta that is not finite or exceeds [max_abs_delta] in
+         magnitude is rejected, since the solver cannot price it)
      {"op":"recommend"}
          flush pending observations, warm-started re-solve, respond with
          the recommended indexes
@@ -12,7 +14,10 @@
          indexes (keyed-store lookup: repeats cost zero probes)
      {"op":"stats"}
          counters: events, window, cache hits/misses, probe counts,
-         latency quantiles
+         latency quantiles.  [inum_probes] is the optimizer calls spent
+         on the session's own INUM builds: build-time probes plus the
+         deferred probes recommend's refine rounds forced since (what-if
+         reads build outside the session and are not counted)
      {"op":"quit"}
          acknowledge; the daemon closes the stream
 
@@ -62,6 +67,11 @@ type t = {
 }
 
 let weight_eps = 1e-9
+
+(* Largest accepted |delta| on a statement observation.  Window masses
+   become BIP objective weights; a huge (or infinite) delta overflows
+   the solver's arithmetic and makes every re-solve infeasible. *)
+let max_abs_delta = 1e12
 
 let create ?(params = Optimizer.Cost_params.default) ?(window = 256)
     ?(jobs = 1) ?(budget_fraction = 0.25) ?(certify = true) ?probe_budget
@@ -153,15 +163,14 @@ let flush t =
       | es ->
           Runtime.Trace.add tr_flushed_new (List.length es);
           (* candidate generation for a burst of new statements, fanned
-             over the domain pool as one batch *)
-          let batch = Runtime.Batch.create ~jobs:t.jobs () in
-          List.iter
-            (fun e ->
-              Runtime.Batch.add batch (fun () ->
-                  Cophy.Cgen.generate
-                    [ { Ast.stmt = e.stmt; weight = e.weight } ]))
-            es;
-          let cands = List.concat (Runtime.Batch.flush batch) in
+             over the domain pool in one call *)
+          let cands =
+            Runtime.parallel_map ~jobs:t.jobs
+              (fun e ->
+                Cophy.Cgen.generate [ { Ast.stmt = e.stmt; weight = e.weight } ])
+              (Array.of_list es)
+            |> Array.to_list |> List.concat
+          in
           Cophy.Interactive.add_candidates t.session cands;
           Cophy.Interactive.add_statements t.session
             (List.map (fun e -> { Ast.stmt = e.stmt; weight = e.weight }) es);
@@ -230,21 +239,7 @@ let recommend t =
       certify = t.certify;
     }
   in
-  let report = Cophy.Interactive.retune ~options t.session in
-  (* Probe-budget completion (see Advisor.advise): force the deferred
-     INUM probes overlapping the incumbent and re-solve warm until the
-     recommendation's cost model is exact at its own configuration.
-     With an unlimited budget [refine_at] is a no-op and the first
-     report stands. *)
-  let rec converge report rounds =
-    if
-      rounds = 0
-      || Cophy.Interactive.refine_at t.session report.Cophy.Solver.config = 0
-    then report
-    else
-      converge (Cophy.Interactive.retune ~options t.session) (rounds - 1)
-  in
-  let report = converge report 8 in
+  let report = Cophy.Interactive.recommend ~options t.session in
   let ms = (Runtime.Clock.now () -. t0) *. 1000.0 in
   Runtime.Trace.incr tr_recommends;
   t.recommends <- t.recommends + 1;
@@ -301,7 +296,6 @@ let whatif t stmt =
 let stats_response t =
   flush t;
   let store = Cophy.Interactive.store t.session in
-  let st = Cophy.Interactive.stats t.session in
   Json.Obj
     [
       ("ok", Json.Bool true);
@@ -315,7 +309,10 @@ let stats_response t =
       ("cache_misses", Json.Num (float_of_int (Inum.Keyed.misses store)));
       ("cache_evictions", Json.Num (float_of_int (Inum.Keyed.evictions store)));
       ("cache_hit_rate", Json.Num (cache_hit_rate t));
-      ("inum_probes", Json.Num (float_of_int (Runtime.Stats.inum_probes st)));
+      ( "inum_probes",
+        Json.Num
+          (float_of_int
+             (Inum.total_init_calls (Cophy.Interactive.cache t.session))) );
       (* lazy-probing state of the session's INUM caches: deferred
          probes still outstanding, the certified regret bound they
          imply, and combinations the per-query enumeration cap dropped
@@ -355,16 +352,23 @@ let handle t request =
                 | Some d -> d
                 | None -> 1.0
               in
-              match Parse.statement t.schema sql with
-              | stmt ->
-                  observe t stmt delta;
-                  Json.Obj
-                    [
-                      ("ok", Json.Bool true);
-                      ("op", Json.Str "statement");
-                      ("key", Json.Str (Canon.statement_key stmt));
-                    ]
-              | exception Parse.Parse_error m -> err ("parse error: " ^ m)))
+              if not (Float.abs delta <= max_abs_delta) then
+                err
+                  (Printf.sprintf
+                     "statement: \"delta\" must be finite with magnitude \
+                      at most %g"
+                     max_abs_delta)
+              else
+                match Parse.statement t.schema sql with
+                | stmt ->
+                    observe t stmt delta;
+                    Json.Obj
+                      [
+                        ("ok", Json.Bool true);
+                        ("op", Json.Str "statement");
+                        ("key", Json.Str (Canon.statement_key stmt));
+                      ]
+                | exception Parse.Parse_error m -> err ("parse error: " ^ m)))
       | Some "recommend" -> recommend t
       | Some "whatif" -> (
           match Option.bind (Json.member "sql" request) Json.to_str with

@@ -403,6 +403,27 @@ let test_advisor_end_to_end () =
   Alcotest.(check bool) "timings recorded" true
     (Cophy.Advisor.total_seconds r > 0.0)
 
+(* The recommendation's [problem] is the BIP the final re-solve ran on,
+   so it prices the recommended configuration at exactly the reported
+   objective — also when probe-budget refine rounds rebuilt it after the
+   first solve.  With an unlimited budget no round runs and the no-index
+   baseline is the eager pipeline's (3457463.4512417167). *)
+let test_advisor_problem_after_refine () =
+  let w = Workload.Gen.hom schema ~n:20 ~seed:7 in
+  let r = Cophy.Advisor.advise ~probe_budget:16 schema w ~budget_fraction:0.5 in
+  let sp = r.Cophy.Advisor.problem in
+  let z =
+    Array.map
+      (fun c -> Storage.Config.mem c r.Cophy.Advisor.config)
+      sp.Cophy.Sproblem.candidates
+  in
+  Alcotest.(check bool) "problem prices the config at estimated_cost" true
+    (Runtime.Fx.approx_rel ~tol:1e-9 (Cophy.Sproblem.eval sp z)
+       r.Cophy.Advisor.estimated_cost);
+  let u = Cophy.Advisor.advise schema w ~budget_fraction:0.5 in
+  Alcotest.(check (float 0.0)) "unlimited-budget estimated_base"
+    0x1.a60dbb9c249ep+21 u.Cophy.Advisor.estimated_base
+
 let test_udf_constraint () =
   (* black-box rule: at most 3 indexes total (appendix E.5 mechanism) *)
   let w = small_workload ~n:6 () in
@@ -773,7 +794,12 @@ let () =
           Alcotest.test_case "paths agree" `Slow test_solver_paths_agree;
           Alcotest.test_case "certified" `Quick test_solver_certified;
         ] );
-      ("advisor", [ Alcotest.test_case "end to end" `Quick test_advisor_end_to_end ]);
+      ( "advisor",
+        [
+          Alcotest.test_case "end to end" `Quick test_advisor_end_to_end;
+          Alcotest.test_case "problem after refine" `Quick
+            test_advisor_problem_after_refine;
+        ] );
       ( "pareto",
         [
           Alcotest.test_case "sweep" `Quick test_pareto_sweep;

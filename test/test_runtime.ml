@@ -1,7 +1,6 @@
 (* The parallel runtime: parallel_map's determinism contract (order
    preservation, sequential-path equivalence, exception propagation),
-   the atomic stats counters under concurrent updates, and the monotonic
-   clock. *)
+   the trace counters and spans, and the monotonic clock. *)
 
 exception Boom of int
 
@@ -80,49 +79,6 @@ let test_map_nested () =
   in
   Alcotest.(check (array int))
     "nested" (Array.init 20 (fun i -> (10 * i) + 45)) out
-
-let test_stats_concurrent () =
-  let st = Runtime.Stats.create () in
-  ignore
-    (Runtime.parallel_map ~jobs:4
-       (fun _ ->
-         Runtime.Stats.add_whatif_calls st 1;
-         Runtime.Stats.add_inum_probes st 2)
-       (Array.make 1000 ()));
-  Alcotest.(check int) "whatif" 1000 (Runtime.Stats.whatif_calls st);
-  Alcotest.(check int) "probes" 2000 (Runtime.Stats.inum_probes st);
-  Runtime.Stats.reset st;
-  Alcotest.(check int) "reset" 0 (Runtime.Stats.whatif_calls st)
-
-let test_stats_stages_and_json () =
-  let st = Runtime.Stats.create () in
-  Runtime.Stats.add_stage_seconds st Runtime.Stats.Inum_build 1.5;
-  Runtime.Stats.add_stage_seconds st Runtime.Stats.Inum_build 0.5;
-  Alcotest.(check (float 1e-9))
-    "accumulates" 2.0
-    (Runtime.Stats.stage_seconds st Runtime.Stats.Inum_build);
-  let v = Runtime.Stats.timed st Runtime.Stats.Solve (fun () -> 7) in
-  Alcotest.(check int) "timed value" 7 v;
-  Alcotest.(check bool)
-    "timed accumulates" true
-    (Runtime.Stats.stage_seconds st Runtime.Stats.Solve >= 0.0);
-  let json = Runtime.Stats.to_json st in
-  Alcotest.(check bool)
-    "json shape" true
-    (String.length json > 0
-    && json.[0] = '{'
-    && json.[String.length json - 1] = '}');
-  (* stable keys future PRs parse *)
-  List.iter
-    (fun key ->
-      Alcotest.(check bool)
-        (key ^ " present") true
-        (let rec find i =
-           i + String.length key <= String.length json
-           && (String.sub json i (String.length key) = key || find (i + 1))
-         in
-         find 0))
-    [ "\"counters\""; "\"stage_seconds\""; "\"whatif_calls\""; "\"inum_build\"" ]
 
 (* Minimal JSON syntax checker (the repo has no JSON dependency): accepts
    exactly one well-formed value spanning the whole string. *)
@@ -308,28 +264,6 @@ let test_trace_exporters () =
     "timestamps monotone, durations non-negative" true
     (mono 0.0 (Runtime.Trace.spans ()))
 
-(* --- Batch --- *)
-
-let test_batch_flush_order () =
-  let b = Runtime.Batch.create ~jobs:4 () in
-  List.iter
-    (fun i -> Runtime.Batch.add b (fun () -> i * i))
-    [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "pending count" 5 (Runtime.Batch.length b);
-  Alcotest.(check (list int)) "submission order preserved"
-    [ 1; 4; 9; 16; 25 ] (Runtime.Batch.flush b);
-  Alcotest.(check int) "drained" 0 (Runtime.Batch.length b);
-  Alcotest.(check (list int)) "empty flush" [] (Runtime.Batch.flush b)
-
-let test_batch_reusable () =
-  let b = Runtime.Batch.create ~jobs:2 () in
-  Runtime.Batch.add b (fun () -> "a");
-  Alcotest.(check (list string)) "first round" [ "a" ] (Runtime.Batch.flush b);
-  Runtime.Batch.add b (fun () -> "b");
-  Runtime.Batch.add b (fun () -> "c");
-  Alcotest.(check (list string)) "second round" [ "b"; "c" ]
-    (Runtime.Batch.flush b)
-
 let test_clock_monotonic () =
   let a = Runtime.Clock.now () in
   let b = Runtime.Clock.now () in
@@ -353,12 +287,6 @@ let () =
             test_map_usable_after_exception;
           Alcotest.test_case "nested calls fall back" `Quick test_map_nested;
         ] );
-      ( "stats",
-        [
-          Alcotest.test_case "concurrent counters" `Quick test_stats_concurrent;
-          Alcotest.test_case "stage timers and json" `Quick
-            test_stats_stages_and_json;
-        ] );
       ( "trace",
         [
           Alcotest.test_case "disabled path is a no-op" `Quick
@@ -372,9 +300,4 @@ let () =
         ] );
       ( "clock",
         [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ] );
-      ( "batch",
-        [
-          Alcotest.test_case "flush order" `Quick test_batch_flush_order;
-          Alcotest.test_case "reusable" `Quick test_batch_reusable;
-        ] );
     ]

@@ -85,7 +85,8 @@ let statements ~n ~seed =
   Workload.Gen.hom schema ~n ~seed
   |> List.map (fun { Ast.stmt; _ } -> stmt)
 
-let engine ?window ?certify () = Serve.Engine.create ?window ?certify schema
+let engine ?window ?certify ?probe_budget () =
+  Serve.Engine.create ?window ?certify ?probe_budget schema
 
 let observe_all e stmts =
   List.iter (fun s -> Serve.Engine.observe e s 1.0) stmts
@@ -153,6 +154,47 @@ let test_engine_recommend_whatif_stats () =
   Alcotest.(check bool) "probes counted" true
     (Option.get (Serve.Json.to_float (member_exn "inum_probes" st)) > 0.0)
 
+let statement_line ?(delta = 1.0) stmt =
+  Serve.Json.to_string
+    (Serve.Json.Obj
+       [
+         ("op", Serve.Json.Str "statement");
+         ("sql", Serve.Json.Str (sql_of stmt));
+         ("delta", Serve.Json.Num delta);
+       ])
+
+(* [inum_probes] counts every optimizer probe spent on the session's
+   INUM caches, including the deferred probes recommend's refine rounds
+   force: on a stream without what-if reads (which build outside the
+   session) it equals the [inum.init_calls] trace counter, which ticks at
+   the same probe site. *)
+let test_engine_inum_probes_match_trace () =
+  let e = engine ~probe_budget:2 () in
+  let lines =
+    List.map statement_line (statements ~n:6 ~seed:7)
+    @ [ {|{"op":"recommend"}|}; {|{"op":"stats"}|} ]
+  in
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  let replies =
+    Fun.protect ~finally:Runtime.Trace.disable (fun () ->
+        List.map
+          (fun l -> Serve.Json.of_string (Serve.Engine.handle_line e l))
+          lines)
+  in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Runtime.Trace.counters ()))
+  in
+  let st = List.nth replies (List.length replies - 1) in
+  let probes =
+    Option.get (Serve.Json.to_float (member_exn "inum_probes" st))
+    |> int_of_float
+  in
+  Alcotest.(check bool) "refine forced probes" true
+    (counter "inum.probes_forced" > 0);
+  Alcotest.(check int) "inum_probes = inum.init_calls"
+    (counter "inum.init_calls") probes
+
 let test_handle_line_errors () =
   let e = engine () in
   let expect_error line =
@@ -168,7 +210,22 @@ let test_handle_line_errors () =
   expect_error {|{"op":"frobnicate"}|};
   expect_error {|{"op":"statement"}|};
   expect_error {|{"op":"statement","sql":"SELECT garbage FROM nowhere"}|};
-  expect_error {|{"op":"whatif","sql":"UPDATE orders SET o_comment = ?"}|}
+  expect_error {|{"op":"whatif","sql":"UPDATE orders SET o_comment = ?"}|};
+  (* deltas the solver cannot price are rejected before they reach the
+     window, so the session stays solvable *)
+  let stmt = List.hd (statements ~n:1 ~seed:4) in
+  ignore (Serve.Engine.handle_line e (statement_line stmt));
+  let sql = Serve.Json.to_string (Serve.Json.Str (sql_of stmt)) in
+  List.iter
+    (fun delta ->
+      expect_error
+        (Printf.sprintf {|{"op":"statement","sql":%s,"delta":%s}|} sql delta))
+    [ "1e999"; "-1e999"; "1e306" ];
+  let r =
+    Serve.Json.of_string (Serve.Engine.handle_line e {|{"op":"recommend"}|})
+  in
+  Alcotest.(check bool) "recommend after rejected deltas" true
+    (member_exn "ok" r = Serve.Json.Bool true)
 
 (* The protocol is deterministic in the event stream: replies are byte
    identical across runs and trace on/off, once the named latency
@@ -194,18 +251,7 @@ let run_stream lines =
 let test_engine_deterministic_under_trace () =
   let stmts = statements ~n:3 ~seed:8 in
   let lines =
-    List.concat_map
-      (fun s ->
-        [
-          Serve.Json.to_string
-            (Serve.Json.Obj
-               [
-                 ("op", Serve.Json.Str "statement");
-                 ("sql", Serve.Json.Str (sql_of s));
-                 ("delta", Serve.Json.Num 2.0);
-               ]);
-        ])
-      stmts
+    List.map (statement_line ~delta:2.0) stmts
     @ [ {|{"op":"recommend"}|}; {|{"op":"stats"}|} ]
   in
   let plain = run_stream lines in
@@ -236,6 +282,8 @@ let () =
             test_engine_window_eviction;
           Alcotest.test_case "recommend/whatif/stats" `Quick
             test_engine_recommend_whatif_stats;
+          Alcotest.test_case "inum_probes = trace init_calls" `Quick
+            test_engine_inum_probes_match_trace;
           Alcotest.test_case "protocol errors" `Quick test_handle_line_errors;
           Alcotest.test_case "deterministic under trace" `Quick
             test_engine_deterministic_under_trace;

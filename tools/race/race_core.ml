@@ -37,8 +37,6 @@
      Runtime.parallel_map f arr        f            (positional 0)
      Domain.spawn f                    f            (positional 0)
      Runtime.submit w job              job          (positional 1)
-     Runtime.Batch.add b thunk         thunk        (positional 1; runs
-                                                    later under [flush])
      Runtime.Search.run ~eval ...      ~eval        (labeled)
 
    Soundness caveats (deliberate, shared with cophy-dsa — see
@@ -171,7 +169,6 @@ let seams =
     ("Runtime.parallel_map", Pos 0);
     ("Domain.spawn", Pos 0);
     ("Runtime.submit", Pos 1);
-    ("Runtime.Batch.add", Pos 1);
     ("Runtime.Search.run", Labeled "eval");
   ]
 
