@@ -18,18 +18,16 @@
    recommendation so job counts can be checked for identical results.
 
    --json <file> runs the full pipeline once and writes stage wall-times
-   and the result in a stable schema (schema_version 7) as a
+   and the result in a stable schema (schema_version 8) as a
    machine-readable perf baseline; per-layer counters come from
    --trace.  The pipeline runs at the --probe-budget (default 16 per
    query; 0 = unlimited) and the
    "inum" section records the lazy-probing stats of that run next to an
    unlimited-budget leg whose certified objective is bit-identical to
-   eager probing (regret 0).  It also times the LP
-   relaxation of a materialized Theorem-1 BIP under the selected
-   --backend (sparse revised simplex + presolve, or the dense reference
-   kernel) so backend solve-phase speedups are recorded alongside the
-   pipeline numbers, replays a drifting workload through the serve
-   engine (the "serve" section: events/sec, latency quantiles, cache hit
+   eager probing (regret 0).  It also times the LP relaxation of a
+   materialized Theorem-1 BIP (presolve + sparse simplex, the production
+   LP path), replays a drifting workload through the serve engine (the
+   "serve" section: events/sec, latency quantiles, cache hit
    rate, warm-vs-scratch retune latency at equal certified objective),
    and solves the n=1000 homogeneous BIP with the scratch baseline and
    the core-guided MIP engine at jobs 1/4 (the "bip" section: solve
@@ -52,10 +50,8 @@ let bench_budget_fraction = 0.5
    loop still certifies the recommendation's cost exactly. *)
 let default_probe_budget = 16
 
-(* Workload size for the materialized-BIP LP timing: large enough that
-   the kernels separate, small enough that the dense reference finishes
-   in CI (its per-pivot cost is O(rows^2); at n = 40 it needs upwards of
-   ten CPU-minutes where the sparse kernel takes seconds). *)
+(* Workload size for the materialized-BIP LP timing (kept at the size
+   every committed BENCH_*.json "lp" section used). *)
 let lp_bench_n = 20
 
 (* Sorted index list of a configuration — a stable identity for
@@ -90,19 +86,15 @@ let macro_suite ~jobs ~probe_budget =
     r.Cophy.Advisor.report.Cophy.Solver.objective
     (String.concat "; " (config_indexes r.Cophy.Advisor.config))
 
-let backend_of_kind = function
-  | `Sparse -> Lp.Backend.default
-  | `Dense -> Lp.Backend.dense_reference
-
-let backend_name = function `Sparse -> "sparse" | `Dense -> "dense"
-
 (* LP solve-phase timing on a materialized Theorem-1 BIP — the instance
    class where the kernel dominates the solve.  Returns the JSON
-   fragment.  With [check] set, the model is analyzed with
+   fragment; its kernel and presolve counters are the Runtime.Trace
+   counters the solve ticked (tracing is switched on for the solve when
+   --trace is off).  With [check] set, the model is analyzed with
    [Lp.Analyze.check] before the solve (static errors abort) and the
    relaxation optimum is certified afterwards; the certificate summary
    lands in the JSON. *)
-let lp_phase ?(check = false) ~backend_kind () =
+let lp_phase ?(check = false) () =
   let schema = Catalog.Tpch.schema () in
   let w = Workload.Gen.hom schema ~n:lp_bench_n ~seed:bench_seed in
   let env = Optimizer.Whatif.make_env schema in
@@ -119,27 +111,29 @@ let lp_phase ?(check = false) ~backend_kind () =
       exit 1
     end
   end;
-  let stats = Lp.Backend.create_stats () in
-  let backend =
-    { (backend_of_kind backend_kind) with Lp.Backend.stats = Some stats }
-  in
+  let traced = Runtime.Trace.enabled () in
+  Runtime.Trace.enable ();
+  let before = Runtime.Trace.counters () in
   let t0 = Runtime.Clock.now () in
-  let r = Lp.Backend.solve backend p in
+  let r = Lp.Presolve.solve p in
   let dt = Runtime.Clock.now () -. t0 in
+  let after = Runtime.Trace.counters () in
+  if not traced then Runtime.Trace.disable ();
+  let count name =
+    let get l = Option.value ~default:0 (List.assoc_opt name l) in
+    get after - get before
+  in
   let cert_json =
     if not check then ""
     else
       match r.Lp.Simplex.status with
       | Lp.Simplex.Optimal ->
           (* Certify against rows and bounds; duals come along for the
-             dual-residual check — hard when the backend ran without
-             presolve (no removed-row slack to excuse), report-only
-             otherwise.  [int_vars:[]]: this is the LP relaxation, so
-             the binary marks are intentionally not enforced on the
-             optimum. *)
+             dual-residual check, report-only because presolve ran.
+             [int_vars:[]]: this is the LP relaxation, so the binary
+             marks are intentionally not enforced on the optimum. *)
           let cert =
-            Lp.Analyze.certify ~presolve:backend.Lp.Backend.presolve
-              ~duals:r.Lp.Simplex.duals
+            Lp.Analyze.certify ~duals:r.Lp.Simplex.duals
               ~obj:(r.Lp.Simplex.obj +. Lp.Problem.obj_offset p)
               ~int_vars:[] p r.Lp.Simplex.x
           in
@@ -162,11 +156,11 @@ let lp_phase ?(check = false) ~backend_kind () =
     | Lp.Simplex.Infeasible -> "infeasible"
     | Lp.Simplex.Unbounded -> "unbounded"
     | Lp.Simplex.Iter_limit -> "iter_limit")
-    r.Lp.Simplex.obj dt stats.Lp.Backend.kernel.Lp.Simplex.pivots
-    stats.Lp.Backend.kernel.Lp.Simplex.refactorizations
-    stats.Lp.Backend.presolve.Lp.Presolve.rows_removed
-    stats.Lp.Backend.presolve.Lp.Presolve.vars_removed
-    stats.Lp.Backend.presolve.Lp.Presolve.bounds_tightened
+    r.Lp.Simplex.obj dt (count "simplex.pivots")
+    (count "simplex.refactorizations")
+    (count "presolve.rows_removed")
+    (count "presolve.vars_removed")
+    (count "presolve.bounds_tightened")
     cert_json
 
 (* Serving benchmark backing the daemon's acceptance criteria: replay a
@@ -407,7 +401,7 @@ let bip_phase ?(check = false) () =
 (* --json: one pipeline run, stable machine-readable schema.  [check]
    turns on Solver certification for the pipeline solve and the
    analyzer + certifier on the materialized BIP scenario. *)
-let json_mode ?(check = false) ~jobs ~backend_kind ~probe_budget file =
+let json_mode ?(check = false) ~jobs ~probe_budget file =
   (* Fail on an unwritable path before the (expensive) pipeline run. *)
   let oc =
     try open_out file
@@ -418,9 +412,8 @@ let json_mode ?(check = false) ~jobs ~backend_kind ~probe_budget file =
   let schema = Catalog.Tpch.schema () in
   let w = Workload.Gen.hom schema ~n:bench_n ~seed:bench_seed in
   let r =
-    Cophy.Advisor.advise ~jobs
-      ~backend:(backend_of_kind backend_kind) ~certify:check ?probe_budget
-      schema w ~budget_fraction:bench_budget_fraction
+    Cophy.Advisor.advise ~jobs ~certify:check ?probe_budget schema w
+      ~budget_fraction:bench_budget_fraction
   in
   let t = r.Cophy.Advisor.timings in
   (* Second leg: the same pipeline with an unlimited budget.  The lazy
@@ -429,8 +422,7 @@ let json_mode ?(check = false) ~jobs ~backend_kind ~probe_budget file =
      with zero residual regret; the leg anchors the budgeted headline
      numbers. *)
   let r_unl =
-    Cophy.Advisor.advise ~jobs
-      ~backend:(backend_of_kind backend_kind) ~certify:check schema w
+    Cophy.Advisor.advise ~jobs ~certify:check schema w
       ~budget_fraction:bench_budget_fraction
   in
   let inum_json =
@@ -446,7 +438,7 @@ let json_mode ?(check = false) ~jobs ~backend_kind ~probe_budget file =
       r_unl.Cophy.Advisor.report.Cophy.Solver.probe_regret
       (Inum.cache_truncated r_unl.Cophy.Advisor.cache)
   in
-  let lp_json = lp_phase ~check ~backend_kind () in
+  let lp_json = lp_phase ~check () in
   let serve_json = serve_phase ~jobs () in
   let bip_json = bip_phase ~check () in
   let trace_json =
@@ -455,10 +447,8 @@ let json_mode ?(check = false) ~jobs ~backend_kind ~probe_budget file =
   in
   let json =
     Printf.sprintf
-      {|{"schema_version":7,"workload":{"shape":"hom","n":%d,"seed":%d},"jobs":%d,"backend":"%s","budget_fraction":%g,"timings":{"inum_seconds":%.6f,"build_seconds":%.6f,"solve_seconds":%.6f},"result":{"objective":%.6f,"bound":%.6f,"gap":%.6f,"probe_regret":%.6f,"total_init_calls":%d,"indexes":[%s]},"inum":%s,"lp":%s,"serve":%s,"bip":%s,"trace":%s}|}
-      bench_n bench_seed jobs
-      (backend_name backend_kind)
-      bench_budget_fraction t.Cophy.Advisor.inum_seconds
+      {|{"schema_version":8,"workload":{"shape":"hom","n":%d,"seed":%d},"jobs":%d,"budget_fraction":%g,"timings":{"inum_seconds":%.6f,"build_seconds":%.6f,"solve_seconds":%.6f},"result":{"objective":%.6f,"bound":%.6f,"gap":%.6f,"probe_regret":%.6f,"total_init_calls":%d,"indexes":[%s]},"inum":%s,"lp":%s,"serve":%s,"bip":%s,"trace":%s}|}
+      bench_n bench_seed jobs bench_budget_fraction t.Cophy.Advisor.inum_seconds
       t.Cophy.Advisor.build_seconds t.Cophy.Advisor.solve_seconds
       r.Cophy.Advisor.report.Cophy.Solver.objective
       r.Cophy.Advisor.report.Cophy.Solver.bound
@@ -559,7 +549,6 @@ let () =
   let jobs = ref 1 in
   let json = ref None in
   let check = ref false in
-  let backend_kind = ref `Sparse in
   let trace = ref None in
   let probe_budget = ref default_probe_budget in
   let rest = ref [] in
@@ -602,20 +591,6 @@ let () =
     | "--check" :: tl ->
         check := true;
         parse tl
-    | "--backend" :: v :: tl -> (
-        match v with
-        | "sparse" ->
-            backend_kind := `Sparse;
-            parse tl
-        | "dense" ->
-            backend_kind := `Dense;
-            parse tl
-        | _ ->
-            Fmt.epr "--backend expects sparse or dense, got %S@." v;
-            exit 2)
-    | [ "--backend" ] ->
-        Fmt.epr "--backend expects a value@.";
-        exit 2
     | a :: tl ->
         rest := a :: !rest;
         parse tl
@@ -638,13 +613,12 @@ let () =
           Fmt.pr "wrote trace %s@." tf));
   match !json with
   | Some file ->
-      json_mode ~check:!check ~jobs ~backend_kind:!backend_kind ~probe_budget
-        file
+      json_mode ~check:!check ~jobs ~probe_budget file
   | None ->
   if !check then begin
     (* Standalone --check: analyze + certify the committed BIP scenario
        and stop (combine with --json to also record the certificate). *)
-    ignore (lp_phase ~check:true ~backend_kind:!backend_kind ());
+    ignore (lp_phase ~check:true ());
     Fmt.pr "check: BIP scenario certified ok@."
   end
   else

@@ -72,23 +72,6 @@ let probe_budget_arg =
 
 let resolve_probe_budget b = if b <= 0 then None else Some b
 
-let backend_arg =
-  let doc =
-    "LP kernel for the solver: $(b,sparse) (revised simplex over an LU \
-     factorization, with presolve; the default) or $(b,dense) (the dense \
-     reference kernel, no presolve).  Both kernels agree on the \
-     recommendation's objective value; on degenerate instances the \
-     selected configuration can differ between equally good optima."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("sparse", `Sparse); ("dense", `Dense) ]) `Sparse
-    & info [ "backend" ] ~docv:"KERNEL" ~doc)
-
-let resolve_backend = function
-  | `Sparse -> Lp.Backend.default
-  | `Dense -> Lp.Backend.dense_reference
-
 let explain_flag =
   let doc = "Print a per-statement explanation of the recommendation." in
   Arg.(value & flag & info [ "explain" ] ~doc)
@@ -152,7 +135,7 @@ let plain_solver_flag =
   Arg.(value & flag & info [ "plain-solver" ] ~doc)
 
 let advise_cmd =
-  let run n seed z sf m shape updates sql_file gap verbose explain jobs backend
+  let run n seed z sf m shape updates sql_file gap verbose explain jobs
       plain_solver probe_budget trace =
     with_trace trace @@ fun () ->
     let jobs = resolve_jobs jobs in
@@ -163,7 +146,6 @@ let advise_cmd =
       { Cophy.Solver.default_options with
         Cophy.Solver.gap_tolerance = gap;
         core_guided = not plain_solver;
-        backend = resolve_backend backend;
         on_feedback =
           (if verbose then fun (f : Cophy.Solver.feedback) ->
              Fmt.epr "[%6.2fs] incumbent=%a bound=%.0f@."
@@ -217,8 +199,8 @@ let advise_cmd =
   Cmd.v (Cmd.info "advise" ~doc)
     Term.(
       const run $ queries $ seed $ skew $ scale $ budget $ shape $ updates
-      $ sql_file $ gap $ verbose $ explain_flag $ jobs $ backend_arg
-      $ plain_solver_flag $ probe_budget_arg $ trace_arg)
+      $ sql_file $ gap $ verbose $ explain_flag $ jobs $ plain_solver_flag
+      $ probe_budget_arg $ trace_arg)
 
 (* --- compare --- *)
 

@@ -121,30 +121,6 @@ let emit_replay schema ~n ~events ~seed ~recommend_every =
   print_endline
     (Serve.Json.to_string (Serve.Json.Obj [ ("op", Serve.Json.Str "quit") ]))
 
-(* One request line in, one response line out, until EOF or quit. *)
-let serve_channels engine ic oc =
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-        let line = String.trim line in
-        if line = "" then loop ()
-        else begin
-          let response = Serve.Engine.handle_line engine line in
-          output_string oc response;
-          output_char oc '\n';
-          flush oc;
-          (* a quit op ends the stream after its acknowledgment *)
-          let is_quit =
-            match Serve.Json.of_string line with
-            | req -> Serve.Json.member "op" req = Some (Serve.Json.Str "quit")
-            | exception Serve.Json.Parse_error _ -> false
-          in
-          if not is_quit then loop ()
-        end
-  in
-  loop ()
-
 let serve_tcp engine port =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -155,7 +131,7 @@ let serve_tcp engine port =
     let client, _ = Unix.accept sock in
     let ic = Unix.in_channel_of_descr client in
     let oc = Unix.out_channel_of_descr client in
-    serve_channels engine ic oc;
+    Serve.Engine.serve_channels engine ic oc;
     (try Unix.close client with Unix.Unix_error _ -> ());
     accept_loop ()
   in
@@ -175,7 +151,7 @@ let main window jobs budget sf z listen probe_budget no_certify trace emit n
     in
     match listen with
     | Some port -> serve_tcp engine port
-    | None -> serve_channels engine stdin stdout
+    | None -> Serve.Engine.serve_channels engine stdin stdout
 
 let cmd =
   let doc = "long-running CoPhy advisor daemon (line-delimited JSON)" in

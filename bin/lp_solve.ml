@@ -1,19 +1,21 @@
 (* A small MIP solver front-end for CPLEX LP format files:
 
      dune exec bin/lp_solve.exe -- model.lp [--gap 0.01] [--time 60]
-                                  [--backend sparse|dense] [--no-presolve]
-                                  [--jobs 4] [--no-cuts] [--no-warm]
-                                  [--stats] [--check] [--trace FILE]
+                                  [--no-presolve] [--jobs 4] [--no-cuts]
+                                  [--no-warm] [--stats] [--check]
+                                  [--trace FILE]
 
    Prints the status, objective, and nonzero variable values — handy for
-   inspecting BIPs exported with Lp.Lp_format.to_file.  Integer models
-   run the best-first branch-and-bound: [--jobs] sets the parallel
-   node-evaluation width (the certified objective is identical at every
-   job count), [--no-cuts] disables cover-cut separation, and
-   [--no-warm] makes every node re-solve cold instead of warm-starting
-   the dual simplex from its parent basis.  [--stats] adds kernel
-   counters (simplex pivots, dual iterations, warm resolves, sparse
-   refactorizations) and the presolve's row/variable/bound reductions.
+   inspecting BIPs exported with Lp.Lp_format.to_file.  Continuous
+   models run presolve and the sparse simplex ([--no-presolve] skips
+   presolve).  Integer models run the best-first branch-and-bound:
+   [--jobs] sets the parallel node-evaluation width (the certified
+   objective is identical at every job count), [--no-cuts] disables
+   cover-cut separation, and [--no-warm] makes every node re-solve cold
+   instead of warm-starting the dual simplex from its parent basis.
+   [--stats] prints the trace counters of the layers that ran:
+   simplex.*, plus bb.* on integer models and presolve.* when presolve
+   ran.
    [--check] runs the Lp.Analyze model checks before solving (static
    errors abort with exit code 4) and certifies the solution afterwards
    (a failed certificate aborts with exit code 5). *)
@@ -22,7 +24,6 @@ let () =
   let file = ref "" in
   let gap = ref 1e-6 in
   let time = ref infinity in
-  let backend_kind = ref Lp.Backend.Sparse in
   let presolve = ref true in
   let want_stats = ref false in
   let want_check = ref false in
@@ -30,11 +31,6 @@ let () =
   let jobs = ref 1 in
   let cuts = ref true in
   let warm = ref true in
-  let set_backend s =
-    match Lp.Backend.kind_of_string s with
-    | Some k -> backend_kind := k
-    | None -> raise (Arg.Bad (Printf.sprintf "unknown backend %S" s))
-  in
   let specs =
     [ ("--gap", Arg.Set_float gap, "relative optimality gap (default 1e-6)");
       ("--time", Arg.Set_float time, "time limit in seconds");
@@ -45,13 +41,12 @@ let () =
       ( "--no-warm",
         Arg.Clear warm,
         "re-solve every node cold instead of warm-starting the dual simplex" );
-      ( "--backend",
-        Arg.Symbol ([ "sparse"; "dense" ], set_backend),
-        " LP kernel: sparse revised simplex (default) or dense reference" );
-      ("--no-presolve", Arg.Clear presolve, "disable the BIP presolve pass");
+      ( "--no-presolve",
+        Arg.Clear presolve,
+        "solve continuous models without the presolve pass" );
       ( "--stats",
         Arg.Set want_stats,
-        "print kernel and presolve counters after solving" );
+        "print simplex, branch-and-bound and presolve counters after solving" );
       ( "--check",
         Arg.Set want_check,
         "analyze the model before solving and certify the solution after" );
@@ -60,6 +55,7 @@ let () =
         "FILE write kernel spans and counters as Chrome trace_event JSON" ) ]
   in
   Arg.parse specs (fun f -> file := f) "lp_solve [options] FILE.lp";
+  if !want_stats then Runtime.Trace.enable ();
   (* at_exit so the trace survives the early-exit paths (infeasible,
      failed certificate, iteration limit). *)
   (match !trace with
@@ -75,29 +71,14 @@ let () =
     prerr_endline "usage: lp_solve [options] FILE.lp";
     exit 2
   end;
-  let stats = Lp.Backend.create_stats () in
-  let backend =
-    Lp.Backend.create ~kind:!backend_kind ~presolve:!presolve ~stats ()
-  in
-  let print_stats () =
-    if !want_stats then begin
-      Fmt.pr "backend: %s%s@."
-        (Lp.Backend.kind_to_string !backend_kind)
-        (if !presolve then " + presolve" else "");
-      Fmt.pr "lp solves: %d@." stats.Lp.Backend.lp_solves;
-      Fmt.pr "pivots: %d@." stats.Lp.Backend.kernel.Lp.Simplex.pivots;
-      Fmt.pr "dual iterations: %d@."
-        stats.Lp.Backend.kernel.Lp.Simplex.dual_iterations;
-      Fmt.pr "warm resolves: %d@."
-        stats.Lp.Backend.kernel.Lp.Simplex.warm_resolves;
-      Fmt.pr "refactorizations: %d@."
-        stats.Lp.Backend.kernel.Lp.Simplex.refactorizations;
-      if !presolve then
-        Fmt.pr "presolve: %d rows removed, %d vars fixed, %d bounds tightened@."
-          stats.Lp.Backend.presolve.Lp.Presolve.rows_removed
-          stats.Lp.Backend.presolve.Lp.Presolve.vars_removed
-          stats.Lp.Backend.presolve.Lp.Presolve.bounds_tightened
-    end
+  (* The trace counters of the layers that ran, by name prefix. *)
+  let print_stats prefixes () =
+    if !want_stats then
+      List.iter
+        (fun (name, v) ->
+          if List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+          then Fmt.pr "%s: %d@." name v)
+        (Runtime.Trace.counters ())
   in
   match Lp.Lp_format.of_file !file with
   | exception Lp.Lp_format.Format_error msg ->
@@ -126,14 +107,14 @@ let () =
       in
       let has_integers = Lp.Problem.integer_vars p <> [] in
       if has_integers then begin
+        let print_stats = print_stats [ "simplex."; "bb." ] in
         let options =
           { Lp.Branch_bound.default_options with
             Lp.Branch_bound.gap_tolerance = !gap;
             time_limit = !time;
             jobs = max 1 !jobs;
             cuts = !cuts;
-            warm_start = !warm;
-            backend }
+            warm_start = !warm }
         in
         let r = Lp.Branch_bound.solve ~options p in
         (match r.Lp.Branch_bound.status with
@@ -163,7 +144,13 @@ let () =
             print_stats ()
       end
       else begin
-        let r = Lp.Backend.solve backend p in
+        let print_stats =
+          print_stats ("simplex." :: (if !presolve then [ "presolve." ] else []))
+        in
+        let r =
+          if !presolve then Lp.Presolve.solve p
+          else Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p
+        in
         (match r.Lp.Simplex.status with
         | Lp.Simplex.Optimal ->
             Fmt.pr "status: optimal@.objective: %.9g@.iterations: %d@."

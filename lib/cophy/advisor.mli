@@ -33,8 +33,6 @@ val total_seconds : recommendation -> float
       (default [1]; the recommendation is identical at every job count —
       use {!Runtime.recommended_jobs} to saturate the machine); it
       overrides [solver_options.jobs].
-    @param backend LP backend for every LP the solve runs (default: the
-      [solver_options] setting, itself {!Lp.Backend.default}).
     @param certify overrides [solver_options.certify]: debug mode that
       statically checks the BIP and certifies the solver's answer with
       {!Lp.Analyze} (raises [Lp.Analyze.Certification_failed] on failure).
@@ -54,7 +52,6 @@ val advise :
   ?solver_options:Solver.options ->
   ?baseline:Storage.Config.t ->
   ?jobs:int ->
-  ?backend:Lp.Backend.t ->
   ?certify:bool ->
   ?probe_budget:int ->
   Catalog.Schema.t ->

@@ -45,7 +45,6 @@ type options = {
   warm_z : Storage.Index.t list option;
   local_search_period : int;
   jobs : int;
-  backend : Lp.Backend.t;  (* LP backend for the z subproblem *)
   (* Core-guided bound tightening (BCD2-style): benefit-initialized
      multipliers, reduced-cost hardening of z variables against the
      incumbent, a binary search that probes thresholds between bound and
@@ -65,7 +64,6 @@ let default_options =
     warm_z = None;
     local_search_period = 10;
     jobs = 1;
-    backend = Lp.Backend.default;
     core_guided = true;
   }
 
@@ -156,7 +154,7 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~excluded =
    Lagrangian bound component — an [Iter_limit] iterate is feasible
    (so its rounding still seeds the primal side) but its objective
    proves nothing, and the caller must not fold it into the bound. *)
-let z_subproblem ~backend ~w ~(sizes : float array) ~budget
+let z_subproblem ~w ~(sizes : float array) ~budget
     ~(z_rows : Constr.z_row list) ~forced_one ~forced_zero =
   let n = Array.length w in
   if z_rows = [] then begin
@@ -219,17 +217,10 @@ let z_subproblem ~backend ~w ~(sizes : float array) ~budget
              (List.map (fun (a, c) -> (vars.(a), c)) row.Constr.row_coeffs)
              sense row.Constr.row_rhs))
       z_rows;
-    (* Presolve is disabled here: its bound tightening and row scaling
-       can land on a different optimal vertex of this (often degenerate)
-       LP, and the fractional vertex feeds the rounding heuristic.  The
-       raw kernels run the same pricing loop and agree on the optimum
-       value, but their floating-point arithmetic differs, so a
-       near-tolerance pricing tie can still resolve to a different
-       optimal vertex between backends — recommendations agree on cost,
-       not structurally on the chosen vertex. *)
-    let r =
-      Lp.Backend.solve { backend with Lp.Backend.presolve = false } p
-    in
+    (* No presolve here: its bound tightening and row scaling can land
+       on a different optimal vertex of this (often degenerate) LP, and
+       the fractional vertex feeds the rounding heuristic. *)
+    let r = Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p in
     match r.Lp.Simplex.status with
     | Lp.Simplex.Optimal ->
         ( r.Lp.Simplex.obj,
@@ -743,8 +734,8 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
            (v, z, Some y, Lp.Simplex.Optimal)
          else
            let v, z, s =
-             z_subproblem ~backend:options.backend ~w ~sizes:sp.Sproblem.sizes
-               ~budget ~z_rows ~forced_one ~forced_zero
+             z_subproblem ~w ~sizes:sp.Sproblem.sizes ~budget ~z_rows
+               ~forced_one ~forced_zero
            in
            (v, z, None, s)
        in

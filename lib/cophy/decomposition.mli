@@ -37,9 +37,6 @@ type options = {
           incumbents and the returned result are identical at every job
           count: per-block solves are independent and every float
           reduction runs in fixed block order. *)
-  backend : Lp.Backend.t;
-      (** LP backend for the z subproblem (used when extra z-rows make
-          the greedy fractional knapsack inapplicable) *)
   core_guided : bool;
       (** Core-guided lower bounds (BCD2-style), on by default:
           multipliers start from a one-pass benefit estimate instead of

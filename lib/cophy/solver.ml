@@ -39,7 +39,6 @@ type options = {
      [consider] on the decomposed path. *)
   warm_z : Storage.Index.t list option;
   jobs : int;                (* domains for the decomposition fan-outs *)
-  backend : Lp.Backend.t;    (* LP backend for every LP this solve runs *)
   (* Debug mode: statically check the materialized BIP before solving,
      certify branch-and-bound incumbents, and certify the final selection
      against the hard constraints.  Raises
@@ -61,7 +60,6 @@ let default_options =
     warm = None;
     warm_z = None;
     jobs = 1;
-    backend = Lp.Backend.default;
     certify = false;
     core_guided = true;
   }
@@ -117,11 +115,10 @@ let z_polytope (sp : Sproblem.t) ~budget ~z_rows =
   (p, vars)
 
 (* Feasibility of the z-only polytope (mandatory/forbidden/budget/...). *)
-let check_feasibility ?(backend = Lp.Backend.default) (sp : Sproblem.t) ~budget
-    ~z_rows =
+let check_feasibility (sp : Sproblem.t) ~budget ~z_rows =
   let n = Array.length sp.Sproblem.candidates in
   let p, _vars = z_polytope sp ~budget ~z_rows in
-  let r = Lp.Backend.solve backend p in
+  let r = Lp.Presolve.solve p in
   match r.Lp.Simplex.status with
   | Lp.Simplex.Infeasible ->
       (* Identify offenders: re-test each row alone against the bounds. *)
@@ -140,7 +137,7 @@ let check_feasibility ?(backend = Lp.Backend.default) (sp : Sproblem.t) ~budget
               (Lp.Problem.add_row p1
                  (List.map (fun (a, c) -> (vars1.(a), c)) row.Constr.row_coeffs)
                  sense row.Constr.row_rhs);
-            match (Lp.Backend.solve backend p1).Lp.Simplex.status with
+            match (Lp.Presolve.solve p1).Lp.Simplex.status with
             | Lp.Simplex.Infeasible -> Some row.Constr.row_name
             | _ -> None)
           z_rows
@@ -155,7 +152,7 @@ let check_feasibility ?(backend = Lp.Backend.default) (sp : Sproblem.t) ~budget
 let solve ?(options = default_options) ?(block_caps = []) ?accept
     (sp : Sproblem.t) ~budget ~z_rows =
   Runtime.Trace.span "solver.feasibility_check" (fun () ->
-      check_feasibility ~backend:options.backend sp ~budget ~z_rows);
+      check_feasibility sp ~budget ~z_rows);
   let t0 = Runtime.Clock.now () in
   let method_ =
     match options.method_ with
@@ -200,7 +197,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
              integral the per-block LP is a pure minimum with an integral
              optimum (Theorem 1's structure) *)
           decision_vars = Some (Array.to_list vars.Sproblem.z_var);
-          backend = options.backend;
           certify_incumbents = options.certify;
           jobs = options.jobs;
           on_event =
@@ -293,7 +289,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
           warm_z = options.warm_z;
           log_events = options.log_events;
           jobs = options.jobs;
-          backend = options.backend;
           core_guided = options.core_guided;
           on_event =
             (fun (e : Decomposition.event) ->

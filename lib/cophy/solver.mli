@@ -34,10 +34,6 @@ type options = {
   jobs : int;
       (** domains for the decomposition's parallel fan-outs (default [1];
           the result is identical at every job count) *)
-  backend : Lp.Backend.t;
-      (** LP backend used for every LP this solve runs: the feasibility
-          probe, branch-and-bound relaxations on the exact path, and the
-          decomposition's z subproblem (default {!Lp.Backend.default}) *)
   certify : bool;
       (** Debug mode (default [false]).  On the exact path: run
           {!Lp.Analyze.check} on the materialized BIP before solving (any
@@ -75,7 +71,6 @@ type report = {
 (** Check that the z polytope (budget + linear z rows) is non-empty.
     @raise Infeasible with offender names otherwise. *)
 val check_feasibility :
-  ?backend:Lp.Backend.t ->
   Sproblem.t ->
   budget:float ->
   z_rows:Constr.z_row list ->

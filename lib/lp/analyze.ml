@@ -305,7 +305,7 @@ let certify ?(tol = 1e-6) ?(presolve = true) ?duals ?obj ?int_vars
     (* dual residuals: reduced costs of variables strictly inside their
        bounds should vanish at an LP optimum.  Report-only when the
        solve ran with presolve (duals of presolve-removed rows are
-       slack, see Backend.solve); a hard failure when [~presolve:false]
+       slack, see Presolve.solve); a hard failure when [~presolve:false]
        says every row's dual came straight from the simplex basis. *)
     let max_dual = ref 0.0 in
     (match duals with

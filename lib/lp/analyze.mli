@@ -53,7 +53,7 @@ type certificate = {
       (** max reduced-cost magnitude over variables strictly inside their
           bounds when [duals] are given ([0.] otherwise) — reported, not
           gating: duals of presolve-removed rows can be slack
-          (see {!Backend.solve}) *)
+          (see {!Presolve.solve}) *)
   cert_issues : string list;  (** human-readable description of failures *)
 }
 
@@ -79,7 +79,7 @@ val certify :
     [presolve] (default [true]) states how the incumbent was produced.
     With presolve on, the dual-residual check is report-only: duals of
     presolve-removed rows are reconstructed as zero and can be slack
-    (the documented caveat in {!Backend.solve}).  Pass [~presolve:false]
+    (the documented caveat in {!Presolve.solve}).  Pass [~presolve:false]
     when the solve ran on the full model — the caveat doesn't apply, and
     a dual residual above [tol] then fails the certificate. *)
 

@@ -64,10 +64,6 @@ type options = {
      equal objective — which holds for selection-style programs like the
      CoPhy and ILP BIPs, where the y/x part is a per-block minimum. *)
   decision_vars : int list option;
-  (* Stats sink: kernel counters of every session are merged here after
-     the solve (the node LPs themselves always run the sparse session
-     kernel; presolve would break basis identity across nodes). *)
-  backend : Backend.t;
   (* Debug mode: certify every candidate incumbent with [Analyze.certify]
      before accepting it; raise [Analyze.Certification_failed] if one
      violates rows, bounds, or integrality of the branched variables. *)
@@ -87,7 +83,6 @@ let default_options =
     initial_incumbent = None;
     log_events = false;
     decision_vars = None;
-    backend = Backend.default;
     certify_incumbents = false;
     jobs = 1;
     cuts = true;
@@ -200,14 +195,8 @@ let solve ?(options = default_options) (p : Problem.t) =
     Array.init batch (fun i -> Simplex.new_session ~stats:slot_stats.(i) p)
   in
   let merged = Simplex.create_stats () in
-  let lp_solves = ref 0 in
   let finish_stats () =
     Array.iter (fun s -> Simplex.add_stats ~into:merged s) slot_stats;
-    (match options.backend.Backend.stats with
-    | Some bs ->
-        Simplex.add_stats ~into:bs.Backend.kernel merged;
-        bs.Backend.lp_solves <- bs.Backend.lp_solves + !lp_solves
-    | None -> ());
     Runtime.Trace.add tr_warm_resolves merged.Simplex.warm_resolves
   in
   let incumbent = ref None in
@@ -299,7 +288,6 @@ let solve ?(options = default_options) (p : Problem.t) =
   in
   (* --- Root relaxation + cover-cut loop (sequential) --- *)
   let root = Simplex.session_solve sessions.(0) in
-  incr lp_solves;
   match root.Simplex.status with
   | Simplex.Infeasible ->
       global_bound := infinity;
@@ -345,7 +333,6 @@ let solve ?(options = default_options) (p : Problem.t) =
                     Runtime.Trace.incr tr_cuts_added)
                   violated;
                 let r = Simplex.session_solve sessions.(0) in
-                incr lp_solves;
                 if r.Simplex.status = Simplex.Optimal then begin
                   root_bound :=
                     (r.Simplex.obj
@@ -494,7 +481,6 @@ let solve ?(options = default_options) (p : Problem.t) =
                 []
             | Solved (r, snap) -> (
                 incr nodes;
-                incr lp_solves;
                 Runtime.Trace.incr tr_nodes;
                 if !nodes mod 16 = 0 then emit ();
                 match r.Simplex.status with

@@ -57,12 +57,6 @@ type options = {
           incumbent once they are integral.  Sound when fixing them makes
           the remaining LP have an integral optimum of equal objective —
           the structure of the CoPhy and ILP BIPs. *)
-  backend : Backend.t;
-      (** Stats sink: session kernel counters are merged into
-          [backend.stats] after the solve.  Node LPs always run the
-          sparse session kernel (presolve would break basis identity
-          across nodes), so the backend's kind/presolve switches do not
-          affect the tree. *)
   certify_incumbents : bool;
       (** Debug mode: run {!Analyze.certify} on every candidate incumbent
           (rows, bounds, integrality of the branched variables, objective

@@ -8,13 +8,10 @@
 
 module Fx = Runtime.Fx
 
-type stats = {
-  mutable rows_removed : int;
-  mutable vars_removed : int;
-  mutable bounds_tightened : int;
-}
-
-let create_stats () = { rows_removed = 0; vars_removed = 0; bounds_tightened = 0 }
+(* Trace probes: single [Atomic.get] each when tracing is off. *)
+let tr_rows_removed = Runtime.Trace.counter "presolve.rows_removed"
+let tr_vars_removed = Runtime.Trace.counter "presolve.vars_removed"
+let tr_bounds_tightened = Runtime.Trace.counter "presolve.bounds_tightened"
 
 type mapping = {
   reduced : Problem.t;
@@ -37,8 +34,7 @@ exception Infeas of string
 let scale_hi = 1e4
 let scale_lo = 1e-4
 
-let run ?(integral = true) ?stats (p : Problem.t) =
-  let st = match stats with Some s -> s | None -> create_stats () in
+let run ?(integral = true) (p : Problem.t) =
   let n = Problem.nvars p in
   let m = Problem.nrows p in
   let rows = Problem.rows p in
@@ -55,7 +51,7 @@ let run ?(integral = true) ?stats (p : Problem.t) =
   let tightened = ref 0 in
   let drop ri =
     live.(ri) <- false;
-    st.rows_removed <- st.rows_removed + 1
+    Runtime.Trace.incr tr_rows_removed
   in
   let set_ub v b =
     let b = if is_int v then floor (b +. 1e-6) else b in
@@ -203,7 +199,7 @@ let run ?(integral = true) ?stats (p : Problem.t) =
          incr rounds;
          tightened := 0;
          Array.iteri (fun ri r -> if live.(ri) then process_row ri r) rows;
-         st.bounds_tightened <- st.bounds_tightened + !tightened;
+         Runtime.Trace.add tr_bounds_tightened !tightened;
          continue_ := !tightened > 0
        done;
        (* --- duplicate rows: normalize by the largest coefficient, with
@@ -280,7 +276,7 @@ let run ?(integral = true) ?stats (p : Problem.t) =
           let value = fixed_value v in
           entries.(v) <- Fixed value;
           offset := !offset +. ((Problem.var p v).Problem.obj *. value);
-          st.vars_removed <- st.vars_removed + 1
+          Runtime.Trace.incr tr_vars_removed
         end
         else begin
           let vr = Problem.var p v in
@@ -323,7 +319,7 @@ let run ?(integral = true) ?stats (p : Problem.t) =
             else
               (* became empty through fixing after the last round;
                  feasibility was checked while tightening *)
-              st.rows_removed <- st.rows_removed + 1
+              Runtime.Trace.incr tr_rows_removed
           end)
         rows;
       Feasible
@@ -345,3 +341,32 @@ let restore_duals map yr =
     (fun i ri -> y.(ri) <- yr.(i) /. map.row_scale.(i))
     map.row_keep;
   y
+
+let solve ?max_iters (p : Problem.t) =
+  match run p with
+  | Proved_infeasible _ ->
+      {
+        Simplex.status = Simplex.Infeasible;
+        x = Array.make (Problem.nvars p) 0.;
+        obj = 0.;
+        duals = Array.make (Problem.nrows p) 0.;
+        iterations = 0;
+      }
+  | Feasible map ->
+      let r = Simplex.solve ?max_iters ~basis:Simplex.Sparse map.reduced in
+      (* Lift the kernel's iterate back to the original space for every
+         status: restore is status-agnostic, and a non-Optimal result
+         (notably Iter_limit) must carry the real partial solution and
+         its real objective, not a fabricated zero vector — callers
+         like {!Branch_bound} would mistake all-zeros for an integral
+         point and 0 for a bound. *)
+      let x = restore_x map r.Simplex.x in
+      let duals = restore_duals map r.Simplex.duals in
+      (* Recompute c'x in the original space: the reduced problem
+         carries fixed-variable contributions as an offset, which the
+         kernel's [obj] excludes. *)
+      let obj = ref 0. in
+      Array.iteri
+        (fun v xv -> obj := !obj +. ((Problem.var p v).Problem.obj *. xv))
+        x;
+      { r with Simplex.x; duals; obj = !obj }

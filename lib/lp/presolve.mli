@@ -23,14 +23,6 @@
     preserves the set of integer-feasible solutions (not necessarily the
     LP relaxation's optimum), which is what branch-and-bound needs. *)
 
-type stats = {
-  mutable rows_removed : int;
-  mutable vars_removed : int;  (** variables fixed and substituted out *)
-  mutable bounds_tightened : int;
-}
-
-val create_stats : unit -> stats
-
 type mapping = {
   reduced : Problem.t;
   entries : entry array;  (** original variable -> fate *)
@@ -45,7 +37,10 @@ type outcome =
   | Feasible of mapping
   | Proved_infeasible of string  (** human-readable reason *)
 
-val run : ?integral:bool -> ?stats:stats -> Problem.t -> outcome
+val run : ?integral:bool -> Problem.t -> outcome
+(** Reductions tick the [Runtime.Trace] counters [presolve.rows_removed],
+    [presolve.vars_removed] (variables fixed and substituted out) and
+    [presolve.bounds_tightened] when tracing is on. *)
 
 (** Lift a reduced-space solution back to the original variables. *)
 val restore_x : mapping -> float array -> float array
@@ -60,3 +55,20 @@ val restore_x : mapping -> float array -> float array
     Callers needing exact duals for every row should solve with presolve
     disabled. *)
 val restore_duals : mapping -> float array -> float array
+
+(** The production LP path: presolve [p] (integral rules on), solve the
+    reduced problem with the sparse simplex kernel, and lift the
+    solution, objective, and duals back to [p]'s variable/row space.
+    Never mutates [p].
+
+    Binary/integer reductions preserve integer-feasible solutions; the
+    reported objective can exceed the pure LP-relaxation optimum (it is
+    still a valid bound for the BIP).  A problem presolve proves
+    infeasible comes back [Infeasible] with zero vectors.  Non-[Optimal]
+    statuses carry the kernel's last iterate lifted back to [p]'s space,
+    with the objective recomputed from it — an [Iter_limit] iterate is a
+    genuine partial solution, not a certificate.  Duals of rows removed
+    by presolve are reported as 0, which in degenerate cases is not a
+    valid dual (see {!restore_duals}); call {!Simplex.solve} directly
+    when exact duals are required. *)
+val solve : ?max_iters:int -> Problem.t -> Simplex.result

@@ -12,8 +12,9 @@
     periodic refactorization ({!Sparse}, cost proportional to factor
     nonzeros).  Both kernels run the identical pricing loop and agree on
     the optimum value (degenerate ties can land on different optimal
-    vertices); callers normally go through {!Backend} rather than
-    picking a kernel here. *)
+    vertices).  Every production LP runs the sparse kernel (through
+    {!Presolve.solve}, a {!session}, or [~basis:Sparse]); the dense
+    kernel is the reference the tests compare it against. *)
 
 type status = Optimal | Infeasible | Unbounded | Iter_limit
 

@@ -73,6 +73,11 @@ let weight_eps = 1e-9
    the solver's arithmetic and makes every re-solve infeasible. *)
 let max_abs_delta = 1e12
 
+(* Longest accepted request line, in bytes (1 MiB).  A longer line is
+   read to its end without being kept, so one client cannot make the
+   daemon buffer an unbounded line. *)
+let max_line_bytes = 1 lsl 20
+
 let create ?(params = Optimizer.Cost_params.default) ?(window = 256)
     ?(jobs = 1) ?(budget_fraction = 0.25) ?(certify = true) ?probe_budget
     schema =
@@ -389,3 +394,54 @@ let handle_line t line =
     | exception Json.Parse_error m -> err ("bad request: " ^ m)
   in
   Json.to_string response
+
+type input = Line of string | Too_long | Eof
+
+(* The next line of [ic] without its newline.  A line running past
+   [max_line_bytes] is consumed to its end and reported as [Too_long]. *)
+let read_request ic =
+  let buf = Buffer.create 256 in
+  let rec go ~over =
+    match input_char ic with
+    | '\n' -> if over then Too_long else Line (Buffer.contents buf)
+    | c ->
+        let over = over || Buffer.length buf >= max_line_bytes in
+        if not over then Buffer.add_char buf c;
+        go ~over
+    | exception End_of_file ->
+        if over then Too_long
+        else if Buffer.length buf = 0 then Eof
+        else Line (Buffer.contents buf)
+  in
+  go ~over:false
+
+let serve_channels t ic oc =
+  let reply response =
+    output_string oc response;
+    output_char oc '\n';
+    Stdlib.flush oc
+  in
+  let rec loop () =
+    match read_request ic with
+    | Eof -> ()
+    | Too_long ->
+        reply
+          (Json.to_string
+             (err
+                (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)));
+        loop ()
+    | Line line ->
+        let line = String.trim line in
+        if line = "" then loop ()
+        else begin
+          reply (handle_line t line);
+          (* a quit op ends the stream after its acknowledgment *)
+          let is_quit =
+            match Json.of_string line with
+            | req -> Json.member "op" req = Some (Json.Str "quit")
+            | exception Json.Parse_error _ -> false
+          in
+          if not is_quit then loop ()
+        end
+  in
+  loop ()

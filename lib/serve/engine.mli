@@ -64,3 +64,12 @@ val handle : t -> Json.t -> Json.t
 (** Parse one request line and answer with one response line (never
     raises on malformed input — errors come back as [{"ok":false,...}]). *)
 val handle_line : t -> string -> string
+
+(** Longest accepted request line, in bytes. *)
+val max_line_bytes : int
+
+(** Answer request lines from [ic] on [oc], one response line each, until
+    end of input or a [quit] request.  Blank lines are skipped.  A line
+    longer than {!max_line_bytes} is discarded unparsed and answered
+    with an [{"ok":false,...}] error, leaving the session unchanged. *)
+val serve_channels : t -> in_channel -> out_channel -> unit

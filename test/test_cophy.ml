@@ -641,36 +641,11 @@ let test_parallel_determinism_advisor () =
   Alcotest.(check bool) "config identical" true
     (Storage.Config.equal r1.Cophy.Advisor.config r4.Cophy.Advisor.config)
 
-(* The recommendation must also be invariant across the jobs x backend
-   grid: LP-kernel choice (sparse revised simplex + presolve vs the
-   dense reference) and domain count are both implementation details. *)
-let test_backend_determinism_advisor () =
-  let w = small_workload ~n:8 ~seed:11 () in
-  let run ~jobs ~backend =
-    Cophy.Advisor.advise ~jobs ~backend schema w ~budget_fraction:0.4
-  in
-  let reference = run ~jobs:1 ~backend:Lp.Backend.dense_reference in
-  List.iter
-    (fun (jobs, backend, label) ->
-      let r = run ~jobs ~backend in
-      Alcotest.(check bool)
-        (Printf.sprintf "config identical (%s)" label)
-        true
-        (Storage.Config.equal reference.Cophy.Advisor.config
-           r.Cophy.Advisor.config);
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "objective identical (%s)" label)
-        reference.Cophy.Advisor.report.Cophy.Solver.objective
-        r.Cophy.Advisor.report.Cophy.Solver.objective)
-    [
-      (4, Lp.Backend.dense_reference, "jobs 4, dense");
-      (1, Lp.Backend.default, "jobs 1, sparse");
-      (4, Lp.Backend.default, "jobs 4, sparse");
-    ]
-
-let test_backend_determinism_decomposition () =
+(* The decomposition's LP z subproblem (forced by a z row) must be
+   job-count invariant too. *)
+let test_jobs_determinism_decomposition () =
   let w = Workload.Gen.hom schema ~n:30 ~seed:5 in
-  let run ~jobs ~backend =
+  let run jobs =
     let e = env () in
     let cache = Inum.build_workload ~jobs e w in
     let cands = Array.of_list (Cophy.Cgen.generate w) in
@@ -680,7 +655,6 @@ let test_backend_determinism_decomposition () =
         Cophy.Decomposition.default_options with
         Cophy.Decomposition.max_iters = 40;
         jobs;
-        backend;
       }
     in
     (* a z row forces the decomposition through the LP z subproblem *)
@@ -696,38 +670,29 @@ let test_backend_determinism_decomposition () =
     in
     Cophy.Decomposition.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows
   in
-  let reference = run ~jobs:1 ~backend:Lp.Backend.dense_reference in
-  List.iter
-    (fun (jobs, backend, label) ->
-      let r = run ~jobs ~backend in
-      Alcotest.(check (array bool))
-        (Printf.sprintf "selection identical (%s)" label)
-        reference.Cophy.Decomposition.z r.Cophy.Decomposition.z;
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "objective identical (%s)" label)
-        reference.Cophy.Decomposition.obj r.Cophy.Decomposition.obj)
-    [
-      (4, Lp.Backend.dense_reference, "jobs 4, dense");
-      (1, Lp.Backend.default, "jobs 1, sparse");
-      (4, Lp.Backend.default, "jobs 4, sparse");
-    ]
+  let r1 = run 1 and r4 = run 4 in
+  Alcotest.(check (array bool)) "selection identical" r1.Cophy.Decomposition.z
+    r4.Cophy.Decomposition.z;
+  Alcotest.(check (float 0.0)) "objective identical" r1.Cophy.Decomposition.obj
+    r4.Cophy.Decomposition.obj
 
 (* Tracing must be pure observation: turning Runtime.Trace on cannot
-   change the recommendation, objective, or bound at any job count or
-   LP backend — the spans and counters only ever read the clock and
-   tick atomics, never feed back into the pipeline. *)
+   change the recommendation, objective, or bound at any job count —
+   the spans and counters only ever read the clock and tick atomics,
+   never feed back into the pipeline. *)
 let test_trace_neutrality () =
   let w = small_workload ~n:8 ~seed:11 () in
-  let run ~trace ~jobs ~backend =
+  let run ~trace ~jobs =
     Runtime.Trace.reset ();
     if trace then Runtime.Trace.enable ();
     Fun.protect ~finally:Runtime.Trace.disable @@ fun () ->
-    Cophy.Advisor.advise ~jobs ~backend schema w ~budget_fraction:0.4
+    Cophy.Advisor.advise ~jobs schema w ~budget_fraction:0.4
   in
   List.iter
-    (fun (jobs, backend, label) ->
-      let off = run ~trace:false ~jobs ~backend in
-      let on = run ~trace:true ~jobs ~backend in
+    (fun jobs ->
+      let label = Printf.sprintf "jobs %d" jobs in
+      let off = run ~trace:false ~jobs in
+      let on = run ~trace:true ~jobs in
       Alcotest.(check bool)
         (Printf.sprintf "config identical (%s)" label)
         true
@@ -745,12 +710,7 @@ let test_trace_neutrality () =
         (Printf.sprintf "spans recorded (%s)" label)
         true
         (List.length (Runtime.Trace.spans ()) > 0))
-    [
-      (1, Lp.Backend.default, "jobs 1, sparse");
-      (4, Lp.Backend.default, "jobs 4, sparse");
-      (1, Lp.Backend.dense_reference, "jobs 1, dense");
-      (4, Lp.Backend.dense_reference, "jobs 4, dense");
-    ]
+    [ 1; 4 ]
 
 let () =
   Alcotest.run "cophy"
@@ -818,11 +778,9 @@ let () =
             test_parallel_determinism;
           Alcotest.test_case "jobs 1 = jobs 4 (advisor)" `Quick
             test_parallel_determinism_advisor;
-          Alcotest.test_case "jobs x backend grid (advisor)" `Quick
-            test_backend_determinism_advisor;
-          Alcotest.test_case "jobs x backend grid (decomposition)" `Quick
-            test_backend_determinism_decomposition;
-          Alcotest.test_case "trace on/off x jobs x backend grid" `Quick
+          Alcotest.test_case "jobs grid (decomposition, z rows)" `Quick
+            test_jobs_determinism_decomposition;
+          Alcotest.test_case "trace on/off x jobs grid" `Quick
             test_trace_neutrality;
         ] );
     ]

@@ -741,10 +741,10 @@ let test_sparse_degenerate_beale () =
   let r = solve_sparse p in
   check_status "beale optimal (sparse)" Lp.Simplex.Optimal r;
   check_float ~eps:1e-4 "beale optimum (sparse)" (-0.05) r.Lp.Simplex.obj;
-  (* and through the full production backend (presolve on) *)
-  let rb = Lp.Backend.solve Lp.Backend.default p in
-  check_status "beale optimal (backend)" Lp.Simplex.Optimal rb;
-  check_float ~eps:1e-4 "beale optimum (backend)" (-0.05) rb.Lp.Simplex.obj
+  (* and through the production path (presolve on) *)
+  let rb = Lp.Presolve.solve p in
+  check_status "beale optimal (presolved)" Lp.Simplex.Optimal rb;
+  check_float ~eps:1e-4 "beale optimum (presolved)" (-0.05) rb.Lp.Simplex.obj
 
 let test_sparse_degenerate_assignment () =
   (* n x n assignment LP: every basic solution is massively degenerate,
@@ -798,17 +798,25 @@ let test_presolve_singleton_row () =
   let y = Lp.Problem.add_var ~ub:10.0 ~obj:(-1.0) p in
   ignore (Lp.Problem.add_row p [ (x, 2.0) ] Lp.Problem.Le 4.0);
   ignore (Lp.Problem.add_row p [ (x, 1.0); (y, 1.0) ] Lp.Problem.Le 8.0);
-  let stats = Lp.Presolve.create_stats () in
-  (match Lp.Presolve.run ~stats p with
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  let outcome = Lp.Presolve.run p in
+  Runtime.Trace.disable ();
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Runtime.Trace.counters ()))
+  in
+  (match outcome with
   | Lp.Presolve.Feasible map ->
       (* the singleton row becomes the bound x <= 2 and is dropped *)
       Alcotest.(check int) "rows after" 1 (Lp.Problem.nrows map.Lp.Presolve.reduced);
       Alcotest.(check bool) "a bound was tightened" true
-        (stats.Lp.Presolve.bounds_tightened > 0)
+        (counter "presolve.bounds_tightened" > 0);
+      Alcotest.(check int) "row removal counted" 1
+        (counter "presolve.rows_removed")
   | Lp.Presolve.Proved_infeasible r -> Alcotest.failf "unexpected infeasible: %s" r);
   (* and the solved result matches the unpresolved problem *)
   let rd = solve_lp p in
-  let rb = Lp.Backend.solve Lp.Backend.default p in
+  let rb = Lp.Presolve.solve p in
   check_float ~eps:1e-6 "objective preserved" rd.Lp.Simplex.obj rb.Lp.Simplex.obj
 
 let test_presolve_fixes_oversized_binary () =
@@ -836,7 +844,7 @@ let test_presolve_duplicate_rows () =
       Alcotest.(check int) "merged" 1 (Lp.Problem.nrows map.Lp.Presolve.reduced)
   | Lp.Presolve.Proved_infeasible r -> Alcotest.failf "unexpected infeasible: %s" r);
   let rd = solve_lp p in
-  let rb = Lp.Backend.solve Lp.Backend.default p in
+  let rb = Lp.Presolve.solve p in
   check_float ~eps:1e-6 "objective preserved" rd.Lp.Simplex.obj rb.Lp.Simplex.obj
 
 let test_presolve_proves_infeasible () =
@@ -847,9 +855,9 @@ let test_presolve_proves_infeasible () =
   (match Lp.Presolve.run p with
   | Lp.Presolve.Proved_infeasible _ -> ()
   | Lp.Presolve.Feasible _ -> Alcotest.fail "expected infeasibility proof");
-  (* the backend surfaces it as an Infeasible result *)
-  let r = Lp.Backend.solve Lp.Backend.default p in
-  check_status "backend infeasible" Lp.Simplex.Infeasible r
+  (* the presolved solve surfaces it as an Infeasible result *)
+  let r = Lp.Presolve.solve p in
+  check_status "presolved solve infeasible" Lp.Simplex.Infeasible r
 
 let test_presolve_scaling_and_duals () =
   (* byte-scale storage row: scaled internally, duals must be restored to
@@ -860,7 +868,7 @@ let test_presolve_scaling_and_duals () =
   ignore
     (Lp.Problem.add_row p [ (x, 2e9); (y, 1e9) ] Lp.Problem.Le 2.5e9);
   let rd = solve_lp p in
-  let rb = Lp.Backend.solve Lp.Backend.default p in
+  let rb = Lp.Presolve.solve p in
   check_status "optimal" Lp.Simplex.Optimal rb;
   check_float ~eps:1e-6 "objective" rd.Lp.Simplex.obj rb.Lp.Simplex.obj;
   check_float ~eps:1e-12 "dual restored to original scale"
@@ -881,7 +889,7 @@ let test_presolve_does_not_mutate_input () =
   check_float "ub untouched" 10.0 v.Lp.Problem.ub;
   Alcotest.(check int) "rows untouched" 1 (Lp.Problem.nrows p)
 
-let test_backend_iter_limit_restores () =
+let test_presolve_iter_limit_restores () =
   (* A non-Optimal (Iter_limit) presolved solve must lift the kernel's
      real iterate back to the original space — presolve-fixed variables
      at their fixed values, objective recomputed from the lifted point —
@@ -897,7 +905,7 @@ let test_backend_iter_limit_restores () =
   ignore (Lp.Problem.add_row p [ (x1, 1.0); (x2, 1.0) ] Lp.Problem.Le 8.0);
   ignore (Lp.Problem.add_row p [ (x2, 1.0); (x3, 1.0) ] Lp.Problem.Le 8.0);
   ignore (Lp.Problem.add_row p [ (x1, 1.0); (x3, 1.0) ] Lp.Problem.Le 8.0);
-  let r = Lp.Backend.solve ~max_iters:1 Lp.Backend.default p in
+  let r = Lp.Presolve.solve ~max_iters:1 p in
   check_status "hits the iteration limit" Lp.Simplex.Iter_limit r;
   Alcotest.(check int) "x in original space" 4 (Array.length r.Lp.Simplex.x);
   check_float ~eps:1e-9 "fixed variable restored, not zeroed" 1.0
@@ -908,31 +916,6 @@ let test_backend_iter_limit_restores () =
     r.Lp.Simplex.x;
   check_float ~eps:1e-9 "obj recomputed from the lifted iterate" !cx
     r.Lp.Simplex.obj
-
-(* --- Backend agreement on BIPs (the PR's acceptance property) --- *)
-
-let bb_with backend p =
-  let options = { Lp.Branch_bound.default_options with Lp.Branch_bound.backend } in
-  Lp.Branch_bound.solve ~options p
-
-let prop_backends_agree_on_bips =
-  QCheck.Test.make
-    ~name:"presolve+sparse B&B = dense reference B&B on random BIPs"
-    ~count:60 (QCheck.make random_bip_gen) (fun spec ->
-      let n, _, _ = spec in
-      let p, _ = build_random_bip spec in
-      let rd = bb_with Lp.Backend.dense_reference p in
-      let rs = bb_with Lp.Backend.default p in
-      match (rd.Lp.Branch_bound.x, rs.Lp.Branch_bound.x) with
-      | Some xd, Some xs ->
-          (* random float objectives make the optimum unique: both the
-             value and the integer assignment must agree *)
-          abs_float (rd.Lp.Branch_bound.obj -. rs.Lp.Branch_bound.obj) < 1e-6
-          && Array.for_all2
-               (fun a b -> Float.round a = Float.round b)
-               (Array.sub xd 0 n) (Array.sub xs 0 n)
-      | None, None -> true
-      | _ -> false)
 
 (* --- decision-variable restricted branching --- *)
 
@@ -1227,10 +1210,8 @@ let () =
           Alcotest.test_case "input immutable" `Quick
             test_presolve_does_not_mutate_input;
           Alcotest.test_case "iter-limit lifts real iterate" `Quick
-            test_backend_iter_limit_restores;
+            test_presolve_iter_limit_restores;
         ] );
-      ( "backend",
-        [ QCheck_alcotest.to_alcotest prop_backends_agree_on_bips ] );
       ( "branch_bound",
         [
           Alcotest.test_case "knapsack" `Quick test_bb_knapsack;

@@ -266,6 +266,49 @@ let test_engine_deterministic_under_trace () =
   Alcotest.(check bool) "serve spans recorded" true
     (List.length (Runtime.Trace.spans ()) > 0)
 
+(* An over-long request line is discarded unparsed: the client gets an
+   error reply and the session carries on as if the line never came.
+   The long line is a well-formed statement padded with JSON
+   whitespace, so only the size cap can reject it. *)
+let test_serve_channels_line_cap () =
+  let stmts = statements ~n:3 ~seed:9 in
+  let lines = List.map statement_line stmts in
+  let long_line =
+    let s = statement_line (List.hd stmts) in
+    String.sub s 0 (String.length s - 1)
+    ^ String.make Serve.Engine.max_line_bytes ' '
+    ^ "}"
+  in
+  let tail = [ {|{"op":"recommend"}|}; {|{"op":"stats"}|} ] in
+  let input = Filename.temp_file "serve_in" ".jsonl" in
+  let output = Filename.temp_file "serve_out" ".jsonl" in
+  Out_channel.with_open_bin input (fun oc ->
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        (lines @ (long_line :: tail)));
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc ->
+          Serve.Engine.serve_channels (engine ()) ic oc));
+  let replies =
+    In_channel.with_open_bin output In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun r ->
+           Serve.Json.to_string (strip_latency (Serve.Json.of_string r)))
+  in
+  Sys.remove input;
+  Sys.remove output;
+  let n = List.length lines in
+  Alcotest.(check int) "one reply per request" (n + 1 + List.length tail)
+    (List.length replies);
+  let error = Serve.Json.of_string (List.nth replies n) in
+  Alcotest.(check bool) "over-long line answered with an error" true
+    (member_exn "ok" error = Serve.Json.Bool false
+    && Serve.Json.member "error" error <> None);
+  Alcotest.(check (list string)) "session unchanged by the long line"
+    (run_stream (lines @ tail))
+    (List.filteri (fun i _ -> i <> n) replies)
+
 let () =
   Alcotest.run "serve"
     [
@@ -287,5 +330,6 @@ let () =
           Alcotest.test_case "protocol errors" `Quick test_handle_line_errors;
           Alcotest.test_case "deterministic under trace" `Quick
             test_engine_deterministic_under_trace;
+          Alcotest.test_case "line cap" `Quick test_serve_channels_line_cap;
         ] );
     ]
