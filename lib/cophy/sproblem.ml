@@ -78,56 +78,71 @@ let build ?(prune = true) (env : Optimizer.Whatif.env)
         (pos :: Option.value ~default:[] (Hashtbl.find_opt by_table tb)))
     candidates;
   let table_cands tb = Option.value ~default:[] (Hashtbl.find_opt by_table tb) in
+  (* A block's templates and used candidates, priced on the raw
+     statement [q] against INUM entry [inum]. *)
+  let price q inum =
+    let tables = Inum.tables inum in
+    let used = Hashtbl.create 16 in
+    let templates =
+      List.map
+        (fun (tpl : Inum.template) ->
+          let choices =
+            List.mapi
+              (fun ti table ->
+                let req = tpl.Inum.slot_reqs.(ti) in
+                let g0 =
+                  match
+                    Optimizer.Access.slot_fill_cost params schema q table None
+                      req
+                  with
+                  | Some c -> c
+                  | None -> infinity
+                in
+                let cands =
+                  List.filter_map
+                    (fun pos ->
+                      match
+                        Optimizer.Access.slot_fill_cost params schema q table
+                          (Some candidates.(pos))
+                          req
+                      with
+                      | Some g when (not prune) || g < g0 -. 1e-9 ->
+                          Hashtbl.replace used pos ();
+                          Some { cand = pos; gamma = g }
+                      | _ -> None)
+                    (table_cands table)
+                in
+                Array.of_list ({ cand = -1; gamma = g0 } :: cands))
+              tables
+          in
+          { beta = tpl.Inum.beta; choices = Array.of_list choices })
+        (Inum.templates inum)
+    in
+    (Array.of_list templates, Runtime.Tbl.sorted_keys used |> Array.of_list)
+  in
+  (* Statements that resolve to one INUM entry and are written alike get
+     the same block arrays, priced once and shared physically.  The key
+     is the raw shape ([Canon.raw_key]), not the canonical one: gammas
+     are priced on the statement as written, and its clause order moves
+     them (an index seeks on the first matching range predicate, and
+     selectivities fold left to right).  Within one shape the entry is
+     found by physical identity — a capacity-evicted key can come back
+     as a second entry. *)
+  let priced = Hashtbl.create 64 in
   let blocks =
     List.map
       (fun (q, weight, inum) ->
-        let tables = Inum.tables inum in
-        let used = Hashtbl.create 16 in
-        let templates =
-          List.map
-            (fun (tpl : Inum.template) ->
-              let choices =
-                List.mapi
-                  (fun ti table ->
-                    let req = tpl.Inum.slot_reqs.(ti) in
-                    let g0 =
-                      match
-                        Optimizer.Access.slot_fill_cost params schema q table
-                          None req
-                      with
-                      | Some c -> c
-                      | None -> infinity
-                    in
-                    let cands =
-                      List.filter_map
-                        (fun pos ->
-                          match
-                            Optimizer.Access.slot_fill_cost params schema q
-                              table
-                              (Some candidates.(pos))
-                              req
-                          with
-                          | Some g when (not prune) || g < g0 -. 1e-9 ->
-                              Hashtbl.replace used pos ();
-                              Some { cand = pos; gamma = g }
-                          | _ -> None)
-                        (table_cands table)
-                    in
-                    Array.of_list ({ cand = -1; gamma = g0 } :: cands))
-                  tables
-              in
-              { beta = tpl.Inum.beta; choices = Array.of_list choices })
-            (Inum.templates inum)
+        let shape = Sqlast.Canon.raw_key q in
+        let same = Option.value ~default:[] (Hashtbl.find_opt priced shape) in
+        let templates, cands_used =
+          match List.assq_opt inum same with
+          | Some arrays -> arrays
+          | None ->
+              let arrays = price q inum in
+              Hashtbl.replace priced shape ((inum, arrays) :: same);
+              arrays
         in
-        let cands_used =
-          Runtime.Tbl.sorted_keys used |> Array.of_list
-        in
-        {
-          qid = q.Sqlast.Ast.query_id;
-          weight;
-          templates = Array.of_list templates;
-          cands_used;
-        })
+        { qid = q.Sqlast.Ast.query_id; weight; templates; cands_used })
       cache.Inum.selects
     |> Array.of_list
   in

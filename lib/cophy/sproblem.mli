@@ -48,7 +48,26 @@ val variable_count : t -> int
 
 (** Build from an INUM workload cache and a candidate set.
     [prune = false] disables the lossless slot dominance pruning
-    (ablation only). *)
+    (ablation only).
+
+    Gammas are priced on each statement as written, not on the
+    canonical form its INUM entry was built from.  A block's
+    [templates] and [cands_used] are therefore computed once per
+    (INUM entry, raw statement shape — {!Sqlast.Canon.raw_key}) and
+    shared physically by every statement with that pair; only [qid] and
+    [weight] are per statement.  Each block is bit-identical to the
+    block of a one-statement build.
+
+    This raw pricing is not the surface {!Inum.cost}, {!Inum.refine}
+    and {!Inum.best_instantiation} evaluate: they price slots on the
+    canonical form, so the configuration at which refine certifies the
+    INUM cost exact is certified for the canonical statement, and a
+    statement whose clause order differs from its canonical form can
+    be priced differently here (an index seeks on the first matching
+    range predicate, and selectivities fold left to right).  Pricing
+    the blocks on the canonical form instead is not bit-identical: on
+    W_hom n=1000 it moves the optimality gap from 0.0467 to 0.0488.
+    Left as is because aligning the two surfaces changes results. *)
 val build :
   ?prune:bool ->
   Optimizer.Whatif.env ->

@@ -550,9 +550,10 @@ let gamma t k ~table index =
   Optimizer.Access.slot_fill_cost t.env.Optimizer.Whatif.params
     t.env.Optimizer.Whatif.schema t.query table index req
 
-(* Minimum fill cost of requirement [req] on [table] over the indexes of
-   [config] (and no-index). *)
-let best_req_cost t table req config =
+(* Minimum fill cost of requirement [req] on slot [ti] over the indexes
+   of [config] (and no-index). *)
+let best_req_cost t ti req config =
+  let table = t.tables.(ti) in
   let params = t.env.Optimizer.Whatif.params in
   let schema = t.env.Optimizer.Whatif.schema in
   let base =
@@ -570,20 +571,33 @@ let best_req_cost t table req config =
     base
     (Storage.Config.on_table config table)
 
-(* Minimum gamma over the indexes of [config] on [table] (and no-index). *)
-let best_slot_cost t (template : template) ti config =
-  Runtime.Trace.incr tr_gamma;
-  best_req_cost t t.tables.(ti) template.slot_reqs.(ti) config
+(* [best_req_cost] at a fixed [config], memoized per (slot, requirement)
+   for the lifetime of the returned closure.  The value is a pure
+   function of its arguments, so a memo hit returns the very float a
+   fresh evaluation would.  The memo is local to one caller: it never
+   outlives the [config] it was made for. *)
+let fill_cost t config =
+  let memo = Array.make (Array.length t.tables) [] in
+  fun ti req ->
+    match List.find_opt (fun (r, _) -> req_equal r req) memo.(ti) with
+    | Some (_, c) -> c
+    | None ->
+        let c = best_req_cost t ti req config in
+        memo.(ti) <- (req, c) :: memo.(ti);
+        c
 
-(* Surrogate cost over the kept templates only (no forcing). *)
-let kept_cost t config =
+(* Surrogate cost over the kept templates only (no forcing); [fill] is a
+   [fill_cost] closure. *)
+let kept_cost t fill =
   let best = ref infinity in
   Array.iter
     (fun template ->
       let total = ref template.beta in
       Array.iteri
-        (fun ti _ -> total := !total +. best_slot_cost t template ti config)
-        t.tables;
+        (fun ti req ->
+          Runtime.Trace.incr tr_gamma;
+          total := !total +. fill ti req)
+        template.slot_reqs;
       if !total < !best then best := !total)
     t.templates;
   !best
@@ -594,24 +608,18 @@ let kept_cost t config =
    spec verbatim.  An NLJ slot's requirement carries the probe-time
    outer cardinality; cardinalities are clamped to >= 1 row, so one
    probe's cost bounds the slot from below. *)
-let optimistic_total t i config =
+let optimistic_total t fill i =
   let total = ref (lower_bound t i) in
   Array.iteri
     (fun k s ->
-      match s with
-      | Optimizer.Whatif.Spec_any ->
-          total :=
-            !total +. best_req_cost t t.tables.(k) Optimizer.Plan.Any_order config
-      | Optimizer.Whatif.Spec_ordered o ->
-          total :=
-            !total
-            +. best_req_cost t t.tables.(k) (Optimizer.Plan.Ordered o) config
-      | Optimizer.Whatif.Spec_nlj jc ->
-          total :=
-            !total
-            +. best_req_cost t t.tables.(k)
-                 (Optimizer.Plan.Nlj_inner { join_col = jc; outer_rows = 1.0 })
-                 config)
+      let req =
+        match s with
+        | Optimizer.Whatif.Spec_any -> Optimizer.Plan.Any_order
+        | Optimizer.Whatif.Spec_ordered o -> Optimizer.Plan.Ordered o
+        | Optimizer.Whatif.Spec_nlj jc ->
+            Optimizer.Plan.Nlj_inner { join_col = jc; outer_rows = 1.0 }
+      in
+      total := !total +. fill k req)
     t.combos.(i);
   !total
 
@@ -622,8 +630,11 @@ let optimistic_total t i config =
    this configuration.  Returns the number of probes forced.  Safe to
    call repeatedly and from any single domain at a time; results are
    path-independent (exactness at every consulted configuration holds
-   regardless of which configurations were consulted before). *)
-let refine t ~config =
+   regardless of which configurations were consulted before).  [fill] is
+   [fill_cost t config]: the configuration is fixed for the whole call,
+   so every fill cost is computed at most once per (slot, requirement)
+   however many rounds and pending combinations read it. *)
+let refine_with t fill =
   if not (has_pending t) then 0
   else
     Mutex.protect t.lock @@ fun () ->
@@ -631,13 +642,13 @@ let refine t ~config =
     let continue_ = ref true in
     while !continue_ do
       continue_ := false;
-      let best = kept_cost t config in
+      let best = kept_cost t fill in
       let target = ref None in
       Array.iteri
         (fun i st ->
           match (st, !target) with
           | Pending, None ->
-              if optimistic_total t i config < best then target := Some i
+              if optimistic_total t fill i < best then target := Some i
           | _ -> ())
         t.states;
       match !target with
@@ -652,18 +663,21 @@ let refine t ~config =
     done;
     !forced
 
+let refine t ~config = refine_with t (fill_cost t config)
+
 (* INUM's approximation of cost(q, X): min over templates of beta plus the
    per-slot minima (the inner min over atomic configurations decomposes
    per slot).  Deferred probes whose bounds overlap the winner are forced
    first, so the result is exact — equal to the exhaustive build's — at
    every configuration actually consulted. *)
 let cost t config =
-  if has_pending t then ignore (refine t ~config);
-  kept_cost t config
+  let fill = fill_cost t config in
+  ignore (refine_with t fill);
+  kept_cost t fill
 
 (* Surrogate cost and the certified regret bound, without forcing: the
    exhaustive cost lies in [fst - snd, fst]. *)
-let cost_bound t config = (kept_cost t config, probe_regret t)
+let cost_bound t config = (kept_cost t (fill_cost t config), probe_regret t)
 
 (* The template index and atomic configuration (at most one index per
    table) the minimum is attained at, for explanation output.  Forces
@@ -871,20 +885,42 @@ let cache_truncated cache =
 let cache_pending cache =
   List.fold_left (fun acc t -> acc + pending_probes t) 0 cache.fresh
 
+(* [f] applied once per distinct statement cache, however many
+   statements resolve to it: the returned closure computes [f t] on the
+   first call for [t] and returns the stored value after.  Caches are
+   told apart by physical identity — two entries for one key (a
+   capacity-evicted key built again) stay distinct — and bucketed by
+   their query's serialization to keep the lookup short. *)
+let per_entry f =
+  let seen = Hashtbl.create 64 in
+  fun t ->
+    let shape = Canon.raw_key t.query in
+    let same = Option.value ~default:[] (Hashtbl.find_opt seen shape) in
+    match List.assq_opt t same with
+    | Some v -> v
+    | None ->
+        let v = f t in
+        Hashtbl.replace seen shape ((t, v) :: same);
+        v
+
 (* Weighted certified regret: the INUM surface built from the kept
    templates sits above the exhaustive surface by at most this much, at
-   any configuration. *)
+   any configuration.  Each entry's bound is computed once; the weighted
+   sum still runs per statement, in statement order. *)
 let cache_regret cache =
+  let regret = per_entry probe_regret in
   List.fold_left
-    (fun acc (_, weight, t) -> acc +. (weight *. probe_regret t))
+    (fun acc (_, weight, t) -> acc +. (weight *. regret t))
     0.0 cache.selects
 
-(* Force every statement cache at [config] (see [refine]); statements
-   sharing a canonical key share the cache, so repeats cost nothing. *)
+(* Force every statement cache at [config] (see [refine]), once per
+   distinct entry in first-occurrence order: a second [refine] at the
+   same configuration forces nothing, so repeats are skipped outright. *)
 let refine_cache cache ~config =
-  List.fold_left
-    (fun acc (_, _, t) -> acc + refine t ~config)
-    0 cache.selects
+  let forced = ref 0 in
+  let refine_once = per_entry (fun t -> forced := !forced + refine t ~config) in
+  List.iter (fun (_, _, t) -> refine_once t) cache.selects;
+  !forced
 
 let add_statements ?jobs (store : Keyed.store) cache (w : Ast.workload) =
   Runtime.Trace.span "inum.add_statements" @@ fun () ->

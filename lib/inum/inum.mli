@@ -88,7 +88,9 @@ val probe_regret : t -> float
     overlaps the best instantiation under [config], until none does;
     returns the number of probes forced.  Afterwards [cost t config] is
     exact (equal to the exhaustive build's) at this configuration.
-    Idempotent; serialized internally. *)
+    Idempotent; serialized internally.  Within one call every fill cost
+    is computed once per (slot, requirement): the configuration is
+    fixed, so the cost is a pure function of the pair. *)
 val refine : t -> config:Storage.Config.t -> int
 
 (** [gamma t k ~table index] — the cost of instantiating [table]'s slot in
@@ -188,11 +190,17 @@ val cache_pending : workload_cache -> int
 (** Weight-summed certified regret ({!probe_regret}) over the workload's
     SELECTs: the workload cost surface computed from the kept templates
     sits above the exhaustive one by at most this much, at any
-    configuration. *)
+    configuration.  Each distinct statement cache's bound is computed
+    once; the weighted sum still runs per statement in statement order,
+    so the value is the per-statement fold's, bit for bit. *)
 val cache_regret : workload_cache -> float
 
 (** [refine_cache cache ~config] — {!refine} every statement cache at
-    [config]; returns the total number of probes forced. *)
+    [config]; returns the total number of probes forced.  Each distinct
+    cache (by physical identity; statements sharing a keyed-store entry
+    share it) is refined once, in first-occurrence order: since {!refine}
+    at a fixed configuration is idempotent, the count and every cache's
+    end state equal those of refining every statement in turn. *)
 val refine_cache : workload_cache -> config:Storage.Config.t -> int
 
 (** [add_statements store cache w] — [cache] extended with every statement

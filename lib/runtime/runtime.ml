@@ -108,8 +108,9 @@ type worker = {
   mutable stop : bool;
 }
 
-(* Set on pool domains so a nested [parallel_map] from inside a worker
-   degrades to sequential instead of deadlocking on [pool_lock]. *)
+(* Set on pool domains, and on the calling domain while it works its own
+   section, so a nested [parallel_map] from inside [f] degrades to
+   sequential instead of locking [pool_lock] a second time. *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
 let worker_loop w () =
@@ -248,7 +249,9 @@ let parallel_map ?jobs f arr =
          Mutex.unlock latch_lock
        in
        List.iter (fun w -> submit w helper_job) enlisted;
+       Domain.DLS.set in_worker true;
        body ();
+       Domain.DLS.set in_worker false;
        Mutex.lock latch_lock;
        while !remaining > 0 do
          Condition.wait latch_cond latch_lock

@@ -103,7 +103,9 @@ let buf_list item b xs =
       item b x)
     xs
 
-let key_of_normal (q : query) =
+(* The serialization of [q] as written: clause order is kept, only
+   [query_id] is left out. *)
+let raw_key (q : query) =
   let b = Buffer.create 256 in
   Buffer.add_string b "t[";
   buf_list (fun b t -> Printf.bprintf b "%S" t) b q.tables;
@@ -133,7 +135,7 @@ let key_of_normal (q : query) =
   Buffer.add_char b ']';
   Buffer.contents b
 
-let key q = key_of_normal (normalize q)
+let key q = raw_key (normalize q)
 
 let update_key (u : update) =
   let u = normalize_update u in

@@ -29,6 +29,14 @@ val key : Ast.query -> string
     equal.  Selectivities are rendered in hexadecimal float notation,
     so the key distinguishes any two different selectivity values. *)
 
+val raw_key : Ast.query -> string
+(** The serialization [key] applies to the normal form, applied to the
+    query as written: every field but [query_id], in the order given.
+    Equal iff the two queries are equal up to [query_id], so two
+    statements with one [key] can still differ here in clause order —
+    which is what per-statement costs priced on the raw form depend on
+    ([key q = raw_key (normalize q)]). *)
+
 val update_key : Ast.update -> string
 
 val statement_key : Ast.statement -> string

@@ -119,6 +119,80 @@ let test_sproblem_slot_pruning () =
         b.Cophy.Sproblem.templates)
     sp.Cophy.Sproblem.blocks
 
+(* Bit-exact block equality: betas and gammas by [Fx.exactly]. *)
+let same_block (a : Cophy.Sproblem.block) (b : Cophy.Sproblem.block) =
+  let same_choice (x : Cophy.Sproblem.slot_choice) (y : Cophy.Sproblem.slot_choice) =
+    Int.equal x.Cophy.Sproblem.cand y.Cophy.Sproblem.cand
+    && Runtime.Fx.exactly x.Cophy.Sproblem.gamma y.Cophy.Sproblem.gamma
+  in
+  let same_array eq x y =
+    Array.length x = Array.length y && Array.for_all2 eq x y
+  in
+  let same_template (x : Cophy.Sproblem.template) (y : Cophy.Sproblem.template) =
+    Runtime.Fx.exactly x.Cophy.Sproblem.beta y.Cophy.Sproblem.beta
+    && same_array (same_array same_choice) x.Cophy.Sproblem.choices
+         y.Cophy.Sproblem.choices
+  in
+  same_array same_template a.Cophy.Sproblem.templates b.Cophy.Sproblem.templates
+  && same_array Int.equal a.Cophy.Sproblem.cands_used b.Cophy.Sproblem.cands_used
+
+(* Statements resolving to one INUM entry share their block arrays, but
+   only when written alike: gammas are priced on the raw statement, and
+   the first matching range predicate is the one an index seeks on. *)
+let test_sproblem_shared_blocks () =
+  let e = env () in
+  let date = Ast.col_ref "orders" "o_orderdate" in
+  let query id predicates =
+    {
+      Ast.query_id = id;
+      tables = [ "orders" ];
+      select = [ Ast.Col (Ast.col_ref "orders" "o_totalprice") ];
+      predicates;
+      joins = [];
+      group_by = [];
+      order_by = [];
+    }
+  in
+  let before = Ast.predicate ~selectivity:0.001 date Ast.Lt in
+  let after = Ast.predicate ~selectivity:0.02 date Ast.Gt in
+  let a = query 1 [ before; after ] in
+  let b = query 2 [ after; before ] in
+  let a' = { a with Ast.query_id = 3 } in
+  Alcotest.(check string) "one canonical key" (Canon.key a) (Canon.key b);
+  let workload qs =
+    List.map (fun q -> { Ast.stmt = Ast.Select q; weight = 1.0 }) qs
+  in
+  let store = Inum.Keyed.create e in
+  let cache = Inum.add_statements store Inum.empty_cache (workload [ a; b; a' ]) in
+  let cands =
+    [| Storage.Index.create ~table:"orders" [ "o_orderdate" ];
+       Storage.Index.create ~includes:[ "o_totalprice" ] ~table:"orders"
+         [ "o_orderdate" ] |]
+  in
+  let sp = Cophy.Sproblem.build e cache cands in
+  List.iteri
+    (fun i q ->
+      let alone = Inum.add_statements store Inum.empty_cache (workload [ q ]) in
+      let single = Cophy.Sproblem.build e alone cands in
+      Alcotest.(check bool)
+        (Printf.sprintf "block %d = its one-statement build" i)
+        true
+        (same_block sp.Cophy.Sproblem.blocks.(i) single.Cophy.Sproblem.blocks.(0)))
+    [ a; b; a' ];
+  let entry i =
+    let _, _, inum = List.nth cache.Inum.selects i in
+    inum
+  in
+  Alcotest.(check bool) "all three resolve to one entry" true
+    (entry 0 == entry 1 && entry 0 == entry 2);
+  let block i = sp.Cophy.Sproblem.blocks.(i) in
+  Alcotest.(check bool) "reordered ranges price differently" false
+    (same_block (block 0) (block 1));
+  Alcotest.(check bool) "an exact repeat shares its templates" true
+    ((block 2).Cophy.Sproblem.templates == (block 0).Cophy.Sproblem.templates);
+  Alcotest.(check bool) "a reordered statement does not" false
+    ((block 1).Cophy.Sproblem.templates == (block 0).Cophy.Sproblem.templates)
+
 (* --- Theorem 1: the BIP optimum equals exhaustive search --- *)
 
 let exhaustive_optimum sp ~budget =
@@ -726,6 +800,8 @@ let () =
         [
           Alcotest.test_case "eval = INUM" `Quick test_sproblem_eval_matches_inum;
           Alcotest.test_case "slot pruning lossless form" `Quick test_sproblem_slot_pruning;
+          Alcotest.test_case "blocks shared per entry and shape" `Quick
+            test_sproblem_shared_blocks;
         ] );
       ( "theorem1",
         [

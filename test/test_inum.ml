@@ -395,7 +395,79 @@ let test_keyed_partial_build_coherent () =
   Alcotest.(check bool) "regret never grows" true (regret' <= regret);
   Alcotest.(check (float 0.0)) "refined cost matches an eager build"
     (Inum.cost (Inum.build_eager e (Canon.normalize q)) Storage.Config.empty)
-    exact
+    exact;
+  (* The same on W_het entries at several configurations.  Their joins
+     give NLJ slots, whose requirement carries an outer cardinality, and
+     [refine] reads each (slot, requirement) fill cost from a per-call
+     memo: the refined cost must still be the eager build's, bit for
+     bit. *)
+  let w = Workload.Gen.het schema ~n:30 ~seed:7 in
+  let cache = Inum.add_statements ~jobs:1 store Inum.empty_cache w in
+  let cands = Cophy.Cgen.generate w in
+  let configs =
+    [ Storage.Config.empty;
+      Storage.Config.of_list (List.filteri (fun i _ -> i mod 3 = 0) cands);
+      Storage.Config.of_list (List.filteri (fun i _ -> i mod 5 = 1) cands) ]
+  in
+  let nlj = ref false in
+  List.iter
+    (fun ((q : Ast.query), _, c) ->
+      let eager = Inum.build_eager e (Canon.normalize q) in
+      List.iter
+        (fun (t : Inum.template) ->
+          Array.iter
+            (function Optimizer.Plan.Nlj_inner _ -> nlj := true | _ -> ())
+            t.Inum.slot_reqs)
+        (Inum.templates eager);
+      List.iteri
+        (fun i cfg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "W_het query %d, config %d: refined = eager"
+               q.Ast.query_id i)
+            true
+            (Runtime.Fx.exactly (Inum.cost eager cfg) (Inum.cost c cfg)))
+        configs)
+    cache.Inum.selects;
+  Alcotest.(check bool) "W_het exercises NLJ slots" true !nlj
+
+(* [refine_cache] visits each distinct entry once.  Against the
+   per-statement fold it replaces — [refine] on every statement, repeats
+   included — the forced count, every entry's end state and the weighted
+   regret must come out identical, at the empty and at a recommended
+   configuration. *)
+let test_refine_cache_once_per_entry () =
+  let w = Workload.Gen.hom schema ~n:200 ~seed:7 in
+  let build () = Inum.build_workload ~jobs:1 ~probe_budget:16 (env ()) w in
+  let deduped = build () and folded = build () in
+  let recommended =
+    (Cophy.Advisor.advise ~jobs:1 schema w ~budget_fraction:0.5)
+      .Cophy.Advisor.config
+  in
+  List.iter
+    (fun (name, config) ->
+      let forced = Inum.refine_cache deduped ~config in
+      let forced' =
+        List.fold_left
+          (fun acc (_, _, c) -> acc + Inum.refine c ~config)
+          0 folded.Inum.selects
+      in
+      Alcotest.(check int) (name ^ ": same forced count") forced' forced;
+      if String.equal name "empty" then
+        Alcotest.(check bool) "budget 16 leaves probes to force" true
+          (forced > 0);
+      List.iter2
+        (fun (_, _, a) (_, _, b) ->
+          Alcotest.(check int) (name ^ ": template_count")
+            (Inum.template_count b) (Inum.template_count a);
+          Alcotest.(check int) (name ^ ": init_calls") (Inum.init_calls b)
+            (Inum.init_calls a);
+          Alcotest.(check int) (name ^ ": pending_probes")
+            (Inum.pending_probes b) (Inum.pending_probes a))
+        deduped.Inum.selects folded.Inum.selects;
+      Alcotest.(check bool) (name ^ ": cache_regret bit-identical") true
+        (Runtime.Fx.exactly (Inum.cache_regret folded)
+           (Inum.cache_regret deduped)))
+    [ ("empty", Storage.Config.empty); ("recommended", recommended) ]
 
 (* Resolution through the store is invariant in jobs and identical to a
    fresh direct build of the canonical form. *)
@@ -455,6 +527,8 @@ let () =
             test_add_statements_dedupe;
           Alcotest.test_case "partial build coherent" `Quick
             test_keyed_partial_build_coherent;
+          Alcotest.test_case "refine_cache once per entry" `Quick
+            test_refine_cache_once_per_entry;
           QCheck_alcotest.to_alcotest prop_keyed_matches_fresh;
         ] );
     ]
