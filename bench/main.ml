@@ -18,7 +18,7 @@
    recommendation so job counts can be checked for identical results.
 
    --json <file> runs the full pipeline once and writes stage wall-times
-   and the result in a stable schema (schema_version 8) as a
+   and the result in a stable schema (schema_version 9) as a
    machine-readable perf baseline; per-layer counters come from
    --trace.  The pipeline runs at the --probe-budget (default 16 per
    query; 0 = unlimited) and the
@@ -28,11 +28,7 @@
    materialized Theorem-1 BIP (presolve + sparse simplex, the production
    LP path), replays a drifting workload through the serve engine (the
    "serve" section: events/sec, latency quantiles, cache hit
-   rate, warm-vs-scratch retune latency at equal certified objective),
-   and solves the n=1000 homogeneous BIP with the scratch baseline and
-   the core-guided MIP engine at jobs 1/4 (the "bip" section: solve
-   walls, node / cut / warm-resolve counters, determinism and cut
-   certification invariants).
+   rate, warm-vs-scratch retune latency at equal certified objective).
 
    --trace <file> turns on Runtime.Trace for the run and writes the
    Chrome trace_event export to <file>; under --json the flat trace
@@ -283,121 +279,6 @@ let serve_phase ~jobs () =
     (scratch_median /. Float.max 1e-9 warm_median)
     objectives_equal !max_rel_diff
 
-(* MIP-engine benchmark backing the PR-7 acceptance criteria: build the
-   large homogeneous instance once, then solve it three ways — the PR-6
-   scratch baseline (core-guided off, jobs 1) and the core-guided engine
-   at jobs 1 and 4 — and report solve walls, the branch-and-bound / cut /
-   warm-start counters, and the determinism invariant (jobs-1 and jobs-4
-   certified objectives bit-identical).  Counter deltas come from
-   Runtime.Trace, which is enabled for the duration of this phase if it
-   was not already.
-
-   Reported invariants:
-   - [jobs_objectives_identical]: the parallel driver is deterministic —
-     the certified objective at jobs 4 is bit-identical to jobs 1.
-   - [objectives_gap_equal]: baseline and core-guided solves agree up to
-     the solver's termination gap (both stop at [gap_tolerance]).
-   - [cuts_uncertified] must be 0: every cut the engine added was
-     satisfied by the final incumbent.
-   - [speedup]: baseline solve wall over core-guided jobs-1 solve wall
-     (the acceptance target is >= 10x). *)
-let bip_bench_n = 1000
-
-let bip_counter_keys =
-  [
-    "bb.nodes"; "bb.cuts_added"; "bb.warm_resolves"; "bb.cuts_uncertified";
-    "cuts.separated"; "cuts.added"; "cuts.evicted"; "cg.hardened";
-  ]
-
-let bip_phase ?(check = false) () =
-  let schema = Catalog.Tpch.schema () in
-  let w = Workload.Gen.hom schema ~n:bip_bench_n ~seed:bench_seed in
-  let env = Optimizer.Whatif.make_env schema in
-  let cache = Inum.build_workload ~jobs:4 env w in
-  let cands = Array.of_list (Cophy.Cgen.generate w) in
-  let sp = Cophy.Sproblem.build env cache cands in
-  let budget = bench_budget_fraction *. Catalog.Tpch.database_size schema in
-  let was_enabled = Runtime.Trace.enabled () in
-  if not was_enabled then Runtime.Trace.enable ();
-  let counter name =
-    Option.value ~default:0 (List.assoc_opt name (Runtime.Trace.counters ()))
-  in
-  let solve ~core ~jobs =
-    let options =
-      {
-        Cophy.Solver.default_options with
-        Cophy.Solver.method_ = Cophy.Solver.Decomposed;
-        jobs;
-        core_guided = core;
-        certify = check;
-      }
-    in
-    let before = List.map (fun k -> (k, counter k)) bip_counter_keys in
-    let r = Cophy.Solver.solve ~options sp ~budget ~z_rows:[] in
-    let deltas =
-      List.map
-        (fun k -> (k, counter k - List.assoc k before))
-        bip_counter_keys
-    in
-    (r, deltas)
-  in
-  let scratch, _ = solve ~core:false ~jobs:1 in
-  let core1, d1 = solve ~core:true ~jobs:1 in
-  let core4, _ = solve ~core:true ~jobs:4 in
-  if not was_enabled then Runtime.Trace.disable ();
-  let d k = List.assoc k d1 in
-  let nodes = d "bb.nodes" in
-  let warm = d "bb.warm_resolves" in
-  let cuts_uncertified = d "bb.cuts_uncertified" in
-  let cuts_active = d "cuts.added" - d "cuts.evicted" in
-  let warm_rate = float_of_int warm /. float_of_int (max 1 nodes) in
-  let speedup =
-    scratch.Cophy.Solver.solve_seconds
-    /. Float.max 1e-9 core1.Cophy.Solver.solve_seconds
-  in
-  (* bit-exact on purpose: jobs=1 and jobs=4 must agree to the last ulp
-     (the determinism contract), so no tolerance is wanted here *)
-  let[@lint.allow float_eq] jobs_identical =
-    core1.Cophy.Solver.objective = core4.Cophy.Solver.objective
-  in
-  let gap_equal =
-    Float.abs (scratch.Cophy.Solver.objective -. core1.Cophy.Solver.objective)
-    <= Cophy.Solver.default_options.Cophy.Solver.gap_tolerance
-       *. Float.min scratch.Cophy.Solver.objective
-            core1.Cophy.Solver.objective
-  in
-  Fmt.pr
-    "bip n=%d: scratch=%.3fs core_j1=%.3fs core_j4=%.3fs (x%.1f), nodes=%d \
-     cuts=%d/%d (uncertified=%d) warm=%d (rate %.2f) hardened=%d, \
-     jobs_identical=%b gap_equal=%b@."
-    bip_bench_n scratch.Cophy.Solver.solve_seconds
-    core1.Cophy.Solver.solve_seconds core4.Cophy.Solver.solve_seconds speedup
-    nodes
-    (d "cuts.separated")
-    cuts_active cuts_uncertified warm warm_rate (d "cg.hardened")
-    jobs_identical gap_equal;
-  if check && not jobs_identical then begin
-    Fmt.epr "bip: certified objectives differ across jobs 1/4@.";
-    exit 1
-  end;
-  if check && cuts_uncertified > 0 then begin
-    Fmt.epr "bip: %d cuts violated by the final incumbent@." cuts_uncertified;
-    exit 1
-  end;
-  Printf.sprintf
-    {|{"n":%d,"vars":%d,"blocks":%d,"scratch":{"solve_seconds":%.6f,"objective":%.6f,"bound":%.6f,"gap":%.6f},"core":{"jobs1_solve_seconds":%.6f,"jobs4_solve_seconds":%.6f,"objective":%.6f,"bound":%.6f,"gap":%.6f},"speedup":%.2f,"nodes":%d,"cuts_separated":%d,"cuts_active":%d,"cuts_uncertified":%d,"warm_resolves":%d,"warm_resolve_rate":%.4f,"cg_hardened":%d,"jobs_objectives_identical":%b,"objectives_gap_equal":%b}|}
-    bip_bench_n
-    (Cophy.Sproblem.variable_count sp)
-    (Cophy.Sproblem.num_blocks sp)
-    scratch.Cophy.Solver.solve_seconds scratch.Cophy.Solver.objective
-    scratch.Cophy.Solver.bound scratch.Cophy.Solver.gap
-    core1.Cophy.Solver.solve_seconds core4.Cophy.Solver.solve_seconds
-    core1.Cophy.Solver.objective core1.Cophy.Solver.bound
-    core1.Cophy.Solver.gap speedup nodes
-    (d "cuts.separated")
-    cuts_active cuts_uncertified warm warm_rate (d "cg.hardened")
-    jobs_identical gap_equal
-
 (* --json: one pipeline run, stable machine-readable schema.  [check]
    turns on Solver certification for the pipeline solve and the
    analyzer + certifier on the materialized BIP scenario. *)
@@ -440,14 +321,13 @@ let json_mode ?(check = false) ~jobs ~probe_budget file =
   in
   let lp_json = lp_phase ~check () in
   let serve_json = serve_phase ~jobs () in
-  let bip_json = bip_phase ~check () in
   let trace_json =
     if Runtime.Trace.enabled () then Runtime.Trace.to_metrics_json ()
     else "null"
   in
   let json =
     Printf.sprintf
-      {|{"schema_version":8,"workload":{"shape":"hom","n":%d,"seed":%d},"jobs":%d,"budget_fraction":%g,"timings":{"inum_seconds":%.6f,"build_seconds":%.6f,"solve_seconds":%.6f},"result":{"objective":%.6f,"bound":%.6f,"gap":%.6f,"probe_regret":%.6f,"total_init_calls":%d,"indexes":[%s]},"inum":%s,"lp":%s,"serve":%s,"bip":%s,"trace":%s}|}
+      {|{"schema_version":9,"workload":{"shape":"hom","n":%d,"seed":%d},"jobs":%d,"budget_fraction":%g,"timings":{"inum_seconds":%.6f,"build_seconds":%.6f,"solve_seconds":%.6f},"result":{"objective":%.6f,"bound":%.6f,"gap":%.6f,"probe_regret":%.6f,"total_init_calls":%d,"indexes":[%s]},"inum":%s,"lp":%s,"serve":%s,"trace":%s}|}
       bench_n bench_seed jobs bench_budget_fraction t.Cophy.Advisor.inum_seconds
       t.Cophy.Advisor.build_seconds t.Cophy.Advisor.solve_seconds
       r.Cophy.Advisor.report.Cophy.Solver.objective
@@ -459,7 +339,7 @@ let json_mode ?(check = false) ~jobs ~probe_budget file =
          (List.map
             (fun s -> Printf.sprintf "%S" s)
             (config_indexes r.Cophy.Advisor.config)))
-      inum_json lp_json serve_json bip_json trace_json
+      inum_json lp_json serve_json trace_json
   in
   output_string oc json;
   output_char oc '\n';

@@ -124,19 +124,9 @@ let make_inputs sf z shape n seed updates sql_file =
 
 (* --- advise --- *)
 
-let plain_solver_flag =
-  let doc =
-    "Disable the core-guided MIP engine on the decomposed solver path \
-     (workload compression, benefit-initialized multipliers, reduced-cost \
-     hardening, integer z subproblems) and run the plain subgradient loop \
-     instead.  Useful for ablation runs; the recommendation quality is the \
-     same, the solve is slower."
-  in
-  Arg.(value & flag & info [ "plain-solver" ] ~doc)
-
 let advise_cmd =
   let run n seed z sf m shape updates sql_file gap verbose explain jobs
-      plain_solver probe_budget trace =
+      probe_budget trace =
     with_trace trace @@ fun () ->
     let jobs = resolve_jobs jobs in
     let probe_budget = resolve_probe_budget probe_budget in
@@ -145,7 +135,6 @@ let advise_cmd =
     let solver_options =
       { Cophy.Solver.default_options with
         Cophy.Solver.gap_tolerance = gap;
-        core_guided = not plain_solver;
         on_feedback =
           (if verbose then fun (f : Cophy.Solver.feedback) ->
              Fmt.epr "[%6.2fs] incumbent=%a bound=%.0f@."
@@ -199,8 +188,8 @@ let advise_cmd =
   Cmd.v (Cmd.info "advise" ~doc)
     Term.(
       const run $ queries $ seed $ skew $ scale $ budget $ shape $ updates
-      $ sql_file $ gap $ verbose $ explain_flag $ jobs $ plain_solver_flag
-      $ probe_budget_arg $ trace_arg)
+      $ sql_file $ gap $ verbose $ explain_flag $ jobs $ probe_budget_arg
+      $ trace_arg)
 
 (* --- compare --- *)
 

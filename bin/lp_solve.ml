@@ -118,9 +118,8 @@ let () =
         in
         let r = Lp.Branch_bound.solve ~options p in
         (match r.Lp.Branch_bound.status with
-        | Lp.Branch_bound.Optimal -> Fmt.pr "status: optimal@."
-        | Lp.Branch_bound.Feasible ->
-            Fmt.pr "status: feasible (gap %.3g)@."
+        | Lp.Branch_bound.Optimal ->
+            Fmt.pr "status: optimal (gap %.3g)@."
               ((r.Lp.Branch_bound.obj -. r.Lp.Branch_bound.bound)
               /. (abs_float r.Lp.Branch_bound.obj +. 1e-12))
         | Lp.Branch_bound.Infeasible -> Fmt.pr "status: infeasible@."

@@ -12,8 +12,14 @@
      with candidate usage priced at gamma + lambda, in closed form;
    - the z subproblem is a {0,1} knapsack over the storage budget (plus
      any linear z constraints), solved as an LP for a valid lower bound;
-   - subgradient ascent tightens the bound; rounding plus incremental
-     local search produce incumbents.
+   - subgradient ascent from benefit-initialized multipliers tightens
+     the bound, and without extra z rows the knapsack's reduced costs
+     harden z variables and probe thresholds against the incumbent;
+   - rounding plus incremental local search produce incumbents.
+
+   Blocks are merged by [Sproblem.compress] first.  Nothing in the loop
+   solves an integer program: a re-solve is closed-form block passes and
+   greedy knapsack fills, never a branch-and-bound tree.
 
    The solver streams (elapsed, incumbent, bound) events — the feedback
    channel behind CoPhy's early termination — and accepts warm-started
@@ -45,12 +51,6 @@ type options = {
   warm_z : Storage.Index.t list option;
   local_search_period : int;
   jobs : int;
-  (* Core-guided bound tightening (BCD2-style): benefit-initialized
-     multipliers, reduced-cost hardening of z variables against the
-     incumbent, a binary search that probes thresholds between bound and
-     incumbent, and periodic integer z subproblems solved by the
-     branch-and-bound engine.  Off = the plain subgradient loop. *)
-  core_guided : bool;
 }
 
 let default_options =
@@ -64,7 +64,6 @@ let default_options =
     warm_z = None;
     local_search_period = 10;
     jobs = 1;
-    core_guided = true;
   }
 
 type result = {
@@ -147,106 +146,16 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~excluded =
 
 (* --- z subproblem --- *)
 
-(* min sum w_a z_a  s.t.  sizes.z <= budget, extra z rows, 0 <= z <= 1.
-   Without extra rows this is a fractional knapsack solved greedily;
-   otherwise we hand the small LP to the simplex.  Returns the solve
-   status alongside (value, z): only an [Optimal] value is a valid
-   Lagrangian bound component — an [Iter_limit] iterate is feasible
-   (so its rounding still seeds the primal side) but its objective
-   proves nothing, and the caller must not fold it into the bound. *)
-let z_subproblem ~w ~(sizes : float array) ~budget
-    ~(z_rows : Constr.z_row list) ~forced_one ~forced_zero =
-  let n = Array.length w in
-  if z_rows = [] then begin
-    let z = Array.make n 0.0 in
-    let value = ref 0.0 in
-    let cap = ref budget in
-    (* forced selections first *)
-    for a = 0 to n - 1 do
-      if forced_one.(a) then begin
-        z.(a) <- 1.0;
-        value := !value +. w.(a);
-        cap := !cap -. sizes.(a)
-      end
-    done;
-    let order =
-      List.init n Fun.id
-      |> List.filter (fun a ->
-             (not forced_one.(a)) && (not forced_zero.(a)) && w.(a) < 0.0)
-      |> List.sort (fun a b ->
-             Float.compare
-               (w.(a) /. max 1.0 sizes.(a))
-               (w.(b) /. max 1.0 sizes.(b)))
-    in
-    List.iter
-      (fun a ->
-        if !cap > 0.0 then begin
-          let frac = min 1.0 (!cap /. max 1.0 sizes.(a)) in
-          z.(a) <- frac;
-          value := !value +. (frac *. w.(a));
-          cap := !cap -. (frac *. sizes.(a))
-        end)
-      order;
-    (* the greedy fill is the analytic optimum of the fractional
-       knapsack, so its value carries a proof *)
-    (!value, z, Lp.Simplex.Optimal)
-  end
-  else begin
-    let p = Lp.Problem.create () in
-    let vars =
-      Array.init n (fun a ->
-          let lb = if forced_one.(a) then 1.0 else 0.0 in
-          let ub = if forced_zero.(a) then 0.0 else 1.0 in
-          Lp.Problem.add_var ~lb ~ub:(max lb ub) ~obj:w.(a) p)
-    in
-    if budget < infinity then
-      ignore
-        (Lp.Problem.add_row p
-           (Array.to_list (Array.mapi (fun a v -> (v, sizes.(a))) vars))
-           Lp.Problem.Le budget);
-    List.iter
-      (fun (row : Constr.z_row) ->
-        let sense =
-          match row.Constr.row_cmp with
-          | Constr.Le -> Lp.Problem.Le
-          | Constr.Ge -> Lp.Problem.Ge
-          | Constr.Eq -> Lp.Problem.Eq
-        in
-        ignore
-          (Lp.Problem.add_row p
-             (List.map (fun (a, c) -> (vars.(a), c)) row.Constr.row_coeffs)
-             sense row.Constr.row_rhs))
-      z_rows;
-    (* No presolve here: its bound tightening and row scaling can land
-       on a different optimal vertex of this (often degenerate) LP, and
-       the fractional vertex feeds the rounding heuristic. *)
-    let r = Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p in
-    match r.Lp.Simplex.status with
-    | Lp.Simplex.Optimal ->
-        ( r.Lp.Simplex.obj,
-          Array.init n (fun a -> r.Lp.Simplex.x.(vars.(a))),
-          Lp.Simplex.Optimal )
-    | Lp.Simplex.Iter_limit ->
-        (* last iterate: primal-feasible, so still a usable rounding
-           direction, but its objective is no lower bound *)
-        ( r.Lp.Simplex.obj,
-          Array.init n (fun a -> r.Lp.Simplex.x.(vars.(a))),
-          Lp.Simplex.Iter_limit )
-    | (Lp.Simplex.Infeasible | Lp.Simplex.Unbounded) as s ->
-        (* infeasible z polytope: signal with +inf bound *)
-        (infinity, Array.make n 0.0, s)
-  end
-
-(* Greedy fractional knapsack with its analytic LP dual, for the
-   core-guided path (no extra z rows).  The fill loop mirrors the greedy
-   in [z_subproblem] exactly — it must, its value is the bound — and
-   additionally returns the knapsack dual [y] (<= 0): the reduced cost
-   [w_a - y * max 1 s_a] prices moving a variable to its opposite bound,
-   which is what the hardening and the threshold probes consume.  The
-   dual is the ratio of the first fractional item, or of the best
-   unselected item when the capacity came out exactly, or 0 when the
-   budget does not bind — each a valid dual by complementary
-   slackness over the sorted ratios. *)
+(* Without extra z rows the z subproblem
+     min sum w_a z_a  s.t.  sizes.z <= budget, 0 <= z <= 1
+   is a fractional knapsack, solved greedily: its value is the analytic
+   LP optimum, so it carries a proof.  It also returns the knapsack dual
+   [y] (<= 0): the reduced cost [w_a - y * max 1 s_a] prices moving a
+   variable to its opposite bound, which is what the hardening and the
+   threshold probes consume.  The dual is the ratio of the first
+   fractional item, or of the best unselected item when the capacity
+   came out exactly, or 0 when the budget does not bind — each a valid
+   dual by complementary slackness over the sorted ratios. *)
 let greedy_z_with_duals ~w ~(sizes : float array) ~budget ~forced_one
     ~forced_zero =
   let n = Array.length w in
@@ -284,27 +193,21 @@ let greedy_z_with_duals ~w ~(sizes : float array) ~budget ~forced_one
     order;
   (!value, z, !y)
 
-(* Integer z subproblem: the same knapsack (plus any z rows), solved as
-   a small BIP by the branch-and-bound engine.  Its proven bound is a
-   valid — and strictly tighter than the LP's — Lagrangian component,
-   and its solution is budget-feasible by construction, so it feeds the
-   incumbent side too.  Deterministic: only a node limit, never a time
-   limit, truncates the tree. *)
-let[@bound.certifier bound
-     "returns Branch_bound's [bound] result field, the proven dual side \
-      maintained only through Optimal-gated updates (machine-checked by \
-      the bound sinks inside branch_bound.ml); the solution component is \
-      a bool rounding of a certified incumbent"] z_bip ~jobs ~w
-    ~(sizes : float array) ~budget ~(z_rows : Constr.z_row list) ~forced_one
-    ~forced_zero =
+(* With extra z rows, the same subproblem plus the rows is a small LP
+   handed to the simplex.  Returns the solve status alongside (value, z):
+   only an [Optimal] value is a valid Lagrangian bound component — an
+   [Iter_limit] iterate is feasible (so its rounding still seeds the
+   primal side) but its objective proves nothing, and the caller must
+   not fold it into the bound. *)
+let z_lp ~w ~(sizes : float array) ~budget ~(z_rows : Constr.z_row list)
+    ~forced_one ~forced_zero =
   let n = Array.length w in
   let p = Lp.Problem.create () in
   let vars =
     Array.init n (fun a ->
         let lb = if forced_one.(a) then 1.0 else 0.0 in
         let ub = if forced_zero.(a) then 0.0 else 1.0 in
-        Lp.Problem.add_var ~kind:Lp.Problem.Binary ~lb ~ub:(max lb ub)
-          ~obj:w.(a) p)
+        Lp.Problem.add_var ~lb ~ub:(max lb ub) ~obj:w.(a) p)
   in
   if budget < infinity then
     ignore
@@ -324,23 +227,24 @@ let[@bound.certifier bound
            (List.map (fun (a, c) -> (vars.(a), c)) row.Constr.row_coeffs)
            sense row.Constr.row_rhs))
     z_rows;
-  let options =
-    {
-      Lp.Branch_bound.default_options with
-      Lp.Branch_bound.gap_tolerance = 1e-4;
-      node_limit = 16;
-      jobs;
-    }
-  in
-  let r = Lp.Branch_bound.solve ~options p in
-  match r.Lp.Branch_bound.status with
-  | Lp.Branch_bound.Infeasible -> (infinity, None)
-  | Lp.Branch_bound.Unbounded -> (neg_infinity, None)
-  | _ ->
-      ( r.Lp.Branch_bound.bound,
-        Option.map
-          (fun x -> Array.init n (fun a -> x.(vars.(a)) > 0.5))
-          r.Lp.Branch_bound.x )
+  (* No presolve here: its bound tightening and row scaling can land on
+     a different optimal vertex of this (often degenerate) LP, and the
+     fractional vertex feeds the rounding heuristic. *)
+  let r = Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p in
+  match r.Lp.Simplex.status with
+  | Lp.Simplex.Optimal ->
+      ( r.Lp.Simplex.obj,
+        Array.init n (fun a -> r.Lp.Simplex.x.(vars.(a))),
+        Lp.Simplex.Optimal )
+  | Lp.Simplex.Iter_limit ->
+      (* last iterate: primal-feasible, so still a usable rounding
+         direction, but its objective is no lower bound *)
+      ( r.Lp.Simplex.obj,
+        Array.init n (fun a -> r.Lp.Simplex.x.(vars.(a))),
+        Lp.Simplex.Iter_limit )
+  | (Lp.Simplex.Infeasible | Lp.Simplex.Unbounded) as s ->
+      (* infeasible z polytope: signal with +inf bound *)
+      (infinity, Array.make n 0.0, s)
 
 (* --- Feasibility repair and local search --- *)
 
@@ -497,13 +401,11 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let t0 = Runtime.Clock.now () in
   let elapsed () = Runtime.Clock.now () -. t0 in
   let jobs = max 1 options.jobs in
-  let core = options.core_guided in
-  (* Workload compression rides the core_guided flag so that [false]
-     reproduces the PR-6 execution profile exactly (the bench baseline).
-     Merging identical blocks preserves every selection's objective, so
-     everything downstream — block subproblems, cost evaluations, local
-     search — is unchanged except in cost. *)
-  let sp = if core then Sproblem.compress sp else sp in
+  (* Workload compression: merging identical blocks preserves every
+     selection's objective, so everything downstream — block
+     subproblems, cost evaluations, local search — is unchanged except
+     in cost. *)
+  let sp = Sproblem.compress sp in
   let nblocks = Array.length sp.Sproblem.blocks in
   let ncand = Array.length sp.Sproblem.candidates in
   (* forced selections from z rows: mandatory (Ge 1 singleton) and
@@ -541,7 +443,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
      indifferent while the z knapsack sees creation cost minus capturable
      value — a dual point already close to the "no index beats its own
      savings" equilibrium. *)
-  (if core && Option.is_none options.warm then begin
+  (if Option.is_none options.warm then begin
      let empty = Array.make ncand false in
      let empty_bcost =
        Runtime.parallel_map ~jobs
@@ -675,10 +577,11 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let theta = ref 2.0 in
   let no_improve = ref 0 in
   let cg_hardened = ref 0 in
-  (* Halving the step scale sooner suits the benefit-initialized start:
-     the multipliers begin near the equilibrium, so large corrections
-     overshoot more than they explore. *)
-  let stall_limit = if core then 10 else 20 in
+  (* Halving the step scale after 10 stalled iterations suits the
+     benefit-initialized start: the multipliers begin near the
+     equilibrium, so large corrections overshoot more than they
+     explore. *)
+  let stall_limit = 10 in
   let w = Array.make ncand 0.0 in
   let usage = Array.make nblocks [] in
   let block_indices = Array.init nblocks Fun.id in
@@ -725,7 +628,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
          sub;
        let base = !lower in
        let zval, zfrac, zdual, zstatus =
-         if core && z_rows = [] then
+         if z_rows = [] then
            let v, z, y =
              greedy_z_with_duals ~w ~sizes:sp.Sproblem.sizes ~budget
                ~forced_one ~forced_zero
@@ -734,8 +637,8 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
            (v, z, Some y, Lp.Simplex.Optimal)
          else
            let v, z, s =
-             z_subproblem ~w ~sizes:sp.Sproblem.sizes ~budget ~z_rows
-               ~forced_one ~forced_zero
+             z_lp ~w ~sizes:sp.Sproblem.sizes ~budget ~z_rows ~forced_one
+               ~forced_zero
            in
            (v, z, None, s)
        in
@@ -768,7 +671,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
            no_improve := 0
          end
        end;
-       (* Core-guided tightening against the incumbent [u].  Both moves
+       (* Reduced-cost tightening against the incumbent [u].  Both moves
           rest on one fact: forcing a variable to its opposite bound
           costs at least the knapsack reduced cost, so [lower + d_a > u]
           proves every solution at least as good as the incumbent agrees
@@ -841,38 +744,13 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
              end
            end
        | _ -> ());
-       (* Periodic integer z subproblem through branch and bound: a
-          tighter bound component than the LP knapsack.  Only the proven
-          bound feeds back — the primal side is left exactly as in the
-          plain loop, so switching [core_guided] changes how fast the
-          bound closes, never which incumbents are found. *)
-       (if core && !iter mod 7 = 3 && not (gap_ok ()) then begin
-          let zb, _zx =
-            z_bip ~jobs ~w ~sizes:sp.Sproblem.sizes ~budget ~z_rows
-              ~forced_one ~forced_zero
-          in
-          if Runtime.Fx.is_inf zb then begin
-            best_bound := (if !cg_hardened > 0 then !best_obj else infinity);
-            raise Exit
-          end;
-          if Runtime.Fx.is_finite zb && base +. zb > !best_bound +. 1e-9
-          then begin
-            best_bound :=
-              (base +. zb
-              [@bound.sink bound
-                  "integer-z bound promotion; zb is Branch_bound's proven \
-                   dual bound field"]);
-            no_improve := 0
-          end
-        end);
        (* primal: round the z subproblem, enrich with the most-used
           candidates up to a small budget overshoot, repair, occasionally
-          local-search.  The core-guided path runs this on alternate
-          iterations only — the incumbent settles within a handful of
+          local-search.  This runs on alternate iterations only (after
+          the first four): the incumbent settles within a handful of
           iterations while rounding plus evaluation rivals the block
-          solves in cost — with the integer z subproblem filling in on
-          its own schedule. *)
-       if (not core) || !iter <= 4 || !iter mod 2 = 1 then begin
+          solves in cost. *)
+       if !iter <= 4 || !iter mod 2 = 1 then begin
        let zr = Array.map (fun v -> v > 0.999) zfrac in
        let counts = Array.make ncand 0 in
        Array.iter (List.iter (fun a -> counts.(a) <- counts.(a) + 1)) usage;

@@ -1,10 +1,17 @@
 (** Structure-aware BIP solver for CoPhy instances: Lagrangian
     decomposition with multipliers on the x-to-z linking rows, per-block
-    closed-form subproblems, a knapsack/LP z subproblem, subgradient
+    closed-form subproblems over the compressed workload
+    ({!Sproblem.compress}), a knapsack/LP z subproblem, subgradient
     ascent for the lower bound, and rounding + incremental local search
-    for incumbents.  Streams (elapsed, incumbent, bound) events and
-    accepts warm-started multipliers (incremental re-tuning, Pareto
-    sweeps). *)
+    for incumbents.  A cold start initializes the multipliers from a
+    one-pass benefit estimate.  Without extra z rows the knapsack's
+    reduced costs harden z variables against the incumbent (trace
+    counter [cg.hardened]) and a binary search over thresholds between
+    the bound and the incumbent raises the proven bound; every fixing is
+    conditional on the incumbent, which the final [min bound obj] keeps
+    sound.  No step solves an integer program.  Streams (elapsed,
+    incumbent, bound) events and accepts warm-started multipliers
+    (incremental re-tuning, Pareto sweeps). *)
 
 type event = {
   elapsed : float;
@@ -37,21 +44,6 @@ type options = {
           incumbents and the returned result are identical at every job
           count: per-block solves are independent and every float
           reduction runs in fixed block order. *)
-  core_guided : bool;
-      (** Core-guided lower bounds (BCD2-style), on by default:
-          multipliers start from a one-pass benefit estimate instead of
-          zero; knapsack reduced costs harden z variables whose opposite
-          bound is priced above the incumbent (trace counter
-          [cg.hardened]); a binary search probes thresholds between the
-          bound and the incumbent and raises the proven bound to the
-          highest threshold the restricted knapsack clears; and every few
-          iterations the z subproblem is solved to integrality by
-          {!Lp.Branch_bound}, whose proven bound is a tighter Lagrangian
-          component and whose solution feeds the incumbent side.  All
-          fixings are conditional on the incumbent, which the final
-          [min bound obj] keeps sound.  [false] restores the plain
-          subgradient loop (the PR-6 behaviour, used as the bench
-          baseline). *)
 }
 
 val default_options : options

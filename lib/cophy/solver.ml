@@ -44,9 +44,6 @@ type options = {
      against the hard constraints.  Raises
      [Lp.Analyze.Certification_failed] on any failure. *)
   certify : bool;
-  (* Core-guided bound tightening on the decomposed path (see
-     [Decomposition.options.core_guided]). *)
-  core_guided : bool;
 }
 
 let default_options =
@@ -61,7 +58,6 @@ let default_options =
     warm_z = None;
     jobs = 1;
     certify = false;
-    core_guided = true;
   }
 
 type report = {
@@ -289,7 +285,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
           warm_z = options.warm_z;
           log_events = options.log_events;
           jobs = options.jobs;
-          core_guided = options.core_guided;
           on_event =
             (fun (e : Decomposition.event) ->
               let f =

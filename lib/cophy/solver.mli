@@ -42,9 +42,6 @@ type options = {
           the returned selection against the z polytope (budget + linear
           hard-constraint rows).
           @raise Lp.Analyze.Certification_failed on any failure. *)
-  core_guided : bool;
-      (** core-guided bound tightening on the decomposed path, on by
-          default (see {!Decomposition.options.core_guided}) *)
 }
 
 val default_options : options

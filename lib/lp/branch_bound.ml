@@ -90,7 +90,7 @@ let default_options =
     search = Search.default;
   }
 
-type status = Optimal | Feasible | Infeasible | Unbounded | Limit
+type status = Optimal | Infeasible | Unbounded | Limit
 
 type result = {
   status : status;
@@ -176,6 +176,10 @@ let node_compare order (a : node) (b : node) =
       | c -> c)
 
 let solve ?(options = default_options) (p : Problem.t) =
+  (* Root cover cuts are installed as rows, so they go into a private
+     copy: a caller that solves one problem twice (cuts on/off, or at
+     another job count) must see the same model both times. *)
+  let p = if options.cuts then Problem.copy p else p in
   let t0 = Runtime.Clock.now () in
   let elapsed () = Runtime.Clock.now () -. t0 in
   let int_vars =
@@ -265,7 +269,7 @@ let solve ?(options = default_options) (p : Problem.t) =
         (match (status, best_x) with
         | Infeasible, _ -> Infeasible
         | s, Some _ -> s
-        | (Optimal | Feasible), None -> Infeasible
+        | Optimal, None -> Infeasible
         | Limit, None -> Limit
         | Unbounded, None -> Unbounded);
       x = best_x;
@@ -430,12 +434,16 @@ let solve ?(options = default_options) (p : Problem.t) =
           (* [stop] is polled once per round; it also marks the round
              boundary so the first merge of each round can advance the
              proven bound (under best-first order the first pop of a
-             round is the open-pool minimum, and it is non-decreasing). *)
+             round is the open-pool minimum, and it is non-decreasing).
+             A closed gap is [Optimal] (within [gap_tolerance]), the same
+             label an exhausted pool gets: which round the gap test
+             trips on depends on warm starts and cuts, the claim does
+             not. *)
           let round_fresh = ref true in
           let stop () =
             round_fresh := true;
             if gap_ok () then begin
-              stop_status := Some Feasible;
+              stop_status := Some Optimal;
               true
             end
             else if elapsed () > options.time_limit || !nodes >= options.node_limit

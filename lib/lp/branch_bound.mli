@@ -4,9 +4,10 @@
     Nodes are bound tightenings passed to per-slot {!Simplex.session}s
     as overrides — the input problem's variable bounds are never
     mutated, so one immutable problem is shared by all worker domains.
-    (Root cover cuts, when enabled, {e are} installed as extra rows of
-    the input problem; they are valid for every integer-feasible point
-    and participate in {!Analyze.certify} like any other row.)  Node
+    (Root cover cuts, when enabled, are installed as extra rows of a
+    private copy; the caller's problem is never changed, so solving it
+    again — cuts off, or at another [jobs] — starts from the same
+    model.)  Node
     re-solves restore the parent's basis snapshot and repair primal
     feasibility with the dual simplex; cover cuts from the
     storage-budget knapsack rows tighten the root.  The search runs in
@@ -71,7 +72,14 @@ type options = {
 val default_options : options
 (** jobs 1, cuts and warm starts on, {!Search.default} strategy. *)
 
-type status = Optimal | Feasible | Infeasible | Unbounded | Limit
+type status =
+  | Optimal
+      (** the incumbent is within [gap_tolerance] of the proven bound —
+          whether the gap test stopped the search or the pool ran empty
+          (the bound then equals the incumbent) *)
+  | Infeasible
+  | Unbounded
+  | Limit  (** time or node limit; [x] holds the incumbent, if any *)
 
 type result = {
   status : status;

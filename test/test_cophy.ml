@@ -750,6 +750,48 @@ let test_jobs_determinism_decomposition () =
   Alcotest.(check (float 0.0)) "objective identical" r1.Cophy.Decomposition.obj
     r4.Cophy.Decomposition.obj
 
+(* Guard: the Lagrangian loop never calls branch and bound.  With tracing
+   on, a decomposed solve on hom n=30 — once on the greedy knapsack path
+   (no z rows), once on the LP z subproblem (the at-most-6 row) — leaves
+   every [bb.*] counter at 0 while the loop itself iterates. *)
+let test_decomposition_never_branches () =
+  let w = Workload.Gen.hom schema ~n:30 ~seed:5 in
+  let e = env () in
+  let cache = Inum.build_workload e w in
+  let cands = Array.of_list (Cophy.Cgen.generate w) in
+  let sp = Cophy.Sproblem.build e cache cands in
+  let options =
+    { Cophy.Decomposition.default_options with Cophy.Decomposition.max_iters = 40 }
+  in
+  let at_most_6 =
+    {
+      Constr.row_name = "at-most-6";
+      row_coeffs = List.init (Array.length cands) (fun a -> (a, 1.0));
+      row_cmp = Constr.Le;
+      row_rhs = 6.0;
+    }
+  in
+  List.iter
+    (fun (label, z_rows) ->
+      Runtime.Trace.reset ();
+      Runtime.Trace.enable ();
+      let r =
+        Fun.protect ~finally:Runtime.Trace.disable @@ fun () ->
+        Cophy.Decomposition.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows
+      in
+      let counters = Runtime.Trace.counters () in
+      let get name = Option.value ~default:0 (List.assoc_opt name counters) in
+      Alcotest.(check bool) (label ^ ": the loop ran") true
+        (r.Cophy.Decomposition.iterations > 0
+        && get "decomposition.iterations" = r.Cophy.Decomposition.iterations);
+      Alcotest.(check int) (label ^ ": bb.nodes") 0 (get "bb.nodes");
+      List.iter
+        (fun (name, v) ->
+          if String.starts_with ~prefix:"bb." name then
+            Alcotest.(check int) (label ^ ": " ^ name) 0 v)
+        counters)
+    [ ("no z rows", []); ("at-most-6", [ at_most_6 ]) ]
+
 (* Tracing must be pure observation: turning Runtime.Trace on cannot
    change the recommendation, objective, or bound at any job count —
    the spans and counters only ever read the clock and tick atomics,
@@ -816,6 +858,8 @@ let () =
           Alcotest.test_case "z rows" `Quick test_decomposition_z_rows;
           Alcotest.test_case "time limit" `Quick test_decomposition_time_limit;
           Alcotest.test_case "warm start" `Quick test_decomposition_warm_start;
+          Alcotest.test_case "never branches (bb.* counters stay 0)" `Quick
+            test_decomposition_never_branches;
         ] );
       ( "ablations",
         [

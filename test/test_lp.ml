@@ -338,41 +338,84 @@ let build_random_knapsack_bip seed =
    on/off agree on the certified objective (cuts only tighten bounds);
    (3) warm starts on/off agree (a warm resolve is a solve of the same
    LP); plus every added cut is satisfied by the final incumbent. *)
+let bb_cuts_warm_jobs_agree seed =
+  let p = build_random_knapsack_bip seed in
+  let solve ~cuts ~warm ~jobs =
+    let options =
+      {
+        Lp.Branch_bound.default_options with
+        Lp.Branch_bound.gap_tolerance = 1e-9;
+        certify_incumbents = true;
+        cuts;
+        warm_start = warm;
+        jobs;
+      }
+    in
+    Lp.Branch_bound.solve ~options p
+  in
+  let a = solve ~cuts:true ~warm:true ~jobs:1 in
+  let b = solve ~cuts:true ~warm:true ~jobs:4 in
+  let c = solve ~cuts:false ~warm:true ~jobs:1 in
+  let d = solve ~cuts:false ~warm:false ~jobs:1 in
+  let near (r1 : Lp.Branch_bound.result) (r2 : Lp.Branch_bound.result) =
+    r1.Lp.Branch_bound.status = r2.Lp.Branch_bound.status
+    && (r1.Lp.Branch_bound.status <> Lp.Branch_bound.Optimal
+       || abs_float (r1.Lp.Branch_bound.obj -. r2.Lp.Branch_bound.obj)
+          <= 1e-6 *. (1.0 +. abs_float r2.Lp.Branch_bound.obj))
+  in
+  a.Lp.Branch_bound.cuts_uncertified = 0
+  && a.Lp.Branch_bound.obj = b.Lp.Branch_bound.obj
+  && a.Lp.Branch_bound.status = b.Lp.Branch_bound.status
+  && a.Lp.Branch_bound.nodes = b.Lp.Branch_bound.nodes
+  && near a c && near c d
+
 let prop_bb_cuts_warm_jobs_agree =
   QCheck.Test.make
     ~name:"cuts on/off and jobs 1/4 preserve the certified objective"
     ~count:60
     (QCheck.make random_knapsack_bip_gen)
-    (fun seed ->
-      let p = build_random_knapsack_bip seed in
-      let solve ~cuts ~warm ~jobs =
-        let options =
-          {
-            Lp.Branch_bound.default_options with
-            Lp.Branch_bound.gap_tolerance = 1e-9;
-            certify_incumbents = true;
-            cuts;
-            warm_start = warm;
-            jobs;
-          }
-        in
-        Lp.Branch_bound.solve ~options p
-      in
-      let a = solve ~cuts:true ~warm:true ~jobs:1 in
-      let b = solve ~cuts:true ~warm:true ~jobs:4 in
-      let c = solve ~cuts:false ~warm:true ~jobs:1 in
-      let d = solve ~cuts:false ~warm:false ~jobs:1 in
-      let near (r1 : Lp.Branch_bound.result) (r2 : Lp.Branch_bound.result) =
-        r1.Lp.Branch_bound.status = r2.Lp.Branch_bound.status
-        && (r1.Lp.Branch_bound.status <> Lp.Branch_bound.Optimal
-           || abs_float (r1.Lp.Branch_bound.obj -. r2.Lp.Branch_bound.obj)
-              <= 1e-6 *. (1.0 +. abs_float r2.Lp.Branch_bound.obj))
-      in
-      a.Lp.Branch_bound.cuts_uncertified = 0
-      && a.Lp.Branch_bound.obj = b.Lp.Branch_bound.obj
-      && a.Lp.Branch_bound.status = b.Lp.Branch_bound.status
-      && a.Lp.Branch_bound.nodes = b.Lp.Branch_bound.nodes
-      && near a c && near c d)
+    bb_cuts_warm_jobs_agree
+
+(* Instance seeds the property once drew and failed on: 1087 and 98158
+   labelled a gap-stopped search [Feasible] but an exhausted pool
+   [Optimal] at the same objective; 448740 let jobs 4 see the cover cuts
+   an earlier jobs-1 solve had installed in the shared problem. *)
+let test_bb_agree_regression seed () =
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %d: cuts/warm/jobs agree" seed)
+    true
+    (bb_cuts_warm_jobs_agree seed)
+
+(* The MIP engine's counters on one fixed knapsack BIP (32 nodes, 7
+   root cover cuts): cuts are separated and installed, nodes re-solve
+   warm from their parent's basis, every installed cut holds at the
+   final incumbent, and the bulk-synchronous search explores the same
+   tree at jobs 1 and 4. *)
+let test_bb_engine_counters () =
+  let p = build_random_knapsack_bip 68 in
+  let solve jobs =
+    let options =
+      {
+        Lp.Branch_bound.default_options with
+        Lp.Branch_bound.certify_incumbents = true;
+        jobs;
+      }
+    in
+    Lp.Branch_bound.solve ~options p
+  in
+  let r1 = solve 1 and r4 = solve 4 in
+  Alcotest.(check bool) "optimal" true (r1.Lp.Branch_bound.status = Lp.Branch_bound.Optimal);
+  Alcotest.(check bool) "cuts separated and installed" true
+    (r1.Lp.Branch_bound.cuts_added > 0);
+  Alcotest.(check bool) "nodes explored" true (r1.Lp.Branch_bound.nodes > 0);
+  Alcotest.(check bool) "warm resolves" true (r1.Lp.Branch_bound.warm_resolves > 0);
+  Alcotest.(check int) "cuts uncertified" 0 r1.Lp.Branch_bound.cuts_uncertified;
+  Alcotest.(check int) "jobs 1/4 nodes" r1.Lp.Branch_bound.nodes
+    r4.Lp.Branch_bound.nodes;
+  Alcotest.(check bool) "jobs 1/4 objective bit-identical" true
+    (Int64.equal
+       (Int64.bits_of_float r1.Lp.Branch_bound.obj)
+       (Int64.bits_of_float r4.Lp.Branch_bound.obj))
 
 (* Dual-simplex warm-resolve regression: perturb the bounds of a solved
    LP and check the warm resolve from the saved parent basis lands on
@@ -1221,8 +1264,16 @@ let () =
           Alcotest.test_case "decision vars" `Quick test_bb_decision_vars;
           Alcotest.test_case "dual warm resolve = cold primal" `Quick
             test_dual_warm_matches_cold;
+          Alcotest.test_case "cuts, warm resolves, jobs 1/4 identity" `Quick
+            test_bb_engine_counters;
           QCheck_alcotest.to_alcotest prop_bb_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_bb_cuts_warm_jobs_agree;
+          Alcotest.test_case "cuts/warm/jobs agree: seed 1087" `Quick
+            (test_bb_agree_regression 1087);
+          Alcotest.test_case "cuts/warm/jobs agree: seed 98158" `Quick
+            (test_bb_agree_regression 98158);
+          Alcotest.test_case "cuts/warm/jobs agree: seed 448740" `Quick
+            (test_bb_agree_regression 448740);
         ] );
       ( "analyze",
         [
