@@ -84,19 +84,18 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-(* Enable tracing around [f] and write the Chrome export afterwards; the
-   [Fun.protect] keeps the partial trace on an exceptional exit. *)
+(* Start tracing before any work, so an unwritable path fails up front;
+   the export is written when the process exits. *)
 let with_trace trace f =
-  match trace with
-  | None -> f ()
-  | Some file ->
-      Runtime.Trace.enable ();
-      Fun.protect f ~finally:(fun () ->
-          let oc = open_out file in
-          output_string oc (Runtime.Trace.to_chrome_json ());
-          output_char oc '\n';
-          close_out oc;
-          Fmt.epr "# trace written to %s@." file)
+  (match trace with
+  | None -> ()
+  | Some file -> (
+      match Runtime.Trace.record_to_file file with
+      | Ok () -> ()
+      | Error msg ->
+          Fmt.epr "cannot write %s@." msg;
+          exit 2));
+  f ()
 
 let make_inputs sf z shape n seed updates sql_file =
   let schema = Catalog.Tpch.schema ~sf ~z () in

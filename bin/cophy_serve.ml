@@ -84,17 +84,18 @@ let recommend_every_arg =
              (0 = only at end of stream)." in
   Arg.(value & opt int 0 & info [ "recommend-every" ] ~docv:"N" ~doc)
 
+(* Start tracing before any work, so an unwritable path fails up front;
+   the export is written when the process exits. *)
 let with_trace trace f =
-  match trace with
-  | None -> f ()
-  | Some file ->
-      Runtime.Trace.enable ();
-      Fun.protect f ~finally:(fun () ->
-          let oc = open_out file in
-          output_string oc (Runtime.Trace.to_chrome_json ());
-          output_char oc '\n';
-          close_out oc;
-          Fmt.epr "# trace written to %s@." file)
+  (match trace with
+  | None -> ()
+  | Some file -> (
+      match Runtime.Trace.record_to_file file with
+      | Ok () -> ()
+      | Error msg ->
+          Fmt.epr "cannot write %s@." msg;
+          exit 2));
+  f ()
 
 let emit_replay schema ~n ~events ~seed ~recommend_every =
   let stream =

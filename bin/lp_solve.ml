@@ -56,17 +56,16 @@ let () =
   in
   Arg.parse specs (fun f -> file := f) "lp_solve [options] FILE.lp";
   if !want_stats then Runtime.Trace.enable ();
-  (* at_exit so the trace survives the early-exit paths (infeasible,
-     failed certificate, iteration limit). *)
+  (* The trace is written at exit, so it survives the early-exit paths
+     (infeasible, failed certificate, iteration limit). *)
   (match !trace with
   | None -> ()
-  | Some tf ->
-      Runtime.Trace.enable ();
-      at_exit (fun () ->
-          let oc = open_out tf in
-          output_string oc (Runtime.Trace.to_chrome_json ());
-          output_char oc '\n';
-          close_out oc));
+  | Some tf -> (
+      match Runtime.Trace.record_to_file tf with
+      | Ok () -> ()
+      | Error msg ->
+          Fmt.epr "cannot write %s@." msg;
+          exit 2));
   if !file = "" then begin
     prerr_endline "usage: lp_solve [options] FILE.lp";
     exit 2

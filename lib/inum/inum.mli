@@ -71,8 +71,8 @@ val init_calls : t -> int
     exotic templates).  Nonzero means the template set — eager or lazy —
     is built over a truncated combination space; the count is also
     accumulated in the [inum.combos_truncated] trace counter and
-    surfaced by [bench --json] and [cophy_serve] stats, so the cap is a
-    modeling choice, never a silent one. *)
+    surfaced by [cophy_serve] stats, so the cap is a modeling choice,
+    never a silent one. *)
 val combos_truncated : t -> int
 
 (** Deferred probes still outstanding (zero after an unlimited-budget

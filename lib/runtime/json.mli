@@ -1,8 +1,10 @@
-(** Minimal JSON for the serve protocol (no external dependency): one
-    value per line, parsed from and printed to strings.  Printing is
-    deterministic — object member order is the construction order, and
-    numbers print as integers when integral, ["%.12g"] otherwise
-    (non-finite floats print as [null]). *)
+(** The repository's one JSON codec (no external dependency): values
+    parsed from and printed to strings.  The serve protocol speaks it
+    ([Serve.Json] re-exports this module) and [Runtime.Trace]'s exporter
+    builds its output with it.  Printing is deterministic — object
+    member order is the construction order, and numbers print as
+    integers when integral, ["%.12g"] otherwise (non-finite floats
+    print as [null]). *)
 
 type t =
   | Null

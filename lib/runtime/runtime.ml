@@ -3,6 +3,8 @@
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
+module Json = Json
+
 (* ------------------------------------------------------------------ *)
 (* Float comparison helpers (lint rule L1)                             *)
 (* ------------------------------------------------------------------ *)
@@ -428,21 +430,7 @@ module Trace = struct
 
   (* ---- exporters ---- *)
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun ch ->
-        match ch with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+  let num_int i = Json.Num (float_of_int i)
 
   (* Aggregate spans by name: (name, count, total seconds), sorted. *)
   let span_totals () =
@@ -457,47 +445,61 @@ module Trace = struct
         Hashtbl.replace tbl s.sname (n + 1, d +. s.dur))
       (spans ());
     Tbl.sorted_bindings tbl
-    |> List.map (fun (name, (n, d)) -> (name, n, d))
 
-  let to_metrics_json () =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b {|{"counters":{|};
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf {|"%s":%d|} (json_escape name) v))
-      (counters ());
-    Buffer.add_string b {|},"spans":{|};
-    List.iteri
-      (fun i (name, n, d) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf {|"%s":{"count":%d,"seconds":%.6f}|}
-             (json_escape name) n d))
-      (span_totals ());
-    Buffer.add_string b
-      (Printf.sprintf {|},"dropped_spans":%d}|} (dropped_spans ()));
-    Buffer.contents b
+  (* Flat metrics: counters, per-name span totals, dropped spans. *)
+  let metrics () =
+    Json.Obj
+      [
+        ( "counters",
+          Json.Obj (List.map (fun (name, v) -> (name, num_int v)) (counters ()))
+        );
+        ( "spans",
+          Json.Obj
+            (List.map
+               (fun (name, (n, d)) ->
+                 (name, Json.Obj [ ("count", num_int n); ("seconds", Json.Num d) ]))
+               (span_totals ())) );
+        ("dropped_spans", num_int (dropped_spans ()));
+      ]
 
   (* Chrome trace_event JSON (chrome://tracing, Perfetto): complete
      ("ph":"X") events with microsecond timestamps.  The flat metrics
      object rides along under a top-level "metrics" key, which the
      trace viewers ignore. *)
   let to_chrome_json () =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b {|{"traceEvents":[|};
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             {|{"name":"%s","cat":"cophy","ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}|}
-             (json_escape s.sname) s.dom (s.ts *. 1e6) (s.dur *. 1e6)))
-      (spans ());
-    Buffer.add_string b {|],"displayTimeUnit":"ms","metrics":|};
-    Buffer.add_string b (to_metrics_json ());
-    Buffer.add_char b '}';
-    Buffer.contents b
+    let event s =
+      Json.Obj
+        [
+          ("name", Json.Str s.sname);
+          ("cat", Json.Str "cophy");
+          ("ph", Json.Str "X");
+          ("pid", num_int 1);
+          ("tid", num_int s.dom);
+          ("ts", Json.Num (s.ts *. 1e6));
+          ("dur", Json.Num (s.dur *. 1e6));
+        ]
+    in
+    Json.to_string
+      (Json.Obj
+         [
+           ("traceEvents", Json.List (List.map event (spans ())));
+           ("displayTimeUnit", Json.Str "ms");
+           ("metrics", metrics ());
+         ])
+
+  (* The file is opened up front so that an unwritable path fails before
+     any work; the export runs from [at_exit], which [exit] and uncaught
+     exceptions both reach. *)
+  let record_to_file file =
+    match open_out file with
+    | exception Sys_error msg -> Error msg
+    | oc ->
+        enable ();
+        at_exit (fun () ->
+            output_string oc (to_chrome_json ());
+            output_char oc '\n';
+            close_out oc);
+        Ok ()
 end
 
 module Search = struct

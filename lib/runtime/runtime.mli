@@ -17,6 +17,10 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], i.e. a job count matched to the
     hardware. *)
 
+(** The one JSON codec: the serve protocol and the {!Trace} exporter
+    both use it. *)
+module Json = Json
+
 (** Monomorphic float comparisons (lint rule L1: no polymorphic [=] /
     [compare] on floats).  [exactly]/[is_zero]/[nonzero]/[is_inf] are
     exact (bit-intent) tests for sentinels and skip-work fast paths,
@@ -82,7 +86,7 @@ end
 
 (** Zero-overhead-when-off observability: named atomic counters and
     monotonic-clock spans recorded into fixed-capacity per-domain ring
-    buffers, with Chrome [trace_event] and flat-metrics JSON exporters.
+    buffers, with a Chrome [trace_event] JSON exporter.
 
     Cost contract: with tracing disabled (the default) every probe —
     {!Trace.incr}, {!Trace.add}, {!Trace.span} — performs exactly one
@@ -151,16 +155,21 @@ module Trace : sig
 
   (** {2 Exporters} *)
 
-  val to_metrics_json : unit -> string
-  (** Flat metrics object:
-      [{"counters":{...},"spans":{name:{"count":..,"seconds":..}},
-        "dropped_spans":..}]. *)
-
   val to_chrome_json : unit -> string
   (** Chrome [trace_event] JSON (load in [chrome://tracing] or
       Perfetto): one complete ("ph":"X") event per span, microsecond
-      timestamps, plus the {!to_metrics_json} object under a top-level
-      ["metrics"] key. *)
+      timestamps, plus a flat metrics object under a top-level
+      ["metrics"] key:
+      [{"counters":{...},"spans":{name:{"count":..,"seconds":..}},
+        "dropped_spans":..}]. *)
+
+  val record_to_file : string -> (unit, string) result
+  (** [record_to_file file] opens [file] for writing, enables tracing
+      and registers an [at_exit] hook that writes {!to_chrome_json} to
+      it, so the trace is written on normal exit, on [exit] and after
+      an uncaught exception.  [Error msg] when [file] cannot be opened
+      ([msg] is the system's ["FILE: reason"]); tracing is then left as
+      it was. *)
 end
 
 (** Deterministic bulk-synchronous best-first search driver — the

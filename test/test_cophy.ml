@@ -193,6 +193,32 @@ let test_sproblem_shared_blocks () =
   Alcotest.(check bool) "a reordered statement does not" false
     ((block 1).Cophy.Sproblem.templates == (block 0).Cophy.Sproblem.templates)
 
+(* The materialized Theorem-1 BIP of hom n=20 at 0.5x: the model passes
+   the static checks, its LP relaxation solves to optimal on the
+   production path (presolve + sparse kernel), and the optimum passes
+   certification.  [int_vars:[]]: the relaxation is not integral. *)
+let test_sproblem_lp_relaxation_certified () =
+  let w = Workload.Gen.hom schema ~n:20 ~seed:7 in
+  let e = env () in
+  let cache = Inum.build_workload e w in
+  let cands = Array.of_list (Cophy.Cgen.generate w) in
+  let sp = Cophy.Sproblem.build e cache cands in
+  let p, _ = Cophy.Sproblem.to_lp ~budget:(0.5 *. db_size) sp in
+  let issues = Lp.Analyze.check p in
+  Alcotest.(check bool)
+    (Fmt.str "no static errors: %a" (Fmt.list Lp.Analyze.pp_issue) issues)
+    false (Lp.Analyze.has_errors issues);
+  let r = Lp.Presolve.solve p in
+  Alcotest.(check bool) "optimal" true (r.Lp.Simplex.status = Lp.Simplex.Optimal);
+  Alcotest.(check (float 1e-6)) "objective" 2032778.395716 r.Lp.Simplex.obj;
+  let cert =
+    Lp.Analyze.certify ~duals:r.Lp.Simplex.duals
+      ~obj:(r.Lp.Simplex.obj +. Lp.Problem.obj_offset p)
+      ~int_vars:[] p r.Lp.Simplex.x
+  in
+  Alcotest.(check (list string)) "certified" [] cert.Lp.Analyze.cert_issues;
+  Alcotest.(check bool) "cert_ok" true cert.Lp.Analyze.cert_ok
+
 (* --- Theorem 1: the BIP optimum equals exhaustive search --- *)
 
 let exhaustive_optimum sp ~budget =
@@ -529,6 +555,41 @@ let test_udf_constraint () =
   | exception Cophy.Solver.Infeasible _ -> ()
   | _ -> Alcotest.fail "expected Infeasible for unsatisfiable UDF"
 
+(* The probe-budget pins on hom n=100 at 0.5x.  Unlimited probing is
+   the eager pipeline bit for bit: the certified objective is pinned and
+   no regret is left, at every job count.  A per-query budget of 16
+   spends at least 3x fewer probes than eager probing did (3145) and
+   certifies an objective no worse than the unlimited one; truncation
+   of template combinations does not depend on the budget. *)
+let test_advisor_probe_budget_legs () =
+  let w = Workload.Gen.hom schema ~n:100 ~seed:7 in
+  let advise ?probe_budget jobs =
+    Cophy.Advisor.advise ~jobs ~certify:true ?probe_budget schema w
+      ~budget_fraction:0.5
+  in
+  let report r = r.Cophy.Advisor.report in
+  let unlimited = advise 1 in
+  List.iter
+    (fun (jobs, r) ->
+      let ctx = Printf.sprintf "unlimited, jobs %d" jobs in
+      Alcotest.(check (float 1e-6))
+        (ctx ^ ": objective") 9667349.718036 (report r).Cophy.Solver.objective;
+      Alcotest.(check (float 0.0))
+        (ctx ^ ": probe_regret") 0.0 (report r).Cophy.Solver.probe_regret)
+    [ (1, unlimited); (4, advise 4) ];
+  let budgeted = advise ~probe_budget:16 1 in
+  let probes = Inum.total_init_calls budgeted.Cophy.Advisor.cache in
+  Alcotest.(check bool)
+    (Printf.sprintf "budget 16: %d probes, 3x under eager's 3145" probes)
+    true
+    (probes * 3 <= 3145);
+  Alcotest.(check bool) "budget 16: objective no worse than unlimited" true
+    ((report budgeted).Cophy.Solver.objective
+    <= (report unlimited).Cophy.Solver.objective +. 1e-6);
+  Alcotest.(check int) "combos_truncated independent of the budget"
+    (Inum.cache_truncated unlimited.Cophy.Advisor.cache)
+    (Inum.cache_truncated budgeted.Cophy.Advisor.cache)
+
 (* --- Pareto sweep --- *)
 
 let test_pareto_sweep () =
@@ -825,7 +886,11 @@ let test_trace_neutrality () =
       Alcotest.(check bool)
         (Printf.sprintf "spans recorded (%s)" label)
         true
-        (List.length (Runtime.Trace.spans ()) > 0))
+        (List.length (Runtime.Trace.spans ()) > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "counters ticked (%s)" label)
+        true
+        (List.exists (fun (_, v) -> v > 0) (Runtime.Trace.counters ())))
     [ 1; 4 ]
 
 let () =
@@ -844,6 +909,8 @@ let () =
           Alcotest.test_case "slot pruning lossless form" `Quick test_sproblem_slot_pruning;
           Alcotest.test_case "blocks shared per entry and shape" `Quick
             test_sproblem_shared_blocks;
+          Alcotest.test_case "LP relaxation checked and certified" `Quick
+            test_sproblem_lp_relaxation_certified;
         ] );
       ( "theorem1",
         [
@@ -879,6 +946,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_advisor_end_to_end;
           Alcotest.test_case "problem after refine" `Quick
             test_advisor_problem_after_refine;
+          Alcotest.test_case "probe-budget legs pinned (hom n=100)" `Quick
+            test_advisor_probe_budget_legs;
         ] );
       ( "pareto",
         [

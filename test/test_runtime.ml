@@ -80,109 +80,6 @@ let test_map_nested () =
   Alcotest.(check (array int))
     "nested" (Array.init 20 (fun i -> (10 * i) + 45)) out
 
-(* Minimal JSON syntax checker (the repo has no JSON dependency): accepts
-   exactly one well-formed value spanning the whole string. *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail = ref false in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c = if peek () = Some c then advance () else fail := true in
-  let literal w =
-    if !pos + String.length w <= n && String.sub s !pos (String.length w) = w
-    then pos := !pos + String.length w
-    else fail := true
-  in
-  let number () =
-    let start = !pos in
-    let isnum = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> isnum c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some _ -> ()
-    | None -> fail := true
-  in
-  let string_lit () =
-    expect '"';
-    let fin = ref false in
-    while (not !fin) && not !fail do
-      match peek () with
-      | None -> fail := true
-      | Some '"' ->
-          advance ();
-          fin := true
-      | Some '\\' -> (
-          advance ();
-          match peek () with Some _ -> advance () | None -> fail := true)
-      | Some _ -> advance ()
-    done
-  in
-  let rec value () =
-    if not !fail then begin
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> string_lit ()
-      | Some ('-' | '0' .. '9') -> number ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | _ -> fail := true
-    end
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else
-      let cont = ref true in
-      while !cont && not !fail do
-        skip_ws ();
-        string_lit ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance ()
-        | Some '}' ->
-            advance ();
-            cont := false
-        | _ -> fail := true
-      done
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else
-      let cont = ref true in
-      while !cont && not !fail do
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance ()
-        | Some ']' ->
-            advance ();
-            cont := false
-        | _ -> fail := true
-      done
-  in
-  value ();
-  skip_ws ();
-  (not !fail) && !pos = n
-
 let test_trace_disabled_noop () =
   Runtime.Trace.disable ();
   Runtime.Trace.reset ();
@@ -246,12 +143,43 @@ let test_trace_exporters () =
   ignore
     (Runtime.Trace.span "outer" (fun () ->
          Runtime.Trace.span "inner \\ \"esc\"\n" (fun () -> 7)));
+  let json = Runtime.Json.of_string (Runtime.Trace.to_chrome_json ()) in
+  let member k v =
+    match Runtime.Json.member k v with
+    | Some x -> x
+    | None -> Alcotest.failf "missing %S in %s" k (Runtime.Json.to_string v)
+  in
+  let num k v =
+    match Runtime.Json.to_float (member k v) with
+    | Some f -> f
+    | None -> Alcotest.failf "%S is not a number" k
+  in
+  let events =
+    match member "traceEvents" json with
+    | Runtime.Json.List evs -> evs
+    | _ -> Alcotest.fail "traceEvents is not a list"
+  in
+  Alcotest.(check int) "one event per span" 2 (List.length events);
+  List.iter
+    (fun e ->
+      Alcotest.(check (option string))
+        "complete event" (Some "X")
+        (Runtime.Json.to_str (member "ph" e));
+      Alcotest.(check bool) "ts >= 0" true (num "ts" e >= 0.0);
+      Alcotest.(check bool) "dur >= 0" true (num "dur" e >= 0.0))
+    events;
   Alcotest.(check bool)
-    "chrome export is well-formed JSON" true
-    (json_valid (Runtime.Trace.to_chrome_json ()));
-  Alcotest.(check bool)
-    "metrics export is well-formed JSON" true
-    (json_valid (Runtime.Trace.to_metrics_json ()));
+    "escaped span name round-trips" true
+    (List.exists
+       (fun e -> Runtime.Json.to_str (member "name" e) = Some "inner \\ \"esc\"\n")
+       events);
+  let metrics = member "metrics" json in
+  Alcotest.(check (float 0.0))
+    "escaped counter name round-trips" 1.0
+    (num "test.export \"quoted\"" (member "counters" metrics));
+  Alcotest.(check (float 0.0))
+    "span totals by name" 1.0
+    (num "count" (member "outer" (member "spans" metrics)));
   let rec mono last = function
     | [] -> true
     | (s : Runtime.Trace.span) :: tl ->
@@ -263,6 +191,21 @@ let test_trace_exporters () =
   Alcotest.(check bool)
     "timestamps monotone, durations non-negative" true
     (mono 0.0 (Runtime.Trace.spans ()))
+
+(* An unwritable trace path fails before any work and leaves tracing
+   off; the binaries turn the error into "cannot write FILE" + exit 2. *)
+let test_trace_record_to_file_unwritable () =
+  Runtime.Trace.disable ();
+  (* a path below a regular file can never be opened *)
+  let not_a_dir = Filename.temp_file "trace" ".tmp" in
+  let file = Filename.concat not_a_dir "t.json" in
+  Fun.protect ~finally:(fun () -> Sys.remove not_a_dir) @@ fun () ->
+  (match Runtime.Trace.record_to_file file with
+  | Ok () -> Alcotest.fail "record_to_file accepted an unwritable path"
+  | Error msg ->
+      Alcotest.(check bool) "message names the file" true
+        (String.starts_with ~prefix:file msg));
+  Alcotest.(check bool) "tracing left disabled" false (Runtime.Trace.enabled ())
 
 let test_clock_monotonic () =
   let a = Runtime.Clock.now () in
@@ -297,6 +240,8 @@ let () =
             test_trace_ring_overflow;
           Alcotest.test_case "exporters emit valid JSON" `Quick
             test_trace_exporters;
+          Alcotest.test_case "unwritable trace file fails up front" `Quick
+            test_trace_record_to_file_unwritable;
         ] );
       ( "clock",
         [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ] );

@@ -309,6 +309,86 @@ let test_serve_channels_line_cap () =
     (run_stream (lines @ tail))
     (List.filteri (fun i _ -> i <> n) replies)
 
+(* The committed fixture through [serve_channels] at cophy_serve's
+   defaults (window 256, budget 0.25, probe budget 16, certify on),
+   plain and traced: the reply streams agree once the latency fields
+   are stripped, every request succeeds, each recommendation is a
+   non-empty index set with latency quantiles and a non-negative gap,
+   the final stats count INUM probes, and the traced replay recorded
+   serve spans. *)
+let test_fixture_replay () =
+  let replay () =
+    let e =
+      Serve.Engine.create ~window:256 ~budget_fraction:0.25 ~probe_budget:16
+        ~certify:true schema
+    in
+    let output = Filename.temp_file "serve_out" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove output) @@ fun () ->
+    In_channel.with_open_bin "fixtures/serve_smoke.jsonl" (fun ic ->
+        Out_channel.with_open_bin output (fun oc ->
+            Serve.Engine.serve_channels e ic oc));
+    In_channel.with_open_bin output In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map Serve.Json.of_string
+  in
+  let plain = replay () in
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  let traced = Fun.protect ~finally:Runtime.Trace.disable replay in
+  let stripped rs = List.map (fun r -> Serve.Json.to_string (strip_latency r)) rs in
+  Alcotest.(check (list string)) "trace does not change replies"
+    (stripped plain) (stripped traced);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        ("ok: " ^ Serve.Json.to_string r)
+        true
+        (member_exn "ok" r = Serve.Json.Bool true))
+    plain;
+  let op r = Serve.Json.to_str (member_exn "op" r) in
+  let recs = List.filter (fun r -> op r = Some "recommend") plain in
+  Alcotest.(check bool) "a recommendation was served" true (recs <> []);
+  List.iter
+    (fun r ->
+      (match member_exn "indexes" r with
+      | Serve.Json.List (_ :: _) -> ()
+      | _ -> Alcotest.fail "empty recommendation");
+      ignore (member_exn "p50_ms" r, member_exn "p99_ms" r);
+      Alcotest.(check bool) "gap >= 0" true
+        (Option.get (Serve.Json.to_float (member_exn "gap" r)) >= 0.0))
+    recs;
+  let stats = List.filter (fun r -> op r = Some "stats") plain in
+  Alcotest.(check bool) "final stats count INUM probes" true
+    (match List.rev stats with
+    | last :: _ ->
+        Option.get (Serve.Json.to_float (member_exn "inum_probes" last)) > 0.0
+    | [] -> false);
+  Alcotest.(check bool) "serve.* spans recorded" true
+    (List.exists
+       (fun (sp : Runtime.Trace.span) ->
+         String.starts_with ~prefix:"serve." sp.Runtime.Trace.sname)
+       (Runtime.Trace.spans ()))
+
+(* A drifting stream over 100 templates through observe/recommend at
+   window 256, long enough (300 events) for the window to evict: a
+   repeat of a canonical key never costs an optimizer probe, so the
+   keyed store's misses equal the distinct keys observed. *)
+let test_drift_replay_no_repeat_probes () =
+  let e = Serve.Engine.create ~window:256 schema in
+  let distinct = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Workload.Replay.Statement (s, d) ->
+          Hashtbl.replace distinct (Canon.statement_key s) ();
+          Serve.Engine.observe e s d
+      | Workload.Replay.Recommend -> ignore (Serve.Engine.recommend e))
+    (Workload.Replay.drift ~recommend_every:50 schema ~n:100 ~events:300
+       ~seed:7);
+  let store = Cophy.Interactive.store (Serve.Engine.session e) in
+  Alcotest.(check int) "misses = distinct canonical keys (repeat_probes = 0)"
+    (Hashtbl.length distinct) (Inum.Keyed.misses store)
+
 let () =
   Alcotest.run "serve"
     [
@@ -331,5 +411,9 @@ let () =
           Alcotest.test_case "deterministic under trace" `Quick
             test_engine_deterministic_under_trace;
           Alcotest.test_case "line cap" `Quick test_serve_channels_line_cap;
+          Alcotest.test_case "fixture replay, plain = traced" `Quick
+            test_fixture_replay;
+          Alcotest.test_case "drift replay: no repeat probes" `Quick
+            test_drift_replay_no_repeat_probes;
         ] );
     ]
