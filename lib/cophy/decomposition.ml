@@ -155,8 +155,22 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~excluded =
    threshold probes consume.  The dual is the ratio of the first
    fractional item, or of the best unselected item when the capacity
    came out exactly, or 0 when the budget does not bind — each a valid
-   dual by complementary slackness over the sorted ratios. *)
-let greedy_z_with_duals ~w ~(sizes : float array) ~budget ~forced_one
+   dual by complementary slackness over the sorted ratios.
+
+   [knapsack_order w sizes] is the greedy's item order: the candidates
+   with [w < 0] by ascending ratio, stably.  It depends on [w] only, so
+   one subgradient iteration sorts it once and every greedy call of the
+   iteration walks it, skipping its own forced candidates — a filtered
+   stable sort is the stable sort of the filtered list. *)
+let knapsack_order ~w ~(sizes : float array) =
+  List.init (Array.length w) Fun.id
+  |> List.filter (fun a -> w.(a) < 0.0)
+  |> List.stable_sort (fun a b ->
+         Float.compare
+           (w.(a) /. max 1.0 sizes.(a))
+           (w.(b) /. max 1.0 sizes.(b)))
+
+let greedy_z_with_duals ~order ~w ~(sizes : float array) ~budget ~forced_one
     ~forced_zero =
   let n = Array.length w in
   let z = Array.make n 0.0 in
@@ -169,19 +183,11 @@ let greedy_z_with_duals ~w ~(sizes : float array) ~budget ~forced_one
       cap := !cap -. sizes.(a)
     end
   done;
-  let order =
-    List.init n Fun.id
-    |> List.filter (fun a ->
-           (not forced_one.(a)) && (not forced_zero.(a)) && w.(a) < 0.0)
-    |> List.sort (fun a b ->
-           Float.compare
-             (w.(a) /. max 1.0 sizes.(a))
-             (w.(b) /. max 1.0 sizes.(b)))
-  in
   let y = ref 0.0 in
   List.iter
     (fun a ->
-      if !cap > 0.0 then begin
+      if forced_one.(a) || forced_zero.(a) then ()
+      else if !cap > 0.0 then begin
         let frac = min 1.0 (!cap /. max 1.0 sizes.(a)) in
         z.(a) <- frac;
         value := !value +. (frac *. w.(a));
@@ -627,10 +633,13 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
            lower := !lower +. v)
          sub;
        let base = !lower in
+       let order =
+         if z_rows = [] then knapsack_order ~w ~sizes:sp.Sproblem.sizes else []
+       in
        let zval, zfrac, zdual, zstatus =
          if z_rows = [] then
            let v, z, y =
-             greedy_z_with_duals ~w ~sizes:sp.Sproblem.sizes ~budget
+             greedy_z_with_duals ~order ~w ~sizes:sp.Sproblem.sizes ~budget
                ~forced_one ~forced_zero
            in
            (* analytic knapsack optimum: proven by construction *)
@@ -728,8 +737,8 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
                      then pf1.(a) <- true
                  done;
                  let zv, _, _ =
-                   greedy_z_with_duals ~w ~sizes:sp.Sproblem.sizes ~budget
-                     ~forced_one:pf1 ~forced_zero:pf0
+                   greedy_z_with_duals ~order ~w ~sizes:sp.Sproblem.sizes
+                     ~budget ~forced_one:pf1 ~forced_zero:pf0
                  in
                  if base +. zv > t then lo := t else hi := t
                end

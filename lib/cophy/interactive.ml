@@ -6,10 +6,16 @@
    the serve daemon) tweaks the problem (adds candidate indexes,
    changes the budget, the constraints or statement weights, appends
    statements) only the delta is recomputed: INUM runs only for
-   statements whose canonical key was never seen, the BIP is rebuilt
-   from cached coefficients, and the solver warm-starts from the
-   previous multipliers and incumbent.  This is what makes re-tuning an
-   order of magnitude faster than solving from scratch (Fig. 6b).
+   statements whose canonical key was never seen, and the solver
+   warm-starts from the previous multipliers and incumbent.  Each delta
+   still drops the structured BIP, and the next re-tune rebuilds it,
+   but through the session's pricing memo ([Sproblem.prices]): a
+   template the last build priced is reused as is, or extended by the
+   candidates appended since, so only new templates (new statement
+   shapes, or templates a refine added) and new candidates are priced.
+   The memo resets when a candidate is removed, since positions shift.
+   This is what makes re-tuning an order of magnitude faster than
+   solving from scratch (Fig. 6b).
 
    [Advisor.advise] is the one-shot form of a session: create, build
    the problem, [recommend]. *)
@@ -27,6 +33,7 @@ type session = {
   mutable constraints : Constr.t list;
   mutable baseline : Storage.Config.t;
   mutable problem : Sproblem.t option;          (* invalidated by deltas *)
+  prices : Sproblem.prices;  (* template pricings, reused across rebuilds *)
   mutable multipliers : Decomposition.multipliers option;
   mutable incumbent : Storage.Index.t list option;  (* previous selection *)
   mutable last : Solver.report option;
@@ -60,6 +67,7 @@ let create ?(params = Optimizer.Cost_params.default)
     constraints;
     baseline;
     problem = None;
+    prices = Sproblem.prices ();
     multipliers = None;
     incumbent = None;
     last = None;
@@ -108,9 +116,10 @@ let add_statements s stmts =
   s.workload <- s.workload @ stmts;
   s.problem <- None
 
-(* Change one statement's weight in place: no INUM work, the BIP is
-   rebuilt from cached coefficients on the next [retune], and the
-   multipliers survive (they are keyed by statement id and index). *)
+(* Change one statement's weight in place: no INUM work, the next
+   [retune] rebuilds the BIP with every template reused from the
+   pricing memo, and the multipliers survive (they are keyed by
+   statement id and index). *)
 let set_weight s id weight =
   let stmt_matches = function
     | Ast.Select q -> q.Ast.query_id = id
@@ -151,7 +160,7 @@ let problem s =
   match s.problem with
   | Some sp -> sp
   | None ->
-      let sp = Sproblem.build s.env s.cache s.candidates in
+      let sp = Sproblem.build ~prices:s.prices s.env s.cache s.candidates in
       s.problem <- Some sp;
       sp
 

@@ -41,7 +41,8 @@ val last_report : session -> Solver.report option
     are keyed by index identity, so the next re-tune warm-starts. *)
 val add_candidates : session -> Storage.Index.t list -> unit
 
-(** Remove candidates; survivors keep their multipliers. *)
+(** Remove candidates; survivors keep their multipliers.  Positions
+    shift, so the next rebuild prices every template again. *)
 val remove_candidates : session -> Storage.Index.t list -> unit
 
 val set_budget : session -> float -> unit
@@ -55,8 +56,9 @@ val set_baseline : session -> Storage.Config.t -> unit
 val add_statements : session -> Sqlast.Ast.workload -> unit
 
 (** [set_weight s id w] — change the weight of the statement with id
-    [id] (a frequency delta).  No INUM work; the BIP is rebuilt from
-    cached coefficients on the next {!retune}, and multipliers survive. *)
+    [id] (a frequency delta).  No INUM work; the next {!retune} rebuilds
+    the BIP without pricing any template again (see {!problem}), and
+    multipliers survive. *)
 val set_weight : session -> int -> float -> unit
 
 (** Drop the statements [drop] selects.  The keyed store keeps their
@@ -64,7 +66,13 @@ val set_weight : session -> int -> float -> unit
 val remove_statements :
   session -> drop:(Sqlast.Ast.statement -> bool) -> unit
 
-(** The session's structured BIP, rebuilt lazily after deltas. *)
+(** The session's structured BIP, rebuilt lazily after deltas.  The
+    rebuild goes through the session's pricing memo
+    ({!Sproblem.prices}): templates the previous build priced are
+    reused, and extended by pricing only the candidates
+    {!add_candidates} appended since; new statement shapes and templates
+    a {!refine_at} added are priced afresh.  {!remove_candidates} resets
+    the memo.  The result is bit-identical to a build without it. *)
 val problem : session -> Sproblem.t
 
 (** Re-solve, warm-starting from the previous multipliers and incumbent

@@ -62,14 +62,46 @@ let variable_count t =
 
 (* --- Construction --- *)
 
+(* A template priced against the first [count] candidates. *)
+type priced = { count : int; tpl : template }
+
+(* The pricing memo: raw statement shape -> INUM template (by physical
+   identity) -> its priced form, as the last build made it.  [env] and
+   [seen] are that build's environment and candidate array; a build
+   under another environment, or over an array that does not extend
+   [seen] position by position, reuses nothing. *)
+type prices = {
+  mutable env : Optimizer.Whatif.env option;
+  mutable seen : Storage.Index.t array;
+  mutable memo : (string, (Inum.template * priced) list) Hashtbl.t;
+}
+
+let prices () = { env = None; seen = [||]; memo = Hashtbl.create 1 }
+
+let tr_priced = Runtime.Trace.counter "sproblem.templates_priced"
+let tr_reused = Runtime.Trace.counter "sproblem.templates_reused"
+
+(* [old] is a physical prefix of [cands]: every position priced against
+   [old] still names the same candidate. *)
+let extends old cands =
+  let n = Array.length old in
+  let rec same i = i >= n || (old.(i) == cands.(i) && same (i + 1)) in
+  n <= Array.length cands && same 0
+
+(* The memo entries a build under [env] over [candidates] may reuse. *)
+let reusable p env candidates =
+  match p.env with
+  | Some e when e == env && extends p.seen candidates -> p.memo
+  | _ -> Hashtbl.create 1
+
 (* [prune = false] disables the lossless slot-level dominance pruning, for
    ablation: every finite-gamma candidate is kept in every slot. *)
-let build ?(prune = true) (env : Optimizer.Whatif.env)
+let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
     (cache : Inum.workload_cache) (candidates : Storage.Index.t array) =
   let schema = env.Optimizer.Whatif.schema in
   let params = env.Optimizer.Whatif.params in
   let ncand = Array.length candidates in
-  (* candidate positions per table *)
+  (* candidate positions per table, descending *)
   let by_table = Hashtbl.create 16 in
   Array.iteri
     (fun pos ix ->
@@ -78,47 +110,108 @@ let build ?(prune = true) (env : Optimizer.Whatif.env)
         (pos :: Option.value ~default:[] (Hashtbl.find_opt by_table tb)))
     candidates;
   let table_cands tb = Option.value ~default:[] (Hashtbl.find_opt by_table tb) in
-  (* A block's templates and used candidates, priced on the raw
-     statement [q] against INUM entry [inum]. *)
-  let price q inum =
-    let tables = Inum.tables inum in
-    let used = Hashtbl.create 16 in
-    let templates =
-      List.map
-        (fun (tpl : Inum.template) ->
-          let choices =
-            List.mapi
-              (fun ti table ->
-                let req = tpl.Inum.slot_reqs.(ti) in
-                let g0 =
-                  match
-                    Optimizer.Access.slot_fill_cost params schema q table None
-                      req
-                  with
-                  | Some c -> c
-                  | None -> infinity
-                in
-                let cands =
-                  List.filter_map
-                    (fun pos ->
-                      match
-                        Optimizer.Access.slot_fill_cost params schema q table
-                          (Some candidates.(pos))
-                          req
-                      with
-                      | Some g when (not prune) || g < g0 -. 1e-9 ->
-                          Hashtbl.replace used pos ();
-                          Some { cand = pos; gamma = g }
-                      | _ -> None)
-                    (table_cands table)
-                in
-                Array.of_list ({ cand = -1; gamma = g0 } :: cands))
-              tables
+  (* The admissible choices among [positions] for one slot of the raw
+     statement [q], in the order given. *)
+  let fill q table req g0 positions =
+    List.filter_map
+      (fun pos ->
+        match
+          Optimizer.Access.slot_fill_cost params schema q table
+            (Some candidates.(pos))
+            req
+        with
+        | Some g when (not prune) || g < g0 -. 1e-9 ->
+            Some { cand = pos; gamma = g }
+        | _ -> None)
+      positions
+  in
+  (* Template [tpl] of an entry over [tables], priced on [q]. *)
+  let price q tables (tpl : Inum.template) =
+    let choices =
+      List.mapi
+        (fun ti table ->
+          let req = tpl.Inum.slot_reqs.(ti) in
+          let g0 =
+            match
+              Optimizer.Access.slot_fill_cost params schema q table None req
+            with
+            | Some c -> c
+            | None -> infinity
           in
-          { beta = tpl.Inum.beta; choices = Array.of_list choices })
+          Array.of_list
+            ({ cand = -1; gamma = g0 } :: fill q table req g0 (table_cands table)))
+        tables
+    in
+    { beta = tpl.Inum.beta; choices = Array.of_list choices }
+  in
+  (* [p] extended by the candidates appended since it was priced.  They
+     lead the descending [table_cands], so they go right after the
+     no-index choice, where [price] puts them.  A slot that gains no
+     choice keeps its array, and a template that gains none stays
+     physical.  Also returns whether any candidate was priced. *)
+  let extend q tables (tpl : Inum.template) p =
+    let rec appended = function
+      | pos :: rest when pos >= p.count -> pos :: appended rest
+      | _ -> []
+    in
+    let priced = ref false and grew = ref false in
+    let choices =
+      List.mapi
+        (fun ti table ->
+          let slot = p.tpl.choices.(ti) in
+          match appended (table_cands table) with
+          | [] -> slot
+          | fresh -> (
+              priced := true;
+              match fill q table tpl.Inum.slot_reqs.(ti) slot.(0).gamma fresh with
+              | [] -> slot
+              | added ->
+                  grew := true;
+                  Array.concat
+                    [ Array.sub slot 0 1; Array.of_list added;
+                      Array.sub slot 1 (Array.length slot - 1) ]))
+        tables
+    in
+    ((if !grew then { p.tpl with choices = Array.of_list choices } else p.tpl),
+     !priced)
+  in
+  let memo =
+    match prices with
+    | Some p when prune -> reusable p env candidates
+    | _ -> Hashtbl.create 1
+  in
+  let next = Hashtbl.create 64 in
+  (* A block's templates and used candidates for the raw statement [q]
+     (of shape [shape]) against INUM entry [inum]: each template comes
+     from the memo when it holds it, extended by any candidates appended
+     since, and is priced afresh otherwise. *)
+  let price_block q shape inum =
+    let tables = Inum.tables inum in
+    let known = Option.value ~default:[] (Hashtbl.find_opt memo shape) in
+    let entries =
+      List.map
+        (fun tpl ->
+          let tpl', priced =
+            match List.assq_opt tpl known with
+            | Some p when p.count = ncand -> (p.tpl, false)
+            | Some p -> extend q tables tpl p
+            | None -> (price q tables tpl, true)
+          in
+          Runtime.Trace.incr (if priced then tr_priced else tr_reused);
+          (tpl, { count = ncand; tpl = tpl' }))
         (Inum.templates inum)
     in
-    (Array.of_list templates, Runtime.Tbl.sorted_keys used |> Array.of_list)
+    Hashtbl.replace next shape
+      (entries @ Option.value ~default:[] (Hashtbl.find_opt next shape));
+    let templates = Array.of_list (List.map (fun (_, p) -> p.tpl) entries) in
+    let used = Hashtbl.create 16 in
+    Array.iter
+      (fun t ->
+        Array.iter
+          (Array.iter (fun c -> if c.cand >= 0 then Hashtbl.replace used c.cand ()))
+          t.choices)
+      templates;
+    (templates, Runtime.Tbl.sorted_keys used |> Array.of_list)
   in
   (* Statements that resolve to one INUM entry and are written alike get
      the same block arrays, priced once and shared physically.  The key
@@ -138,7 +231,7 @@ let build ?(prune = true) (env : Optimizer.Whatif.env)
           match List.assq_opt inum same with
           | Some arrays -> arrays
           | None ->
-              let arrays = price q inum in
+              let arrays = price_block q shape inum in
               Hashtbl.replace priced shape ((inum, arrays) :: same);
               arrays
         in
@@ -146,6 +239,14 @@ let build ?(prune = true) (env : Optimizer.Whatif.env)
       cache.Inum.selects
     |> Array.of_list
   in
+  (* Keep only what this build used: the memo never outgrows the
+     problem it just built. *)
+  (match prices with
+  | Some p when prune ->
+      p.env <- Some env;
+      p.seen <- candidates;
+      p.memo <- next
+  | _ -> ());
   let sizes = Array.map (fun ix -> Storage.Index.size_bytes schema ix) candidates in
   let ucost = Array.make ncand 0.0 in
   let fixed = ref 0.0 in
@@ -181,13 +282,24 @@ let build ?(prune = true) (env : Optimizer.Whatif.env)
    them the same, so a group contributes [sum of weights * cost].  Merge
    each group into its first member with the summed weight.  Keys are
    marshalled bytes — identical blocks come from identical computations,
-   so float equality is bit-exact here. *)
+   so float equality is bit-exact here.  A build shares its block arrays
+   physically between statements of one entry and shape, so the key is
+   marshalled once per physical pair. *)
 let compress t =
   let tbl = Hashtbl.create 97 in
   let order = ref [] in
+  let keys = ref [] in
+  let key b =
+    match List.assq_opt b.templates !keys with
+    | Some (used, k) when used == b.cands_used -> k
+    | _ ->
+        let k = Marshal.to_string (b.templates, b.cands_used) [] in
+        keys := (b.templates, (b.cands_used, k)) :: !keys;
+        k
+  in
   Array.iter
     (fun b ->
-      let key = Marshal.to_string (b.templates, b.cands_used) [] in
+      let key = key b in
       match Hashtbl.find_opt tbl key with
       | Some cell -> cell := { !cell with weight = !cell.weight +. b.weight }
       | None ->

@@ -46,9 +46,28 @@ val num_blocks : t -> int
     measure of compactness (grows linearly with the input). *)
 val variable_count : t -> int
 
+(** A pricing memo for successive builds of one session: what a build
+    priced, keyed by raw statement shape and INUM template (by physical
+    identity), with the candidate count it was priced against. *)
+type prices
+
+val prices : unit -> prices
+(** An empty memo. *)
+
 (** Build from an INUM workload cache and a candidate set.
     [prune = false] disables the lossless slot dominance pruning
     (ablation only).
+
+    With [prices], a template the memo holds is not priced again: it is
+    reused physically when the candidate set is unchanged, and extended
+    by pricing only the candidates appended since otherwise.  The memo
+    reuses nothing when [env] is not (physically) the one it last saw,
+    or when [candidates] does not keep every position it last saw
+    physically (removing a candidate resets it).  [prune = false]
+    neither reads nor updates it.  After the build the memo holds
+    exactly the entries the build used.  Either way the problem is
+    bit-identical to a build without [prices]: each gamma comes from
+    the same call, and every choice array keeps its order.
 
     Gammas are priced on each statement as written, not on the
     canonical form its INUM entry was built from.  A block's
@@ -69,6 +88,7 @@ val variable_count : t -> int
     W_hom n=1000 it moves the optimality gap from 0.0467 to 0.0488.
     Left as is because aligning the two surfaces changes results. *)
 val build :
+  ?prices:prices ->
   ?prune:bool ->
   Optimizer.Whatif.env ->
   Inum.workload_cache ->

@@ -193,6 +193,188 @@ let test_sproblem_shared_blocks () =
   Alcotest.(check bool) "a reordered statement does not" false
     ((block 1).Cophy.Sproblem.templates == (block 0).Cophy.Sproblem.templates)
 
+(* The fields of two problems that differ: candidates by index equality,
+   floats by [Fx.exactly], blocks by [same_block] plus qid and weight. *)
+let problem_diff (a : Cophy.Sproblem.t) (b : Cophy.Sproblem.t) =
+  let arrays eq x y = Array.length x = Array.length y && Array.for_all2 eq x y in
+  let floats = arrays Runtime.Fx.exactly in
+  let same_weighted (x : Cophy.Sproblem.block) (y : Cophy.Sproblem.block) =
+    Int.equal x.Cophy.Sproblem.qid y.Cophy.Sproblem.qid
+    && Runtime.Fx.exactly x.Cophy.Sproblem.weight y.Cophy.Sproblem.weight
+    && same_block x y
+  in
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("schema", a.Cophy.Sproblem.schema == b.Cophy.Sproblem.schema);
+      ( "candidates",
+        arrays Storage.Index.equal a.Cophy.Sproblem.candidates
+          b.Cophy.Sproblem.candidates );
+      ("sizes", floats a.Cophy.Sproblem.sizes b.Cophy.Sproblem.sizes);
+      ("ucost", floats a.Cophy.Sproblem.ucost b.Cophy.Sproblem.ucost);
+      ("fixed", Runtime.Fx.exactly a.Cophy.Sproblem.fixed b.Cophy.Sproblem.fixed);
+      ( "probe_regret",
+        Runtime.Fx.exactly a.Cophy.Sproblem.probe_regret
+          b.Cophy.Sproblem.probe_regret );
+      ("blocks", arrays same_weighted a.Cophy.Sproblem.blocks b.Cophy.Sproblem.blocks);
+      ( "cand_blocks",
+        arrays (arrays Int.equal) a.Cophy.Sproblem.cand_blocks
+          b.Cophy.Sproblem.cand_blocks );
+    ]
+
+(* The session's problem against a memo-less build of its cache and
+   candidates. *)
+let check_memo_exact label s =
+  let fresh =
+    Cophy.Sproblem.build (Cophy.Interactive.env s) (Cophy.Interactive.cache s)
+      (Array.of_list (Cophy.Interactive.candidates s))
+  in
+  Alcotest.(check (list string)) (label ^ ": problem = fresh build") []
+    (problem_diff (Cophy.Interactive.problem s) fresh)
+
+(* [f ()] under tracing; returns the templates it priced and reused. *)
+let pricing f =
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  Fun.protect ~finally:Runtime.Trace.disable f;
+  let counters = Runtime.Trace.counters () in
+  let get name = Option.value ~default:0 (List.assoc_opt name counters) in
+  (get "sproblem.templates_priced", get "sproblem.templates_reused")
+
+(* The distinct (raw shape, INUM entry) pairs of [cache]: a build
+   prices each template of each pair once. *)
+let priced_entries (cache : Inum.workload_cache) =
+  List.fold_left
+    (fun seen ((q : Ast.query), _, inum) ->
+      let shape = Canon.raw_key q in
+      if List.exists (fun (k, e) -> String.equal k shape && e == inum) seen
+      then seen
+      else (shape, inum) :: seen)
+    [] cache.Inum.selects
+
+(* Templates a build of [cache] prices without a memo. *)
+let distinct_templates cache =
+  List.fold_left
+    (fun n (_, inum) -> n + Inum.template_count inum)
+    0 (priced_entries cache)
+
+(* A session's memoized rebuilds equal memo-less builds after every kind
+   of delta, including a refine that forces probes and a candidate
+   removal that resets the memo. *)
+let test_sproblem_memo_exact () =
+  let w = small_workload ~n:6 () in
+  let all = Cophy.Cgen.generate w in
+  let half = List.filteri (fun i _ -> i mod 2 = 0) all in
+  let s =
+    Cophy.Interactive.create ~candidates:half ~probe_budget:2 schema w
+      ~budget:(0.5 *. db_size)
+  in
+  check_memo_exact "initial" s;
+  Cophy.Interactive.add_candidates s
+    (List.filteri (fun i _ -> i mod 2 = 1) all
+    @ Cophy.Cgen.random_candidates schema ~n:10 ~seed:99);
+  check_memo_exact "add_candidates" s;
+  let id =
+    match Ast.selects w with
+    | (q, _) :: _ -> q.Ast.query_id
+    | [] -> Alcotest.fail "no SELECT in the workload"
+  in
+  Cophy.Interactive.set_weight s id 7.5;
+  check_memo_exact "set_weight" s;
+  let forced =
+    Cophy.Interactive.refine_at s
+      (Storage.Config.of_list (Cophy.Interactive.candidates s))
+  in
+  Alcotest.(check bool) "refine forced probes" true (forced > 0);
+  check_memo_exact "refine_at" s;
+  Cophy.Interactive.add_statements s (Workload.Gen.hom schema ~n:3 ~seed:77);
+  check_memo_exact "add_statements" s;
+  Cophy.Interactive.remove_statements s ~drop:(function
+    | Ast.Select q -> q.Ast.query_id = id
+    | Ast.Update _ -> false);
+  check_memo_exact "remove_statements" s;
+  let cands = Cophy.Interactive.candidates s in
+  Cophy.Interactive.remove_candidates s [ List.nth cands (List.length cands / 2) ];
+  let priced, reused =
+    pricing (fun () -> ignore (Cophy.Interactive.problem s))
+  in
+  Alcotest.(check int) "remove_candidates resets the memo"
+    (distinct_templates (Cophy.Interactive.cache s))
+    priced;
+  Alcotest.(check int) "nothing reused after a reset" 0 reused;
+  check_memo_exact "remove_candidates" s
+
+(* The daemon's lazy rebuilds over a drifting stream equal memo-less
+   builds at every recommend, and do reuse pricings. *)
+let test_sproblem_memo_drift () =
+  let events =
+    Workload.Replay.drift ~recommend_every:15 ~update_fraction:0.1 schema
+      ~n:20 ~events:120 ~seed:7
+  in
+  let engine = Serve.Engine.create ~window:48 ~probe_budget:16 schema in
+  let _, reused =
+    pricing (fun () ->
+        List.iteri
+          (fun i -> function
+            | Workload.Replay.Statement (stmt, delta) ->
+                Serve.Engine.observe engine stmt delta
+            | Workload.Replay.Recommend ->
+                ignore (Serve.Engine.recommend engine);
+                check_memo_exact
+                  (Printf.sprintf "recommend at event %d" i)
+                  (Serve.Engine.session engine))
+          events)
+  in
+  Alcotest.(check bool) "rebuilds reused pricings" true (reused > 0)
+
+(* What the counters show the memo doing: a weight change reprices
+   nothing, a refine reprices only the templates it added, and a memo
+   emptied by a build with no statements keeps nothing stale. *)
+let test_sproblem_memo_reuse () =
+  let w = small_workload ~n:6 () in
+  let s = Cophy.Interactive.create ~probe_budget:2 schema w ~budget:(0.5 *. db_size) in
+  let total = distinct_templates (Cophy.Interactive.cache s) in
+  let build () = pricing (fun () -> ignore (Cophy.Interactive.problem s)) in
+  Alcotest.(check (pair int int)) "first build prices every template"
+    (total, 0) (build ());
+  let id, weight =
+    match Ast.selects w with
+    | (q, f) :: _ -> (q.Ast.query_id, f)
+    | [] -> Alcotest.fail "no SELECT in the workload"
+  in
+  Cophy.Interactive.set_weight s id (2.0 *. weight);
+  Alcotest.(check (pair int int)) "set_weight prices nothing" (0, total) (build ());
+  let before =
+    List.map
+      (fun (_, inum) -> (inum, Inum.templates inum))
+      (priced_entries (Cophy.Interactive.cache s))
+  in
+  let forced =
+    Cophy.Interactive.refine_at s
+      (Storage.Config.of_list (Cophy.Interactive.candidates s))
+  in
+  Alcotest.(check bool) "refine forced probes" true (forced > 0);
+  let added, kept =
+    List.fold_left
+      (fun (added, kept) (inum, old) ->
+        List.fold_left
+          (fun (added, kept) tpl ->
+            if List.memq tpl old then (added, kept + 1) else (added + 1, kept))
+          (added, kept) (Inum.templates inum))
+      (0, 0) before
+  in
+  Alcotest.(check bool) "the refine added templates" true (added > 0);
+  Alcotest.(check (pair int int)) "refine prices only what it added"
+    (added, kept) (build ());
+  Cophy.Interactive.remove_statements s ~drop:(fun _ -> true);
+  Alcotest.(check (pair int int)) "an empty workload prices nothing" (0, 0)
+    (build ());
+  Cophy.Interactive.add_statements s w;
+  Alcotest.(check (pair int int)) "re-added statements are priced again"
+    (distinct_templates (Cophy.Interactive.cache s), 0)
+    (build ());
+  check_memo_exact "after re-adding" s
+
 (* The materialized Theorem-1 BIP of hom n=20 at 0.5x: the model passes
    the static checks, its LP relaxation solves to optimal on the
    production path (presolve + sparse kernel), and the optimum passes
@@ -909,6 +1091,12 @@ let () =
           Alcotest.test_case "slot pruning lossless form" `Quick test_sproblem_slot_pruning;
           Alcotest.test_case "blocks shared per entry and shape" `Quick
             test_sproblem_shared_blocks;
+          Alcotest.test_case "memoized rebuilds = fresh builds" `Quick
+            test_sproblem_memo_exact;
+          Alcotest.test_case "memoized rebuilds = fresh builds (drift)" `Quick
+            test_sproblem_memo_drift;
+          Alcotest.test_case "memo reuse counters" `Quick
+            test_sproblem_memo_reuse;
           Alcotest.test_case "LP relaxation checked and certified" `Quick
             test_sproblem_lp_relaxation_certified;
         ] );
