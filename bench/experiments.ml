@@ -233,14 +233,14 @@ let fig6a () =
         { Cophy.Decomposition.default_options with
           Cophy.Decomposition.gap_tolerance = 0.005;
           max_iters = 150;
-          log_events = true }
+          on_event = (fun e -> events := e :: !events) }
       in
-      let r = Cophy.Decomposition.solve ~options sp ~budget ~z_rows:[] in
-      events := List.rev r.Cophy.Decomposition.events;
+      ignore (Cophy.Decomposition.solve ~options sp ~budget ~z_rows:[]);
+      let events = List.rev !events in
       Fmt.pr "@.W_%d (%d stmts): %d feedback events@." paper_n n
-        (List.length !events);
+        (List.length events);
       Fmt.pr "  %-10s %-14s %-14s %-8s@." "t(s)" "incumbent" "bound" "gap%";
-      let total = List.length !events in
+      let total = List.length events in
       List.iteri
         (fun i (e : Cophy.Decomposition.event) ->
           if i < 3 || i mod (max 1 (total / 8)) = 0 || i = total - 1 then
@@ -250,7 +250,7 @@ let fig6a () =
               (100.0
               *. (e.Cophy.Decomposition.incumbent -. e.Cophy.Decomposition.bound)
               /. (abs_float e.Cophy.Decomposition.incumbent +. 1e-9)))
-        !events)
+        events)
     scaled
 
 (* --- Figure 6b: interactive re-tuning time vs added candidates --- *)

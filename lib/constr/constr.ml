@@ -14,7 +14,7 @@
    Everything except query-cost caps linearizes to rows over the z
    variables (one per candidate index), per Appendix E. *)
 
-type cmp = Le | Ge | Eq
+type cmp = Lp.Problem.sense = Le | Ge | Eq
 
 type index_metric =
   | Size_bytes
@@ -213,6 +213,17 @@ let linearize schema (candidates : Storage.Index.t array) = function
 (* All z-rows of a constraint list. *)
 let linearize_all schema candidates cs =
   List.concat_map (linearize schema candidates) (List.filter z_only cs)
+
+(* The rows as named LP rows over [vars] (candidate position -> LP
+   variable): the one encoding of a z row every solver path uses. *)
+let add_rows p (vars : int array) rows =
+  List.iter
+    (fun row ->
+      ignore
+        (Lp.Problem.add_row ~name:row.row_name p
+           (List.map (fun (a, c) -> (vars.(a), c)) row.row_coeffs)
+           row.row_cmp row.row_rhs))
+    rows
 
 (* --- Direct evaluation on a configuration --- *)
 

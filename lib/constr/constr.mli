@@ -5,7 +5,8 @@
     generators, and soft constraints (explored along a Pareto curve
     rather than enforced). *)
 
-type cmp = Le | Ge | Eq
+(** The LP row sense, so a z row's comparison is its LP row's. *)
+type cmp = Lp.Problem.sense = Le | Ge | Eq
 
 type index_metric =
   | Size_bytes
@@ -88,6 +89,13 @@ val linearize : Catalog.Schema.t -> Storage.Index.t array -> t -> z_row list
 (** All rows of the z-only constraints in the list. *)
 val linearize_all :
   Catalog.Schema.t -> Storage.Index.t array -> t list -> z_row list
+
+(** [add_rows p vars rows] adds each row to [p] as a row named
+    [row_name] over the variables [vars] (candidate position -> LP
+    variable).
+    @raise Invalid_argument when a row names a position outside [vars]
+    or a variable [p] does not have. *)
+val add_rows : Lp.Problem.t -> int array -> z_row list -> unit
 
 (** Does a selection satisfy the row? *)
 val row_holds : z_row -> bool array -> bool

@@ -42,13 +42,12 @@ type options = {
   time_limit : float;
   gap_tolerance : float;
   on_event : event -> unit;
-  log_events : bool;
   warm : multipliers option;
   (* Prior incumbent selection, by index (so it survives candidate-set
      changes between re-solves).  Considered before the greedy initial:
      repaired if the budget shrank, so a warm restart is never worse
      than the repaired prior incumbent. *)
-  warm_z : Storage.Index.t list option;
+  warm_z : Storage.Config.t option;
   local_search_period : int;
   jobs : int;
 }
@@ -59,7 +58,6 @@ let default_options =
     time_limit = infinity;
     gap_tolerance = 0.05;     (* the paper's default CPLEX setting *)
     on_event = ignore;
-    log_events = false;
     warm = None;
     warm_z = None;
     local_search_period = 10;
@@ -71,7 +69,6 @@ type result = {
   obj : float;
   bound : float;
   iterations : int;
-  events : event list;      (* reverse chronological *)
   multipliers : multipliers;
 }
 
@@ -220,19 +217,7 @@ let z_lp ~w ~(sizes : float array) ~budget ~(z_rows : Constr.z_row list)
       (Lp.Problem.add_row p
          (Array.to_list (Array.mapi (fun a v -> (v, sizes.(a))) vars))
          Lp.Problem.Le budget);
-  List.iter
-    (fun (row : Constr.z_row) ->
-      let sense =
-        match row.Constr.row_cmp with
-        | Constr.Le -> Lp.Problem.Le
-        | Constr.Ge -> Lp.Problem.Ge
-        | Constr.Eq -> Lp.Problem.Eq
-      in
-      ignore
-        (Lp.Problem.add_row p
-           (List.map (fun (a, c) -> (vars.(a), c)) row.Constr.row_coeffs)
-           sense row.Constr.row_rhs))
-    z_rows;
+  Constr.add_rows p vars z_rows;
   (* No presolve here: its bound tightening and row scaling can land on
      a different optimal vertex of this (often degenerate) LP, and the
      fractional vertex feeds the rounding heuristic. *)
@@ -356,8 +341,11 @@ let local_search ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows (z : bool array)
   done;
   (z, !obj)
 
-(* Greedy benefit/size construction for the initial incumbent. *)
-let greedy_initial ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows =
+(* [singleton_savings sp].(a).(j): the weighted cost the block
+   [cand_blocks.(a).(j)] saves when [a] is the only index selected.  The
+   benefit-based multiplier initialization and the greedy initial
+   incumbent both start from these. *)
+let singleton_savings ~jobs (sp : Sproblem.t) =
   let n = Array.length sp.Sproblem.candidates in
   let empty = Array.make n false in
   let empty_bcost =
@@ -367,23 +355,27 @@ let greedy_initial ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows =
   in
   (* Per-candidate scoring is independent given a private singleton
      selection, so it fans out over the pool. *)
+  Runtime.parallel_map ~jobs
+    (fun a ->
+      let z1 = Array.make n false in
+      z1.(a) <- true;
+      Array.map
+        (fun bi ->
+          let b = sp.Sproblem.blocks.(bi) in
+          b.Sproblem.weight *. (empty_bcost.(bi) -. Sproblem.block_cost_z b z1))
+        sp.Sproblem.cand_blocks.(a))
+    (Array.init n Fun.id)
+
+(* Greedy benefit/size construction for the initial incumbent: a
+   candidate's benefit is its savings net of its creation cost. *)
+let greedy_initial (sp : Sproblem.t) ~savings ~budget ~z_rows =
+  let n = Array.length sp.Sproblem.candidates in
   let scored =
-    Runtime.parallel_map ~jobs
-      (fun a ->
-        let z = Array.make n false in
-        z.(a) <- true;
-        let benefit = ref (-.sp.Sproblem.ucost.(a)) in
-        Array.iter
-          (fun bi ->
-            let b = sp.Sproblem.blocks.(bi) in
-            benefit :=
-              !benefit
-              +. (b.Sproblem.weight
-                  *. (empty_bcost.(bi) -. Sproblem.block_cost_z b z)))
-          sp.Sproblem.cand_blocks.(a);
-        (a, !benefit /. max 1.0 sp.Sproblem.sizes.(a), !benefit))
-      (Array.init n Fun.id)
-    |> Array.to_list
+    List.init n (fun a ->
+        let benefit =
+          Array.fold_left ( +. ) (-.sp.Sproblem.ucost.(a)) savings.(a)
+        in
+        (a, benefit /. max 1.0 sp.Sproblem.sizes.(a), benefit))
     |> List.filter (fun (_, _, ben) -> ben > 0.0)
     |> List.sort (fun (_, r1, _) (_, r2, _) -> compare r2 r1)
   in
@@ -449,33 +441,16 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
      indifferent while the z knapsack sees creation cost minus capturable
      value — a dual point already close to the "no index beats its own
      savings" equilibrium. *)
-  (if Option.is_none options.warm then begin
-     let empty = Array.make ncand false in
-     let empty_bcost =
-       Runtime.parallel_map ~jobs
-         (fun b -> Sproblem.block_cost_z b empty)
-         sp.Sproblem.blocks
-     in
-     let per_cand =
-       Runtime.parallel_map ~jobs
-         (fun a ->
-           let z1 = Array.make ncand false in
-           z1.(a) <- true;
-           Array.map
-             (fun bi ->
-               let b = sp.Sproblem.blocks.(bi) in
-               ( bi,
-                 pos_in b a,
-                 b.Sproblem.weight
-                 *. (empty_bcost.(bi) -. Sproblem.block_cost_z b z1) ))
-             sp.Sproblem.cand_blocks.(a))
-         (Array.init ncand Fun.id)
-     in
-     Array.iter
-       (Array.iter
-          (fun (bi, i, ben) -> if ben > 0.0 then lam.(bi).(i) <- ben))
-       per_cand
-   end);
+  let savings = singleton_savings ~jobs sp in
+  if Option.is_none options.warm then
+    Array.iteri
+      (fun a sav ->
+        Array.iteri
+          (fun j bi ->
+            if sav.(j) > 0.0 then
+              lam.(bi).(pos_in sp.Sproblem.blocks.(bi) a) <- sav.(j))
+          sp.Sproblem.cand_blocks.(a))
+      savings;
   (* incumbent — black-box (UDF) constraints gate acceptance: the empty
      selection is the fallback when the heuristics produce only rejected
      candidates (appendix E.5) *)
@@ -483,6 +458,14 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let best_z = ref empty in
   let best_obj =
     ref (if accept empty then Sproblem.eval ~jobs sp empty else infinity)
+  in
+  (* Take [z] when its objective beats the incumbent's by more than
+     [margin]. *)
+  let improve ?(margin = 0.0) z obj =
+    if obj < !best_obj -. margin then begin
+      best_z := z;
+      best_obj := obj
+    end
   in
   (* When the black box rejects a selection, trim it: drop the least
      valuable index (cost increase per byte) and retry — this services
@@ -516,69 +499,47 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
     done;
     z
   in
+  (* The incumbent gate: repair [z] to the z rows, trim it to the black
+     box, and take it if it is usable and beats the incumbent.  Says
+     whether [z] was usable as is ([`Intact]), only after repair or
+     trimming ([`Repaired]), or not at all ([`Rejected]). *)
   let consider z =
-    let z =
+    let zr =
       if z_feasible sp ~budget ~z_rows z then z
       else repair ~jobs sp ~budget ~z_rows z
     in
-    let z = if accept z then z else trim_to_acceptance z in
-    if z_feasible sp ~budget ~z_rows z && accept z then begin
-      let obj = Sproblem.eval ~jobs sp z in
-      if obj < !best_obj then begin
-        best_z := z;
-        best_obj := obj
-      end
+    let zr = if accept zr then zr else trim_to_acceptance zr in
+    if z_feasible sp ~budget ~z_rows zr && accept zr then begin
+      improve zr (Sproblem.eval ~jobs sp zr);
+      (* repair and trimming return copies *)
+      if zr == z then `Intact else `Repaired
     end
+    else `Rejected
   in
   (match options.warm_z with
   | None -> ()
-  | Some ixs ->
+  | Some config -> (
       (* Map the prior selection into this problem's candidate positions;
-         indexes no longer in the candidate set are dropped, and the rest
-         is repaired if the constraints tightened.  The repair path is
-         observable: [solver.warm_repaired] ticks when the prior
-         selection needed repair or trimming but was used,
-         [solver.warm_rejected] when even the repaired selection was
-         unusable. *)
-      let want = Hashtbl.create 32 in
-      List.iter (fun ix -> Hashtbl.replace want ix ()) ixs;
-      let zw = Array.make ncand false in
-      Array.iteri
-        (fun pos ix ->
-          if Hashtbl.mem want ix && not forced_zero.(pos) then zw.(pos) <- true)
-        sp.Sproblem.candidates;
-      let intact = z_feasible sp ~budget ~z_rows zw && accept zw in
-      let zr =
-        if z_feasible sp ~budget ~z_rows zw then zw
-        else repair ~jobs sp ~budget ~z_rows zw
-      in
-      let zr = if accept zr then zr else trim_to_acceptance zr in
-      if z_feasible sp ~budget ~z_rows zr && accept zr then begin
-        if not intact then Runtime.Trace.incr tr_warm_repaired;
-        let obj = Sproblem.eval ~jobs sp zr in
-        if obj < !best_obj then begin
-          best_z := zr;
-          best_obj := obj
-        end
-      end
-      else Runtime.Trace.incr tr_warm_rejected);
-  consider (greedy_initial ~jobs sp ~budget ~z_rows);
-  (if !best_obj < infinity then begin
+         indexes no longer in the candidate set are dropped, forbidden
+         ones masked, and the rest goes through the incumbent gate.
+         [solver.warm_repaired] ticks when the prior selection needed
+         repair or trimming but was used, [solver.warm_rejected] when
+         even the repaired selection was unusable. *)
+      let zw = Sproblem.z_of_config sp config in
+      Array.iteri (fun a f -> if f then zw.(a) <- false) forced_zero;
+      match consider zw with
+      | `Intact -> ()
+      | `Repaired -> Runtime.Trace.incr tr_warm_repaired
+      | `Rejected -> Runtime.Trace.incr tr_warm_rejected));
+  ignore (consider (greedy_initial sp ~savings ~budget ~z_rows));
+  (if !best_obj < infinity then
      let ls_z, ls_obj = local_search ~jobs sp ~budget ~z_rows !best_z !best_obj in
-     if ls_obj < !best_obj && accept ls_z then begin
-       best_z := ls_z;
-       best_obj := ls_obj
-     end
-   end);
+     if accept ls_z then improve ls_z ls_obj);
   let best_bound = ref neg_infinity in
-  let events = ref [] in
   let emit it =
-    let e =
+    options.on_event
       { elapsed = elapsed (); incumbent = !best_obj; bound = !best_bound;
         iteration = it }
-    in
-    if options.log_events then events := e :: !events;
-    options.on_event e
   in
   let theta = ref 2.0 in
   let no_improve = ref 0 in
@@ -591,6 +552,8 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let w = Array.make ncand 0.0 in
   let usage = Array.make nblocks [] in
   let block_indices = Array.init nblocks Fun.id in
+  (* subgradient of the linking rows, aligned with [lam] *)
+  let g = Array.map Array.copy lam in
   let iter = ref 0 in
   let gap_ok () =
     !best_bound > neg_infinity
@@ -786,35 +749,24 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
          then local_search ~jobs sp ~budget ~z_rows zr obj
          else (zr, obj)
        in
-       (if accept candidate_z then begin
-          if candidate_obj < !best_obj -. 1e-9 then begin
-            best_z := candidate_z;
-            best_obj := candidate_obj
-          end
-        end
-        else begin
-          (* trim toward the black box and take the result if it wins *)
-          let zt = trim_to_acceptance candidate_z in
-          if accept zt then begin
-            let objt = Sproblem.eval ~jobs sp zt in
-            if objt < !best_obj -. 1e-9 then begin
-              best_z := zt;
-              best_obj := objt
-            end
-          end
-        end)
+       if accept candidate_z then improve ~margin:1e-9 candidate_z candidate_obj
+       else begin
+         (* trim toward the black box and take the result if it wins *)
+         let zt = trim_to_acceptance candidate_z in
+         if accept zt then improve ~margin:1e-9 zt (Sproblem.eval ~jobs sp zt)
+       end
        end;
        (* subgradient step *)
        let gnorm2 = ref 0.0 in
        Array.iteri
          (fun bi (b : Sproblem.block) ->
+           let gb = g.(bi) in
            Array.iteri
              (fun i pos ->
                let u = if List.mem pos usage.(bi) then 1.0 else 0.0 in
-               let g = u -. zfrac.(pos) in
-               ignore i;
-               ignore b;
-               gnorm2 := !gnorm2 +. (g *. g))
+               let gi = u -. zfrac.(pos) in
+               gb.(i) <- gi;
+               gnorm2 := !gnorm2 +. (gi *. gi))
              b.Sproblem.cands_used)
          sp.Sproblem.blocks;
        if !gnorm2 > 1e-12 then begin
@@ -825,14 +777,11 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
          let step = !theta *. (ub_ref -. lower) /. !gnorm2 in
          let step = max 0.0 step in
          Array.iteri
-           (fun bi (b : Sproblem.block) ->
+           (fun bi lb ->
              Array.iteri
-               (fun i pos ->
-                 let u = if List.mem pos usage.(bi) then 1.0 else 0.0 in
-                 let g = u -. zfrac.(pos) in
-                 lam.(bi).(i) <- max 0.0 (lam.(bi).(i) +. (step *. g)))
-               b.Sproblem.cands_used)
-           sp.Sproblem.blocks
+               (fun i gi -> lb.(i) <- max 0.0 (lb.(i) +. (step *. gi)))
+               g.(bi))
+           lam
        end;
        emit !iter
      done
@@ -863,6 +812,5 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
           "reported Lagrangian bound: advisors and the gap certificate \
            derive the optimality claim from it"]);
     iterations = !iter;
-    events = !events;
     multipliers = tbl;
   }

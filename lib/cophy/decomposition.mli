@@ -29,14 +29,19 @@ type options = {
   time_limit : float;
   gap_tolerance : float;  (** the paper's default CPLEX setting is 0.05 *)
   on_event : event -> unit;
-      (** [elapsed] fields are measured on {!Runtime.Clock} *)
-  log_events : bool;
+      (** the feedback stream: called before the first iteration, after
+          every iteration, and once at the end; [elapsed] fields are
+          measured on {!Runtime.Clock} *)
   warm : multipliers option;
-  warm_z : Storage.Index.t list option;
+  warm_z : Storage.Config.t option;
       (** prior incumbent selection, by index so it survives candidate-set
-          changes between re-solves; considered (and repaired if the
-          constraints tightened) before the greedy initial, so a warm
-          restart is never worse than the repaired prior incumbent *)
+          changes between re-solves (indexes outside the candidate set
+          are dropped); it passes the same incumbent gate as the greedy
+          initial (repair to the z rows, trimming to [accept]) before
+          it, so a warm restart is never worse than the repaired prior
+          incumbent.  Trace counters [solver.warm_repaired] and
+          [solver.warm_rejected] tick when it needed repair or was
+          unusable. *)
   local_search_period : int;
   jobs : int;
       (** domains for the per-block subproblem fan-out and block-cost
@@ -53,7 +58,6 @@ type result = {
   obj : float;           (** exact objective of [z] *)
   bound : float;         (** best Lagrangian lower bound *)
   iterations : int;
-  events : event list;   (** reverse chronological when [log_events] *)
   multipliers : multipliers;
 }
 

@@ -7,12 +7,15 @@
    changes the budget, the constraints or statement weights, appends
    statements) only the delta is recomputed: INUM runs only for
    statements whose canonical key was never seen, and the solver
-   warm-starts from the previous multipliers and incumbent.  Each delta
-   still drops the structured BIP, and the next re-tune rebuilds it,
-   but through the session's pricing memo ([Sproblem.prices]): a
-   template the last build priced is reused as is, or extended by the
-   candidates appended since, so only new templates (new statement
-   shapes, or templates a refine added) and new candidates are priced.
+   warm-starts from the previous multipliers and incumbent.  A delta to
+   the candidates or the statements drops the structured BIP (budget,
+   constraint and baseline changes keep it: the BIP does not encode
+   them, [resolve_constraints] reads them at every re-tune), and the
+   next re-tune rebuilds it, but through the session's pricing memo
+   ([Sproblem.prices]): a template the last build priced is reused as
+   is, or extended by the candidates appended since, so only new
+   templates (new statement shapes, or templates a refine added) and
+   new candidates are priced.
    The memo resets when a candidate is removed, since positions shift.
    This is what makes re-tuning an order of magnitude faster than
    solving from scratch (Fig. 6b).
@@ -35,7 +38,7 @@ type session = {
   mutable problem : Sproblem.t option;          (* invalidated by deltas *)
   prices : Sproblem.prices;  (* template pricings, reused across rebuilds *)
   mutable multipliers : Decomposition.multipliers option;
-  mutable incumbent : Storage.Index.t list option;  (* previous selection *)
+  mutable incumbent : Storage.Config.t option;  (* previous selection *)
   mutable last : Solver.report option;
 }
 
@@ -101,9 +104,7 @@ let remove_candidates s ixs =
 
 let set_budget s budget = s.budget <- budget
 
-let set_constraints s cs =
-  s.constraints <- cs;
-  s.problem <- None
+let set_constraints s cs = s.constraints <- cs
 
 let set_baseline s b = s.baseline <- b
 
@@ -218,7 +219,7 @@ let retune ?options s =
   (match report.Solver.multipliers with
   | Some _ as m -> s.multipliers <- m
   | None -> ());
-  s.incumbent <- Some (Storage.Config.to_list report.Solver.config);
+  s.incumbent <- Some report.Solver.config;
   s.last <- Some report;
   report
 

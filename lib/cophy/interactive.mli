@@ -45,6 +45,10 @@ val add_candidates : session -> Storage.Index.t list -> unit
     shift, so the next rebuild prices every template again. *)
 val remove_candidates : session -> Storage.Index.t list -> unit
 
+(** The budget, the constraints and the baseline are not part of the
+    structured BIP: the next {!retune} resolves them against it, so
+    changing them keeps {!problem} as it is. *)
+
 val set_budget : session -> float -> unit
 val set_constraints : session -> Constr.t list -> unit
 val set_baseline : session -> Storage.Config.t -> unit

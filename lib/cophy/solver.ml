@@ -32,12 +32,11 @@ type options = {
   time_limit : float;
   max_iters : int;           (* decomposition subgradient iterations *)
   on_feedback : feedback -> unit;
-  log_events : bool;
   warm : Decomposition.multipliers option;
-  (* Prior incumbent selection by index: seeds Branch_bound's initial
-     incumbent on the exact path and the decomposition's first
-     [consider] on the decomposed path. *)
-  warm_z : Storage.Index.t list option;
+  (* Prior incumbent selection: seeds Branch_bound's initial incumbent
+     on the exact path and the decomposition's first [consider] on the
+     decomposed path. *)
+  warm_z : Storage.Config.t option;
   jobs : int;                (* domains for the decomposition fan-outs *)
   (* Debug mode: statically check the materialized BIP before solving,
      certify branch-and-bound incumbents, and certify the final selection
@@ -53,7 +52,6 @@ let default_options =
     time_limit = infinity;
     max_iters = 400;
     on_feedback = ignore;
-    log_events = true;
     warm = None;
     warm_z = None;
     jobs = 1;
@@ -66,10 +64,7 @@ type report = {
   objective : float;          (* INUM-estimated workload cost of [config] *)
   bound : float;
   gap : float;
-  events : feedback list;     (* chronological *)
-  used_method : solve_method;
   multipliers : Decomposition.multipliers option;
-  solve_seconds : float;
   (* certified INUM probe regret carried from the problem: [objective]
      and [bound] describe the surrogate surface; the exhaustive-INUM
      objective of [config] lies in [objective - probe_regret,
@@ -95,61 +90,38 @@ let z_polytope (sp : Sproblem.t) ~budget ~z_rows =
       (Lp.Problem.add_row ~name:"storage" p
          (Array.to_list (Array.mapi (fun a v -> (v, sp.Sproblem.sizes.(a))) vars))
          Lp.Problem.Le budget);
-  List.iter
-    (fun (row : Constr.z_row) ->
-      let sense =
-        match row.Constr.row_cmp with
-        | Constr.Le -> Lp.Problem.Le
-        | Constr.Ge -> Lp.Problem.Ge
-        | Constr.Eq -> Lp.Problem.Eq
-      in
-      ignore
-        (Lp.Problem.add_row ~name:row.Constr.row_name p
-           (List.map (fun (a, c) -> (vars.(a), c)) row.Constr.row_coeffs)
-           sense row.Constr.row_rhs))
-    z_rows;
+  Constr.add_rows p vars z_rows;
   (p, vars)
 
 (* Feasibility of the z-only polytope (mandatory/forbidden/budget/...). *)
 let check_feasibility (sp : Sproblem.t) ~budget ~z_rows =
-  let n = Array.length sp.Sproblem.candidates in
-  let p, _vars = z_polytope sp ~budget ~z_rows in
-  let r = Lp.Presolve.solve p in
-  match r.Lp.Simplex.status with
-  | Lp.Simplex.Infeasible ->
-      (* Identify offenders: re-test each row alone against the bounds. *)
-      let offenders =
-        List.filter_map
-          (fun (row : Constr.z_row) ->
-            let p1 = Lp.Problem.create () in
-            let vars1 = Array.init n (fun _ -> Lp.Problem.add_var ~ub:1.0 p1) in
-            let sense =
-              match row.Constr.row_cmp with
-              | Constr.Le -> Lp.Problem.Le
-              | Constr.Ge -> Lp.Problem.Ge
-              | Constr.Eq -> Lp.Problem.Eq
-            in
-            ignore
-              (Lp.Problem.add_row p1
-                 (List.map (fun (a, c) -> (vars1.(a), c)) row.Constr.row_coeffs)
-                 sense row.Constr.row_rhs);
-            match (Lp.Presolve.solve p1).Lp.Simplex.status with
-            | Lp.Simplex.Infeasible -> Some row.Constr.row_name
-            | _ -> None)
-          z_rows
-      in
-      let offenders =
-        if offenders = [] then [ "constraint conjunction (no single offender)" ]
-        else offenders
-      in
-      raise (Infeasible offenders)
-  | _ -> ()
+  let infeasible ~budget ~z_rows =
+    let p, _ = z_polytope sp ~budget ~z_rows in
+    match (Lp.Presolve.solve p).Lp.Simplex.status with
+    | Lp.Simplex.Infeasible -> true
+    | _ -> false
+  in
+  if infeasible ~budget ~z_rows then begin
+    (* Identify offenders: re-test each row alone against the bounds. *)
+    let offenders =
+      List.filter_map
+        (fun (row : Constr.z_row) ->
+          if infeasible ~budget:infinity ~z_rows:[ row ] then
+            Some row.Constr.row_name
+          else None)
+        z_rows
+    in
+    let offenders =
+      if offenders = [] then [ "constraint conjunction (no single offender)" ]
+      else offenders
+    in
+    raise (Infeasible offenders)
+  end
 
 let solve ?(options = default_options) ?(block_caps = []) ?accept
     (sp : Sproblem.t) ~budget ~z_rows =
   Runtime.Trace.span "solver.feasibility_check" (fun () ->
       check_feasibility sp ~budget ~z_rows);
-  let t0 = Runtime.Clock.now () in
   let method_ =
     match options.method_ with
     | Auto ->
@@ -182,13 +154,11 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
                          i.Lp.Analyze.where i.Lp.Analyze.message)
                      issues)))
       end;
-      let events = ref [] in
       let bb_options =
         {
           Lp.Branch_bound.default_options with
           Lp.Branch_bound.gap_tolerance = options.gap_tolerance;
           time_limit = options.time_limit;
-          log_events = options.log_events;
           (* branch on the index-selection variables only; once z is
              integral the per-block LP is a pure minimum with an integral
              optimum (Theorem 1's structure) *)
@@ -197,32 +167,25 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
           jobs = options.jobs;
           on_event =
             (fun (e : Lp.Branch_bound.event) ->
-              let f =
+              options.on_feedback
                 {
                   elapsed = e.Lp.Branch_bound.elapsed;
                   incumbent = e.Lp.Branch_bound.incumbent;
                   bound = e.Lp.Branch_bound.bound;
-                }
-              in
-              if options.log_events then events := f :: !events;
-              options.on_feedback f);
+                });
         }
       in
       let bb_options =
         match options.warm_z with
         | None -> bb_options
-        | Some ixs ->
-            (* Lift the prior selection to a full BIP point; an
-               infeasible one (tightened constraints) is ignored by
-               Branch_bound's feasibility guard. *)
-            let want = Hashtbl.create 32 in
-            List.iter (fun ix -> Hashtbl.replace want ix ()) ixs;
-            let zw =
-              Array.map (fun ix -> Hashtbl.mem want ix) sp.Sproblem.candidates
+        | Some config ->
+            (* Lift the prior selection to a full BIP point.  The exact
+               path has no repair: a selection that no longer fits the
+               constraints (they tightened) is dropped, and observably
+               so. *)
+            let x0 =
+              Sproblem.lp_point_of_z sp p vars (Sproblem.z_of_config sp config)
             in
-            let x0 = Sproblem.lp_point_of_z sp p vars zw in
-            (* The exact path has no repair: a prior selection that no
-               longer fits the constraints is dropped, and observably so. *)
             if Lp.Problem.feasible p x0 then
               { bb_options with Lp.Branch_bound.initial_incumbent = Some x0 }
             else begin
@@ -267,14 +230,10 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
         gap =
           (objective -. r.Lp.Branch_bound.bound)
           /. (abs_float objective +. 1e-9);
-        events = List.rev !events;
-        used_method = Exact;
         multipliers = None;
-        solve_seconds = Runtime.Clock.now () -. t0;
         probe_regret = sp.Sproblem.probe_regret;
       }
   | Decomposed ->
-      let events = ref [] in
       let d_options =
         {
           Decomposition.default_options with
@@ -283,19 +242,15 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
           time_limit = options.time_limit;
           warm = options.warm;
           warm_z = options.warm_z;
-          log_events = options.log_events;
           jobs = options.jobs;
           on_event =
             (fun (e : Decomposition.event) ->
-              let f =
+              options.on_feedback
                 {
                   elapsed = e.Decomposition.elapsed;
                   incumbent = Some e.Decomposition.incumbent;
                   bound = e.Decomposition.bound;
-                }
-              in
-              if options.log_events then events := f :: !events;
-              options.on_feedback f);
+                });
         }
       in
       let r =
@@ -332,9 +287,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
         gap =
           (r.Decomposition.obj -. r.Decomposition.bound)
           /. (abs_float r.Decomposition.obj +. 1e-9);
-        events = List.rev !events;
-        used_method = Decomposed;
         multipliers = Some r.Decomposition.multipliers;
-        solve_seconds = Runtime.Clock.now () -. t0;
         probe_regret = sp.Sproblem.probe_regret;
       }

@@ -24,13 +24,14 @@ type options = {
   time_limit : float;
   max_iters : int;  (** decomposition subgradient iterations *)
   on_feedback : feedback -> unit;
-      (** [elapsed] fields are measured on {!Runtime.Clock} *)
-  log_events : bool;
+      (** the one feedback channel, called as each path's search
+          progresses; [elapsed] fields are measured on {!Runtime.Clock} *)
   warm : Decomposition.multipliers option;  (** warm start (re-tuning) *)
-  warm_z : Storage.Index.t list option;
+  warm_z : Storage.Config.t option;
       (** prior incumbent selection: seeds {!Lp.Branch_bound}'s initial
           incumbent (exact path) or the decomposition's first incumbent
-          candidate (decomposed path) *)
+          candidate (decomposed path); indexes outside the candidate set
+          are ignored *)
   jobs : int;
       (** domains for the decomposition's parallel fan-outs (default [1];
           the result is identical at every job count) *)
@@ -52,10 +53,7 @@ type report = {
   objective : float;  (** INUM-estimated workload cost of [config] *)
   bound : float;
   gap : float;
-  events : feedback list;  (** chronological *)
-  used_method : solve_method;
   multipliers : Decomposition.multipliers option;
-  solve_seconds : float;
   probe_regret : float;
       (** certified INUM probe regret carried from {!Sproblem.t}:
           [objective] and [bound] describe the cost surface of the

@@ -477,19 +477,7 @@ let to_lp ?(budget = infinity) ?(z_rows = []) ?(block_caps = [])
       (Lp.Problem.add_row ~name:"storage" p
          (Array.to_list (Array.mapi (fun pos zv -> (zv, t.sizes.(pos))) z_var))
          Lp.Problem.Le budget);
-  List.iter
-    (fun (row : Constr.z_row) ->
-      let sense =
-        match row.Constr.row_cmp with
-        | Constr.Le -> Lp.Problem.Le
-        | Constr.Ge -> Lp.Problem.Ge
-        | Constr.Eq -> Lp.Problem.Eq
-      in
-      ignore
-        (Lp.Problem.add_row ~name:row.Constr.row_name p
-           (List.map (fun (pos, c) -> (z_var.(pos), c)) row.Constr.row_coeffs)
-           sense row.Constr.row_rhs))
-    z_rows;
+  Constr.add_rows p z_var z_rows;
   (* per-statement cost caps: sum_k beta y + sum gamma x <= cap *)
   List.iter
     (fun (qid, cap) ->

@@ -29,35 +29,12 @@ type event = {
   nodes : int;
 }
 
-(* Pluggable search strategy: how the node pool is ordered and how the
-   branching variable is picked.  Both orders run through the same
-   deterministic round engine. *)
-module Search = struct
-  type node_order =
-    | Best_bound   (* lowest parent LP bound first (proves bounds fast) *)
-    | Depth_first  (* deepest, most recent first (finds incumbents fast) *)
-
-  type branching =
-    | Most_fractional  (* max distance to the nearest integer *)
-    | Cost_weighted    (* fractionality scaled by 1 + |objective coeff| *)
-
-  type t = {
-    node_order : node_order;
-    branching : branching;
-    batch : int;  (* nodes popped per bulk-synchronous round *)
-  }
-
-  let default = { node_order = Best_bound; branching = Most_fractional; batch = 8 }
-end
-
 type options = {
   gap_tolerance : float;     (* stop when (inc - bound)/|inc| <= this *)
   time_limit : float;        (* seconds; infinity = none *)
-  node_limit : int;
   on_event : event -> unit;
   (* Optional known-feasible starting point (warm start). *)
   initial_incumbent : float array option;
-  log_events : bool;
   (* When set, branch only on these variables and accept an LP solution
      as an incumbent once they are integral.  Sound only when fixing
      these variables makes the remaining LP have an integral optimum of
@@ -71,23 +48,19 @@ type options = {
   jobs : int;                (* concurrent node evaluations per round *)
   cuts : bool;               (* separate cover cuts at the root *)
   warm_start : bool;         (* dual-simplex re-solves from parent bases *)
-  search : Search.t;
 }
 
 let default_options =
   {
     gap_tolerance = 1e-6;
     time_limit = infinity;
-    node_limit = 200_000;
     on_event = ignore;
     initial_incumbent = None;
-    log_events = false;
     decision_vars = None;
     certify_incumbents = false;
     jobs = 1;
     cuts = true;
     warm_start = true;
-    search = Search.default;
   }
 
 type status = Optimal | Infeasible | Unbounded | Limit
@@ -101,29 +74,25 @@ type result = {
   cuts_added : int;          (* cover cuts installed at the root *)
   warm_resolves : int;       (* node LPs re-solved from a parent basis *)
   cuts_uncertified : int;    (* added cuts violated by the incumbent (0!) *)
-  events : event list;       (* reverse-chronological feedback trace *)
 }
 
 let int_tol = 1e-6
 
-(* Branching variable of the relaxation solution under the chosen rule;
-   [None] when every integer variable is integral. *)
-let branch_var (p : Problem.t) branching int_vars x =
+(* Nodes popped per bulk-synchronous round, and the node budget after
+   which the search stops with [Limit]. *)
+let batch = 8
+let node_limit = 200_000
+
+(* Most-fractional branching variable of the relaxation solution (the
+   first one on ties); [None] when every integer variable is integral. *)
+let branch_var int_vars x =
   let best = ref (-1) and best_score = ref 0.0 in
   List.iter
     (fun v ->
       let f = abs_float (x.(v) -. Float.round x.(v)) in
-      if f > int_tol then begin
-        let score =
-          match branching with
-          | Search.Most_fractional -> f
-          | Search.Cost_weighted ->
-              f *. (1.0 +. abs_float (Problem.var p v).Problem.obj)
-        in
-        if score > !best_score then begin
-          best := v;
-          best_score := score
-        end
+      if f > int_tol && f > !best_score then begin
+        best := v;
+        best_score := f
       end)
     int_vars;
   if !best >= 0 then Some !best else None
@@ -158,22 +127,15 @@ let rounding_heuristic p int_vars x =
   List.iter (fun v -> x'.(v) <- Float.round x.(v)) int_vars;
   if Problem.feasible p x' then Some x' else None
 
-let node_compare order (a : node) (b : node) =
-  match order with
-  | Search.Best_bound -> (
-      match Float.compare a.nb b.nb with
-      | 0 -> (
-          match Int.compare b.depth a.depth with
-          | 0 -> Int.compare a.seq b.seq
-          | c -> c)
-      | c -> c)
-  | Search.Depth_first -> (
+(* Best-bound order: lowest parent bound first, deeper first on ties,
+   then creation order. *)
+let node_compare (a : node) (b : node) =
+  match Float.compare a.nb b.nb with
+  | 0 -> (
       match Int.compare b.depth a.depth with
-      | 0 -> (
-          match Int.compare b.seq a.seq with
-          | 0 -> Float.compare a.nb b.nb
-          | c -> c)
+      | 0 -> Int.compare a.seq b.seq
       | c -> c)
+  | c -> c
 
 let solve ?(options = default_options) (p : Problem.t) =
   (* Root cover cuts are installed as rows, so they go into a private
@@ -189,7 +151,6 @@ let solve ?(options = default_options) (p : Problem.t) =
   in
   let restricted = options.decision_vars <> None in
   let offset = Problem.obj_offset p in
-  let batch = max 1 options.search.Search.batch in
   let jobs = max 1 options.jobs in
   (* One simplex session per evaluation slot, all bound to the shared
      problem; per-slot kernel stats are merged after the run so the
@@ -213,21 +174,17 @@ let solve ?(options = default_options) (p : Problem.t) =
       incumbent := Some (Array.copy x0);
       Atomic.set incumbent_obj (Problem.objective_value p x0 -. offset)
   | _ -> ());
-  let events = ref [] in
   let nodes = ref 0 in
   let global_bound = ref neg_infinity in
   let emit () =
     let inc = Atomic.get incumbent_obj in
-    let e =
+    options.on_event
       {
         elapsed = elapsed ();
         incumbent = (if inc < infinity then Some (inc +. offset) else None);
         bound = !global_bound +. offset;
         nodes = !nodes;
       }
-    in
-    if options.log_events then events := e :: !events;
-    options.on_event e
   in
   let try_incumbent x obj =
     if obj < Atomic.get incumbent_obj -. 1e-9 then begin
@@ -287,7 +244,6 @@ let solve ?(options = default_options) (p : Problem.t) =
       cuts_added;
       warm_resolves = merged.Simplex.warm_resolves;
       cuts_uncertified;
-      events = !events;
     }
   in
   (* --- Root relaxation + cover-cut loop (sequential) --- *)
@@ -349,7 +305,7 @@ let solve ?(options = default_options) (p : Problem.t) =
           done);
       global_bound := !root_bound;
       (* Root incumbents: integral decision variables, else rounding. *)
-      (match branch_var p options.search.Search.branching int_vars !root_x with
+      (match branch_var int_vars !root_x with
       | None ->
           if root_solved || Problem.feasible p !root_x then
             ignore (try_incumbent !root_x (if root_solved then !root_bound
@@ -369,7 +325,7 @@ let solve ?(options = default_options) (p : Problem.t) =
             bad
         | _ -> 0
       in
-      (match branch_var p options.search.Search.branching int_vars !root_x with
+      (match branch_var int_vars !root_x with
       | None ->
           (* Root already integral on the branched variables. *)
           global_bound := Atomic.get incumbent_obj;
@@ -446,7 +402,7 @@ let solve ?(options = default_options) (p : Problem.t) =
               stop_status := Some Optimal;
               true
             end
-            else if elapsed () > options.time_limit || !nodes >= options.node_limit
+            else if elapsed () > options.time_limit || !nodes >= node_limit
             then begin
               stop_status := Some Limit;
               true
@@ -479,8 +435,7 @@ let solve ?(options = default_options) (p : Problem.t) =
           in
           let expand node out =
             if !round_fresh then begin
-              (if options.search.Search.node_order = Search.Best_bound then
-                 global_bound := max !global_bound node.nb);
+              global_bound := max !global_bound node.nb;
               round_fresh := false
             end;
             match out with
@@ -516,10 +471,7 @@ let solve ?(options = default_options) (p : Problem.t) =
                       []
                     end
                     else (
-                      match
-                        branch_var p options.search.Search.branching int_vars
-                          r.Simplex.x
-                      with
+                      match branch_var int_vars r.Simplex.x with
                       | None ->
                           if
                             (solved || Problem.feasible p r.Simplex.x)
@@ -539,7 +491,7 @@ let solve ?(options = default_options) (p : Problem.t) =
           in
           let _search_stats =
             Runtime.Search.run ~jobs ~batch
-              ~compare:(node_compare options.search.Search.node_order)
+              ~compare:node_compare
               ~roots ~eval ~expand ~stop ()
           in
           let status =

@@ -10,7 +10,10 @@
     model.)  Node
     re-solves restore the parent's basis snapshot and repair primal
     feasibility with the dual simplex; cover cuts from the
-    storage-budget knapsack rows tighten the root.  The search runs in
+    storage-budget knapsack rows tighten the root.  The node order is
+    best-bound (deeper nodes first on equal bounds) and the branching
+    rule most-fractional; a round pops 8 nodes, and the search stops
+    with [Limit] after 200,000.  It runs in
     deterministic bulk-synchronous rounds over {!Runtime.Search}: the
     trajectory, incumbent, bound, and node counts are bit-identical at
     every [jobs] value.  A continuous (time, incumbent, bound) feedback
@@ -23,36 +26,13 @@ type event = {
   nodes : int;
 }
 
-(** Pluggable search strategy. *)
-module Search : sig
-  type node_order =
-    | Best_bound  (** lowest parent LP bound first (proves bounds fast;
-                      the proven bound advances every round) *)
-    | Depth_first  (** deepest, most recent first (finds incumbents
-                       fast; the proven bound stays at the root's until
-                       the pool empties) *)
-
-  type branching =
-    | Most_fractional  (** max distance to the nearest integer *)
-    | Cost_weighted  (** fractionality scaled by [1 + |objective coeff|] *)
-
-  type t = {
-    node_order : node_order;
-    branching : branching;
-    batch : int;  (** nodes popped per bulk-synchronous round *)
-  }
-
-  val default : t
-  (** Best-bound order, most-fractional branching, batch 8. *)
-end
-
 type options = {
   gap_tolerance : float;  (** stop when (inc - bound)/|inc| <= this *)
   time_limit : float;
-  node_limit : int;
   on_event : event -> unit;
+      (** the feedback stream: called after the root, on every new
+          incumbent, every 16 nodes, and once at the end *)
   initial_incumbent : float array option;  (** warm start *)
-  log_events : bool;
   decision_vars : int list option;
       (** Branch only on these variables, and accept an LP solution as an
           incumbent once they are integral.  Sound when fixing them makes
@@ -66,11 +46,10 @@ type options = {
   jobs : int;  (** concurrent node evaluations per round *)
   cuts : bool;  (** separate lifted cover cuts at the root *)
   warm_start : bool;  (** dual-simplex re-solves from parent bases *)
-  search : Search.t;
 }
 
 val default_options : options
-(** jobs 1, cuts and warm starts on, {!Search.default} strategy. *)
+(** jobs 1, cuts and warm starts on, no time limit, gap 1e-6. *)
 
 type status =
   | Optimal
@@ -79,7 +58,9 @@ type status =
           (the bound then equals the incumbent) *)
   | Infeasible
   | Unbounded
-  | Limit  (** time or node limit; [x] holds the incumbent, if any *)
+  | Limit
+      (** time limit or the 200,000-node budget; [x] holds the incumbent,
+          if any *)
 
 type result = {
   status : status;
@@ -92,7 +73,6 @@ type result = {
   cuts_uncertified : int;
       (** added cuts violated by the final incumbent — always 0 unless a
           separation bug produced an invalid cut *)
-  events : event list;  (** reverse chronological when [log_events] *)
 }
 
 val solve : ?options:options -> Problem.t -> result

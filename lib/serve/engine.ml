@@ -387,13 +387,21 @@ let handle t request =
           Json.Obj [ ("ok", Json.Bool true); ("op", Json.Str "quit") ]
       | Some other -> err (Printf.sprintf "unknown op %S" other))
 
-let handle_line t line =
-  let response =
-    match Json.of_string line with
-    | request -> handle t request
-    | exception Json.Parse_error m -> err ("bad request: " ^ m)
-  in
-  Json.to_string response
+(* One request line, parsed once: the response line, and whether the
+   request was a [quit]. *)
+let answer_line t line =
+  match Json.of_string line with
+  | request ->
+      let quit =
+        match Json.member "op" request with
+        | Some (Json.Str "quit") -> true
+        | _ -> false
+      in
+      (Json.to_string (handle t request), quit)
+  | exception Json.Parse_error m ->
+      (Json.to_string (err ("bad request: " ^ m)), false)
+
+let handle_line t line = fst (answer_line t line)
 
 type input = Line of string | Too_long | Eof
 
@@ -434,14 +442,10 @@ let serve_channels t ic oc =
         let line = String.trim line in
         if line = "" then loop ()
         else begin
-          reply (handle_line t line);
+          let response, quit = answer_line t line in
+          reply response;
           (* a quit op ends the stream after its acknowledgment *)
-          let is_quit =
-            match Json.of_string line with
-            | req -> Json.member "op" req = Some (Json.Str "quit")
-            | exception Json.Parse_error _ -> false
-          in
-          if not is_quit then loop ()
+          if not quit then loop ()
         end
   in
   loop ()

@@ -503,13 +503,15 @@ let test_decomposition_near_exact () =
 
 let test_decomposition_events_monotone () =
   let _, _, _, sp = build_problem ~n:8 () in
+  let events = ref [] in
   let options =
     { Cophy.Decomposition.default_options with
-      Cophy.Decomposition.log_events = true; gap_tolerance = 1e-4;
-      max_iters = 60 }
+      Cophy.Decomposition.gap_tolerance = 1e-4; max_iters = 60;
+      on_event = (fun e -> events := e :: !events) }
   in
-  let r = Cophy.Decomposition.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows:[] in
-  let events = List.rev r.Cophy.Decomposition.events in
+  ignore
+    (Cophy.Decomposition.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows:[]);
+  let events = List.rev !events in
   Alcotest.(check bool) "events streamed" true (List.length events >= 2);
   let rec check_monotone prev = function
     | [] -> ()
@@ -556,10 +558,7 @@ let test_decomposition_warm_start () =
   let r1 = Cophy.Decomposition.solve sp ~budget ~z_rows:[] in
   (* the full warm seam: prior multipliers plus the prior incumbent
      selection — the retune pattern — makes the restart never worse *)
-  let warm_sel =
-    Cophy.Sproblem.config_of sp r1.Cophy.Decomposition.z
-    |> Storage.Config.to_list
-  in
+  let warm_sel = Cophy.Sproblem.config_of sp r1.Cophy.Decomposition.z in
   let options =
     { Cophy.Decomposition.default_options with
       Cophy.Decomposition.warm = Some r1.Cophy.Decomposition.multipliers;
@@ -625,9 +624,23 @@ let test_solver_infeasible () =
       { Constr.row_coeffs = [ (0, 1.0) ]; row_cmp = Constr.Le; row_rhs = 0.0;
         row_name = "forbid0" } ]
   in
-  match Cophy.Solver.solve sp ~budget:db_size ~z_rows with
-  | exception Cophy.Solver.Infeasible _ -> ()
-  | _ -> Alcotest.fail "expected Infeasible"
+  let offenders z_rows =
+    match Cophy.Solver.solve sp ~budget:db_size ~z_rows with
+    | exception Cophy.Solver.Infeasible names -> names
+    | _ -> Alcotest.fail "expected Infeasible"
+  in
+  (* each row is satisfiable alone; only their conjunction is not *)
+  Alcotest.(check (list string)) "conjunction"
+    [ "constraint conjunction (no single offender)" ]
+    (offenders z_rows);
+  (* a row infeasible on its own over 0/1 bounds is named by the
+     per-row probe *)
+  let need_two =
+    { Constr.row_coeffs = [ (1, 1.0) ]; row_cmp = Constr.Ge; row_rhs = 2.0;
+      row_name = "need_two" }
+  in
+  Alcotest.(check (list string)) "single offender" [ "need_two" ]
+    (offenders (z_rows @ [ need_two ]))
 
 let test_solver_paths_agree () =
   let _, _, _, sp = build_problem ~n:3 ~cand_cap:4 () in
@@ -849,6 +862,34 @@ let test_interactive_budget_change () =
   Alcotest.(check bool) "tight budget respected" true
     (Storage.Config.total_size schema poor.Cophy.Solver.config
      <= (0.1 *. db_size) +. 1.0)
+
+(* Constraints are resolved at every retune, not built into the
+   structured BIP: changing them keeps the session's problem (physically),
+   and the retune answers as a fresh session created with them does. *)
+let test_interactive_set_constraints () =
+  let w = small_workload ~n:6 () in
+  let budget = 0.5 *. db_size in
+  let session = Cophy.Interactive.create schema w ~budget in
+  let first = Cophy.Interactive.retune session in
+  let sp = Cophy.Interactive.problem session in
+  let banned = List.hd (Storage.Config.to_list first.Cophy.Solver.config) in
+  let cs = [ Constr.At_most_one_clustered; Constr.Forbidden [ banned ] ] in
+  Cophy.Interactive.set_constraints session cs;
+  Alcotest.(check bool) "problem kept" true
+    (Cophy.Interactive.problem session == sp);
+  let warm = Cophy.Interactive.retune session in
+  Alcotest.(check bool) "retune reuses the problem" true
+    (Cophy.Interactive.problem session == sp);
+  Alcotest.(check bool) "forbidden index dropped" false
+    (Storage.Config.mem banned warm.Cophy.Solver.config);
+  let fresh =
+    Cophy.Interactive.retune
+      (Cophy.Interactive.create ~constraints:cs schema w ~budget)
+  in
+  Alcotest.(check (float 0.0)) "objective = fresh session"
+    fresh.Cophy.Solver.objective warm.Cophy.Solver.objective;
+  Alcotest.(check bool) "config = fresh session" true
+    (Storage.Config.equal fresh.Cophy.Solver.config warm.Cophy.Solver.config)
 
 (* A warm retune after a frequency drift must land on the same certified
    objective as solving the drifted workload from scratch — across jobs
@@ -1146,6 +1187,8 @@ let () =
         [
           Alcotest.test_case "retune" `Quick test_interactive_retune;
           Alcotest.test_case "budget change" `Quick test_interactive_budget_change;
+          Alcotest.test_case "set_constraints keeps the problem" `Quick
+            test_interactive_set_constraints;
           Alcotest.test_case "warm = scratch (jobs x density grid)" `Quick
             test_interactive_warm_equals_scratch;
         ] );

@@ -205,15 +205,16 @@ let test_bb_warm_start () =
   let a = Lp.Problem.add_var ~kind:Lp.Problem.Binary ~obj:(-5.0) p in
   let b = Lp.Problem.add_var ~kind:Lp.Problem.Binary ~obj:(-4.0) p in
   ignore (Lp.Problem.add_row p [ (a, 1.0); (b, 1.0) ] Lp.Problem.Le 1.0);
+  let events = ref [] in
   let options =
     { Lp.Branch_bound.default_options with
       Lp.Branch_bound.initial_incumbent = Some [| 0.0; 1.0 |];
-      log_events = true }
+      on_event = (fun e -> events := e :: !events) }
   in
   let r = Lp.Branch_bound.solve ~options p in
   check_float "optimum" (-5.0) r.Lp.Branch_bound.obj;
   (* the warm incumbent appears in the very first event *)
-  (match List.rev r.Lp.Branch_bound.events with
+  (match List.rev !events with
   | first :: _ ->
       Alcotest.(check bool) "warm incumbent visible" true
         (match first.Lp.Branch_bound.incumbent with

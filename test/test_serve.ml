@@ -266,6 +266,22 @@ let test_engine_deterministic_under_trace () =
   Alcotest.(check bool) "serve spans recorded" true
     (List.length (Runtime.Trace.spans ()) > 0)
 
+(* The reply lines [serve_channels] writes for the request [lines] on a
+   fresh engine. *)
+let serve_lines lines =
+  let input = Filename.temp_file "serve_in" ".jsonl" in
+  let output = Filename.temp_file "serve_out" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove input; Sys.remove output)
+  @@ fun () ->
+  Out_channel.with_open_bin input (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc ->
+          Serve.Engine.serve_channels (engine ()) ic oc));
+  In_channel.with_open_bin output In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+
 (* An over-long request line is discarded unparsed: the client gets an
    error reply and the session carries on as if the line never came.
    The long line is a well-formed statement padded with JSON
@@ -280,24 +296,11 @@ let test_serve_channels_line_cap () =
     ^ "}"
   in
   let tail = [ {|{"op":"recommend"}|}; {|{"op":"stats"}|} ] in
-  let input = Filename.temp_file "serve_in" ".jsonl" in
-  let output = Filename.temp_file "serve_out" ".jsonl" in
-  Out_channel.with_open_bin input (fun oc ->
-      List.iter
-        (fun l -> output_string oc (l ^ "\n"))
-        (lines @ (long_line :: tail)));
-  In_channel.with_open_bin input (fun ic ->
-      Out_channel.with_open_bin output (fun oc ->
-          Serve.Engine.serve_channels (engine ()) ic oc));
   let replies =
-    In_channel.with_open_bin output In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (( <> ) "")
+    serve_lines (lines @ (long_line :: tail))
     |> List.map (fun r ->
            Serve.Json.to_string (strip_latency (Serve.Json.of_string r)))
   in
-  Sys.remove input;
-  Sys.remove output;
   let n = List.length lines in
   Alcotest.(check int) "one reply per request" (n + 1 + List.length tail)
     (List.length replies);
@@ -308,6 +311,28 @@ let test_serve_channels_line_cap () =
   Alcotest.(check (list string)) "session unchanged by the long line"
     (run_stream (lines @ tail))
     (List.filteri (fun i _ -> i <> n) replies)
+
+(* A [quit] request is acknowledged and ends the stream: the lines after
+   it get no reply.  An unterminated quit object is a malformed request,
+   not a quit: it gets an error reply and the loop goes on. *)
+let test_serve_channels_quit () =
+  let replies =
+    serve_lines
+      [ {|{"op":"quit"|}; {|{"op":"stats"}|}; {|{"op":"quit"}|};
+        {|{"op":"stats"}|} ]
+    |> List.map Serve.Json.of_string
+  in
+  match replies with
+  | [ bad; stats; quit ] ->
+      Alcotest.(check bool) "unterminated quit answered with an error" true
+        (member_exn "ok" bad = Serve.Json.Bool false
+        && Serve.Json.member "error" bad <> None);
+      Alcotest.(check bool) "stats answered" true
+        (member_exn "ok" stats = Serve.Json.Bool true);
+      Alcotest.(check string) "quit acknowledged"
+        {|{"ok":true,"op":"quit"}|} (Serve.Json.to_string quit)
+  | _ ->
+      Alcotest.failf "expected 3 replies, got %d" (List.length replies)
 
 (* The committed fixture through [serve_channels] at cophy_serve's
    defaults (window 256, budget 0.25, probe budget 16, certify on),
@@ -411,6 +436,8 @@ let () =
           Alcotest.test_case "deterministic under trace" `Quick
             test_engine_deterministic_under_trace;
           Alcotest.test_case "line cap" `Quick test_serve_channels_line_cap;
+          Alcotest.test_case "quit ends the stream" `Quick
+            test_serve_channels_quit;
           Alcotest.test_case "fixture replay, plain = traced" `Quick
             test_fixture_replay;
           Alcotest.test_case "drift replay: no repeat probes" `Quick
