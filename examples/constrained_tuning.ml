@@ -3,9 +3,12 @@
 
      dune exec examples/constrained_tuning.exe *)
 
+(* Every case keeps the implicit clustered-index rule next to its own
+   constraints; the storage budget is [budget_fraction]. *)
 let advise_with label schema workload constraints =
   let r =
-    Cophy.Advisor.advise ~constraints
+    Cophy.Advisor.advise
+      ~constraints:(Constr.At_most_one_clustered :: constraints)
       ~baseline:(Advisors.Eval.baseline_config ()) schema workload
       ~budget_fraction:0.6
   in
@@ -23,16 +26,14 @@ let () =
   Fmt.pr "=== Constrained tuning ===@.";
 
   (* 1. Unconstrained (beyond the implicit clustered rule + budget). *)
-  let base = advise_with "storage budget only" schema workload Constr.empty in
+  let base = advise_with "storage budget only" schema workload [] in
 
   (* 2. At most two indexes on lineitem (an Index_sum generator with a
         table filter). *)
   let per_table =
-    Constr.empty
-    |> Constr.add_hard
-         (Constr.Index_sum
-            { scope = Constr.on_table "lineitem"; metric = Constr.Count;
-              cmp = Constr.Le; bound = 2.0 })
+    [ Constr.Index_sum
+        { scope = Constr.on_table "lineitem"; metric = Constr.Count;
+          cmp = Constr.Le; bound = 2.0 } ]
   in
   let r2 = advise_with "at most 2 lineitem indexes" schema workload per_table in
   Fmt.pr "lineitem indexes chosen: %d@."
@@ -40,11 +41,9 @@ let () =
 
   (* 3. No wide indexes: every index with >= 4 key columns is banned. *)
   let no_wide =
-    Constr.empty
-    |> Constr.add_hard
-         (Constr.Index_sum
-            { scope = Constr.wide_indexes 4; metric = Constr.Count;
-              cmp = Constr.Le; bound = 0.0 })
+    [ Constr.Index_sum
+        { scope = Constr.wide_indexes 4; metric = Constr.Count;
+          cmp = Constr.Le; bound = 0.0 } ]
   in
   let r3 = advise_with "no indexes with >=4 key columns" schema workload no_wide in
   Storage.Config.iter
@@ -57,11 +56,8 @@ let () =
   let pet_index =
     Storage.Index.create ~table:"part" [ "p_brand"; "p_type" ]
   in
-  let mandatory =
-    Constr.empty |> Constr.add_hard (Constr.Mandatory [ pet_index ])
-  in
   let r4 =
-    Cophy.Advisor.advise ~constraints:mandatory
+    Cophy.Advisor.advise ~constraints:[ Constr.Mandatory [ pet_index ] ]
       ~dba_candidates:[ pet_index ]
       ~baseline:(Advisors.Eval.baseline_config ()) schema workload
       ~budget_fraction:0.6
@@ -92,7 +88,7 @@ let () =
   in
   let r5 =
     advise_with "UDF: <=2 indexes per table (black box)" schema workload
-      (Constr.empty |> Constr.add_hard balanced)
+      [ balanced ]
   in
   let worst_table =
     List.fold_left
@@ -103,13 +99,44 @@ let () =
   in
   Fmt.pr "max indexes on any table: %d@." worst_table;
 
-  (* 6. An infeasible combination is detected up front (Fig. 3, line 1). *)
+  (* 6. A query-cost cap (a generator over the workload): no statement may
+        cost more than [factor] times its cost under the baseline.  Caps
+        are cost rows of the materialized BIP, so the solver takes the
+        exact path whatever the size, and branches on every binary; this
+        case tunes the workload's first three statements to keep that
+        search short. *)
+  let factor = 0.9 in
+  let r6 =
+    advise_with
+      (Printf.sprintf
+         "first 3 statements, FOR q IN W: cost(q, X) <= %.2f cost(q, X0)"
+         factor)
+      schema
+      (List.filteri (fun i _ -> i < 3) workload)
+      [ Constr.for_all_queries factor ]
+  in
+  let baseline = Advisors.Eval.baseline_config () in
+  let sp = r6.Cophy.Advisor.problem in
+  let z = Cophy.Sproblem.z_of_config sp r6.Cophy.Advisor.config in
+  let worst =
+    List.fold_left
+      (fun acc ((q : Sqlast.Ast.query), _, inum) ->
+        let base = Inum.cost inum baseline in
+        Array.fold_left
+          (fun acc (b : Cophy.Sproblem.block) ->
+            if b.Cophy.Sproblem.qid = q.Sqlast.Ast.query_id then
+              max acc (Cophy.Sproblem.block_cost_z b z /. base)
+            else acc)
+          acc sp.Cophy.Sproblem.blocks)
+      0.0 r6.Cophy.Advisor.cache.Inum.selects
+  in
+  Fmt.pr "worst cost ratio %.3f (cap %.2f)@." worst factor;
+
+  (* 7. An infeasible combination is detected up front (Fig. 3, line 1). *)
   (match
      Cophy.Advisor.advise
        ~constraints:
-         (Constr.empty
-         |> Constr.add_hard (Constr.Mandatory [ pet_index ])
-         |> Constr.add_hard (Constr.Forbidden [ pet_index ]))
+         [ Constr.Mandatory [ pet_index ]; Constr.Forbidden [ pet_index ] ]
        ~dba_candidates:[ pet_index ] schema workload ~budget_fraction:0.6
    with
   | exception Cophy.Solver.Infeasible names ->

@@ -8,11 +8,13 @@
    - mandatory / forbidden candidate sets;
    - query-cost constraints: cost(q, X) <= factor * cost(q, X0), possibly
      generated FOR q IN W (the language's generators);
-   - soft constraints, which CoPhy explores along a Pareto curve instead
-     of enforcing.
+   - black-box predicates over the selection (appendix E.5).
 
-   Everything except query-cost caps linearizes to rows over the z
-   variables (one per candidate index), per Appendix E. *)
+   Soft constraints are not constraints here: CoPhy explores them along
+   a Pareto curve ([Cophy.Pareto]).  The storage budget is the solver's
+   [~budget] argument.  [split] classifies a list once: everything except
+   query-cost caps and black-box predicates linearizes to rows over the
+   z variables (one per candidate index), per Appendix E. *)
 
 type cmp = Lp.Problem.sense = Le | Ge | Eq
 
@@ -42,8 +44,11 @@ let scope_and a b =
     applies = (fun ix -> a.applies ix && b.applies ix);
   }
 
+(* A query-cost cap: cost(q, X) <= factor * cost(q, X0) for every
+   statement id [query_pred] covers. *)
+type cap = { query_pred : int -> bool; factor : float }
+
 type t =
-  | Storage_budget of float           (* sum of sizes <= bytes *)
   | Index_sum of {
       scope : scope;
       metric : index_metric;
@@ -53,10 +58,7 @@ type t =
   | At_most_one_clustered
   | Mandatory of Storage.Index.t list
   | Forbidden of Storage.Index.t list
-  | Query_cost_cap of {
-      query_pred : int -> bool;       (* statement ids covered *)
-      factor : float;                 (* w.r.t. the baseline configuration *)
-    }
+  | Query_cost_cap of cap
   | Udf of {
       udf_name : string;
       (* Black-box predicate over the selection (appendix E.5): not
@@ -72,16 +74,6 @@ let for_all_queries factor =
 let for_query qid factor =
   Query_cost_cap { query_pred = (fun id -> id = qid); factor }
 
-type set = {
-  hard : t list;
-  soft : (string * t) list;           (* label, constraint *)
-}
-
-let empty = { hard = []; soft = [] }
-let with_budget m = { hard = [ Storage_budget m; At_most_one_clustered ]; soft = [] }
-let add_hard c set = { set with hard = c :: set.hard }
-let add_soft ~label c set = { set with soft = (label, c) :: set.soft }
-
 let metric_value schema metric ix =
   match metric with
   | Size_bytes -> Storage.Index.size_bytes schema ix
@@ -95,26 +87,6 @@ let metric_name = function
   | Key_width -> "key_width"
   | Custom (n, _) -> n
 
-(* --- Classification --- *)
-
-(* Constraints over z only can be linearized without the full BIP. *)
-let z_only = function
-  | Storage_budget _ | Index_sum _ | At_most_one_clustered | Mandatory _
-  | Forbidden _ ->
-      true
-  | Query_cost_cap _ | Udf _ -> false
-
-let is_udf = function Udf _ -> true | _ -> false
-
-(* Combined black-box acceptance predicate of a constraint list. *)
-let udf_acceptance candidates cs =
-  let udfs =
-    List.filter_map
-      (function Udf { accepts; _ } -> Some accepts | _ -> None)
-      cs
-  in
-  fun z -> List.for_all (fun accepts -> accepts candidates z) udfs
-
 (* --- Linearization over the z variables --- *)
 
 type z_row = {
@@ -124,19 +96,29 @@ type z_row = {
   row_name : string;
 }
 
-(* Rows over positions in [candidates] encoding one z-only constraint. *)
+(* One row [z_pos cmp rhs] per listed index, at its (last) position in
+   [candidates]; indexes outside the candidates get no row. *)
+let pin_rows candidates ixs cmp rhs label =
+  List.filter_map
+    (fun ix ->
+      let pos = ref (-1) in
+      Array.iteri
+        (fun i c -> if Storage.Index.equal c ix then pos := i)
+        candidates;
+      if !pos < 0 then None
+      else
+        Some
+          {
+            row_coeffs = [ (!pos, 1.0) ];
+            row_cmp = cmp;
+            row_rhs = rhs;
+            row_name = label ^ Storage.Index.to_string ix;
+          })
+    ixs
+
+(* Rows over positions in [candidates] encoding one linear constraint;
+   caps and black boxes have none. *)
 let linearize schema (candidates : Storage.Index.t array) = function
-  | Storage_budget m ->
-      [ {
-          row_coeffs =
-            Array.to_list
-              (Array.mapi
-                 (fun i ix -> (i, Storage.Index.size_bytes schema ix))
-                 candidates);
-          row_cmp = Le;
-          row_rhs = m;
-          row_name = "storage";
-        } ]
   | Index_sum { scope; metric; cmp; bound } ->
       [ {
           row_coeffs =
@@ -169,50 +151,34 @@ let linearize schema (candidates : Storage.Index.t array) = function
             row_name = "clustered(" ^ t ^ ")";
           })
         tables
-  | Mandatory ixs ->
-      List.filter_map
-        (fun ix ->
-          let pos = ref (-1) in
-          Array.iteri
-            (fun i c -> if Storage.Index.equal c ix then pos := i)
-            candidates;
-          if !pos < 0 then None
-          else
-            Some
-              {
-                row_coeffs = [ (!pos, 1.0) ];
-                row_cmp = Ge;
-                row_rhs = 1.0;
-                row_name = "mandatory " ^ Storage.Index.to_string ix;
-              })
-        ixs
-  | Forbidden ixs ->
-      List.filter_map
-        (fun ix ->
-          let pos = ref (-1) in
-          Array.iteri
-            (fun i c -> if Storage.Index.equal c ix then pos := i)
-            candidates;
-          if !pos < 0 then None
-          else
-            Some
-              {
-                row_coeffs = [ (!pos, 1.0) ];
-                row_cmp = Le;
-                row_rhs = 0.0;
-                row_name = "forbidden " ^ Storage.Index.to_string ix;
-              })
-        ixs
-  | Query_cost_cap _ ->
-      invalid_arg "Constr.linearize: query-cost constraints need the full BIP"
-  | Udf { udf_name; _ } ->
-      invalid_arg
-        ("Constr.linearize: black-box constraint " ^ udf_name
-       ^ " is enforced inside the solver search")
+  | Mandatory ixs -> pin_rows candidates ixs Ge 1.0 "mandatory "
+  | Forbidden ixs -> pin_rows candidates ixs Le 0.0 "forbidden "
+  | Query_cost_cap _ | Udf _ -> []
 
-(* All z-rows of a constraint list. *)
-let linearize_all schema candidates cs =
-  List.concat_map (linearize schema candidates) (List.filter z_only cs)
+(* --- Classification --- *)
+
+type split = {
+  z_rows : z_row list;
+  caps : cap list;
+  accept : (bool array -> bool) option;
+}
+
+(* The one classification of a constraint list: the z rows of the linear
+   constraints, the query-cost caps (for the caller to price against its
+   baseline), and the conjunction of the black-box predicates. *)
+let split schema candidates cs =
+  let udfs =
+    List.filter_map (function Udf { accepts; _ } -> Some accepts | _ -> None) cs
+  in
+  {
+    z_rows = List.concat_map (linearize schema candidates) cs;
+    caps =
+      List.filter_map (function Query_cost_cap c -> Some c | _ -> None) cs;
+    accept =
+      (match udfs with
+      | [] -> None
+      | _ -> Some (fun z -> List.for_all (fun a -> a candidates z) udfs));
+  }
 
 (* The rows as named LP rows over [vars] (candidate position -> LP
    variable): the one encoding of a z row every solver path uses. *)
@@ -225,8 +191,7 @@ let add_rows p (vars : int array) rows =
            row.row_cmp row.row_rhs))
     rows
 
-(* --- Direct evaluation on a configuration --- *)
-
+(* Does a selection satisfy the row? *)
 let row_holds row (z : bool array) =
   let lhs =
     List.fold_left
@@ -238,24 +203,7 @@ let row_holds row (z : bool array) =
   | Ge -> lhs >= row.row_rhs -. 1e-9
   | Eq -> abs_float (lhs -. row.row_rhs) <= 1e-9
 
-(* [satisfied schema candidates z ~query_cost ~baseline_cost c]: evaluate a
-   constraint against a selection [z] of [candidates].  Query-cost caps
-   get per-statement costing callbacks. *)
-let satisfied schema candidates (z : bool array)
-    ~(query_cost : int -> float)      (* statement id -> cost under z *)
-    ~(baseline_cost : int -> float)   (* statement id -> cost under X0 *)
-    ~(statement_ids : int list) = function
-  | Query_cost_cap { query_pred; factor } ->
-      List.for_all
-        (fun qid ->
-          (not (query_pred qid))
-          || query_cost qid <= (factor *. baseline_cost qid) +. 1e-6)
-        statement_ids
-  | Udf { accepts; _ } -> accepts candidates z
-  | c -> List.for_all (fun row -> row_holds row z) (linearize schema candidates c)
-
 let pp ppf = function
-  | Storage_budget m -> Fmt.pf ppf "storage <= %.3g bytes" m
   | Index_sum { scope; metric; cmp; bound } ->
       Fmt.pf ppf "sum %s over %s %s %g" (metric_name metric) scope.scope_name
         (match cmp with Le -> "<=" | Ge -> ">=" | Eq -> "=")

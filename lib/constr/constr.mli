@@ -2,8 +2,15 @@
     Bruno & Chaudhuri (PVLDB 2008), as adopted by the paper (§3.2 and
     appendix E): index constraints with scopes/filters, the implicit
     clustered-index rule, mandatory/forbidden sets, query-cost caps with
-    generators, and soft constraints (explored along a Pareto curve
-    rather than enforced). *)
+    generators, and black-box predicates.
+
+    A constraint list is the one constraint value, from the API
+    ([Cophy.Advisor.advise], [Cophy.Interactive.create]) down to the
+    solver; {!split} classifies it once.  The storage budget is not a
+    constraint here but the solver's [~budget] argument (an extra storage
+    row is [Index_sum] over [all_indexes] with [Size_bytes]).  Soft
+    constraints are not enforced at all: they are trade-offs explored as
+    [Cophy.Pareto] sweeps. *)
 
 (** The LP row sense, so a z row's comparison is its LP row's. *)
 type cmp = Lp.Problem.sense = Le | Ge | Eq
@@ -26,8 +33,11 @@ val wide_indexes : int -> scope
 
 val scope_and : scope -> scope -> scope
 
+(** A query-cost cap: cost(q, X) <= [factor] * cost(q, X0) for every
+    statement id [query_pred] covers, X0 being the baseline. *)
+type cap = { query_pred : int -> bool; factor : float }
+
 type t =
-  | Storage_budget of float  (** total size <= bytes *)
   | Index_sum of {
       scope : scope;
       metric : index_metric;
@@ -37,8 +47,7 @@ type t =
   | At_most_one_clustered
   | Mandatory of Storage.Index.t list
   | Forbidden of Storage.Index.t list
-  | Query_cost_cap of { query_pred : int -> bool; factor : float }
-      (** cost(q, X) <= factor * cost(q, X0) for covered statement ids *)
+  | Query_cost_cap of cap
   | Udf of {
       udf_name : string;
       accepts : Storage.Index.t array -> bool array -> bool;
@@ -51,28 +60,7 @@ val for_all_queries : float -> t
 
 val for_query : int -> float -> t
 
-type set = { hard : t list; soft : (string * t) list }
-
-val empty : set
-
-(** Budget + the implicit clustered rule. *)
-val with_budget : float -> set
-
-val add_hard : t -> set -> set
-val add_soft : label:string -> t -> set -> set
-
 val metric_value : Catalog.Schema.t -> index_metric -> Storage.Index.t -> float
-
-(** True for constraints expressible as rows over the z variables alone
-    (everything except query-cost caps and black-box predicates). *)
-val z_only : t -> bool
-
-val is_udf : t -> bool
-
-(** Conjunction of the black-box predicates in the list, as one
-    acceptance function over selections. *)
-val udf_acceptance :
-  Storage.Index.t array -> t list -> bool array -> bool
 
 (** A linear row over candidate positions. *)
 type z_row = {
@@ -82,13 +70,21 @@ type z_row = {
   row_name : string;
 }
 
-(** Linearize one z-only constraint over the candidate array.
-    @raise Invalid_argument on query-cost caps (those need the full BIP). *)
-val linearize : Catalog.Schema.t -> Storage.Index.t array -> t -> z_row list
+(** A constraint list, classified once. *)
+type split = {
+  z_rows : z_row list;
+      (** the rows of every linear constraint ([Index_sum],
+          [At_most_one_clustered], [Mandatory], [Forbidden]; listed
+          indexes outside the candidates get no row) *)
+  caps : cap list;  (** the query-cost caps, for the caller to price *)
+  accept : (bool array -> bool) option;
+      (** the conjunction of the black-box predicates over a selection,
+          [None] when the list has none *)
+}
 
-(** All rows of the z-only constraints in the list. *)
-val linearize_all :
-  Catalog.Schema.t -> Storage.Index.t array -> t list -> z_row list
+(** [split schema candidates cs] — the z rows over positions in
+    [candidates], the caps and the black-box gate of [cs]. *)
+val split : Catalog.Schema.t -> Storage.Index.t array -> t list -> split
 
 (** [add_rows p vars rows] adds each row to [p] as a row named
     [row_name] over the variables [vars] (candidate position -> LP
@@ -99,17 +95,5 @@ val add_rows : Lp.Problem.t -> int array -> z_row list -> unit
 
 (** Does a selection satisfy the row? *)
 val row_holds : z_row -> bool array -> bool
-
-(** Evaluate any constraint against a selection; query-cost caps use the
-    provided costing callbacks. *)
-val satisfied :
-  Catalog.Schema.t ->
-  Storage.Index.t array ->
-  bool array ->
-  query_cost:(int -> float) ->
-  baseline_cost:(int -> float) ->
-  statement_ids:int list ->
-  t ->
-  bool
 
 val pp : t Fmt.t

@@ -26,7 +26,7 @@ let total_seconds r =
   r.timings.inum_seconds +. r.timings.build_seconds +. r.timings.solve_seconds
 
 let advise ?(params = Optimizer.Cost_params.default)
-    ?(constraints = Constr.empty) ?candidates ?(dba_candidates = [])
+    ?constraints ?candidates ?(dba_candidates = [])
     ?(solver_options = Solver.default_options)
     ?(baseline = Storage.Config.empty) ?(jobs = 1) ?certify
     ?probe_budget schema (w : Sqlast.Ast.workload) ~budget_fraction =
@@ -37,9 +37,8 @@ let advise ?(params = Optimizer.Cost_params.default)
   let t0 = Runtime.Clock.now () in
   let session =
     Runtime.Trace.span "advisor.inum_build" (fun () ->
-        Interactive.create ~params ~constraints:constraints.Constr.hard
-          ~baseline ~jobs ?candidates ~dba_candidates ?probe_budget schema w
-          ~budget)
+        Interactive.create ~params ?constraints ~baseline ~jobs ?candidates
+          ~dba_candidates ?probe_budget schema w ~budget)
   in
   let t1 = Runtime.Clock.now () in
   ignore

@@ -21,9 +21,10 @@ val total_seconds : recommendation -> float
 
 (** Run the full pipeline.
 
-    @param constraints hard constraints (the implicit storage budget row
-      is added from [budget_fraction]); soft constraints are explored with
-      {!Pareto} instead.
+    @param constraints the constraints to enforce, with
+      {!Interactive.create}'s default ([[Constr.At_most_one_clustered]]);
+      the storage budget comes from [budget_fraction].  Soft constraints
+      are trade-offs explored with {!Pareto} instead.
     @param candidates overrides CGen's candidate set.
     @param dba_candidates extends it (the S_DBA of the paper).
     @param baseline the configuration that query-cost caps are relative to.
@@ -43,10 +44,12 @@ val total_seconds : recommendation -> float
       is exact at its own configuration, so [report.objective] matches
       the exhaustive-probing pipeline's while spending far fewer probes;
       [report.probe_regret] certifies the residual model-wide bound.
-    @raise Solver.Infeasible when the hard constraints cannot hold. *)
+    @raise Solver.Infeasible when the constraints cannot hold.
+    @raise Invalid_argument when a query-cost cap and a black-box
+      constraint are combined (see {!Solver.solve}). *)
 val advise :
   ?params:Optimizer.Cost_params.t ->
-  ?constraints:Constr.set ->
+  ?constraints:Constr.t list ->
   ?candidates:Storage.Index.t list ->
   ?dba_candidates:Storage.Index.t list ->
   ?solver_options:Solver.options ->

@@ -165,37 +165,30 @@ let problem s =
       s.problem <- Some sp;
       sp
 
-(* Resolve the session's constraints against the problem: z-only rows,
-   per-statement cost caps (relative to the baseline configuration), and
-   the black-box acceptance gate. *)
+(* Classify the session's constraints ([Constr.split]) and price each
+   query-cost cap against the baseline configuration: a cap becomes one
+   (statement id, factor * baseline cost) pair per covered statement. *)
 let resolve_constraints s =
-  let schema = s.env.Optimizer.Whatif.schema in
-  let z_only, caps = List.partition Constr.z_only s.constraints in
-  let z_rows = Constr.linearize_all schema s.candidates z_only in
+  let { Constr.z_rows; caps; accept } =
+    Constr.split s.env.Optimizer.Whatif.schema s.candidates s.constraints
+  in
   let block_caps =
     List.concat_map
-      (function
-        | Constr.Query_cost_cap { query_pred; factor } ->
-            List.filter_map
-              (fun ((q : Ast.query), _, inum) ->
-                if query_pred q.Ast.query_id then
-                  Some (q.Ast.query_id, factor *. Inum.cost inum s.baseline)
-                else None)
-              s.cache.Inum.selects
-        | _ -> [])
+      (fun { Constr.query_pred; factor } ->
+        List.filter_map
+          (fun ((q : Ast.query), _, inum) ->
+            if query_pred q.Ast.query_id then
+              Some (q.Ast.query_id, factor *. Inum.cost inum s.baseline)
+            else None)
+          s.cache.Inum.selects)
       caps
-  in
-  let accept =
-    if List.exists Constr.is_udf s.constraints then
-      Some (Constr.udf_acceptance s.candidates s.constraints)
-    else None
   in
   (z_rows, block_caps, accept)
 
 let retune ?options s =
-  (* Without explicit options a session re-solves with the decomposition:
-     it is the path whose multipliers persist, which is the point of a
-     session.  Callers (Advisor among them) may pass any method. *)
+  (* Without explicit options a session asks for the decomposition: it
+     is the path whose multipliers persist, which is the point of a
+     session.  [Solver.solve] decides whether a constraint overrides it. *)
   let options =
     match options with
     | Some o -> o

@@ -15,7 +15,11 @@ type session
     environment is used; [params] and [probe_budget] are then ignored).
     [probe_budget] caps the optimizer probes each INUM build spends up
     front (see {!Inum.build}); deferred probes resolve lazily through
-    {!refine_at} / {!recommend} / {!Inum.cost}. *)
+    {!refine_at} / {!recommend} / {!Inum.cost}.  [constraints] (default
+    [[Constr.At_most_one_clustered]], the same as {!Advisor.advise}'s)
+    are enforced at every re-tune next to the [budget]; [baseline]
+    (default empty) is the configuration query-cost caps are relative
+    to. *)
 val create :
   ?params:Optimizer.Cost_params.t ->
   ?constraints:Constr.t list ->
@@ -81,10 +85,14 @@ val problem : session -> Sproblem.t
 
 (** Re-solve, warm-starting from the previous multipliers and incumbent
     selection (both maintained by the session; caller-supplied [warm] /
-    [warm_z] fields are overridden).  Without [options], solves with the
-    decomposition; with [options], the caller's method is honored —
-    query-cost-cap constraints are only enforced on the exact path.
-    @raise Solver.Infeasible when the hard constraints cannot hold. *)
+    [warm_z] fields are overridden).  The session's constraints are
+    classified with {!Constr.split}, and each query-cost cap is priced
+    against the baseline ({!Inum.cost}).  Without [options] the session
+    asks for the decomposition; {!Solver.solve} decides the path that
+    enforces the constraints.
+    @raise Solver.Infeasible when the constraints cannot hold.
+    @raise Invalid_argument when a query-cost cap and a black-box
+      constraint are combined (see {!Solver.solve}). *)
 val retune : ?options:Solver.options -> session -> Solver.report
 
 (** [refine_at s config] — force the deferred INUM probes whose bound
@@ -104,7 +112,7 @@ val refine_at : session -> Storage.Config.t -> int
     residual model-wide bound either way.  Afterwards {!problem} is the
     BIP the final re-solve ran on (no rebuild).  [options] is passed to
     every {!retune}.
-    @raise Solver.Infeasible when the hard constraints cannot hold. *)
+    @raise Solver.Infeasible when the constraints cannot hold. *)
 val recommend : ?options:Solver.options -> session -> Solver.report
 
 (** Certified INUM probe regret of the current cost model (weighted sum

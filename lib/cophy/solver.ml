@@ -118,22 +118,31 @@ let check_feasibility (sp : Sproblem.t) ~budget ~z_rows =
     raise (Infeasible offenders)
   end
 
+(* The one place a constraint is mapped to a path.  Query-cost caps are
+   encoded only as cost rows of the materialized BIP; black-box (UDF)
+   acceptance is enforced only by the decomposition's incumbent gate.
+   [method_] and the size rule choose only when both paths can enforce
+   every constraint. *)
+let route options ~block_caps ~accept sp =
+  match (block_caps, accept) with
+  | _ :: _, Some _ ->
+      invalid_arg
+        "Solver.solve: query-cost caps need the exact path and black-box \
+         constraints the decomposed path; they cannot be combined"
+  | _ :: _, None -> Exact
+  | [], Some _ -> Decomposed
+  | [], None -> (
+      match options.method_ with
+      | Auto ->
+          if Sproblem.variable_count sp <= exact_variable_limit then Exact
+          else Decomposed
+      | m -> m)
+
 let solve ?(options = default_options) ?(block_caps = []) ?accept
     (sp : Sproblem.t) ~budget ~z_rows =
+  let method_ = route options ~block_caps ~accept sp in
   Runtime.Trace.span "solver.feasibility_check" (fun () ->
       check_feasibility sp ~budget ~z_rows);
-  let method_ =
-    match options.method_ with
-    | Auto ->
-        (* Query-cost caps are only encoded in the materialized BIP;
-           black-box (UDF) acceptance is only enforced by the
-           decomposition's incumbent gate. *)
-        if accept <> None then Decomposed
-        else if block_caps <> [] then Exact
-        else if Sproblem.variable_count sp <= exact_variable_limit then Exact
-        else Decomposed
-    | m -> m
-  in
   match method_ with
   | Exact | Auto ->
       let p, vars =
@@ -154,15 +163,38 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
                          i.Lp.Analyze.where i.Lp.Analyze.message)
                      issues)))
       end;
+      (* Seed the search with the prior selection lifted to a BIP point,
+         else with the empty selection, so a stopped search still answers
+         with an honest gap.  The exact path cannot repair: an infeasible
+         seed is dropped (a prior one observably, in warm_rejected). *)
+      let seed config =
+        let x0 =
+          Sproblem.lp_point_of_z sp p vars (Sproblem.z_of_config sp config)
+        in
+        if Lp.Problem.feasible p x0 then Some x0 else None
+      in
+      let initial_incumbent =
+        match options.warm_z with
+        | None -> seed Storage.Config.empty
+        | Some config ->
+            let x0 = seed config in
+            if Option.is_none x0 then Runtime.Trace.incr tr_warm_rejected;
+            x0
+      in
       let bb_options =
         {
           Lp.Branch_bound.default_options with
           Lp.Branch_bound.gap_tolerance = options.gap_tolerance;
           time_limit = options.time_limit;
-          (* branch on the index-selection variables only; once z is
+          initial_incumbent;
+          (* Branch on the index-selection variables only: once z is
              integral the per-block LP is a pure minimum with an integral
-             optimum (Theorem 1's structure) *)
-          decision_vars = Some (Array.to_list vars.Sproblem.z_var);
+             optimum (Theorem 1's structure).  With caps, branch on every
+             binary: only then does the root rounding heuristic run, and
+             it finds capped incumbents z-only branching is slow to reach. *)
+          decision_vars =
+            (if block_caps = [] then Some (Array.to_list vars.Sproblem.z_var)
+             else None);
           certify_incumbents = options.certify;
           jobs = options.jobs;
           on_event =
@@ -174,24 +206,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
                   bound = e.Lp.Branch_bound.bound;
                 });
         }
-      in
-      let bb_options =
-        match options.warm_z with
-        | None -> bb_options
-        | Some config ->
-            (* Lift the prior selection to a full BIP point.  The exact
-               path has no repair: a selection that no longer fits the
-               constraints (they tightened) is dropped, and observably
-               so. *)
-            let x0 =
-              Sproblem.lp_point_of_z sp p vars (Sproblem.z_of_config sp config)
-            in
-            if Lp.Problem.feasible p x0 then
-              { bb_options with Lp.Branch_bound.initial_incumbent = Some x0 }
-            else begin
-              Runtime.Trace.incr tr_warm_rejected;
-              bb_options
-            end
       in
       let r =
         Runtime.Trace.span "solver.branch_bound" (fun () ->

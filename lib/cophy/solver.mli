@@ -2,13 +2,15 @@
     relaxation, dispatch to a BIP solving path, and the continuous
     feedback stream behind early termination. *)
 
-(** Raised when the hard constraints cannot be satisfied; carries the
-    names of the offending constraints (paper: the DBA then removes them
-    or converts them to soft constraints). *)
+(** Raised when the constraints cannot be satisfied; carries the names
+    of the offending constraints (paper: the DBA then removes them or
+    explores them as soft trade-offs with {!Pareto}). *)
 exception Infeasible of string list
 
+(** The path the caller asks for.  It is honoured only when both paths
+    can enforce the constraints; see {!solve}. *)
 type solve_method =
-  | Auto  (** exact for small instances / query-cost caps, else decomposed *)
+  | Auto  (** exact up to 800 BIP variables, else decomposed *)
   | Exact  (** materialized BIP, simplex + branch and bound *)
   | Decomposed  (** Lagrangian decomposition (large instances) *)
 
@@ -63,19 +65,19 @@ type report = {
           was unlimited or fully refined. *)
 }
 
-(** Check that the z polytope (budget + linear z rows) is non-empty.
-    @raise Infeasible with offender names otherwise. *)
-val check_feasibility :
-  Sproblem.t ->
-  budget:float ->
-  z_rows:Constr.z_row list ->
-  unit
-
-(** Solve the tuning BIP.  [block_caps] are per-statement cost caps
-    (query-cost constraints), which force the exact path; [accept] is the
-    black-box (UDF) acceptance gate of appendix E.5, which forces the
-    decomposed path.
-    @raise Infeasible when constraints cannot hold. *)
+(** Solve the tuning BIP, the one place a constraint is mapped to a
+    path.  [block_caps] are per-statement cost caps (query-cost
+    constraints, as (statement id, cap) pairs): only the exact path
+    encodes them, as cost rows, so they take it whatever
+    [options.method_] asks.  [accept] is the black-box (UDF) gate of
+    appendix E.5: only the decomposition's incumbent gate enforces it,
+    so it takes the decomposed path.  Without either, [options.method_]
+    chooses.  Without [warm_z] the exact path seeds branch and bound with
+    the empty selection when it is feasible, so a search stopped by
+    [time_limit] still returns a selection with its gap.
+    @raise Infeasible when constraints cannot hold.
+    @raise Invalid_argument when [block_caps] and [accept] are both
+      given: no path enforces both. *)
 val solve :
   ?options:options ->
   ?block_caps:(int * float) list ->

@@ -478,29 +478,35 @@ let to_lp ?(budget = infinity) ?(z_rows = []) ?(block_caps = [])
          (Array.to_list (Array.mapi (fun pos zv -> (zv, t.sizes.(pos))) z_var))
          Lp.Problem.Le budget);
   Constr.add_rows p z_var z_rows;
-  (* per-statement cost caps: sum_k beta y + sum gamma x <= cap *)
+  (* Per-statement cost caps: sum_k beta y + sum gamma x <= cap, divided
+     through by the cap.  Unscaled (coefficients of the order of
+     statement costs), the simplex misread feasible capped relaxations
+     as unbounded or infeasible; normalized, it does not. *)
   List.iter
     (fun (qid, cap) ->
+      let scale = if cap > 0.0 then 1.0 /. cap else 1.0 in
       Array.iteri
         (fun bi b ->
           if b.qid = qid then begin
             let coeffs = ref [] in
             Array.iteri
               (fun k tpl ->
-                coeffs := (Hashtbl.find y_var (bi, k), tpl.beta) :: !coeffs;
+                coeffs :=
+                  (Hashtbl.find y_var (bi, k), tpl.beta *. scale) :: !coeffs;
                 Array.iteri
                   (fun si slot ->
                     Array.iteri
                       (fun ci { gamma; _ } ->
                         coeffs :=
-                          (Hashtbl.find x_var (bi, k, si, ci), gamma) :: !coeffs)
+                          (Hashtbl.find x_var (bi, k, si, ci), gamma *. scale)
+                          :: !coeffs)
                       slot)
                   tpl.choices)
               b.templates;
             ignore
               (Lp.Problem.add_row
                  ~name:(Printf.sprintf "cost_cap_%d" qid)
-                 p !coeffs Lp.Problem.Le cap)
+                 p !coeffs Lp.Problem.Le (cap *. scale))
           end)
         t.blocks)
     block_caps;

@@ -1,4 +1,5 @@
-(* Tests for the constraint language and its linearization. *)
+(* Tests for the constraint language, its classification and its
+   linearization. *)
 
 let schema = Catalog.Tpch.schema ()
 
@@ -13,8 +14,17 @@ let candidates =
     ix ~clustered:true "orders" [ "o_orderdate" ];
   |]
 
+(* The z rows of a single constraint. *)
+let rows c = (Constr.split schema candidates [ c ]).Constr.z_rows
+
+(* An extra storage row next to the solver's budget. *)
+let storage bound =
+  Constr.Index_sum
+    { scope = Constr.all_indexes; metric = Constr.Size_bytes;
+      cmp = Constr.Le; bound }
+
 let test_storage_budget_row () =
-  let rows = Constr.linearize schema candidates (Constr.Storage_budget 1e9) in
+  let rows = rows (storage 1e9) in
   Alcotest.(check int) "one row" 1 (List.length rows);
   let row = List.hd rows in
   Alcotest.(check int) "all candidates" 5 (List.length row.Constr.row_coeffs);
@@ -31,7 +41,7 @@ let test_index_sum_scoped () =
       { scope = Constr.on_table "lineitem"; metric = Constr.Count;
         cmp = Constr.Le; bound = 1.0 }
   in
-  let rows = Constr.linearize schema candidates c in
+  let rows = rows c in
   let row = List.hd rows in
   Alcotest.(check int) "only lineitem candidates" 2
     (List.length row.Constr.row_coeffs);
@@ -47,14 +57,14 @@ let test_key_width_filter () =
       { scope = Constr.wide_indexes 5; metric = Constr.Count;
         cmp = Constr.Le; bound = 0.0 }
   in
-  let rows = Constr.linearize schema candidates c in
+  let rows = rows c in
   let row = List.hd rows in
   (* only the 6-column lineitem index is wide *)
   Alcotest.(check int) "one wide candidate" 1 (List.length row.Constr.row_coeffs);
   Alcotest.(check int) "it is candidate 1" 1 (fst (List.hd row.Constr.row_coeffs))
 
 let test_clustered_rows () =
-  let rows = Constr.linearize schema candidates Constr.At_most_one_clustered in
+  let rows = rows Constr.At_most_one_clustered in
   (* only orders has clustered candidates -> one row with 2 entries *)
   Alcotest.(check int) "one table" 1 (List.length rows);
   let row = List.hd rows in
@@ -65,8 +75,8 @@ let test_clustered_rows () =
 let test_mandatory_forbidden () =
   let m = Constr.Mandatory [ candidates.(0) ] in
   let f = Constr.Forbidden [ candidates.(2) ] in
-  let mrow = List.hd (Constr.linearize schema candidates m) in
-  let frow = List.hd (Constr.linearize schema candidates f) in
+  let mrow = List.hd (rows m) in
+  let frow = List.hd (rows f) in
   let z = [| true; false; false; false; false |] in
   Alcotest.(check bool) "mandatory ok" true (Constr.row_holds mrow z);
   Alcotest.(check bool) "forbidden ok" true (Constr.row_holds frow z);
@@ -76,24 +86,7 @@ let test_mandatory_forbidden () =
   (* unknown indexes are ignored in linearization *)
   let unknown = Constr.Mandatory [ ix "part" [ "p_brand" ] ] in
   Alcotest.(check int) "unknown skipped" 0
-    (List.length (Constr.linearize schema candidates unknown))
-
-let test_query_cost_cap_evaluation () =
-  let cap = Constr.Query_cost_cap { query_pred = (fun _ -> true); factor = 0.75 } in
-  let sat =
-    Constr.satisfied schema candidates [| false; false; false; false; false |]
-      ~query_cost:(fun _ -> 50.0)
-      ~baseline_cost:(fun _ -> 100.0)
-      ~statement_ids:[ 1; 2 ] cap
-  in
-  Alcotest.(check bool) "under cap" true sat;
-  let unsat =
-    Constr.satisfied schema candidates [| false; false; false; false; false |]
-      ~query_cost:(fun qid -> if qid = 2 then 90.0 else 10.0)
-      ~baseline_cost:(fun _ -> 100.0)
-      ~statement_ids:[ 1; 2 ] cap
-  in
-  Alcotest.(check bool) "over cap" false unsat
+    (List.length (rows unknown))
 
 let test_generators () =
   (match Constr.for_all_queries 0.5 with
@@ -106,24 +99,55 @@ let test_generators () =
       Alcotest.(check bool) "only 7" true (query_pred 7 && not (query_pred 8))
   | _ -> Alcotest.fail "wrong constructor"
 
-let test_classification_and_set () =
-  Alcotest.(check bool) "budget is z-only" true
-    (Constr.z_only (Constr.Storage_budget 1.0));
-  Alcotest.(check bool) "cap is not" false
-    (Constr.z_only (Constr.for_all_queries 0.5));
-  let set =
-    Constr.with_budget 5e8
-    |> Constr.add_hard (Constr.Forbidden [ candidates.(0) ])
-    |> Constr.add_soft ~label:"space" (Constr.Storage_budget 1e8)
+(* Linear constraints become z rows; caps and black boxes become none. *)
+let test_classification () =
+  let linear =
+    [ storage 1.0; Constr.At_most_one_clustered;
+      Constr.Mandatory [ candidates.(0) ]; Constr.Forbidden [ candidates.(2) ] ]
   in
-  Alcotest.(check int) "hard count" 3 (List.length set.Constr.hard);
-  Alcotest.(check int) "soft count" 1 (List.length set.Constr.soft)
+  let sp = Constr.split schema candidates linear in
+  Alcotest.(check int) "one row each" 4 (List.length sp.Constr.z_rows);
+  Alcotest.(check int) "no caps" 0 (List.length sp.Constr.caps);
+  Alcotest.(check bool) "no gate" true (Option.is_none sp.Constr.accept);
+  let sp = Constr.split schema candidates [ Constr.for_all_queries 0.5 ] in
+  Alcotest.(check int) "a cap has no row" 0 (List.length sp.Constr.z_rows);
+  Alcotest.(check int) "one cap" 1 (List.length sp.Constr.caps)
 
-let test_linearize_rejects_caps () =
-  Alcotest.check_raises "caps need full BIP"
-    (Invalid_argument "Constr.linearize: query-cost constraints need the full BIP")
-    (fun () ->
-      ignore (Constr.linearize schema candidates (Constr.for_all_queries 0.5)))
+(* Caps come out with their coverage and factor, for the caller to
+   price; the black boxes come out as one conjunction over selections. *)
+let test_split_caps_and_gates () =
+  let count_le k =
+    Constr.Udf
+      {
+        udf_name = Printf.sprintf "at most %d" k;
+        accepts =
+          (fun cands z ->
+            Alcotest.(check int) "gate sees the candidates"
+              (Array.length candidates) (Array.length cands);
+            Array.fold_left (fun n b -> if b then n + 1 else n) 0 z <= k);
+      }
+  in
+  let sp =
+    Constr.split schema candidates
+      [ Constr.for_query 7 0.75; count_le 2;
+        Constr.Forbidden [ candidates.(1) ]; count_le 1 ]
+  in
+  Alcotest.(check (list string)) "only the forbidden row"
+    [ "forbidden " ^ Storage.Index.to_string candidates.(1) ]
+    (List.map (fun r -> r.Constr.row_name) sp.Constr.z_rows);
+  (match sp.Constr.caps with
+  | [ { Constr.query_pred; factor } ] ->
+      Alcotest.(check (float 0.0)) "factor" 0.75 factor;
+      Alcotest.(check bool) "covers 7 only" true
+        (query_pred 7 && not (query_pred 8))
+  | _ -> Alcotest.fail "expected one cap");
+  match sp.Constr.accept with
+  | None -> Alcotest.fail "expected a gate"
+  | Some accept ->
+      Alcotest.(check bool) "one index passes both" true
+        (accept [| true; false; false; false; false |]);
+      Alcotest.(check bool) "two fail the tighter one" false
+        (accept [| true; false; true; false; false |])
 
 (* linearization soundness: a selection satisfies the constraint object iff
    it satisfies all its rows *)
@@ -140,7 +164,7 @@ let prop_linearization_sound =
         in
         total <= 2e8
       in
-      let rows = Constr.linearize schema candidates (Constr.Storage_budget 2e8) in
+      let rows = rows (storage 2e8) in
       List.for_all (fun r -> Constr.row_holds r z) rows = budget_holds)
 
 let () =
@@ -153,13 +177,13 @@ let () =
           Alcotest.test_case "key-width filter" `Quick test_key_width_filter;
           Alcotest.test_case "clustered" `Quick test_clustered_rows;
           Alcotest.test_case "mandatory/forbidden" `Quick test_mandatory_forbidden;
-          Alcotest.test_case "caps rejected" `Quick test_linearize_rejects_caps;
           QCheck_alcotest.to_alcotest prop_linearization_sound;
         ] );
       ( "semantics",
+        [ Alcotest.test_case "generators" `Quick test_generators ] );
+      ( "split",
         [
-          Alcotest.test_case "query cost caps" `Quick test_query_cost_cap_evaluation;
-          Alcotest.test_case "generators" `Quick test_generators;
-          Alcotest.test_case "classification" `Quick test_classification_and_set;
+          Alcotest.test_case "classification" `Quick test_classification;
+          Alcotest.test_case "caps and gates" `Quick test_split_caps_and_gates;
         ] );
     ]

@@ -12,6 +12,11 @@ let small_workload ?(n = 6) ?(seed = 3) () = Workload.Gen.hom schema ~n ~seed
 
 let db_size = Catalog.Tpch.database_size schema
 
+(* hom n=3 seed=1 at 0.5x: q1's block costs 0.535x its no-index cost
+   even with every candidate selected, so a 0.9 query-cost cap holds
+   and a 0.5 cap cannot; the root relaxation is fractional. *)
+let cap_workload () = Workload.Gen.hom schema ~n:3 ~seed:1
+
 (* --- CGen --- *)
 
 let test_cgen_generates_candidates () =
@@ -642,6 +647,42 @@ let test_solver_infeasible () =
   Alcotest.(check (list string)) "single offender" [ "need_two" ]
     (offenders (z_rows @ [ need_two ]))
 
+(* A search stopped before its first round still answers: the exact
+   path seeds branch and bound with the empty selection, so the report
+   carries that selection and an honest gap.  The stop check runs before
+   the first round, so a zero time limit stops there deterministically
+   once the root relaxation is fractional. *)
+let test_solver_time_limit () =
+  let w = cap_workload () in
+  let budget = 0.5 *. db_size in
+  let sp =
+    Cophy.Interactive.problem (Cophy.Interactive.create schema w ~budget)
+  in
+  let p, vars = Cophy.Sproblem.to_lp ~budget sp in
+  let root = Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p in
+  Alcotest.(check bool) "root relaxation fractional" true
+    (Array.exists
+       (fun v ->
+         let x = root.Lp.Simplex.x.(v) in
+         x > 1e-6 && x < 1.0 -. 1e-6)
+       vars.Cophy.Sproblem.z_var);
+  let r =
+    Cophy.Solver.solve
+      ~options:{ Cophy.Solver.default_options with
+                 Cophy.Solver.method_ = Cophy.Solver.Exact; time_limit = 0.0 }
+      sp ~budget ~z_rows:[]
+  in
+  let empty = Array.make (Cophy.Sproblem.num_candidates sp) false in
+  Alcotest.(check int) "the empty seed" 0
+    (Storage.Config.cardinal r.Cophy.Solver.config);
+  Alcotest.(check (float 0.0)) "its objective" (Cophy.Sproblem.eval sp empty)
+    r.Cophy.Solver.objective;
+  Alcotest.(check bool) "bound below it" true
+    (r.Cophy.Solver.bound <= r.Cophy.Solver.objective);
+  Alcotest.(check bool) "the gap is reported open" true
+    (r.Cophy.Solver.gap
+     > Cophy.Solver.default_options.Cophy.Solver.gap_tolerance)
+
 let test_solver_paths_agree () =
   let _, _, _, sp = build_problem ~n:3 ~cand_cap:4 () in
   let budget = 0.5 *. db_size in
@@ -733,7 +774,7 @@ let test_udf_constraint () =
   in
   let r =
     Cophy.Advisor.advise
-      ~constraints:(Constr.empty |> Constr.add_hard cap3)
+      ~constraints:[ cap3 ]
       schema w ~budget_fraction:1.0
   in
   Alcotest.(check bool) "udf respected" true
@@ -744,11 +785,118 @@ let test_udf_constraint () =
   in
   match
     Cophy.Advisor.advise
-      ~constraints:(Constr.empty |> Constr.add_hard never)
+      ~constraints:[ never ]
       schema w ~budget_fraction:1.0
   with
   | exception Cophy.Solver.Infeasible _ -> ()
   | _ -> Alcotest.fail "expected Infeasible for unsatisfiable UDF"
+
+(* --- Constraint routing --- *)
+
+(* Per capped block of [sp]: its cost under [z] and its cap, priced as
+   the session prices it (factor x INUM cost at the baseline). *)
+let block_costs_and_caps ?(baseline = Storage.Config.empty)
+    (sp : Cophy.Sproblem.t) cache ~factor z =
+  List.concat_map
+    (fun ((q : Ast.query), _, inum) ->
+      let cap = factor *. Inum.cost inum baseline in
+      Array.to_list sp.Cophy.Sproblem.blocks
+      |> List.filter (fun (b : Cophy.Sproblem.block) ->
+             b.Cophy.Sproblem.qid = q.Ast.query_id)
+      |> List.map (fun b -> (Cophy.Sproblem.block_cost_z b z, cap)))
+    cache.Inum.selects
+
+(* Capped BIPs the exact path must solve: 0.5x under the empty
+   baseline, 0.6x under the primary-key baseline.  Over unscaled cap
+   rows the simplex misreads both as infeasible (the second even when
+   every binary is branched on); each selection must meet every cap. *)
+let test_query_cost_cap_holds () =
+  let w = cap_workload () in
+  let factor = 0.9 in
+  List.iter
+    (fun (baseline, budget_fraction) ->
+      let r =
+        Cophy.Advisor.advise ~constraints:[ Constr.for_all_queries factor ]
+          ~baseline schema w ~budget_fraction
+      in
+      let sp = r.Cophy.Advisor.problem in
+      let z = Cophy.Sproblem.z_of_config sp r.Cophy.Advisor.config in
+      let capped =
+        block_costs_and_caps ~baseline sp r.Cophy.Advisor.cache ~factor z
+      in
+      Alcotest.(check int) "every query is capped" 3 (List.length capped);
+      List.iter
+        (fun (cost, cap) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "block cost %.1f <= cap %.1f" cost cap)
+            true
+            (cost <= cap *. (1.0 +. 1e-9)))
+        capped)
+    [ (Storage.Config.empty, 0.5); (Advisors.Eval.baseline_config (), 0.6) ]
+
+(* Only [Solver.solve] maps a constraint to a path: a cap goes to the
+   exact path whatever method the caller asked for (a session asks for
+   the decomposition), and a cap next to a black box is refused. *)
+let test_caps_and_gates_routed () =
+  let w = cap_workload () in
+  let budget = 0.5 *. db_size in
+  let session =
+    Cophy.Interactive.create ~constraints:[ Constr.for_all_queries 0.5 ] schema
+      w ~budget
+  in
+  let sp = Cophy.Interactive.problem session in
+  let all = Array.make (Cophy.Sproblem.num_candidates sp) true in
+  Alcotest.(check bool) "a 0.5 cap cannot hold" true
+    (List.exists
+       (fun (cost, cap) -> cost > cap)
+       (block_costs_and_caps sp (Cophy.Interactive.cache session) ~factor:0.5
+          all));
+  (match Cophy.Interactive.retune session with
+  | exception Cophy.Solver.Infeasible _ -> ()
+  | r ->
+      Alcotest.failf "retune dropped the cap: %d indexes"
+        (Storage.Config.cardinal r.Cophy.Solver.config));
+  let both =
+    [ Constr.for_all_queries 0.9;
+      Constr.Udf { udf_name = "anything"; accepts = (fun _ _ -> true) } ]
+  in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted a cap next to a black box" what
+  in
+  refused "retune" (fun () ->
+      Cophy.Interactive.retune
+        (Cophy.Interactive.create ~constraints:both schema w ~budget));
+  refused "advise" (fun () ->
+      Cophy.Advisor.advise ~constraints:both schema w ~budget_fraction:0.5)
+
+(* [Advisor.advise] defaults to the session's constraints, the implicit
+   clustered-index rule among them.  Both clustered candidates pay off
+   on their own, and without the rule both are picked. *)
+let test_advisor_clustered_rule () =
+  let w = small_workload () in
+  let clustered col =
+    Storage.Index.create ~clustered:true ~table:"customer" [ col ]
+  in
+  let c1 = clustered "c_mktsegment" and c2 = clustered "c_nationkey" in
+  let advise ?constraints candidates =
+    Cophy.Advisor.advise ?constraints ~candidates schema w ~budget_fraction:1.0
+  in
+  let picked (r : Cophy.Advisor.recommendation) =
+    List.length
+      (List.filter (fun c -> Storage.Config.mem c r.Cophy.Advisor.config)
+         [ c1; c2 ])
+  in
+  List.iter
+    (fun c ->
+      let r = advise [ c ] in
+      Alcotest.(check bool) "pays off alone" true
+        (r.Cophy.Advisor.estimated_cost < r.Cophy.Advisor.estimated_base))
+    [ c1; c2 ];
+  Alcotest.(check int) "no rule: both" 2
+    (picked (advise ~constraints:[] [ c1; c2 ]));
+  Alcotest.(check int) "default: at most one" 1 (picked (advise [ c1; c2 ]))
 
 (* The probe-budget pins on hom n=100 at 0.5x.  Unlimited probing is
    the eager pipeline bit for bit: the certified objective is pinned and
@@ -1169,6 +1317,17 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_solver_infeasible;
           Alcotest.test_case "paths agree" `Slow test_solver_paths_agree;
           Alcotest.test_case "certified" `Quick test_solver_certified;
+          Alcotest.test_case "time limit returns the seed" `Quick
+            test_solver_time_limit;
+        ] );
+      ( "constraints",
+        [
+          Alcotest.test_case "query-cost cap holds" `Quick
+            test_query_cost_cap_holds;
+          Alcotest.test_case "caps and gates routed" `Quick
+            test_caps_and_gates_routed;
+          Alcotest.test_case "advisor clustered rule" `Quick
+            test_advisor_clustered_rule;
         ] );
       ( "advisor",
         [
