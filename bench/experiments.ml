@@ -20,10 +20,11 @@ type scenario = {
   n : int;
 }
 
-(* memoizes TPC-H schema construction across figures; the bench driver
-   runs experiments sequentially, so the table is never shared between
-   domains *)
-let[@lint.allow global_state] schema_cache :
+(* memoizes TPC-H schema construction across figures *)
+let[@lint.allow
+     global_state
+       "the bench driver runs experiments sequentially, so the table is \
+        never shared between domains"] schema_cache :
     (float, Catalog.Schema.t) Hashtbl.t =
   Hashtbl.create 4
 

@@ -5,8 +5,9 @@
                                   [--no-warm] [--stats] [--check]
                                   [--trace FILE]
 
-   Prints the status, objective, and nonzero variable values — handy for
-   inspecting BIPs exported with Lp.Lp_format.to_file.  Continuous
+   Prints the status, objective, and nonzero variable values (integer
+   models also print their node and cut counts) — handy for inspecting
+   BIPs exported with Lp.Lp_format.to_file.  Continuous
    models run presolve and the sparse simplex ([--no-presolve] skips
    presolve).  Integer models run the best-first branch-and-bound:
    [--jobs] sets the parallel node-evaluation width (the certified
@@ -129,10 +130,9 @@ let () =
             print_stats ();
             exit (if r.Lp.Branch_bound.status = Lp.Branch_bound.Infeasible then 1 else 3)
         | Some x ->
-            Fmt.pr "objective: %.9g@.nodes: %d@.cuts: %d (uncertified %d)@.warm resolves: %d@."
+            Fmt.pr "objective: %.9g@.nodes: %d@.cuts: %d (uncertified %d)@."
               r.Lp.Branch_bound.obj r.Lp.Branch_bound.nodes
-              r.Lp.Branch_bound.cuts_added r.Lp.Branch_bound.cuts_uncertified
-              r.Lp.Branch_bound.warm_resolves;
+              r.Lp.Branch_bound.cuts_added r.Lp.Branch_bound.cuts_uncertified;
             Array.iteri
               (fun v value ->
                 if abs_float value > 1e-9 then

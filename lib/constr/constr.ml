@@ -38,12 +38,6 @@ let wide_indexes k =
     applies = (fun ix -> List.length (Storage.Index.key_columns ix) >= k);
   }
 
-let scope_and a b =
-  {
-    scope_name = a.scope_name ^ " & " ^ b.scope_name;
-    applies = (fun ix -> a.applies ix && b.applies ix);
-  }
-
 (* A query-cost cap: cost(q, X) <= factor * cost(q, X0) for every
    statement id [query_pred] covers. *)
 type cap = { query_pred : int -> bool; factor : float }

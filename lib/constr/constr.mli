@@ -31,8 +31,6 @@ val on_table : string -> scope
 (** Indexes with at least [k] key columns. *)
 val wide_indexes : int -> scope
 
-val scope_and : scope -> scope -> scope
-
 (** A query-cost cap: cost(q, X) <= [factor] * cost(q, X0) for every
     statement id [query_pred] covers, X0 being the baseline. *)
 type cap = { query_pred : int -> bool; factor : float }

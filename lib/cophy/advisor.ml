@@ -28,7 +28,7 @@ let total_seconds r =
 let advise ?(params = Optimizer.Cost_params.default)
     ?constraints ?candidates ?(dba_candidates = [])
     ?(solver_options = Solver.default_options)
-    ?(baseline = Storage.Config.empty) ?(jobs = 1) ?certify
+    ?(baseline = Storage.Config.empty) ?(jobs = 1)
     ?probe_budget schema (w : Sqlast.Ast.workload) ~budget_fraction =
   (* Batch advice is the one-shot form of an interactive session: create
      (INUM through the keyed store + candidate generation), build the
@@ -45,11 +45,6 @@ let advise ?(params = Optimizer.Cost_params.default)
     (Runtime.Trace.span "advisor.bip_build" (fun () ->
          Interactive.problem session));
   let t2 = Runtime.Clock.now () in
-  let solver_options =
-    match certify with
-    | Some c -> { solver_options with Solver.certify = c }
-    | None -> solver_options
-  in
   let report = Interactive.recommend ~options:solver_options session in
   let t3 = Runtime.Clock.now () in
   (* The BIP the final re-solve ran on: refine rounds rebuild it, so the

@@ -27,6 +27,11 @@ val total_seconds : recommendation -> float
       are trade-offs explored with {!Pareto} instead.
     @param candidates overrides CGen's candidate set.
     @param dba_candidates extends it (the S_DBA of the paper).
+    @param solver_options solver settings (default
+      {!Solver.default_options}); its [certify] flag is the debug mode
+      that statically checks the BIP and certifies the solver's answer
+      with {!Lp.Analyze} (raises [Lp.Analyze.Certification_failed] on
+      failure).
     @param baseline the configuration that query-cost caps are relative to.
     @param budget_fraction storage budget as a fraction of the database
       size (the paper's M).
@@ -34,9 +39,6 @@ val total_seconds : recommendation -> float
       (default [1]; the recommendation is identical at every job count —
       use {!Runtime.recommended_jobs} to saturate the machine); it
       overrides [solver_options.jobs].
-    @param certify overrides [solver_options.certify]: debug mode that
-      statically checks the BIP and certifies the solver's answer with
-      {!Lp.Analyze} (raises [Lp.Analyze.Certification_failed] on failure).
     @param probe_budget per-query cap on up-front INUM probes (see
       {!Inum.build}; default unlimited).  After the first solve, a
       completion loop forces the deferred probes overlapping the
@@ -55,7 +57,6 @@ val advise :
   ?solver_options:Solver.options ->
   ?baseline:Storage.Config.t ->
   ?jobs:int ->
-  ?certify:bool ->
   ?probe_budget:int ->
   Catalog.Schema.t ->
   Sqlast.Ast.workload ->

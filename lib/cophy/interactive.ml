@@ -38,8 +38,7 @@ type session = {
   mutable problem : Sproblem.t option;          (* invalidated by deltas *)
   prices : Sproblem.prices;  (* template pricings, reused across rebuilds *)
   mutable multipliers : Decomposition.multipliers option;
-  mutable incumbent : Storage.Config.t option;  (* previous selection *)
-  mutable last : Solver.report option;
+  mutable last : Solver.report option;  (* previous selection and report *)
 }
 
 let create ?(params = Optimizer.Cost_params.default)
@@ -72,7 +71,6 @@ let create ?(params = Optimizer.Cost_params.default)
     problem = None;
     prices = Sproblem.prices ();
     multipliers = None;
-    incumbent = None;
     last = None;
   }
 
@@ -200,7 +198,7 @@ let retune ?options s =
     {
       options with
       Solver.warm = s.multipliers;
-      warm_z = s.incumbent;
+      warm_z = Option.map (fun r -> r.Solver.config) s.last;
       jobs = s.jobs;
     }
   in
@@ -212,7 +210,6 @@ let retune ?options s =
   (match report.Solver.multipliers with
   | Some _ as m -> s.multipliers <- m
   | None -> ());
-  s.incumbent <- Some report.Solver.config;
   s.last <- Some report;
   report
 

@@ -264,10 +264,11 @@ let constrained_count combo =
 
 (* --- Cache construction --- *)
 
-(* Trace probes: single [Atomic.get] each when tracing is off.
-   [inum.init_calls] counts template-plan probes issued to the what-if
-   optimizer (the paper's INUM "init" currency); [inum.probes_skipped]
-   the combinations certified away without a probe;
+(* Trace probes: single [Atomic.get] each when tracing is off.  The
+   template-plan probes issued to the what-if optimizer (the paper's
+   INUM "init" currency) are counted once, by [whatif.template_probes]
+   in {!Optimizer.Whatif.template_plan}; [inum.probes_skipped] the
+   combinations certified away without a probe;
    [inum.probes_forced] the deferred probes forced later by the lazy
    completion path; [inum.combos_truncated] the combinations dropped by
    the [max_combinations] cap; [inum.probe_regret] the (rounded-up)
@@ -275,7 +276,6 @@ let constrained_count combo =
    [inum.beta_extractions] the templates whose internal cost beta was
    materialized; [inum.gamma_evals] the per-slot gamma lookups at
    cost-evaluation time. *)
-let tr_init_calls = Runtime.Trace.counter "inum.init_calls"
 let tr_template_enums = Runtime.Trace.counter "inum.template_enumerations"
 let tr_beta = Runtime.Trace.counter "inum.beta_extractions"
 let tr_gamma = Runtime.Trace.counter "inum.gamma_evals"
@@ -357,7 +357,6 @@ let probe_combo t i =
     |> List.filter (fun (_, s) -> not (is_spec_any s))
   in
   t.init_calls <- t.init_calls + 1;
-  Runtime.Trace.incr tr_init_calls;
   let result =
     match Optimizer.Whatif.template_plan t.env t.query ~slot_specs:specs with
     | None -> None

@@ -356,7 +356,3 @@ let certificate_summary c =
     c.max_row_violation c.max_bound_violation c.max_integrality_violation
     c.objective_gap c.max_dual_residual
 
-let pp_certificate ppf c =
-  Fmt.pf ppf "@[<v>%s@,%a@]" (certificate_summary c)
-    (Fmt.list ~sep:Fmt.cut Fmt.string)
-    c.cert_issues

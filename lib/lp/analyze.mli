@@ -83,8 +83,6 @@ val certify :
     when the solve ran on the full model — the caveat doesn't apply, and
     a dual residual above [tol] then fails the certificate. *)
 
-val pp_certificate : certificate Fmt.t
-
 exception Certification_failed of string
 (** Raised by debug-mode wirings ({!Branch_bound} incumbent acceptance,
     [lp_solve --check]) when a certificate comes back [cert_ok = false]. *)

@@ -72,7 +72,6 @@ type result = {
   bound : float;             (* proven lower bound (with offset) *)
   nodes : int;
   cuts_added : int;          (* cover cuts installed at the root *)
-  warm_resolves : int;       (* node LPs re-solved from a parent basis *)
   cuts_uncertified : int;    (* added cuts violated by the incumbent (0!) *)
 }
 
@@ -119,7 +118,6 @@ let tr_nodes = Runtime.Trace.counter "bb.nodes"
 let tr_incumbents = Runtime.Trace.counter "bb.incumbents"
 let tr_prunes = Runtime.Trace.counter "bb.prunes"
 let tr_cuts_added = Runtime.Trace.counter "bb.cuts_added"
-let tr_warm_resolves = Runtime.Trace.counter "bb.warm_resolves"
 let tr_cuts_uncertified = Runtime.Trace.counter "bb.cuts_uncertified"
 
 let rounding_heuristic p int_vars x =
@@ -153,17 +151,8 @@ let solve ?(options = default_options) (p : Problem.t) =
   let offset = Problem.obj_offset p in
   let jobs = max 1 options.jobs in
   (* One simplex session per evaluation slot, all bound to the shared
-     problem; per-slot kernel stats are merged after the run so the
-     counters are deterministic too. *)
-  let slot_stats = Array.init batch (fun _ -> Simplex.create_stats ()) in
-  let sessions =
-    Array.init batch (fun i -> Simplex.new_session ~stats:slot_stats.(i) p)
-  in
-  let merged = Simplex.create_stats () in
-  let finish_stats () =
-    Array.iter (fun s -> Simplex.add_stats ~into:merged s) slot_stats;
-    Runtime.Trace.add tr_warm_resolves merged.Simplex.warm_resolves
-  in
+     problem. *)
+  let sessions = Array.init batch (fun _ -> Simplex.new_session p) in
   let incumbent = ref None in
   (* Objective of the incumbent, without offset.  Written only in the
      sequential merge; read concurrently by evaluators for the
@@ -218,7 +207,6 @@ let solve ?(options = default_options) (p : Problem.t) =
     && inc -. !global_bound <= options.gap_tolerance *. (abs_float inc +. 1e-9)
   in
   let mk_result status cuts_uncertified cuts_added =
-    finish_stats ();
     let best_x = !incumbent in
     let inc = Atomic.get incumbent_obj in
     {
@@ -242,7 +230,6 @@ let solve ?(options = default_options) (p : Problem.t) =
              gap from it"]);
       nodes = !nodes;
       cuts_added;
-      warm_resolves = merged.Simplex.warm_resolves;
       cuts_uncertified;
     }
   in
@@ -489,11 +476,8 @@ let solve ?(options = default_options) (p : Problem.t) =
                              | None -> ());
                           children { node with nb } v r.Simplex.x.(v) snap))
           in
-          let _search_stats =
-            Runtime.Search.run ~jobs ~batch
-              ~compare:node_compare
-              ~roots ~eval ~expand ~stop ()
-          in
+          Runtime.Search.run ~jobs ~batch ~compare:node_compare ~roots ~eval
+            ~expand ~stop ();
           let status =
             match !stop_status with
             | Some s -> s

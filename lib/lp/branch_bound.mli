@@ -69,7 +69,6 @@ type result = {
   bound : float;  (** proven lower bound, including the offset *)
   nodes : int;
   cuts_added : int;  (** cover cuts installed at the root *)
-  warm_resolves : int;  (** node LPs re-solved from a parent basis *)
   cuts_uncertified : int;
       (** added cuts violated by the final incumbent — always 0 unless a
           separation bug produced an invalid cut *)

@@ -38,15 +38,12 @@ type cut = {
   source_row : int;
   mutable age : int;  (* separation rounds since last active *)
   mutable installed : bool;
-  mutable added_row : int;  (* row id once added, -1 before *)
 }
 
 type pool = {
   knapsacks : knapsack array;
   mutable cuts : cut list;  (* newest first; both pending and added *)
-  mutable separated : int;  (* covers generated across all rounds *)
-  mutable added : int;  (* cuts installed as rows *)
-  mutable evicted : int;  (* pool entries dropped by aging *)
+  mutable added : int;  (* cuts installed as rows; numbers their names *)
 }
 
 let max_age = 3
@@ -57,7 +54,6 @@ let max_age = 3
 let cover_margin cap = 1e-9 +. (1e-12 *. abs_float cap)
 
 let tr_separated = Runtime.Trace.counter "cuts.separated"
-let tr_added = Runtime.Trace.counter "cuts.added"
 let tr_evicted = Runtime.Trace.counter "cuts.evicted"
 
 (* A row qualifies as a knapsack when it reads sum(a_j x_j) <= b with
@@ -88,9 +84,7 @@ let detect (p : Problem.t) =
   {
     knapsacks = Array.of_list (List.rev !knapsacks);
     cuts = [];
-    separated = 0;
     added = 0;
-    evicted = 0;
   }
 
 let cut_key c = (c.source_row, Array.to_list c.cvars)
@@ -151,10 +145,7 @@ let separate_knapsack (k : knapsack) (x : float array) ~min_violation =
     let cvars = Array.of_list !support in
     Array.sort Int.compare cvars;
     let crhs = float_of_int (!ncover - 1) in
-    let c =
-      { cvars; crhs; source_row = k.row_id; age = 0; installed = false;
-        added_row = -1 }
-    in
+    let c = { cvars; crhs; source_row = k.row_id; age = 0; installed = false } in
     if lhs_value c x > crhs +. min_violation then Some c else None
   end
 
@@ -171,7 +162,6 @@ let separate ?(min_violation = 1e-4) ?(max_cuts = 16) pool (x : float array) =
       match separate_knapsack k x ~min_violation with
       | Some c when not (Hashtbl.mem seen (cut_key c)) ->
           Hashtbl.replace seen (cut_key c) ();
-          pool.separated <- pool.separated + 1;
           Runtime.Trace.incr tr_separated;
           pool.cuts <- c :: pool.cuts;
           fresh := c :: !fresh
@@ -184,10 +174,7 @@ let separate ?(min_violation = 1e-4) ?(max_cuts = 16) pool (x : float array) =
         let active = lhs_value c x >= c.crhs -. 1e-6 in
         if active then c.age <- 0 else c.age <- c.age + 1;
         let stale = (not c.installed) && c.age > max_age in
-        if stale then begin
-          pool.evicted <- pool.evicted + 1;
-          Runtime.Trace.incr tr_evicted
-        end;
+        if stale then Runtime.Trace.incr tr_evicted;
         not stale)
       pool.cuts
   in
@@ -221,15 +208,12 @@ let separate ?(min_violation = 1e-4) ?(max_cuts = 16) pool (x : float array) =
 let add_to_problem pool (p : Problem.t) (c : cut) =
   if not c.installed then begin
     let coeffs = Array.to_list (Array.map (fun v -> (v, 1.0)) c.cvars) in
-    let id =
-      Problem.add_row
-        ~name:(Printf.sprintf "cover_r%d_%d" c.source_row pool.added)
-        p coeffs Problem.Le c.crhs
-    in
+    ignore
+      (Problem.add_row
+         ~name:(Printf.sprintf "cover_r%d_%d" c.source_row pool.added)
+         p coeffs Problem.Le c.crhs);
     c.installed <- true;
-    c.added_row <- id;
-    pool.added <- pool.added + 1;
-    Runtime.Trace.incr tr_added
+    pool.added <- pool.added + 1
   end
 
 (* Certification: every added cut must hold at the final incumbent.
@@ -238,12 +222,4 @@ let certify ?(tol = 1e-6) pool (x : float array) =
   List.fold_left
     (fun bad c ->
       if c.installed && lhs_value c x > c.crhs +. tol then bad + 1 else bad)
-    0 pool.cuts
-
-let stats pool = (pool.separated, pool.added, pool.evicted)
-
-let active_count pool (x : float array) =
-  List.fold_left
-    (fun n c ->
-      if c.installed && lhs_value c x >= c.crhs -. 1e-6 then n + 1 else n)
     0 pool.cuts

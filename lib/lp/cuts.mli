@@ -24,7 +24,8 @@ val separate :
 
 (** Install a cut as a [<=] row of the problem (idempotent).  The row
     then participates in every LP solve and in {!Analyze.certify} like
-    any other row.  Ticks [cuts.added]. *)
+    any other row.  Branch and bound counts installs in
+    [bb.cuts_added]. *)
 val add_to_problem : pool -> Problem.t -> cut -> unit
 
 (** Number of added cuts violated by a point (0 = every cut certified).
@@ -32,10 +33,3 @@ val add_to_problem : pool -> Problem.t -> cut -> unit
     result means a cut cut off an integer feasible point and must be
     treated as a solver bug. *)
 val certify : ?tol:float -> pool -> float array -> int
-
-(** [(separated, added, evicted)] counts. *)
-val stats : pool -> int * int * int
-
-(** Added cuts tight or violated at a point — the "active" count
-    reported by the bench. *)
-val active_count : pool -> float array -> int

@@ -130,9 +130,11 @@ let factor ~m ~(cols : (int * float) array array) ~(basis : int array) =
       Runtime.Tbl.sorted_bindings rows.(p_r)
       |> List.filter (fun (cj, _) -> cj <> p_c)
     in
-    (* Justified hashtbl_order: removals target disjoint tables (one per
-       column) and commute, so visit order cannot matter. *)
-    ((Hashtbl.iter [@lint.allow hashtbl_order])
+    ((Hashtbl.iter
+     [@lint.allow
+       hashtbl_order
+         "removals target disjoint per-column tables and commute, so visit \
+          order cannot matter"])
        (fun cj _ -> Hashtbl.remove colrows.(cj) p_r)
        rows.(p_r)
     [@dsa.allow nondet

@@ -23,7 +23,7 @@ type var = {
 type row = {
   coeffs : (int * float) array;  (* sorted by variable id, deduplicated *)
   sense : sense;
-  mutable rhs : float;
+  rhs : float;
   rname : string;
 }
 
@@ -47,7 +47,6 @@ let copy t =
   {
     t with
     vars = Array.init t.nvars (fun v -> { (t.vars.(v)) with obj = t.vars.(v).obj });
-    rows = List.map (fun (r : row) -> { r with rhs = r.rhs }) t.rows;
     frozen_rows = None;
   }
 
@@ -118,7 +117,6 @@ let rows t =
       r
 
 let row t i = (rows t).(i)
-let set_rhs t i rhs = (rows t).(i).rhs <- rhs
 
 let integer_vars t =
   let acc = ref [] in

@@ -20,7 +20,7 @@ type var = {
 type row = {
   coeffs : (int * float) array;  (** sorted by variable, deduplicated *)
   sense : sense;
-  mutable rhs : float;
+  rhs : float;
   rname : string;
 }
 
@@ -30,8 +30,8 @@ val create : unit -> t
 val nvars : t -> int
 val nrows : t -> int
 
-(** An independent copy: adding rows to it or changing its variables,
-    bounds or right-hand sides leaves the original untouched. *)
+(** An independent copy: adding rows to it or changing its variables
+    or bounds leaves the original untouched. *)
 val copy : t -> t
 
 (** Add a variable, returning its id (dense, starting at 0).  Binary
@@ -61,7 +61,6 @@ val set_bounds : t -> int -> lb:float -> ub:float -> unit
 val var : t -> int -> var
 val rows : t -> row array
 val row : t -> int -> row
-val set_rhs : t -> int -> float -> unit
 
 (** Ids of binary/integer variables, ascending. *)
 val integer_vars : t -> int list

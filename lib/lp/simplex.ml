@@ -40,36 +40,6 @@ type result = {
 
 type basis_kind = Dense | Sparse
 
-type kernel_stats = {
-  mutable pivots : int;            (* basis changes (bound flips excluded) *)
-  mutable refactorizations : int;  (* sparse-basis rebuilds mid-solve *)
-  mutable iterations : int;        (* pricing loop iterations, both phases *)
-  mutable etas_pushed : int;       (* product-form eta vectors appended *)
-  mutable max_eta_len : int;       (* peak eta-file length between rebuilds *)
-  mutable dual_iterations : int;   (* dual-simplex pricing iterations *)
-  mutable warm_resolves : int;     (* basis restores that skipped phase 1 *)
-}
-
-let create_stats () =
-  {
-    pivots = 0;
-    refactorizations = 0;
-    iterations = 0;
-    etas_pushed = 0;
-    max_eta_len = 0;
-    dual_iterations = 0;
-    warm_resolves = 0;
-  }
-
-let add_stats ~into s =
-  into.pivots <- into.pivots + s.pivots;
-  into.refactorizations <- into.refactorizations + s.refactorizations;
-  into.iterations <- into.iterations + s.iterations;
-  into.etas_pushed <- into.etas_pushed + s.etas_pushed;
-  into.max_eta_len <- max into.max_eta_len s.max_eta_len;
-  into.dual_iterations <- into.dual_iterations + s.dual_iterations;
-  into.warm_resolves <- into.warm_resolves + s.warm_resolves
-
 (* Trace probes: single [Atomic.get] each when tracing is off. *)
 let tr_iterations = Runtime.Trace.counter "simplex.iterations"
 let tr_pivots = Runtime.Trace.counter "simplex.pivots"
@@ -111,7 +81,6 @@ type state = {
   basis : int array;            (* var in basis position i *)
   in_basis : int array;         (* var -> basis position, -1 if nonbasic *)
   repr : repr;
-  stats : kernel_stats;
   mutable iters : int;
 }
 
@@ -207,7 +176,6 @@ let refactor s sb =
       sb.lu <- lu;
       sb.neta <- 0;
       sb.eta_nnz <- 0;
-      s.stats.refactorizations <- s.stats.refactorizations + 1;
       Runtime.Trace.incr tr_refactorizations
   | exception Lu.Singular _ -> raise Singular_basis
 
@@ -224,7 +192,6 @@ let push_eta sb e =
 (* Install the basis change at position [r] ([s.basis] already updated),
    where [w] = B_old^-1 A_enter. *)
 let update_basis s r w =
-  s.stats.pivots <- s.stats.pivots + 1;
   Runtime.Trace.incr tr_pivots;
   match s.repr with
   | Dense_binv binv ->
@@ -268,8 +235,6 @@ let update_basis s r w =
           end
         done;
         push_eta sb { er = r; epiv = w.(r); entries };
-        s.stats.etas_pushed <- s.stats.etas_pushed + 1;
-        if sb.neta > s.stats.max_eta_len then s.stats.max_eta_len <- sb.neta;
         Runtime.Trace.incr tr_etas
       end
 
@@ -328,7 +293,6 @@ let run_phase s ~max_iters =
     if s.iters >= max_iters then Iter_limit
     else begin
       s.iters <- s.iters + 1;
-      s.stats.iterations <- s.stats.iterations + 1;
       Runtime.Trace.incr tr_iterations;
       compute_duals s y;
       let bland = !stall > 200 in
@@ -437,7 +401,7 @@ let default_iters m n = 2000 + (60 * (m + n))
    overrides, used by warm node re-solves so the shared problem is never
    mutated), nonbasic values at bounds, and the all-artificial starting
    basis.  [bounds] entries are (var, lb, ub) with var < nvars. *)
-let make_state ?(bounds = []) ~basis ?stats (p : Problem.t) =
+let make_state ?(bounds = []) ~basis (p : Problem.t) =
   let m = Problem.nrows p in
   let n = Problem.nvars p in
   let rows = Problem.rows p in
@@ -530,9 +494,8 @@ let make_state ?(bounds = []) ~basis ?stats (p : Problem.t) =
         Sparse_lu { lu; etas = [||]; neta = 0; eta_nnz = 0 }
   in
   let cost = Array.make total 0.0 in
-  let stats = match stats with Some st -> st | None -> create_stats () in
   let s = { m; total; nstruct = n; cols; lb; ub; cost; value; basis = bas;
-            in_basis; repr; stats; iters = 0 } in
+            in_basis; repr; iters = 0 } in
   let need_phase1 = Array.exists (fun r -> abs_float r > tol) resid in
   (s, need_phase1)
 
@@ -595,12 +558,11 @@ let solve_state s ~need_phase1 ~max_iters (p : Problem.t) =
 let[@bound.source heuristic
      "the result may carry status Iter_limit or Unbounded, whose obj/x are \
       the last iterate, not a proven optimum; only Optimal results are \
-      certified"] solve ?(max_iters = 0) ?(basis = Dense) ?stats
-    (p : Problem.t) =
+      certified"] solve ?(max_iters = 0) ?(basis = Dense) (p : Problem.t) =
   Runtime.Trace.incr tr_solves;
   let m = Problem.nrows p and n = Problem.nvars p in
   let max_iters = if max_iters > 0 then max_iters else default_iters m n in
-  let s, need_phase1 = make_state ~basis ?stats p in
+  let s, need_phase1 = make_state ~basis p in
   solve_state s ~need_phase1 ~max_iters p
 
 (* --- Dual simplex over a restored basis --- *)
@@ -642,7 +604,6 @@ let run_dual s ~max_iters =
       if !r < 0 then Optimal
       else begin
         s.iters <- s.iters + 1;
-        s.stats.dual_iterations <- s.stats.dual_iterations + 1;
         Runtime.Trace.incr tr_dual_iterations;
         let r = !r and sigma = !sigma in
         compute_duals s y;
@@ -782,13 +743,10 @@ end
 
 type session = {
   sess_p : Problem.t;
-  sess_stats : kernel_stats;
   mutable sess_state : state option;  (* built on first solve *)
 }
 
-let new_session ?stats (p : Problem.t) =
-  let stats = match stats with Some st -> st | None -> create_stats () in
-  { sess_p = p; sess_stats = stats; sess_state = None }
+let new_session (p : Problem.t) = { sess_p = p; sess_state = None }
 
 (* Cold solve: fresh state (warm machinery is sparse-only), full two-phase
    primal run.  Leaves the state in the session for [save_basis]. *)
@@ -800,9 +758,7 @@ let[@bound.source heuristic
   let p = sess.sess_p in
   let m = Problem.nrows p and n = Problem.nvars p in
   let max_iters = if max_iters > 0 then max_iters else default_iters m n in
-  let s, need_phase1 =
-    make_state ~bounds ~basis:Sparse ~stats:sess.sess_stats p
-  in
+  let s, need_phase1 = make_state ~bounds ~basis:Sparse p in
   sess.sess_state <- Some s;
   solve_state s ~need_phase1 ~max_iters p
 
@@ -857,7 +813,7 @@ let[@bound.source heuristic
         match sess.sess_state with
         | Some s when s.m = m && s.nstruct = n -> s
         | _ ->
-            let s, _ = make_state ~basis:Sparse ~stats:sess.sess_stats p in
+            let s, _ = make_state ~basis:Sparse p in
             sess.sess_state <- Some s;
             s
       in
@@ -934,7 +890,6 @@ let[@bound.source heuristic
         s.cost.(v) <- (Problem.var p v).Problem.obj
       done;
       s.iters <- 0;
-      s.stats.warm_resolves <- s.stats.warm_resolves + 1;
       Runtime.Trace.incr tr_warm_resolves;
       match run_dual s ~max_iters with
       | Optimal ->

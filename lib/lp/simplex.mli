@@ -30,32 +30,14 @@ type basis_kind =
   | Dense  (** explicit dense B^-1, elementary row updates *)
   | Sparse  (** Markowitz LU + eta file + refactorization trigger *)
 
-type kernel_stats = {
-  mutable pivots : int;  (** basis changes (bound flips excluded) *)
-  mutable refactorizations : int;  (** sparse-basis rebuilds mid-solve *)
-  mutable iterations : int;  (** pricing-loop iterations across both phases *)
-  mutable etas_pushed : int;  (** product-form eta vectors appended *)
-  mutable max_eta_len : int;  (** peak eta-file length between rebuilds *)
-  mutable dual_iterations : int;  (** dual-simplex pricing iterations *)
-  mutable warm_resolves : int;  (** basis restores that skipped phase 1 *)
-}
-
-val create_stats : unit -> kernel_stats
-
-(** Accumulate [s] into [into] (sums; [max_eta_len] takes the max).  Used
-    by the parallel search driver to merge per-worker kernel stats
-    deterministically. *)
-val add_stats : into:kernel_stats -> kernel_stats -> unit
-
 (** Solve the LP relaxation (integrality marks are ignored).
     [max_iters = 0] picks a default proportional to the problem size.
-    [basis] selects the kernel (default [Dense], the reference);
-    [stats] accumulates the kernel counters when given.  The same events
-    also tick the process-wide [Runtime.Trace] counters
-    [simplex.iterations] / [simplex.pivots] / [simplex.refactorizations]
-    / [simplex.etas_pushed] / [simplex.solves] when tracing is on. *)
-val solve :
-  ?max_iters:int -> ?basis:basis_kind -> ?stats:kernel_stats -> Problem.t -> result
+    [basis] selects the kernel (default [Dense], the reference).  The
+    kernel's work is counted only by the process-wide [Runtime.Trace]
+    counters [simplex.iterations] / [simplex.pivots] /
+    [simplex.refactorizations] / [simplex.etas_pushed] /
+    [simplex.solves], which tick when tracing is on. *)
+val solve : ?max_iters:int -> ?basis:basis_kind -> Problem.t -> result
 
 (** Basis snapshots: the basis assignment, every nonbasic's rest bound,
     and a frozen, structurally shared reference to the LU + eta factors
@@ -72,7 +54,7 @@ end
     search share one immutable {!Problem.t} across workers. *)
 type session
 
-val new_session : ?stats:kernel_stats -> Problem.t -> session
+val new_session : Problem.t -> session
 
 (** Cold two-phase primal solve under the problem's bounds plus
     [bounds] overrides.  Leaves the optimal basis available to
@@ -91,9 +73,8 @@ val save_basis : session -> Basis.t option
     bound overrides) whenever the snapshot cannot be trusted: missing or
     shape-stale frozen factors, numerical trouble, an iteration-limited
     dual run, or a dual-simplex infeasibility verdict (always re-proved
-    cold before a search may prune on it).  Ticks [kernel_stats.
-    warm_resolves] / [dual_iterations] and the [simplex.warm_resolves] /
-    [simplex.dual_iterations] trace counters. *)
+    cold before a search may prune on it).  Ticks the
+    [simplex.warm_resolves] / [simplex.dual_iterations] trace counters. *)
 val warm_solve :
   ?max_iters:int ->
   ?bounds:(int * float * float) list ->

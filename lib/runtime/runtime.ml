@@ -41,25 +41,25 @@ module Tbl = struct
      canonicalized. *)
 
   let sorted_keys tbl =
-    (* Justified: the fold's hash-order output feeds straight into sort. *)
-    let[@lint.allow hashtbl_order] keys =
+    let[@lint.allow
+         hashtbl_order "the hash-order fold feeds straight into sort_uniq"]
+        keys =
       (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
       [@dsa.allow nondet "hash-order enumeration erased by sort_uniq below"])
     in
     List.sort_uniq compare keys
 
   let sorted_bindings tbl =
-    (* Justified: hash-order fold canonicalized by the stable sort on
-       keys (per-key insertion order of duplicate bindings survives). *)
-    let[@lint.allow hashtbl_order] bindings =
+    let[@lint.allow
+         hashtbl_order
+           "the stable sort on keys below canonicalizes the hash-order \
+            fold; duplicate-key bindings keep their insertion order"]
+        bindings =
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
       [@dsa.allow nondet
         "hash-order enumeration erased by the stable sort on keys below"])
     in
     List.stable_sort (fun (a, _) (b, _) -> compare a b) bindings
-
-  let iter_sorted f tbl =
-    List.iter (fun (k, v) -> f k v) (sorted_bindings tbl)
 
   let fold_sorted f tbl init =
     List.fold_left (fun acc (k, v) -> f k v acc) init (sorted_bindings tbl)
@@ -70,13 +70,12 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Clock = struct
-  (* Justified nondet_source: this module IS the sanctioned clock — the
-     one place in lib/ allowed to read the wall clock. *)
-  let[@lint.allow nondet_source] [@dsa.allow
-                                   nondet
-                                     "Clock IS the sanctioned wall-clock \
-                                      source; consumers only feed timers"]
-    start =
+  let[@lint.allow
+       nondet_source "Clock is the one sanctioned wall-clock reader in lib/"]
+      [@dsa.allow
+        nondet
+          "Clock IS the sanctioned wall-clock source; consumers only feed \
+           timers"] start =
     Unix.gettimeofday ()
 
   (* [Unix.gettimeofday] can step backwards (NTP adjustments); clamp to
@@ -84,11 +83,12 @@ module Clock = struct
      goes negative. *)
   let high_water = Atomic.make 0.0
 
-  let[@lint.allow nondet_source] [@dsa.allow
-                                   nondet
-                                     "Clock IS the sanctioned wall-clock \
-                                      source; consumers only feed timers"]
-    now () =
+  let[@lint.allow
+       nondet_source "Clock is the one sanctioned wall-clock reader in lib/"]
+      [@dsa.allow
+        nondet
+          "Clock IS the sanctioned wall-clock source; consumers only feed \
+           timers"] now () =
     let t = Unix.gettimeofday () -. start in
     let rec clamp () =
       let prev = Atomic.get high_water in
@@ -139,11 +139,19 @@ let worker_loop w () =
    protects pool growth. *)
 let pool_lock = Mutex.create ()
 
-(* Justified global_state: the worker pool is a process singleton by
-   design; every access below is under [pool_lock]. *)
-let[@lint.allow global_state] workers : worker list ref = ref []
-let[@lint.allow global_state] domains : unit Domain.t list ref = ref []
-let[@lint.allow global_state] shutdown_registered = ref false
+(* The worker pool is a process singleton by design. *)
+let[@lint.allow global_state "every access is under pool_lock"] workers :
+    worker list ref =
+  ref []
+
+let[@lint.allow global_state "every access is under pool_lock"] domains :
+    unit Domain.t list ref =
+  ref []
+
+let[@lint.allow global_state "every access is under pool_lock"]
+    shutdown_registered =
+  ref false
+
 let max_workers = 126
 
 let[@dsa.allow
@@ -297,10 +305,12 @@ module Trace = struct
 
   let registry_lock = Mutex.create ()
 
-  (* Justified global_state: the counter registry is the process-wide
-     name -> cell map; every structural access is under
-     [registry_lock], and the cells themselves are Atomics. *)
-  let[@lint.allow global_state] registry : counter list ref = ref []
+  (* The counter registry is the process-wide name -> cell map. *)
+  let[@lint.allow
+       global_state
+         "every structural access is under registry_lock, and the cells \
+          themselves are Atomics"] registry : counter list ref =
+    ref []
 
   let counter name =
     Mutex.lock registry_lock;
@@ -340,10 +350,12 @@ module Trace = struct
 
   let dummy_span = { sname = ""; ts = 0.0; dur = 0.0; dom = 0 }
 
-  (* Justified global_state: one ring slot per domain id.  Slot [d] is
-     written exclusively by domain [d] (see [record_span]), so no lock
-     is needed on the recording path. *)
-  let[@lint.allow global_state] rings : ring option array =
+  (* One ring slot per domain id; no lock is needed on the recording
+     path. *)
+  let[@lint.allow
+       global_state
+         "slot d is written only by domain d (see record_span)"] rings :
+      ring option array =
     Array.make max_domains None
 
   let dropped = Atomic.make 0
@@ -518,18 +530,12 @@ module Search = struct
      during [expand] (sequential); [eval] may read it freely — between
      two merges its value is deterministic. *)
 
-  type stats = {
-    mutable rounds : int;
-    mutable expanded : int;  (* nodes evaluated and merged *)
-    mutable peak_open : int;  (* high-water mark of the open queue *)
-  }
-
   let tr_rounds = Trace.counter "search.rounds"
   let tr_expanded = Trace.counter "search.expanded"
 
   type 'n heap = Empty | Node of 'n * 'n heap list
 
-  let run (type n r) ?(jobs = 1) ?(batch = 8) ~(compare : n -> n -> int)
+  let run (type n r) ?(jobs = 1) ~batch ~(compare : n -> n -> int)
       ~(roots : n list) ~(eval : slot:int -> n -> r)
       ~(expand : n -> r -> n list) ~(stop : unit -> bool) () =
     let jobs = max 1 jobs in
@@ -546,27 +552,19 @@ module Search = struct
       | a :: b :: rest -> merge (merge a b) (merge_pairs rest)
     in
     let heap = ref Empty in
-    let open_count = ref 0 in
-    let push n =
-      heap := merge (Node (n, [])) !heap;
-      incr open_count
-    in
+    let push n = heap := merge (Node (n, [])) !heap in
     let pop () =
       match !heap with
       | Empty -> None
       | Node (n, children) ->
           heap := merge_pairs children;
-          decr open_count;
           Some n
     in
-    let st = { rounds = 0; expanded = 0; peak_open = 0 } in
     List.iter push roots;
-    if !open_count > st.peak_open then st.peak_open <- !open_count;
     let finished = ref false in
     while not !finished do
       if stop () || !heap = Empty then finished := true
       else begin
-        st.rounds <- st.rounds + 1;
         Trace.incr tr_rounds;
         let round = ref [] in
         let k = ref 0 in
@@ -585,12 +583,9 @@ module Search = struct
         in
         Array.iteri
           (fun i n ->
-            st.expanded <- st.expanded + 1;
             Trace.incr tr_expanded;
             List.iter push (expand n results.(i)))
-          nodes;
-        if !open_count > st.peak_open then st.peak_open <- !open_count
+          nodes
       end
-    done;
-    st
+    done
 end

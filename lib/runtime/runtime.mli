@@ -56,7 +56,6 @@ module Tbl : sig
   (** all bindings sorted by key (stable: duplicate-key bindings keep
       their relative order) *)
 
-  val iter_sorted : ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
   val fold_sorted : ('a -> 'b -> 'acc -> 'acc) -> ('a, 'b) Hashtbl.t -> 'acc -> 'acc
 end
 
@@ -185,22 +184,17 @@ end
     included — is bit-identical at every job count.  [eval] runs
     concurrently and must not write shared state; [expand] runs
     sequentially and is where incumbents move.  [stop] is polled between
-    rounds. *)
+    rounds.  The work is counted only by the [search.rounds] and
+    [search.expanded] trace counters. *)
 module Search : sig
-  type stats = {
-    mutable rounds : int;
-    mutable expanded : int;  (** nodes evaluated and merged *)
-    mutable peak_open : int;  (** high-water mark of the open queue *)
-  }
-
   val run :
     ?jobs:int ->
-    ?batch:int ->
+    batch:int ->
     compare:('n -> 'n -> int) ->
     roots:'n list ->
     eval:(slot:int -> 'n -> 'r) ->
     expand:('n -> 'r -> 'n list) ->
     stop:(unit -> bool) ->
     unit ->
-    stats
+    unit
 end

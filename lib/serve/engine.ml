@@ -14,7 +14,7 @@
          indexes (keyed-store lookup: repeats cost zero probes)
      {"op":"stats"}
          counters: events, window, cache hits/misses, probe counts,
-         latency quantiles.  [inum_probes] is the optimizer calls spent
+         recommend latency quantiles.  [inum_probes] is the optimizer calls spent
          on the session's own INUM builds: build-time probes plus the
          deferred probes recommend's refine rounds forced since (what-if
          reads build outside the session and are not counted)
@@ -31,12 +31,15 @@
 
    Every response is deterministic in the event stream except the
    explicitly named latency fields ([*_ms]), which measure wall-clock
-   work; CI strips those before comparing runs. *)
+   work; CI strips those before comparing runs.  [latency_ms] is the
+   request's own time; [p50_ms]/[p99_ms] are nearest-rank quantiles over
+   a fixed-bucket log histogram of every recommend latency so far, and
+   report the upper edge of the bucket that holds the quantile (a
+   [latency_edge_ms i]). *)
 
 open Sqlast
 
 let tr_events = Runtime.Trace.counter "serve.events"
-let tr_statements = Runtime.Trace.counter "serve.statements"
 let tr_recommends = Runtime.Trace.counter "serve.recommends"
 let tr_whatifs = Runtime.Trace.counter "serve.whatifs"
 let tr_window_evictions = Runtime.Trace.counter "serve.window_evictions"
@@ -63,7 +66,7 @@ type t = {
   mutable events : int;
   mutable recommends : int;
   mutable whatifs : int;
-  mutable latencies_ms : float list;  (* recommend latencies, unsorted *)
+  latency_counts : int array;  (* recommend latencies per histogram bucket *)
 }
 
 let weight_eps = 1e-9
@@ -77,6 +80,12 @@ let max_abs_delta = 1e12
    read to its end without being kept, so one client cannot make the
    daemon buffer an unbounded line. *)
 let max_line_bytes = 1 lsl 20
+
+(* The recommend-latency histogram: bucket [i] holds latencies up to
+   [latency_edge_ms i], edges a quarter octave apart from 1 us to about
+   225 s; the last bucket also takes anything slower. *)
+let latency_buckets = 112
+let latency_edge_ms i = 0.001 *. (2.0 ** (float_of_int i /. 4.0))
 
 let create ?(params = Optimizer.Cost_params.default) ?(window = 256)
     ?(jobs = 1) ?(budget_fraction = 0.25) ?(certify = true) ?probe_budget
@@ -99,7 +108,7 @@ let create ?(params = Optimizer.Cost_params.default) ?(window = 256)
     events = 0;
     recommends = 0;
     whatifs = 0;
-    latencies_ms = [];
+    latency_counts = Array.make latency_buckets 0;
   }
 
 let session t = t.session
@@ -118,7 +127,6 @@ let statement_id = function
    session work is deferred to the next [flush]. *)
 let observe t stmt delta =
   Runtime.Trace.incr tr_events;
-  Runtime.Trace.incr tr_statements;
   t.events <- t.events + 1;
   let key = Canon.statement_key stmt in
   let entry =
@@ -202,18 +210,27 @@ let session_statements t = Hashtbl.length t.by_key
 
 (* --- Quantiles --- *)
 
-(* Nearest-rank quantile over the recorded latencies. *)
+let record_latency t ms =
+  let rec bucket i =
+    if i = latency_buckets - 1 || ms <= latency_edge_ms i then i
+    else bucket (i + 1)
+  in
+  let b = bucket 0 in
+  t.latency_counts.(b) <- t.latency_counts.(b) + 1
+
+(* Nearest-rank quantile over the histogram: the upper edge of the
+   bucket holding the [ceil (q n)]-th smallest latency.  Each recommend
+   records exactly one latency, so [n] is [t.recommends]. *)
 let quantile_ms t q =
-  match t.latencies_ms with
-  | [] -> 0.0
-  | xs ->
-      let arr = Array.of_list xs in
-      Array.sort Float.compare arr;
-      let n = Array.length arr in
-      let rank =
-        max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
-      in
-      arr.(rank)
+  let n = t.recommends in
+  if n = 0 then 0.0
+  else
+    let rank = max 1 (min n (int_of_float (ceil (q *. float_of_int n)))) in
+    let rec find i seen =
+      let seen = seen + t.latency_counts.(i) in
+      if seen >= rank then latency_edge_ms i else find (i + 1) seen
+    in
+    find 0 0
 
 (* --- Operations --- *)
 
@@ -248,7 +265,7 @@ let recommend t =
   let ms = (Runtime.Clock.now () -. t0) *. 1000.0 in
   Runtime.Trace.incr tr_recommends;
   t.recommends <- t.recommends + 1;
-  t.latencies_ms <- ms :: t.latencies_ms;
+  record_latency t ms;
   Json.Obj
     [
       ("ok", Json.Bool true);

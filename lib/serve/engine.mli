@@ -12,7 +12,11 @@
     delta mass inside the window, and zero-mass keys leave the session
     while their INUM templates stay in the keyed store.  Responses are
     deterministic in the event stream except the [*_ms] latency
-    fields. *)
+    fields.  [p50_ms]/[p99_ms] in [recommend] and [stats] replies are
+    nearest-rank quantiles over a fixed-bucket log histogram of the
+    recommend latencies: each is the upper edge of the bucket holding
+    the quantile, a {!latency_edge_ms}, and [0] before the first
+    recommend.  The histogram's memory is constant. *)
 
 type t
 
@@ -67,6 +71,14 @@ val handle_line : t -> string -> string
 
 (** Longest accepted request line, in bytes. *)
 val max_line_bytes : int
+
+(** Number of buckets in the recommend-latency histogram. *)
+val latency_buckets : int
+
+(** Upper edge of histogram bucket [i] ([0 <= i < latency_buckets]), in
+    milliseconds: ascending, a quarter octave apart from 1 us.  The last
+    bucket also holds every slower latency. *)
+val latency_edge_ms : int -> float
 
 (** Answer request lines from [ic] on [oc], one response line each, until
     end of input or a [quit] request.  Blank lines are skipped.  A line

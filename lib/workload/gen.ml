@@ -304,10 +304,10 @@ let t15 schema rng id =
     order_by = [];
   }
 
-(* Justified global_state: an array of closures built once at module init
-   and never written afterwards — immutable in practice, safe to share
-   across domains. *)
-let[@lint.allow global_state] hom_templates =
+let[@lint.allow
+     global_state
+       "closures built once at module init and never written afterwards, \
+        safe to share across domains"] hom_templates =
   [| t01; t02; t03; t04; t05; t06; t07; t08; t09; t10; t11; t12; t13; t14; t15 |]
 
 let hom schema ~n ~seed =

@@ -907,8 +907,10 @@ let test_advisor_clustered_rule () =
 let test_advisor_probe_budget_legs () =
   let w = Workload.Gen.hom schema ~n:100 ~seed:7 in
   let advise ?probe_budget jobs =
-    Cophy.Advisor.advise ~jobs ~certify:true ?probe_budget schema w
-      ~budget_fraction:0.5
+    Cophy.Advisor.advise ~jobs
+      ~solver_options:
+        { Cophy.Solver.default_options with Cophy.Solver.certify = true }
+      ?probe_budget schema w ~budget_fraction:0.5
   in
   let report r = r.Cophy.Advisor.report in
   let unlimited = advise 1 in

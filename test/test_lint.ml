@@ -85,7 +85,7 @@ let test_float_eq () =
   check_clean "Float predicate is not floatish"
     "let ok a b = Float.is_nan a = b";
   check_clean "suppressed"
-    "let[@lint.allow float_eq] ok x = (* sentinel cmp *) x = infinity"
+    "let[@lint.allow float_eq \"sentinel cmp\"] ok x = x = infinity"
 
 (* --- L2 hashtbl_order --- *)
 
@@ -98,10 +98,11 @@ let test_hashtbl_order () =
     "let ok t k v = Hashtbl.replace t k v; Hashtbl.find_opt t k";
   check_clean "length" "let ok t = Hashtbl.length t";
   check_clean "binding-level suppression"
-    "let[@lint.allow hashtbl_order] keys t =\n\
+    "let[@lint.allow hashtbl_order \"sorted later\"] keys t =\n\
     \  Hashtbl.fold (fun k _ acc -> k :: acc) t []";
   check_clean "expression-level suppression"
-    "let ok t = (Hashtbl.iter [@lint.allow hashtbl_order]) (fun _ _ -> ()) t"
+    "let ok t =\n\
+    \  (Hashtbl.iter [@lint.allow hashtbl_order \"no-op body\"]) (fun _ _ -> ()) t"
 
 (* --- L3 global_state --- *)
 
@@ -121,7 +122,7 @@ let test_global_state () =
     "let f () = let acc = ref 0 in incr acc; !acc";
   check_clean "empty array literal is immutable-ish" "let none = [||]";
   check_clean "suppressed"
-    "let[@lint.allow global_state] lut = (* never written *) [| 1; 2 |]"
+    "let[@lint.allow global_state \"never written\"] lut = [| 1; 2 |]"
 
 (* --- L4 catch_all --- *)
 
@@ -141,7 +142,8 @@ let test_catch_all () =
     \    let bt = Printexc.get_raw_backtrace () in\n\
     \    Printexc.raise_with_backtrace e bt";
   check_clean "suppressed"
-    "let[@lint.allow catch_all] ok g = try g () with _ -> 0"
+    "let[@lint.allow catch_all \"any failure means 0\"] ok g =\n\
+    \  try g () with _ -> 0"
 
 (* --- L5 nondet_source --- *)
 
@@ -154,19 +156,25 @@ let test_nondet_source () =
   check_clean "seeded state"
     "let ok seed = Random.State.make [| seed |]";
   check_clean "suppressed"
-    "let[@lint.allow nondet_source] t () = Unix.gettimeofday ()"
+    "let[@lint.allow nondet_source \"the clock\"] t () = Unix.gettimeofday ()"
 
 (* --- attribute hygiene --- *)
 
 let test_bad_attr () =
   check_triggers Lint_core.Bad_attr "unknown rule name"
-    "let[@lint.allow nonsense] f x = x";
+    "let[@lint.allow nonsense \"why\"] f x = x";
   (* bad_attr itself is never suppressible *)
   check_triggers Lint_core.Bad_attr "bad_attr not suppressible"
-    "let[@lint.allow bad_attr] f x = x";
-  (* a multi-rule payload applies every named rule *)
+    "let[@lint.allow bad_attr \"why\"] f x = x";
+  (* the reason string is mandatory, and a reasonless allow suppresses
+     nothing *)
+  check_triggers Lint_core.Bad_attr "missing reason"
+    "let[@lint.allow float_eq] f x = x = 1.0";
+  check_triggers Lint_core.Float_eq "missing reason does not suppress"
+    "let[@lint.allow float_eq] f x = x = 1.0";
+  (* several rules take several attributes, each applied *)
   check_clean "multi-rule payload"
-    "let[@lint.allow float_eq hashtbl_order] f t x =\n\
+    "let[@lint.allow float_eq \"sentinel\"] [@lint.allow hashtbl_order \"discarded\"] f t x =\n\
     \  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> ignore;\n\
     \  x = 1.0"
 
@@ -194,7 +202,7 @@ let test_crossfile_tyenv () =
 (* Scoping: an allow on one binding must not leak to its siblings. *)
 let test_allow_scoping () =
   let src =
-    "let[@lint.allow float_eq] ok x = x = 1.0\n\
+    "let[@lint.allow float_eq \"sentinel\"] ok x = x = 1.0\n\
      let bad y = y = 2.0"
   in
   let vs = lint src in

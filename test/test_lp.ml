@@ -17,6 +17,15 @@ let check_float ?(eps = 1e-6) msg expected actual =
   if abs_float (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.9g, got %.9g" msg expected actual
 
+(* [f ()] under tracing from zeroed counters: its result and a reader
+   for the trace counters it ticked. *)
+let traced f =
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  let r = Fun.protect ~finally:Runtime.Trace.disable f in
+  let counters = Runtime.Trace.counters () in
+  (r, fun name -> Option.value ~default:0 (List.assoc_opt name counters))
+
 (* --- Problem builder --- *)
 
 let test_problem_builder () =
@@ -404,12 +413,13 @@ let test_bb_engine_counters () =
     in
     Lp.Branch_bound.solve ~options p
   in
-  let r1 = solve 1 and r4 = solve 4 in
+  let r1, count1 = traced (fun () -> solve 1) in
+  let r4 = solve 4 in
   Alcotest.(check bool) "optimal" true (r1.Lp.Branch_bound.status = Lp.Branch_bound.Optimal);
   Alcotest.(check bool) "cuts separated and installed" true
     (r1.Lp.Branch_bound.cuts_added > 0);
   Alcotest.(check bool) "nodes explored" true (r1.Lp.Branch_bound.nodes > 0);
-  Alcotest.(check bool) "warm resolves" true (r1.Lp.Branch_bound.warm_resolves > 0);
+  Alcotest.(check bool) "warm resolves" true (count1 "simplex.warm_resolves" > 0);
   Alcotest.(check int) "cuts uncertified" 0 r1.Lp.Branch_bound.cuts_uncertified;
   Alcotest.(check int) "jobs 1/4 nodes" r1.Lp.Branch_bound.nodes
     r4.Lp.Branch_bound.nodes;
@@ -424,63 +434,64 @@ let test_bb_engine_counters () =
    node-evaluation contract of the best-first search. *)
 let test_dual_warm_matches_cold () =
   let rng = Random.State.make [| 42 |] in
-  let warm_used = ref 0 and dual_iters = ref 0 in
-  for _ = 1 to 60 do
-    let n = 3 + Random.State.int rng 10 in
-    let m = 2 + Random.State.int rng 8 in
-    let p = Lp.Problem.create () in
-    let vars =
-      Array.init n (fun _ ->
-          Lp.Problem.add_var ~lb:0.0
-            ~ub:(1.0 +. Random.State.float rng 9.0)
-            ~obj:(Random.State.float rng 20.0 -. 10.0)
-            p)
-    in
-    for _ = 1 to m do
-      let coeffs =
-        Array.to_list vars
-        |> List.filter_map (fun v ->
-               if Random.State.float rng 1.0 < 0.6 then
-                 Some (v, Random.State.float rng 4.0 +. 0.2)
-               else None)
+  let (), count =
+    traced @@ fun () ->
+    for _ = 1 to 60 do
+      let n = 3 + Random.State.int rng 10 in
+      let m = 2 + Random.State.int rng 8 in
+      let p = Lp.Problem.create () in
+      let vars =
+        Array.init n (fun _ ->
+            Lp.Problem.add_var ~lb:0.0
+              ~ub:(1.0 +. Random.State.float rng 9.0)
+              ~obj:(Random.State.float rng 20.0 -. 10.0)
+              p)
       in
-      if coeffs <> [] then
-        ignore
-          (Lp.Problem.add_row p coeffs Lp.Problem.Le
-             (Random.State.float rng 20.0 +. 1.0))
-    done;
-    let stats = Lp.Simplex.create_stats () in
-    let sess = Lp.Simplex.new_session ~stats p in
-    let r0 = Lp.Simplex.session_solve sess in
-    if r0.Lp.Simplex.status = Lp.Simplex.Optimal then
-      match Lp.Simplex.save_basis sess with
-      | None -> Alcotest.fail "optimal solve must yield a basis"
-      | Some snap ->
-          for _ = 1 to 5 do
-            let bounds =
-              Array.to_list vars
-              |> List.filter_map (fun v ->
-                     if Random.State.float rng 1.0 < 0.3 then
-                       let vr = Lp.Problem.var p v in
-                       if Random.State.bool rng then Some (v, 0.0, 0.0)
-                       else Some (v, vr.Lp.Problem.lb, vr.Lp.Problem.ub /. 2.0)
-                     else None)
-            in
-            let rw = Lp.Simplex.warm_solve ~bounds sess snap in
-            let rc = Lp.Simplex.session_solve ~bounds sess in
-            (match (rw.Lp.Simplex.status, rc.Lp.Simplex.status) with
-            | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
-                check_float ~eps:1e-6 "warm objective = cold objective"
-                  rc.Lp.Simplex.obj rw.Lp.Simplex.obj
-            | a, b ->
-                Alcotest.(check bool)
-                  "warm status = cold status" true (a = b));
-            warm_used := !warm_used + stats.Lp.Simplex.warm_resolves;
-            dual_iters := !dual_iters + stats.Lp.Simplex.dual_iterations
-          done
-  done;
-  Alcotest.(check bool) "warm resolves happened" true (!warm_used > 0);
-  Alcotest.(check bool) "dual iterations happened" true (!dual_iters > 0)
+      for _ = 1 to m do
+        let coeffs =
+          Array.to_list vars
+          |> List.filter_map (fun v ->
+                 if Random.State.float rng 1.0 < 0.6 then
+                   Some (v, Random.State.float rng 4.0 +. 0.2)
+                 else None)
+        in
+        if coeffs <> [] then
+          ignore
+            (Lp.Problem.add_row p coeffs Lp.Problem.Le
+               (Random.State.float rng 20.0 +. 1.0))
+      done;
+      let sess = Lp.Simplex.new_session p in
+      let r0 = Lp.Simplex.session_solve sess in
+      if r0.Lp.Simplex.status = Lp.Simplex.Optimal then
+        match Lp.Simplex.save_basis sess with
+        | None -> Alcotest.fail "optimal solve must yield a basis"
+        | Some snap ->
+            for _ = 1 to 5 do
+              let bounds =
+                Array.to_list vars
+                |> List.filter_map (fun v ->
+                       if Random.State.float rng 1.0 < 0.3 then
+                         let vr = Lp.Problem.var p v in
+                         if Random.State.bool rng then Some (v, 0.0, 0.0)
+                         else Some (v, vr.Lp.Problem.lb, vr.Lp.Problem.ub /. 2.0)
+                       else None)
+              in
+              let rw = Lp.Simplex.warm_solve ~bounds sess snap in
+              let rc = Lp.Simplex.session_solve ~bounds sess in
+              (match (rw.Lp.Simplex.status, rc.Lp.Simplex.status) with
+              | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
+                  check_float ~eps:1e-6 "warm objective = cold objective"
+                    rc.Lp.Simplex.obj rw.Lp.Simplex.obj
+              | a, b ->
+                  Alcotest.(check bool)
+                    "warm status = cold status" true (a = b))
+            done
+    done
+  in
+  Alcotest.(check bool) "warm resolves happened" true
+    (count "simplex.warm_resolves" > 0);
+  Alcotest.(check bool) "dual iterations happened" true
+    (count "simplex.dual_iterations" > 0)
 
 (* --- LP file format --- *)
 
@@ -815,14 +826,15 @@ let test_sparse_degenerate_assignment () =
          (List.init n (fun i -> (v.(i).(j), 1.0)))
          Lp.Problem.Eq 1.0)
   done;
-  let stats = Lp.Simplex.create_stats () in
-  let rs = Lp.Simplex.solve ~basis:Lp.Simplex.Sparse ~stats p in
+  let rs, count =
+    traced (fun () -> Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p)
+  in
   let rd = solve_lp p in
   check_status "assignment optimal (sparse)" Lp.Simplex.Optimal rs;
   check_status "assignment optimal (dense)" Lp.Simplex.Optimal rd;
   check_float ~eps:1e-6 "assignment objectives agree" rd.Lp.Simplex.obj
     rs.Lp.Simplex.obj;
-  Alcotest.(check bool) "pivots counted" true (stats.Lp.Simplex.pivots > 0)
+  Alcotest.(check bool) "pivots counted" true (count "simplex.pivots" > 0)
 
 let prop_sparse_matches_dense_random_lp =
   QCheck.Test.make ~name:"sparse kernel = dense kernel on random LPs"

@@ -166,8 +166,8 @@ let statement_line ?(delta = 1.0) stmt =
 (* [inum_probes] counts every optimizer probe spent on the session's
    INUM caches, including the deferred probes recommend's refine rounds
    force: on a stream without what-if reads (which build outside the
-   session) it equals the [inum.init_calls] trace counter, which ticks at
-   the same probe site. *)
+   session) it equals the [whatif.template_probes] trace counter, which
+   ticks once per template-plan probe. *)
 let test_engine_inum_probes_match_trace () =
   let e = engine ~probe_budget:2 () in
   let lines =
@@ -192,8 +192,33 @@ let test_engine_inum_probes_match_trace () =
   in
   Alcotest.(check bool) "refine forced probes" true
     (counter "inum.probes_forced" > 0);
-  Alcotest.(check int) "inum_probes = inum.init_calls"
-    (counter "inum.init_calls") probes
+  Alcotest.(check int) "inum_probes = whatif.template_probes"
+    (counter "whatif.template_probes") probes
+
+(* The p50/p99 reply fields come from a fixed-bucket histogram: whatever
+   the timings, both are bucket edges and p50 <= p99, in the recommend
+   replies and in stats. *)
+let test_engine_latency_histogram () =
+  let e = engine () in
+  observe_all e (statements ~n:3 ~seed:7);
+  let is_edge x =
+    List.exists
+      (fun i -> Float.equal (Serve.Engine.latency_edge_ms i) x)
+      (List.init Serve.Engine.latency_buckets Fun.id)
+  in
+  let check_quantiles label r =
+    let get k = Option.get (Serve.Json.to_float (member_exn k r)) in
+    let p50 = get "p50_ms" and p99 = get "p99_ms" in
+    Alcotest.(check bool) (label ^ ": p50 is a bucket edge") true (is_edge p50);
+    Alcotest.(check bool) (label ^ ": p99 is a bucket edge") true (is_edge p99);
+    Alcotest.(check bool) (label ^ ": p50 <= p99") true (p50 <= p99)
+  in
+  for i = 1 to 5 do
+    check_quantiles
+      (Printf.sprintf "recommend %d" i)
+      (Serve.Engine.recommend e)
+  done;
+  check_quantiles "stats" (Serve.Engine.stats_response e)
 
 let test_handle_line_errors () =
   let e = engine () in
@@ -432,6 +457,8 @@ let () =
             test_engine_recommend_whatif_stats;
           Alcotest.test_case "inum_probes = trace init_calls" `Quick
             test_engine_inum_probes_match_trace;
+          Alcotest.test_case "latency histogram" `Quick
+            test_engine_latency_histogram;
           Alcotest.test_case "protocol errors" `Quick test_handle_line_errors;
           Alcotest.test_case "deterministic under trace" `Quick
             test_engine_deterministic_under_trace;

@@ -23,13 +23,16 @@
                        library code — use [Runtime.Clock] / seeded
                        [Random.State].
 
-   Violations are suppressible only with an explicit attribute,
+   Violations are suppressible only with an explicit attribute naming
+   one rule and a mandatory reason,
 
-     let[@lint.allow hashtbl_order] f tbl = Hashtbl.fold ... (* why *)
+     let[@lint.allow hashtbl_order "keys are sorted below"] f tbl = ...
 
-   so every exception to a rule is auditable in-tree.  The attribute
-   accepts one or more rule names (idents or string literals) and scopes
-   over the annotated binding / expression / module.
+   so every exception to a rule is auditable in-tree.  The payload is
+   parsed by {!Ak_attr.parse}, the grammar [@dsa.allow] and
+   [@race.allow] share; a missing reason or an unknown rule is a
+   [bad_attr] violation.  Several rules take several attributes.  The
+   attribute scopes over the annotated binding / expression / module.
 
    The float-typedness test is syntactic (no typing pass): an operand
    counts as float-typed when it is a float literal, a float special
@@ -78,41 +81,6 @@ let pp_violation oc v =
     (rule_name v.v_rule) v.v_message
 
 open Parsetree
-
-(* ------------------------------------------------------------------ *)
-(* [@lint.allow ...] payloads                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Rule names in an allow payload: bare idents ([@lint.allow float_eq]),
-   strings, or several separated by application / tuple syntax. *)
-let rec idents_of_expr (e : expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident s; _ } -> [ s ]
-  | Pexp_constant (Pconst_string (s, _, _)) -> [ s ]
-  | Pexp_apply (f, args) ->
-      idents_of_expr f @ List.concat_map (fun (_, a) -> idents_of_expr a) args
-  | Pexp_tuple es -> List.concat_map idents_of_expr es
-  | _ -> []
-
-(* Returns the allowed rules plus the names that match no rule. *)
-let allows_of_attributes (attrs : attributes) =
-  List.fold_left
-    (fun (rules, bad) (a : attribute) ->
-      if a.attr_name.txt <> "lint.allow" then (rules, bad)
-      else
-        let names =
-          match a.attr_payload with
-          | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> idents_of_expr e
-          | _ -> []
-        in
-        let names = if names = [] then [ "<empty>" ] else names in
-        List.fold_left
-          (fun (rules, bad) name ->
-            match rule_of_string name with
-            | Some r -> (r :: rules, bad)
-            | None -> (rules, (name, a.attr_loc) :: bad))
-          (rules, bad) names)
-    ([], []) attrs
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic classifiers                                               *)
@@ -384,14 +352,20 @@ let lint_structure ?tyenv ~file (str : structure) =
         :: !viols
   in
   let push_allows attrs =
-    let rules, bad = allows_of_attributes attrs in
-    List.iter
-      (fun (name, loc) ->
-        report Bad_attr loc
-          (Printf.sprintf
-             "unknown rule %S in [@lint.allow] (known: %s)" name
-             (String.concat ", " (List.map rule_name all_rules))))
-      bad;
+    let rules =
+      List.concat_map
+        (fun (a : attribute) ->
+          let parsed =
+            Ak_attr.parse ~name:"lint.allow"
+              ~valid:(fun id -> rule_of_string id <> None)
+              [ a ]
+          in
+          List.iter (report Bad_attr a.attr_loc) parsed.Ak_attr.malformed;
+          List.filter_map
+            (fun (id, _why) -> rule_of_string id)
+            parsed.Ak_attr.allows)
+        attrs
+    in
     let saved = !allowed in
     allowed := rules @ saved;
     fun () -> allowed := saved
@@ -420,7 +394,7 @@ let lint_structure ?tyenv ~file (str : structure) =
           (Printf.sprintf
              "Hashtbl.%s visits bindings in hash order; extract with \
               Runtime.Tbl.sorted_keys/sorted_bindings (or justify with \
-              [@lint.allow hashtbl_order])"
+              [@lint.allow hashtbl_order \"why\"])"
              fn)
     (* L4: catch-alls that can swallow Lu.Singular / drop backtraces *)
     | Pexp_try (_, cases) ->
@@ -490,7 +464,7 @@ let lint_structure ?tyenv ~file (str : structure) =
                   report Global_state vb.pvb_loc
                     "toplevel mutable state in a library module (reachable \
                      from Runtime.parallel_map workers); use Atomic, or \
-                     justify with [@lint.allow global_state]";
+                     justify with [@lint.allow global_state \"why\"]";
                 pop ())
               vbs
         | Pstr_module
