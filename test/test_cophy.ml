@@ -574,6 +574,75 @@ let test_decomposition_warm_start () =
   Alcotest.(check bool) "warm restart no worse" true
     (r2.Cophy.Decomposition.obj <= r1.Cophy.Decomposition.obj +. 1e-6)
 
+(* Bit-identity pins on W_het: het n=8 seed 7 over every generated
+   candidate, at 0.5x budget.  Four solves — cold; warm from the cold
+   solve's multipliers and selection; the clustered rule plus a
+   forbidden index (z rows, so the LP z subproblem); an accept gate of
+   at most three indexes — each pinned to its exact objective and bound
+   (hex floats), iteration count and selection, at jobs 1 and 4.  A
+   kernel rewrite that reorders one float operation moves a pin. *)
+let het8_pins =
+  [
+    "cold: obj 0x1.92bd68a7890acp+16 bound 0x1.875e44ec5381cp+16 \
+     iterations 161 z [2;20;25;38;39;40;48;49;52;57;73;75;79;81;82;85;86;87;88]";
+    "warm: obj 0x1.92bd68a7890aap+16 bound 0x1.87389e7c76f3p+16 \
+     iterations 1 z [2;20;25;38;39;40;48;49;52;57;73;75;79;81;82;85;86;87;88]";
+    "z rows: obj 0x1.90a5c4eeaf818p+16 bound 0x1.8aeb0732340ep+16 \
+     iterations 135 z [4;20;25;40;48;49;52;58;73;75;79;81;82;86;87;88]";
+    "accept: obj 0x1.745a5415cb5a2p+18 bound 0x1.885ed3926e2acp+16 \
+     iterations 400 z [20;49;88]";
+  ]
+
+let test_decomposition_het_pins () =
+  let e = env () in
+  let w = Workload.Gen.het schema ~n:8 ~seed:7 in
+  let cache = Inum.build_workload e w in
+  let cands = Array.of_list (Cophy.Cgen.generate w) in
+  let sp = Cophy.Sproblem.build e cache cands in
+  let budget = 0.5 *. db_size in
+  let selected z =
+    List.filter (fun a -> z.(a)) (List.init (Array.length z) Fun.id)
+  in
+  let show label (r : Cophy.Decomposition.result) =
+    Printf.sprintf "%s: obj %h bound %h iterations %d z [%s]" label
+      r.Cophy.Decomposition.obj r.Cophy.Decomposition.bound
+      r.Cophy.Decomposition.iterations
+      (String.concat ";"
+         (List.map string_of_int (selected r.Cophy.Decomposition.z)))
+  in
+  List.iter
+    (fun jobs ->
+      let options = { Cophy.Decomposition.default_options with jobs } in
+      let solve ?(options = options) ?accept z_rows =
+        Cophy.Decomposition.solve ~options ?accept sp ~budget ~z_rows
+      in
+      let cold = solve [] in
+      let warm =
+        solve
+          ~options:
+            { options with
+              Cophy.Decomposition.warm =
+                Some cold.Cophy.Decomposition.multipliers;
+              warm_z =
+                Some (Cophy.Sproblem.config_of sp cold.Cophy.Decomposition.z) }
+          []
+      in
+      let banned = cands.(List.hd (selected cold.Cophy.Decomposition.z)) in
+      let rows =
+        (Constr.split schema cands
+           [ Constr.At_most_one_clustered; Constr.Forbidden [ banned ] ])
+          .Constr.z_rows
+      in
+      let gated =
+        solve ~accept:(fun z -> List.length (selected z) <= 3) []
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "pins (jobs %d)" jobs)
+        het8_pins
+        [ show "cold" cold; show "warm" warm; show "z rows" (solve rows);
+          show "accept" gated ])
+    [ 1; 4 ]
+
 let test_update_heavy_advisor () =
   let w =
     Workload.Gen.hom schema ~n:8 ~seed:13
@@ -1306,6 +1375,8 @@ let () =
           Alcotest.test_case "warm start" `Quick test_decomposition_warm_start;
           Alcotest.test_case "never branches (bb.* counters stay 0)" `Quick
             test_decomposition_never_branches;
+          Alcotest.test_case "W_het pins (cold, warm, z rows, accept)" `Quick
+            test_decomposition_het_pins;
         ] );
       ( "ablations",
         [
