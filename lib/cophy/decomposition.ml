@@ -264,8 +264,11 @@ let delta_toggle (sp : Sproblem.t) (z : bool array) (bcost : float array) a =
 (* Drop selected candidates (smallest cost increase per byte freed first)
    until feasible.  One delta evaluation per selected candidate against
    the starting state, then a greedy sweep — an approximation that keeps
-   repair linear, refined later by the local search. *)
-let repair ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows (z : bool array) =
+   repair linear, refined later by the local search.  A [mandatory]
+   candidate is never dropped: no selection without it satisfies its Ge
+   row. *)
+let repair ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows ~mandatory
+    (z : bool array) =
   let z = Array.copy z in
   if z_feasible sp ~budget ~z_rows z then z
   else begin
@@ -277,7 +280,7 @@ let repair ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows (z : bool array) =
     let scored = ref [] in
     Array.iteri
       (fun a selected ->
-        if selected then begin
+        if selected && not mandatory.(a) then begin
           let d, _ = delta_toggle sp z bcost a in
           (* dropping increases cost by [d]; prefer small increase per
              byte freed *)
@@ -419,6 +422,10 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
           forced_zero.(a) <- true
       | _ -> ())
     z_rows;
+  (* the z rows' own fixings, before any reduced-cost hardening: repair
+     keeps these, and only these *)
+  let mandatory = Array.copy forced_one in
+  let feasible z = z_feasible sp ~budget ~z_rows z in
   (* per-block multiplier arrays aligned with cands_used *)
   let lam =
     Array.map
@@ -453,11 +460,13 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
       savings;
   (* incumbent — black-box (UDF) constraints gate acceptance: the empty
      selection is the fallback when the heuristics produce only rejected
-     candidates (appendix E.5) *)
+     candidates (appendix E.5), provided it satisfies the z rows (a
+     mandatory index excludes it) *)
   let empty = Array.make ncand false in
+  let empty_obj = Sproblem.eval ~jobs sp empty in
   let best_z = ref empty in
   let best_obj =
-    ref (if accept empty then Sproblem.eval ~jobs sp empty else infinity)
+    ref (if accept empty && feasible empty then empty_obj else infinity)
   in
   (* Take [z] when its objective beats the incumbent's by more than
      [margin]. *)
@@ -505,11 +514,10 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
      trimming ([`Repaired]), or not at all ([`Rejected]). *)
   let consider z =
     let zr =
-      if z_feasible sp ~budget ~z_rows z then z
-      else repair ~jobs sp ~budget ~z_rows z
+      if feasible z then z else repair ~jobs sp ~budget ~z_rows ~mandatory z
     in
     let zr = if accept zr then zr else trim_to_acceptance zr in
-    if z_feasible sp ~budget ~z_rows zr && accept zr then begin
+    if feasible zr && accept zr then begin
       improve zr (Sproblem.eval ~jobs sp zr);
       (* repair and trimming return copies *)
       if zr == z then `Intact else `Repaired
@@ -740,7 +748,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
            end)
          used_order;
        Array.iteri (fun a f -> if f then zr.(a) <- false) forced_zero;
-       let zr = repair ~jobs sp ~budget ~z_rows zr in
+       let zr = repair ~jobs sp ~budget ~z_rows ~mandatory zr in
        let obj = Sproblem.eval ~jobs sp zr in
        let candidate_z, candidate_obj =
          if
@@ -749,11 +757,18 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
          then local_search ~jobs sp ~budget ~z_rows zr obj
          else (zr, obj)
        in
-       if accept candidate_z then improve ~margin:1e-9 candidate_z candidate_obj
+       (* repair stops short of feasibility when a Ge row needs an index
+          the rounding left out, and trimming can break a Ge row: both
+          candidates pass the z rows before they compete *)
+       if accept candidate_z then begin
+         if feasible candidate_z then
+           improve ~margin:1e-9 candidate_z candidate_obj
+       end
        else begin
          (* trim toward the black box and take the result if it wins *)
          let zt = trim_to_acceptance candidate_z in
-         if accept zt then improve ~margin:1e-9 zt (Sproblem.eval ~jobs sp zt)
+         if accept zt && feasible zt then
+           improve ~margin:1e-9 zt (Sproblem.eval ~jobs sp zt)
        end
        end;
        (* subgradient step *)
@@ -770,10 +785,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
              b.Sproblem.cands_used)
          sp.Sproblem.blocks;
        if !gnorm2 > 1e-12 then begin
-         let ub_ref =
-           if !best_obj < infinity then !best_obj
-           else Sproblem.eval ~jobs sp (Array.make ncand false)
-         in
+         let ub_ref = if !best_obj < infinity then !best_obj else empty_obj in
          let step = !theta *. (ub_ref -. lower) /. !gnorm2 in
          let step = max 0.0 step in
          Array.iteri

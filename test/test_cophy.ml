@@ -657,6 +657,46 @@ let test_update_heavy_advisor () =
   Alcotest.(check bool) "never worse than empty" true
     (r.Cophy.Advisor.estimated_cost <= r.Cophy.Advisor.estimated_base +. 1e-6)
 
+(* A mandatory index whose singleton saving is negative (maintenance
+   only, on the update-heavy workload): the empty selection violates the
+   Ge row, so it must never stand as the incumbent, and repair must not
+   drop the index.  The decomposed path agrees with the exact one and
+   certifies; below the index's size the z polytope is empty and the
+   decomposition says so with an infinite bound. *)
+let test_decomposition_mandatory_row () =
+  let w =
+    Workload.Gen.hom schema ~n:8 ~seed:13
+    |> Workload.Gen.with_updates schema ~fraction:0.6 ~seed:13
+  in
+  let e = env () in
+  let cache = Inum.build_workload e w in
+  let cands = Array.of_list (Cophy.Cgen.generate w) in
+  let sp = Cophy.Sproblem.build e cache cands in
+  let ix = Storage.Index.create ~table:"lineitem" [ "l_discount" ] in
+  let size = Storage.Index.size_bytes schema ix in
+  let z_rows =
+    (Constr.split schema cands [ Constr.Mandatory [ ix ] ]).Constr.z_rows
+  in
+  let run ~certify method_ =
+    Cophy.Solver.solve
+      ~options:
+        { Cophy.Solver.default_options with Cophy.Solver.method_; certify }
+      sp ~budget:(1.001 *. size) ~z_rows
+  in
+  let exact = run ~certify:false Cophy.Solver.Exact in
+  let decomposed = run ~certify:true Cophy.Solver.Decomposed in
+  Alcotest.(check bool) "mandatory index selected" true
+    (Storage.Config.mem ix decomposed.Cophy.Solver.config);
+  Alcotest.(check (float 1e-6)) "objective = exact path"
+    exact.Cophy.Solver.objective decomposed.Cophy.Solver.objective;
+  let r =
+    Cophy.Decomposition.solve sp ~budget:(0.5 *. size) ~z_rows
+  in
+  Alcotest.(check (float 0.0)) "no incumbent below the index's size"
+    infinity r.Cophy.Decomposition.obj;
+  Alcotest.(check (float 0.0)) "infeasible z polytope: infinite bound"
+    infinity r.Cophy.Decomposition.bound
+
 let test_naive_links_ablation () =
   (* the aggregated-link LP bound dominates the naive per-variable one *)
   let _, _, _, sp = build_problem ~n:3 ~cand_cap:6 () in
@@ -1377,6 +1417,8 @@ let () =
             test_decomposition_never_branches;
           Alcotest.test_case "W_het pins (cold, warm, z rows, accept)" `Quick
             test_decomposition_het_pins;
+          Alcotest.test_case "mandatory row (Ge) never violated" `Quick
+            test_decomposition_mandatory_row;
         ] );
       ( "ablations",
         [
