@@ -82,10 +82,9 @@ let tr_cg_hardened = Runtime.Trace.counter "cg.hardened"
 let tr_warm_repaired = Runtime.Trace.counter "solver.warm_repaired"
 let tr_warm_rejected = Runtime.Trace.counter "solver.warm_rejected"
 
-(* Position of candidate [cand] in a block's sorted [cands_used] array.
-   A read-only binary search (rather than a shared scratch position map)
-   keeps the block subproblems free of shared mutable state, so they can
-   run on separate domains. *)
+(* Position of candidate [cand] in a block's sorted [cands_used] array:
+   a read-only binary search, for the once-per-solve multiplier
+   initialization. *)
 let pos_in block cand =
   let cands_used = block.Sproblem.cands_used in
   let lo = ref 0 and hi = ref (Array.length cands_used - 1) in
@@ -101,45 +100,82 @@ let pos_in block cand =
   !res
 
 (* Cheapest (template, choices) with usage priced by lam; returns the
-   value and the set of candidates used. *)
-let block_subproblem (b : Sproblem.block) (lam : float array) ~excluded =
-  let best = ref infinity in
-  let best_used = ref [] in
-  Array.iter
-    (fun (tpl : Sproblem.template) ->
-      let total = ref (b.Sproblem.weight *. tpl.Sproblem.beta) in
-      let used = ref [] in
-      Array.iter
-        (fun slot ->
-          let m = ref infinity and pick = ref (-1) in
-          Array.iter
-            (fun { Sproblem.cand; gamma } ->
-              if cand < 0 then begin
-                let c = b.Sproblem.weight *. gamma in
-                if c < !m then begin
-                  m := c;
-                  pick := -1
-                end
-              end
-              else if not excluded.(cand) then begin
-                let c =
-                  (b.Sproblem.weight *. gamma) +. lam.(pos_in b cand)
-                in
-                if c < !m then begin
-                  m := c;
-                  pick := cand
-                end
-              end)
-            slot;
-          total := !total +. !m;
-          if !pick >= 0 then used := !pick :: !used)
-        tpl.Sproblem.choices;
-      if !total < !best then begin
-        best := !total;
-        best_used := !used
-      end)
-    b.Sproblem.templates;
-  (!best, !best_used)
+   value and the candidates the first cheapest assignment uses.
+
+   The kernels from here on are [for] loops over local refs, with no
+   calls in their loop nests: a float ref captured by an iterator's
+   closure, or a float returned from a call, is boxed.  Each does the
+   float operations of the closure form it replaced, in the same order,
+   so every value is bit-identical.
+
+   [price] is the caller's private scratch over all candidates; the
+   block's multipliers are scattered into it first, so the innermost
+   loop reads a candidate's multiplier in O(1).  Only the block's own
+   candidates are read back, so the scratch needs no clearing between
+   blocks. *)
+let block_subproblem (b : Sproblem.block) (lam : float array) ~price
+    ~excluded =
+  let cands_used = b.Sproblem.cands_used in
+  for i = 0 to Array.length cands_used - 1 do
+    price.(cands_used.(i)) <- lam.(i)
+  done;
+  let weight = b.Sproblem.weight in
+  let templates = b.Sproblem.templates in
+  let best = ref infinity and best_k = ref (-1) in
+  for k = 0 to Array.length templates - 1 do
+    let tpl = templates.(k) in
+    let total = ref (weight *. tpl.Sproblem.beta) in
+    let choices = tpl.Sproblem.choices in
+    for s = 0 to Array.length choices - 1 do
+      let slot = choices.(s) in
+      let m = ref infinity in
+      for i = 0 to Array.length slot - 1 do
+        let { Sproblem.cand; gamma } = slot.(i) in
+        if cand < 0 then begin
+          let c = weight *. gamma in
+          if c < !m then m := c
+        end
+        else if not excluded.(cand) then begin
+          let c = (weight *. gamma) +. price.(cand) in
+          if c < !m then m := c
+        end
+      done;
+      total := !total +. !m
+    done;
+    if !total < !best then begin
+      best := !total;
+      best_k := k
+    end
+  done;
+  (* The winning template's picks: the same scan again, remembering the
+     choice that last lowered each slot minimum. *)
+  let used = ref [] in
+  if !best_k >= 0 then begin
+    let choices = templates.(!best_k).Sproblem.choices in
+    for s = 0 to Array.length choices - 1 do
+      let slot = choices.(s) in
+      let m = ref infinity and pick = ref (-1) in
+      for i = 0 to Array.length slot - 1 do
+        let { Sproblem.cand; gamma } = slot.(i) in
+        if cand < 0 then begin
+          let c = weight *. gamma in
+          if c < !m then begin
+            m := c;
+            pick := -1
+          end
+        end
+        else if not excluded.(cand) then begin
+          let c = (weight *. gamma) +. price.(cand) in
+          if c < !m then begin
+            m := c;
+            pick := cand
+          end
+        end
+      done;
+      if !pick >= 0 then used := !pick :: !used
+    done
+  end;
+  (!best, !used)
 
 (* --- z subproblem --- *)
 
@@ -154,21 +190,40 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~excluded =
    came out exactly, or 0 when the budget does not bind — each a valid
    dual by complementary slackness over the sorted ratios.
 
-   [knapsack_order w sizes] is the greedy's item order: the candidates
-   with [w < 0] by ascending ratio, stably.  It depends on [w] only, so
-   one subgradient iteration sorts it once and every greedy call of the
-   iteration walks it, skipping its own forced candidates — a filtered
-   stable sort is the stable sort of the filtered list. *)
-let knapsack_order ~w ~(sizes : float array) =
-  List.init (Array.length w) Fun.id
-  |> List.filter (fun a -> w.(a) < 0.0)
-  |> List.stable_sort (fun a b ->
-         Float.compare
-           (w.(a) /. max 1.0 sizes.(a))
-           (w.(b) /. max 1.0 sizes.(b)))
+   [denom.(a)] is [max 1.0 sizes.(a)], the per-byte denominator,
+   computed once per solve.  [knapsack_order ~w ~denom ~ratio] fills
+   [ratio.(a)] with [w.(a) /. denom.(a)] and returns the greedy's item
+   order: the candidates with [w < 0] by ascending ratio, stably.  It
+   depends on [w] only, so one subgradient iteration sorts it once and
+   every greedy call of the iteration walks it, skipping its own forced
+   candidates — a filtered stable sort is the stable sort of the
+   filtered list. *)
+let knapsack_order ~w ~denom ~ratio =
+  let n = Array.length w in
+  let count = ref 0 in
+  for a = 0 to n - 1 do
+    ratio.(a) <- w.(a) /. denom.(a);
+    if w.(a) < 0.0 then incr count
+  done;
+  let order = Array.make !count 0 in
+  let k = ref 0 in
+  for a = 0 to n - 1 do
+    if w.(a) < 0.0 then begin
+      order.(!k) <- a;
+      incr k
+    end
+  done;
+  Array.stable_sort (fun a b -> Float.compare ratio.(a) ratio.(b)) order;
+  order
 
-let greedy_z_with_duals ~order ~w ~(sizes : float array) ~budget ~forced_one
-    ~forced_zero =
+(* [min 1.0 (cap /. d)], written out: [Stdlib.min] on floats is a
+   polymorphic call. *)
+let[@inline] fill_fraction cap d =
+  let r = cap /. d in
+  if 1.0 <= r then 1.0 else r
+
+let greedy_z_with_duals ~order ~w ~(sizes : float array) ~denom ~ratio
+    ~budget ~forced_one ~forced_zero =
   let n = Array.length w in
   let z = Array.make n 0.0 in
   let value = ref 0.0 in
@@ -181,20 +236,51 @@ let greedy_z_with_duals ~order ~w ~(sizes : float array) ~budget ~forced_one
     end
   done;
   let y = ref 0.0 in
-  List.iter
-    (fun a ->
-      if forced_one.(a) || forced_zero.(a) then ()
-      else if !cap > 0.0 then begin
-        let frac = min 1.0 (!cap /. max 1.0 sizes.(a)) in
-        z.(a) <- frac;
-        value := !value +. (frac *. w.(a));
-        cap := !cap -. (frac *. sizes.(a));
-        if frac < 1.0 && Runtime.Fx.is_zero !y then
-          y := w.(a) /. max 1.0 sizes.(a)
-      end
-      else if Runtime.Fx.is_zero !y then y := w.(a) /. max 1.0 sizes.(a))
-    order;
+  (* once the capacity is spent and the dual is set, nothing changes *)
+  let i = ref 0 in
+  while !i < Array.length order && (!cap > 0.0 || Runtime.Fx.is_zero !y) do
+    let a = order.(!i) in
+    if forced_one.(a) || forced_zero.(a) then ()
+    else if !cap > 0.0 then begin
+      let frac = fill_fraction !cap denom.(a) in
+      z.(a) <- frac;
+      value := !value +. (frac *. w.(a));
+      cap := !cap -. (frac *. sizes.(a));
+      if frac < 1.0 && Runtime.Fx.is_zero !y then y := ratio.(a)
+    end
+    else y := ratio.(a);
+    incr i
+  done;
   (!value, z, !y)
+
+(* A threshold probe's knapsack value: the greedy above under the probe's
+   fixings, without building [z] or the dual.  Candidate [a] is fixed to
+   one when [one_at.(a) > t] and to zero when [zero_at.(a) > t] (one
+   taking precedence, as in the greedy); the caller encodes the fixings
+   it holds for every threshold as [infinity] and the ones it never
+   makes as [neg_infinity], which is exact for the finite [t] a probe
+   uses. *)
+let probe_value ~order ~w ~(sizes : float array) ~denom ~budget
+    ~(one_at : float array) ~(zero_at : float array) (t : float) =
+  let value = ref 0.0 in
+  let cap = ref budget in
+  for a = 0 to Array.length w - 1 do
+    if one_at.(a) > t then begin
+      value := !value +. w.(a);
+      cap := !cap -. sizes.(a)
+    end
+  done;
+  let i = ref 0 in
+  while !i < Array.length order && !cap > 0.0 do
+    let a = order.(!i) in
+    if not (one_at.(a) > t || zero_at.(a) > t) then begin
+      let frac = fill_fraction !cap denom.(a) in
+      value := !value +. (frac *. w.(a));
+      cap := !cap -. (frac *. sizes.(a))
+    end;
+    incr i
+  done;
+  !value
 
 (* With extra z rows, the same subproblem plus the rows is a small LP
    handed to the simplex.  Returns the solve status alongside (value, z):
@@ -251,15 +337,39 @@ let delta_toggle (sp : Sproblem.t) (z : bool array) (bcost : float array) a =
   in
   z.(a) <- not z.(a);
   let changed = ref [] in
-  Array.iter
-    (fun bi ->
-      let b = sp.Sproblem.blocks.(bi) in
-      let c = Sproblem.block_cost_z b z in
-      delta := !delta +. (b.Sproblem.weight *. (c -. bcost.(bi)));
-      changed := (bi, c) :: !changed)
-    sp.Sproblem.cand_blocks.(a);
+  let blocks = sp.Sproblem.cand_blocks.(a) in
+  for j = 0 to Array.length blocks - 1 do
+    let bi = blocks.(j) in
+    let b = sp.Sproblem.blocks.(bi) in
+    let c = Sproblem.block_cost_z b z in
+    delta := !delta +. (b.Sproblem.weight *. (c -. bcost.(bi)));
+    changed := (bi, c) :: !changed
+  done;
   z.(a) <- not z.(a);
   (!delta, !changed)
+
+(* [delta_toggle]'s delta for dropping the selected [a], against the
+   start state [start] ([Sproblem.block_cost_picks] per block).  A block
+   whose picks do not contain [a] keeps its cost bit for bit, so it is
+   not re-priced: its term is [weight *. (c -. c)] on the cost it
+   already has, the very value the re-pricing would give (a signed zero,
+   or nan on an infinite cost). *)
+let drop_delta (sp : Sproblem.t) (z : bool array) start a =
+  let delta = ref (-.sp.Sproblem.ucost.(a)) in
+  z.(a) <- false;
+  let blocks = sp.Sproblem.cand_blocks.(a) in
+  for j = 0 to Array.length blocks - 1 do
+    let bi = blocks.(j) in
+    let b = sp.Sproblem.blocks.(bi) in
+    let c0, picks = start.(bi) in
+    let c =
+      if List.exists (Int.equal a) picks then Sproblem.block_cost_z b z
+      else c0
+    in
+    delta := !delta +. (b.Sproblem.weight *. (c -. c0))
+  done;
+  z.(a) <- true;
+  !delta
 
 (* Drop selected candidates (smallest cost increase per byte freed first)
    until feasible.  One delta evaluation per selected candidate against
@@ -272,21 +382,20 @@ let repair ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows ~mandatory
   let z = Array.copy z in
   if z_feasible sp ~budget ~z_rows z then z
   else begin
-    let bcost =
+    let start =
       Runtime.parallel_map ~jobs
-        (fun b -> Sproblem.block_cost_z b z)
+        (fun b -> Sproblem.block_cost_picks b z)
         sp.Sproblem.blocks
     in
     let scored = ref [] in
-    Array.iteri
-      (fun a selected ->
-        if selected && not mandatory.(a) then begin
-          let d, _ = delta_toggle sp z bcost a in
-          (* dropping increases cost by [d]; prefer small increase per
-             byte freed *)
-          scored := (a, -.d /. max 1.0 sp.Sproblem.sizes.(a)) :: !scored
-        end)
-      z;
+    for a = 0 to Array.length z - 1 do
+      if z.(a) && not mandatory.(a) then begin
+        let d = drop_delta sp z start a in
+        (* dropping increases cost by [d]; prefer small increase per byte
+           freed *)
+        scored := (a, -.d /. max 1.0 sp.Sproblem.sizes.(a)) :: !scored
+      end
+    done;
     let order =
       List.sort (fun (_, s1) (_, s2) -> compare s2 s1) !scored
       |> List.map fst
@@ -559,7 +668,31 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let stall_limit = 10 in
   let w = Array.make ncand 0.0 in
   let usage = Array.make nblocks [] in
-  let block_indices = Array.init nblocks Fun.id in
+  (* Per-solve scratch, written only on this domain: the per-byte
+     denominators, the knapsack ratios, the probes' fixing thresholds,
+     and the subgradient's mark of each block's used candidates. *)
+  let denom = Array.map (fun s -> max 1.0 s) sp.Sproblem.sizes in
+  let ratio = Array.make ncand 0.0 in
+  let one_at = Array.make ncand neg_infinity in
+  let zero_at = Array.make ncand neg_infinity in
+  let mark = Array.make ncand false in
+  (* The block subproblems run in contiguous chunks of blocks.  At jobs 1
+     the one chunk runs on this domain with the per-solve [price]
+     scratch; otherwise each chunk is a pool task that allocates its own,
+     so nothing shared is written inside [parallel_map].  Each block's
+     result depends on its own inputs only, so the chunking moves no
+     value. *)
+  let price = Array.make ncand 0.0 in
+  let nchunks = if jobs = 1 then 1 else min nblocks (4 * jobs) in
+  let chunks =
+    Array.init nchunks (fun c ->
+        (c * nblocks / nchunks, (c + 1) * nblocks / nchunks))
+  in
+  let solve_chunk price (lo, hi) =
+    Array.init (hi - lo) (fun k ->
+        block_subproblem sp.Sproblem.blocks.(lo + k) lam.(lo + k) ~price
+          ~excluded:forced_zero)
+  in
   (* subgradient of the linking rows, aligned with [lam] *)
   let g = Array.map Array.copy lam in
   let iter = ref 0 in
@@ -579,39 +712,45 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
        Runtime.Trace.incr tr_iterations;
        (* z-part costs *)
        Array.blit sp.Sproblem.ucost 0 w 0 ncand;
-       Array.iteri
-         (fun bi (b : Sproblem.block) ->
-           Array.iteri
-             (fun i pos -> w.(pos) <- w.(pos) -. lam.(bi).(i))
-             b.Sproblem.cands_used)
-         sp.Sproblem.blocks;
+       for bi = 0 to nblocks - 1 do
+         let cands_used = sp.Sproblem.blocks.(bi).Sproblem.cands_used in
+         let lb = lam.(bi) in
+         for i = 0 to Array.length cands_used - 1 do
+           let pos = cands_used.(i) in
+           w.(pos) <- w.(pos) -. lb.(i)
+         done
+       done;
        (* block subproblems: independent given lam, so fan them over the
           pool; the bound accumulation below stays a fixed left-to-right
           sum, keeping the subgradient trajectory identical at every job
           count *)
        let sub =
-         Runtime.parallel_map ~jobs
-           (fun bi ->
-             block_subproblem sp.Sproblem.blocks.(bi) lam.(bi)
-               ~excluded:forced_zero)
-           block_indices
+         if jobs = 1 then Array.map (solve_chunk price) chunks
+         else
+           Runtime.parallel_map ~jobs
+             (fun chunk -> solve_chunk (Array.make ncand 0.0) chunk)
+             chunks
        in
        Runtime.Trace.add tr_block_solves nblocks;
        let lower = ref sp.Sproblem.fixed in
-       Array.iteri
-         (fun bi (v, used) ->
-           usage.(bi) <- used;
-           lower := !lower +. v)
-         sub;
+       for c = 0 to nchunks - 1 do
+         let lo, _ = chunks.(c) in
+         let part = sub.(c) in
+         for k = 0 to Array.length part - 1 do
+           let v, used = part.(k) in
+           usage.(lo + k) <- used;
+           lower := !lower +. v
+         done
+       done;
        let base = !lower in
        let order =
-         if z_rows = [] then knapsack_order ~w ~sizes:sp.Sproblem.sizes else []
+         if z_rows = [] then knapsack_order ~w ~denom ~ratio else [||]
        in
        let zval, zfrac, zdual, zstatus =
          if z_rows = [] then
            let v, z, y =
-             greedy_z_with_duals ~order ~w ~sizes:sp.Sproblem.sizes ~budget
-               ~forced_one ~forced_zero
+             greedy_z_with_duals ~order ~w ~sizes:sp.Sproblem.sizes ~denom
+               ~ratio ~budget ~forced_one ~forced_zero
            in
            (* analytic knapsack optimum: proven by construction *)
            (v, z, Some y, Lp.Simplex.Optimal)
@@ -663,53 +802,60 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
        | Some y when zproven && !best_obj < infinity ->
            let u = !best_obj in
            let margin = 1e-6 *. (1.0 +. abs_float u) in
-           let rc a = w.(a) -. (y *. max 1.0 sp.Sproblem.sizes.(a)) in
+           (* [lower + rc a] and [lower - rc a], the costs of moving [a] to
+              its opposite bound, once per iteration; the same loop
+              records each candidate's probe thresholds (below) from its
+              state after hardening *)
            for a = 0 to ncand - 1 do
-             if (not forced_one.(a)) && not forced_zero.(a) then
-               if Runtime.Fx.is_zero zfrac.(a) && lower +. rc a > u +. margin
-               then begin
-                 forced_zero.(a) <- true;
-                 incr cg_hardened;
-                 Runtime.Trace.incr tr_cg_hardened
-               end
-               else if
-                 Runtime.Fx.exactly 1.0 zfrac.(a)
-                 && lower -. rc a > u +. margin
-               then begin
-                 forced_one.(a) <- true;
-                 incr cg_hardened;
-                 Runtime.Trace.incr tr_cg_hardened
-               end
+             let free = (not forced_one.(a)) && not forced_zero.(a) in
+             let at_zero = free && Runtime.Fx.is_zero zfrac.(a) in
+             let at_one =
+               free && (not at_zero) && Runtime.Fx.exactly 1.0 zfrac.(a)
+             in
+             let rc = w.(a) -. (y *. denom.(a)) in
+             let up = lower +. rc and down = lower -. rc in
+             if at_zero && up > u +. margin then begin
+               forced_zero.(a) <- true;
+               incr cg_hardened;
+               Runtime.Trace.incr tr_cg_hardened
+             end
+             else if at_one && down > u +. margin then begin
+               forced_one.(a) <- true;
+               incr cg_hardened;
+               Runtime.Trace.incr tr_cg_hardened
+             end;
+             if forced_one.(a) then begin
+               one_at.(a) <- infinity;
+               zero_at.(a) <- neg_infinity
+             end
+             else if forced_zero.(a) then begin
+               one_at.(a) <- neg_infinity;
+               zero_at.(a) <- infinity
+             end
+             else begin
+               one_at.(a) <- (if at_one then down else neg_infinity);
+               zero_at.(a) <- (if at_zero then up else neg_infinity)
+             end
            done;
            (* Threshold binary search: to prove "optimum > t", fix every
               variable whose reduced cost already forbids a solution of
               value <= t from disagreeing with the greedy, re-price the
               knapsack under those fixings, and check that even then the
               bound clears t.  Solutions violating a fixing cost more
-              than t by construction, so the probe covers all of them. *)
+              than t by construction, so the probe covers all of them.
+              A probe runs only while [lo] and [hi] are finite and apart,
+              so [t] is finite, as [probe_value]'s encoding needs. *)
            if
              u -. !best_bound
              > options.gap_tolerance *. (abs_float u +. 1e-9)
            then begin
              let lo = ref (max !best_bound lower) and hi = ref u in
-             let pf0 = Array.make ncand false in
-             let pf1 = Array.make ncand false in
              for _ = 1 to 8 do
                if !hi -. !lo > margin then begin
                  let t = !lo +. (0.5 *. (!hi -. !lo)) in
-                 Array.blit forced_zero 0 pf0 0 ncand;
-                 Array.blit forced_one 0 pf1 0 ncand;
-                 for a = 0 to ncand - 1 do
-                   if (not pf0.(a)) && not pf1.(a) then
-                     if Runtime.Fx.is_zero zfrac.(a) && lower +. rc a > t then
-                       pf0.(a) <- true
-                     else if
-                       Runtime.Fx.exactly 1.0 zfrac.(a) && lower -. rc a > t
-                     then pf1.(a) <- true
-                 done;
-                 let zv, _, _ =
-                   greedy_z_with_duals ~order ~w ~sizes:sp.Sproblem.sizes
-                     ~budget ~forced_one:pf1 ~forced_zero:pf0
+                 let zv =
+                   probe_value ~order ~w ~sizes:sp.Sproblem.sizes ~denom
+                     ~budget ~one_at ~zero_at t
                  in
                  if base +. zv > t then lo := t else hi := t
                end
@@ -773,27 +919,32 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
        end;
        (* subgradient step *)
        let gnorm2 = ref 0.0 in
-       Array.iteri
-         (fun bi (b : Sproblem.block) ->
-           let gb = g.(bi) in
-           Array.iteri
-             (fun i pos ->
-               let u = if List.mem pos usage.(bi) then 1.0 else 0.0 in
-               let gi = u -. zfrac.(pos) in
-               gb.(i) <- gi;
-               gnorm2 := !gnorm2 +. (gi *. gi))
-             b.Sproblem.cands_used)
-         sp.Sproblem.blocks;
+       for bi = 0 to nblocks - 1 do
+         let used = usage.(bi) in
+         List.iter (fun a -> mark.(a) <- true) used;
+         let cands_used = sp.Sproblem.blocks.(bi).Sproblem.cands_used in
+         let gb = g.(bi) in
+         for i = 0 to Array.length cands_used - 1 do
+           let pos = cands_used.(i) in
+           let u = if mark.(pos) then 1.0 else 0.0 in
+           let gi = u -. zfrac.(pos) in
+           gb.(i) <- gi;
+           gnorm2 := !gnorm2 +. (gi *. gi)
+         done;
+         List.iter (fun a -> mark.(a) <- false) used
+       done;
        if !gnorm2 > 1e-12 then begin
          let ub_ref = if !best_obj < infinity then !best_obj else empty_obj in
          let step = !theta *. (ub_ref -. lower) /. !gnorm2 in
          let step = max 0.0 step in
-         Array.iteri
-           (fun bi lb ->
-             Array.iteri
-               (fun i gi -> lb.(i) <- max 0.0 (lb.(i) +. (step *. gi)))
-               g.(bi))
-           lam
+         for bi = 0 to nblocks - 1 do
+           let lb = lam.(bi) and gb = g.(bi) in
+           for i = 0 to Array.length gb - 1 do
+             (* [max 0.0 v], written out: [Stdlib.max] is polymorphic *)
+             let v = lb.(i) +. (step *. gb.(i)) in
+             lb.(i) <- (if 0.0 >= v then 0.0 else v)
+           done
+         done
        end;
        emit !iter
      done

@@ -323,24 +323,60 @@ let compress t =
 
 (* --- Evaluation --- *)
 
-(* Query-cost part of one block under selection [z] (1 = selected). *)
+(* Query-cost part of one block under selection [z] (1 = selected).
+   Both cost kernels are [for] loops over local refs, with no calls in
+   the loop nest: a float ref captured by an iterator's closure, or a
+   float returned from a call, is boxed. *)
 let block_cost_z (b : block) (z : bool array) =
   let best = ref infinity in
-  Array.iter
-    (fun tpl ->
-      let total = ref tpl.beta in
-      Array.iter
-        (fun slot ->
-          let m = ref infinity in
-          Array.iter
-            (fun { cand; gamma } ->
-              if (cand < 0 || z.(cand)) && gamma < !m then m := gamma)
-            slot;
-          total := !total +. !m)
-        tpl.choices;
-      if !total < !best then best := !total)
-    b.templates;
+  let templates = b.templates in
+  for k = 0 to Array.length templates - 1 do
+    let tpl = templates.(k) in
+    let total = ref tpl.beta in
+    let choices = tpl.choices in
+    for s = 0 to Array.length choices - 1 do
+      let slot = choices.(s) in
+      let m = ref infinity in
+      for i = 0 to Array.length slot - 1 do
+        let { cand; gamma } = slot.(i) in
+        if (cand < 0 || z.(cand)) && gamma < !m then m := gamma
+      done;
+      total := !total +. !m
+    done;
+    if !total < !best then best := !total
+  done;
   !best
+
+(* [block_cost_z] plus the candidates its first minimizing assignment
+   picks: the first template attaining the minimum and, in each of its
+   slots, the first choice attaining the slot minimum.  The same float
+   operations in the same order, so the cost is bit-identical. *)
+let block_cost_picks (b : block) (z : bool array) =
+  let best = ref infinity and picks = ref [] in
+  let templates = b.templates in
+  for k = 0 to Array.length templates - 1 do
+    let tpl = templates.(k) in
+    let total = ref tpl.beta and tpl_picks = ref [] in
+    let choices = tpl.choices in
+    for s = 0 to Array.length choices - 1 do
+      let slot = choices.(s) in
+      let m = ref infinity and pick = ref (-1) in
+      for i = 0 to Array.length slot - 1 do
+        let { cand; gamma } = slot.(i) in
+        if (cand < 0 || z.(cand)) && gamma < !m then begin
+          m := gamma;
+          pick := cand
+        end
+      done;
+      total := !total +. !m;
+      if !pick >= 0 then tpl_picks := !pick :: !tpl_picks
+    done;
+    if !total < !best then begin
+      best := !total;
+      picks := !tpl_picks
+    end
+  done;
+  (!best, !picks)
 
 (* Full objective of a selection: weighted query costs + maintenance +
    fixed update costs. *)
@@ -353,13 +389,19 @@ let[@bound.certifier objective
      count. *)
   let costs = Runtime.parallel_map ~jobs (fun b -> block_cost_z b z) t.blocks in
   let acc = ref t.fixed in
-  Array.iteri (fun bi c -> acc := !acc +. (t.blocks.(bi).weight *. c)) costs;
-  Array.iteri (fun pos u -> if z.(pos) then acc := !acc +. u) t.ucost;
+  for bi = 0 to Array.length costs - 1 do
+    acc := !acc +. (t.blocks.(bi).weight *. costs.(bi))
+  done;
+  for pos = 0 to Array.length t.ucost - 1 do
+    if z.(pos) then acc := !acc +. t.ucost.(pos)
+  done;
   !acc
 
 let total_size t (z : bool array) =
   let acc = ref 0.0 in
-  Array.iteri (fun pos s -> if z.(pos) then acc := !acc +. s) t.sizes;
+  for pos = 0 to Array.length t.sizes - 1 do
+    if z.(pos) then acc := !acc +. t.sizes.(pos)
+  done;
   !acc
 
 let config_of t (z : bool array) =

@@ -108,6 +108,16 @@ val compress : t -> t
 (** Query-cost part of one block given a selection. *)
 val block_cost_z : block -> bool array -> float
 
+(** [block_cost_picks b z] — [block_cost_z b z] (bit-identical) with the
+    candidates its first minimizing assignment picks: the first template
+    attaining the minimum and, in each of its slots, the first choice
+    attaining the slot minimum ([[]] when every template costs
+    infinity).  Dropping a selected candidate that is not among the
+    picks leaves the cost bit-identical: the winning template keeps the
+    same slot minima, summed in the same order, and no other template
+    gets cheaper. *)
+val block_cost_picks : block -> bool array -> float * int list
+
 (** Full objective of a selection (query costs + maintenance + fixed).
     [jobs] fans the per-block cost evaluations over the domain pool; the
     reduction order is fixed, so the value is identical at every job

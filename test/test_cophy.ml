@@ -574,6 +574,121 @@ let test_decomposition_warm_start () =
   Alcotest.(check bool) "warm restart no worse" true
     (r2.Cophy.Decomposition.obj <= r1.Cophy.Decomposition.obj +. 1e-6)
 
+(* --- Block cost kernels (properties) --- *)
+
+(* A random block over 8 candidates and a random selection: 1-3
+   templates of 1-3 slots, each slot a no-index choice then up to 4
+   candidate choices.  Gammas come from a small integer grid (ties are
+   common), a continuous range, or infinity (order-incompatible fills),
+   so infinite slot minima and infinite totals occur too. *)
+let block_and_selection_gen =
+  QCheck.Gen.(
+    let gamma =
+      frequency
+        [ (1, return infinity); (4, map float_of_int (int_range 0 20));
+          (2, float_range 0.0 50.0) ]
+    in
+    let choice =
+      map2 (fun cand gamma -> { Cophy.Sproblem.cand; gamma }) (int_range 0 7)
+        gamma
+    in
+    let slot =
+      map2
+        (fun g0 rest ->
+          Array.of_list ({ Cophy.Sproblem.cand = -1; gamma = g0 } :: rest))
+        gamma
+        (list_size (int_range 0 4) choice)
+    in
+    let template =
+      map2
+        (fun beta slots ->
+          { Cophy.Sproblem.beta; choices = Array.of_list slots })
+        (map float_of_int (int_range 0 30))
+        (list_size (int_range 1 3) slot)
+    in
+    map2
+      (fun templates z ->
+        let templates = Array.of_list templates in
+        let cands =
+          Array.to_list templates
+          |> List.concat_map (fun t ->
+                 Array.to_list t.Cophy.Sproblem.choices
+                 |> List.concat_map Array.to_list)
+          |> List.filter_map (fun c ->
+                 if c.Cophy.Sproblem.cand >= 0 then Some c.Cophy.Sproblem.cand
+                 else None)
+          |> List.sort_uniq Int.compare
+        in
+        ( { Cophy.Sproblem.qid = 0; weight = 1.0; templates;
+            cands_used = Array.of_list cands },
+          Array.of_list z ))
+      (list_size (int_range 1 3) template)
+      (list_repeat 8 bool))
+
+let print_block_and_selection ((b : Cophy.Sproblem.block), z) =
+  let slot s =
+    String.concat " "
+      (Array.to_list
+         (Array.map
+            (fun c ->
+              Printf.sprintf "%d:%h" c.Cophy.Sproblem.cand c.Cophy.Sproblem.gamma)
+            s))
+  in
+  let template (t : Cophy.Sproblem.template) =
+    Printf.sprintf "beta %h [%s]" t.Cophy.Sproblem.beta
+      (String.concat " | " (Array.to_list (Array.map slot t.Cophy.Sproblem.choices)))
+  in
+  Printf.sprintf "%s; z = %s"
+    (String.concat "; "
+       (Array.to_list (Array.map template b.Cophy.Sproblem.templates)))
+    (String.concat ""
+       (Array.to_list (Array.map (fun s -> if s then "1" else "0") z)))
+
+let block_and_selection =
+  QCheck.make ~print:print_block_and_selection block_and_selection_gen
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* The reference: the definition, as list folds. *)
+let naive_block_cost (b : Cophy.Sproblem.block) z =
+  List.fold_left
+    (fun best (tpl : Cophy.Sproblem.template) ->
+      let total =
+        List.fold_left
+          (fun total slot ->
+            total
+            +. List.fold_left
+                 (fun m { Cophy.Sproblem.cand; gamma } ->
+                   if (cand < 0 || z.(cand)) && gamma < m then gamma else m)
+                 infinity (Array.to_list slot))
+          tpl.Cophy.Sproblem.beta
+          (Array.to_list tpl.Cophy.Sproblem.choices)
+      in
+      if total < best then total else best)
+    infinity
+    (Array.to_list b.Cophy.Sproblem.templates)
+
+let prop_block_cost_z_reference =
+  QCheck.Test.make ~name:"block_cost_z = list-fold reference, bit for bit"
+    ~count:1000 block_and_selection (fun (b, z) ->
+      same_bits (Cophy.Sproblem.block_cost_z b z) (naive_block_cost b z))
+
+(* The argmin lemma repair's scoring rests on. *)
+let prop_drop_outside_picks =
+  QCheck.Test.make
+    ~name:"dropping a selected candidate outside the picks keeps the cost"
+    ~count:1000 block_and_selection (fun (b, z) ->
+      let c, picks = Cophy.Sproblem.block_cost_picks b z in
+      same_bits c (Cophy.Sproblem.block_cost_z b z)
+      && List.for_all
+           (fun a ->
+             (not z.(a)) || List.mem a picks
+             ||
+             let z' = Array.copy z in
+             z'.(a) <- false;
+             same_bits c (Cophy.Sproblem.block_cost_z b z'))
+           (List.init (Array.length z) Fun.id))
+
 (* Bit-identity pins on W_het: het n=8 seed 7 over every generated
    candidate, at 0.5x budget.  Four solves — cold; warm from the cold
    solve's multipliers and selection; the clustered rule plus a
@@ -1419,6 +1534,8 @@ let () =
             test_decomposition_het_pins;
           Alcotest.test_case "mandatory row (Ge) never violated" `Quick
             test_decomposition_mandatory_row;
+          QCheck_alcotest.to_alcotest prop_block_cost_z_reference;
+          QCheck_alcotest.to_alcotest prop_drop_outside_picks;
         ] );
       ( "ablations",
         [
