@@ -64,7 +64,9 @@ type result = {
 (** Solve under a storage [budget] (bytes; [infinity] = none) and linear
     z rows.  [accept] is the black-box (UDF) gate of appendix E.5:
     incumbents failing it are rejected (the bound side legitimately
-    ignores it — dropping constraints only lowers the minimum).  The
+    ignores it — dropping constraints only lowers the minimum).  Every
+    incumbent, the empty selection included, satisfies the budget and
+    every z row (a mandatory index is never repaired away).  The
     returned [bound] is [infinity] when the z polytope is infeasible;
     [obj] is [infinity] when no acceptable incumbent was found. *)
 val solve :
