@@ -676,22 +676,15 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let one_at = Array.make ncand neg_infinity in
   let zero_at = Array.make ncand neg_infinity in
   let mark = Array.make ncand false in
-  (* The block subproblems run in contiguous chunks of blocks.  At jobs 1
-     the one chunk runs on this domain with the per-solve [price]
-     scratch; otherwise each chunk is a pool task that allocates its own,
-     so nothing shared is written inside [parallel_map].  Each block's
-     result depends on its own inputs only, so the chunking moves no
-     value. *)
-  let price = Array.make ncand 0.0 in
+  (* The block subproblems run in contiguous chunks of blocks (one at
+     jobs 1), one pool task per chunk.  Each task allocates its own
+     [price] scratch, so nothing shared is written inside [parallel_map].
+     Each block's result depends on its own inputs only, so the chunking
+     moves no value. *)
   let nchunks = if jobs = 1 then 1 else min nblocks (4 * jobs) in
   let chunks =
     Array.init nchunks (fun c ->
         (c * nblocks / nchunks, (c + 1) * nblocks / nchunks))
-  in
-  let solve_chunk price (lo, hi) =
-    Array.init (hi - lo) (fun k ->
-        block_subproblem sp.Sproblem.blocks.(lo + k) lam.(lo + k) ~price
-          ~excluded:forced_zero)
   in
   (* subgradient of the linking rows, aligned with [lam] *)
   let g = Array.map Array.copy lam in
@@ -725,11 +718,13 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
           sum, keeping the subgradient trajectory identical at every job
           count *)
        let sub =
-         if jobs = 1 then Array.map (solve_chunk price) chunks
-         else
-           Runtime.parallel_map ~jobs
-             (fun chunk -> solve_chunk (Array.make ncand 0.0) chunk)
-             chunks
+         Runtime.parallel_map ~jobs
+           (fun (lo, hi) ->
+             let price = Array.make ncand 0.0 in
+             Array.init (hi - lo) (fun k ->
+                 block_subproblem sp.Sproblem.blocks.(lo + k) lam.(lo + k)
+                   ~price ~excluded:forced_zero))
+           chunks
        in
        Runtime.Trace.add tr_block_solves nblocks;
        let lower = ref sp.Sproblem.fixed in
