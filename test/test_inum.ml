@@ -483,6 +483,197 @@ let prop_keyed_matches_fresh =
         (fun (q, _, c) -> same_cache c (Inum.build e (Canon.normalize q)))
         cache.Inum.selects)
 
+(* --- Bit-identity pins --- *)
+
+(* Every SELECT of W_het n=12 and W_hom n=20 (seed 7), pinned to the bit:
+   the eager build's kept templates (count, then a digest of every
+   template's beta, slot requirements and plan, all floats as [%h]); a
+   probe-budget-16 build, then [refine] at every other candidate and at
+   every candidate (the forced count and the kept templates after each
+   step, which pins the incremental kept set); and the direct what-if
+   cost under no index and under every candidate.  A probe-path rewrite
+   that reorders one float operation, or keeps a different template or
+   duplicate, moves a pin. *)
+let req_sig = function
+  | Optimizer.Plan.Any_order -> "*"
+  | Optimizer.Plan.Ordered o -> "o(" ^ String.concat "," o ^ ")"
+  | Optimizer.Plan.Nlj_inner { join_col; outer_rows } ->
+      Printf.sprintf "n(%s,%h)" join_col outer_rows
+
+let rec plan_sig (p : Optimizer.Plan.t) =
+  let keys ks =
+    String.concat ","
+      (List.map (fun (c : Ast.col_ref) -> c.table ^ "." ^ c.column) ks)
+  in
+  match p with
+  | Seq_scan s -> Printf.sprintf "seq(%s,%h,%h)" s.table s.rows s.cost
+  | Index_scan s ->
+      Printf.sprintf "ix(%s,%b,%h,%h)"
+        (Storage.Index.to_string s.index) s.covering s.rows s.cost
+  | Slot s -> Printf.sprintf "slot(%s,%s,%h)" s.table (req_sig s.req) s.rows
+  | Nest_loop j ->
+      Printf.sprintf "nl(%s,%s,%h,%h)" (plan_sig j.outer) (plan_sig j.inner)
+        j.rows j.cost
+  | Hash_join j ->
+      Printf.sprintf "hj(%s,%s,%h,%h)" (plan_sig j.build) (plan_sig j.probe)
+        j.rows j.cost
+  | Merge_join j ->
+      Printf.sprintf "mj(%s,%s,%h,%h)" (plan_sig j.left) (plan_sig j.right)
+        j.rows j.cost
+  | Sort s ->
+      Printf.sprintf "sort(%s,[%s],%h,%h)" (plan_sig s.child) (keys s.keys)
+        s.rows s.cost
+  | Aggregate a ->
+      let kind =
+        match a.kind with
+        | Optimizer.Plan.Hash_agg -> "h"
+        | Optimizer.Plan.Sorted_agg -> "s"
+        | Optimizer.Plan.Plain_agg -> "p"
+      in
+      Printf.sprintf "agg%s(%s,%h,%h)" kind (plan_sig a.child) a.rows a.cost
+
+let templates_sig c =
+  let body =
+    String.concat ";"
+      (List.map
+         (fun (t : Inum.template) ->
+           Printf.sprintf "%h[%s]%s" t.Inum.beta
+             (String.concat ","
+                (Array.to_list (Array.map req_sig t.Inum.slot_reqs)))
+             (plan_sig t.Inum.plan))
+         (Inum.templates c))
+  in
+  Printf.sprintf "%d:%s" (Inum.template_count c)
+    (String.sub (Digest.to_hex (Digest.string body)) 0 12)
+
+let pin_lines label w =
+  let e = env () in
+  let cands = Cophy.Cgen.generate w in
+  let some =
+    Storage.Config.of_list (List.filteri (fun i _ -> i mod 2 = 0) cands)
+  in
+  let all = Storage.Config.of_list cands in
+  List.map
+    (fun ((q : Ast.query), _) ->
+      let eager = Inum.build_eager e q in
+      let lazy_ = Inum.build ~probe_budget:16 e q in
+      let b16 = templates_sig lazy_ in
+      let f1 = Inum.refine lazy_ ~config:some in
+      let r1 = templates_sig lazy_ in
+      let f2 = Inum.refine lazy_ ~config:all in
+      let r2 = templates_sig lazy_ in
+      Printf.sprintf "%s/%d eager %s b16 %s r1 +%d %s r2 +%d %s cost %h %h"
+        label q.Ast.query_id (templates_sig eager) b16 f1 r1 f2 r2
+        (Optimizer.Whatif.cost e q Storage.Config.empty)
+        (Optimizer.Whatif.cost e q all))
+    (Ast.selects w)
+
+let test_pins name w expected () =
+  Alcotest.(check (list string)) name expected (pin_lines name w)
+
+let het12_pins =
+  [
+    "het/1 eager 40:4e2479df511a b16 16:6b7642cb1500 \
+     r1 +72 30:86edffe84baa r2 +0 30:86edffe84baa \
+     cost 0x1.8b90a82cd726bp+17 0x1.a8caa4d8c2ac8p+10";
+    "het/2 eager 1:81eb1230a689 b16 1:81eb1230a689 \
+     r1 +0 1:81eb1230a689 r2 +0 1:81eb1230a689 \
+     cost 0x1.1ep+8 0x1.54p+6";
+    "het/3 eager 2:f3d3988750fe b16 2:f3d3988750fe \
+     r1 +0 2:f3d3988750fe r2 +0 2:f3d3988750fe \
+     cost 0x1.7408p+12 0x1.6ap+6";
+    "het/4 eager 15:68af3b138b89 b16 14:928dfef8fbeb \
+     r1 +15 12:4fcc6cea58cd r2 +3 12:4fcc6cea58cd \
+     cost 0x1.e2d48p+17 0x1.488c7ae147ae1p+15";
+    "het/5 eager 2:c02fb937b466 b16 2:c02fb937b466 \
+     r1 +0 2:c02fb937b466 r2 +0 2:c02fb937b466 \
+     cost 0x1.e1c8cp+15 0x1.4c08p+14";
+    "het/6 eager 11:09263a381643 b16 10:85f7086c5828 \
+     r1 +27 12:305094017662 r2 +0 12:305094017662 \
+     cost 0x1.2222p+15 0x1.d85827e9d1598p+13";
+    "het/7 eager 2:6974607a29b5 b16 2:6974607a29b5 \
+     r1 +0 2:6974607a29b5 r2 +0 2:6974607a29b5 \
+     cost 0x1.4849a784bcd1cp+8 0x1.6cccccccccccdp+3";
+    "het/8 eager 60:80c7b378f050 b16 14:53d0564b4afa \
+     r1 +24 22:938134888ccd r2 +0 22:938134888ccd \
+     cost 0x1.8462651eb851fp+15 0x1.32ef7b7148d0ep+5";
+    "het/9 eager 46:175429a58d8a b16 14:62a55520e33f \
+     r1 +20 20:e25415029904 r2 +10 24:0bae1cd819a2 \
+     cost 0x1.0a52eaaaaaaaap+18 0x1.1d7daa75bb8fbp+14";
+    "het/10 eager 49:c03eb63eaefb b16 15:9f57f3b2e5ea \
+     r1 +7 20:feea8695ffd5 r2 +0 20:feea8695ffd5 \
+     cost 0x1.bb92cbd65ba2ep+17 0x1.25fc2ec79bba6p+6";
+    "het/11 eager 2:ee25db3c9a13 b16 2:ee25db3c9a13 \
+     r1 +0 2:ee25db3c9a13 r2 +0 2:ee25db3c9a13 \
+     cost 0x1.6d651745d1746p+17 0x1.a78ba2e8ba2e8p+12";
+    "het/12 eager 2:b2c90d3d3cd4 b16 2:b2c90d3d3cd4 \
+     r1 +0 2:b2c90d3d3cd4 r2 +0 2:b2c90d3d3cd4 \
+     cost 0x1.8964p+14 0x1.85bd119ce075cp+10";
+  ]
+let hom20_pins =
+  [
+    "hom/1 eager 2:cbb47463e9f7 b16 2:cbb47463e9f7 \
+     r1 +0 2:cbb47463e9f7 r2 +0 2:cbb47463e9f7 \
+     cost 0x1.06944d66725e8p+18 0x1.5f3d901d3009cp+16";
+    "hom/2 eager 11:18dec1fb1ccc b16 13:76c487eabad4 \
+     r1 +17 11:bc1e6ec1ca10 r2 +1 11:bc1e6ec1ca10 \
+     cost 0x1.02e6b7046e564p+18 0x1.04ddf3c379b3ap+16";
+    "hom/3 eager 2:6adb096b6c61 b16 2:6adb096b6c61 \
+     r1 +0 2:6adb096b6c61 r2 +0 2:6adb096b6c61 \
+     cost 0x1.4d7e59bb0c2f5p+15 0x1.b0427b8eb69ddp+11";
+    "hom/4 eager 32:b14c3930dea1 b16 16:2462d848637d \
+     r1 +114 31:c1406ae79118 r2 +18 32:b14c3930dea1 \
+     cost 0x1.e8920b9c68b2dp+17 0x1.3fc8952547553p+16";
+    "hom/5 eager 1:b319a460b53d b16 1:b319a460b53d \
+     r1 +0 1:b319a460b53d r2 +0 1:b319a460b53d \
+     cost 0x1.9adf265d33937p+17 0x1.36b433d0c11c4p+10";
+    "hom/6 eager 11:6e08a0da907b b16 10:5c76b44e0083 \
+     r1 +13 11:529659f71ac2 r2 +0 11:529659f71ac2 \
+     cost 0x1.ce3b052b2c63cp+17 0x1.aa3323ecd55c9p+14";
+    "hom/7 eager 13:44b25047c805 b16 10:6dc982808816 \
+     r1 +28 12:1666e85006f8 r2 +5 13:b9c11e218795 \
+     cost 0x1.dc9e8941c16fbp+17 0x1.2b9b8536b09ffp+15";
+    "hom/8 eager 6:b5fc7ce5228f b16 6:b5fc7ce5228f \
+     r1 +0 6:b5fc7ce5228f r2 +0 6:b5fc7ce5228f \
+     cost 0x1.aae8p+14 0x1.63b1eb851eb85p+12";
+    "hom/9 eager 4:4076204b433a b16 4:4076204b433a \
+     r1 +0 4:4076204b433a r2 +0 4:4076204b433a \
+     cost 0x1.dab26b1f5bf56p+17 0x1.6143fea016e92p+14";
+    "hom/10 eager 5:24b0ac45123b b16 5:24b0ac45123b \
+     r1 +0 5:24b0ac45123b r2 +0 5:24b0ac45123b \
+     cost 0x1.6e9c0f33afbbep+17 0x1.10a764978c7b8p+12";
+    "hom/11 eager 6:05676044a2f1 b16 6:05676044a2f1 \
+     r1 +0 6:05676044a2f1 r2 +0 6:05676044a2f1 \
+     cost 0x1.ff34p+14 0x1.2fb12c5f92c61p+12";
+    "hom/12 eager 5:cb38c605509d b16 5:cb38c605509d \
+     r1 +0 5:cb38c605509d r2 +0 5:cb38c605509d \
+     cost 0x1.726bd55555555p+17 0x1.a51a5e353f7cfp+8";
+    "hom/13 eager 4:eb01500169cc b16 4:eb01500169cc \
+     r1 +0 4:eb01500169cc r2 +0 4:eb01500169cc \
+     cost 0x1.a6be16db6db6ep+17 0x1.04eb6db6db6dbp+10";
+    "hom/14 eager 2:b65527c2b716 b16 2:b65527c2b716 \
+     r1 +0 2:b65527c2b716 r2 +0 2:b65527c2b716 \
+     cost 0x1.41b57ddcae497p+12 0x1.005a1cac08313p+4";
+    "hom/15 eager 17:2bec84b46765 b16 13:782a9b434072 \
+     r1 +26 18:5d629c5600e4 r2 +0 18:5d629c5600e4 \
+     cost 0x1.561p+8 0x1.015c28f5c28f5p+6";
+    "hom/16 eager 2:cbb47463e9f7 b16 2:cbb47463e9f7 \
+     r1 +0 2:cbb47463e9f7 r2 +0 2:cbb47463e9f7 \
+     cost 0x1.06944d66725e8p+18 0x1.5f3d901d3009cp+16";
+    "hom/17 eager 11:739088707e8f b16 13:84222f0baf90 \
+     r1 +17 11:0d6f21f8627c r2 +1 11:0d6f21f8627c \
+     cost 0x1.02e6b7046e564p+18 0x1.04ddf3c379b3ap+16";
+    "hom/18 eager 2:ae13c97a33e8 b16 2:ae13c97a33e8 \
+     r1 +0 2:ae13c97a33e8 r2 +0 2:ae13c97a33e8 \
+     cost 0x1.4d7e59bb0c2f5p+15 0x1.b0427b8eb69dbp+11";
+    "hom/19 eager 32:384e53769faa b16 16:8901eedd8d75 \
+     r1 +114 31:adae5e99fae0 r2 +18 32:384e53769faa \
+     cost 0x1.e8920b9c68b2dp+17 0x1.3fc8952547552p+16";
+    "hom/20 eager 1:b319a460b53d b16 1:b319a460b53d \
+     r1 +0 1:b319a460b53d r2 +0 1:b319a460b53d \
+     cost 0x1.9adf265d33937p+17 0x1.36b433d0c11c4p+10";
+  ]
+
 let () =
   Alcotest.run "inum"
     [
@@ -517,6 +708,13 @@ let () =
         [
           Alcotest.test_case "cache" `Quick test_workload_cache;
           Alcotest.test_case "update maintenance" `Quick test_update_maintenance_in_workload_cost;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "W_het n=12" `Quick
+            (test_pins "het" (Workload.Gen.het schema ~n:12 ~seed:7) het12_pins);
+          Alcotest.test_case "W_hom n=20" `Quick
+            (test_pins "hom" (Workload.Gen.hom schema ~n:20 ~seed:7) hom20_pins);
         ] );
       ( "keyed",
         [
