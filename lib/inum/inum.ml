@@ -73,9 +73,15 @@ type t = {
      upper-bound [i]'s).  Both exclude [i] itself. *)
   stronger : int array array;
   gweaker : int array array;
-  (* Kept template snapshot (non-dominated, deduplicated, combo order);
-     rebuilt after every forced probe. *)
+  (* Probed templates no probed template strictly dominates, duplicates
+     included, with their combination index, in combination order;
+     updated by every probe. *)
+  mutable undominated : (int * template) list;
+  (* Kept template snapshot: [undominated] deduplicated; rebuilt after
+     every forced probe that changes [undominated].  [kept_combos] holds, parallel to it, the
+     combination each kept template was probed from. *)
   mutable templates : template array;
+  mutable kept_combos : int array;
   (* Optimizer calls spent so far (build + later forcing). *)
   mutable init_calls : int;
   (* Combinations dropped by the [max_combinations] cap. *)
@@ -155,22 +161,26 @@ let max_combinations = 160
 
 let is_spec_any = function Optimizer.Whatif.Spec_any -> true | _ -> false
 
-let spec_combinations (q : Ast.query) tables =
-  let per_table = Array.map (table_specs q) tables in
-  let n = Array.length tables in
+(* Combinations over [specs.(k)] (table [k]'s specs), each given as the
+   position of its spec in every table's array. *)
+let spec_combinations (specs : Optimizer.Whatif.slot_spec array array) =
+  let n = Array.length specs in
   let rec go i acc_rev constrained =
     if i = n then [ List.rev acc_rev ]
     else
       List.concat_map
-        (fun s ->
-          let constrained' = if is_spec_any s then constrained else constrained + 1 in
+        (fun p ->
+          let constrained' =
+            if is_spec_any specs.(i).(p) then constrained else constrained + 1
+          in
           if constrained' > max_constrained_tables then []
-          else go (i + 1) (s :: acc_rev) constrained')
-        per_table.(i)
+          else go (i + 1) (p :: acc_rev) constrained')
+        (List.init (Array.length specs.(i)) Fun.id)
   in
   let all = go 0 [] 0 in
   let constrained_count combo =
-    List.fold_left (fun acc s -> if is_spec_any s then acc else acc + 1) 0 combo
+    List.length
+      (List.filteri (fun k p -> not (is_spec_any specs.(k).(p))) combo)
   in
   let sorted =
     List.stable_sort
@@ -229,6 +239,8 @@ let dominates t1 t2 =
   t1.beta <= t2.beta
   && Array.for_all2 req_weaker_eq t1.slot_reqs t2.slot_reqs
 
+let strictly_dominates t1 t2 = dominates t1 t2 && not (template_equal t1 t2)
+
 (* --- Spec-level partial orders (pre-probe) --- *)
 
 (* Beta order: [s1 <= s2] when any plan honoring [s1]'s spec is a plan
@@ -254,13 +266,49 @@ let spec_gamma_le (s1 : Optimizer.Whatif.slot_spec) s2 =
       order_weaker_eq o1 o2
   | _ -> false
 
-let combo_le le (c1 : Optimizer.Whatif.slot_spec array) c2 =
-  let n = Array.length c1 in
-  let rec go i = i >= n || (le c1.(i) c2.(i) && go (i + 1)) in
-  go 0
-
 let constrained_count combo =
   Array.fold_left (fun acc s -> if is_spec_any s then acc else acc + 1) 0 combo
+
+(* A spec order lifted to combinations, given as spec positions [ranks]
+   over [specs]: per combination [i], the combinations [j <> i] whose
+   spec relates to [i]'s by [le i_spec j_spec] at every table, in
+   ascending order.  [le] is tabulated per table over spec positions,
+   and the combinations each (table, spec) relates to are listed once;
+   row [i] filters the shortest list among its own specs'. *)
+let combo_relation le (specs : Optimizer.Whatif.slot_spec array array)
+    (ranks : int array array) =
+  let n = Array.length ranks and nt = Array.length specs in
+  let tab =
+    Array.map (fun sp -> Array.map (fun a -> Array.map (le a) sp) sp) specs
+  in
+  let related =
+    Array.mapi
+      (fun k sp ->
+        Array.mapi
+          (fun v _ ->
+            let acc = ref [] in
+            for j = n - 1 downto 0 do
+              if tab.(k).(v).(ranks.(j).(k)) then acc := j :: !acc
+            done;
+            Array.of_list !acc)
+          sp)
+      specs
+  in
+  let all = Array.init n Fun.id in
+  Array.init n (fun i ->
+      let ri = ranks.(i) in
+      let shortest = ref all in
+      Array.iteri
+        (fun k v ->
+          let l = related.(k).(v) in
+          if Array.length l < Array.length !shortest then shortest := l)
+        ri;
+      let holds j =
+        let rj = ranks.(j) in
+        let rec go k = k = nt || (tab.(k).(ri.(k)).(rj.(k)) && go (k + 1)) in
+        j <> i && go 0
+      in
+      Array.of_list (List.filter holds (Array.to_list !shortest)))
 
 (* --- Cache construction --- *)
 
@@ -313,16 +361,32 @@ let upper_bound t i =
       | _ -> acc)
     infinity t.gweaker.(i)
 
-(* One certification sweep: pending combinations proven infeasible (a
-   stronger probed combination has no plan) or dominated (a probed
-   gamma-weaker template undercuts the beta lower bound) are skipped for
-   good.  Certifications read only probed states, so a single sweep after
-   each probe reaches the closure. *)
-let certify_pass t =
+(* Membership in an ascending index array. *)
+let mem_sorted (a : int array) j =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    if a.(mid) = j then true else if a.(mid) < j then go (mid + 1) hi
+    else go lo mid
+  in
+  go 0 (Array.length a)
+
+(* The certification sweep after probing [probed]: pending combinations
+   proven infeasible (a stronger probed combination has no plan) or
+   dominated (a probed gamma-weaker template undercuts the beta lower
+   bound) are skipped for good.  Certifications read only probed states,
+   so the sweep after each probe reaches the closure; and as the sweep
+   before reached it too, only combinations that have [probed] among
+   their stronger or gamma-weaker neighbors can have become
+   certifiable. *)
+let certify_pass t probed =
   Array.iteri
     (fun i st ->
       match st with
-      | Pending ->
+      | Pending
+        when mem_sorted t.stronger.(i) probed
+             || mem_sorted t.gweaker.(i) probed ->
           let infeasible =
             Array.exists
               (fun j ->
@@ -348,9 +412,12 @@ let certify_pass t =
               Runtime.Trace.incr tr_skipped
             end
           end
-      | Probed _ | Skipped_dominated | Skipped_infeasible -> ())
+      | Pending | Probed _ | Skipped_dominated | Skipped_infeasible -> ())
     t.states
 
+(* Probe combination [i], record its state and update [undominated];
+   returns whether [undominated] changed (only then can the kept
+   templates). *)
 let probe_combo t i =
   let specs =
     Array.to_list (Array.mapi (fun k s -> (t.tables.(k), s)) t.combos.(i))
@@ -375,37 +442,55 @@ let probe_combo t i =
         Runtime.Trace.incr tr_beta;
         Some { beta = Optimizer.Plan.cost plan; slot_reqs; plan }
   in
-  t.states.(i) <- Probed result
+  t.states.(i) <- Probed result;
+  match result with
+  | None -> false
+  | Some tpl ->
+      (* The undominated set of the probed templates plus [tpl]: the
+         members [tpl] does not strictly dominate, and [tpl] itself
+         unless a probed template strictly dominates it (never itself:
+         [template_equal] is reflexive), at its combination position.
+         Exact for any relation, transitive or not. *)
+      let dominated =
+        Array.exists
+          (function
+            | Probed (Some tpl') -> tpl' != tpl && strictly_dominates tpl' tpl
+            | _ -> false)
+          t.states
+      in
+      let rec insert = function
+        | ((j, _) as m) :: rest when j < i -> m :: insert rest
+        | rest -> (i, tpl) :: rest
+      in
+      let kept =
+        List.filter
+          (fun (_, tpl') -> not (strictly_dominates tpl tpl'))
+          t.undominated
+      in
+      let changed =
+        (not dominated)
+        || List.compare_lengths kept t.undominated <> 0
+      in
+      t.undominated <- (if dominated then kept else insert kept);
+      changed
 
 (* Kept templates: probed, not strictly dominated by another probed
    template, first occurrence of each structural-duplicate class, in
-   combination order.  Skipped combinations are exactly those whose
-   template a probed one would strictly dominate, so at an unlimited
-   budget this equals the eager build's kept set. *)
+   combination order — the first-occurrence dedup of [undominated].
+   Skipped combinations are exactly those whose template a probed one
+   would strictly dominate, so at an unlimited budget this equals the
+   eager build's kept set. *)
 let rebuild_templates t =
-  let probed =
-    Array.to_list t.states
-    |> List.filter_map (function Probed (Some tpl) -> Some tpl | _ -> None)
-  in
-  let kept =
-    List.filter
-      (fun tpl ->
-        not
-          (List.exists
-             (fun tpl' -> dominates tpl' tpl && not (template_equal tpl' tpl))
-             probed))
-      probed
-  in
-  (* Drop exact structural duplicates (first occurrence wins). *)
   let kept =
     List.fold_left
-      (fun acc tpl ->
-        if List.exists (fun tpl' -> template_equal tpl' tpl) acc then acc
-        else tpl :: acc)
-      [] kept
+      (fun acc ((_, tpl) as m) ->
+        if List.exists (fun (_, tpl') -> template_equal tpl' tpl) acc then acc
+        else m :: acc)
+      [] t.undominated
     |> List.rev
   in
-  t.templates <- Array.of_list kept
+  t.templates <- Array.of_list (List.map snd kept);
+  t.kept_combos <- Array.of_list (List.map fst kept)
 
 (* Next probe target: the pending combination with the widest bound
    interval (most information per probe), most-constrained then lowest
@@ -458,31 +543,27 @@ let pending_probes t =
 let build_internal ~eager ~probe_budget env (q : Ast.query) =
   Runtime.Trace.span "inum.build" @@ fun () ->
   let tables = Array.of_list q.Ast.tables in
-  let combo_list, total = spec_combinations q tables in
+  let specs = Array.map (fun t -> Array.of_list (table_specs q t)) tables in
+  let combo_list, total = spec_combinations specs in
   Runtime.Trace.incr tr_template_enums;
+  let ranks = Array.of_list (List.map Array.of_list combo_list) in
   let combos =
-    Array.of_list (List.map (fun c -> Array.of_list c) combo_list)
+    Array.map (fun r -> Array.mapi (fun k p -> specs.(k).(p)) r) ranks
   in
   let n = Array.length combos in
   let truncated = total - n in
   if truncated > 0 then Runtime.Trace.add tr_truncated truncated;
-  let relation le =
-    Array.init n (fun i ->
-        let acc = ref [] in
-        for j = n - 1 downto 0 do
-          if j <> i && le i j then acc := j :: !acc
-        done;
-        Array.of_list !acc)
-  in
   let t =
     {
       query = q;
       tables;
       combos;
       states = Array.make n Pending;
-      stronger = relation (fun i j -> combo_le spec_beta_le combos.(i) combos.(j));
-      gweaker = relation (fun i j -> combo_le spec_gamma_le combos.(j) combos.(i));
+      stronger = combo_relation spec_beta_le specs ranks;
+      gweaker = combo_relation (fun a b -> spec_gamma_le b a) specs ranks;
+      undominated = [];
       templates = [||];
+      kept_combos = [||];
       init_calls = 0;
       truncated;
       cost_floor = Optimizer.Whatif.template_cost_floor env q;
@@ -493,7 +574,7 @@ let build_internal ~eager ~probe_budget env (q : Ast.query) =
   if n > 0 then begin
     if eager then
       for i = 0 to n - 1 do
-        probe_combo t i
+        ignore (probe_combo t i)
       done
     else begin
       let budget =
@@ -501,15 +582,15 @@ let build_internal ~eager ~probe_budget env (q : Ast.query) =
       in
       (* The all-any combination anchors every upper bound (its template
          gamma-dominates all others), so it is always probed first. *)
-      probe_combo t 0;
-      certify_pass t;
+      ignore (probe_combo t 0);
+      certify_pass t 0;
       let continue_ = ref (t.init_calls < budget) in
       while !continue_ do
         match next_probe t with
         | None -> continue_ := false
         | Some i ->
-            probe_combo t i;
-            certify_pass t;
+            ignore (probe_combo t i);
+            certify_pass t i;
             if t.init_calls >= budget then continue_ := false
       done
     end
@@ -585,42 +666,81 @@ let fill_cost t config =
         memo.(ti) <- (req, c) :: memo.(ti);
         c
 
-(* Surrogate cost over the kept templates only (no forcing); [fill] is a
-   [fill_cost] closure. *)
-let kept_cost t fill =
+(* Everything one [refine]/[cost] call reads at its fixed configuration,
+   memoized for that call: [fill] is [fill_cost t config]; by combination
+   index, [totals] holds a probed template's total (beta plus its slot
+   fills, in slot order) and [opt_fills] a pending combination's
+   optimistic slot fills.  All are pure in the configuration, so a hit
+   returns the very float a fresh evaluation would; a combination's
+   template never changes once probed. *)
+type at_config = {
+  fill : int -> Optimizer.Plan.slot_req -> float;
+  totals : float option array;
+  opt_fills : float array option array;
+}
+
+let at_config t config =
+  let n = Array.length t.combos in
+  {
+    fill = fill_cost t config;
+    totals = Array.make n None;
+    opt_fills = Array.make n None;
+  }
+
+(* Surrogate cost over the kept templates only (no forcing).  Every
+   kept-template slot counts as one gamma lookup, memo hit or not. *)
+let kept_cost t c =
   let best = ref infinity in
-  Array.iter
-    (fun template ->
-      let total = ref template.beta in
-      Array.iteri
-        (fun ti req ->
-          Runtime.Trace.incr tr_gamma;
-          total := !total +. fill ti req)
-        template.slot_reqs;
-      if !total < !best then best := !total)
+  Array.iteri
+    (fun k template ->
+      let total =
+        match c.totals.(t.kept_combos.(k)) with
+        | Some total ->
+            Runtime.Trace.add tr_gamma (Array.length template.slot_reqs);
+            total
+        | None ->
+            let total = ref template.beta in
+            Array.iteri
+              (fun ti req ->
+                Runtime.Trace.incr tr_gamma;
+                total := !total +. c.fill ti req)
+              template.slot_reqs;
+            c.totals.(t.kept_combos.(k)) <- Some !total;
+            !total
+      in
+      if total < !best then best := total)
     t.templates;
   !best
 
-(* Optimistic total of a pending combination under [config]: the beta
-   lower bound plus a per-slot lower bound on the deferred template's
-   fill costs.  Ordered/any slots are exact — their requirement is the
-   spec verbatim.  An NLJ slot's requirement carries the probe-time
-   outer cardinality; cardinalities are clamped to >= 1 row, so one
-   probe's cost bounds the slot from below. *)
-let optimistic_total t fill i =
-  let total = ref (lower_bound t i) in
-  Array.iteri
-    (fun k s ->
-      let req =
-        match s with
-        | Optimizer.Whatif.Spec_any -> Optimizer.Plan.Any_order
-        | Optimizer.Whatif.Spec_ordered o -> Optimizer.Plan.Ordered o
-        | Optimizer.Whatif.Spec_nlj jc ->
-            Optimizer.Plan.Nlj_inner { join_col = jc; outer_rows = 1.0 }
-      in
-      total := !total +. fill k req)
-    t.combos.(i);
-  !total
+(* Optimistic total of a pending combination under the configuration:
+   the beta lower bound plus a per-slot lower bound on the deferred
+   template's fill costs, added in slot order.  Ordered/any slots are
+   exact — their requirement is the spec verbatim.  An NLJ slot's
+   requirement carries the probe-time outer cardinality; cardinalities
+   are clamped to >= 1 row, so one probe's cost bounds the slot from
+   below. *)
+let optimistic_total t c i =
+  let fills =
+    match c.opt_fills.(i) with
+    | Some fills -> fills
+    | None ->
+        let fills =
+          Array.mapi
+            (fun k s ->
+              let req =
+                match s with
+                | Optimizer.Whatif.Spec_any -> Optimizer.Plan.Any_order
+                | Optimizer.Whatif.Spec_ordered o -> Optimizer.Plan.Ordered o
+                | Optimizer.Whatif.Spec_nlj jc ->
+                    Optimizer.Plan.Nlj_inner { join_col = jc; outer_rows = 1.0 }
+              in
+              c.fill k req)
+            t.combos.(i)
+        in
+        c.opt_fills.(i) <- Some fills;
+        fills
+  in
+  Array.fold_left ( +. ) (lower_bound t i) fills
 
 (* Lazy completion: force deferred probes whose optimistic total still
    undercuts the best kept instantiation under [config] — i.e. whose
@@ -629,11 +749,12 @@ let optimistic_total t fill i =
    this configuration.  Returns the number of probes forced.  Safe to
    call repeatedly and from any single domain at a time; results are
    path-independent (exactness at every consulted configuration holds
-   regardless of which configurations were consulted before).  [fill] is
-   [fill_cost t config]: the configuration is fixed for the whole call,
-   so every fill cost is computed at most once per (slot, requirement)
-   however many rounds and pending combinations read it. *)
-let refine_with t fill =
+   regardless of which configurations were consulted before).  [c] is
+   [at_config t config]: the configuration is fixed for the whole call,
+   so every fill cost is computed at most once per (slot, requirement),
+   and every template total and optimistic fill vector once per
+   combination, however many rounds read them. *)
+let refine_with t c =
   if not (has_pending t) then 0
   else
     Mutex.protect t.lock @@ fun () ->
@@ -641,28 +762,28 @@ let refine_with t fill =
     let continue_ = ref true in
     while !continue_ do
       continue_ := false;
-      let best = kept_cost t fill in
+      let best = kept_cost t c in
       let target = ref None in
       Array.iteri
         (fun i st ->
           match (st, !target) with
           | Pending, None ->
-              if optimistic_total t fill i < best then target := Some i
+              if optimistic_total t c i < best then target := Some i
           | _ -> ())
         t.states;
       match !target with
       | None -> ()
       | Some i ->
-          probe_combo t i;
+          let changed = probe_combo t i in
           incr forced;
           Runtime.Trace.incr tr_forced;
-          certify_pass t;
-          rebuild_templates t;
+          certify_pass t i;
+          if changed then rebuild_templates t;
           continue_ := true
     done;
     !forced
 
-let refine t ~config = refine_with t (fill_cost t config)
+let refine t ~config = refine_with t (at_config t config)
 
 (* INUM's approximation of cost(q, X): min over templates of beta plus the
    per-slot minima (the inner min over atomic configurations decomposes
@@ -670,13 +791,13 @@ let refine t ~config = refine_with t (fill_cost t config)
    first, so the result is exact — equal to the exhaustive build's — at
    every configuration actually consulted. *)
 let cost t config =
-  let fill = fill_cost t config in
-  ignore (refine_with t fill);
-  kept_cost t fill
+  let c = at_config t config in
+  ignore (refine_with t c);
+  kept_cost t c
 
 (* Surrogate cost and the certified regret bound, without forcing: the
    exhaustive cost lies in [fst - snd, fst]. *)
-let cost_bound t config = (kept_cost t (fill_cost t config), probe_regret t)
+let cost_bound t config = (kept_cost t (at_config t config), probe_regret t)
 
 (* The template index and atomic configuration (at most one index per
    table) the minimum is attained at, for explanation output.  Forces

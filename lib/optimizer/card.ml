@@ -44,23 +44,20 @@ let group_cardinality schema (cols : Ast.col_ref list) ~rows =
       in
       max 1.0 (min rows product)
 
-(* Cardinality of joining two intermediate results given the applicable
-   join conjuncts. *)
-let join_rows schema ~left_rows ~right_rows joins =
-  let sel =
-    List.fold_left (fun acc j -> acc *. join_selectivity schema j) 1.0 joins
-  in
-  max 1.0 (left_rows *. right_rows *. sel)
+(* Cardinality of joining two intermediate results, given the product of
+   the applicable join conjuncts' selectivities. *)
+let join_rows ~left_rows ~right_rows sel = max 1.0 (left_rows *. right_rows *. sel)
+
+(* Width in bytes of the columns the query references on one table. *)
+let table_width schema (q : Ast.query) tbl_name =
+  let tbl = Catalog.Schema.find_table schema tbl_name in
+  List.fold_left
+    (fun acc col ->
+      acc + Catalog.Schema.column_width (Catalog.Schema.find_column tbl col))
+    0
+    (Ast.referenced_columns q tbl_name)
 
 (* Output row width of the query restricted to [tables]: sum of referenced
    column widths (what flows through joins and sorts). *)
 let output_width schema (q : Ast.query) tables =
-  let width_of tbl_name =
-    let tbl = Catalog.Schema.find_table schema tbl_name in
-    List.fold_left
-      (fun acc col ->
-        acc + Catalog.Schema.column_width (Catalog.Schema.find_column tbl col))
-      0
-      (Ast.referenced_columns q tbl_name)
-  in
-  max 8 (List.fold_left (fun acc t -> acc + width_of t) 0 tables)
+  max 8 (List.fold_left (fun acc t -> acc + table_width schema q t) 0 tables)

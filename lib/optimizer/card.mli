@@ -21,13 +21,15 @@ val distinct_after : Catalog.Schema.t -> Sqlast.Ast.col_ref -> rows:float -> flo
 val group_cardinality :
   Catalog.Schema.t -> Sqlast.Ast.col_ref list -> rows:float -> float
 
-(** Join output cardinality for the given applicable equi-join conjuncts. *)
-val join_rows :
-  Catalog.Schema.t ->
-  left_rows:float ->
-  right_rows:float ->
-  Sqlast.Ast.join list ->
-  float
+(** Join output cardinality, [max 1 (left_rows * right_rows * sel)],
+    where [sel] is the product of the applicable equi-join conjuncts'
+    {!join_selectivity}s. *)
+val join_rows : left_rows:float -> right_rows:float -> float -> float
 
-(** Width in bytes of the tuples the query carries for [tables]. *)
+(** Width in bytes of the columns the query references on one table
+    (unclamped). *)
+val table_width : Catalog.Schema.t -> Sqlast.Ast.query -> string -> int
+
+(** Width in bytes of the tuples the query carries for [tables]: the sum
+    of their {!table_width}s, at least 8. *)
 val output_width : Catalog.Schema.t -> Sqlast.Ast.query -> string list -> int

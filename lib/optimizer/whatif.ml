@@ -70,26 +70,56 @@ type entry = { order : Ast.col_ref list; plan : Plan.t; pending : bool }
 
 let entry_cost e = Plan.cost e.plan
 
-(* Keep the Pareto frontier over (cost, order): an entry is dominated when
-   a cheaper-or-equal entry delivers an order extending its own. *)
-let prune_entries entries =
-  let dominated e =
-    (not e.pending)
-    && List.exists
-         (fun e' ->
-           e' != e
-           && (not e'.pending)
-           && entry_cost e' <= entry_cost e
-           && order_satisfies ~required:e.order ~given:e'.order
-           && (entry_cost e' < entry_cost e
-              || List.length e'.order > List.length e.order
-              || e' < e))
-         entries
-  in
-  let kept = List.filter (fun e -> not (dominated e)) entries in
-  let sorted = List.sort (fun a b -> compare (entry_cost a) (entry_cost b)) kept in
-  (* Safety cap to bound DP width. *)
-  List.filteri (fun i _ -> i < 12) sorted
+(* Safety cap to bound DP width. *)
+let max_entries = 12
+
+(* Keep the Pareto frontier over (cost, order), cheapest first, at most
+   [max_entries] of it: an entry is dominated when a cheaper-or-equal
+   entry delivers an order extending its own.
+
+   Sort first, then filter: a stable sort of the filtered list is the
+   filter of the stably sorted list, so walking the sorted entries and
+   stopping at the cap returns exactly the cheapest kept entries.  An
+   entry can only be dominated by one that is cheaper or equal, i.e. by
+   the prefix of the sorted array up to the end of its cost tie group,
+   so only that prefix is tested — with the unchanged predicate, against
+   every entry (dominated or not) of it.  [Float.compare] orders floats
+   as the polymorphic [compare] does; a nan cost sorts first and fails
+   [<=] both ways, so it neither dominates nor is dominated, as before. *)
+let prune_entries = function
+  | ([] | [ _ ]) as entries -> entries
+  | entries ->
+      let sorted =
+        Array.of_list
+          (List.stable_sort
+             (fun a b -> Float.compare (entry_cost a) (entry_cost b))
+             entries)
+      in
+      let n = Array.length sorted in
+      let cost = Array.map entry_cost sorted in
+      let dominated i =
+        let e = sorted.(i) in
+        let rec go k =
+          k < n
+          && Float.compare cost.(k) cost.(i) <= 0
+          && ((let e' = sorted.(k) in
+               e' != e
+               && (not e'.pending)
+               && cost.(k) <= cost.(i)
+               && order_satisfies ~required:e.order ~given:e'.order
+               && (cost.(k) < cost.(i)
+                  || List.length e'.order > List.length e.order
+                  || e' < e))
+             || go (k + 1))
+        in
+        (not e.pending) && go 0
+      in
+      let rec walk i kept acc =
+        if i = n || kept = max_entries then List.rev acc
+        else if dominated i then walk (i + 1) kept acc
+        else walk (i + 1) (kept + 1) (sorted.(i) :: acc)
+      in
+      walk 0 0 []
 
 (* --- Context shared across one optimization --- *)
 
@@ -97,14 +127,55 @@ type mode =
   | Direct of Storage.Config.t
   | Template of (string * slot_spec) list
 
+(* One equi-join conjunct of the query, resolved against the table array
+   once per optimization: each side's table index ([-1] for a table the
+   query does not list) and bit ([0] then, so the side lies in no mask),
+   and the conjunct's selectivity. *)
+type join_info = {
+  join : Ast.join;
+  lidx : int;
+  ridx : int;
+  lbit : int;
+  rbit : int;
+  sel : float;
+}
+
 type ctx = {
   env : env;
   q : Ast.query;
   tables : string array;
   eq_cols : Ast.col_ref list;          (* equality-bound columns, all tables *)
   frows : float array;                 (* filtered rows per table *)
+  widths : int array;                  (* referenced column bytes per table *)
+  joins : join_info array;             (* [q.joins], in order *)
+  (* Cross products are allowed exactly when the join graph leaves some
+     table unreached: otherwise no split would ever join the full set. *)
+  allow_cross : bool;
   mode : mode;
 }
+
+let table_index tables t =
+  let n = Array.length tables in
+  let rec find i =
+    if i = n then -1 else if String.equal tables.(i) t then i else find (i + 1)
+  in
+  find 0
+
+(* Whether the join conjuncts connect every table of the query. *)
+let join_graph_spans tables joins =
+  let full = (1 lsl Array.length tables) - 1 in
+  let rec grow reach =
+    let reach' =
+      Array.fold_left
+        (fun acc j ->
+          if j.lbit <> 0 && j.rbit <> 0 && acc land (j.lbit lor j.rbit) <> 0
+          then acc lor j.lbit lor j.rbit
+          else acc)
+        reach joins
+    in
+    if reach' = reach then reach else grow reach'
+  in
+  full = 0 || grow 1 = full
 
 let make_ctx env q mode =
   let tables = Array.of_list q.Ast.tables in
@@ -114,23 +185,32 @@ let make_ctx env q mode =
       q.Ast.predicates
   in
   let frows = Array.map (fun t -> Card.filtered_rows env.schema q t) tables in
-  { env; q; tables; eq_cols; frows; mode }
+  let widths = Array.map (Card.table_width env.schema q) tables in
+  let joins =
+    Array.of_list
+      (List.map
+         (fun (j : Ast.join) ->
+           let lidx = table_index tables j.Ast.left.Ast.table in
+           let ridx = table_index tables j.Ast.right.Ast.table in
+           let bit i = if i < 0 then 0 else 1 lsl i in
+           { join = j; lidx; ridx; lbit = bit lidx; rbit = bit ridx;
+             sel = Card.join_selectivity env.schema j })
+         q.Ast.joins)
+  in
+  let allow_cross = not (join_graph_spans tables joins) in
+  { env; q; tables; eq_cols; frows; widths; joins; allow_cross; mode }
 
 let col_refs_of_names table names =
   List.map (fun c -> { Ast.table; Ast.column = c }) names
 
-let table_index ctx t =
-  let rec find i = if ctx.tables.(i) = t then i else find (i + 1) in
-  find 0
-
-(* Width of the tuples flowing out of the tables in bitmask [mask]. *)
-let mask_tables ctx mask =
-  let acc = ref [] in
-  Array.iteri (fun i t -> if mask land (1 lsl i) <> 0 then acc := t :: !acc) ctx.tables;
-  !acc
-
+(* Width of the tuples flowing out of the tables in bitmask [mask]: the
+   int sum {!Card.output_width} computes, without re-deriving columns. *)
 let mask_width ctx mask =
-  Card.output_width ctx.env.schema ctx.q (mask_tables ctx mask)
+  let w = ref 0 in
+  for i = 0 to Array.length ctx.widths - 1 do
+    if mask land (1 lsl i) <> 0 then w := !w + ctx.widths.(i)
+  done;
+  max 8 !w
 
 (* --- Base-table entries --- *)
 
@@ -180,42 +260,47 @@ let leaf_entries ctx i =
 
 (* --- Joins --- *)
 
-(* Join conjuncts with one side in [lmask] and the other in [rmask];
-   results oriented as (left_col, right_col). *)
+(* The join conjuncts with one side in [lmask] and the other in [rmask],
+   in [q.joins] order: the product of their selectivities, folded from
+   1.0 in that order (hoisted out of the entry-pair loops), and the first
+   of them oriented as (left column, right column, right table index). *)
 let joins_between ctx lmask rmask =
-  let side (c : Ast.col_ref) =
-    let i = table_index ctx c.Ast.table in
-    if lmask land (1 lsl i) <> 0 then `L
-    else if rmask land (1 lsl i) <> 0 then `R
-    else `Out
+  let n = Array.length ctx.joins in
+  let rec go k sel first =
+    if k = n then (sel, first)
+    else begin
+      let j = ctx.joins.(k) in
+      let oriented =
+        if j.lbit land lmask <> 0 && j.rbit land rmask <> 0 then
+          Some (j.join.Ast.left, j.join.Ast.right, j.ridx)
+        else if j.rbit land lmask <> 0 && j.lbit land rmask <> 0 then
+          Some (j.join.Ast.right, j.join.Ast.left, j.lidx)
+        else None
+      in
+      match (oriented, first) with
+      | None, _ -> go (k + 1) sel first
+      | Some _, Some _ -> go (k + 1) (sel *. j.sel) first
+      | Some _, None -> go (k + 1) (sel *. j.sel) oriented
+    end
   in
-  List.filter_map
-    (fun (j : Ast.join) ->
-      match (side j.Ast.left, side j.Ast.right) with
-      | `L, `R -> Some (j, j.Ast.left, j.Ast.right)
-      | `R, `L -> Some (j, j.Ast.right, j.Ast.left)
-      | _ -> None)
-    ctx.q.Ast.joins
+  go 0 1.0 None
 
-let join_output_rows ctx l r js =
-  Card.join_rows ctx.env.schema ~left_rows:(Plan.rows l.plan)
-    ~right_rows:(Plan.rows r.plan)
-    (List.map (fun (j, _, _) -> j) js)
+let join_output_rows l r sel =
+  Card.join_rows ~left_rows:(Plan.rows l.plan) ~right_rows:(Plan.rows r.plan) sel
 
 let maybe_sort ctx e ~required ~mask =
-  if order_satisfies ~required ~given:e.order then Some e
+  if order_satisfies ~required ~given:e.order then e
   else begin
     let rows = Plan.rows e.plan in
     let width = mask_width ctx mask in
     let c = Cost_params.sort_cost ctx.env.params ~rows ~width in
-    Some
-      {
-        order = required;
-        plan =
-          Plan.Sort
-            { child = e.plan; keys = required; rows; cost = Plan.cost e.plan +. c };
-        pending = false;
-      }
+    {
+      order = required;
+      plan =
+        Plan.Sort
+          { child = e.plan; keys = required; rows; cost = Plan.cost e.plan +. c };
+      pending = false;
+    }
   end
 
 let hash_join ctx l r out_rows =
@@ -235,40 +320,34 @@ let hash_join ctx l r out_rows =
         pending = false } ]
   end
 
-let merge_join ctx lmask rmask l r (lc : Ast.col_ref) (rc : Ast.col_ref) out_rows =
+(* [l'] and [r'] are [l] and [r] sorted on the join keys [lkey] and
+   [rkey] ([maybe_sort], done once per entry and split rather than per
+   pair: the sorted entry depends on neither partner). *)
+let merge_join ctx l r (l', lkey) (r', rkey) out_rows =
   if l.pending || r.pending then []
   else begin
     let p = ctx.env.params in
-    let lkey = normalize_order ~eq_cols:ctx.eq_cols [ lc ] in
-    let rkey = normalize_order ~eq_cols:ctx.eq_cols [ rc ] in
-    match
-      ( maybe_sort ctx l ~required:lkey ~mask:lmask,
-        maybe_sort ctx r ~required:rkey ~mask:rmask )
-    with
-    | Some l', Some r' ->
-        let cost =
-          Plan.cost l'.plan +. Plan.cost r'.plan
-          +. ((Plan.rows l'.plan +. Plan.rows r'.plan) *. p.cpu_operator_cost)
-          +. (out_rows *. p.cpu_tuple_cost)
-        in
-        let plan =
-          Plan.Merge_join { left = l'.plan; right = r'.plan; rows = out_rows; cost }
-        in
-        (* The output delivers both join keys' orders. *)
-        [ { order = lkey; plan; pending = false };
-          { order = rkey; plan; pending = false } ]
-    | _ -> []
+    let cost =
+      Plan.cost l'.plan +. Plan.cost r'.plan
+      +. ((Plan.rows l'.plan +. Plan.rows r'.plan) *. p.cpu_operator_cost)
+      +. (out_rows *. p.cpu_tuple_cost)
+    in
+    let plan =
+      Plan.Merge_join { left = l'.plan; right = r'.plan; rows = out_rows; cost }
+    in
+    (* The output delivers both join keys' orders. *)
+    [ { order = lkey; plan; pending = false };
+      { order = rkey; plan; pending = false } ]
   end
 
 (* Index nested-loop join: the inner side is a single base table probed on
-   the join column.  In Direct mode the probe goes through a configuration
-   index; in Template mode through a pending NLJ slot whose spec names the
-   same join column. *)
-let nest_loop ctx l rmask r (jcol : Ast.col_ref) out_rows =
+   the join column ([i] is its table index).  In Direct mode the probe
+   goes through a configuration index; in Template mode through a pending
+   NLJ slot whose spec names the same join column. *)
+let nest_loop ctx l rmask r (jcol : Ast.col_ref) i out_rows =
   if l.pending then []
   else begin
     let t = jcol.Ast.table in
-    let i = table_index ctx t in
     if rmask <> 1 lsl i then []
     else begin
       let p = ctx.env.params in
@@ -352,25 +431,41 @@ let plan_joins ctx =
         let lmask = !sub and rmask = mask land lnot !sub in
         if lmask < mask && rmask > 0 && memo.(lmask) <> [] && memo.(rmask) <> []
         then begin
-          let js = joins_between ctx lmask rmask in
-          let connected = js <> [] in
+          let sel, first = joins_between ctx lmask rmask in
           (* Avoid cross products unless the query graph forces one. *)
-          let allow_cross = ctx.q.Ast.joins = [] in
-          if connected || allow_cross then
-            List.iter
-              (fun l ->
+          match first with
+          | Some (lc, rc, ri) ->
+              let sorted key mask e =
+                (* pending entries never merge-join: no sort to price *)
+                ((if e.pending then e else maybe_sort ctx e ~required:key ~mask),
+                 key)
+              in
+              let lkey = normalize_order ~eq_cols:ctx.eq_cols [ lc ] in
+              let rkey = normalize_order ~eq_cols:ctx.eq_cols [ rc ] in
+              let rs =
+                List.map (fun r -> (r, sorted rkey rmask r)) memo.(rmask)
+              in
+              List.iter
+                (fun l ->
+                  let l' = sorted lkey lmask l in
+                  List.iter
+                    (fun (r, r') ->
+                      let out_rows = join_output_rows l r sel in
+                      acc := hash_join ctx l r out_rows @ !acc;
+                      acc := merge_join ctx l r l' r' out_rows @ !acc;
+                      acc := nest_loop ctx l rmask r rc ri out_rows @ !acc)
+                    rs)
+                memo.(lmask)
+          | None ->
+              if ctx.allow_cross then
                 List.iter
-                  (fun r ->
-                    let out_rows = join_output_rows ctx l r js in
-                    acc := hash_join ctx l r out_rows @ !acc;
-                    match js with
-                    | (_, lc, rc) :: _ ->
-                        acc :=
-                          merge_join ctx lmask rmask l r lc rc out_rows @ !acc;
-                        acc := nest_loop ctx l rmask r rc out_rows @ !acc
-                    | [] -> ())
-                  memo.(rmask))
-              memo.(lmask)
+                  (fun l ->
+                    List.iter
+                      (fun r ->
+                        let out_rows = join_output_rows l r sel in
+                        acc := hash_join ctx l r out_rows @ !acc)
+                      memo.(rmask))
+                  memo.(lmask)
         end;
         sub := (!sub - 1) land mask
       done;

@@ -483,6 +483,29 @@ let prop_keyed_matches_fresh =
         (fun (q, _, c) -> same_cache c (Inum.build e (Canon.normalize q)))
         cache.Inum.selects)
 
+(* Queries whose join graph leaves tables unreached: W_het queries with a
+   random subset of their joins removed.  The what-if DP must fall back
+   to cross products, so a direct plan and a finite INUM cost at the
+   empty configuration always exist. *)
+let prop_disconnected_queries_plan =
+  QCheck.Test.make ~name:"W_het minus random joins: plan and finite cost"
+    ~count:30
+    QCheck.(pair (int_range 0 1_000) (int_range 0 1_000))
+    (fun (seed, drop_seed) ->
+      let e = env () in
+      let rng = Random.State.make [| drop_seed |] in
+      List.for_all
+        (fun ((q : Ast.query), _) ->
+          let joins =
+            List.filter (fun _ -> Random.State.bool rng) q.Ast.joins
+          in
+          let q = { q with Ast.joins } in
+          Float.is_finite
+            (Optimizer.Plan.cost
+               (Optimizer.Whatif.optimize e q Storage.Config.empty))
+          && Float.is_finite (Inum.cost (Inum.build e q) Storage.Config.empty))
+        (Ast.selects (Workload.Gen.het schema ~n:4 ~seed)))
+
 (* --- Bit-identity pins --- *)
 
 (* Every SELECT of W_het n=12 and W_hom n=20 (seed 7), pinned to the bit:
@@ -682,6 +705,7 @@ let () =
           Alcotest.test_case "exist" `Quick test_templates_exist;
           Alcotest.test_case "order/nlj templates" `Quick test_join_query_has_order_templates;
           Alcotest.test_case "betas positive" `Quick test_template_betas_positive;
+          QCheck_alcotest.to_alcotest prop_disconnected_queries_plan;
         ] );
       ( "gamma",
         [

@@ -266,6 +266,36 @@ let test_plan_pp_smoke () =
   let s = Fmt.str "%a" Optimizer.Plan.pp plan in
   Alcotest.(check bool) "renders" true (String.length s > 20)
 
+(* A join graph that leaves a table unreached forces a cross product:
+   nation joins nothing, so the direct optimization and every template
+   probe must still find a plan. *)
+let test_disconnected_join_graph () =
+  let e = env () in
+  let q =
+    {
+      Ast.query_id = 3;
+      tables = [ "lineitem"; "part"; "nation" ];
+      select = [ Ast.Col (col "lineitem" "l_quantity") ];
+      predicates = [];
+      joins =
+        [ { Ast.left = col "lineitem" "l_partkey";
+            right = col "part" "p_partkey" } ];
+      group_by = [];
+      order_by = [];
+    }
+  in
+  let c = Optimizer.Whatif.cost e q Storage.Config.empty in
+  Alcotest.(check bool) "direct plan, finite cost" true (Float.is_finite c);
+  let indexed =
+    Optimizer.Whatif.cost e q
+      (Storage.Config.of_list [ ix "part" [ "p_partkey" ] ])
+  in
+  Alcotest.(check bool) "an index never hurts" true (indexed <= c);
+  Alcotest.(check bool) "template plan exists" true
+    (Option.is_some
+       (Optimizer.Whatif.template_plan e q
+          ~slot_specs:[ ("part", Optimizer.Whatif.Spec_nlj "p_partkey") ]))
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -289,6 +319,8 @@ let () =
           Alcotest.test_case "indexes help joins" `Quick test_join_plan_improves_with_index;
           Alcotest.test_case "what-if call counting" `Quick test_whatif_counts_calls;
           Alcotest.test_case "cumulative costs" `Quick test_plan_cost_cumulative;
+          Alcotest.test_case "disconnected join graph" `Quick
+            test_disconnected_join_graph;
         ] );
       ( "updates",
         [

@@ -252,6 +252,30 @@ let test_handle_line_errors () =
   Alcotest.(check bool) "recommend after rejected deltas" true
     (member_exn "ok" r = Serve.Json.Bool true)
 
+(* A query whose join graph leaves a table unreached (nation joins
+   nothing) plans with a cross product: the what-if read answers finite
+   costs and recommend answers instead of killing the daemon. *)
+let test_disconnected_join_graph () =
+  let e = engine () in
+  let sql =
+    {|"SELECT lineitem.l_quantity FROM lineitem, part, nation WHERE lineitem.l_partkey = part.p_partkey"|}
+  in
+  let reply line = Serve.Json.of_string (Serve.Engine.handle_line e line) in
+  let ok r = member_exn "ok" r = Serve.Json.Bool true in
+  let finite k r =
+    match Serve.Json.to_float (member_exn k r) with
+    | Some x -> Float.is_finite x
+    | None -> false
+  in
+  Alcotest.(check bool) "statement ok" true
+    (ok (reply (Printf.sprintf {|{"op":"statement","sql":%s}|} sql)));
+  let wi = reply (Printf.sprintf {|{"op":"whatif","sql":%s}|} sql) in
+  Alcotest.(check bool) "whatif ok with finite costs" true
+    (ok wi && finite "cost_base" wi && finite "cost_recommended" wi);
+  let r = reply {|{"op":"recommend"}|} in
+  Alcotest.(check bool) "recommend ok with a finite objective" true
+    (ok r && finite "objective" r)
+
 (* The protocol is deterministic in the event stream: replies are byte
    identical across runs and trace on/off, once the named latency
    fields are stripped. *)
@@ -460,6 +484,8 @@ let () =
           Alcotest.test_case "latency histogram" `Quick
             test_engine_latency_histogram;
           Alcotest.test_case "protocol errors" `Quick test_handle_line_errors;
+          Alcotest.test_case "disconnected join graph" `Quick
+            test_disconnected_join_graph;
           Alcotest.test_case "deterministic under trace" `Quick
             test_engine_deterministic_under_trace;
           Alcotest.test_case "line cap" `Quick test_serve_channels_line_cap;
