@@ -78,8 +78,9 @@ type t = {
      updated by every probe. *)
   mutable undominated : (int * template) list;
   (* Kept template snapshot: [undominated] deduplicated; rebuilt after
-     every forced probe that changes [undominated].  [kept_combos] holds, parallel to it, the
-     combination each kept template was probed from. *)
+     every forced probe that changes [undominated].  [kept_combos] holds,
+     parallel to it, the combination each kept template was probed
+     from. *)
   mutable templates : template array;
   mutable kept_combos : int array;
   (* Optimizer calls spent so far (build + later forcing). *)
@@ -447,10 +448,10 @@ let probe_combo t i =
   | None -> false
   | Some tpl ->
       (* The undominated set of the probed templates plus [tpl]: the
-         members [tpl] does not strictly dominate, and [tpl] itself
-         unless a probed template strictly dominates it (never itself:
-         [template_equal] is reflexive), at its combination position.
-         Exact for any relation, transitive or not. *)
+         members [tpl] does not strictly dominate, and [tpl] itself,
+         at its combination position, unless another probed template
+         strictly dominates it.  Exact for any relation, transitive or
+         not. *)
       let dominated =
         Array.exists
           (function
@@ -468,8 +469,7 @@ let probe_combo t i =
           t.undominated
       in
       let changed =
-        (not dominated)
-        || List.compare_lengths kept t.undominated <> 0
+        (not dominated) || List.compare_lengths kept t.undominated <> 0
       in
       t.undominated <- (if dominated then kept else insert kept);
       changed

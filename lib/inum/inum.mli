@@ -89,8 +89,10 @@ val probe_regret : t -> float
     returns the number of probes forced.  Afterwards [cost t config] is
     exact (equal to the exhaustive build's) at this configuration.
     Idempotent; serialized internally.  Within one call every fill cost
-    is computed once per (slot, requirement): the configuration is
-    fixed, so the cost is a pure function of the pair. *)
+    is computed once per (slot, requirement), and every kept template's
+    total and pending combination's optimistic fills once per
+    combination: the configuration is fixed, so each is a pure function
+    of its key. *)
 val refine : t -> config:Storage.Config.t -> int
 
 (** [gamma t k ~table index] — the cost of instantiating [table]'s slot in

@@ -46,7 +46,8 @@ let group_cardinality schema (cols : Ast.col_ref list) ~rows =
 
 (* Cardinality of joining two intermediate results, given the product of
    the applicable join conjuncts' selectivities. *)
-let join_rows ~left_rows ~right_rows sel = max 1.0 (left_rows *. right_rows *. sel)
+let join_rows ~left_rows ~right_rows sel =
+  max 1.0 (left_rows *. right_rows *. sel)
 
 (* Width in bytes of the columns the query references on one table. *)
 let table_width schema (q : Ast.query) tbl_name =

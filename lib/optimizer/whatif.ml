@@ -79,13 +79,13 @@ let max_entries = 12
 
    Sort first, then filter: a stable sort of the filtered list is the
    filter of the stably sorted list, so walking the sorted entries and
-   stopping at the cap returns exactly the cheapest kept entries.  An
-   entry can only be dominated by one that is cheaper or equal, i.e. by
-   the prefix of the sorted array up to the end of its cost tie group,
-   so only that prefix is tested — with the unchanged predicate, against
-   every entry (dominated or not) of it.  [Float.compare] orders floats
-   as the polymorphic [compare] does; a nan cost sorts first and fails
-   [<=] both ways, so it neither dominates nor is dominated, as before. *)
+   stopping at the cap returns exactly the cheapest undominated entries,
+   in input order among equal costs.  An entry can only be dominated by
+   a cheaper-or-equal one, i.e. by the prefix of the sorted array up to
+   the end of its cost tie group, so only that prefix is tested, against
+   every entry of it, dominated or not.  A nan cost sorts first under
+   [Float.compare] and fails [<=] both ways: it neither dominates nor is
+   dominated. *)
 let prune_entries = function
   | ([] | [ _ ]) as entries -> entries
   | entries ->
@@ -286,7 +286,8 @@ let joins_between ctx lmask rmask =
   go 0 1.0 None
 
 let join_output_rows l r sel =
-  Card.join_rows ~left_rows:(Plan.rows l.plan) ~right_rows:(Plan.rows r.plan) sel
+  Card.join_rows ~left_rows:(Plan.rows l.plan)
+    ~right_rows:(Plan.rows r.plan) sel
 
 let maybe_sort ctx e ~required ~mask =
   if order_satisfies ~required ~given:e.order then e
@@ -437,8 +438,10 @@ let plan_joins ctx =
           | Some (lc, rc, ri) ->
               let sorted key mask e =
                 (* pending entries never merge-join: no sort to price *)
-                ((if e.pending then e else maybe_sort ctx e ~required:key ~mask),
-                 key)
+                let e' =
+                  if e.pending then e else maybe_sort ctx e ~required:key ~mask
+                in
+                (e', key)
               in
               let lkey = normalize_order ~eq_cols:ctx.eq_cols [ lc ] in
               let rkey = normalize_order ~eq_cols:ctx.eq_cols [ rc ] in

@@ -5,7 +5,11 @@
     [optimize] / [cost] are the classic what-if calls an index advisor
     makes; [template_plan] builds INUM template plans by optimizing with
     abstract zero-cost slots, so the resulting plan cost is exactly the
-    internal plan cost beta of the paper. *)
+    internal plan cost beta of the paper.
+
+    The DP joins only along equi-join conjuncts, unless they leave some
+    table of the query unreached: then cross products are allowed, so a
+    query with a disconnected join graph still plans. *)
 
 (** An environment is immutable shared context ([params], [schema]) plus
     one atomic instrumentation cell: a single [env] may be shared
@@ -32,7 +36,7 @@ type slot_spec =
 
 (** Optimize the query under the configuration; counts one what-if call.
     @raise Invalid_argument if no plan exists (cannot happen for valid
-    queries). *)
+    queries, disconnected join graphs included). *)
 val optimize : env -> Sqlast.Ast.query -> Storage.Config.t -> Plan.t
 
 (** [cost env q x] = [Plan.cost (optimize env q x)]. *)
