@@ -79,7 +79,7 @@ let run_cophy ?candidates ?(gap = 0.05) schema w ~m =
 
 let run_tool_a ?(time_limit = 120.0) schema w ~m =
   let env = fresh_env schema in
-  let options = { Advisors.Tool_a.default_options with Advisors.Tool_a.time_limit } in
+  let options = { Advisors.Tool_a.time_limit } in
   let budget = m *. Catalog.Tpch.database_size schema in
   let r = Advisors.Tool_a.solve ~options env w ~budget in
   {
@@ -93,9 +93,7 @@ let run_tool_a ?(time_limit = 120.0) schema w ~m =
 
 let run_tool_b ?(time_limit = 300.0) schema w ~m =
   let env = fresh_env schema in
-  let options =
-    { Advisors.Tool_b.default_options with Advisors.Tool_b.time_limit }
-  in
+  let options = { Advisors.Tool_b.time_limit } in
   let budget = m *. Catalog.Tpch.database_size schema in
   let r = Advisors.Tool_b.solve ~options env w ~budget in
   {
@@ -401,46 +399,15 @@ let fig10 () =
 (* --- Ablations: the design choices DESIGN.md calls out --- *)
 
 let ablations () =
-  section
-    "Ablations: linking-row aggregation, slot dominance pruning,\n\
-     local search in the decomposition, warm-started Pareto sweeps";
+  section "Ablations: slot dominance pruning, warm-started Pareto sweeps";
   let schema = schema_for 0.0 in
   let w = workload_for schema `Hom 30 ~seed:7 in
   let env = fresh_env schema in
   let cache = Inum.build_workload env w in
   let cands = Array.of_list (Cophy.Cgen.generate w) in
-  let budget = Catalog.Tpch.database_size schema in
-
-  (* 1. aggregated vs per-variable linking rows in the exact BIP.
-     A 15-statement instance keeps the naive-link LP (the deliberately
-     slow configuration) to tens of seconds. *)
-  let w15 = workload_for schema `Hom 15 ~seed:7 in
-  let cache15 = Inum.build_workload env w15 in
-  let sp15 =
-    Cophy.Sproblem.build env cache15 (Array.of_list (Cophy.Cgen.generate w15))
-  in
   let sp = Cophy.Sproblem.build env cache cands in
-  let time_lp naive =
-    let p, _ = Cophy.Sproblem.to_lp ~budget ~naive_links:naive sp15 in
-    let t0 = Runtime.Clock.now () in
-    let r = Lp.Simplex.solve p in
-    ( Lp.Problem.nrows p,
-      Runtime.Clock.now () -. t0,
-      r.Lp.Simplex.obj,
-      r.Lp.Simplex.iterations )
-  in
-  let rows_a, t_a, obj_a, it_a = time_lp false in
-  let rows_n, t_n, obj_n, it_n = time_lp true in
-  Fmt.pr "@.[linking rows] aggregated: %d rows, LP %.2fs (%d iters, bound %.0f)@."
-    rows_a t_a it_a obj_a;
-  Fmt.pr "[linking rows] per-var:    %d rows, LP %.2fs (%d iters, bound %.0f)@."
-    rows_n t_n it_n obj_n;
-  Fmt.pr "  -> aggregation gives %.1fx fewer rows, %.1fx faster, bound +%.1f%%@."
-    (float_of_int rows_n /. float_of_int rows_a)
-    (t_n /. max 1e-9 t_a)
-    (100.0 *. (obj_a -. obj_n) /. abs_float obj_n);
 
-  (* 2. slot dominance pruning on/off *)
+  (* 1. slot dominance pruning on/off *)
   let sp_nopruning = Cophy.Sproblem.build ~prune:false env cache cands in
   Fmt.pr "@.[slot pruning] BIP variables with pruning: %d, without: %d (%.1fx)@."
     (Cophy.Sproblem.variable_count sp)
@@ -448,23 +415,7 @@ let ablations () =
     (float_of_int (Cophy.Sproblem.variable_count sp_nopruning)
     /. float_of_int (Cophy.Sproblem.variable_count sp));
 
-  (* 3. decomposition local search on/off *)
-  let run_decomp ls_period =
-    let options =
-      { Cophy.Decomposition.default_options with
-        Cophy.Decomposition.local_search_period = ls_period;
-        max_iters = 120 }
-    in
-    let t0 = Runtime.Clock.now () in
-    let r = Cophy.Decomposition.solve ~options sp ~budget ~z_rows:[] in
-    (r.Cophy.Decomposition.obj, Runtime.Clock.now () -. t0)
-  in
-  let obj_ls, t_ls = run_decomp 10 in
-  let obj_nols, t_nols = run_decomp max_int in
-  Fmt.pr "@.[local search] with: obj %.0f in %.2fs; without: obj %.0f in %.2fs@."
-    obj_ls t_ls obj_nols t_nols;
-
-  (* 4. warm vs cold Pareto sweep (also in fig6c, repeated here compactly) *)
+  (* 2. warm vs cold Pareto sweep (also in fig6c, repeated here compactly) *)
   let metric = Cophy.Pareto.storage_metric sp in
   let t0 = Runtime.Clock.now () in
   let _, s_warm = Cophy.Pareto.sweep ~epsilon:0.02 ~max_points:5 sp ~metric_coeff:metric in

@@ -8,7 +8,6 @@
 type options = {
   per_table_cap : int;  (** candidates shortlisted per table per query *)
   per_query_cap : int;  (** atomic configurations kept per query *)
-  gap_tolerance : float;
   time_limit : float;
   jobs : int;  (** domains for the INUM build (default [1]) *)
 }
@@ -28,6 +27,9 @@ type result = {
   configurations : int;  (** atomic configurations after pruning *)
 }
 
+(** Build and solve the atomic-configuration BIP under a storage budget
+    in bytes.  Branch and bound stops at a 5% gap (the paper's setting,
+    as for CoPhy). *)
 val solve :
   ?options:options ->
   Optimizer.Whatif.env ->

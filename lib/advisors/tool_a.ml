@@ -15,12 +15,12 @@
    A wall-clock limit makes the technique give up like the paper's Tool-A
    did on the hardest inputs (Table 1: "Tool-A timed out"). *)
 
-type options = {
-  time_limit : float;
-  max_transformations : int;
-}
+type options = { time_limit : float }
 
-let default_options = { time_limit = 300.0; max_transformations = 500 }
+let default_options = { time_limit = 300.0 }
+
+(* The relaxation search gives up after this many transformations. *)
+let max_transformations = 500
 
 let merge_indexes a b =
   (* prefix-preserving merge: key of [a], then [b]'s missing key columns;
@@ -93,7 +93,7 @@ let solve ?(options = default_options) (env : Optimizer.Whatif.env)
   while
     size !current > budget
     && (not !timed_out)
-    && !steps < options.max_transformations
+    && !steps < max_transformations
     && not (Storage.Config.is_empty !current)
   do
     incr steps;

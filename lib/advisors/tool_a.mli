@@ -5,7 +5,6 @@
 
 type options = {
   time_limit : float;  (** wall-clock budget; exceeded = "timed out" *)
-  max_transformations : int;
 }
 
 val default_options : options
@@ -14,7 +13,8 @@ val default_options : options
     relaxation search's merge transformation). *)
 val merge_indexes : Storage.Index.t -> Storage.Index.t -> Storage.Index.t
 
-(** Run the advisor under a storage budget in bytes. *)
+(** Run the advisor under a storage budget in bytes.  The relaxation
+    search stops after 500 transformations. *)
 val solve :
   ?options:options ->
   Optimizer.Whatif.env ->

@@ -10,26 +10,27 @@
      is then knapsacked greedily by benefit/size, with a swap refinement
      pass. *)
 
-type options = {
-  sample_size : int;          (* statements kept after compression *)
-  seed : int;
-  time_limit : float;
-}
+type options = { time_limit : float }
 
-let default_options = { sample_size = 60; seed = 17; time_limit = 300.0 }
+let default_options = { time_limit = 300.0 }
+
+(* Workload compression keeps this many statements, drawn with this
+   seed. *)
+let sample_size = 60
+let seed = 17
 
 let solve ?(options = default_options) (env : Optimizer.Whatif.env)
     (w : Sqlast.Ast.workload) ~budget =
   let schema = env.Optimizer.Whatif.schema in
   let t0 = Runtime.Clock.now () in
-  let rng = Random.State.make [| options.seed; 0xb0b |] in
+  let rng = Random.State.make [| seed; 0xb0b |] in
   (* Workload compression: uniform random sample. *)
   let arr = Array.of_list w in
   let n = Array.length arr in
   let sample =
-    if n <= options.sample_size then Array.to_list arr
+    if n <= sample_size then Array.to_list arr
     else
-      List.init options.sample_size (fun _ ->
+      List.init sample_size (fun _ ->
           arr.(Random.State.int rng n))
   in
   let scale = float_of_int n /. float_of_int (List.length sample) in

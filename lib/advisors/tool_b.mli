@@ -5,14 +5,14 @@
     workloads (Figure 9). *)
 
 type options = {
-  sample_size : int;  (** statements kept after compression *)
-  seed : int;
-  time_limit : float;
+  time_limit : float;  (** wall-clock budget *)
 }
 
 val default_options : options
 
-(** Run the advisor under a storage budget in bytes. *)
+(** Run the advisor under a storage budget in bytes.  Compression keeps
+    a uniform random sample of 60 statements (fixed seed 17), or the
+    whole workload when it is smaller. *)
 val solve :
   ?options:options ->
   Optimizer.Whatif.env ->

@@ -25,8 +25,7 @@ type recommendation = {
 let total_seconds r =
   r.timings.inum_seconds +. r.timings.build_seconds +. r.timings.solve_seconds
 
-let advise ?(params = Optimizer.Cost_params.default)
-    ?constraints ?candidates ?(dba_candidates = [])
+let advise ?constraints ?candidates ?(dba_candidates = [])
     ?(solver_options = Solver.default_options)
     ?(baseline = Storage.Config.empty) ?(jobs = 1)
     ?probe_budget schema (w : Sqlast.Ast.workload) ~budget_fraction =
@@ -37,7 +36,7 @@ let advise ?(params = Optimizer.Cost_params.default)
   let t0 = Runtime.Clock.now () in
   let session =
     Runtime.Trace.span "advisor.inum_build" (fun () ->
-        Interactive.create ~params ?constraints ~baseline ~jobs ?candidates
+        Interactive.create ?constraints ~baseline ~jobs ?candidates
           ~dba_candidates ?probe_budget schema w ~budget)
   in
   let t1 = Runtime.Clock.now () in

@@ -50,7 +50,6 @@ val total_seconds : recommendation -> float
     @raise Invalid_argument when a query-cost cap and a black-box
       constraint are combined (see {!Solver.solve}). *)
 val advise :
-  ?params:Optimizer.Cost_params.t ->
   ?constraints:Constr.t list ->
   ?candidates:Storage.Index.t list ->
   ?dba_candidates:Storage.Index.t list ->

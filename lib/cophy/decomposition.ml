@@ -48,7 +48,6 @@ type options = {
      repaired if the budget shrank, so a warm restart is never worse
      than the repaired prior incumbent. *)
   warm_z : Storage.Config.t option;
-  local_search_period : int;
   jobs : int;
 }
 
@@ -60,9 +59,13 @@ let default_options =
     on_event = ignore;
     warm = None;
     warm_z = None;
-    local_search_period = 10;
     jobs = 1;
   }
+
+(* A near-best rounded incumbent is polished by local search every this
+   many iterations (and whenever it beats the best): running without it
+   gave worse incumbents (EXPERIMENTS.md, ablations). *)
+let local_search_period = 10
 
 type result = {
   z : bool array;
@@ -894,7 +897,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
        let candidate_z, candidate_obj =
          if
            obj < !best_obj *. 1.02
-           && (!iter mod options.local_search_period = 0 || obj < !best_obj)
+           && (!iter mod local_search_period = 0 || obj < !best_obj)
          then local_search ~jobs sp ~budget ~z_rows zr obj
          else (zr, obj)
        in

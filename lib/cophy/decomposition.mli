@@ -42,7 +42,6 @@ type options = {
           incumbent.  Trace counters [solver.warm_repaired] and
           [solver.warm_rejected] tick when it needed repair or was
           unusable. *)
-  local_search_period : int;
   jobs : int;
       (** domains for the per-block subproblem fan-out and block-cost
           re-evaluations (default [1]).  The subgradient trajectory, the

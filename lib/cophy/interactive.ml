@@ -8,9 +8,9 @@
    statements) only the delta is recomputed: INUM runs only for
    statements whose canonical key was never seen, and the solver
    warm-starts from the previous multipliers and incumbent.  A delta to
-   the candidates or the statements drops the structured BIP (budget,
-   constraint and baseline changes keep it: the BIP does not encode
-   them, [resolve_constraints] reads them at every re-tune), and the
+   the candidates or the statements drops the structured BIP (budget
+   and constraint changes keep it: the BIP does not encode them,
+   [resolve_constraints] reads them at every re-tune), and the
    next re-tune rebuilds it, but through the session's pricing memo
    ([Sproblem.prices]): a template the last build priced is reused as
    is, or extended by the candidates appended since, so only new
@@ -34,22 +34,21 @@ type session = {
   mutable candidates : Storage.Index.t array;
   mutable budget : float;
   mutable constraints : Constr.t list;
-  mutable baseline : Storage.Config.t;
+  baseline : Storage.Config.t;  (* what query-cost caps are relative to *)
   mutable problem : Sproblem.t option;          (* invalidated by deltas *)
   prices : Sproblem.prices;  (* template pricings, reused across rebuilds *)
   mutable multipliers : Decomposition.multipliers option;
   mutable last : Solver.report option;  (* previous selection and report *)
 }
 
-let create ?(params = Optimizer.Cost_params.default)
-    ?(constraints = [ Constr.At_most_one_clustered ])
+let create ?(constraints = [ Constr.At_most_one_clustered ])
     ?(baseline = Storage.Config.empty) ?(jobs = 1) ?candidates
     ?(dba_candidates = []) ?store ?probe_budget schema workload ~budget =
   let store =
     match store with
     | Some st -> st
     | None ->
-        Inum.Keyed.create ?probe_budget (Optimizer.Whatif.make_env ~params schema)
+        Inum.Keyed.create ?probe_budget (Optimizer.Whatif.make_env schema)
   in
   let env = Inum.Keyed.env store in
   let cache = Inum.add_statements ~jobs store Inum.empty_cache workload in
@@ -103,8 +102,6 @@ let remove_candidates s ixs =
 let set_budget s budget = s.budget <- budget
 
 let set_constraints s cs = s.constraints <- cs
-
-let set_baseline s b = s.baseline <- b
 
 (* Append statements.  INUM preprocessing runs only for statements whose
    canonical key the session's store has never seen: repeats — including

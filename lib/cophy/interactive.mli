@@ -12,16 +12,16 @@ type session
     [candidates] overrides it ([dba_candidates] extends it).  [jobs]
     (default [1]) sets the domain fan-out for the session's INUM builds
     and re-tunes.  [store] shares a keyed store across sessions (its
-    environment is used; [params] and [probe_budget] are then ignored).
+    environment is used; [probe_budget] is then ignored).  Without it
+    the session's store prices with {!Optimizer.Cost_params.default}.
     [probe_budget] caps the optimizer probes each INUM build spends up
     front (see {!Inum.build}); deferred probes resolve lazily through
     {!refine_at} / {!recommend} / {!Inum.cost}.  [constraints] (default
     [[Constr.At_most_one_clustered]], the same as {!Advisor.advise}'s)
     are enforced at every re-tune next to the [budget]; [baseline]
     (default empty) is the configuration query-cost caps are relative
-    to. *)
+    to, fixed for the session's life. *)
 val create :
-  ?params:Optimizer.Cost_params.t ->
   ?constraints:Constr.t list ->
   ?baseline:Storage.Config.t ->
   ?jobs:int ->
@@ -49,13 +49,12 @@ val add_candidates : session -> Storage.Index.t list -> unit
     shift, so the next rebuild prices every template again. *)
 val remove_candidates : session -> Storage.Index.t list -> unit
 
-(** The budget, the constraints and the baseline are not part of the
-    structured BIP: the next {!retune} resolves them against it, so
-    changing them keeps {!problem} as it is. *)
+(** The budget and the constraints are not part of the structured BIP:
+    the next {!retune} resolves them against it, so changing them keeps
+    {!problem} as it is. *)
 
 val set_budget : session -> float -> unit
 val set_constraints : session -> Constr.t list -> unit
-val set_baseline : session -> Storage.Config.t -> unit
 
 (** Append statements: INUM preprocessing runs only for statements whose
     canonical key was never seen — repeats, including statements already

@@ -26,9 +26,8 @@ type point = {
 (* Scalarized solve: min lambda*cost + (1-lambda)*metric where metric =
    sum metric_coeff_a z_a + metric_offset.  Implemented by scaling the
    problem's per-candidate fixed coefficients.  [warm] carries multipliers
-   across solves. *)
-let scalarized_solve ?(options = Decomposition.default_options) sp
-    ~(metric_coeff : float array) ~lambda ~warm =
+   across solves; every solve runs at [Decomposition.default_options]. *)
+let scalarized_solve sp ~(metric_coeff : float array) ~lambda ~warm =
   (* Shift the per-candidate coefficient: lambda*ucost + (1-lambda)*coeff.
      Because the Lagrangian multipliers are tied to (statement, index)
      pairs — not to the objective scaling — they remain valid warm starts
@@ -51,7 +50,7 @@ let scalarized_solve ?(options = Decomposition.default_options) sp
       Sproblem.blocks = blocks';
       Sproblem.fixed = lambda *. sp.Sproblem.fixed }
   in
-  let options = { options with Decomposition.warm } in
+  let options = { Decomposition.default_options with Decomposition.warm } in
   let r = Decomposition.solve ~options sp' ~budget:infinity ~z_rows:[] in
   let z = r.Decomposition.z in
   let cost = Sproblem.eval sp z in
@@ -76,14 +75,14 @@ let chord_distance a b p ~cost_scale ~metric_scale =
 (* The Chord sweep.  Returns Pareto points sorted by metric, and the
    number of solver invocations spent.  [reuse = false] disables the
    multiplier warm start (for the Fig. 6c comparison). *)
-let sweep ?(epsilon = 0.05) ?(max_points = 16) ?(reuse = true)
-    ?(options = Decomposition.default_options) sp ~metric_coeff =
+let sweep ?(epsilon = 0.05) ?(max_points = 16) ?(reuse = true) sp
+    ~metric_coeff =
   let solves = ref 0 in
   let warm = ref None in
   let solve lambda =
     incr solves;
     let p, mult =
-      scalarized_solve ~options sp ~metric_coeff ~lambda
+      scalarized_solve sp ~metric_coeff ~lambda
         ~warm:(if reuse then !warm else None)
     in
     if reuse then warm := Some mult;

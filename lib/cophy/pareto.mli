@@ -12,10 +12,9 @@ type point = {
   metric : float;  (** soft-constraint metric of this solution *)
 }
 
-(** One scalarized solve; returns the point and the multipliers for warm
-    starting the next one. *)
+(** One scalarized solve at {!Decomposition.default_options}; returns the
+    point and the multipliers for warm starting the next one. *)
 val scalarized_solve :
-  ?options:Decomposition.options ->
   Sproblem.t ->
   metric_coeff:float array ->
   lambda:float ->
@@ -30,7 +29,6 @@ val sweep :
   ?epsilon:float ->
   ?max_points:int ->
   ?reuse:bool ->
-  ?options:Decomposition.options ->
   Sproblem.t ->
   metric_coeff:float array ->
   point list * int

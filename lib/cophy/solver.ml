@@ -30,7 +30,6 @@ type options = {
   method_ : solve_method;
   gap_tolerance : float;
   time_limit : float;
-  max_iters : int;           (* decomposition subgradient iterations *)
   on_feedback : feedback -> unit;
   warm : Decomposition.multipliers option;
   (* Prior incumbent selection: seeds Branch_bound's initial incumbent
@@ -50,7 +49,6 @@ let default_options =
     method_ = Auto;
     gap_tolerance = 0.05;
     time_limit = infinity;
-    max_iters = 400;
     on_feedback = ignore;
     warm = None;
     warm_z = None;
@@ -251,8 +249,7 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
       let d_options =
         {
           Decomposition.default_options with
-          Decomposition.max_iters = options.max_iters;
-          gap_tolerance = options.gap_tolerance;
+          Decomposition.gap_tolerance = options.gap_tolerance;
           time_limit = options.time_limit;
           warm = options.warm;
           warm_z = options.warm_z;

@@ -24,7 +24,6 @@ type options = {
   method_ : solve_method;
   gap_tolerance : float;  (** early-termination gap; the paper uses 0.05 *)
   time_limit : float;
-  max_iters : int;  (** decomposition subgradient iterations *)
   on_feedback : feedback -> unit;
       (** the one feedback channel, called as each path's search
           progresses; [elapsed] fields are measured on {!Runtime.Clock} *)

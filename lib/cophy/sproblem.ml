@@ -219,8 +219,8 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
      are priced on the statement as written, and its clause order moves
      them (an index seeks on the first matching range predicate, and
      selectivities fold left to right).  Within one shape the entry is
-     found by physical identity — a capacity-evicted key can come back
-     as a second entry. *)
+     found by physical identity — caches for one key resolved through
+     two different stores are two entries. *)
   let priced = Hashtbl.create 64 in
   let blocks =
     List.map
@@ -424,11 +424,8 @@ type lp_vars = {
 (* Build the explicit BIP: continuous relaxation is obtained by the caller
    via Branch_bound / Simplex.  Extra z-rows (constraints from the
    language), per-statement cost caps (query-cost constraints), and the
-   storage budget are appended when given.  [naive_links = true] emits one
-   x <= z row per x variable instead of the per-(block, candidate)
-   aggregation — the weaker textbook form, kept for ablation. *)
-let to_lp ?(budget = infinity) ?(z_rows = []) ?(block_caps = [])
-    ?(naive_links = false) t =
+   storage budget are appended when given. *)
+let to_lp ?(budget = infinity) ?(z_rows = []) ?(block_caps = []) t =
   let p = Lp.Problem.create () in
   let ncand = Array.length t.candidates in
   let z_var =
@@ -483,16 +480,10 @@ let to_lp ?(budget = infinity) ?(z_rows = []) ?(block_caps = [])
                     in
                     Hashtbl.replace x_var (bi, k, si, ci) x;
                     if cand >= 0 then
-                      if naive_links then
-                        ignore
-                          (Lp.Problem.add_row p
-                             [ (x, 1.0); (z_var.(cand), -1.0) ]
-                             Lp.Problem.Le 0.0)
-                      else
-                        Hashtbl.replace links cand
-                          (x
-                          :: Option.value ~default:[]
-                               (Hashtbl.find_opt links cand));
+                      Hashtbl.replace links cand
+                        (x
+                        :: Option.value ~default:[]
+                             (Hashtbl.find_opt links cand));
                     x)
                   slot
               in

@@ -144,7 +144,6 @@ val to_lp :
   ?budget:float ->
   ?z_rows:Constr.z_row list ->
   ?block_caps:(int * float) list ->
-  ?naive_links:bool ->
   t ->
   Lp.Problem.t * lp_vars
 

@@ -845,106 +845,43 @@ let best_instantiation t config =
 
 let tr_cache_hits = Runtime.Trace.counter "inum.cache_hits"
 let tr_cache_misses = Runtime.Trace.counter "inum.cache_misses"
-let tr_cache_evictions = Runtime.Trace.counter "inum.cache_evictions"
 
 module Keyed = struct
-  (* Canonical key -> statement cache, with an LRU stamp from a logical
-     access clock.  Building on [Canon.normalize q] (not [q] itself) is
-     what makes a hit bit-identical to a fresh build: the canonical form
-     pins the clause order every float reduction runs in, so any two
-     statements with the same key build the same [t].  Entries are the
-     live (possibly partially-built) caches themselves: a hit returns
-     the same mutable value, so probes forced after insertion stay
-     visible to every later hit — a hit can never resurrect bounds a
-     forced probe already resolved. *)
-  type entry = { cache : t; mutable stamp : int }
-
+  (* Canonical key -> statement cache.  Building on [Canon.normalize q]
+     (not [q] itself) is what makes a hit bit-identical to a fresh build:
+     the canonical form pins the clause order every float reduction runs
+     in, so any two statements with the same key build the same [t].
+     Entries are the live (possibly partially-built) caches themselves: a
+     hit returns the same mutable value, so probes forced after insertion
+     stay visible to every later hit — a hit can never resurrect bounds a
+     forced probe already resolved.  No entry is ever dropped, so a
+     repeat statement never costs a probe. *)
   type store = {
     env : Optimizer.Whatif.env;
-    capacity : int option;
     probe_budget : int option;
-    tbl : (string, entry) Hashtbl.t;
-    mutable tick : int;
+    tbl : (string, t) Hashtbl.t;
     mutable hits : int;
     mutable misses : int;
-    mutable evictions : int;
   }
 
-  let create ?capacity ?probe_budget env =
-    (match capacity with
-    | Some c when c < 1 -> invalid_arg "Inum.Keyed.create: capacity < 1"
-    | _ -> ());
+  let create ?probe_budget env =
     (match probe_budget with
     | Some b when b < 1 -> invalid_arg "Inum.Keyed.create: probe_budget < 1"
     | _ -> ());
-    {
-      env;
-      capacity;
-      probe_budget;
-      tbl = Hashtbl.create 64;
-      tick = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-    }
+    { env; probe_budget; tbl = Hashtbl.create 64; hits = 0; misses = 0 }
 
   let env s = s.env
   let probe_budget s = s.probe_budget
   let length s = Hashtbl.length s.tbl
   let hits s = s.hits
   let misses s = s.misses
-  let evictions s = s.evictions
 
   let hit_rate s =
     let total = s.hits + s.misses in
     if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
 
-  (* Internal: LRU touch.  Returns whether the key was present. *)
-  let touch s k =
-    match Hashtbl.find_opt s.tbl k with
-    | Some e ->
-        s.tick <- s.tick + 1;
-        e.stamp <- s.tick;
-        true
-    | None -> false
-
-  (* Internal: evict the least-recently-used entry.  Stamps are unique
-     (the clock ticks on every touch), so the minimum is unambiguous and
-     the scan is enumeration-order independent. *)
-  let evict_lru s =
-    let victim =
-      Runtime.Tbl.fold_sorted
-        (fun k (e : entry) acc ->
-          match acc with
-          | Some (_, stamp) when stamp <= e.stamp -> acc
-          | _ -> Some (k, e.stamp))
-        s.tbl None
-    in
-    match victim with
-    | None -> ()
-    | Some (k, _) ->
-        Hashtbl.remove s.tbl k;
-        s.evictions <- s.evictions + 1;
-        Runtime.Trace.incr tr_cache_evictions
-
-  (* Internal: insert a freshly built cache under [k], evicting down to
-     capacity. *)
-  let insert s k cache =
-    s.tick <- s.tick + 1;
-    Hashtbl.replace s.tbl k { cache; stamp = s.tick };
-    match s.capacity with
-    | Some cap ->
-        while Hashtbl.length s.tbl > cap do
-          evict_lru s
-        done
-    | None -> ()
-
   let mem_key s k = Hashtbl.mem s.tbl k
   let mem s q = mem_key s (Canon.key q)
-
-  (* Internal: lookup without touching the LRU clock or hit counters. *)
-  let peek s k =
-    match Hashtbl.find_opt s.tbl k with Some e -> Some e.cache | None -> None
 
   (* Internal: batch hit/miss accounting for [add_statements]. *)
   let record_batch s ~hit ~miss =
@@ -956,29 +893,18 @@ module Keyed = struct
   let find_or_build s q =
     let k = Canon.key q in
     match Hashtbl.find_opt s.tbl k with
-    | Some e ->
-        s.tick <- s.tick + 1;
-        e.stamp <- s.tick;
+    | Some cache ->
         s.hits <- s.hits + 1;
         Runtime.Trace.incr tr_cache_hits;
-        e.cache
+        cache
     | None ->
         s.misses <- s.misses + 1;
         Runtime.Trace.incr tr_cache_misses;
         let cache =
           build ?probe_budget:s.probe_budget s.env (Canon.normalize q)
         in
-        insert s k cache;
+        Hashtbl.replace s.tbl k cache;
         cache
-
-  let evict s q =
-    let k = Canon.key q in
-    if Hashtbl.mem s.tbl k then (
-      Hashtbl.remove s.tbl k;
-      s.evictions <- s.evictions + 1;
-      Runtime.Trace.incr tr_cache_evictions;
-      true)
-    else false
 end
 
 (* --- Workload-level cache --- *)
@@ -1008,9 +934,9 @@ let cache_pending cache =
 (* [f] applied once per distinct statement cache, however many
    statements resolve to it: the returned closure computes [f t] on the
    first call for [t] and returns the stored value after.  Caches are
-   told apart by physical identity — two entries for one key (a
-   capacity-evicted key built again) stay distinct — and bucketed by
-   their query's serialization to keep the lookup short. *)
+   told apart by physical identity — caches for one key resolved
+   through two different stores stay distinct — and bucketed by their
+   query's serialization to keep the lookup short. *)
 let per_entry f =
   let seen = Hashtbl.create 64 in
   fun t ->
@@ -1072,27 +998,16 @@ let add_statements ?jobs (store : Keyed.store) cache (w : Ast.workload) =
             (Keyed.env store) (Canon.normalize q) ))
       (Array.of_list missing)
   in
-  (* Resolve each statement before mutating the store: a small-capacity
-     store may evict batch members on insert, but the returned
-     [workload_cache] must still reference every build. *)
-  let resolved = Hashtbl.create 16 in
-  List.iter
-    (fun (k, _, _) ->
-      if not (Hashtbl.mem resolved k) then
-        match Keyed.peek store k with
-        | Some c -> Hashtbl.add resolved k c
-        | None -> ())
-    keyed;
-  Array.iter (fun (k, c) -> Hashtbl.replace resolved k c) built;
-  Array.iter (fun (k, c) -> Keyed.insert store k c) built;
+  Array.iter (fun (k, c) -> Hashtbl.replace store.Keyed.tbl k c) built;
   (* A statement is a hit when its key was cached before this call or
      built earlier in the same delta; only misses spend optimizer
      probes. *)
   let n_miss = List.length missing in
   Keyed.record_batch store ~hit:(List.length keyed - n_miss) ~miss:n_miss;
-  List.iter (fun (k, _, _) -> ignore (Keyed.touch store k)) keyed;
   let selects_delta =
-    List.map (fun (k, q, weight) -> (q, weight, Hashtbl.find resolved k)) keyed
+    List.map
+      (fun (k, q, weight) -> (q, weight, Hashtbl.find store.Keyed.tbl k))
+      keyed
   in
   {
     selects = cache.selects @ selects_delta;

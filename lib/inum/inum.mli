@@ -124,20 +124,16 @@ val best_instantiation :
     bit-identical to a fresh {!build} of the normalized query.  Entries
     are the live caches themselves: a hit after a partial (budgeted)
     build returns the same entry with every probe forced so far already
-    resolved — a hit can never resurrect stale bounds.  Hits, misses,
-    and evictions are mirrored into the [inum.cache_*] trace
-    counters. *)
+    resolved — a hit can never resurrect stale bounds.  The store never
+    drops an entry.  Hits and misses are mirrored into the
+    [inum.cache_*] trace counters. *)
 module Keyed : sig
   type store
 
-  (** [create ?capacity ?probe_budget env] — a fresh store.  With
-      [capacity], the store keeps at most that many entries, evicting
-      least-recently-used first (the access clock is a deterministic
-      logical counter).  [probe_budget] is passed to every {!build} the
-      store performs.
-      @raise Invalid_argument when [capacity < 1] or [probe_budget < 1]. *)
-  val create :
-    ?capacity:int -> ?probe_budget:int -> Optimizer.Whatif.env -> store
+  (** [create ?probe_budget env] — a fresh, empty store.  [probe_budget]
+      is passed to every {!build} the store performs.
+      @raise Invalid_argument when [probe_budget < 1]. *)
+  val create : ?probe_budget:int -> Optimizer.Whatif.env -> store
 
   val env : store -> Optimizer.Whatif.env
 
@@ -152,8 +148,6 @@ module Keyed : sig
   val misses : store -> int
   (** statements that required a fresh {!build} *)
 
-  val evictions : store -> int
-
   val hit_rate : store -> float
   (** [hits / (hits + misses)]; [0.] before any lookup *)
 
@@ -162,9 +156,6 @@ module Keyed : sig
   (** [find_or_build s q] — the cached template set for [q]'s canonical
       key, building (and caching) it on a miss. *)
   val find_or_build : store -> Sqlast.Ast.query -> t
-
-  (** Explicitly drop [q]'s entry; [false] when absent. *)
-  val evict : store -> Sqlast.Ast.query -> bool
 end
 
 (** Caches for a whole workload: SELECTs and update query shells, plus the
@@ -210,8 +201,7 @@ val refine_cache : workload_cache -> config:Storage.Config.t -> int
     Statement caches are resolved through [store]: repeat keys are hits
     (zero probes), and only missing keys are built — with [store]'s probe
     budget — fanned over up to [jobs] domains.  The result is independent
-    of [jobs].  Entries evicted from [store] by capacity pressure stay
-    referenced by the returned cache. *)
+    of [jobs]. *)
 val add_statements :
   ?jobs:int ->
   Keyed.store ->

@@ -201,7 +201,10 @@ type certificate = {
 
 exception Certification_failed of string
 
-let certify ?(tol = 1e-6) ?(presolve = true) ?duals ?obj ?int_vars
+(* The tolerance every certificate test runs at. *)
+let tol = 1e-6
+
+let certify ?(presolve = true) ?duals ?obj ?int_vars
     (p : Problem.t) x =
   let nvars = Problem.nvars p in
   let rows = Problem.rows p in

@@ -58,7 +58,6 @@ type certificate = {
 }
 
 val certify :
-  ?tol:float ->
   ?presolve:bool ->
   ?duals:float array ->
   ?obj:float ->
@@ -68,7 +67,7 @@ val certify :
   certificate
 (** [certify p x] validates assignment [x] against [p].
 
-    [tol] (default [1e-6]) scales every test.  [obj] is the solver's
+    Every test runs at the tolerance [1e-6].  [obj] is the solver's
     reported objective {e including} the problem's objective offset;
     when given, the certificate checks it against [c'x + offset].
     [int_vars] restricts the integrality check to a subset (default: all
@@ -81,7 +80,7 @@ val certify :
     presolve-removed rows are reconstructed as zero and can be slack
     (the documented caveat in {!Presolve.solve}).  Pass [~presolve:false]
     when the solve ran on the full model — the caveat doesn't apply, and
-    a dual residual above [tol] then fails the certificate. *)
+    a dual residual above the tolerance then fails the certificate. *)
 
 exception Certification_failed of string
 (** Raised by debug-mode wirings ({!Branch_bound} incumbent acceptance,

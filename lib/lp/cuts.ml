@@ -48,6 +48,13 @@ type pool = {
 
 let max_age = 3
 
+(* A separation round returns the cuts an LP point violates by more than
+   [min_violation], at most [max_cuts] of them; {!certify} tolerates
+   [cert_tol]. *)
+let min_violation = 1e-4
+let max_cuts = 16
+let cert_tol = 1e-6
+
 (* Safety margin for the cover condition: only emit a cover whose weight
    clearly overshoots the capacity, so float noise in big byte-valued
    storage rows can never manufacture an invalid cut. *)
@@ -94,7 +101,7 @@ let lhs_value (c : cut) (x : float array) =
 
 (* Greedy cover of one knapsack against the LP point [x]; returns the
    lifted cut when violated by more than [min_violation]. *)
-let separate_knapsack (k : knapsack) (x : float array) ~min_violation =
+let separate_knapsack (k : knapsack) (x : float array) =
   (* items by LP value descending; deterministic tie-break on var id *)
   let order = Array.copy k.items in
   Array.sort
@@ -153,13 +160,13 @@ let separate_knapsack (k : knapsack) (x : float array) ~min_violation =
    dedup against the pool, age existing entries, and return the violated
    cuts (new or revived from the pool) worth adding, most violated
    first. *)
-let separate ?(min_violation = 1e-4) ?(max_cuts = 16) pool (x : float array) =
+let separate pool (x : float array) =
   let seen = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace seen (cut_key c) ()) pool.cuts;
   let fresh = ref [] in
   Array.iter
     (fun k ->
-      match separate_knapsack k x ~min_violation with
+      match separate_knapsack k x with
       | Some c when not (Hashtbl.mem seen (cut_key c)) ->
           Hashtbl.replace seen (cut_key c) ();
           Runtime.Trace.incr tr_separated;
@@ -218,8 +225,9 @@ let add_to_problem pool (p : Problem.t) (c : cut) =
 
 (* Certification: every added cut must hold at the final incumbent.
    Returns the number of violated cuts (0 = all certified). *)
-let certify ?(tol = 1e-6) pool (x : float array) =
+let certify pool (x : float array) =
   List.fold_left
     (fun bad c ->
-      if c.installed && lhs_value c x > c.crhs +. tol then bad + 1 else bad)
+      if c.installed && lhs_value c x > c.crhs +. cert_tol then bad + 1
+      else bad)
     0 pool.cuts

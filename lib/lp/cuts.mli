@@ -17,10 +17,9 @@ val detect : Problem.t -> pool
     covers from every knapsack, dedup against the pool, age pool entries
     (entries slack for several consecutive rounds are evicted unless
     already installed), and return the not-yet-added cuts violated by
-    more than [min_violation], most violated first, at most [max_cuts].
-    Ticks trace counters [cuts.separated] / [cuts.evicted]. *)
-val separate :
-  ?min_violation:float -> ?max_cuts:int -> pool -> float array -> cut list
+    more than [1e-4], most violated first, at most 16 of them.  Ticks
+    trace counters [cuts.separated] / [cuts.evicted]. *)
+val separate : pool -> float array -> cut list
 
 (** Install a cut as a [<=] row of the problem (idempotent).  The row
     then participates in every LP solve and in {!Analyze.certify} like
@@ -28,8 +27,8 @@ val separate :
     [bb.cuts_added]. *)
 val add_to_problem : pool -> Problem.t -> cut -> unit
 
-(** Number of added cuts violated by a point (0 = every cut certified).
-    Branch-and-bound checks the final incumbent through this — a nonzero
-    result means a cut cut off an integer feasible point and must be
-    treated as a solver bug. *)
-val certify : ?tol:float -> pool -> float array -> int
+(** Number of added cuts violated by a point by more than [1e-6] (0 =
+    every cut certified).  Branch-and-bound checks the final incumbent
+    through this — a nonzero result means a cut cut off an integer
+    feasible point and must be treated as a solver bug. *)
+val certify : pool -> float array -> int

@@ -34,15 +34,13 @@ exception Infeas of string
 let scale_hi = 1e4
 let scale_lo = 1e-4
 
-let run ?(integral = true) (p : Problem.t) =
+let run (p : Problem.t) =
   let n = Problem.nvars p in
   let m = Problem.nrows p in
   let rows = Problem.rows p in
   let lb = Array.init n (fun v -> (Problem.var p v).Problem.lb) in
   let ub = Array.init n (fun v -> (Problem.var p v).Problem.ub) in
   let is_int v =
-    integral
-    &&
     match (Problem.var p v).Problem.kind with
     | Problem.Binary | Problem.Integer -> true
     | Problem.Continuous -> false

@@ -3,8 +3,7 @@
 
     Rules applied to a fixpoint (bounded rounds):
 
-    - integral bound rounding on binary/integer variables (when
-      [integral], the default);
+    - integral bound rounding on binary/integer variables;
     - singleton-row elimination (the row becomes a bound, then drops as
       redundant);
     - implied-bound tightening from row activity bounds, with integral
@@ -19,9 +18,9 @@
       byte-scale coefficients that would otherwise dominate the
       factorization's threshold pivoting.
 
-    Presolve never mutates its input.  With [integral] set the reduction
-    preserves the set of integer-feasible solutions (not necessarily the
-    LP relaxation's optimum), which is what branch-and-bound needs. *)
+    Presolve never mutates its input.  The reduction preserves the set
+    of integer-feasible solutions (not necessarily the LP relaxation's
+    optimum), which is what branch-and-bound needs. *)
 
 type mapping = {
   reduced : Problem.t;
@@ -37,7 +36,7 @@ type outcome =
   | Feasible of mapping
   | Proved_infeasible of string  (** human-readable reason *)
 
-val run : ?integral:bool -> Problem.t -> outcome
+val run : Problem.t -> outcome
 (** Reductions tick the [Runtime.Trace] counters [presolve.rows_removed],
     [presolve.vars_removed] (variables fixed and substituted out) and
     [presolve.bounds_tightened] when tracing is on. *)
@@ -56,7 +55,7 @@ val restore_x : mapping -> float array -> float array
     disabled. *)
 val restore_duals : mapping -> float array -> float array
 
-(** The production LP path: presolve [p] (integral rules on), solve the
+(** The production LP path: presolve [p], solve the
     reduced problem with the sparse simplex kernel, and lift the
     solution, objective, and duals back to [p]'s variable/row space.
     Never mutates [p].

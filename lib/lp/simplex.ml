@@ -753,11 +753,10 @@ let new_session (p : Problem.t) = { sess_p = p; sess_state = None }
 let[@bound.source heuristic
      "like [solve], the result may carry an Iter_limit/Unbounded status \
       whose obj/x are an unproven last iterate"] session_solve
-    ?(max_iters = 0) ?(bounds = []) sess =
+    ?(bounds = []) sess =
   Runtime.Trace.incr tr_solves;
   let p = sess.sess_p in
-  let m = Problem.nrows p and n = Problem.nvars p in
-  let max_iters = if max_iters > 0 then max_iters else default_iters m n in
+  let max_iters = default_iters (Problem.nrows p) (Problem.nvars p) in
   let s, need_phase1 = make_state ~bounds ~basis:Sparse p in
   sess.sess_state <- Some s;
   solve_state s ~need_phase1 ~max_iters p
@@ -797,16 +796,16 @@ let save_basis sess =
 let[@bound.source heuristic
      "warm dual re-solves stall at Iter_limit like cold ones; the primal \
       cleanup certifies only the Optimal outcome"] warm_solve
-    ?(max_iters = 0) ?(bounds = []) sess (snap : Basis.t) =
+    ?(bounds = []) sess (snap : Basis.t) =
   let p = sess.sess_p in
   let m = Problem.nrows p and n = Problem.nvars p in
-  let max_iters = if max_iters > 0 then max_iters else default_iters m n in
+  let max_iters = default_iters m n in
   match snap.Basis.frozen with
-  | None -> session_solve ~max_iters ~bounds sess
+  | None -> session_solve ~bounds sess
   | Some _ when Array.length snap.Basis.sbasis <> m ->
       (* snapshot taken before the problem gained rows (e.g. cuts):
          its basis no longer matches the constraint matrix *)
-      session_solve ~max_iters ~bounds sess
+      session_solve ~bounds sess
   | Some fz ->
       Runtime.Trace.incr tr_solves;
       let s =
@@ -900,5 +899,5 @@ let[@bound.source heuristic
           (* the sign-pattern infeasibility proof can be spoiled by
              drop-tolerance zeros; confirm with a cold solve before
              letting a search prune on it *)
-          session_solve ~max_iters ~bounds sess
-      | Iter_limit | Unbounded -> session_solve ~max_iters ~bounds sess
+          session_solve ~bounds sess
+      | Iter_limit | Unbounded -> session_solve ~bounds sess

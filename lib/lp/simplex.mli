@@ -57,10 +57,9 @@ type session
 val new_session : Problem.t -> session
 
 (** Cold two-phase primal solve under the problem's bounds plus
-    [bounds] overrides.  Leaves the optimal basis available to
-    {!save_basis}. *)
-val session_solve :
-  ?max_iters:int -> ?bounds:(int * float * float) list -> session -> result
+    [bounds] overrides, at {!solve}'s default iteration cap.  Leaves the
+    optimal basis available to {!save_basis}. *)
+val session_solve : ?bounds:(int * float * float) list -> session -> result
 
 (** Snapshot the basis left by the session's last solve ([None] if the
     session has not solved yet). *)
@@ -76,7 +75,6 @@ val save_basis : session -> Basis.t option
     cold before a search may prune on it).  Ticks the
     [simplex.warm_resolves] / [simplex.dual_iterations] trace counters. *)
 val warm_solve :
-  ?max_iters:int ->
   ?bounds:(int * float * float) list ->
   session ->
   Basis.t ->

@@ -21,8 +21,8 @@ type env = {
   calls : int Atomic.t;  (* number of direct optimizations performed *)
 }
 
-let make_env ?(params = Cost_params.default) schema =
-  { params; schema; calls = Atomic.make 0 }
+let make_env schema =
+  { params = Cost_params.default; schema; calls = Atomic.make 0 }
 
 let whatif_calls env = Atomic.get env.calls
 let reset_calls env = Atomic.set env.calls 0

@@ -20,7 +20,9 @@ type env = {
   calls : int Atomic.t;  (** direct optimizations performed so far *)
 }
 
-val make_env : ?params:Cost_params.t -> Catalog.Schema.t -> env
+(** [make_env schema] — a fresh environment pricing with
+    {!Cost_params.default}, with the call counter at zero. *)
+val make_env : Catalog.Schema.t -> env
 
 (** Number of direct what-if optimizations performed (the quantity the
     paper's time accounting tracks for the commercial advisors). *)

@@ -3,9 +3,11 @@
 
    Requests (one object per line):
      {"op":"statement","sql":"SELECT ...","delta":2.0}
-         observe a statement with a frequency delta (default 1.0; a
-         delta that is not finite or exceeds [max_abs_delta] in
-         magnitude is rejected, since the solver cannot price it)
+         observe a statement with a frequency delta (default 1.0 when
+         the member is absent).  A delta may be negative: it takes
+         mass off the key while it is in the window.  A "delta" that
+         is not a number, is not finite or exceeds [max_abs_delta] in
+         magnitude is rejected, since the solver cannot price it
      {"op":"recommend"}
          flush pending observations, warm-started re-solve, respond with
          the recommended indexes
@@ -13,11 +15,16 @@
          INUM cost of a statement under the last recommendation vs. no
          indexes (keyed-store lookup: repeats cost zero probes)
      {"op":"stats"}
-         counters: events, window, cache hits/misses, probe counts,
-         recommend latency quantiles.  [inum_probes] is the optimizer calls spent
-         on the session's own INUM builds: build-time probes plus the
-         deferred probes recommend's refine rounds forced since (what-if
-         reads build outside the session and are not counted)
+         [events] (observations so far), [window] (events in the
+         window), [statements] (keys with positive mass), [recommends],
+         [whatifs], [cache_hits]/[cache_misses]/[cache_hit_rate] (the
+         keyed store's, and the serving-level rate), [inum_probes],
+         [pending_probes], [probe_regret], [combos_truncated], and the
+         recommend latency quantiles [p50_ms]/[p99_ms].  [inum_probes]
+         is the optimizer calls spent on the session's own INUM builds:
+         build-time probes plus the deferred probes recommend's refine
+         rounds forced since (what-if reads build outside the session
+         and are not counted)
      {"op":"quit"}
          acknowledge; the daemon closes the stream
 
@@ -25,9 +32,11 @@
    events (count-based, so the engine is deterministic — no wall clock).
    Statements are deduplicated by canonical key: the session holds one
    statement per key whose weight is the key's delta mass inside the
-   window.  When a key's mass drops to zero it leaves the session; its
-   INUM templates stay in the keyed store, so returning queries cost
-   zero optimizer probes.
+   window.  When a key's mass drops to zero it leaves the session; the
+   engine forgets the key only once none of its events is left in the
+   window, since evicting a negative delta gives its mass back.  Its
+   INUM templates stay in the keyed store either way, so returning
+   queries cost zero optimizer probes.
 
    Every response is deterministic in the event stream except the
    explicitly named latency fields ([*_ms]), which measure wall-clock
@@ -49,6 +58,7 @@ type entry = {
   id : int;  (* statement id of the first-seen spelling *)
   stmt : Ast.statement;
   mutable weight : float;  (* delta mass inside the window *)
+  mutable in_window : int;  (* this key's events inside the window *)
   mutable in_session : bool;
 }
 
@@ -87,13 +97,12 @@ let max_line_bytes = 1 lsl 20
 let latency_buckets = 112
 let latency_edge_ms i = 0.001 *. (2.0 ** (float_of_int i /. 4.0))
 
-let create ?(params = Optimizer.Cost_params.default) ?(window = 256)
-    ?(jobs = 1) ?(budget_fraction = 0.25) ?(certify = true) ?probe_budget
-    schema =
+let create ?(window = 256) ?(jobs = 1) ?(budget_fraction = 0.25)
+    ?(certify = true) ?probe_budget schema =
   if window < 1 then invalid_arg "Engine.create: window < 1";
   let budget = budget_fraction *. Catalog.Tpch.database_size schema in
   let session =
-    Cophy.Interactive.create ~params ~jobs ?probe_budget schema [] ~budget
+    Cophy.Interactive.create ~jobs ?probe_budget schema [] ~budget
   in
   {
     schema;
@@ -134,26 +143,38 @@ let observe t stmt delta =
     | Some e -> e
     | None ->
         let e =
-          { id = statement_id stmt; stmt; weight = 0.0; in_session = false }
+          {
+            id = statement_id stmt;
+            stmt;
+            weight = 0.0;
+            in_window = 0;
+            in_session = false;
+          }
         in
         Hashtbl.add t.by_key key e;
         e
   in
   entry.weight <- entry.weight +. delta;
+  entry.in_window <- entry.in_window + 1;
   mark_dirty t key;
   Queue.push (key, delta) t.window;
   while Queue.length t.window > t.window_cap do
     let k, d = Queue.pop t.window in
     Runtime.Trace.incr tr_window_evictions;
     (match Hashtbl.find_opt t.by_key k with
-    | Some e -> e.weight <- e.weight -. d
+    | Some e ->
+        e.in_window <- e.in_window - 1;
+        (* with no event left the mass is exactly zero, whatever
+           rounding the additions and subtractions left behind *)
+        e.weight <- (if e.in_window = 0 then 0.0 else e.weight -. d)
     | None -> ());
     mark_dirty t k
   done
 
 (* Apply deferred observations to the session: new keys enter (candidate
    generation batched over the domain pool, INUM builds resolved through
-   the keyed store), weight changes sync, and zero-mass keys leave. *)
+   the keyed store), weight changes sync, and zero-mass keys leave.  A
+   key is forgotten only when its last event left the window. *)
 let flush t =
   match t.dirty with
   | [] -> ()
@@ -199,14 +220,18 @@ let flush t =
                     ~drop:(fun st -> statement_id st = e.id);
                   e.in_session <- false
                 end;
-                Hashtbl.remove t.by_key key
+                if e.in_window = 0 then Hashtbl.remove t.by_key key
               end
               else if e.in_session then
                 Cophy.Interactive.set_weight t.session e.id e.weight)
         dirty
 
 let window_size t = Queue.length t.window
-let session_statements t = Hashtbl.length t.by_key
+
+let session_statements t =
+  Runtime.Tbl.fold_sorted
+    (fun _ e n -> if e.weight > weight_eps then n + 1 else n)
+    t.by_key 0
 
 (* --- Quantiles --- *)
 
@@ -329,7 +354,6 @@ let stats_response t =
       ("whatifs", Json.Num (float_of_int t.whatifs));
       ("cache_hits", Json.Num (float_of_int (Inum.Keyed.hits store)));
       ("cache_misses", Json.Num (float_of_int (Inum.Keyed.misses store)));
-      ("cache_evictions", Json.Num (float_of_int (Inum.Keyed.evictions store)));
       ("cache_hit_rate", Json.Num (cache_hit_rate t));
       ( "inum_probes",
         Json.Num
@@ -368,19 +392,19 @@ let handle t request =
           | None -> err "statement: missing \"sql\""
           | Some sql -> (
               let delta =
-                match
-                  Option.bind (Json.member "delta" request) Json.to_float
-                with
-                | Some d -> d
-                | None -> 1.0
+                match Json.member "delta" request with
+                | None -> Some 1.0
+                | Some d -> Json.to_float d
               in
-              if not (Float.abs delta <= max_abs_delta) then
+              match delta with
+              | None -> err "statement: \"delta\" must be a number"
+              | Some delta when not (Float.abs delta <= max_abs_delta) ->
                 err
                   (Printf.sprintf
                      "statement: \"delta\" must be finite with magnitude \
                       at most %g"
                      max_abs_delta)
-              else
+              | Some delta -> (
                 match Parse.statement t.schema sql with
                 | stmt ->
                     observe t stmt delta;
@@ -390,7 +414,7 @@ let handle t request =
                         ("op", Json.Str "statement");
                         ("key", Json.Str (Canon.statement_key stmt));
                       ]
-                | exception Parse.Parse_error m -> err ("parse error: " ^ m)))
+                | exception Parse.Parse_error m -> err ("parse error: " ^ m))))
       | Some "recommend" -> recommend t
       | Some "whatif" -> (
           match Option.bind (Json.member "sql" request) Json.to_str with

@@ -10,7 +10,11 @@
     observation events (count-based: deterministic, no wall clock).
     Statements are deduplicated by canonical key; a key's weight is its
     delta mass inside the window, and zero-mass keys leave the session
-    while their INUM templates stay in the keyed store.  Responses are
+    while their INUM templates stay in the keyed store.  A key is
+    forgotten only once none of its events is left in the window, so a
+    negative delta's eviction gives its mass back.  A [statement]
+    request whose ["delta"] is present but not a number is answered
+    with an error and leaves the session unchanged.  Responses are
     deterministic in the event stream except the [*_ms] latency
     fields.  [p50_ms]/[p99_ms] in [recommend] and [stats] replies are
     nearest-rank quantiles over a fixed-bucket log histogram of the
@@ -30,7 +34,6 @@ type t
     response reports the outstanding count and certified regret bound.
     @raise Invalid_argument when [window < 1]. *)
 val create :
-  ?params:Optimizer.Cost_params.t ->
   ?window:int ->
   ?jobs:int ->
   ?budget_fraction:float ->
@@ -51,6 +54,9 @@ val observe : t -> Sqlast.Ast.statement -> float -> unit
 val flush : t -> unit
 
 val window_size : t -> int
+
+(** Keys whose delta mass in the window is positive: after {!flush},
+    exactly the session's statements. *)
 val session_statements : t -> int
 
 (** Warm-started re-solve; the response carries objective, bound, gap,

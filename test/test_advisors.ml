@@ -73,7 +73,7 @@ let test_tool_a_improves () =
 
 let test_tool_a_time_limit () =
   let env = Optimizer.Whatif.make_env schema in
-  let options = { Advisors.Tool_a.default_options with Advisors.Tool_a.time_limit = 0.0 } in
+  let options = { Advisors.Tool_a.time_limit = 0.0 } in
   let r = Advisors.Tool_a.solve ~options env (workload ~n:6 ()) ~budget:(0.1 *. db_size) in
   Alcotest.(check bool) "reports timeout" true r.Advisors.Eval.timed_out
 

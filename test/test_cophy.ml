@@ -812,19 +812,6 @@ let test_decomposition_mandatory_row () =
   Alcotest.(check (float 0.0)) "infeasible z polytope: infinite bound"
     infinity r.Cophy.Decomposition.bound
 
-let test_naive_links_ablation () =
-  (* the aggregated-link LP bound dominates the naive per-variable one *)
-  let _, _, _, sp = build_problem ~n:3 ~cand_cap:6 () in
-  let budget = 0.5 *. db_size in
-  let p_agg, _ = Cophy.Sproblem.to_lp ~budget sp in
-  let p_naive, _ = Cophy.Sproblem.to_lp ~budget ~naive_links:true sp in
-  let r_agg = Lp.Simplex.solve p_agg in
-  let r_naive = Lp.Simplex.solve p_naive in
-  Alcotest.(check bool) "aggregated bound tighter or equal" true
-    (r_agg.Lp.Simplex.obj >= r_naive.Lp.Simplex.obj -. 1e-6);
-  Alcotest.(check bool) "fewer rows" true
-    (Lp.Problem.nrows p_agg <= Lp.Problem.nrows p_naive)
-
 let test_pruning_ablation_same_optimum () =
   (* dominance pruning is lossless: both problems have the same optimum *)
   let e = env () in
@@ -921,7 +908,7 @@ let test_solver_paths_agree () =
     Cophy.Solver.solve
       ~options:{ Cophy.Solver.default_options with
                  Cophy.Solver.method_ = Cophy.Solver.Decomposed;
-                 gap_tolerance = 1e-4; max_iters = 300 }
+                 gap_tolerance = 1e-4 }
       sp ~budget ~z_rows:[]
   in
   Alcotest.(check bool) "near agreement" true
@@ -1540,7 +1527,6 @@ let () =
       ( "ablations",
         [
           Alcotest.test_case "update-heavy advising" `Quick test_update_heavy_advisor;
-          Alcotest.test_case "naive links weaker" `Quick test_naive_links_ablation;
           Alcotest.test_case "pruning lossless" `Slow test_pruning_ablation_same_optimum;
           Alcotest.test_case "black-box (udf) constraint" `Quick test_udf_constraint;
         ] );

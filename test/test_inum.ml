@@ -339,21 +339,6 @@ let test_keyed_hit_bit_identical () =
   Alcotest.(check (float 0.0)) "identical cost surface"
     (Inum.cost fresh cfg) (Inum.cost c2 cfg)
 
-let test_keyed_capacity_lru () =
-  let e = env () in
-  let store = Inum.Keyed.create ~capacity:1 e in
-  let q1 = simple_query () in
-  let q2 = join_query () in
-  ignore (Inum.Keyed.find_or_build store q1);
-  ignore (Inum.Keyed.find_or_build store q2);
-  Alcotest.(check int) "capacity enforced" 1 (Inum.Keyed.length store);
-  Alcotest.(check int) "eviction counted" 1 (Inum.Keyed.evictions store);
-  Alcotest.(check bool) "old key evicted" false (Inum.Keyed.mem store q1);
-  Alcotest.(check bool) "new key kept" true (Inum.Keyed.mem store q2);
-  (* the evicted key rebuilds on return *)
-  ignore (Inum.Keyed.find_or_build store q1);
-  Alcotest.(check int) "rebuild is a miss" 3 (Inum.Keyed.misses store)
-
 let test_add_statements_dedupe () =
   let e = env () in
   let store = Inum.Keyed.create e in
@@ -744,7 +729,6 @@ let () =
         [
           Alcotest.test_case "hit bit-identical" `Quick
             test_keyed_hit_bit_identical;
-          Alcotest.test_case "capacity lru" `Quick test_keyed_capacity_lru;
           Alcotest.test_case "add_statements dedupe" `Quick
             test_add_statements_dedupe;
           Alcotest.test_case "partial build coherent" `Quick

@@ -245,12 +245,166 @@ let test_handle_line_errors () =
     (fun delta ->
       expect_error
         (Printf.sprintf {|{"op":"statement","sql":%s,"delta":%s}|} sql delta))
-    [ "1e999"; "-1e999"; "1e306" ];
+    [ "1e999"; "-1e999"; "1e306"; "\"abc\""; "null"; "true"; "{}" ];
   let r =
     Serve.Json.of_string (Serve.Engine.handle_line e {|{"op":"recommend"}|})
   in
   Alcotest.(check bool) "recommend after rejected deltas" true
     (member_exn "ok" r = Serve.Json.Bool true)
+
+(* The canonical key the engine files a statement under: the key of its
+   printed SQL, parsed again (printing rounds selectivities, so it can
+   differ from the generated statement's own key). *)
+let served_key stmt = Canon.statement_key (Parse.statement schema (sql_of stmt))
+
+(* [k] statements with pairwise distinct served keys. *)
+let distinct_statements k =
+  let seen = Hashtbl.create 16 in
+  statements ~n:40 ~seed:3
+  |> List.filter (fun s ->
+         let key = served_key s in
+         (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+  |> List.filteri (fun i _ -> i < k)
+
+let number_member k v =
+  match Serve.Json.to_float (member_exn k v) with
+  | Some x -> x
+  | None -> Alcotest.failf "%S is not a number" k
+
+(* A key whose mass dropped to zero while its events were still in the
+   window comes back with the mass its evicted negative delta returns.
+   At window 3 the stream A+1 A-1 A+1 B+1 C+1 (a recommend after each)
+   leaves [A+1, B+1, C+1] in the window: three statements, A weighing
+   1. *)
+let test_engine_window_zero_mass_return () =
+  let e = engine ~window:3 () in
+  let a, b, c =
+    match distinct_statements 3 with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> Alcotest.fail "three distinct statements"
+  in
+  let reply line = Serve.Json.of_string (Serve.Engine.handle_line e line) in
+  List.iter
+    (fun (stmt, delta) ->
+      ignore (reply (statement_line ~delta stmt));
+      ignore (reply {|{"op":"recommend"}|}))
+    [ (a, 1.0); (a, -1.0); (a, 1.0); (b, 1.0); (c, 1.0) ];
+  let st = reply {|{"op":"stats"}|} in
+  Alcotest.(check (float 0.0)) "three statements" 3.0
+    (number_member "statements" st);
+  let weight_of s =
+    List.find_map
+      (fun (wt : Ast.weighted) ->
+        if Canon.statement_key wt.Ast.stmt = served_key s then
+          Some wt.Ast.weight
+        else None)
+      (Cophy.Interactive.workload (Serve.Engine.session e))
+  in
+  Alcotest.(check (option (float 0.0))) "A keeps its mass" (Some 1.0)
+    (weight_of a)
+
+(* Rounding leaves no ghost: once a key's last event left the window its
+   mass is zero, however far the sum of its deltas strayed (1e12 + 0.3
+   is not exact: subtracting both leaves about 5e-5). *)
+let test_engine_window_no_ghost_mass () =
+  let e = engine ~window:2 () in
+  let a, b =
+    match distinct_statements 2 with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "two distinct statements"
+  in
+  List.iter
+    (fun (stmt, delta) ->
+      ignore (Serve.Engine.handle_line e (statement_line ~delta stmt)))
+    [ (a, 1e12); (a, 0.3); (b, 1.0); (b, 1.0) ];
+  let st =
+    Serve.Json.of_string (Serve.Engine.handle_line e {|{"op":"stats"}|})
+  in
+  Alcotest.(check (float 0.0)) "only B is left" 1.0
+    (number_member "statements" st);
+  Alcotest.(check int) "one session statement" 1
+    (List.length (Cophy.Interactive.workload (Serve.Engine.session e)))
+
+(* Reference model of the sliding window: after every recommend or
+   stats reply, the session holds exactly the keys whose deltas among
+   the last [window] events sum above 1e-9, each weighing that sum, and
+   the reply's [statements] counts them.  Deltas are exact in binary, so
+   the sums are exact. *)
+type window_op = Observe of int * float | Recommend | Stats
+
+let window_op =
+  let open QCheck.Gen in
+  let delta = oneofl [ -2.0; -1.0; -0.5; 0.5; 1.0; 2.0 ] in
+  frequency
+    [
+      (6, map2 (fun i d -> Observe (i, d)) (int_bound 2) delta);
+      (2, return Recommend);
+      (1, return Stats);
+    ]
+
+let print_window_op = function
+  | Observe (i, d) -> Printf.sprintf "%c%+g" (Char.chr (65 + i)) d
+  | Recommend -> "rec"
+  | Stats -> "stats"
+
+let window_case =
+  QCheck.(
+    pair (int_range 1 5)
+      (list_of_size Gen.(1 -- 24) (make ~print:print_window_op window_op)))
+
+let print_weights ws =
+  String.concat "; "
+    (List.map
+       (fun (k, w) -> Printf.sprintf "%s=%g" (Digest.to_hex (Digest.string k)) w)
+       ws)
+
+let prop_window_reference_model =
+  let stmts = Array.of_list (distinct_statements 3) in
+  let keys = Array.map served_key stmts in
+  QCheck.Test.make ~name:"serve window = per-key sum over the last events"
+    ~count:200
+    window_case
+    (fun (window, ops) ->
+      let e = engine ~window () in
+      let events = ref [] in
+      let expected () =
+        let recent = List.filteri (fun i _ -> i < window) !events in
+        List.filter_map
+          (fun i ->
+            let sum =
+              List.fold_left
+                (fun acc (j, d) -> if j = i then acc +. d else acc)
+                0.0 recent
+            in
+            if sum > 1e-9 then Some (keys.(i), sum) else None)
+          [ 0; 1; 2 ]
+        |> List.sort compare
+      in
+      let actual () =
+        Cophy.Interactive.workload (Serve.Engine.session e)
+        |> List.map (fun (wt : Ast.weighted) ->
+               (Canon.statement_key wt.Ast.stmt, wt.Ast.weight))
+        |> List.sort compare
+      in
+      let check reply =
+        let want = expected () and got = actual () in
+        if got <> want then
+          QCheck.Test.fail_reportf "session [%s], model [%s]"
+            (print_weights got) (print_weights want);
+        if number_member "statements" reply <> float_of_int (List.length want)
+        then QCheck.Test.fail_reportf "statements field differs from the model"
+      in
+      List.iter
+        (function
+          | Observe (i, d) ->
+              events := (i, d) :: !events;
+              ignore
+                (Serve.Engine.handle_line e (statement_line ~delta:d stmts.(i)))
+          | Recommend -> check (Serve.Engine.recommend e)
+          | Stats -> check (Serve.Engine.stats_response e))
+        ops;
+      check (Serve.Engine.stats_response e);
+      true)
 
 (* A query whose join graph leaves a table unreached (nation joins
    nothing) plans with a cross product: the what-if read answers finite
@@ -477,6 +631,11 @@ let () =
           Alcotest.test_case "dedupe" `Quick test_engine_dedupe;
           Alcotest.test_case "window eviction" `Quick
             test_engine_window_eviction;
+          Alcotest.test_case "window: a key back from zero mass" `Quick
+            test_engine_window_zero_mass_return;
+          Alcotest.test_case "window: rounding leaves no ghost mass" `Quick
+            test_engine_window_no_ghost_mass;
+          QCheck_alcotest.to_alcotest prop_window_reference_model;
           Alcotest.test_case "recommend/whatif/stats" `Quick
             test_engine_recommend_whatif_stats;
           Alcotest.test_case "inum_probes = trace init_calls" `Quick
