@@ -380,6 +380,82 @@ let test_sproblem_memo_reuse () =
     (build ());
   check_memo_exact "after re-adding" s
 
+(* --- Pricing-path pins --- *)
+
+(* Every block of a problem, pinned to the bit: qid, weight, every
+   template's beta and every choice's candidate and gamma (floats as
+   [%h]), and [cands_used], digested; with the block count,
+   [variable_count] and the block count after [compress]. *)
+let problem_sig (sp : Cophy.Sproblem.t) =
+  let b = Buffer.create 65536 in
+  Array.iter
+    (fun (blk : Cophy.Sproblem.block) ->
+      Printf.bprintf b "q%d w%h" blk.Cophy.Sproblem.qid blk.Cophy.Sproblem.weight;
+      Array.iter
+        (fun (t : Cophy.Sproblem.template) ->
+          Printf.bprintf b " t%h" t.Cophy.Sproblem.beta;
+          Array.iter
+            (fun slot ->
+              Buffer.add_string b " [";
+              Array.iter
+                (fun (c : Cophy.Sproblem.slot_choice) ->
+                  Printf.bprintf b "%d:%h," c.Cophy.Sproblem.cand
+                    c.Cophy.Sproblem.gamma)
+                slot;
+              Buffer.add_char b ']')
+            t.Cophy.Sproblem.choices)
+        blk.Cophy.Sproblem.templates;
+      Printf.bprintf b " u%s\n"
+        (String.concat ","
+           (Array.to_list
+              (Array.map string_of_int blk.Cophy.Sproblem.cands_used))))
+    sp.Cophy.Sproblem.blocks;
+  Printf.sprintf "%d blocks %d vars %d compressed %s"
+    (Cophy.Sproblem.num_blocks sp)
+    (Cophy.Sproblem.variable_count sp)
+    (Cophy.Sproblem.num_blocks (Cophy.Sproblem.compress sp))
+    (String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 12)
+
+(* One session over [w] at probe budget 16, with the even-numbered CGen
+   candidates: its problem after the first build, after [refine_at]
+   every candidate it has (the rebuild after forced probes, which prices
+   the templates the refine added), and after [add_candidates] the rest
+   (the rebuild that extends memoized templates). *)
+let pricing_pin_lines w =
+  let cands = Cophy.Cgen.generate w in
+  let even = List.filteri (fun i _ -> i mod 2 = 0) cands in
+  let odd = List.filteri (fun i _ -> i mod 2 = 1) cands in
+  let s =
+    Cophy.Interactive.create ~candidates:even ~probe_budget:16 schema w
+      ~budget:(0.5 *. db_size)
+  in
+  let built = problem_sig (Cophy.Interactive.problem s) in
+  let forced = Cophy.Interactive.refine_at s (Storage.Config.of_list even) in
+  let refined = problem_sig (Cophy.Interactive.problem s) in
+  Cophy.Interactive.add_candidates s odd;
+  let extended = problem_sig (Cophy.Interactive.problem s) in
+  [
+    "build " ^ built;
+    Printf.sprintf "refine_at +%d %s" forced refined;
+    "add_candidates " ^ extended;
+  ]
+
+let hom200_pricing_pins =
+  [
+    "build 200 blocks 11296 vars 49 compressed 252017797c77";
+    "refine_at +1224 200 blocks 15700 vars 49 compressed 20db360bedf4";
+    "add_candidates 200 blocks 22665 vars 50 compressed ae52b8901b78";
+  ]
+let het12_pricing_pins =
+  [
+    "build 12 blocks 951 vars 12 compressed 013e0a14e14e";
+    "refine_at +181 12 blocks 1561 vars 12 compressed 138d11723f1e";
+    "add_candidates 12 blocks 2839 vars 12 compressed 9dce956a1105";
+  ]
+
+let test_pricing_pins w expected () =
+  Alcotest.(check (list string)) "problem digests" expected (pricing_pin_lines w)
+
 (* The materialized Theorem-1 BIP of hom n=20 at 0.5x: the model passes
    the static checks, its LP relaxation solves to optimal on the
    production path (presolve + sparse kernel), and the optimum passes
@@ -1497,6 +1573,12 @@ let () =
             test_sproblem_memo_exact;
           Alcotest.test_case "memoized rebuilds = fresh builds (drift)" `Quick
             test_sproblem_memo_drift;
+          Alcotest.test_case "pricing pins (W_hom n=200)" `Quick
+            (test_pricing_pins (Workload.Gen.hom schema ~n:200 ~seed:7)
+               hom200_pricing_pins);
+          Alcotest.test_case "pricing pins (W_het n=12)" `Quick
+            (test_pricing_pins (Workload.Gen.het schema ~n:12 ~seed:7)
+               het12_pricing_pins);
           Alcotest.test_case "memo reuse counters" `Quick
             test_sproblem_memo_reuse;
           Alcotest.test_case "LP relaxation checked and certified" `Quick

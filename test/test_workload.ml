@@ -132,6 +132,61 @@ let prop_selectivities_in_range =
             preds)
         w)
 
+(* --- Selectivity pins --- *)
+
+(* Every predicate selectivity of the benchmark's generated inputs (seed
+   7) as [%h], in statement and clause order, digested: the count, then
+   the first 12 hex digits of the digest.  A generator change that moves
+   one selectivity by one ulp, or draws one value more or less from the
+   generator's random state, moves a pin. *)
+let selectivities_sig stmts =
+  let b = Buffer.create 65536 in
+  let n = ref 0 in
+  let preds ps =
+    List.iter
+      (fun (p : Ast.predicate) ->
+        incr n;
+        Printf.bprintf b "%h;" p.Ast.selectivity)
+      ps;
+    Buffer.add_char b '|'
+  in
+  List.iter
+    (function
+      | Ast.Select q -> preds q.Ast.predicates
+      | Ast.Update u -> preds u.Ast.where)
+    stmts;
+  Printf.sprintf "%d:%s" !n
+    (String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 12)
+
+let bench_inputs () =
+  let stmts w = List.map (fun (wt : Ast.weighted) -> wt.Ast.stmt) w in
+  [
+    ("hom n=1000", stmts (Workload.Gen.hom schema ~n:1000 ~seed:7));
+    ("het n=30", stmts (Workload.Gen.het schema ~n:30 ~seed:7));
+    ("het n=40 seed 8", stmts (Workload.Gen.het schema ~n:40 ~seed:8));
+    ( "drift",
+      List.filter_map
+        (function
+          | Workload.Replay.Statement (s, _) -> Some s
+          | Workload.Replay.Recommend -> None)
+        (Workload.Replay.drift ~recommend_every:10 ~update_fraction:0.1 schema
+           ~n:100 ~events:300 ~seed:7) );
+  ]
+
+let selectivity_pins =
+  [
+    "hom n=1000 2131:6371f7c891e4";
+    "het n=30 81:ee88b3eab6bd";
+    "het n=40 seed 8 115:1a808b17ae65";
+    "drift 584:7c15485ed7d6";
+  ]
+
+let test_selectivity_pins () =
+  Alcotest.(check (list string)) "selectivities" selectivity_pins
+    (List.map
+       (fun (name, stmts) -> name ^ " " ^ selectivities_sig stmts)
+       (bench_inputs ()))
+
 let () =
   Alcotest.run "workload"
     [
@@ -151,5 +206,10 @@ let () =
           Alcotest.test_case "update mixing" `Quick test_with_updates_fraction;
           Alcotest.test_case "skew sensitivity" `Quick test_skew_changes_selectivities;
           QCheck_alcotest.to_alcotest prop_selectivities_in_range;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "benchmark inputs' selectivities" `Quick
+            test_selectivity_pins;
         ] );
     ]
