@@ -5,38 +5,54 @@
 type t = {
   n : int;              (* number of distinct values (ranks)  *)
   z : float;            (* skew parameter, z >= 0             *)
+  prefix : float array; (* prefix.(r) = sum_{i=1..r} i^{-z}, r <= exact_limit *)
   harmonic : float;     (* H_{n,z} = sum_{r=1..n} r^{-z}      *)
 }
 
-let harmonic_number n z =
-  (* Exact summation below a threshold; Euler–Maclaurin style integral
-     approximation above it, to keep construction O(1)-ish for the huge
-     domains of TPC-H columns. *)
-  let exact_limit = 20_000 in
-  if n <= exact_limit then begin
-    let acc = ref 0.0 in
-    for r = 1 to n do
-      acc := !acc +. (float_of_int r ** (-.z))
-    done;
-    !acc
-  end
+(* Harmonic numbers are summed exactly up to this rank; above it, an
+   Euler–Maclaurin style integral approximates the tail, to keep
+   construction O(1)-ish for the huge domains of TPC-H columns. *)
+let exact_limit = 20_000
+
+(* The running sums of r^{-z} for r = 1..exact_limit, left to right, so
+   [prefix.(r)] is bit for bit the sum a loop over 1..r computes.  They
+   depend on the skew alone and every column of a catalog shares a few
+   skews, so each skew's array is computed once per process and shared
+   read-only: a lock-free list, published by compare-and-set (a domain
+   that loses the race recomputes the same array and retries). *)
+let prefixes : (float * float array) list Atomic.t = Atomic.make []
+
+let same_skew a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let rec prefix_sums z =
+  let known = Atomic.get prefixes in
+  match List.find_opt (fun (z', _) -> same_skew z z') known with
+  | Some (_, prefix) -> prefix
+  | None ->
+      let prefix = Array.make (exact_limit + 1) 0.0 in
+      for r = 1 to exact_limit do
+        prefix.(r) <- prefix.(r - 1) +. (float_of_int r ** (-.z))
+      done;
+      if Atomic.compare_and_set prefixes known ((z, prefix) :: known) then prefix
+      else prefix_sums z
+
+(* H_{n,z} over the prefix sums of skew z. *)
+let harmonic_of prefix n z =
+  if n <= exact_limit then prefix.(n)
   else begin
-    let acc = ref 0.0 in
-    for r = 1 to exact_limit do
-      acc := !acc +. (float_of_int r ** (-.z))
-    done;
     let a = float_of_int exact_limit and b = float_of_int n in
     let tail =
       if abs_float (z -. 1.0) < 1e-9 then log (b /. a)
       else ((b ** (1.0 -. z)) -. (a ** (1.0 -. z))) /. (1.0 -. z)
     in
-    !acc +. tail
+    prefix.(exact_limit) +. tail
   end
 
 let create ~n ~z =
   if n < 1 then invalid_arg "Zipf.create: n must be >= 1";
   if z < 0.0 then invalid_arg "Zipf.create: z must be >= 0";
-  { n; z; harmonic = harmonic_number n z }
+  let prefix = prefix_sums z in
+  { n; z; prefix; harmonic = harmonic_of prefix n z }
 
 let n t = t.n
 let z t = t.z
@@ -50,14 +66,14 @@ let mass t r =
 let cumulative t r =
   if r < 0 then invalid_arg "Zipf.cumulative: negative rank";
   let r = min r t.n in
-  harmonic_number (max r 0) t.z /. t.harmonic
-  |> fun x -> if r = 0 then 0.0 else x
+  if r = 0 then 0.0 else harmonic_of t.prefix r t.z /. t.harmonic
 
 (* Expected selectivity of an equality predicate whose constant is drawn
    from the same distribution as the data: sum_r p_r^2 = H_{n,2z}/H_{n,z}^2.
    For z=0 this is exactly 1/n. *)
 let equality_selectivity t =
-  harmonic_number t.n (2.0 *. t.z) /. (t.harmonic *. t.harmonic)
+  let z2 = 2.0 *. t.z in
+  harmonic_of (prefix_sums z2) t.n z2 /. (t.harmonic *. t.harmonic)
 
 (* Mass of a contiguous rank interval [lo, hi]. *)
 let interval_mass t ~lo ~hi =

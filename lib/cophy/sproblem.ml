@@ -62,18 +62,38 @@ let variable_count t =
 
 (* --- Construction --- *)
 
-(* A template priced against the first [count] candidates. *)
-type priced = { count : int; tpl : template }
+(* The access paths of one slot table of a raw statement: the
+   (statement, table) context, the no-index access, and one access per
+   candidate on the table, by descending position — the order
+   [table_cands] lists them in. *)
+type slot_paths = {
+  ctx : Optimizer.Access.context;
+  scan : Optimizer.Access.access;
+  accs : (int * Optimizer.Access.access) list;
+}
 
-(* The pricing memo: raw statement shape -> INUM template (by physical
-   identity) -> its priced form, as the last build made it.  [env] and
-   [seen] are that build's environment and candidate array; a build
-   under another environment, or over an array that does not extend
-   [seen] position by position, reuses nothing. *)
+(* One raw statement shape of one INUM entry, as a build priced it: a
+   statement of that shape, its slot tables' paths ([None] until one of
+   its templates is priced), each template's priced form, by INUM
+   template (physical identity), and the block arrays the build gave
+   every statement of the shape. *)
+type shape = {
+  stmt : Sqlast.Ast.query;
+  paths : slot_paths array option;
+  priced : (Inum.template * template) list;
+  tpls : template array;
+  used : int array;
+}
+
+(* The pricing memo: INUM entry id -> its raw shapes, as the last build
+   made them.  [env] and [seen] are that build's environment and
+   candidate array: every path and template was priced against [seen].
+   A build under another environment, or over an array that does not
+   extend [seen] position by position, reuses nothing. *)
 type prices = {
   mutable env : Optimizer.Whatif.env option;
   mutable seen : Storage.Index.t array;
-  mutable memo : (string, (Inum.template * priced) list) Hashtbl.t;
+  mutable memo : (int, shape list) Hashtbl.t;
 }
 
 let prices () = { env = None; seen = [||]; memo = Hashtbl.create 1 }
@@ -88,11 +108,20 @@ let extends old cands =
   let rec same i = i >= n || (old.(i) == cands.(i) && same (i + 1)) in
   n <= Array.length cands && same 0
 
-(* The memo entries a build under [env] over [candidates] may reuse. *)
+(* The memo a build under [env] over [candidates] may reuse, with the
+   candidate count it was priced against. *)
 let reusable p env candidates =
   match p.env with
-  | Some e when e == env && extends p.seen candidates -> p.memo
-  | _ -> Hashtbl.create 1
+  | Some e when e == env && extends p.seen candidates ->
+      (p.memo, Array.length p.seen)
+  | _ -> (Hashtbl.create 1, 0)
+
+(* The shape of [q] among [tbl]'s shapes of INUM entry [id], by
+   {!Sqlast.Canon.raw_equal}. *)
+let find_shape tbl id q =
+  List.find_opt
+    (fun s -> Sqlast.Canon.raw_equal s.stmt q)
+    (Option.value ~default:[] (Hashtbl.find_opt tbl id))
 
 (* [prune = false] disables the lossless slot-level dominance pruning, for
    ablation: every finite-gamma candidate is kept in every slot. *)
@@ -110,100 +139,141 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
         (pos :: Option.value ~default:[] (Hashtbl.find_opt by_table tb)))
     candidates;
   let table_cands tb = Option.value ~default:[] (Hashtbl.find_opt by_table tb) in
-  (* The admissible choices among [positions] for one slot of the raw
-     statement [q], in the order given. *)
-  let fill q table req g0 positions =
+  (* Each candidate's costing facts, derived on first use. *)
+  let indexes = Array.make ncand None in
+  let index pos =
+    match indexes.(pos) with
+    | Some ix -> ix
+    | None ->
+        let ix = Optimizer.Access.index schema candidates.(pos) in
+        indexes.(pos) <- Some ix;
+        ix
+  in
+  let memo, count =
+    match prices with
+    | Some p when prune -> reusable p env candidates
+    | _ -> (Hashtbl.create 1, 0)
+  in
+  (* The leading entries of a descending position list that were
+     appended since the memo was priced: they come first. *)
+  let rec appended pos_of = function
+    | x :: rest when pos_of x >= count -> x :: appended pos_of rest
+    | _ -> []
+  in
+  (* The paths of [table] for the raw statement [q]: [old]'s, with the
+     candidates appended since in front, or all of them afresh. *)
+  let slot_paths q table old =
+    let add ctx positions =
+      List.map
+        (fun pos -> (pos, Optimizer.Access.access ctx (Some (index pos))))
+        positions
+    in
+    match old with
+    | Some sp -> (
+        match appended Fun.id (table_cands table) with
+        | [] -> sp
+        | fresh -> { sp with accs = add sp.ctx fresh @ sp.accs })
+    | None ->
+        let ctx = Optimizer.Access.context params schema q table in
+        {
+          ctx;
+          scan = Optimizer.Access.access ctx None;
+          accs = add ctx (table_cands table);
+        }
+  in
+  (* The admissible choices among [accs] for one slot, in the order
+     given. *)
+  let fill sp req g0 accs =
     List.filter_map
-      (fun pos ->
-        match
-          Optimizer.Access.slot_fill_cost params schema q table
-            (Some candidates.(pos))
-            req
-        with
+      (fun (pos, a) ->
+        match Optimizer.Access.fill_cost sp.ctx a req with
         | Some g when (not prune) || g < g0 -. 1e-9 ->
             Some { cand = pos; gamma = g }
         | _ -> None)
-      positions
+      accs
   in
-  (* Template [tpl] of an entry over [tables], priced on [q]. *)
-  let price q tables (tpl : Inum.template) =
+  (* Template [tpl] priced over the slot paths [paths]. *)
+  let price paths (tpl : Inum.template) =
     let choices =
-      List.mapi
-        (fun ti table ->
+      Array.mapi
+        (fun ti sp ->
           let req = tpl.Inum.slot_reqs.(ti) in
           let g0 =
-            match
-              Optimizer.Access.slot_fill_cost params schema q table None req
-            with
+            match Optimizer.Access.fill_cost sp.ctx sp.scan req with
             | Some c -> c
             | None -> infinity
           in
-          Array.of_list
-            ({ cand = -1; gamma = g0 } :: fill q table req g0 (table_cands table)))
-        tables
+          Array.of_list ({ cand = -1; gamma = g0 } :: fill sp req g0 sp.accs))
+        paths
     in
-    { beta = tpl.Inum.beta; choices = Array.of_list choices }
+    { beta = tpl.Inum.beta; choices }
   in
-  (* [p] extended by the candidates appended since it was priced.  They
-     lead the descending [table_cands], so they go right after the
+  (* [old] extended by the candidates appended since it was priced.
+     They lead the descending accesses, so they go right after the
      no-index choice, where [price] puts them.  A slot that gains no
      choice keeps its array, and a template that gains none stays
      physical.  Also returns whether any candidate was priced. *)
-  let extend q tables (tpl : Inum.template) p =
-    let rec appended = function
-      | pos :: rest when pos >= p.count -> pos :: appended rest
-      | _ -> []
-    in
+  let extend paths (tpl : Inum.template) old =
     let priced = ref false and grew = ref false in
     let choices =
-      List.mapi
-        (fun ti table ->
-          let slot = p.tpl.choices.(ti) in
-          match appended (table_cands table) with
+      Array.mapi
+        (fun ti sp ->
+          let slot = old.choices.(ti) in
+          match appended fst sp.accs with
           | [] -> slot
           | fresh -> (
               priced := true;
-              match fill q table tpl.Inum.slot_reqs.(ti) slot.(0).gamma fresh with
+              match fill sp tpl.Inum.slot_reqs.(ti) slot.(0).gamma fresh with
               | [] -> slot
               | added ->
                   grew := true;
                   Array.concat
                     [ Array.sub slot 0 1; Array.of_list added;
                       Array.sub slot 1 (Array.length slot - 1) ]))
-        tables
+        paths
     in
-    ((if !grew then { p.tpl with choices = Array.of_list choices } else p.tpl),
-     !priced)
-  in
-  let memo =
-    match prices with
-    | Some p when prune -> reusable p env candidates
-    | _ -> Hashtbl.create 1
+    ((if !grew then { old with choices } else old), !priced)
   in
   let next = Hashtbl.create 64 in
-  (* A block's templates and used candidates for the raw statement [q]
-     (of shape [shape]) against INUM entry [inum]: each template comes
-     from the memo when it holds it, extended by any candidates appended
-     since, and is priced afresh otherwise. *)
-  let price_block q shape inum =
+  (* The shape of the raw statement [q] against INUM entry [inum]: each
+     template comes from the memo's shape [known] when it holds it,
+     extended by any candidates appended since, and is priced afresh
+     otherwise.  The slot paths are made (or extended) only when a
+     template needs them. *)
+  let price_shape q inum known =
     let tables = Inum.tables inum in
-    let known = Option.value ~default:[] (Hashtbl.find_opt memo shape) in
-    let entries =
+    let known_priced, known_paths =
+      match known with Some s -> (s.priced, s.paths) | None -> ([], None)
+    in
+    let paths = ref None in
+    let get_paths () =
+      match !paths with
+      | Some p -> p
+      | None ->
+          let p =
+            Array.of_list
+              (List.mapi
+                 (fun ti table ->
+                   slot_paths q table (Option.map (fun a -> a.(ti)) known_paths))
+                 tables)
+          in
+          paths := Some p;
+          p
+    in
+    let priced =
       List.map
         (fun tpl ->
-          let tpl', priced =
-            match List.assq_opt tpl known with
-            | Some p when p.count = ncand -> (p.tpl, false)
-            | Some p -> extend q tables tpl p
-            | None -> (price q tables tpl, true)
+          let tpl', fresh =
+            match List.assq_opt tpl known_priced with
+            | Some old when count = ncand -> (old, false)
+            | Some old -> extend (get_paths ()) tpl old
+            | None -> (price (get_paths ()) tpl, true)
           in
-          Runtime.Trace.incr (if priced then tr_priced else tr_reused);
-          (tpl, { count = ncand; tpl = tpl' }))
+          Runtime.Trace.incr (if fresh then tr_priced else tr_reused);
+          (tpl, tpl'))
         (Inum.templates inum)
     in
-    Hashtbl.replace next shape
-      (entries @ Option.value ~default:[] (Hashtbl.find_opt next shape));
-    let templates = Array.of_list (List.map (fun (_, p) -> p.tpl) entries) in
+    let templates = Array.of_list (List.map snd priced) in
     let used = Hashtbl.create 16 in
     Array.iter
       (fun t ->
@@ -211,31 +281,45 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
           (Array.iter (fun c -> if c.cand >= 0 then Hashtbl.replace used c.cand ()))
           t.choices)
       templates;
-    (templates, Runtime.Tbl.sorted_keys used |> Array.of_list)
+    {
+      stmt = q;
+      (* Paths no template needed stay only while no candidate was
+         appended, so what the memo keeps is priced against [seen]. *)
+      paths =
+        (match !paths with
+        | Some _ as p -> p
+        | None -> if count = ncand then known_paths else None);
+      priced;
+      tpls = templates;
+      used = Runtime.Tbl.sorted_keys used |> Array.of_list;
+    }
   in
   (* Statements that resolve to one INUM entry and are written alike get
-     the same block arrays, priced once and shared physically.  The key
-     is the raw shape ([Canon.raw_key]), not the canonical one: gammas
-     are priced on the statement as written, and its clause order moves
-     them (an index seeks on the first matching range predicate, and
-     selectivities fold left to right).  Within one shape the entry is
-     found by physical identity — caches for one key resolved through
-     two different stores are two entries. *)
-  let priced = Hashtbl.create 64 in
+     the same block arrays, priced once and shared physically.  The
+     entry is told apart by its id, and the statement by its raw shape
+     ([Canon.raw_equal]), not its canonical one: gammas are priced on
+     the statement as written, and its clause order moves them (an index
+     seeks on the first matching range predicate, and selectivities fold
+     left to right). *)
   let blocks =
     List.map
       (fun (q, weight, inum) ->
-        let shape = Sqlast.Canon.raw_key q in
-        let same = Option.value ~default:[] (Hashtbl.find_opt priced shape) in
-        let templates, cands_used =
-          match List.assq_opt inum same with
-          | Some arrays -> arrays
+        let id = Inum.id inum in
+        let s =
+          match find_shape next id q with
+          | Some s -> s
           | None ->
-              let arrays = price_block q shape inum in
-              Hashtbl.replace priced shape ((inum, arrays) :: same);
-              arrays
+              let s = price_shape q inum (find_shape memo id q) in
+              Hashtbl.replace next id
+                (s :: Option.value ~default:[] (Hashtbl.find_opt next id));
+              s
         in
-        { qid = q.Sqlast.Ast.query_id; weight; templates; cands_used })
+        {
+          qid = q.Sqlast.Ast.query_id;
+          weight;
+          templates = s.tpls;
+          cands_used = s.used;
+        })
       cache.Inum.selects
     |> Array.of_list
   in
@@ -281,10 +365,14 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
    candidate slots) are interchangeable in the BIP: any selection costs
    them the same, so a group contributes [sum of weights * cost].  Merge
    each group into its first member with the summed weight.  Keys are
-   marshalled bytes — identical blocks come from identical computations,
-   so float equality is bit-exact here.  A build shares its block arrays
-   physically between statements of one entry and shape, so the key is
-   marshalled once per physical pair. *)
+   marshalled bytes without sharing: equal content gives equal bytes
+   (floats by their bits) however the values are shared in memory — a
+   build shares boxed gammas between choices, and a rebuild shares
+   memoized slot arrays, in patterns that differ between equal blocks.
+   Identical blocks come from identical computations, so float equality
+   is bit-exact here.  A build shares its block arrays physically
+   between statements of one entry and shape, so the key is marshalled
+   once per physical pair. *)
 let compress t =
   let tbl = Hashtbl.create 97 in
   let order = ref [] in
@@ -293,7 +381,9 @@ let compress t =
     match List.assq_opt b.templates !keys with
     | Some (used, k) when used == b.cands_used -> k
     | _ ->
-        let k = Marshal.to_string (b.templates, b.cands_used) [] in
+        let k =
+          Marshal.to_string (b.templates, b.cands_used) [ Marshal.No_sharing ]
+        in
         keys := (b.templates, (b.cands_used, k)) :: !keys;
         k
   in

@@ -61,6 +61,8 @@ type probe_state =
   | Pending  (* deferred by the probe budget *)
 
 type t = {
+  (* Unique among the caches of this process (see [fresh_ids]). *)
+  id : int;
   query : Ast.query;
   tables : string array;
   (* Spec combinations in enumeration order (the eager probe order). *)
@@ -95,6 +97,7 @@ type t = {
   lock : Mutex.t;
 }
 
+let id t = t.id
 let query t = t.query
 let templates t = Array.to_list t.templates
 let template_count t = Array.length t.templates
@@ -540,7 +543,14 @@ let pending_probes t =
     t.states;
   !n
 
-let build_internal ~eager ~probe_budget env (q : Ast.query) =
+(* Cache identities: [fresh_ids n] reserves [n] consecutive ids.  A
+   builder takes them in statement order before any build is fanned out
+   over domains, so which cache gets which id does not depend on the job
+   count. *)
+let next_id = Atomic.make 0
+let fresh_ids n = Atomic.fetch_and_add next_id n
+
+let build_internal ~id ~eager ~probe_budget env (q : Ast.query) =
   Runtime.Trace.span "inum.build" @@ fun () ->
   let tables = Array.of_list q.Ast.tables in
   let specs = Array.map (fun t -> Array.of_list (table_specs q t)) tables in
@@ -555,6 +565,7 @@ let build_internal ~eager ~probe_budget env (q : Ast.query) =
   if truncated > 0 then Runtime.Trace.add tr_truncated truncated;
   let t =
     {
+      id;
       query = q;
       tables;
       combos;
@@ -602,8 +613,11 @@ let build_internal ~eager ~probe_budget env (q : Ast.query) =
     Runtime.Trace.add tr_regret (int_of_float (Float.ceil regret));
   t
 
-let build ?probe_budget env q = build_internal ~eager:false ~probe_budget env q
-let build_eager env q = build_internal ~eager:true ~probe_budget:None env q
+let build ?probe_budget env q =
+  build_internal ~id:(fresh_ids 1) ~eager:false ~probe_budget env q
+
+let build_eager env q =
+  build_internal ~id:(fresh_ids 1) ~eager:true ~probe_budget:None env q
 
 (* --- Costs --- *)
 
@@ -630,26 +644,29 @@ let gamma t k ~table index =
   Optimizer.Access.slot_fill_cost t.env.Optimizer.Whatif.params
     t.env.Optimizer.Whatif.schema t.query table index req
 
+(* The access-cost context of slot [ti], and a fill cost through it:
+   [fill ix req] is [gamma] of [ix] ([None] = no index) for [req]. *)
+let slot_filler t ti =
+  let schema = t.env.Optimizer.Whatif.schema in
+  let ctx =
+    Optimizer.Access.context t.env.Optimizer.Whatif.params schema t.query
+      t.tables.(ti)
+  in
+  fun ix req ->
+    Optimizer.Access.fill_cost ctx
+      (Optimizer.Access.access ctx (Option.map (Optimizer.Access.index schema) ix))
+      req
+
 (* Minimum fill cost of requirement [req] on slot [ti] over the indexes
    of [config] (and no-index). *)
 let best_req_cost t ti req config =
-  let table = t.tables.(ti) in
-  let params = t.env.Optimizer.Whatif.params in
-  let schema = t.env.Optimizer.Whatif.schema in
-  let base =
-    match Optimizer.Access.slot_fill_cost params schema t.query table None req with
-    | Some c -> c
-    | None -> infinity
-  in
+  let fill = slot_filler t ti in
+  let base = match fill None req with Some c -> c | None -> infinity in
   List.fold_left
     (fun acc ix ->
-      match
-        Optimizer.Access.slot_fill_cost params schema t.query table (Some ix) req
-      with
-      | Some c -> min acc c
-      | None -> acc)
+      match fill (Some ix) req with Some c -> min acc c | None -> acc)
     base
-    (Storage.Config.on_table config table)
+    (Storage.Config.on_table config t.tables.(ti))
 
 (* [best_req_cost] at a fixed [config], memoized per (slot, requirement)
    for the lifetime of the returned closure.  The value is a pure
@@ -804,8 +821,7 @@ let cost_bound t config = (kept_cost t (at_config t config), probe_regret t)
    overlapping deferred probes first, like [cost]. *)
 let best_instantiation t config =
   if has_pending t then ignore (refine t ~config);
-  let params = t.env.Optimizer.Whatif.params in
-  let schema = t.env.Optimizer.Whatif.schema in
+  let fills = Array.mapi (fun ti _ -> slot_filler t ti) t.tables in
   let best = ref (infinity, 0, [||]) in
   Array.iteri
     (fun k template ->
@@ -813,19 +829,15 @@ let best_instantiation t config =
         Array.mapi
           (fun ti table ->
             let req = template.slot_reqs.(ti) in
+            let fill = fills.(ti) in
             let base =
-              match
-                Optimizer.Access.slot_fill_cost params schema t.query table None req
-              with
+              match fill None req with
               | Some c -> (c, None)
               | None -> (infinity, None)
             in
             List.fold_left
               (fun (bc, bix) ix ->
-                match
-                  Optimizer.Access.slot_fill_cost params schema t.query table
-                    (Some ix) req
-                with
+                match fill (Some ix) req with
                 | Some c when c < bc -> (c, Some ix)
                 | _ -> (bc, bix))
               base
@@ -934,19 +946,16 @@ let cache_pending cache =
 (* [f] applied once per distinct statement cache, however many
    statements resolve to it: the returned closure computes [f t] on the
    first call for [t] and returns the stored value after.  Caches are
-   told apart by physical identity — caches for one key resolved
-   through two different stores stay distinct — and bucketed by their
-   query's serialization to keep the lookup short. *)
+   told apart by [id] — caches for one key resolved through two
+   different stores are two caches with two ids. *)
 let per_entry f =
   let seen = Hashtbl.create 64 in
   fun t ->
-    let shape = Canon.raw_key t.query in
-    let same = Option.value ~default:[] (Hashtbl.find_opt seen shape) in
-    match List.assq_opt t same with
+    match Hashtbl.find_opt seen t.id with
     | Some v -> v
     | None ->
         let v = f t in
-        Hashtbl.replace seen shape ((t, v) :: same);
+        Hashtbl.replace seen t.id v;
         v
 
 (* Weighted certified regret: the INUM surface built from the kept
@@ -989,20 +998,22 @@ let add_statements ?jobs (store : Keyed.store) cache (w : Ast.workload) =
      ones over the domain pool.  [parallel_map] is order-preserving and
      each build works on the canonical form, so the result is identical
      at every job count. *)
+  let missing = Array.of_list missing in
+  let first_id = fresh_ids (Array.length missing) in
   let built =
     Runtime.parallel_map ?jobs
-      (fun (k, q) ->
+      (fun (i, (k, q)) ->
         ( k,
-          build
-            ?probe_budget:(Keyed.probe_budget store)
+          build_internal ~id:(first_id + i) ~eager:false
+            ~probe_budget:(Keyed.probe_budget store)
             (Keyed.env store) (Canon.normalize q) ))
-      (Array.of_list missing)
+      (Array.mapi (fun i m -> (i, m)) missing)
   in
   Array.iter (fun (k, c) -> Hashtbl.replace store.Keyed.tbl k c) built;
   (* A statement is a hit when its key was cached before this call or
      built earlier in the same delta; only misses spend optimizer
      probes. *)
-  let n_miss = List.length missing in
+  let n_miss = Array.length missing in
   Keyed.record_batch store ~hit:(List.length keyed - n_miss) ~miss:n_miss;
   let selects_delta =
     List.map

@@ -47,6 +47,14 @@ val build : ?probe_budget:int -> Optimizer.Whatif.env -> Sqlast.Ast.query -> t
     against. *)
 val build_eager : Optimizer.Whatif.env -> Sqlast.Ast.query -> t
 
+(** The cache's identity: unique among the caches of this process, so
+    [id a = id b] exactly when [a == b].  Callers that group statements
+    by cache key on it instead of on the statement's serialization.
+    {!add_statements} numbers the caches it builds in statement order
+    before fanning the builds out, so the numbering does not depend on
+    [jobs]. *)
+val id : t -> int
+
 val query : t -> Sqlast.Ast.query
 val templates : t -> template list
 val template_count : t -> int

@@ -46,6 +46,11 @@ let row_signature (r : Problem.row) =
     r.Problem.coeffs;
   Buffer.contents buf
 
+(* The tolerance of [check]'s two rhs tests: an empty equality row's rhs
+   against 0 (absolute), and two equal-lhs equality rows' rhs against
+   each other (relative, the [Fx.approx_rel] form). *)
+let rhs_tol = 1e-12
+
 let check (p : Problem.t) =
   let issues = ref [] in
   let add severity code where message =
@@ -91,7 +96,7 @@ let check (p : Problem.t) =
           match r.Problem.sense with
           | Problem.Le -> r.Problem.rhs >= -1e-12
           | Problem.Ge -> r.Problem.rhs <= 1e-12
-          | Problem.Eq -> Fx.approx ~tol:1e-12 r.Problem.rhs 0.0
+          | Problem.Eq -> abs_float r.Problem.rhs <= rhs_tol
         in
         if zero_ok then
           add Info "empty-row" rname
@@ -121,7 +126,10 @@ let check (p : Problem.t) =
             let other = rows.(j).Problem.rname in
             if
               r.Problem.sense = Problem.Eq
-              && not (Fx.approx_rel ~tol:1e-12 rhs0 r.Problem.rhs)
+              && not
+                   (abs_float (rhs0 -. r.Problem.rhs)
+                   <= rhs_tol
+                      *. (1.0 +. abs_float rhs0 +. abs_float r.Problem.rhs))
             then
               add Error "duplicate-eq-conflict" rname
                 (Printf.sprintf

@@ -16,57 +16,65 @@ type path = {
 val satisfies :
   eq_cols:string list -> required:string list -> string list -> bool
 
-(** Cost of a sequential scan plus predicate evaluation. *)
-val seq_scan_cost :
-  Cost_params.t -> Catalog.Schema.t -> Sqlast.Ast.query -> string -> float
+(** {1 The slot-cost context}
 
-(** The seek cost of reading the table through the index, filtering
-    residual predicates and fetching base rows when not covering.  [None]
-    when the index is on a different table. *)
-val index_path :
-  Cost_params.t ->
-  Catalog.Schema.t ->
-  Sqlast.Ast.query ->
-  string ->
-  Storage.Index.t ->
-  path option
+    Every cost below depends on the statement and the table only through
+    what {!context} derives once: the table's statistics, the
+    statement's predicates and columns on it, and the sequential scan's
+    cost.  A caller that prices many slots of one (statement, table)
+    makes one context and one {!access} per index, then answers each
+    slot requirement from them: an order check, or one multiplication
+    for a nested-loop inner.  {!slot_fill_cost} is the one-shot form,
+    which builds a context for a single answer; there is no other copy of
+    any cost formula. *)
 
-(** All access paths for the table under the configuration (sequential
-    scan first). *)
-val paths :
-  Cost_params.t ->
-  Catalog.Schema.t ->
-  Sqlast.Ast.query ->
-  string ->
-  Storage.Config.t ->
-  path list
+type context
+(** One (statement, table) pair.  Caches the sort cost of the scan the
+    first time an ordered requirement asks for it, so it is not safe to
+    share between domains. *)
 
-(** Cost of one nested-loop probe through [index] on [join_col]; [None]
-    when the index cannot serve the probe.  Probing without an index
-    degenerates to a per-probe scan (finite but enormous). *)
-val nlj_probe_cost :
-  Cost_params.t ->
-  Catalog.Schema.t ->
-  Sqlast.Ast.query ->
-  string ->
-  Storage.Index.t option ->
-  join_col:string ->
-  float option
+(** [context params schema q table].
+    @raise Not_found when [table] is not in [schema]. *)
+val context :
+  Cost_params.t -> Catalog.Schema.t -> Sqlast.Ast.query -> string -> context
 
-(** Cost of satisfying an ordered INUM slot through [index] ([None] = no
-    index: scan plus sort).  [None] result = infinite gamma (the index
-    cannot deliver the required order). *)
-val slot_cost :
-  Cost_params.t ->
-  Catalog.Schema.t ->
-  Sqlast.Ast.query ->
-  string ->
-  Storage.Index.t option ->
-  required_order:string list ->
-  float option
+type index
+(** An index with what costing it needs that no statement changes (its
+    covered columns, leaf pages and height), derived once. *)
 
-(** Unified slot-filling cost dispatching on the requirement — this is
-    gamma_qkia of the paper ([None] = infinite). *)
+val index : Catalog.Schema.t -> Storage.Index.t -> index
+(** @raise Not_found when the index names a table or column not in the
+    schema. *)
+
+type access
+(** One way to read the context's table: the sequential scan, or one
+    index with its path computed. *)
+
+(** [access ctx None] is the sequential scan; [access ctx (Some ix)]
+    reads through [ix] (a seek when predicates match a key prefix,
+    otherwise a full index scan), filtering the remaining predicates and
+    fetching base rows when [ix] does not cover the statement's columns
+    on the table.  [ix] must come from {!index} over the context's
+    schema. *)
+val access : context -> index option -> access
+
+(** [None] when the index is on another table. *)
+val path : access -> path option
+
+(** Cost of one nested-loop probe through the access on [join_col];
+    [None] when it cannot serve the probe (an index on another table, or
+    whose leading key column is not [join_col]).  Probing without an
+    index degenerates to a per-probe scan (finite but enormous). *)
+val probe_cost : context -> access -> join_col:string -> float option
+
+(** The cost of filling a template slot with the access — gamma_qkia of
+    the paper ([None] = infinite, Lemma 1).  An ordered requirement is
+    met by an index whose key delivers the order (skipping
+    equality-bound columns), and by the scan plus a sort; a nested-loop
+    inner costs [outer_rows] probes. *)
+val fill_cost : context -> access -> Plan.slot_req -> float option
+
+(** The one-shot form: {!fill_cost} of a fresh context and access. *)
 val slot_fill_cost :
   Cost_params.t ->
   Catalog.Schema.t ->

@@ -152,6 +152,10 @@ type ctx = {
      table unreached: otherwise no split would ever join the full set. *)
   allow_cross : bool;
   mode : mode;
+  (* Direct mode, per table: its access-cost context and its accesses
+     (the scan, then the configuration's indexes on the table), each
+     derived once per optimization.  Empty in Template mode. *)
+  direct : (Access.context * Access.access list) array;
 }
 
 let table_index tables t =
@@ -198,7 +202,21 @@ let make_ctx env q mode =
          q.Ast.joins)
   in
   let allow_cross = not (join_graph_spans tables joins) in
-  { env; q; tables; eq_cols; frows; widths; joins; allow_cross; mode }
+  let direct =
+    match mode with
+    | Template _ -> [||]
+    | Direct config ->
+        Array.map
+          (fun t ->
+            let actx = Access.context env.params env.schema q t in
+            ( actx,
+              Access.access actx None
+              :: List.map
+                   (fun ix -> Access.access actx (Some (Access.index env.schema ix)))
+                   (Storage.Config.on_table config t) ))
+          tables
+  in
+  { env; q; tables; eq_cols; frows; widths; joins; allow_cross; mode; direct }
 
 let col_refs_of_names table names =
   List.map (fun c -> { Ast.table; Ast.column = c }) names
@@ -234,8 +252,8 @@ let leaf_entries ctx i =
             (Plan.Nlj_inner { join_col = jc; outer_rows = 0.0 }, [], true)
       in
       [ { order; plan = Plan.Slot { table = t; rows; req }; pending } ]
-  | Direct config ->
-      let paths = Access.paths ctx.env.params ctx.env.schema ctx.q t config in
+  | Direct _ ->
+      let _, accesses = ctx.direct.(i) in
       List.map
         (fun (p : Access.path) ->
           let order =
@@ -256,7 +274,7 @@ let leaf_entries ctx i =
                   }
           in
           { order; plan; pending = false })
-        paths
+        (List.filter_map Access.path accesses)
 
 (* --- Joins --- *)
 
@@ -352,7 +370,6 @@ let nest_loop ctx l rmask r (jcol : Ast.col_ref) i out_rows =
     if rmask <> 1 lsl i then []
     else begin
       let p = ctx.env.params in
-      let schema = ctx.env.schema in
       match ctx.mode with
       | Template _ -> (
           match r.plan with
@@ -370,25 +387,16 @@ let nest_loop ctx l rmask r (jcol : Ast.col_ref) i out_rows =
                       { outer = l.plan; inner; rows = out_rows; cost };
                   pending = false } ]
           | _ -> [])
-      | Direct config ->
+      | Direct _ ->
           if r.pending then []
           else
+            let actx, accesses = ctx.direct.(i) in
             List.filter_map
-              (fun ix ->
+              (fun a ->
                 match
-                  Access.nlj_probe_cost p schema ctx.q t (Some ix)
-                    ~join_col:jcol.Ast.column
+                  (Access.path a, Access.probe_cost actx a ~join_col:jcol.Ast.column)
                 with
-                | None -> None
-                | Some per_probe ->
-                    let needed = Ast.referenced_columns ctx.q t in
-                    let covering =
-                      Storage.Index.clustered ix
-                      || List.for_all
-                           (fun c ->
-                             List.mem c (Storage.Index.covered_columns ix))
-                           needed
-                    in
+                | Some { Access.index = Some ix; covering; _ }, Some per_probe ->
                     let inner =
                       Plan.Index_scan
                         {
@@ -409,8 +417,9 @@ let nest_loop ctx l rmask r (jcol : Ast.col_ref) i out_rows =
                         plan =
                           Plan.Nest_loop
                             { outer = l.plan; inner; rows = out_rows; cost };
-                        pending = false })
-              (Storage.Config.on_table config t)
+                        pending = false }
+                | _ -> None)
+              accesses
     end
   end
 

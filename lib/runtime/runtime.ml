@@ -24,10 +24,10 @@ module Fx = struct
 
   (* Tolerance comparisons for computed quantities. *)
   let default_tol = 1e-9
-  let approx ?(tol = default_tol) a b = abs_float (a -. b) <= tol
+  let approx a b = abs_float (a -. b) <= default_tol
 
-  let approx_rel ?(tol = default_tol) a b =
-    abs_float (a -. b) <= tol *. (1.0 +. abs_float a +. abs_float b)
+  let approx_rel a b =
+    abs_float (a -. b) <= default_tol *. (1.0 +. abs_float a +. abs_float b)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -38,11 +38,11 @@ module Fx : sig
   val is_finite : float -> bool
   val default_tol : float  (** [1e-9] *)
 
-  val approx : ?tol:float -> float -> float -> bool
-  (** absolute: [|a - b| <= tol] *)
+  val approx : float -> float -> bool
+  (** absolute: [|a - b| <= default_tol] *)
 
-  val approx_rel : ?tol:float -> float -> float -> bool
-  (** relative: [|a - b| <= tol * (1 + |a| + |b|)] *)
+  val approx_rel : float -> float -> bool
+  (** relative: [|a - b| <= default_tol * (1 + |a| + |b|)] *)
 end
 
 (** Deterministic hash-table enumeration (lint rule L2: no order-sensitive

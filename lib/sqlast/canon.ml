@@ -137,6 +137,43 @@ let raw_key (q : query) =
 
 let key q = raw_key (normalize q)
 
+(* [raw_key a = raw_key b] without serializing: the same fields in the
+   same order, selectivities compared as [%h] renders them (bit for bit,
+   except that every NaN of one sign renders alike). *)
+let same_col (a : col_ref) (b : col_ref) =
+  String.equal a.table b.table && String.equal a.column b.column
+
+let same_selectivity a b =
+  Float.equal a b && Bool.equal (Float.sign_bit a) (Float.sign_bit b)
+
+let same_predicate (a : predicate) (b : predicate) =
+  same_col a.pred_col b.pred_col
+  && Int.equal (cmp_rank a.cmp) (cmp_rank b.cmp)
+  && same_selectivity a.selectivity b.selectivity
+  && Bool.equal a.is_equality b.is_equality
+
+let same_select_item a b =
+  match (a, b) with
+  | Col ca, Col cb -> same_col ca cb
+  | Agg (fa, ca), Agg (fb, cb) ->
+      Int.equal (agg_rank fa) (agg_rank fb) && same_col ca cb
+  | Col _, Agg _ | Agg _, Col _ -> false
+
+let same_direction a b =
+  match (a, b) with Asc, Asc | Desc, Desc -> true | Asc, Desc | Desc, Asc -> false
+
+let raw_equal (a : query) (b : query) =
+  List.equal String.equal a.tables b.tables
+  && List.equal same_select_item a.select b.select
+  && List.equal same_predicate a.predicates b.predicates
+  && List.equal
+       (fun (x : join) (y : join) -> same_col x.left y.left && same_col x.right y.right)
+       a.joins b.joins
+  && List.equal same_col a.group_by b.group_by
+  && List.equal
+       (fun (c, d) (c', d') -> same_col c c' && same_direction d d')
+       a.order_by b.order_by
+
 let update_key (u : update) =
   let u = normalize_update u in
   let b = Buffer.create 128 in

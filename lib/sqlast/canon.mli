@@ -37,6 +37,11 @@ val raw_key : Ast.query -> string
     which is what per-statement costs priced on the raw form depend on
     ([key q = raw_key (normalize q)]). *)
 
+val raw_equal : Ast.query -> Ast.query -> bool
+(** [raw_equal a b = String.equal (raw_key a) (raw_key b)], without
+    serializing either query: field by field, [query_id] ignored,
+    selectivities compared as [%h] renders them. *)
+
 val update_key : Ast.update -> string
 
 val statement_key : Ast.statement -> string

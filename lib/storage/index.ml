@@ -84,11 +84,12 @@ let size_bytes schema t =
   float_of_int ((leaves + interior) * Catalog.Schema.page_size)
 
 (* B+-tree height (number of levels above the leaves), used for seek cost. *)
-let height schema t =
-  let leaves = leaf_pages schema t in
+let height_of_leaf_pages leaves =
   let fanout = 200 in
   let rec levels n acc = if n <= 1 then acc else levels (n / fanout) (acc + 1) in
   max 1 (levels leaves 1)
+
+let height schema t = height_of_leaf_pages (leaf_pages schema t)
 
 (* The number of distinct values of the full key, used for update cost and
    duplicate handling: capped product of per-column distinct counts. *)

@@ -36,6 +36,10 @@ val leaf_pages : Catalog.Schema.t -> t -> int
 (** B+-tree height in levels (>= 1), for seek costing. *)
 val height : Catalog.Schema.t -> t -> int
 
+(** The height of a tree over that many leaf pages:
+    [height schema t = height_of_leaf_pages (leaf_pages schema t)]. *)
+val height_of_leaf_pages : int -> int
+
 (** Distinct count of the full composite key (capped by the row count). *)
 val key_distinct : Catalog.Schema.t -> t -> float
 

@@ -198,6 +198,35 @@ let test_sproblem_shared_blocks () =
   Alcotest.(check bool) "a reordered statement does not" false
     ((block 1).Cophy.Sproblem.templates == (block 0).Cophy.Sproblem.templates)
 
+(* [compress] merges blocks by content, not by memory layout: a block
+   whose two choices share one boxed gamma and a block with a copy per
+   choice are the same block. *)
+let test_sproblem_compress_sharing () =
+  let _, _, _, sp = build_problem () in
+  let block qid weight g1 g2 =
+    {
+      Cophy.Sproblem.qid;
+      weight;
+      templates =
+        [| { Cophy.Sproblem.beta = 2.0;
+             choices =
+               [| [| { Cophy.Sproblem.cand = -1; gamma = g1 };
+                     { Cophy.Sproblem.cand = 0; gamma = g2 } |] |] } |];
+      cands_used = [| 0 |];
+    }
+  in
+  let g = float_of_string "1.5" in
+  let shared = block 1 1.0 g g in
+  let copies = block 2 2.0 (float_of_string "1.5") (float_of_string "1.5") in
+  let c =
+    Cophy.Sproblem.compress
+      { sp with Cophy.Sproblem.blocks = [| shared; copies |] }
+  in
+  Alcotest.(check int) "one block" 1 (Cophy.Sproblem.num_blocks c);
+  let b = c.Cophy.Sproblem.blocks.(0) in
+  Alcotest.(check int) "the first member" 1 b.Cophy.Sproblem.qid;
+  Alcotest.(check (float 0.0)) "summed weight" 3.0 b.Cophy.Sproblem.weight
+
 (* The fields of two problems that differ: candidates by index equality,
    floats by [Fx.exactly], blocks by [same_block] plus qid and weight. *)
 let problem_diff (a : Cophy.Sproblem.t) (b : Cophy.Sproblem.t) =
@@ -1041,7 +1070,7 @@ let test_advisor_problem_after_refine () =
       sp.Cophy.Sproblem.candidates
   in
   Alcotest.(check bool) "problem prices the config at estimated_cost" true
-    (Runtime.Fx.approx_rel ~tol:1e-9 (Cophy.Sproblem.eval sp z)
+    (Runtime.Fx.approx_rel (Cophy.Sproblem.eval sp z)
        r.Cophy.Advisor.estimated_cost);
   let u = Cophy.Advisor.advise schema w ~budget_fraction:0.5 in
   Alcotest.(check (float 0.0)) "unlimited-budget estimated_base"
@@ -1579,6 +1608,8 @@ let () =
           Alcotest.test_case "pricing pins (W_het n=12)" `Quick
             (test_pricing_pins (Workload.Gen.het schema ~n:12 ~seed:7)
                het12_pricing_pins);
+          Alcotest.test_case "compress keys by content, not sharing" `Quick
+            test_sproblem_compress_sharing;
           Alcotest.test_case "memo reuse counters" `Quick
             test_sproblem_memo_reuse;
           Alcotest.test_case "LP relaxation checked and certified" `Quick

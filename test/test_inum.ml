@@ -298,6 +298,65 @@ let test_gamma_unknown_table_raises () =
        "Inum.gamma: table \"nation\" is not referenced by query 1")
     (fun () -> ignore (Inum.gamma c 0 ~table:"nation" None))
 
+(* One slot-cost context per (statement, table), one access per index,
+   every requirement of the statement's eager templates answered from
+   them, in a shuffled order (so the scan's cached sort cost is read
+   back, not only computed): each answer equals a one-shot
+   [slot_fill_cost] bit for bit, infinite answers included.  Over the
+   statements of [Gen.hom] or [Gen.het], every table, no index and every
+   CGen candidate. *)
+let prop_context_matches_one_shot =
+  QCheck.Test.make ~name:"slot context = slot_fill_cost, bit for bit"
+    ~count:20
+    QCheck.(pair bool (int_range 0 10_000))
+    (fun (het, seed) ->
+      let e = env () in
+      let p = e.Optimizer.Whatif.params in
+      let w =
+        if het then Workload.Gen.het schema ~n:4 ~seed
+        else Workload.Gen.hom schema ~n:4 ~seed
+      in
+      let cands = None :: List.map Option.some (Cophy.Cgen.generate w) in
+      let rng = Random.State.make [| seed |] in
+      let same a b =
+        match (a, b) with
+        | None, None -> true
+        | Some x, Some y ->
+            Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | _ -> false
+      in
+      List.for_all
+        (fun ((q : Ast.query), _) ->
+          let c = Inum.build_eager e q in
+          List.for_all
+            (fun (ti, table) ->
+              let ctx = Optimizer.Access.context p schema q table in
+              let accesses =
+                List.map
+                  (fun ix ->
+                    ( ix,
+                      Optimizer.Access.access ctx
+                        (Option.map (Optimizer.Access.index schema) ix) ))
+                  cands
+              in
+              let asks =
+                List.concat_map
+                  (fun (tpl : Inum.template) ->
+                    List.map (fun a -> (tpl.Inum.slot_reqs.(ti), a)) accesses)
+                  (Inum.templates c)
+                |> List.map (fun x -> (Random.State.bits rng, x))
+                |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+                |> List.map snd
+              in
+              List.for_all
+                (fun (req, (ix, a)) ->
+                  same
+                    (Optimizer.Access.fill_cost ctx a req)
+                    (Optimizer.Access.slot_fill_cost p schema q table ix req))
+                asks)
+            (List.mapi (fun ti t -> (ti, t)) (Inum.tables c)))
+        (Ast.selects w))
+
 (* --- Keyed store --- *)
 
 (* A cache hit must return exactly what a fresh build of the normalized
@@ -453,6 +512,27 @@ let test_refine_cache_once_per_entry () =
         (Runtime.Fx.exactly (Inum.cache_regret folded)
            (Inum.cache_regret deduped)))
     [ ("empty", Storage.Config.empty); ("recommended", recommended) ]
+
+(* Cache ids: statements that resolve to one cache see one id, distinct
+   caches distinct ids, and the ids a workload build hands out, taken
+   relative to the first, are the same at every job count. *)
+let test_entry_ids () =
+  let w = Workload.Gen.hom schema ~n:40 ~seed:7 in
+  let ids jobs =
+    let cache = Inum.build_workload ~jobs ~probe_budget:16 (env ()) w in
+    let caches = List.map (fun (_, _, c) -> c) cache.Inum.selects in
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            Alcotest.(check bool) "same id iff same cache" (a == b)
+              (Int.equal (Inum.id a) (Inum.id b)))
+          caches)
+      caches;
+    let first = List.fold_left (fun m c -> min m (Inum.id c)) max_int caches in
+    List.map (fun c -> Inum.id c - first) caches
+  in
+  Alcotest.(check (list int)) "jobs 1 = jobs 4" (ids 1) (ids 4)
 
 (* Resolution through the store is invariant in jobs and identical to a
    fresh direct build of the canonical form. *)
@@ -698,6 +778,7 @@ let () =
           Alcotest.test_case "no-index finite" `Quick test_gamma_none_index_finite;
           Alcotest.test_case "unknown table raises" `Quick
             test_gamma_unknown_table_raises;
+          QCheck_alcotest.to_alcotest prop_context_matches_one_shot;
         ] );
       ( "lazy",
         [
@@ -735,6 +816,7 @@ let () =
             test_keyed_partial_build_coherent;
           Alcotest.test_case "refine_cache once per entry" `Quick
             test_refine_cache_once_per_entry;
+          Alcotest.test_case "entry ids" `Quick test_entry_ids;
           QCheck_alcotest.to_alcotest prop_keyed_matches_fresh;
         ] );
     ]

@@ -294,6 +294,47 @@ let prop_canon_key_distinct =
               sel_changed && select_changed)
         w)
 
+(* [raw_equal] agrees with [raw_key] equality on every pair drawn from a
+   generated workload and its edits: a new query id, scrambled clauses,
+   a selectivity halved, set to 0. or -0., or to NaN of either sign (the
+   last four bypass [Ast.predicate]'s range check). *)
+let prop_raw_equal_is_raw_key =
+  QCheck.Test.make ~name:"raw_equal = raw_key equality" ~count:20
+    QCheck.(pair bool (int_range 0 10_000))
+    (fun (het, seed) ->
+      let w =
+        if het then Workload.Gen.het schema ~n:6 ~seed
+        else Workload.Gen.hom schema ~n:6 ~seed
+      in
+      let with_sel q s =
+        match q.Ast.predicates with
+        | [] -> q
+        | p :: rest ->
+            { q with Ast.predicates = { p with Ast.selectivity = s } :: rest }
+      in
+      let variants q =
+        let sel =
+          match q.Ast.predicates with p :: _ -> p.Ast.selectivity | [] -> 1.0
+        in
+        [ q; { q with Ast.query_id = q.Ast.query_id + 1000 }; scramble q;
+          with_sel q (sel /. 2.0); with_sel q 0.0; with_sel q (-0.0);
+          with_sel q Float.nan; with_sel q (-.Float.nan) ]
+      in
+      let qs =
+        List.concat_map
+          (fun { Ast.stmt; _ } ->
+            match stmt with Ast.Select q -> variants q | Ast.Update _ -> [])
+          w
+      in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              Bool.equal (Canon.raw_equal a b)
+                (String.equal (Canon.raw_key a) (Canon.raw_key b)))
+            qs)
+        qs)
+
 let () =
   Alcotest.run "sqlast"
     [
@@ -325,5 +366,6 @@ let () =
             test_canon_statement_key_prefixes;
           QCheck_alcotest.to_alcotest prop_canon_key_invariant;
           QCheck_alcotest.to_alcotest prop_canon_key_distinct;
+          QCheck_alcotest.to_alcotest prop_raw_equal_is_raw_key;
         ] );
     ]
