@@ -47,8 +47,10 @@ val num_blocks : t -> int
 val variable_count : t -> int
 
 (** A pricing memo for successive builds of one session: what a build
-    priced, keyed by raw statement shape and INUM template (by physical
-    identity), with the candidate count it was priced against. *)
+    priced, keyed by INUM entry ({!Inum.id}), raw statement shape and
+    INUM template (by physical identity) — the priced templates and the
+    access paths they were priced from — with the candidate set it was
+    priced against. *)
 type prices
 
 val prices : unit -> prices
@@ -58,24 +60,34 @@ val prices : unit -> prices
     [prune = false] disables the lossless slot dominance pruning
     (ablation only).
 
+    Each (INUM entry, raw statement shape) is priced through one
+    {!Optimizer.Access.context} per slot table: every candidate's access
+    path on the table is computed once, and each template's slot
+    requirement is answered from those paths (an order check, or a
+    multiplication for a nested-loop inner).
+
     With [prices], a template the memo holds is not priced again: it is
     reused physically when the candidate set is unchanged, and extended
-    by pricing only the candidates appended since otherwise.  The memo
-    reuses nothing when [env] is not (physically) the one it last saw,
-    or when [candidates] does not keep every position it last saw
-    physically (removing a candidate resets it).  [prune = false]
-    neither reads nor updates it.  After the build the memo holds
-    exactly the entries the build used.  Either way the problem is
-    bit-identical to a build without [prices]: each gamma comes from
-    the same call, and every choice array keeps its order.
+    by pricing only the candidates appended since otherwise.  Templates
+    a refine added are priced from the memo's access paths, and
+    appended candidates add only their own paths.  The memo reuses
+    nothing when [env] is not (physically) the one it last saw, or when
+    [candidates] does not keep every position it last saw physically
+    (removing a candidate resets it).  [prune = false] neither reads nor
+    updates it.  After the build the memo holds exactly the entries the
+    build used.  Either way the problem is bit-identical to a build
+    without [prices]: each gamma is the same float operations on the
+    same inputs, and every choice array keeps its order.
 
     Gammas are priced on each statement as written, not on the
     canonical form its INUM entry was built from.  A block's
     [templates] and [cands_used] are therefore computed once per
-    (INUM entry, raw statement shape — {!Sqlast.Canon.raw_key}) and
-    shared physically by every statement with that pair; only [qid] and
-    [weight] are per statement.  Each block is bit-identical to the
-    block of a one-statement build.
+    (INUM entry, raw statement shape) and shared physically by every
+    statement with that pair; only [qid] and [weight] are per
+    statement.  Entries are told apart by {!Inum.id} and shapes by
+    {!Sqlast.Canon.raw_equal} (equality of {!Sqlast.Canon.raw_key},
+    without serializing).  Each block is bit-identical to the block of a
+    one-statement build.
 
     This raw pricing is not the surface {!Inum.cost}, {!Inum.refine}
     and {!Inum.best_instantiation} evaluate: they price slots on the
@@ -96,9 +108,10 @@ val build :
   t
 
 (** Workload compression: statements with identical cost structure
-    (equal [templates] and [cands_used]) are interchangeable under every
-    selection, so each group collapses into its first member with the
-    summed weight.  Every selection's objective is preserved (up to float
+    (equal [templates] and [cands_used], floats compared by their bits)
+    are interchangeable under every selection, so each group collapses
+    into its first member with the summed weight.  Equality is by
+    content: how the values are shared in memory does not matter.  Every selection's objective is preserved (up to float
     re-association); merged statements' [qid]s disappear from [blocks].
     Homogeneous workloads shrink by an order of magnitude, which is what
     makes the decomposition's per-iteration cost independent of workload

@@ -543,10 +543,10 @@ let pending_probes t =
     t.states;
   !n
 
-(* Cache identities: [fresh_ids n] reserves [n] consecutive ids.  A
-   builder takes them in statement order before any build is fanned out
-   over domains, so which cache gets which id does not depend on the job
-   count. *)
+(* Cache identities: [fresh_ids n] reserves [n] consecutive ids.
+   [add_statements] reserves them in statement order before it fans the
+   builds out over domains, so which cache gets which id does not depend
+   on the job count. *)
 let next_id = Atomic.make 0
 let fresh_ids n = Atomic.fetch_and_add next_id n
 

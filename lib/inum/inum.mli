@@ -191,15 +191,16 @@ val cache_pending : workload_cache -> int
 (** Weight-summed certified regret ({!probe_regret}) over the workload's
     SELECTs: the workload cost surface computed from the kept templates
     sits above the exhaustive one by at most this much, at any
-    configuration.  Each distinct statement cache's bound is computed
-    once; the weighted sum still runs per statement in statement order,
+    configuration.  Each distinct statement cache's bound (by {!id}) is
+    computed once; the weighted sum still runs per statement in
+    statement order,
     so the value is the per-statement fold's, bit for bit. *)
 val cache_regret : workload_cache -> float
 
 (** [refine_cache cache ~config] — {!refine} every statement cache at
     [config]; returns the total number of probes forced.  Each distinct
-    cache (by physical identity; statements sharing a keyed-store entry
-    share it) is refined once, in first-occurrence order: since {!refine}
+    cache (by {!id}; statements sharing a keyed-store entry share it) is
+    refined once, in first-occurrence order: since {!refine}
     at a fixed configuration is idempotent, the count and every cache's
     end state equal those of refining every statement in turn. *)
 val refine_cache : workload_cache -> config:Storage.Config.t -> int
