@@ -234,7 +234,9 @@ let fig6a () =
           max_iters = 150;
           on_event = (fun e -> events := e :: !events) }
       in
-      ignore (Cophy.Decomposition.solve ~options sp ~budget ~z_rows:[]);
+      ignore
+        (Cophy.Decomposition.solve ~options sp ~budget ~z_rows:[]
+           ~block_caps:[]);
       let events = List.rev !events in
       Fmt.pr "@.W_%d (%d stmts): %d feedback events@." paper_n n
         (List.length events);

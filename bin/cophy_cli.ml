@@ -136,10 +136,9 @@ let advise_cmd =
         Cophy.Solver.gap_tolerance = gap;
         on_feedback =
           (if verbose then fun (f : Cophy.Solver.feedback) ->
-             Fmt.epr "[%6.2fs] incumbent=%a bound=%.0f@."
-               f.Cophy.Solver.elapsed
-               Fmt.(option ~none:(any "-") (fmt "%.0f"))
-               f.Cophy.Solver.incumbent f.Cophy.Solver.bound
+             Fmt.epr "[%6.2fs] incumbent=%.0f bound=%.0f@."
+               f.Cophy.Solver.elapsed f.Cophy.Solver.incumbent
+               f.Cophy.Solver.bound
            else ignore) }
     in
     let r =

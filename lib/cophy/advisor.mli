@@ -29,9 +29,9 @@ val total_seconds : recommendation -> float
     @param dba_candidates extends it (the S_DBA of the paper).
     @param solver_options solver settings (default
       {!Solver.default_options}); its [certify] flag is the debug mode
-      that statically checks the BIP and certifies the solver's answer
-      with {!Lp.Analyze} (raises [Lp.Analyze.Certification_failed] on
-      failure).
+      that certifies the solver's answer against the z polytope with
+      {!Lp.Analyze} and checks every query-cost cap (raises
+      [Lp.Analyze.Certification_failed] on failure).
     @param baseline the configuration that query-cost caps are relative to.
     @param budget_fraction storage budget as a fraction of the database
       size (the paper's M).
@@ -46,9 +46,8 @@ val total_seconds : recommendation -> float
       is exact at its own configuration, so [report.objective] matches
       the exhaustive-probing pipeline's while spending far fewer probes;
       [report.probe_regret] certifies the residual model-wide bound.
-    @raise Solver.Infeasible when the constraints cannot hold.
-    @raise Invalid_argument when a query-cost cap and a black-box
-      constraint are combined (see {!Solver.solve}). *)
+    @raise Solver.Infeasible when the constraints cannot hold, or no
+      selection meeting them was found (see {!Solver.solve}). *)
 val advise :
   ?constraints:Constr.t list ->
   ?candidates:Storage.Index.t list ->

@@ -102,8 +102,11 @@ let pos_in block cand =
   assert (!res >= 0);
   !res
 
-(* Cheapest (template, choices) with usage priced by lam; returns the
-   value and the candidates the first cheapest assignment uses.
+(* Cheapest (template, choices) at [weight] with usage priced by lam;
+   returns the value, the candidates the first cheapest assignment uses,
+   and that assignment's unweighted cost (beta plus its gammas).
+   [weight] is the block's own weight, or that plus the block's cap
+   multiplier (scaled by the cap) when the block is capped.
 
    The kernels from here on are [for] loops over local refs, with no
    calls in their loop nests: a float ref captured by an iterator's
@@ -116,13 +119,12 @@ let pos_in block cand =
    loop reads a candidate's multiplier in O(1).  Only the block's own
    candidates are read back, so the scratch needs no clearing between
    blocks. *)
-let block_subproblem (b : Sproblem.block) (lam : float array) ~price
+let block_subproblem (b : Sproblem.block) (lam : float array) ~weight ~price
     ~excluded =
   let cands_used = b.Sproblem.cands_used in
   for i = 0 to Array.length cands_used - 1 do
     price.(cands_used.(i)) <- lam.(i)
   done;
-  let weight = b.Sproblem.weight in
   let templates = b.Sproblem.templates in
   let best = ref infinity and best_k = ref (-1) in
   for k = 0 to Array.length templates - 1 do
@@ -151,34 +153,40 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~price
     end
   done;
   (* The winning template's picks: the same scan again, remembering the
-     choice that last lowered each slot minimum. *)
+     choice that last lowered each slot minimum and its gamma. *)
   let used = ref [] in
+  let cost = ref infinity in
   if !best_k >= 0 then begin
-    let choices = templates.(!best_k).Sproblem.choices in
+    let tpl = templates.(!best_k) in
+    let choices = tpl.Sproblem.choices in
+    cost := tpl.Sproblem.beta;
     for s = 0 to Array.length choices - 1 do
       let slot = choices.(s) in
-      let m = ref infinity and pick = ref (-1) in
+      let m = ref infinity and pick = ref (-1) and g = ref infinity in
       for i = 0 to Array.length slot - 1 do
         let { Sproblem.cand; gamma } = slot.(i) in
         if cand < 0 then begin
           let c = weight *. gamma in
           if c < !m then begin
             m := c;
-            pick := -1
+            pick := -1;
+            g := gamma
           end
         end
         else if not excluded.(cand) then begin
           let c = (weight *. gamma) +. price.(cand) in
           if c < !m then begin
             m := c;
-            pick := cand
+            pick := cand;
+            g := gamma
           end
         end
       done;
+      cost := !cost +. !g;
       if !pick >= 0 then used := !pick :: !used
     done
   end;
-  (!best, !used)
+  (!best, !used, !cost)
 
 (* --- z subproblem --- *)
 
@@ -332,6 +340,53 @@ let z_feasible (sp : Sproblem.t) ~budget ~z_rows (z : bool array) =
   Sproblem.total_size sp z <= budget +. 1e-6
   && List.for_all (fun row -> Constr.row_holds row z) z_rows
 
+(* Query-cost caps on the compressed blocks: [cap.(bi)] is block [bi]'s
+   cap on its unweighted cost ([infinity] when uncapped), [scale.(bi)]
+   divides its cost row through (so the row is [cost * scale <= cap *
+   scale], 1 for a positive cap, and its subgradient is on the scale of
+   the linking rows'), and [capped] lists the capped blocks in order. *)
+type caps = { cap : float array; scale : float array; capped : int array }
+
+(* The caps [(qid, cap)] of [sp]'s statements on the blocks of its
+   compression, [group] mapping each block of [sp] to its merged block:
+   merged blocks cost the same under every selection, so a merged block
+   keeps the smallest cap of its members. *)
+let merged_caps (sp : Sproblem.t) ~group ~nblocks block_caps =
+  let cap = Array.make nblocks infinity in
+  List.iter
+    (fun (qid, c) ->
+      Array.iteri
+        (fun bi (b : Sproblem.block) ->
+          let g = group.(bi) in
+          if b.Sproblem.qid = qid && c < cap.(g) then cap.(g) <- c)
+        sp.Sproblem.blocks)
+    block_caps;
+  let capped = ref [] in
+  for bi = nblocks - 1 downto 0 do
+    if cap.(bi) < infinity then capped := bi :: !capped
+  done;
+  {
+    cap;
+    scale =
+      Array.map
+        (fun c -> if c > 0.0 && c < infinity then 1.0 /. c else 1.0)
+        cap;
+    capped = Array.of_list !capped;
+  }
+
+let caps_hold (sp : Sproblem.t) caps (z : bool array) =
+  Array.for_all
+    (fun bi -> Sproblem.block_cost_z sp.Sproblem.blocks.(bi) z <= caps.cap.(bi))
+    caps.capped
+
+(* A move's re-priced blocks ([(block, new cost)], from [delta_toggle])
+   keep every cap they met under the costs [bcost] before it.  Always
+   true without caps. *)
+let caps_kept caps (bcost : float array) changed =
+  List.for_all
+    (fun (bi, c) -> c <= caps.cap.(bi) || c <= bcost.(bi))
+    changed
+
 (* Incremental objective deltas: only blocks referencing the toggled
    candidate change. *)
 let delta_toggle (sp : Sproblem.t) (z : bool array) (bcost : float array) a =
@@ -373,6 +428,48 @@ let drop_delta (sp : Sproblem.t) (z : bool array) start a =
   done;
   z.(a) <- true;
   !delta
+
+(* Add candidates to [z] until every capped block meets its cap.  A
+   block over its cap takes [allowed] candidates of its own one at a
+   time, the largest cost cut per byte first; when no single candidate
+   cuts its cost, it takes its cheapest assignment over [allowed], which
+   meets the cap whenever the cap can hold at all.  Repair then trades
+   the added size back against the budget. *)
+let cover_caps (sp : Sproblem.t) caps ~allowed (z : bool array) =
+  Array.iter
+    (fun bi ->
+      let b = sp.Sproblem.blocks.(bi) in
+      let cap = caps.cap.(bi) in
+      let cost = ref (Sproblem.block_cost_z b z) in
+      while !cost > cap do
+        let best = ref (-1) and best_score = ref 0.0 in
+        let best_cost = ref !cost in
+        Array.iter
+          (fun a ->
+            if allowed.(a) && not z.(a) then begin
+              z.(a) <- true;
+              let c = Sproblem.block_cost_z b z in
+              z.(a) <- false;
+              let score = (!cost -. c) /. max 1.0 sp.Sproblem.sizes.(a) in
+              if score > !best_score then begin
+                best := a;
+                best_score := score;
+                best_cost := c
+              end
+            end)
+          b.Sproblem.cands_used;
+        if !best >= 0 then begin
+          z.(!best) <- true;
+          cost := !best_cost
+        end
+        else begin
+          List.iter
+            (fun a -> z.(a) <- true)
+            (snd (Sproblem.block_cost_picks b allowed));
+          cost := neg_infinity
+        end
+      done)
+    caps.capped
 
 (* Drop selected candidates (smallest cost increase per byte freed first)
    until feasible.  One delta evaluation per selected candidate against
@@ -510,7 +607,7 @@ let greedy_initial (sp : Sproblem.t) ~savings ~budget ~z_rows =
 (* --- The solver --- *)
 
 let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
-    (sp : Sproblem.t) ~budget ~(z_rows : Constr.z_row list) =
+    (sp : Sproblem.t) ~budget ~(z_rows : Constr.z_row list) ~block_caps =
   let t0 = Runtime.Clock.now () in
   let elapsed () = Runtime.Clock.now () -. t0 in
   let jobs = max 1 options.jobs in
@@ -518,9 +615,17 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
      selection's objective, so everything downstream — block
      subproblems, cost evaluations, local search — is unchanged except
      in cost. *)
-  let sp = Sproblem.compress sp in
+  let sp, caps =
+    let csp, group = Sproblem.compress sp in
+    let nblocks = Array.length csp.Sproblem.blocks in
+    (csp, merged_caps sp ~group ~nblocks block_caps)
+  in
   let nblocks = Array.length sp.Sproblem.blocks in
   let ncand = Array.length sp.Sproblem.candidates in
+  (* Each cap row is relaxed with the multiplier [mu.(bi) >= 0]: the
+     block's subproblem runs at weight [weight + mu * scale] and the
+     bound subtracts [mu * cap * scale]. *)
+  let mu = Array.make nblocks 0.0 in
   (* forced selections from z rows: mandatory (Ge 1 singleton) and
      forbidden (Le 0 singleton) get special treatment in the subproblems *)
   let forced_one = Array.make ncand false in
@@ -538,6 +643,17 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
      keeps these, and only these *)
   let mandatory = Array.copy forced_one in
   let feasible z = z_feasible sp ~budget ~z_rows z in
+  let meets_caps z = caps_hold sp caps z in
+  (* Cover the caps [z] misses, on a copy; [z] itself when it meets
+     them. *)
+  let covered z =
+    if meets_caps z then z
+    else begin
+      let z = Array.copy z in
+      cover_caps sp caps ~allowed:(Array.map not forced_zero) z;
+      z
+    end
+  in
   (* per-block multiplier arrays aligned with cands_used *)
   let lam =
     Array.map
@@ -578,7 +694,9 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let empty_obj = Sproblem.eval ~jobs sp empty in
   let best_z = ref empty in
   let best_obj =
-    ref (if accept empty && feasible empty then empty_obj else infinity)
+    ref
+      (if accept empty && feasible empty && meets_caps empty then empty_obj
+       else infinity)
   in
   (* Take [z] when its objective beats the incumbent's by more than
      [margin]. *)
@@ -589,8 +707,10 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
     end
   in
   (* When the black box rejects a selection, trim it: drop the least
-     valuable index (cost increase per byte) and retry — this services
-     cardinality-style UDFs and bottoms out at the empty selection. *)
+     valuable index (cost increase per byte), among those whose drop
+     keeps every cap the selection meets when there are any, and retry —
+     this services cardinality-style UDFs and bottoms out at the empty
+     selection. *)
   let trim_to_acceptance z =
     let z = Array.copy z in
     let bcost =
@@ -601,37 +721,46 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
     let any_selected () = Array.exists Fun.id z in
     while (not (accept z)) && any_selected () do
       let best_a = ref (-1) and best_score = ref neg_infinity in
+      let keep_a = ref (-1) and keep_score = ref neg_infinity in
       Array.iteri
         (fun a selected ->
           if selected then begin
-            let d, _ = delta_toggle sp z bcost a in
+            let d, changed = delta_toggle sp z bcost a in
             let score = -.d /. max 1.0 sp.Sproblem.sizes.(a) in
             if score > !best_score then begin
               best_score := score;
               best_a := a
+            end;
+            if score > !keep_score && caps_kept caps bcost changed then begin
+              keep_score := score;
+              keep_a := a
             end
           end)
         z;
-      if !best_a >= 0 then begin
-        let _, changed = delta_toggle sp z bcost !best_a in
-        z.(!best_a) <- false;
+      let a = if !keep_a >= 0 then !keep_a else !best_a in
+      if a >= 0 then begin
+        let _, changed = delta_toggle sp z bcost a in
+        z.(a) <- false;
         List.iter (fun (bi, c) -> bcost.(bi) <- c) changed
       end
     done;
     z
   in
-  (* The incumbent gate: repair [z] to the z rows, trim it to the black
-     box, and take it if it is usable and beats the incumbent.  Says
-     whether [z] was usable as is ([`Intact]), only after repair or
-     trimming ([`Repaired]), or not at all ([`Rejected]). *)
+  (* The incumbent gate: cover the caps [z] misses, repair it to the z
+     rows, trim it to the black box, and take it if it is usable, meets
+     every cap and beats the incumbent.  Says whether [z] was usable as
+     is ([`Intact]), only after covering, repair or trimming
+     ([`Repaired]), or not at all ([`Rejected]). *)
   let consider z =
+    let zr = covered z in
     let zr =
-      if feasible z then z else repair ~jobs sp ~budget ~z_rows ~mandatory z
+      if feasible zr then zr
+      else repair ~jobs sp ~budget ~z_rows ~mandatory zr
     in
     let zr = if accept zr then zr else trim_to_acceptance zr in
-    if feasible zr && accept zr then begin
+    if feasible zr && accept zr && meets_caps zr then begin
       improve zr (Sproblem.eval ~jobs sp zr);
-      (* repair and trimming return copies *)
+      (* covering, repair and trimming return copies *)
       if zr == z then `Intact else `Repaired
     end
     else `Rejected
@@ -654,7 +783,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   ignore (consider (greedy_initial sp ~savings ~budget ~z_rows));
   (if !best_obj < infinity then
      let ls_z, ls_obj = local_search ~jobs sp ~budget ~z_rows !best_z !best_obj in
-     if accept ls_z then improve ls_z ls_obj);
+     if accept ls_z && meets_caps ls_z then improve ls_z ls_obj);
   let best_bound = ref neg_infinity in
   let emit it =
     options.on_event
@@ -689,11 +818,15 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
     Array.init nchunks (fun c ->
         (c * nblocks / nchunks, (c + 1) * nblocks / nchunks))
   in
-  (* subgradient of the linking rows, aligned with [lam] *)
+  (* subgradient of the linking rows, aligned with [lam], and of the cap
+     rows, aligned with [mu] *)
   let g = Array.map Array.copy lam in
+  let cap_g = Array.make nblocks 0.0 in
   let iter = ref 0 in
+  (* the gap closes only on an incumbent *)
   let gap_ok () =
     !best_bound > neg_infinity
+    && !best_obj < infinity
     && !best_obj -. !best_bound
        <= options.gap_tolerance *. (abs_float !best_obj +. 1e-9)
   in
@@ -725,8 +858,15 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
            (fun (lo, hi) ->
              let price = Array.make ncand 0.0 in
              Array.init (hi - lo) (fun k ->
-                 block_subproblem sp.Sproblem.blocks.(lo + k) lam.(lo + k)
-                   ~price ~excluded:forced_zero))
+                 let bi = lo + k in
+                 let b = sp.Sproblem.blocks.(bi) in
+                 let weight =
+                   if caps.cap.(bi) < infinity then
+                     b.Sproblem.weight +. (mu.(bi) *. caps.scale.(bi))
+                   else b.Sproblem.weight
+                 in
+                 block_subproblem b lam.(bi) ~weight ~price
+                   ~excluded:forced_zero))
            chunks
        in
        Runtime.Trace.add tr_block_solves nblocks;
@@ -735,9 +875,15 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
          let lo, _ = chunks.(c) in
          let part = sub.(c) in
          for k = 0 to Array.length part - 1 do
-           let v, used = part.(k) in
-           usage.(lo + k) <- used;
-           lower := !lower +. v
+           let v, used, cost = part.(k) in
+           let bi = lo + k in
+           usage.(bi) <- used;
+           if caps.cap.(bi) < infinity then begin
+             let rhs = caps.cap.(bi) *. caps.scale.(bi) in
+             lower := !lower +. (v -. (mu.(bi) *. rhs));
+             cap_g.(bi) <- (cost *. caps.scale.(bi)) -. rhs
+           end
+           else lower := !lower +. v
          done
        done;
        let base = !lower in
@@ -892,6 +1038,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
            end)
          used_order;
        Array.iteri (fun a f -> if f then zr.(a) <- false) forced_zero;
+       let zr = covered zr in
        let zr = repair ~jobs sp ~budget ~z_rows ~mandatory zr in
        let obj = Sproblem.eval ~jobs sp zr in
        let candidate_z, candidate_obj =
@@ -905,13 +1052,13 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
           the rounding left out, and trimming can break a Ge row: both
           candidates pass the z rows before they compete *)
        if accept candidate_z then begin
-         if feasible candidate_z then
+         if feasible candidate_z && meets_caps candidate_z then
            improve ~margin:1e-9 candidate_z candidate_obj
        end
        else begin
          (* trim toward the black box and take the result if it wins *)
          let zt = trim_to_acceptance candidate_z in
-         if accept zt && feasible zt then
+         if accept zt && feasible zt && meets_caps zt then
            improve ~margin:1e-9 zt (Sproblem.eval ~jobs sp zt)
        end
        end;
@@ -931,6 +1078,9 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
          done;
          List.iter (fun a -> mark.(a) <- false) used
        done;
+       Array.iter
+         (fun bi -> gnorm2 := !gnorm2 +. (cap_g.(bi) *. cap_g.(bi)))
+         caps.capped;
        if !gnorm2 > 1e-12 then begin
          let ub_ref = if !best_obj < infinity then !best_obj else empty_obj in
          let step = !theta *. (ub_ref -. lower) /. !gnorm2 in
@@ -942,7 +1092,12 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
              let v = lb.(i) +. (step *. gb.(i)) in
              lb.(i) <- (if 0.0 >= v then 0.0 else v)
            done
-         done
+         done;
+         Array.iter
+           (fun bi ->
+             let v = mu.(bi) +. (step *. cap_g.(bi)) in
+             mu.(bi) <- (if 0.0 >= v then 0.0 else v))
+           caps.capped
        end;
        emit !iter
      done

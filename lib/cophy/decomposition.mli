@@ -3,8 +3,10 @@
     closed-form subproblems over the compressed workload
     ({!Sproblem.compress}), a knapsack/LP z subproblem, subgradient
     ascent for the lower bound, and rounding + incremental local search
-    for incumbents.  A cold start initializes the multipliers from a
-    one-pass benefit estimate.  Without extra z rows the knapsack's
+    for incumbents.  Query-cost caps are relaxed the same way, with one
+    multiplier per capped block.  A cold start initializes the linking
+    multipliers from a one-pass benefit estimate.  Without extra z rows
+    the knapsack's
     reduced costs harden z variables against the incumbent (trace
     counter [cg.hardened]) and a binary search over thresholds between
     the bound and the incumbent raises the proven bound; every fixing is
@@ -60,18 +62,28 @@ type result = {
   multipliers : multipliers;
 }
 
-(** Solve under a storage [budget] (bytes; [infinity] = none) and linear
-    z rows.  [accept] is the black-box (UDF) gate of appendix E.5:
-    incumbents failing it are rejected (the bound side legitimately
-    ignores it — dropping constraints only lowers the minimum).  Every
-    incumbent, the empty selection included, satisfies the budget and
-    every z row (a mandatory index is never repaired away).  The
-    returned [bound] is [infinity] when the z polytope is infeasible;
-    [obj] is [infinity] when no acceptable incumbent was found. *)
+(** Solve under a storage [budget] (bytes; [infinity] = none), linear
+    z rows and per-statement query-cost caps [block_caps] ((statement
+    id, cap) pairs: the statement's unweighted block cost,
+    {!Sproblem.block_cost_z}, must not exceed the cap).  Each capped
+    block gets a multiplier on its cost row: its subproblem runs at
+    weight [weight + mu / cap] and the bound subtracts [mu], still a
+    valid Lagrangian bound.  The cap multipliers start at zero on every
+    solve; only the linking-row multipliers are returned for warm
+    starts.  A block merged by {!Sproblem.compress} keeps the smallest
+    cap of its members.  [accept] is the black-box (UDF) gate of
+    appendix E.5: incumbents failing it are rejected (the bound side
+    legitimately ignores it — dropping constraints only lowers the
+    minimum).  Every incumbent, the empty selection included, satisfies
+    the budget, every z row (a mandatory index is never repaired away)
+    and every cap.  The returned [bound] is [infinity] when the z
+    polytope is infeasible; [obj] is [infinity] when no incumbent
+    meeting every constraint was found. *)
 val solve :
   ?options:options ->
   ?accept:(bool array -> bool) ->
   Sproblem.t ->
   budget:float ->
   z_rows:Constr.z_row list ->
+  block_caps:(int * float) list ->
   result

@@ -180,15 +180,7 @@ let resolve_constraints s =
   in
   (z_rows, block_caps, accept)
 
-let retune ?options s =
-  (* Without explicit options a session asks for the decomposition: it
-     is the path whose multipliers persist, which is the point of a
-     session.  [Solver.solve] decides whether a constraint overrides it. *)
-  let options =
-    match options with
-    | Some o -> o
-    | None -> { Solver.default_options with Solver.method_ = Solver.Decomposed }
-  in
+let retune ?(options = Solver.default_options) s =
   let sp = problem s in
   let z_rows, block_caps, accept = resolve_constraints s in
   let options =
@@ -200,13 +192,9 @@ let retune ?options s =
     }
   in
   let report =
-    Solver.solve ~options ~block_caps ?accept sp ~budget:s.budget ~z_rows
+    Solver.solve ~options ?accept sp ~budget:s.budget ~z_rows ~block_caps
   in
-  (* An exact solve returns no multipliers; keep the previous ones so a
-     later decomposed retune still warm-starts. *)
-  (match report.Solver.multipliers with
-  | Some _ as m -> s.multipliers <- m
-  | None -> ());
+  s.multipliers <- Some report.Solver.multipliers;
   s.last <- Some report;
   report
 

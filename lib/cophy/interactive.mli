@@ -86,12 +86,10 @@ val problem : session -> Sproblem.t
     selection (both maintained by the session; caller-supplied [warm] /
     [warm_z] fields are overridden).  The session's constraints are
     classified with {!Constr.split}, and each query-cost cap is priced
-    against the baseline ({!Inum.cost}).  Without [options] the session
-    asks for the decomposition; {!Solver.solve} decides the path that
-    enforces the constraints.
-    @raise Solver.Infeasible when the constraints cannot hold.
-    @raise Invalid_argument when a query-cost cap and a black-box
-      constraint are combined (see {!Solver.solve}). *)
+    against the baseline ({!Inum.cost}).  [options] defaults to
+    {!Solver.default_options}.
+    @raise Solver.Infeasible when the constraints cannot hold, or no
+      selection meeting them was found (see {!Solver.solve}). *)
 val retune : ?options:Solver.options -> session -> Solver.report
 
 (** [refine_at s config] — force the deferred INUM probes whose bound

@@ -51,7 +51,9 @@ let scalarized_solve sp ~(metric_coeff : float array) ~lambda ~warm =
       Sproblem.fixed = lambda *. sp.Sproblem.fixed }
   in
   let options = { Decomposition.default_options with Decomposition.warm } in
-  let r = Decomposition.solve ~options sp' ~budget:infinity ~z_rows:[] in
+  let r =
+    Decomposition.solve ~options sp' ~budget:infinity ~z_rows:[] ~block_caps:[]
+  in
   let z = r.Decomposition.z in
   let cost = Sproblem.eval sp z in
   let metric =

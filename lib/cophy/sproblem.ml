@@ -7,9 +7,10 @@
    no-index gamma.  The z variables, sizes, and update-maintenance costs
    complete the program.
 
-   The structure is what both solver paths consume: [to_lp] materializes
-   the exact BIP of Theorem 1 for the generic simplex + branch-and-bound
-   solver, while [Decomposition] exploits the block structure directly. *)
+   [Decomposition], the one solver, exploits the block structure
+   directly; [to_lp] materializes the explicit BIP of Theorem 1 for the
+   generic simplex + branch-and-bound solver, which serves as a
+   reference. *)
 
 type slot_choice = { cand : int; gamma : float }  (* cand = -1: no index *)
 
@@ -364,7 +365,8 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
 (* Statements with identical cost structure (same templates, same
    candidate slots) are interchangeable in the BIP: any selection costs
    them the same, so a group contributes [sum of weights * cost].  Merge
-   each group into its first member with the summed weight.  Keys are
+   each group into its first member with the summed weight, and say for
+   each input block which output block it went into.  Keys are
    marshalled bytes without sharing: equal content gives equal bytes
    (floats by their bits) however the values are shared in memory — a
    build shares boxed gammas between choices, and a rebuild shares
@@ -376,6 +378,7 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
 let compress t =
   let tbl = Hashtbl.create 97 in
   let order = ref [] in
+  let count = ref 0 in
   let keys = ref [] in
   let key b =
     match List.assq_opt b.templates !keys with
@@ -387,16 +390,22 @@ let compress t =
         keys := (b.templates, (b.cands_used, k)) :: !keys;
         k
   in
-  Array.iter
-    (fun b ->
-      let key = key b in
-      match Hashtbl.find_opt tbl key with
-      | Some cell -> cell := { !cell with weight = !cell.weight +. b.weight }
-      | None ->
-          let cell = ref b in
-          Hashtbl.replace tbl key cell;
-          order := cell :: !order)
-    t.blocks;
+  let group =
+    Array.map
+      (fun b ->
+        let key = key b in
+        match Hashtbl.find_opt tbl key with
+        | Some (gi, cell) ->
+            cell := { !cell with weight = !cell.weight +. b.weight };
+            gi
+        | None ->
+            let cell = ref b in
+            Hashtbl.replace tbl key (!count, cell);
+            order := cell :: !order;
+            incr count;
+            !count - 1)
+      t.blocks
+  in
   let blocks = Array.of_list (List.rev_map (fun c -> !c) !order) in
   let cand_blocks = Array.make (Array.length t.candidates) [] in
   Array.iteri
@@ -405,11 +414,12 @@ let compress t =
         (fun pos -> cand_blocks.(pos) <- bi :: cand_blocks.(pos))
         b.cands_used)
     blocks;
-  {
-    t with
-    blocks;
-    cand_blocks = Array.map (fun l -> Array.of_list (List.rev l)) cand_blocks;
-  }
+  ( {
+      t with
+      blocks;
+      cand_blocks = Array.map (fun l -> Array.of_list (List.rev l)) cand_blocks;
+    },
+    group )
 
 (* --- Evaluation --- *)
 
@@ -513,9 +523,8 @@ type lp_vars = {
 
 (* Build the explicit BIP: continuous relaxation is obtained by the caller
    via Branch_bound / Simplex.  Extra z-rows (constraints from the
-   language), per-statement cost caps (query-cost constraints), and the
-   storage budget are appended when given. *)
-let to_lp ?(budget = infinity) ?(z_rows = []) ?(block_caps = []) t =
+   language) and the storage budget are appended when given. *)
+let to_lp ?(budget = infinity) ?(z_rows = []) t =
   let p = Lp.Problem.create () in
   let ncand = Array.length t.candidates in
   let z_var =
@@ -601,86 +610,8 @@ let to_lp ?(budget = infinity) ?(z_rows = []) ?(block_caps = []) t =
          (Array.to_list (Array.mapi (fun pos zv -> (zv, t.sizes.(pos))) z_var))
          Lp.Problem.Le budget);
   Constr.add_rows p z_var z_rows;
-  (* Per-statement cost caps: sum_k beta y + sum gamma x <= cap, divided
-     through by the cap.  Unscaled (coefficients of the order of
-     statement costs), the simplex misread feasible capped relaxations
-     as unbounded or infeasible; normalized, it does not. *)
-  List.iter
-    (fun (qid, cap) ->
-      let scale = if cap > 0.0 then 1.0 /. cap else 1.0 in
-      Array.iteri
-        (fun bi b ->
-          if b.qid = qid then begin
-            let coeffs = ref [] in
-            Array.iteri
-              (fun k tpl ->
-                coeffs :=
-                  (Hashtbl.find y_var (bi, k), tpl.beta *. scale) :: !coeffs;
-                Array.iteri
-                  (fun si slot ->
-                    Array.iteri
-                      (fun ci { gamma; _ } ->
-                        coeffs :=
-                          (Hashtbl.find x_var (bi, k, si, ci), gamma *. scale)
-                          :: !coeffs)
-                      slot)
-                  tpl.choices)
-              b.templates;
-            ignore
-              (Lp.Problem.add_row
-                 ~name:(Printf.sprintf "cost_cap_%d" qid)
-                 p !coeffs Lp.Problem.Le (cap *. scale))
-          end)
-        t.blocks)
-    block_caps;
   (p, { z_var; y_var; x_var })
 
 (* Read a configuration out of an LP/BIP solution vector. *)
 let z_of_lp_solution t vars x =
   Array.init (Array.length t.candidates) (fun pos -> x.(vars.z_var.(pos)) > 0.5)
-
-(* Lift a selection to a full BIP point: per block, the cheapest template
-   and slot choices admissible under [z] (the assignment [block_cost_z]'s
-   minimum is attained at).  The point satisfies the structural rows by
-   construction; budget and extra z rows depend on [z] itself, so an
-   infeasible selection yields an infeasible point — callers seeding
-   Branch_bound rely on its [Problem.feasible] guard. *)
-let lp_point_of_z t p vars (z : bool array) =
-  let x = Array.make (Lp.Problem.nvars p) 0.0 in
-  Array.iteri
-    (fun pos zv -> x.(zv) <- (if z.(pos) then 1.0 else 0.0))
-    vars.z_var;
-  Array.iteri
-    (fun bi b ->
-      let best = ref infinity and best_k = ref 0 in
-      let best_picks = ref [||] in
-      Array.iteri
-        (fun k tpl ->
-          let total = ref tpl.beta in
-          let picks =
-            Array.map
-              (fun slot ->
-                let m = ref infinity and pick = ref 0 in
-                Array.iteri
-                  (fun ci { cand; gamma } ->
-                    if (cand < 0 || z.(cand)) && gamma < !m then begin
-                      m := gamma;
-                      pick := ci
-                    end)
-                  slot;
-                total := !total +. !m;
-                !pick)
-              tpl.choices
-          in
-          if !total < !best then begin
-            best := !total;
-            best_k := k;
-            best_picks := picks
-          end)
-        b.templates;
-      x.(Hashtbl.find vars.y_var (bi, !best_k)) <- 1.0;
-      Array.iteri
-        (fun si ci -> x.(Hashtbl.find vars.x_var (bi, !best_k, si, ci)) <- 1.0)
-        !best_picks)
-    t.blocks;
-  x

@@ -4,9 +4,9 @@
     choice is dropped only when its gamma is infinite or no better than
     the no-index gamma; the candidate's z variable always survives).
 
-    Both solver paths consume this structure: {!to_lp} materializes the
-    explicit BIP for simplex + branch-and-bound, while {!Decomposition}
-    exploits the block structure directly. *)
+    {!Decomposition}, the one solver, exploits the block structure
+    directly; {!to_lp} materializes the explicit BIP for simplex +
+    branch-and-bound, which serves as a reference. *)
 
 type slot_choice = { cand : int; gamma : float }
 (** [cand = -1] is the no-index choice. *)
@@ -111,12 +111,14 @@ val build :
     (equal [templates] and [cands_used], floats compared by their bits)
     are interchangeable under every selection, so each group collapses
     into its first member with the summed weight.  Equality is by
-    content: how the values are shared in memory does not matter.  Every selection's objective is preserved (up to float
+    content: how the values are shared in memory does not matter.
+    Every selection's objective is preserved (up to float
     re-association); merged statements' [qid]s disappear from [blocks].
-    Homogeneous workloads shrink by an order of magnitude, which is what
-    makes the decomposition's per-iteration cost independent of workload
-    repetition. *)
-val compress : t -> t
+    [compress t] is [(t', group)], where [group.(bi)] is the block of
+    [t'] that block [bi] of [t] went into.  Homogeneous workloads shrink
+    by an order of magnitude, which is what makes the decomposition's
+    per-iteration cost independent of workload repetition. *)
+val compress : t -> t * int array
 
 (** Query-cost part of one block given a selection. *)
 val block_cost_z : block -> bool array -> float
@@ -152,20 +154,9 @@ type lp_vars = {
 (** Materialize the BIP of Theorem 1.  Linking rows are aggregated per
     (block, candidate) — valid by [sum_k y = 1] and tighter than
     per-variable links.  [budget] adds the storage row; [z_rows] the
-    constraint-language rows; [block_caps] per-statement cost caps. *)
+    constraint-language rows. *)
 val to_lp :
-  ?budget:float ->
-  ?z_rows:Constr.z_row list ->
-  ?block_caps:(int * float) list ->
-  t ->
-  Lp.Problem.t * lp_vars
+  ?budget:float -> ?z_rows:Constr.z_row list -> t -> Lp.Problem.t * lp_vars
 
 (** Read the selection out of a BIP solution vector. *)
 val z_of_lp_solution : t -> lp_vars -> float array -> bool array
-
-(** [lp_point_of_z t p vars z] — lift a selection to a full BIP point
-    (the per-block template / slot assignment the minimum is attained
-    at), for warm-starting {!Lp.Branch_bound} with a prior incumbent.
-    Structural rows hold by construction; budget and extra z rows hold
-    iff [z] satisfies them. *)
-val lp_point_of_z : t -> Lp.Problem.t -> lp_vars -> bool array -> float array

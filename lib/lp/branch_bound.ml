@@ -22,19 +22,9 @@
    the sequential merge, read by concurrent evaluators for
    start-of-round pruning. *)
 
-type event = {
-  elapsed : float;           (* seconds since solve started *)
-  incumbent : float option;  (* best integer objective so far *)
-  bound : float;             (* proven lower bound *)
-  nodes : int;
-}
-
 type options = {
   gap_tolerance : float;     (* stop when (inc - bound)/|inc| <= this *)
   time_limit : float;        (* seconds; infinity = none *)
-  on_event : event -> unit;
-  (* Optional known-feasible starting point (warm start). *)
-  initial_incumbent : float array option;
   (* When set, branch only on these variables and accept an LP solution
      as an incumbent once they are integral.  Sound only when fixing
      these variables makes the remaining LP have an integral optimum of
@@ -54,8 +44,6 @@ let default_options =
   {
     gap_tolerance = 1e-6;
     time_limit = infinity;
-    on_event = ignore;
-    initial_incumbent = None;
     decision_vars = None;
     certify_incumbents = false;
     jobs = 1;
@@ -158,23 +146,8 @@ let solve ?(options = default_options) (p : Problem.t) =
      sequential merge; read concurrently by evaluators for the
      start-of-round prune. *)
   let incumbent_obj = Atomic.make infinity in
-  (match options.initial_incumbent with
-  | Some x0 when Problem.feasible p x0 ->
-      incumbent := Some (Array.copy x0);
-      Atomic.set incumbent_obj (Problem.objective_value p x0 -. offset)
-  | _ -> ());
   let nodes = ref 0 in
   let global_bound = ref neg_infinity in
-  let emit () =
-    let inc = Atomic.get incumbent_obj in
-    options.on_event
-      {
-        elapsed = elapsed ();
-        incumbent = (if inc < infinity then Some (inc +. offset) else None);
-        bound = !global_bound +. offset;
-        nodes = !nodes;
-      }
-  in
   let try_incumbent x obj =
     if obj < Atomic.get incumbent_obj -. 1e-9 then begin
       if options.certify_incumbents then begin
@@ -196,10 +169,8 @@ let solve ?(options = default_options) (p : Problem.t) =
             "the accepted objective becomes the pruning threshold and the \
              reported optimum; an unproven iterate here silently cuts off \
              the true optimum"]);
-      Runtime.Trace.incr tr_incumbents;
-      true
+      Runtime.Trace.incr tr_incumbents
     end
-    else false
   in
   let gap_ok () =
     let inc = Atomic.get incumbent_obj in
@@ -295,15 +266,15 @@ let solve ?(options = default_options) (p : Problem.t) =
       (match branch_var int_vars !root_x with
       | None ->
           if root_solved || Problem.feasible p !root_x then
-            ignore (try_incumbent !root_x (if root_solved then !root_bound
-                                           else Problem.objective_value p !root_x -. offset))
+            try_incumbent !root_x
+              (if root_solved then !root_bound
+               else Problem.objective_value p !root_x -. offset)
       | Some _ ->
           if not restricted then
             match rounding_heuristic p int_vars !root_x with
             | Some xr ->
-                ignore (try_incumbent xr (Problem.objective_value p xr -. offset))
+                try_incumbent xr (Problem.objective_value p xr -. offset)
             | None -> ());
-      emit ();
       let certify_cuts () =
         match (pool, !incumbent) with
         | Some pool, Some x ->
@@ -432,7 +403,6 @@ let solve ?(options = default_options) (p : Problem.t) =
             | Solved (r, snap) -> (
                 incr nodes;
                 Runtime.Trace.incr tr_nodes;
-                if !nodes mod 16 = 0 then emit ();
                 match r.Simplex.status with
                 | Simplex.Infeasible -> []
                 | Simplex.Unbounded -> []
@@ -460,19 +430,15 @@ let solve ?(options = default_options) (p : Problem.t) =
                     else (
                       match branch_var int_vars r.Simplex.x with
                       | None ->
-                          if
-                            (solved || Problem.feasible p r.Simplex.x)
-                            && try_incumbent r.Simplex.x r.Simplex.obj
-                          then emit ();
+                          if solved || Problem.feasible p r.Simplex.x then
+                            try_incumbent r.Simplex.x r.Simplex.obj;
                           []
                       | Some v ->
                           (if not restricted then
                              match rounding_heuristic p int_vars r.Simplex.x with
                              | Some xr ->
-                                 if
-                                   try_incumbent xr
-                                     (Problem.objective_value p xr -. offset)
-                                 then emit ()
+                                 try_incumbent xr
+                                   (Problem.objective_value p xr -. offset)
                              | None -> ());
                           children { node with nb } v r.Simplex.x.(v) snap))
           in
@@ -488,5 +454,4 @@ let solve ?(options = default_options) (p : Problem.t) =
                 if Atomic.get incumbent_obj < infinity then Optimal
                 else Infeasible
           in
-          emit ();
           mk_result status (certify_cuts ()) !cuts_added)

@@ -16,23 +16,12 @@
     with [Limit] after 200,000.  It runs in
     deterministic bulk-synchronous rounds over {!Runtime.Search}: the
     trajectory, incumbent, bound, and node counts are bit-identical at
-    every [jobs] value.  A continuous (time, incumbent, bound) feedback
-    stream supports CoPhy's early termination. *)
-
-type event = {
-  elapsed : float;  (** seconds since solve start, on {!Runtime.Clock} *)
-  incumbent : float option;  (** best integer objective so far *)
-  bound : float;  (** proven lower bound *)
-  nodes : int;
-}
+    every [jobs] value.  It solves the ILP baseline ({!Advisors.Ilp}),
+    integer models in [lp_solve], and reference optima in tests. *)
 
 type options = {
   gap_tolerance : float;  (** stop when (inc - bound)/|inc| <= this *)
   time_limit : float;
-  on_event : event -> unit;
-      (** the feedback stream: called after the root, on every new
-          incumbent, every 16 nodes, and once at the end *)
-  initial_incumbent : float array option;  (** warm start *)
   decision_vars : int list option;
       (** Branch only on these variables, and accept an LP solution as an
           incumbent once they are integral.  Sound when fixing them makes

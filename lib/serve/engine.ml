@@ -280,11 +280,7 @@ let recommend t =
   flush t;
   let t0 = Runtime.Clock.now () in
   let options =
-    {
-      Cophy.Solver.default_options with
-      Cophy.Solver.method_ = Cophy.Solver.Decomposed;
-      certify = t.certify;
-    }
+    { Cophy.Solver.default_options with Cophy.Solver.certify = t.certify }
   in
   let report = Cophy.Interactive.recommend ~options t.session in
   let ms = (Runtime.Clock.now () -. t0) *. 1000.0 in

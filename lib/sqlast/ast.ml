@@ -26,7 +26,8 @@ type predicate = {
 }
 
 let predicate ?(selectivity = 0.1) pred_col cmp =
-  if selectivity < 0.0 || selectivity > 1.0 then
+  (* written so that NaN fails it too *)
+  if not (0.0 <= selectivity && selectivity <= 1.0) then
     invalid_arg "Ast.predicate: selectivity out of [0,1]";
   { pred_col; cmp; selectivity; is_equality = (cmp = Eq) }
 

@@ -183,7 +183,12 @@ let parse_conjunct schema tables st : conjunct =
     | _ -> skip_value st);
     let sel =
       match peek st with
-      | SelHint f -> advance st; f
+      | SelHint f ->
+          advance st;
+          (* written so that NaN fails it too *)
+          if not (0.0 <= f && f <= 1.0) then
+            fail "selectivity hint %h outside [0,1]" f;
+          f
       | _ -> default_selectivity schema lhs cmp
     in
     P (predicate ~selectivity:sel lhs cmp)

@@ -6,7 +6,8 @@
 exception Parse_error of string
 
 (** Parse one SELECT or UPDATE statement (optionally ';'-terminated).
-    @raise Parse_error on malformed input or unknown tables/columns. *)
+    @raise Parse_error on malformed input, unknown tables/columns, or a
+      selectivity hint that is NaN or outside [0,1]. *)
 val statement : Catalog.Schema.t -> string -> Ast.statement
 
 (** Parse a script of ';'-separated statements. *)

@@ -209,28 +209,6 @@ let test_bb_infeasible_integrality () =
   let r = Lp.Branch_bound.solve p in
   Alcotest.(check bool) "no solution" true (r.Lp.Branch_bound.x = None)
 
-let test_bb_warm_start () =
-  let p = Lp.Problem.create () in
-  let a = Lp.Problem.add_var ~kind:Lp.Problem.Binary ~obj:(-5.0) p in
-  let b = Lp.Problem.add_var ~kind:Lp.Problem.Binary ~obj:(-4.0) p in
-  ignore (Lp.Problem.add_row p [ (a, 1.0); (b, 1.0) ] Lp.Problem.Le 1.0);
-  let events = ref [] in
-  let options =
-    { Lp.Branch_bound.default_options with
-      Lp.Branch_bound.initial_incumbent = Some [| 0.0; 1.0 |];
-      on_event = (fun e -> events := e :: !events) }
-  in
-  let r = Lp.Branch_bound.solve ~options p in
-  check_float "optimum" (-5.0) r.Lp.Branch_bound.obj;
-  (* the warm incumbent appears in the very first event *)
-  (match List.rev !events with
-  | first :: _ ->
-      Alcotest.(check bool) "warm incumbent visible" true
-        (match first.Lp.Branch_bound.incumbent with
-        | Some v -> v <= -4.0 +. 1e-6
-        | None -> false)
-  | [] -> Alcotest.fail "no events")
-
 let test_bb_gap_termination () =
   let p = Lp.Problem.create () in
   let vars =
@@ -1272,7 +1250,6 @@ let () =
         [
           Alcotest.test_case "knapsack" `Quick test_bb_knapsack;
           Alcotest.test_case "integer infeasible" `Quick test_bb_infeasible_integrality;
-          Alcotest.test_case "warm start" `Quick test_bb_warm_start;
           Alcotest.test_case "gap termination" `Quick test_bb_gap_termination;
           Alcotest.test_case "decision vars" `Quick test_bb_decision_vars;
           Alcotest.test_case "dual warm resolve = cold primal" `Quick

@@ -252,6 +252,44 @@ let test_handle_line_errors () =
   Alcotest.(check bool) "recommend after rejected deltas" true
     (member_exn "ok" r = Serve.Json.Bool true)
 
+(* A selectivity hint that is NaN or outside [0,1] gets an error reply,
+   on [statement] and on [whatif], and leaves the session as it was:
+   [stats] reads the same before and after, and the next request is
+   answered. *)
+let test_engine_bad_selectivity_hint () =
+  let e = engine () in
+  let stmt = List.hd (statements ~n:1 ~seed:4) in
+  ignore (Serve.Engine.handle_line e (statement_line stmt));
+  let stats () = Serve.Engine.handle_line e {|{"op":"stats"}|} in
+  let before = stats () in
+  List.iter
+    (fun hint ->
+      let sql =
+        Printf.sprintf
+          "SELECT lineitem.l_returnflag FROM lineitem WHERE \
+           lineitem.l_shipdate <= ? /*sel=%s*/"
+          hint
+      in
+      List.iter
+        (fun op ->
+          let line =
+            Printf.sprintf {|{"op":"%s","sql":%s}|} op
+              (Serve.Json.to_string (Serve.Json.Str sql))
+          in
+          let r = Serve.Json.of_string (Serve.Engine.handle_line e line) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s sel=%s: error reply" op hint)
+            true
+            (member_exn "ok" r = Serve.Json.Bool false))
+        [ "statement"; "whatif" ])
+    [ "1.5"; "nan"; "inf"; "-0.5" ];
+  Alcotest.(check string) "stats unchanged" before (stats ());
+  let r =
+    Serve.Json.of_string (Serve.Engine.handle_line e {|{"op":"recommend"}|})
+  in
+  Alcotest.(check bool) "the next request is answered" true
+    (member_exn "ok" r = Serve.Json.Bool true)
+
 (* The canonical key the engine files a statement under: the key of its
    printed SQL, parsed again (printing rounds selectivities, so it can
    differ from the generated statement's own key). *)
@@ -643,6 +681,8 @@ let () =
           Alcotest.test_case "latency histogram" `Quick
             test_engine_latency_histogram;
           Alcotest.test_case "protocol errors" `Quick test_handle_line_errors;
+          Alcotest.test_case "selectivity hint outside [0,1]" `Quick
+            test_engine_bad_selectivity_hint;
           Alcotest.test_case "disconnected join graph" `Quick
             test_disconnected_join_graph;
           Alcotest.test_case "deterministic under trace" `Quick

@@ -163,6 +163,34 @@ let test_parse_errors () =
      no column: skip.  Trailing garbage: *)
   expect_fail "SELECT l_quantity FROM lineitem extra"
 
+(* A selectivity hint that is NaN or outside [0,1] is a parse error,
+   not a predicate with a meaningless selectivity or an escaping
+   [Invalid_argument]; [Ast.predicate] refuses NaN too. *)
+let test_parse_bad_selectivity_hint () =
+  List.iter
+    (fun hint ->
+      let sql =
+        Printf.sprintf
+          "SELECT lineitem.l_returnflag FROM lineitem WHERE \
+           lineitem.l_shipdate <= ? /*sel=%s*/"
+          hint
+      in
+      match Parse.statement schema sql with
+      | exception Parse.Parse_error _ -> ()
+      | _ -> Alcotest.failf "accepted the hint sel=%s" hint)
+    [ "nan"; "inf"; "1.5"; "-0.5" ];
+  (match Ast.predicate ~selectivity:Float.nan (Ast.col_ref "t" "c") Ast.Eq with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Ast.predicate accepted a NaN selectivity");
+  match
+    Parse.statement schema
+      "SELECT lineitem.l_returnflag FROM lineitem WHERE \
+       lineitem.l_shipdate <= ? /*sel=1*/"
+  with
+  | Ast.Select { Ast.predicates = [ p ]; _ } ->
+      Alcotest.(check (float 0.0)) "sel=1 is in range" 1.0 p.Ast.selectivity
+  | _ -> Alcotest.fail "expected one predicate"
+
 let test_roundtrip () =
   let q = sample_query () in
   let text = Print.statement_to_string (Ast.Select q) in
@@ -355,6 +383,8 @@ let () =
           Alcotest.test_case "join and agg" `Quick test_parse_join_and_agg;
           Alcotest.test_case "update" `Quick test_parse_update;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "selectivity hint outside [0,1]" `Quick
+            test_parse_bad_selectivity_hint;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "script" `Quick test_parse_script;
           QCheck_alcotest.to_alcotest prop_workload_roundtrip;
