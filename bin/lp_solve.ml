@@ -19,7 +19,8 @@
    ran.
    [--check] runs the Lp.Analyze model checks before solving (static
    errors abort with exit code 4) and certifies the solution afterwards
-   (a failed certificate aborts with exit code 5). *)
+   (a failed certificate aborts with exit code 5); on an integer model
+   it also certifies every incumbent branch and bound accepts. *)
 
 let () =
   let file = ref "" in
@@ -114,9 +115,16 @@ let () =
             time_limit = !time;
             jobs = max 1 !jobs;
             cuts = !cuts;
-            warm_start = !warm }
+            warm_start = !warm;
+            certify_incumbents = !want_check }
         in
-        let r = Lp.Branch_bound.solve ~options p in
+        let r =
+          match Lp.Branch_bound.solve ~options p with
+          | r -> r
+          | exception Lp.Analyze.Certification_failed msg ->
+              Fmt.epr "certify: %s@." msg;
+              exit 5
+        in
         (match r.Lp.Branch_bound.status with
         | Lp.Branch_bound.Optimal ->
             Fmt.pr "status: optimal (gap %.3g)@."

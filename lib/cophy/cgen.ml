@@ -78,10 +78,24 @@ let query_candidates (q : Ast.query) =
   List.concat_map (fun t -> table_candidates q t) q.Ast.tables
 
 (* Candidate set of a whole workload (update shells included), optionally
-   extended with a DBA-provided set. *)
+   extended with a DBA-provided set.  [query_candidates] reads only the
+   fields [Canon.raw_equal] compares, so a statement whose raw shape was
+   already expanded adds nothing to the set and is skipped.  The
+   canonical key would merge too much: it sorts GROUP BY, and the
+   group-by candidates follow the written order. *)
 let generate ?(dba = []) (w : Ast.workload) =
+  let seen = Canon.Raw_tbl.create 64 in
+  let fresh q =
+    if Canon.Raw_tbl.mem seen q then false
+    else begin
+      Canon.Raw_tbl.replace seen q ();
+      true
+    end
+  in
   let per_query =
-    List.concat_map (fun (q, _) -> query_candidates q) (Ast.selects w)
+    List.concat_map
+      (fun (q, _) -> if fresh q then query_candidates q else [])
+      (Ast.selects w)
   in
   Storage.Config.of_list (per_query @ dba) |> Storage.Config.to_list
 

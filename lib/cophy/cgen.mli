@@ -11,7 +11,10 @@ val table_candidates : Sqlast.Ast.query -> string -> Storage.Index.t list
 val query_candidates : Sqlast.Ast.query -> Storage.Index.t list
 
 (** The workload's candidate set (update shells included), deduplicated,
-    extended with the DBA's own interesting indexes. *)
+    extended with the DBA's own interesting indexes: the union of
+    {!query_candidates} over every statement.  Each raw statement shape
+    ({!Sqlast.Canon.raw_equal}) is expanded once, so a workload of many
+    repeats pays per distinct shape, not per statement. *)
 val generate : ?dba:Storage.Index.t list -> Sqlast.Ast.workload -> Storage.Index.t list
 
 (** Random valid indexes, for inflating S in scalability experiments

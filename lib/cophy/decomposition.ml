@@ -202,29 +202,50 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~weight ~price
    dual by complementary slackness over the sorted ratios.
 
    [denom.(a)] is [max 1.0 sizes.(a)], the per-byte denominator,
-   computed once per solve.  [knapsack_order ~w ~denom ~ratio] fills
-   [ratio.(a)] with [w.(a) /. denom.(a)] and returns the greedy's item
-   order: the candidates with [w < 0] by ascending ratio, stably.  It
-   depends on [w] only, so one subgradient iteration sorts it once and
-   every greedy call of the iteration walks it, skipping its own forced
-   candidates — a filtered stable sort is the stable sort of the
-   filtered list. *)
-let knapsack_order ~w ~denom ~ratio =
+   computed once per solve.  [knapsack_order ~w ~denom ~ratio ~perm]
+   fills [ratio.(a)] with [w.(a) /. denom.(a)] and returns the greedy's
+   item order: the candidates with [w < 0] by ascending ratio, stably.
+   It depends on [w] only, so one subgradient iteration sorts it once
+   and every greedy call of the iteration walks it, skipping its own
+   forced candidates — a filtered stable sort is the stable sort of the
+   filtered list.  A stable sort of ascending positions orders them by
+   (ratio under [Float.compare], position), a total order, so the
+   order is also the filter of every candidate sorted by that pair.
+   [perm] keeps that sort of every candidate from one call to the
+   next: the multipliers move a little per iteration, so an insertion
+   sort of the previous permutation has little to move. *)
+let knapsack_order ~w ~denom ~ratio ~(perm : int array) =
   let n = Array.length w in
   let count = ref 0 in
   for a = 0 to n - 1 do
     ratio.(a) <- w.(a) /. denom.(a);
     if w.(a) < 0.0 then incr count
   done;
+  for i = 1 to n - 1 do
+    let a = perm.(i) in
+    let ra = ratio.(a) in
+    let j = ref (i - 1) in
+    while
+      !j >= 0
+      &&
+      let b = perm.(!j) in
+      let c = Float.compare ratio.(b) ra in
+      c > 0 || (c = 0 && b > a)
+    do
+      perm.(!j + 1) <- perm.(!j);
+      decr j
+    done;
+    perm.(!j + 1) <- a
+  done;
   let order = Array.make !count 0 in
   let k = ref 0 in
-  for a = 0 to n - 1 do
+  for i = 0 to n - 1 do
+    let a = perm.(i) in
     if w.(a) < 0.0 then begin
       order.(!k) <- a;
       incr k
     end
   done;
-  Array.stable_sort (fun a b -> Float.compare ratio.(a) ratio.(b)) order;
   order
 
 (* [min 1.0 (cap /. d)], written out: [Stdlib.min] on floats is a
@@ -406,12 +427,92 @@ let delta_toggle (sp : Sproblem.t) (z : bool array) (bcost : float array) a =
   z.(a) <- not z.(a);
   (!delta, !changed)
 
+(* A block's slot minima under a selection [z], by template [k] and
+   slot [s] at [off + s] ([off]: the slot count of the templates before
+   [k]): [smin] is the slot minimum and [sarg] the candidate of its first
+   argmin ([-1]: the no-index choice, or no admissible choice).  [tcost]
+   and [tpicks] are [Sproblem.block_cost_picks b z]: the scan below is
+   that kernel's, storing what it finds. *)
+type minima = {
+  smin : float array;
+  sarg : int array;
+  tcost : float;
+  tpicks : int list;
+}
+
+let slot_minima (b : Sproblem.block) (z : bool array) =
+  let templates = b.Sproblem.templates in
+  let nslots = ref 0 in
+  for k = 0 to Array.length templates - 1 do
+    nslots := !nslots + Array.length templates.(k).Sproblem.choices
+  done;
+  let smin = Array.make !nslots infinity and sarg = Array.make !nslots (-1) in
+  let best = ref infinity and picks = ref [] in
+  let off = ref 0 in
+  for k = 0 to Array.length templates - 1 do
+    let tpl = templates.(k) in
+    let total = ref tpl.Sproblem.beta and tpl_picks = ref [] in
+    let choices = tpl.Sproblem.choices in
+    for s = 0 to Array.length choices - 1 do
+      let slot = choices.(s) in
+      let m = ref infinity and pick = ref (-1) in
+      for i = 0 to Array.length slot - 1 do
+        let { Sproblem.cand; gamma } = slot.(i) in
+        if (cand < 0 || z.(cand)) && gamma < !m then begin
+          m := gamma;
+          pick := cand
+        end
+      done;
+      smin.(!off + s) <- !m;
+      sarg.(!off + s) <- !pick;
+      total := !total +. !m;
+      if !pick >= 0 then tpl_picks := !pick :: !tpl_picks
+    done;
+    off := !off + Array.length choices;
+    if !total < !best then begin
+      best := !total;
+      picks := !tpl_picks
+    end
+  done;
+  { smin; sarg; tcost = !best; tpicks = !picks }
+
+(* [Sproblem.block_cost_z b z] for [z] with [a] unselected, where [mn] is
+   [slot_minima] of [z] with [a] selected: a slot whose first argmin is
+   not [a] keeps that argmin, so its minimum is read from [mn]; only
+   the slots [a] won are scanned again.  The template totals and their
+   minimum run in the kernel's order, so the cost is bit-identical. *)
+let cost_without (b : Sproblem.block) mn (z : bool array) a =
+  let templates = b.Sproblem.templates in
+  let best = ref infinity in
+  let off = ref 0 in
+  for k = 0 to Array.length templates - 1 do
+    let tpl = templates.(k) in
+    let total = ref tpl.Sproblem.beta in
+    let choices = tpl.Sproblem.choices in
+    for s = 0 to Array.length choices - 1 do
+      if mn.sarg.(!off + s) = a then begin
+        let slot = choices.(s) in
+        let m = ref infinity in
+        for i = 0 to Array.length slot - 1 do
+          let { Sproblem.cand; gamma } = slot.(i) in
+          if (cand < 0 || z.(cand)) && gamma < !m then m := gamma
+        done;
+        total := !total +. !m
+      end
+      else total := !total +. mn.smin.(!off + s)
+    done;
+    off := !off + Array.length choices;
+    if !total < !best then best := !total
+  done;
+  !best
+
 (* [delta_toggle]'s delta for dropping the selected [a], against the
-   start state [start] ([Sproblem.block_cost_picks] per block).  A block
-   whose picks do not contain [a] keeps its cost bit for bit, so it is
-   not re-priced: its term is [weight *. (c -. c)] on the cost it
-   already has, the very value the re-pricing would give (a signed zero,
-   or nan on an infinite cost). *)
+   start state [start] ([slot_minima] per block).  A block whose picks
+   do not contain [a] keeps its cost bit for bit, so it is not
+   re-priced: its term is [weight *. (c -. c)] on the cost it already
+   has, the very value the re-pricing would give (a signed zero, or nan
+   on an infinite cost).  A block that loses a pick is re-priced from
+   its slot minima. *)
 let drop_delta (sp : Sproblem.t) (z : bool array) start a =
   let delta = ref (-.sp.Sproblem.ucost.(a)) in
   z.(a) <- false;
@@ -419,10 +520,10 @@ let drop_delta (sp : Sproblem.t) (z : bool array) start a =
   for j = 0 to Array.length blocks - 1 do
     let bi = blocks.(j) in
     let b = sp.Sproblem.blocks.(bi) in
-    let c0, picks = start.(bi) in
+    let mn = start.(bi) in
+    let c0 = mn.tcost in
     let c =
-      if List.exists (Int.equal a) picks then Sproblem.block_cost_z b z
-      else c0
+      if List.exists (Int.equal a) mn.tpicks then cost_without b mn z a else c0
     in
     delta := !delta +. (b.Sproblem.weight *. (c -. c0))
   done;
@@ -472,20 +573,22 @@ let cover_caps (sp : Sproblem.t) caps ~allowed (z : bool array) =
     caps.capped
 
 (* Drop selected candidates (smallest cost increase per byte freed first)
-   until feasible.  One delta evaluation per selected candidate against
-   the starting state, then a greedy sweep — an approximation that keeps
-   repair linear, refined later by the local search.  A [mandatory]
-   candidate is never dropped: no selection without it satisfies its Ge
-   row. *)
-let repair ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows ~mandatory
+   until feasible, and evaluate the result: [(z', Sproblem.eval sp z')].
+   One delta evaluation per selected candidate against the starting
+   state, then a greedy sweep — an approximation that keeps repair
+   linear, refined later by the local search.  A [mandatory] candidate
+   is never dropped: no selection without it satisfies its Ge row.
+   The evaluation re-costs only the blocks that lost a pick of the
+   starting state: every other block keeps its first least assignment,
+   so its cost is the starting one, bit for bit; the sum runs as
+   [Sproblem.eval]'s. *)
+let repair_eval ~jobs (sp : Sproblem.t) ~budget ~z_rows ~mandatory
     (z : bool array) =
   let z = Array.copy z in
-  if z_feasible sp ~budget ~z_rows z then z
+  if z_feasible sp ~budget ~z_rows z then (z, Sproblem.eval ~jobs sp z)
   else begin
     let start =
-      Runtime.parallel_map ~jobs
-        (fun b -> Sproblem.block_cost_picks b z)
-        sp.Sproblem.blocks
+      Runtime.parallel_map ~jobs (fun b -> slot_minima b z) sp.Sproblem.blocks
     in
     let scored = ref [] in
     for a = 0 to Array.length z - 1 do
@@ -510,7 +613,16 @@ let repair ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows ~mandatory
           end
     in
     drop order;
-    z
+    let costs =
+      Runtime.parallel_map ~jobs
+        (fun bi ->
+          let mn = start.(bi) in
+          if List.exists (fun a -> not z.(a)) mn.tpicks then
+            Sproblem.block_cost_z sp.Sproblem.blocks.(bi) z
+          else mn.tcost)
+        (Array.init (Array.length start) Fun.id)
+    in
+    (z, Sproblem.eval_costs sp z costs)
   end
 
 let local_search ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows (z : bool array)
@@ -553,30 +665,91 @@ let local_search ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows (z : bool array)
   done;
   (z, !obj)
 
+(* [singleton_saving b].(j): the weighted cost block [b] saves when its
+   candidate [cands_used.(j)] is the only index selected.  One pass over
+   the block: the empty selection's slot minima [m0] (the no-index
+   choices' scan), then per candidate the scan of each slot it appears
+   in, restricted to the no-index choices and its own — the scan
+   [Sproblem.block_cost_z] makes of that slot under the singleton — and
+   every other slot's [m0].  Template totals and their minimum run in
+   the kernel's order, so each saving is bit-identical to
+   [weight *. (block_cost_z b empty -. block_cost_z b {a})]. *)
+let singleton_saving (b : Sproblem.block) =
+  let templates = b.Sproblem.templates in
+  let cands_used = b.Sproblem.cands_used in
+  let nslots = ref 0 in
+  for k = 0 to Array.length templates - 1 do
+    nslots := !nslots + Array.length templates.(k).Sproblem.choices
+  done;
+  let scan slot a =
+    let m = ref infinity in
+    for i = 0 to Array.length slot - 1 do
+      let { Sproblem.cand; gamma } = slot.(i) in
+      if (cand < 0 || cand = a) && gamma < !m then m := gamma
+    done;
+    !m
+  in
+  let m0 = Array.make !nslots infinity in
+  (* [occ.(j)]: the slots holding a choice of [cands_used.(j)], with
+     their minimum under that singleton *)
+  let occ = Array.make (Array.length cands_used) [] in
+  let off = ref 0 in
+  for k = 0 to Array.length templates - 1 do
+    let choices = templates.(k).Sproblem.choices in
+    for s = 0 to Array.length choices - 1 do
+      let slot = choices.(s) in
+      let f = !off + s in
+      m0.(f) <- scan slot (-1);
+      for i = 0 to Array.length slot - 1 do
+        let a = slot.(i).Sproblem.cand in
+        if a >= 0 then begin
+          let j = pos_in b a in
+          occ.(j) <- (f, scan slot a) :: occ.(j)
+        end
+      done
+    done;
+    off := !off + Array.length choices
+  done;
+  let vals = Array.copy m0 in
+  let cost () =
+    let best = ref infinity in
+    let off = ref 0 in
+    for k = 0 to Array.length templates - 1 do
+      let tpl = templates.(k) in
+      let total = ref tpl.Sproblem.beta in
+      let n = Array.length tpl.Sproblem.choices in
+      for s = 0 to n - 1 do
+        total := !total +. vals.(!off + s)
+      done;
+      off := !off + n;
+      if !total < !best then best := !total
+    done;
+    !best
+  in
+  let empty = cost () in
+  Array.map
+    (fun l ->
+      List.iter (fun (f, v) -> vals.(f) <- v) l;
+      let c = cost () in
+      List.iter (fun (f, _) -> vals.(f) <- m0.(f)) l;
+      b.Sproblem.weight *. (empty -. c))
+    occ
+
 (* [singleton_savings sp].(a).(j): the weighted cost the block
    [cand_blocks.(a).(j)] saves when [a] is the only index selected.  The
    benefit-based multiplier initialization and the greedy initial
-   incumbent both start from these. *)
+   incumbent both start from these.  Each block is scored once, for all
+   its candidates ([singleton_saving]), fanned over the pool. *)
 let singleton_savings ~jobs (sp : Sproblem.t) =
-  let n = Array.length sp.Sproblem.candidates in
-  let empty = Array.make n false in
-  let empty_bcost =
-    Runtime.parallel_map ~jobs
-      (fun b -> Sproblem.block_cost_z b empty)
-      sp.Sproblem.blocks
+  let per_block =
+    Runtime.parallel_map ~jobs singleton_saving sp.Sproblem.blocks
   in
-  (* Per-candidate scoring is independent given a private singleton
-     selection, so it fans out over the pool. *)
-  Runtime.parallel_map ~jobs
-    (fun a ->
-      let z1 = Array.make n false in
-      z1.(a) <- true;
+  Array.mapi
+    (fun a blocks ->
       Array.map
-        (fun bi ->
-          let b = sp.Sproblem.blocks.(bi) in
-          b.Sproblem.weight *. (empty_bcost.(bi) -. Sproblem.block_cost_z b z1))
-        sp.Sproblem.cand_blocks.(a))
-    (Array.init n Fun.id)
+        (fun bi -> per_block.(bi).(pos_in sp.Sproblem.blocks.(bi) a))
+        blocks)
+    sp.Sproblem.cand_blocks
 
 (* Greedy benefit/size construction for the initial incumbent: a
    candidate's benefit is its savings net of its creation cost. *)
@@ -755,7 +928,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
     let zr = covered z in
     let zr =
       if feasible zr then zr
-      else repair ~jobs sp ~budget ~z_rows ~mandatory zr
+      else fst (repair_eval ~jobs sp ~budget ~z_rows ~mandatory zr)
     in
     let zr = if accept zr then zr else trim_to_acceptance zr in
     if feasible zr && accept zr && meets_caps zr then begin
@@ -801,10 +974,12 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let w = Array.make ncand 0.0 in
   let usage = Array.make nblocks [] in
   (* Per-solve scratch, written only on this domain: the per-byte
-     denominators, the knapsack ratios, the probes' fixing thresholds,
+     denominators, the knapsack ratios and their sorted permutation, the
+     probes' fixing thresholds,
      and the subgradient's mark of each block's used candidates. *)
   let denom = Array.map (fun s -> max 1.0 s) sp.Sproblem.sizes in
   let ratio = Array.make ncand 0.0 in
+  let perm = Array.init ncand Fun.id in
   let one_at = Array.make ncand neg_infinity in
   let zero_at = Array.make ncand neg_infinity in
   let mark = Array.make ncand false in
@@ -888,7 +1063,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
        done;
        let base = !lower in
        let order =
-         if z_rows = [] then knapsack_order ~w ~denom ~ratio else [||]
+         if z_rows = [] then knapsack_order ~w ~denom ~ratio ~perm else [||]
        in
        let zval, zfrac, zdual, zstatus =
          if z_rows = [] then
@@ -1039,8 +1214,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
          used_order;
        Array.iteri (fun a f -> if f then zr.(a) <- false) forced_zero;
        let zr = covered zr in
-       let zr = repair ~jobs sp ~budget ~z_rows ~mandatory zr in
-       let obj = Sproblem.eval ~jobs sp zr in
+       let zr, obj = repair_eval ~jobs sp ~budget ~z_rows ~mandatory zr in
        let candidate_z, candidate_obj =
          if
            obj < !best_obj *. 1.02

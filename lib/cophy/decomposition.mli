@@ -87,3 +87,41 @@ val solve :
   z_rows:Constr.z_row list ->
   block_caps:(int * float) list ->
   result
+
+(** {1 Kernels}
+
+    Three of the solver's kernels, each bit-identical to the simpler
+    computation it replaces; exposed for the properties that pin it. *)
+
+(** [repair_eval ~jobs sp ~budget ~z_rows ~mandatory z] — [z] with
+    selected candidates dropped (the smallest cost increase per byte
+    freed first, never a [mandatory] one) until it meets the budget and
+    the z rows, and {!Sproblem.eval} of the result.  A block that keeps
+    every pick of its first least assignment under [z] keeps its cost,
+    so only the blocks that lose one are re-costed. *)
+val repair_eval :
+  jobs:int ->
+  Sproblem.t ->
+  budget:float ->
+  z_rows:Constr.z_row list ->
+  mandatory:bool array ->
+  bool array ->
+  bool array * float
+
+(** [knapsack_order ~w ~denom ~ratio ~perm] fills [ratio.(a)] with
+    [w.(a) /. denom.(a)] and returns the candidates with [w.(a) < 0] in
+    ascending ratio, ties in ascending position (the stable sort).
+    [perm], a permutation of the candidates, is re-sorted in place by
+    (ratio, position) and kept for the next call. *)
+val knapsack_order :
+  w:float array ->
+  denom:float array ->
+  ratio:float array ->
+  perm:int array ->
+  int array
+
+(** [singleton_savings ~jobs sp].(a).(j): the weighted cost block
+    [sp.cand_blocks.(a).(j)] saves when [a] is the only index selected,
+    [weight *. (block_cost_z b empty -. block_cost_z b {a})], computed
+    in one pass per block. *)
+val singleton_savings : jobs:int -> Sproblem.t -> float array array

@@ -74,7 +74,9 @@ let z_polytope (sp : Sproblem.t) ~budget ~z_rows =
 
 (* Feasibility of the hard constraints: the z-only polytope
    (mandatory/forbidden/budget/...), then each query-cost cap at the
-   cheapest cost its block can reach, with every candidate selected. *)
+   cheapest cost its block can reach, with every candidate selected.
+   Without z rows and with a nonnegative budget the empty selection lies
+   in the polytope (it uses no storage), so no LP is needed. *)
 let check_feasibility (sp : Sproblem.t) ~budget ~z_rows ~block_caps =
   let infeasible ~budget ~z_rows =
     let p, _ = z_polytope sp ~budget ~z_rows in
@@ -82,7 +84,8 @@ let check_feasibility (sp : Sproblem.t) ~budget ~z_rows ~block_caps =
     | Lp.Simplex.Infeasible -> true
     | _ -> false
   in
-  if infeasible ~budget ~z_rows then begin
+  let empty_fits = z_rows = [] && budget >= 0.0 in
+  if (not empty_fits) && infeasible ~budget ~z_rows then begin
     (* Identify offenders: re-test each row alone against the bounds. *)
     let offenders =
       List.filter_map

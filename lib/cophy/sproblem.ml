@@ -374,36 +374,42 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
    Identical blocks come from identical computations, so float equality
    is bit-exact here.  A build shares its block arrays physically
    between statements of one entry and shape, so the key is marshalled
-   once per physical pair. *)
+   and looked up once per physical pair, which remembers its group. *)
 let compress t =
   let tbl = Hashtbl.create 97 in
   let order = ref [] in
   let count = ref 0 in
-  let keys = ref [] in
-  let key b =
-    match List.assq_opt b.templates !keys with
-    | Some (used, k) when used == b.cands_used -> k
+  let pairs = ref [] in
+  let group_of b =
+    match List.assq_opt b.templates !pairs with
+    | Some (used, g) when used == b.cands_used -> g
     | _ ->
-        let k =
+        let key =
           Marshal.to_string (b.templates, b.cands_used) [ Marshal.No_sharing ]
         in
-        keys := (b.templates, (b.cands_used, k)) :: !keys;
-        k
+        let g =
+          match Hashtbl.find_opt tbl key with
+          | Some g -> g
+          | None ->
+              let g = (!count, ref None) in
+              Hashtbl.replace tbl key g;
+              incr count;
+              g
+        in
+        pairs := (b.templates, (b.cands_used, g)) :: !pairs;
+        g
   in
   let group =
     Array.map
       (fun b ->
-        let key = key b in
-        match Hashtbl.find_opt tbl key with
-        | Some (gi, cell) ->
-            cell := { !cell with weight = !cell.weight +. b.weight };
-            gi
+        let gi, cell = group_of b in
+        (match !cell with
+        | Some c -> c := { !c with weight = !c.weight +. b.weight }
         | None ->
-            let cell = ref b in
-            Hashtbl.replace tbl key (!count, cell);
-            order := cell :: !order;
-            incr count;
-            !count - 1)
+            let c = ref b in
+            cell := Some c;
+            order := c :: !order);
+        gi)
       t.blocks
   in
   let blocks = Array.of_list (List.rev_map (fun c -> !c) !order) in
@@ -478,16 +484,10 @@ let block_cost_picks (b : block) (z : bool array) =
   done;
   (!best, !picks)
 
-(* Full objective of a selection: weighted query costs + maintenance +
-   fixed update costs. *)
-let[@bound.certifier objective
-     "computes the true objective of a concrete configuration from the \
-      cost model itself; the result is exact no matter how heuristic \
-      the candidate's origin"] eval ?(jobs = 1) t (z : bool array) =
-  (* Per-block costs are independent; the reduction below stays a fixed
-     left-to-right float sum so the result is identical at every job
-     count. *)
-  let costs = Runtime.parallel_map ~jobs (fun b -> block_cost_z b z) t.blocks in
+(* The objective from per-block query costs [costs] (as [block_cost_z]
+   gives them under [z]): weighted costs, then maintenance, onto the
+   fixed update costs, as one left-to-right float sum. *)
+let eval_costs t (z : bool array) (costs : float array) =
   let acc = ref t.fixed in
   for bi = 0 to Array.length costs - 1 do
     acc := !acc +. (t.blocks.(bi).weight *. costs.(bi))
@@ -496,6 +496,17 @@ let[@bound.certifier objective
     if z.(pos) then acc := !acc +. t.ucost.(pos)
   done;
   !acc
+
+(* Full objective of a selection: weighted query costs + maintenance +
+   fixed update costs. *)
+let[@bound.certifier objective
+     "computes the true objective of a concrete configuration from the \
+      cost model itself; the result is exact no matter how heuristic \
+      the candidate's origin"] eval ?(jobs = 1) t (z : bool array) =
+  (* Per-block costs are independent; the reduction stays a fixed
+     left-to-right float sum so the result is identical at every job
+     count. *)
+  eval_costs t z (Runtime.parallel_map ~jobs (fun b -> block_cost_z b z) t.blocks)
 
 let total_size t (z : bool array) =
   let acc = ref 0.0 in

@@ -139,6 +139,11 @@ val block_cost_picks : block -> bool array -> float * int list
     count (default [1] = fully sequential). *)
 val eval : ?jobs:int -> t -> bool array -> float
 
+(** [eval_costs t z costs] is {!eval}[ t z] when [costs.(bi)] is
+    {!block_cost_z} of block [bi] under [z]: the same sum in the same
+    order, for a caller that already holds the block costs. *)
+val eval_costs : t -> bool array -> float array -> float
+
 (** Total size in bytes of the selected candidates. *)
 val total_size : t -> bool array -> float
 

@@ -51,9 +51,10 @@ type template = {
   plan : Optimizer.Plan.t;
 }
 
-(* Per-combination probe state.  [Pending] combinations carry no cached
-   bounds: lb/ub are recomputed from probed neighbors on demand, so a
-   later probe can never leave a stale interval behind. *)
+(* Per-combination probe state.  The bounds live beside it in [t]
+   ([lb], [ub]), and every probe updates them for every combination it
+   relates to, so a later probe can never leave a stale interval
+   behind. *)
 type probe_state =
   | Probed of template option  (* [None]: the specs admit no plan *)
   | Skipped_dominated  (* certified: its template would be dominated *)
@@ -65,16 +66,38 @@ type t = {
   id : int;
   query : Ast.query;
   tables : string array;
-  (* Spec combinations in enumeration order (the eager probe order). *)
+  (* Spec combinations in enumeration order (the eager probe order),
+     with each one's count of constrained (not [Spec_any]) tables. *)
   combos : Optimizer.Whatif.slot_spec array array;
+  constrained : int array;
   (* Parallel to [combos]; mutated by the probe loop and by [refine]. *)
   states : probe_state array;
-  (* [stronger.(i)]: combinations above [i] in the beta order (their
-     probed betas bound beta_i from below).  [gweaker.(i)]: combinations
-     below [i] in the gamma order (their probed templates dominate or
-     upper-bound [i]'s).  Both exclude [i] itself. *)
-  stronger : int array array;
-  gweaker : int array array;
+  (* Spec positions of each combination (row [i] is [combos.(i)]'s
+     position in every table's spec array), and the spec orders
+     tabulated per table [k] and spec position [v] as combination sets
+     (see [combo_sets]): [beta_above.(k).(v)] holds the [i] whose spec
+     at [k] is [spec_beta_le]-below [v], [gamma_below.(k).(v)] the [i]
+     whose spec at [k] is [spec_gamma_le]-above it.  A combination [p]
+     lies above [i] in the beta order exactly when [i] is in every
+     [beta_above.(k).(ranks.(p).(k))], and below it in the gamma order
+     exactly when [i] is in every [gamma_below.(k).(ranks.(p).(k))]. *)
+  ranks : int array array;
+  beta_above : int array array array;
+  gamma_below : int array array array;
+  (* Per-combination bounds from the probes so far, kept by
+     [certify_pass]: [lb.(i)] is [cost_floor] raised by every probed
+     template above [i] in the beta order, [ub.(i)] the cheapest probed
+     template below [i] in the gamma order ([infinity] when none),
+     [infeasible.(i)] whether a combination above [i] has no plan.
+     [lb_arg]/[ub_arg] name the combination each bound was taken from
+     ([-1]: the seed), so a tie keeps the lowest combination index, as
+     a fold over the neighbors in index order would; [ub_arg] is set by
+     any probed neighbor whose beta is not nan. *)
+  lb : float array;
+  lb_arg : int array;
+  ub : float array;
+  ub_arg : int array;
+  infeasible : bool array;
   (* Probed templates no probed template strictly dominates, duplicates
      included, with their combination index, in combination order;
      updated by every probe. *)
@@ -91,12 +114,16 @@ type t = {
   truncated : int;
   (* Combination-independent beta floor (Whatif.template_cost_floor). *)
   cost_floor : float;
+  (* The query's template DP over [tables]' specs, prepared once; every
+     probe runs through a [Whatif.dp] of it made for its batch. *)
+  prepared : Optimizer.Whatif.prepared;
   env : Optimizer.Whatif.env;
   (* Serializes forcing; builds happen on a single domain before the
      value is published. *)
   lock : Mutex.t;
 }
 
+let cost_floor t = t.cost_floor
 let id t = t.id
 let query t = t.query
 let templates t = Array.to_list t.templates
@@ -186,10 +213,11 @@ let spec_combinations (specs : Optimizer.Whatif.slot_spec array array) =
     List.length
       (List.filteri (fun k p -> not (is_spec_any specs.(k).(p))) combo)
   in
+  (* each combination's count computed once, then a stable sort on it *)
   let sorted =
-    List.stable_sort
-      (fun a b -> compare (constrained_count a) (constrained_count b))
-      all
+    List.map (fun c -> (constrained_count c, c)) all
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
   in
   (List.filteri (fun i _ -> i < max_combinations) sorted, List.length all)
 
@@ -273,46 +301,35 @@ let spec_gamma_le (s1 : Optimizer.Whatif.slot_spec) s2 =
 let constrained_count combo =
   Array.fold_left (fun acc s -> if is_spec_any s then acc else acc + 1) 0 combo
 
-(* A spec order lifted to combinations, given as spec positions [ranks]
-   over [specs]: per combination [i], the combinations [j <> i] whose
-   spec relates to [i]'s by [le i_spec j_spec] at every table, in
-   ascending order.  [le] is tabulated per table over spec positions,
-   and the combinations each (table, spec) relates to are listed once;
-   row [i] filters the shortest list among its own specs'. *)
-let combo_relation le (specs : Optimizer.Whatif.slot_spec array array)
+(* Sets of combination indices as bitsets, [set_bits] indices per
+   word. *)
+let set_bits = 62
+
+(* Per table [k] and spec position [v], the combinations [i] with
+   [le (spec of i at k) (spec v)] ([flip = false]) or
+   [le (spec v) (spec of i at k)] ([flip = true]). *)
+let combo_sets le ~flip (specs : Optimizer.Whatif.slot_spec array array)
     (ranks : int array array) =
-  let n = Array.length ranks and nt = Array.length specs in
-  let tab =
-    Array.map (fun sp -> Array.map (fun a -> Array.map (le a) sp) sp) specs
-  in
-  let related =
-    Array.mapi
-      (fun k sp ->
-        Array.mapi
-          (fun v _ ->
-            let acc = ref [] in
-            for j = n - 1 downto 0 do
-              if tab.(k).(v).(ranks.(j).(k)) then acc := j :: !acc
-            done;
-            Array.of_list !acc)
-          sp)
-      specs
-  in
-  let all = Array.init n Fun.id in
-  Array.init n (fun i ->
-      let ri = ranks.(i) in
-      let shortest = ref all in
-      Array.iteri
-        (fun k v ->
-          let l = related.(k).(v) in
-          if Array.length l < Array.length !shortest then shortest := l)
-        ri;
-      let holds j =
-        let rj = ranks.(j) in
-        let rec go k = k = nt || (tab.(k).(ri.(k)).(rj.(k)) && go (k + 1)) in
-        j <> i && go 0
+  let words = (Array.length ranks + set_bits - 1) / set_bits in
+  Array.mapi
+    (fun k sp ->
+      (* [holds.(v).(u)]: the order between spec positions [u] and [v] *)
+      let holds =
+        Array.map
+          (fun v -> Array.map (fun u -> if flip then le v u else le u v) sp)
+          sp
       in
-      Array.of_list (List.filter holds (Array.to_list !shortest)))
+      Array.map
+        (fun holds_v ->
+          let set = Array.make words 0 in
+          Array.iteri
+            (fun i r ->
+              if holds_v.(r.(k)) then
+                set.(i / set_bits) <- set.(i / set_bits) lor (1 lsl (i mod set_bits)))
+            ranks;
+          set)
+        holds)
+    specs
 
 (* --- Cache construction --- *)
 
@@ -346,90 +363,96 @@ let has_pending t =
 
 (* Lower bound on beta_i: probed combinations above [i] in the beta order
    are no more expensive, seeded with the combination-independent floor. *)
-let lower_bound t i =
-  Array.fold_left
-    (fun acc j ->
-      match t.states.(j) with
-      | Probed (Some tpl) -> if tpl.beta > acc then tpl.beta else acc
-      | _ -> acc)
-    t.cost_floor t.stronger.(i)
+let lower_bound t i = t.lb.(i)
 
 (* Upper bound on the cost contribution of [i]: the cheapest probed
    template below [i] in the gamma order also gamma-dominates it
    pointwise, so beta_i's template can beat it by at most ub - lb. *)
-let upper_bound t i =
-  Array.fold_left
-    (fun acc j ->
-      match t.states.(j) with
-      | Probed (Some tpl) -> if tpl.beta < acc then tpl.beta else acc
-      | _ -> acc)
-    infinity t.gweaker.(i)
+let upper_bound t i = t.ub.(i)
 
-(* Membership in an ascending index array. *)
-let mem_sorted (a : int array) j =
-  let rec go lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) / 2 in
-    if a.(mid) = j then true else if a.(mid) < j then go (mid + 1) hi
-    else go lo mid
+(* The intersection over tables of [sets.(k).(ranks.(p).(k))]. *)
+let related t sets p =
+  let rp = t.ranks.(p) in
+  let acc =
+    Array.make ((Array.length t.ranks + set_bits - 1) / set_bits) (-1)
   in
-  go 0 (Array.length a)
+  for k = 0 to Array.length rp - 1 do
+    let set = sets.(k).(rp.(k)) in
+    for w = 0 to Array.length acc - 1 do
+      acc.(w) <- acc.(w) land set.(w)
+    done
+  done;
+  acc
 
-(* The certification sweep after probing [probed]: pending combinations
-   proven infeasible (a stronger probed combination has no plan) or
-   dominated (a probed gamma-weaker template undercuts the beta lower
-   bound) are skipped for good.  Certifications read only probed states,
-   so the sweep after each probe reaches the closure; and as the sweep
-   before reached it too, only combinations that have [probed] among
-   their stronger or gamma-weaker neighbors can have become
-   certifiable. *)
+(* The sweep after probing [probed]: fold its outcome into the bounds of
+   every combination it relates to, then skip for good the pending ones
+   among them proven infeasible (a stronger probed combination has no
+   plan) or dominated (a probed gamma-weaker template undercuts the beta
+   lower bound: [ub <= lb], with [ub] set by a probe).  A max or min
+   taken one probe at a time is the fold over the probed neighbors,
+   ties to the lowest index included.  Certifications read only probed
+   states, so the sweep after each probe reaches the closure; and as
+   the sweep before reached it too, only combinations related to
+   [probed] can have become certifiable. *)
 let certify_pass t probed =
-  Array.iteri
-    (fun i st ->
-      match st with
-      | Pending
-        when mem_sorted t.stronger.(i) probed
-             || mem_sorted t.gweaker.(i) probed ->
-          let infeasible =
-            Array.exists
-              (fun j ->
-                match t.states.(j) with Probed None -> true | _ -> false)
-              t.stronger.(i)
-          in
-          if infeasible then begin
+  let outcome = match t.states.(probed) with Probed r -> r | _ -> None in
+  let aboves = related t t.beta_above probed
+  and belows = related t t.gamma_below probed in
+  let visit i above below =
+    if i <> probed && (above || below) then begin
+      (match outcome with
+      | None -> if above then t.infeasible.(i) <- true
+      | Some tpl ->
+          let b = tpl.beta in
+          if
+            above
+            && (b > t.lb.(i)
+               || (Runtime.Fx.exactly b t.lb.(i) && t.lb_arg.(i) > probed))
+          then begin
+            t.lb.(i) <- b;
+            t.lb_arg.(i) <- probed
+          end;
+          if
+            below
+            && (b < t.ub.(i)
+               || Runtime.Fx.exactly b t.ub.(i)
+                  && (t.ub_arg.(i) < 0 || t.ub_arg.(i) > probed))
+          then begin
+            t.ub.(i) <- b;
+            t.ub_arg.(i) <- probed
+          end);
+      match t.states.(i) with
+      | Pending ->
+          if t.infeasible.(i) then begin
             t.states.(i) <- Skipped_infeasible;
             Runtime.Trace.incr tr_skipped
           end
-          else begin
-            let lb = lower_bound t i in
-            let dominated =
-              Array.exists
-                (fun j ->
-                  match t.states.(j) with
-                  | Probed (Some tpl) -> tpl.beta <= lb
-                  | _ -> false)
-                t.gweaker.(i)
-            in
-            if dominated then begin
-              t.states.(i) <- Skipped_dominated;
-              Runtime.Trace.incr tr_skipped
-            end
+          else if t.ub_arg.(i) >= 0 && t.ub.(i) <= t.lb.(i) then begin
+            t.states.(i) <- Skipped_dominated;
+            Runtime.Trace.incr tr_skipped
           end
-      | Pending | Probed _ | Skipped_dominated | Skipped_infeasible -> ())
-    t.states
+      | Probed _ | Skipped_dominated | Skipped_infeasible -> ()
+    end
+  in
+  (* the related combinations in ascending order, word by word *)
+  let n = Array.length t.states in
+  for w = 0 to Array.length aboves - 1 do
+    let a = aboves.(w) and b = belows.(w) in
+    if a lor b <> 0 then
+      for bit = 0 to set_bits - 1 do
+        let i = (w * set_bits) + bit in
+        if i < n then
+          visit i ((a lsr bit) land 1 = 1) ((b lsr bit) land 1 = 1)
+      done
+  done
 
 (* Probe combination [i], record its state and update [undominated];
    returns whether [undominated] changed (only then can the kept
    templates). *)
-let probe_combo t i =
-  let specs =
-    Array.to_list (Array.mapi (fun k s -> (t.tables.(k), s)) t.combos.(i))
-    |> List.filter (fun (_, s) -> not (is_spec_any s))
-  in
+let probe_combo t dp i =
   t.init_calls <- t.init_calls + 1;
   let result =
-    match Optimizer.Whatif.template_plan t.env t.query ~slot_specs:specs with
+    match Optimizer.Whatif.template_plan_at dp t.ranks.(i) with
     | None -> None
     | Some plan ->
         (* Recover each slot's actual requirement (NLJ slots now carry
@@ -507,7 +530,7 @@ let next_probe t =
       match st with
       | Pending ->
           let gap = upper_bound t i -. lower_bound t i in
-          let cc = constrained_count t.combos.(i) in
+          let cc = t.constrained.(i) in
           if
             gap > !best_gap
             || (Runtime.Fx.exactly gap !best_gap && cc > !best_cc)
@@ -563,29 +586,40 @@ let build_internal ~id ~eager ~probe_budget env (q : Ast.query) =
   let n = Array.length combos in
   let truncated = total - n in
   if truncated > 0 then Runtime.Trace.add tr_truncated truncated;
+  let cost_floor = Optimizer.Whatif.template_cost_floor env q in
   let t =
     {
       id;
       query = q;
       tables;
       combos;
+      constrained = Array.map constrained_count combos;
       states = Array.make n Pending;
-      stronger = combo_relation spec_beta_le specs ranks;
-      gweaker = combo_relation (fun a b -> spec_gamma_le b a) specs ranks;
+      ranks;
+      beta_above = combo_sets spec_beta_le ~flip:false specs ranks;
+      gamma_below = combo_sets spec_gamma_le ~flip:true specs ranks;
+      lb = Array.make n cost_floor;
+      lb_arg = Array.make n (-1);
+      ub = Array.make n infinity;
+      ub_arg = Array.make n (-1);
+      infeasible = Array.make n false;
       undominated = [];
       templates = [||];
       kept_combos = [||];
       init_calls = 0;
       truncated;
-      cost_floor = Optimizer.Whatif.template_cost_floor env q;
+      cost_floor;
+      prepared = Optimizer.Whatif.prepare env q specs;
       env;
       lock = Mutex.create ();
     }
   in
   if n > 0 then begin
+    (* one sub-mask memo for the build's probes, dropped with it *)
+    let dp = Optimizer.Whatif.dp t.prepared in
     if eager then
       for i = 0 to n - 1 do
-        ignore (probe_combo t i)
+        ignore (probe_combo t dp i)
       done
     else begin
       let budget =
@@ -593,14 +627,14 @@ let build_internal ~id ~eager ~probe_budget env (q : Ast.query) =
       in
       (* The all-any combination anchors every upper bound (its template
          gamma-dominates all others), so it is always probed first. *)
-      ignore (probe_combo t 0);
+      ignore (probe_combo t dp 0);
       certify_pass t 0;
       let continue_ = ref (t.init_calls < budget) in
       while !continue_ do
         match next_probe t with
         | None -> continue_ := false
         | Some i ->
-            ignore (probe_combo t i);
+            ignore (probe_combo t dp i);
             certify_pass t i;
             if t.init_calls >= budget then continue_ := false
       done
@@ -618,6 +652,20 @@ let build ?probe_budget env q =
 
 let build_eager env q =
   build_internal ~id:(fresh_ids 1) ~eager:true ~probe_budget:None env q
+
+(* A snapshot of every combination's probe state and bounds (see the
+   interface). *)
+type combination = {
+  specs : Optimizer.Whatif.slot_spec array;
+  state : probe_state;
+  lb : float;
+  ub : float;
+}
+
+let combinations (t : t) =
+  Array.mapi
+    (fun i specs -> { specs; state = t.states.(i); lb = t.lb.(i); ub = t.ub.(i) })
+    t.combos
 
 (* --- Costs --- *)
 
@@ -644,42 +692,74 @@ let gamma t k ~table index =
   Optimizer.Access.slot_fill_cost t.env.Optimizer.Whatif.params
     t.env.Optimizer.Whatif.schema t.query table index req
 
-(* The access-cost context of slot [ti], and a fill cost through it:
-   [fill ix req] is [gamma] of [ix] ([None] = no index) for [req]. *)
-let slot_filler t ti =
+(* The fill costs of slot [ti] at [config]: one access-cost context for
+   the slot's table, and one access for the scan and for each index of
+   [config] on the table, in [Config.on_table] order, made once.
+   [fill None req] / [fill (Some k) req] is [gamma] of the scan / of
+   the [k]-th index for [req]; [on_table] lists those indexes. *)
+type slot_fills = {
+  on_table : Storage.Index.t array;
+  fill : int option -> Optimizer.Plan.slot_req -> float option;
+}
+
+let slot_fills t config ti =
   let schema = t.env.Optimizer.Whatif.schema in
   let ctx =
     Optimizer.Access.context t.env.Optimizer.Whatif.params schema t.query
       t.tables.(ti)
   in
-  fun ix req ->
-    Optimizer.Access.fill_cost ctx
-      (Optimizer.Access.access ctx (Option.map (Optimizer.Access.index schema) ix))
-      req
+  let on_table = Array.of_list (Storage.Config.on_table config t.tables.(ti)) in
+  let scan = Optimizer.Access.access ctx None in
+  let accs =
+    Array.map
+      (fun ix ->
+        Optimizer.Access.access ctx (Some (Optimizer.Access.index schema ix)))
+      on_table
+  in
+  {
+    on_table;
+    fill =
+      (fun k req ->
+        Optimizer.Access.fill_cost ctx
+          (match k with None -> scan | Some k -> accs.(k))
+          req);
+  }
 
-(* Minimum fill cost of requirement [req] on slot [ti] over the indexes
-   of [config] (and no-index). *)
-let best_req_cost t ti req config =
-  let fill = slot_filler t ti in
-  let base = match fill None req with Some c -> c | None -> infinity in
-  List.fold_left
-    (fun acc ix ->
-      match fill (Some ix) req with Some c -> min acc c | None -> acc)
-    base
-    (Storage.Config.on_table config t.tables.(ti))
+(* Minimum fill cost of requirement [req] on a slot over the indexes of
+   the configuration (and no-index), folded in [on_table] order. *)
+let best_req_cost f req =
+  let base = match f.fill None req with Some c -> c | None -> infinity in
+  let acc = ref base in
+  for k = 0 to Array.length f.on_table - 1 do
+    (* [min !acc c], without the polymorphic call *)
+    match f.fill (Some k) req with
+    | Some c -> if not (!acc <= c) then acc := c
+    | None -> ()
+  done;
+  !acc
 
 (* [best_req_cost] at a fixed [config], memoized per (slot, requirement)
-   for the lifetime of the returned closure.  The value is a pure
-   function of its arguments, so a memo hit returns the very float a
-   fresh evaluation would.  The memo is local to one caller: it never
-   outlives the [config] it was made for. *)
+   for the lifetime of the returned closure, over one [slot_fills] per
+   slot, made on its first use.  The value is a pure function of its
+   arguments, so a memo hit returns the very float a fresh evaluation
+   would.  The memo is local to one caller: it never outlives the
+   [config] it was made for. *)
 let fill_cost t config =
   let memo = Array.make (Array.length t.tables) [] in
+  let fills = Array.make (Array.length t.tables) None in
   fun ti req ->
     match List.find_opt (fun (r, _) -> req_equal r req) memo.(ti) with
     | Some (_, c) -> c
     | None ->
-        let c = best_req_cost t ti req config in
+        let f =
+          match fills.(ti) with
+          | Some f -> f
+          | None ->
+              let f = slot_fills t config ti in
+              fills.(ti) <- Some f;
+              f
+        in
+        let c = best_req_cost f req in
         memo.(ti) <- (req, c) :: memo.(ti);
         c
 
@@ -775,6 +855,8 @@ let refine_with t c =
   if not (has_pending t) then 0
   else
     Mutex.protect t.lock @@ fun () ->
+    (* one sub-mask memo for this call's probes, dropped with it *)
+    let dp = Optimizer.Whatif.dp t.prepared in
     let forced = ref 0 in
     let continue_ = ref true in
     while !continue_ do
@@ -791,7 +873,7 @@ let refine_with t c =
       match !target with
       | None -> ()
       | Some i ->
-          let changed = probe_combo t i in
+          let changed = probe_combo t dp i in
           incr forced;
           Runtime.Trace.incr tr_forced;
           certify_pass t i;
@@ -821,27 +903,28 @@ let cost_bound t config = (kept_cost t (at_config t config), probe_regret t)
    overlapping deferred probes first, like [cost]. *)
 let best_instantiation t config =
   if has_pending t then ignore (refine t ~config);
-  let fills = Array.mapi (fun ti _ -> slot_filler t ti) t.tables in
+  let fills = Array.mapi (fun ti _ -> slot_fills t config ti) t.tables in
   let best = ref (infinity, 0, [||]) in
   Array.iteri
     (fun k template ->
       let picks =
         Array.mapi
-          (fun ti table ->
+          (fun ti _ ->
             let req = template.slot_reqs.(ti) in
-            let fill = fills.(ti) in
+            let f = fills.(ti) in
             let base =
-              match fill None req with
+              match f.fill None req with
               | Some c -> (c, None)
               | None -> (infinity, None)
             in
-            List.fold_left
-              (fun (bc, bix) ix ->
-                match fill (Some ix) req with
-                | Some c when c < bc -> (c, Some ix)
-                | _ -> (bc, bix))
-              base
-              (Storage.Config.on_table config table))
+            let best = ref base in
+            Array.iteri
+              (fun j ix ->
+                match f.fill (Some j) req with
+                | Some c when c < fst !best -> best := (c, Some ix)
+                | _ -> ())
+              f.on_table;
+            !best)
           t.tables
       in
       let total =
@@ -979,9 +1062,18 @@ let refine_cache cache ~config =
 
 let add_statements ?jobs (store : Keyed.store) cache (w : Ast.workload) =
   Runtime.Trace.span "inum.add_statements" @@ fun () ->
-  let keyed =
-    List.map (fun (q, weight) -> (Canon.key q, q, weight)) (Ast.selects w)
+  (* [Canon.key] reads only the fields [Canon.raw_equal] compares, so it
+     is serialized once per raw statement shape. *)
+  let shapes = Canon.Raw_tbl.create 64 in
+  let key q =
+    match Canon.Raw_tbl.find_opt shapes q with
+    | Some k -> k
+    | None ->
+        let k = Canon.key q in
+        Canon.Raw_tbl.replace shapes q k;
+        k
   in
+  let keyed = List.map (fun (q, weight) -> (key q, q, weight)) (Ast.selects w) in
   (* Keys that need a fresh build: not in the store and not earlier in
      this same delta, in first-appearance order. *)
   let seen = Hashtbl.create 16 in

@@ -39,7 +39,10 @@ type t
     residual regret is zero.  With [probe_budget] (clamped to >= 1) at
     most that many optimizer probes are spent up front; the rest stay
     deferred with a certified regret bound ({!probe_regret}) and resolve
-    lazily on demand. *)
+    lazily on demand.  The query's template DP is prepared once per
+    cache ({!Optimizer.Whatif.prepare}); the build's probes share one
+    sub-mask memo, dropped when the build returns.  Each probe updates
+    the bounds of the combinations it relates to ({!combinations}). *)
 val build : ?probe_budget:int -> Optimizer.Whatif.env -> Sqlast.Ast.query -> t
 
 (** Probe every spec combination eagerly, as the original INUM does — the
@@ -87,6 +90,36 @@ val combos_truncated : t -> int
     build, or once {!refine} converges everywhere consulted). *)
 val pending_probes : t -> int
 
+(** A spec combination's probe state. *)
+type probe_state =
+  | Probed of template option  (** [None]: the specs admit no plan *)
+  | Skipped_dominated  (** certified: its template would be dominated *)
+  | Skipped_infeasible  (** certified: a stronger combination has no plan *)
+  | Pending  (** deferred by the probe budget *)
+
+(** One spec combination as the probe loop sees it: its spec per table
+    (in {!tables} order), its state, and its bounds from the probes so
+    far — [lb], {!cost_floor} raised by every probed template above it
+    in the beta order, and [ub], the cheapest probed template below it
+    in the gamma order ([infinity] when none).  The loop keeps [lb] and
+    [ub] one probe at a time; they equal the folds over the probed
+    neighbors, ties to the lowest combination index. *)
+type combination = {
+  specs : Optimizer.Whatif.slot_spec array;
+  state : probe_state;
+  lb : float;
+  ub : float;
+}
+
+(** The combinations in enumeration (eager probe) order, as of now.
+    Meaningful after a lazy {!build}; an eager build keeps no bounds. *)
+val combinations : t -> combination array
+
+(** The combination-independent beta floor
+    ({!Optimizer.Whatif.template_cost_floor}) the lower bounds start
+    from. *)
+val cost_floor : t -> float
+
 (** Certified regret bound: the cost surface computed from the kept
     templates sits above the exhaustive INUM surface by at most this
     much, at any configuration.  Zero when nothing is pending. *)
@@ -97,10 +130,13 @@ val probe_regret : t -> float
     returns the number of probes forced.  Afterwards [cost t config] is
     exact (equal to the exhaustive build's) at this configuration.
     Idempotent; serialized internally.  Within one call every fill cost
-    is computed once per (slot, requirement), and every kept template's
-    total and pending combination's optimistic fills once per
-    combination: the configuration is fixed, so each is a pure function
-    of its key. *)
+    is computed once per (slot, requirement), from one access context
+    and one access per index of [config] on the slot's table, made
+    once per call and table; every kept template's total and pending
+    combination's optimistic fills once per combination: the
+    configuration is fixed, so each is a pure function of its key.  The
+    probes it forces share one sub-mask memo ({!Optimizer.Whatif.dp}),
+    dropped when the call returns. *)
 val refine : t -> config:Storage.Config.t -> int
 
 (** [gamma t k ~table index] — the cost of instantiating [table]'s slot in

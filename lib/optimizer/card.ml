@@ -47,7 +47,10 @@ let group_cardinality schema (cols : Ast.col_ref list) ~rows =
 (* Cardinality of joining two intermediate results, given the product of
    the applicable join conjuncts' selectivities. *)
 let join_rows ~left_rows ~right_rows sel =
-  max 1.0 (left_rows *. right_rows *. sel)
+  (* [max 1.0 r], written out: [Stdlib.max] is a polymorphic call on
+     the DP's hottest path *)
+  let r = left_rows *. right_rows *. sel in
+  if 1.0 >= r then 1.0 else r
 
 (* Width in bytes of the columns the query references on one table. *)
 let table_width schema (q : Ast.query) tbl_name =

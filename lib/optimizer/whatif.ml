@@ -39,16 +39,19 @@ type slot_spec =
    across surviving rows, so they are dropped from both delivered and
    required orders; satisfaction is then a plain prefix test. *)
 
-let normalize_order ~eq_cols (cols : Ast.col_ref list) =
-  List.filter (fun (c : Ast.col_ref) -> not (List.mem c eq_cols)) cols
+(* Structural equality of two column references: the polymorphic [=]
+   on the record, without its generic traversal. *)
+let col_equal (a : Ast.col_ref) (b : Ast.col_ref) =
+  String.equal a.Ast.table b.Ast.table && String.equal a.Ast.column b.Ast.column
 
-let order_satisfies ~required ~given =
-  let rec prefix = function
-    | [], _ -> true
-    | _, [] -> false
-    | (r : Ast.col_ref) :: rs, g :: gs -> r = g && prefix (rs, gs)
-  in
-  prefix (required, given)
+let normalize_order ~eq_cols (cols : Ast.col_ref list) =
+  List.filter (fun c -> not (List.exists (col_equal c) eq_cols)) cols
+
+let rec order_satisfies ~required ~given =
+  match (required, given) with
+  | [], _ -> true
+  | _, [] -> false
+  | r :: rs, g :: gs -> col_equal r g && order_satisfies ~required:rs ~given:gs
 
 (* Group-by can exploit any permutation of the grouping set that forms a
    prefix of the delivered order. *)
@@ -58,8 +61,15 @@ let order_satisfies_group ~group ~given =
   else if List.length given < n then false
   else begin
     let prefix = List.filteri (fun i _ -> i < n) given in
-    let sort = List.sort compare in
-    sort prefix = sort group
+    (* the polymorphic order and equality on column references, field by
+       field *)
+    let compare_col (a : Ast.col_ref) (b : Ast.col_ref) =
+      match String.compare a.Ast.table b.Ast.table with
+      | 0 -> String.compare a.Ast.column b.Ast.column
+      | c -> c
+    in
+    let sort = List.sort compare_col in
+    List.equal col_equal (sort prefix) (sort group)
   end
 
 (* --- DP entries --- *)
@@ -80,39 +90,76 @@ let max_entries = 12
    Sort first, then filter: a stable sort of the filtered list is the
    filter of the stably sorted list, so walking the sorted entries and
    stopping at the cap returns exactly the cheapest undominated entries,
-   in input order among equal costs.  An entry can only be dominated by
-   a cheaper-or-equal one, i.e. by the prefix of the sorted array up to
-   the end of its cost tie group, so only that prefix is tested, against
-   every entry of it, dominated or not.  A nan cost sorts first under
-   [Float.compare] and fails [<=] both ways: it neither dominates nor is
-   dominated. *)
+   in input order among equal costs.  The sort permutes indices by
+   costs computed once.  An entry can only be dominated by a
+   cheaper-or-equal one, i.e. by the prefix of the sorted array up to
+   the end of its cost tie group, dominated or not.  A nan cost sorts
+   first under [Float.compare] and fails [<=] both ways: it neither
+   dominates nor is dominated.
+
+   [dominated] asks the same question in two parts.  Every entry of an
+   earlier tie group is strictly cheaper, so it dominates exactly when
+   it is not pending, its cost is not nan, and its order extends the
+   entry's: the distinct orders of those entries are collected as the
+   walk passes their groups, and each is tested once.  The entry's own
+   tie group is scanned as before, with the tie broken by order length,
+   then by the polymorphic order of the entries. *)
 let prune_entries = function
   | ([] | [ _ ]) as entries -> entries
   | entries ->
-      let sorted =
-        Array.of_list
-          (List.stable_sort
-             (fun a b -> Float.compare (entry_cost a) (entry_cost b))
-             entries)
-      in
+      let input = Array.of_list entries in
+      let input_cost = Array.map entry_cost input in
+      let idx = Array.init (Array.length input) Fun.id in
+      Array.stable_sort
+        (fun a b -> Float.compare input_cost.(a) input_cost.(b))
+        idx;
+      let sorted = Array.map (fun i -> input.(i)) idx in
       let n = Array.length sorted in
-      let cost = Array.map entry_cost sorted in
+      let cost = Array.map (fun i -> input_cost.(i)) idx in
+      (* [orders]: the distinct orders of the non-pending, non-nan
+         entries before position [!passed]. *)
+      let orders = ref [] and passed = ref 0 in
+      let pass_before i =
+        while Float.compare cost.(!passed) cost.(i) < 0 do
+          let e' = sorted.(!passed) in
+          if
+            (not e'.pending)
+            && (not (Float.is_nan cost.(!passed)))
+            && not
+                 (List.exists
+                    (fun o ->
+                      order_satisfies ~required:e'.order ~given:o
+                      && order_satisfies ~required:o ~given:e'.order)
+                    !orders)
+          then orders := e'.order :: !orders;
+          incr passed
+        done
+      in
+      let tie_dominates e e' (ck : float) (ci : float) =
+        e' != e
+        && (not e'.pending)
+        && ck <= ci
+        && order_satisfies ~required:e.order ~given:e'.order
+        && (ck < ci
+           || List.length e'.order > List.length e.order
+           || e' < e)
+      in
       let dominated i =
         let e = sorted.(i) in
-        let rec go k =
-          k < n
-          && Float.compare cost.(k) cost.(i) <= 0
-          && ((let e' = sorted.(k) in
-               e' != e
-               && (not e'.pending)
-               && cost.(k) <= cost.(i)
-               && order_satisfies ~required:e.order ~given:e'.order
-               && (cost.(k) < cost.(i)
-                  || List.length e'.order > List.length e.order
-                  || e' < e))
-             || go (k + 1))
-        in
-        (not e.pending) && go 0
+        (not e.pending)
+        && begin
+             pass_before i;
+             List.exists
+               (fun o -> order_satisfies ~required:e.order ~given:o)
+               !orders
+             ||
+             let rec go k =
+               k < n
+               && Float.compare cost.(k) cost.(i) <= 0
+               && (tie_dominates e sorted.(k) cost.(k) cost.(i) || go (k + 1))
+             in
+             go !passed
+           end
       in
       let rec walk i kept acc =
         if i = n || kept = max_entries then List.rev acc
@@ -123,9 +170,9 @@ let prune_entries = function
 
 (* --- Context shared across one optimization --- *)
 
-type mode =
-  | Direct of Storage.Config.t
-  | Template of (string * slot_spec) list
+(* A template DP's slots are set per probe (see [template_leaf]), so
+   the mode carries no specs. *)
+type mode = Direct of Storage.Config.t | Template
 
 (* One equi-join conjunct of the query, resolved against the table array
    once per optimization: each side's table index ([-1] for a table the
@@ -204,7 +251,7 @@ let make_ctx env q mode =
   let allow_cross = not (join_graph_spans tables joins) in
   let direct =
     match mode with
-    | Template _ -> [||]
+    | Template -> [||]
     | Direct config ->
         Array.map
           (fun t ->
@@ -228,53 +275,55 @@ let mask_width ctx mask =
   for i = 0 to Array.length ctx.widths - 1 do
     if mask land (1 lsl i) <> 0 then w := !w + ctx.widths.(i)
   done;
-  max 8 !w
+  if 8 >= !w then 8 else !w
 
 (* --- Base-table entries --- *)
 
-let leaf_entries ctx i =
+(* Table [i]'s template slot under [spec]: one entry, as a probe gives
+   it to the DP. *)
+let template_leaf ctx i spec =
   let t = ctx.tables.(i) in
   let rows = ctx.frows.(i) in
-  match ctx.mode with
-  | Template specs ->
-      let spec =
-        match List.assoc_opt t specs with Some s -> s | None -> Spec_any
+  let req, order, pending =
+    match spec with
+    | Spec_any -> (Plan.Any_order, [], false)
+    | Spec_ordered o ->
+        ( Plan.Ordered o,
+          normalize_order ~eq_cols:ctx.eq_cols (col_refs_of_names t o),
+          false )
+    | Spec_nlj jc ->
+        (* outer_rows is patched when the nested loop is formed *)
+        (Plan.Nlj_inner { join_col = jc; outer_rows = 0.0 }, [], true)
+  in
+  [ { order; plan = Plan.Slot { table = t; rows; req }; pending } ]
+
+(* Table [i]'s access entries under the configuration of a direct
+   optimization. *)
+let direct_leaves ctx i =
+  let t = ctx.tables.(i) in
+  let rows = ctx.frows.(i) in
+  let _, accesses = ctx.direct.(i) in
+  List.map
+    (fun (p : Access.path) ->
+      let order =
+        normalize_order ~eq_cols:ctx.eq_cols
+          (col_refs_of_names t p.Access.output_order)
       in
-      let req, order, pending =
-        match spec with
-        | Spec_any -> (Plan.Any_order, [], false)
-        | Spec_ordered o ->
-            ( Plan.Ordered o,
-              normalize_order ~eq_cols:ctx.eq_cols (col_refs_of_names t o),
-              false )
-        | Spec_nlj jc ->
-            (* outer_rows is patched when the nested loop is formed *)
-            (Plan.Nlj_inner { join_col = jc; outer_rows = 0.0 }, [], true)
+      let plan =
+        match p.Access.index with
+        | None -> Plan.Seq_scan { table = t; rows; cost = p.Access.path_cost }
+        | Some ix ->
+            Plan.Index_scan
+              {
+                index = ix;
+                table = t;
+                rows;
+                cost = p.Access.path_cost;
+                covering = p.Access.covering;
+              }
       in
-      [ { order; plan = Plan.Slot { table = t; rows; req }; pending } ]
-  | Direct _ ->
-      let _, accesses = ctx.direct.(i) in
-      List.map
-        (fun (p : Access.path) ->
-          let order =
-            normalize_order ~eq_cols:ctx.eq_cols
-              (col_refs_of_names t p.Access.output_order)
-          in
-          let plan =
-            match p.Access.index with
-            | None -> Plan.Seq_scan { table = t; rows; cost = p.Access.path_cost }
-            | Some ix ->
-                Plan.Index_scan
-                  {
-                    index = ix;
-                    table = t;
-                    rows;
-                    cost = p.Access.path_cost;
-                    covering = p.Access.covering;
-                  }
-          in
-          { order; plan; pending = false })
-        (List.filter_map Access.path accesses)
+      { order; plan; pending = false })
+    (List.filter_map Access.path accesses)
 
 (* --- Joins --- *)
 
@@ -371,7 +420,7 @@ let nest_loop ctx l rmask r (jcol : Ast.col_ref) i out_rows =
     else begin
       let p = ctx.env.params in
       match ctx.mode with
-      | Template _ -> (
+      | Template -> (
           match r.plan with
           | Plan.Slot { table; rows; req = Plan.Nlj_inner { join_col; _ } }
             when table = t && join_col = jcol.Ast.column ->
@@ -425,64 +474,75 @@ let nest_loop ctx l rmask r (jcol : Ast.col_ref) i out_rows =
 
 (* --- The DP --- *)
 
-let plan_joins ctx =
+let nonempty = function [] -> false | _ :: _ -> true
+
+(* The entries of one multi-table [mask], from the entries [memo] holds
+   for its proper sub-masks. *)
+let join_mask ctx memo mask =
+  let acc = ref [] in
+  (* enumerate proper submasks *)
+  let sub = ref ((mask - 1) land mask) in
+  while !sub > 0 do
+    let lmask = !sub and rmask = mask land lnot !sub in
+    if lmask < mask && rmask > 0 && nonempty memo.(lmask) && nonempty memo.(rmask)
+    then begin
+      let sel, first = joins_between ctx lmask rmask in
+      (* Avoid cross products unless the query graph forces one. *)
+      match first with
+      | Some (lc, rc, ri) ->
+          let sorted key mask e =
+            (* pending entries never merge-join: no sort to price *)
+            let e' =
+              if e.pending then e else maybe_sort ctx e ~required:key ~mask
+            in
+            (e', key)
+          in
+          let lkey = normalize_order ~eq_cols:ctx.eq_cols [ lc ] in
+          let rkey = normalize_order ~eq_cols:ctx.eq_cols [ rc ] in
+          let rs = List.map (fun r -> (r, sorted rkey rmask r)) memo.(rmask) in
+          List.iter
+            (fun l ->
+              let l' = sorted lkey lmask l in
+              List.iter
+                (fun (r, r') ->
+                  let out_rows = join_output_rows l r sel in
+                  acc := hash_join ctx l r out_rows @ !acc;
+                  acc := merge_join ctx l r l' r' out_rows @ !acc;
+                  acc := nest_loop ctx l rmask r rc ri out_rows @ !acc)
+                rs)
+            memo.(lmask)
+      | None ->
+          if ctx.allow_cross then
+            List.iter
+              (fun l ->
+                List.iter
+                  (fun r ->
+                    let out_rows = join_output_rows l r sel in
+                    acc := hash_join ctx l r out_rows @ !acc)
+                  memo.(rmask))
+              memo.(lmask)
+    end;
+    sub := (!sub - 1) land mask
+  done;
+  prune_entries !acc
+
+(* The DP over join orders: [leaf i] is table [i]'s pruned entries, and
+   [shared mask compute] returns the entries of a multi-table [mask]
+   short of the full set, [compute ()] or an equal memoized value.  A
+   mask's entries depend only on its tables' leaves, so a memo keyed by
+   them returns what [compute] would. *)
+let plan_joins ctx ~leaf ~shared =
   let n = Array.length ctx.tables in
   let memo = Array.make (1 lsl n) [] in
   for i = 0 to n - 1 do
-    memo.(1 lsl i) <- prune_entries (leaf_entries ctx i)
+    memo.(1 lsl i) <- leaf i
   done;
   let full = (1 lsl n) - 1 in
   for mask = 1 to full do
-    if memo.(mask) = [] && mask land (mask - 1) <> 0 then begin
-      let acc = ref [] in
-      (* enumerate proper submasks *)
-      let sub = ref ((mask - 1) land mask) in
-      while !sub > 0 do
-        let lmask = !sub and rmask = mask land lnot !sub in
-        if lmask < mask && rmask > 0 && memo.(lmask) <> [] && memo.(rmask) <> []
-        then begin
-          let sel, first = joins_between ctx lmask rmask in
-          (* Avoid cross products unless the query graph forces one. *)
-          match first with
-          | Some (lc, rc, ri) ->
-              let sorted key mask e =
-                (* pending entries never merge-join: no sort to price *)
-                let e' =
-                  if e.pending then e else maybe_sort ctx e ~required:key ~mask
-                in
-                (e', key)
-              in
-              let lkey = normalize_order ~eq_cols:ctx.eq_cols [ lc ] in
-              let rkey = normalize_order ~eq_cols:ctx.eq_cols [ rc ] in
-              let rs =
-                List.map (fun r -> (r, sorted rkey rmask r)) memo.(rmask)
-              in
-              List.iter
-                (fun l ->
-                  let l' = sorted lkey lmask l in
-                  List.iter
-                    (fun (r, r') ->
-                      let out_rows = join_output_rows l r sel in
-                      acc := hash_join ctx l r out_rows @ !acc;
-                      acc := merge_join ctx l r l' r' out_rows @ !acc;
-                      acc := nest_loop ctx l rmask r rc ri out_rows @ !acc)
-                    rs)
-                memo.(lmask)
-          | None ->
-              if ctx.allow_cross then
-                List.iter
-                  (fun l ->
-                    List.iter
-                      (fun r ->
-                        let out_rows = join_output_rows l r sel in
-                        acc := hash_join ctx l r out_rows @ !acc)
-                      memo.(rmask))
-                  memo.(lmask)
-        end;
-        sub := (!sub - 1) land mask
-      done;
-      memo.(mask) <- prune_entries !acc
-    end
+    if mask land (mask - 1) <> 0 then
+      memo.(mask) <-
+        (if mask = full then join_mask ctx memo mask
+         else shared mask (fun () -> join_mask ctx memo mask))
   done;
   List.filter (fun e -> not e.pending) memo.(full)
 
@@ -586,10 +646,19 @@ let finalize ctx entries =
       }
     end
   in
+  (* The head of the stable sort by cost: the first entry no later one
+     undercuts under [Float.compare] (the order [compare] gives
+     floats). *)
   let finals = List.concat_map apply_group entries |> List.map apply_order in
-  match List.sort (fun a b -> compare (entry_cost a) (entry_cost b)) finals with
-  | best :: _ -> Some best.plan
+  match finals with
   | [] -> None
+  | first :: rest ->
+      let best =
+        List.fold_left
+          (fun b e -> if Float.compare (entry_cost e) (entry_cost b) < 0 then e else b)
+          first rest
+      in
+      Some best.plan
 
 (* --- Public API --- *)
 
@@ -603,19 +672,81 @@ let optimize env (q : Ast.query) (config : Storage.Config.t) =
   ignore (Atomic.fetch_and_add env.calls 1);
   Runtime.Trace.incr tr_optimize;
   let ctx = make_ctx env q (Direct config) in
-  match finalize ctx (plan_joins ctx) with
+  let leaf i = prune_entries (direct_leaves ctx i) in
+  match finalize ctx (plan_joins ctx ~leaf ~shared:(fun _ f -> f ())) with
   | Some plan -> plan
   | None -> invalid_arg "Optimizer.optimize: no plan found"
 
 let cost env q config = Plan.cost (optimize env q config)
+
+(* A query's template DP, prepared once: the context (filtered rows,
+   widths, resolved joins, equality columns, the cross-product rule)
+   and each table's leaf entry under each of its specs.  [bits] is the
+   width of one table's spec position in a memo key; [0] turns the memo
+   off (one spec per table, so one combination, or positions that do
+   not fit one int key). *)
+type prepared = {
+  pctx : ctx;
+  leaves : entry list array array;
+  bits : int;
+}
+
+let prepare env (q : Ast.query) (specs : slot_spec array array) =
+  let pctx = make_ctx env q Template in
+  let leaves =
+    Array.mapi (fun i sp -> Array.map (template_leaf pctx i) sp) specs
+  in
+  let n = Array.length pctx.tables in
+  let widest = Array.fold_left (fun m sp -> max m (Array.length sp)) 1 specs in
+  let rec width b = if 1 lsl b >= widest then b else width (b + 1) in
+  let b = width 0 in
+  { pctx; leaves; bits = (if n * (b + 1) <= 60 then b else 0) }
+
+(* A prepared DP with its sub-mask memo: key [code lsl n lor mask], where
+   [code] packs the spec positions of [mask]'s tables. *)
+type dp = { prep : prepared; memo : (int, entry list) Hashtbl.t }
+
+let dp prep = { prep; memo = Hashtbl.create 64 }
+
+let plan_at d (pos : int array) =
+  let ctx = d.prep.pctx in
+  let n = Array.length ctx.tables in
+  let leaf i = d.prep.leaves.(i).(pos.(i)) in
+  let shared =
+    if d.prep.bits = 0 then fun _ f -> f ()
+    else fun mask f ->
+      let code = ref 0 in
+      for i = n - 1 downto 0 do
+        if mask land (1 lsl i) <> 0 then
+          code := (!code lsl d.prep.bits) lor pos.(i)
+      done;
+      let key = (!code lsl n) lor mask in
+      match Hashtbl.find_opt d.memo key with
+      | Some entries -> entries
+      | None ->
+          let entries = f () in
+          Hashtbl.replace d.memo key entries;
+          entries
+  in
+  finalize ctx (plan_joins ctx ~leaf ~shared)
+
+let template_plan_at d pos =
+  Runtime.Trace.incr tr_template_probes;
+  plan_at d pos
 
 (* Template construction for INUM: optimize with abstract slots that must
    obey [slot_specs].  The plan cost is the internal cost beta.  [None]
    when the specs admit no plan (e.g. an NLJ spec with no matching join). *)
 let template_plan env (q : Ast.query) ~slot_specs =
   Runtime.Trace.incr tr_template_probes;
-  let ctx = make_ctx env q (Template slot_specs) in
-  finalize ctx (plan_joins ctx)
+  let specs =
+    Array.of_list
+      (List.map
+         (fun t ->
+           [| (match List.assoc_opt t slot_specs with Some s -> s | None -> Spec_any) |])
+         q.Ast.tables)
+  in
+  plan_at (dp (prepare env q specs)) (Array.make (Array.length specs) 0)
 
 (* --- Bound queries --- *)
 

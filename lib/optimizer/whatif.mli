@@ -53,6 +53,28 @@ val template_plan :
   slot_specs:(string * slot_spec) list ->
   Plan.t option
 
+(** A query's template DP prepared once for many probes: the per-query
+    context (filtered rows, widths, resolved joins, equality columns, the
+    cross-product rule) and each table's slot leaf under each of its
+    specs.  [prepare env q specs] takes [specs.(k)], the specs table [k]
+    of [q.tables] may take.  Immutable, so it may be shared. *)
+type prepared
+
+val prepare : env -> Sqlast.Ast.query -> slot_spec array array -> prepared
+
+(** A prepared DP with a sub-mask memo shared by the probes made through
+    it: a join-order mask's entries depend only on its tables' specs, so
+    each (mask, spec positions of its tables) is planned once.  The memo
+    lives as long as the [dp] value; make one per batch of probes. *)
+type dp
+
+val dp : prepared -> dp
+
+(** [template_plan_at d pos] = {!template_plan} with table [k]'s spec at
+    position [pos.(k)] of its specs, bit for bit (cost and plan), whatever
+    the probes made through [d] before.  Counts one template probe. *)
+val template_plan_at : dp -> int array -> Plan.t option
+
 (** Bound query: a lower bound on the beta of every template of the
     query, computed without running the planning DP.  Counts the
     mandatory final-join output tuples (the unclamped cardinality

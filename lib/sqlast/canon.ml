@@ -174,6 +174,45 @@ let raw_equal (a : query) (b : query) =
        (fun (c, d) (c', d') -> same_col c c' && same_direction d d')
        a.order_by b.order_by
 
+(* A hash consistent with [raw_equal]: every field [raw_equal] reads,
+   in order, selectivities as [Hashtbl.hash] hashes floats (every NaN
+   alike, [-0.] as [0.]), so equal shapes hash alike. *)
+let raw_hash (q : query) =
+  let mix h x = (h * 31) + Hashtbl.hash x in
+  let mix_col h (c : col_ref) = mix (mix h c.table) c.column in
+  let h = List.fold_left mix 0 q.tables in
+  let h =
+    List.fold_left
+      (fun h -> function
+        | Col c -> mix_col (mix h 0) c
+        | Agg (f, c) -> mix_col (mix h (1 + agg_rank f)) c)
+      h q.select
+  in
+  let h =
+    List.fold_left
+      (fun h (p : predicate) ->
+        mix (mix (mix (mix_col h p.pred_col) (cmp_rank p.cmp)) p.selectivity)
+          p.is_equality)
+      h q.predicates
+  in
+  let h =
+    List.fold_left (fun h (j : join) -> mix_col (mix_col h j.left) j.right) h q.joins
+  in
+  let h = List.fold_left mix_col h q.group_by in
+  List.fold_left
+    (fun h (c, d) -> mix (mix_col h c) (match d with Asc -> 0 | Desc -> 1))
+    h q.order_by
+  land max_int
+
+(* Tables keyed by raw shape: [raw_equal] with a hash consistent with
+   it. *)
+module Raw_tbl = Hashtbl.Make (struct
+  type t = query
+
+  let equal = raw_equal
+  let hash = raw_hash
+end)
+
 let update_key (u : update) =
   let u = normalize_update u in
   let b = Buffer.create 128 in

@@ -42,6 +42,12 @@ val raw_equal : Ast.query -> Ast.query -> bool
     serializing either query: field by field, [query_id] ignored,
     selectivities compared as [%h] renders them. *)
 
+(** Hash tables keyed by a query's raw shape: keys are equal by
+    {!raw_equal}, and hashed over the same fields (every field but
+    [query_id], selectivities by their bits), so a caller can do work
+    once per statement as written, not once per statement. *)
+module Raw_tbl : Hashtbl.S with type key = Ast.query
+
 val update_key : Ast.update -> string
 
 val statement_key : Ast.statement -> string

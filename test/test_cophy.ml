@@ -817,6 +817,171 @@ let prop_drop_outside_picks =
              same_bits c (Cophy.Sproblem.block_cost_z b z'))
            (List.init (Array.length z) Fun.id))
 
+(* --- Fused and kept solver kernels (properties) --- *)
+
+(* A random problem over 8 candidates: 1-5 random blocks (as above, at
+   weights 1-4), sizes, maintenance costs, a selection, a budget, the
+   selection's mandatory part, and at most one "at most k selected"
+   row. *)
+let problem_cands =
+  Array.init 8 (fun i ->
+      Storage.Index.create ~table:"lineitem"
+        [ List.nth [ "l_orderkey"; "l_partkey"; "l_suppkey"; "l_linenumber";
+                     "l_quantity"; "l_shipdate"; "l_commitdate"; "l_receiptdate" ] i ])
+
+let make_problem blocks ~sizes ~ucost =
+  let blocks = Array.of_list blocks in
+  let cand_blocks =
+    Array.init 8 (fun a ->
+        Array.of_list
+          (List.filter
+             (fun bi -> Array.mem a blocks.(bi).Cophy.Sproblem.cands_used)
+             (List.init (Array.length blocks) Fun.id)))
+  in
+  { Cophy.Sproblem.schema; candidates = problem_cands; sizes; ucost;
+    fixed = 3.0; probe_regret = 0.0; blocks; cand_blocks }
+
+let problem_gen =
+  QCheck.Gen.(
+    let block =
+      map2
+        (fun (b, _) w -> { b with Cophy.Sproblem.weight = float_of_int w })
+        block_and_selection_gen (int_range 1 4)
+    in
+    let floats lo hi = array_repeat 8 (map float_of_int (int_range lo hi)) in
+    map
+      (fun ((blocks, sizes, ucost), (z, mandatory, budget, k)) ->
+        let sp = make_problem blocks ~sizes ~ucost in
+        let mandatory = Array.mapi (fun a m -> m && z.(a)) mandatory in
+        let z_rows =
+          if k >= 8 then []
+          else
+            [ { Constr.row_coeffs = List.init 8 (fun a -> (a, 1.0));
+                row_cmp = Constr.Le; row_rhs = float_of_int k;
+                row_name = "at_most" } ]
+        in
+        (sp, z, mandatory, float_of_int budget, z_rows))
+      (pair
+         (triple (list_size (int_range 1 5) block) (floats 0 60) (floats 0 9))
+         (quad (array_repeat 8 bool) (array_repeat 8 (frequencyl [ (1, true); (5, false) ]))
+            (int_range 0 300) (int_range 1 12))))
+
+let print_problem (sp, z, mandatory, budget, z_rows) =
+  let bits a = String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") a)) in
+  Printf.sprintf "%s\nsizes %s ucost %s\nz %s mandatory %s budget %h rows %d"
+    (String.concat "\n"
+       (Array.to_list
+          (Array.map
+             (fun b -> print_block_and_selection (b, z))
+             sp.Cophy.Sproblem.blocks)))
+    (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") sp.Cophy.Sproblem.sizes)))
+    (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") sp.Cophy.Sproblem.ucost)))
+    (bits z) (bits mandatory) budget (List.length z_rows)
+
+let problem_arb = QCheck.make ~print:print_problem problem_gen
+
+(* The repair kernel as it was before its evaluation was fused in: score
+   each selected candidate's drop against [block_cost_picks] of the
+   start, re-pricing a block with [block_cost_z] when it loses a pick,
+   then drop greedily until feasible. *)
+let reference_repair (sp : Cophy.Sproblem.t) ~budget ~z_rows ~mandatory z =
+  let feasible z =
+    Cophy.Sproblem.total_size sp z <= budget +. 1e-6
+    && List.for_all (fun row -> Constr.row_holds row z) z_rows
+  in
+  let z = Array.copy z in
+  if feasible z then z
+  else begin
+    let start = Array.map (fun b -> Cophy.Sproblem.block_cost_picks b z) sp.Cophy.Sproblem.blocks in
+    let scored = ref [] in
+    for a = 0 to Array.length z - 1 do
+      if z.(a) && not mandatory.(a) then begin
+        let d = ref (-.sp.Cophy.Sproblem.ucost.(a)) in
+        z.(a) <- false;
+        Array.iter
+          (fun bi ->
+            let b = sp.Cophy.Sproblem.blocks.(bi) in
+            let c0, picks = start.(bi) in
+            let c = if List.mem a picks then Cophy.Sproblem.block_cost_z b z else c0 in
+            d := !d +. (b.Cophy.Sproblem.weight *. (c -. c0)))
+          sp.Cophy.Sproblem.cand_blocks.(a);
+        z.(a) <- true;
+        scored := (a, -. !d /. max 1.0 sp.Cophy.Sproblem.sizes.(a)) :: !scored
+      end
+    done;
+    let order = List.sort (fun (_, s1) (_, s2) -> compare s2 s1) !scored |> List.map fst in
+    List.iter (fun a -> if not (feasible z) then z.(a) <- false) order;
+    z
+  end
+
+let prop_repair_eval_fused =
+  QCheck.Test.make ~name:"fused repair+eval = repair then Sproblem.eval, bit for bit"
+    ~count:1000 problem_arb (fun (sp, z, mandatory, budget, z_rows) ->
+      let zr = reference_repair sp ~budget ~z_rows ~mandatory z in
+      let obj = Cophy.Sproblem.eval sp zr in
+      List.for_all
+        (fun jobs ->
+          let zf, objf =
+            Cophy.Decomposition.repair_eval ~jobs sp ~budget ~z_rows ~mandatory z
+          in
+          zf = zr && same_bits objf obj)
+        [ 1; 3 ])
+
+let prop_singleton_savings_one_pass =
+  QCheck.Test.make
+    ~name:"one-pass singleton savings = per-candidate block_cost_z, bit for bit"
+    ~count:1000 problem_arb (fun (sp, _, _, _, _) ->
+      let empty = Array.make 8 false in
+      let reference =
+        Array.mapi
+          (fun a blocks ->
+            let z1 = Array.init 8 (Int.equal a) in
+            Array.map
+              (fun bi ->
+                let b = sp.Cophy.Sproblem.blocks.(bi) in
+                b.Cophy.Sproblem.weight
+                *. (Cophy.Sproblem.block_cost_z b empty -. Cophy.Sproblem.block_cost_z b z1))
+              blocks)
+          sp.Cophy.Sproblem.cand_blocks
+      in
+      List.for_all
+        (fun jobs ->
+          let got = Cophy.Decomposition.singleton_savings ~jobs sp in
+          Array.for_all2 (Array.for_all2 same_bits) reference got)
+        [ 1; 3 ])
+
+(* A run of knapsack weights over one kept permutation: after every
+   call the order equals the stable sort of the negative-weight
+   positions by ratio.  Weights and sizes come from small grids, so
+   equal ratios (and signed zeros) are common. *)
+let prop_knapsack_order_kept =
+  QCheck.Test.make ~name:"kept knapsack order = stable sort by ratio"
+    ~count:1000
+    QCheck.(
+      pair (int_range 1 12)
+        (list_of_size Gen.(int_range 1 6)
+           (pair (array_of_size (Gen.return 12) (int_range (-6) 3))
+              (array_of_size (Gen.return 12) (int_range 1 4)))))
+    (fun (n, steps) ->
+      let perm = Array.init n Fun.id in
+      let ratio = Array.make n 0.0 in
+      List.for_all
+        (fun (ws, ds) ->
+          let w = Array.init n (fun a -> if ws.(a) = 0 then -0.0 else float_of_int ws.(a)) in
+          let denom = Array.init n (fun a -> float_of_int ds.(a)) in
+          let got = Cophy.Decomposition.knapsack_order ~w ~denom ~ratio ~perm in
+          let expected =
+            Array.of_list
+              (List.filter (fun a -> w.(a) < 0.0) (List.init n Fun.id))
+          in
+          Array.stable_sort
+            (fun a b -> Float.compare (w.(a) /. denom.(a)) (w.(b) /. denom.(b)))
+            expected;
+          got = expected
+          && Array.for_all Fun.id
+               (Array.init n (fun a -> same_bits ratio.(a) (w.(a) /. denom.(a)))))
+        steps)
+
 (* Bit-identity pins on W_het: het n=8 seed 7 over every generated
    candidate, at 0.5x budget.  Four solves — cold; warm from the cold
    solve's multipliers and selection; the clustered rule plus a
@@ -984,6 +1149,48 @@ let test_solver_infeasible () =
   in
   Alcotest.(check (list string)) "single offender" [ "need_two" ]
     (offenders (z_rows @ [ need_two ]))
+
+(* The feasibility check needs no LP when the empty selection is
+   feasible: with no z rows and a nonnegative budget a solve runs no
+   simplex at all.  A negative budget, or z rows, still go through the
+   LP: only its proof gives the "no single offender" verdict (a search
+   that merely finds nothing says "not proven impossible"). *)
+let test_solver_feasibility_closed_form () =
+  let _, _, _, sp = build_problem () in
+  let lp_counts f =
+    Runtime.Trace.reset ();
+    Runtime.Trace.enable ();
+    Fun.protect ~finally:Runtime.Trace.disable (fun () ->
+        f ();
+        List.fold_left
+          (fun acc (name, v) ->
+            if
+              String.starts_with ~prefix:"simplex." name
+              || String.starts_with ~prefix:"presolve." name
+            then acc + v
+            else acc)
+          0 (Runtime.Trace.counters ()))
+  in
+  Alcotest.(check int) "no rows, budget >= 0: no LP" 0
+    (lp_counts (fun () ->
+         ignore
+           (Cophy.Solver.solve sp ~budget:(0.5 *. db_size) ~z_rows:[]
+              ~block_caps:[])));
+  let verdict ~budget ~z_rows =
+    match Cophy.Solver.solve sp ~budget ~z_rows ~block_caps:[] with
+    | exception Cophy.Solver.Infeasible names -> names
+    | _ -> Alcotest.fail "expected Infeasible"
+  in
+  let proof = [ "constraint conjunction (no single offender)" ] in
+  Alcotest.(check (list string)) "budget -1 goes through the LP" proof
+    (verdict ~budget:(-1.0) ~z_rows:[]);
+  Alcotest.(check (list string)) "a z row goes through the LP" proof
+    (verdict ~budget:db_size
+       ~z_rows:
+         [ { Constr.row_coeffs = [ (0, 1.0); (1, 1.0) ]; row_cmp = Constr.Ge;
+             row_rhs = 1.5; row_name = "pair" };
+           { Constr.row_coeffs = [ (0, 1.0); (1, 1.0) ]; row_cmp = Constr.Le;
+             row_rhs = 0.5; row_name = "pair_off" } ])
 
 (* A search stopped before its first iteration still answers: with a
    zero time limit the decomposition returns the incumbent its greedy
@@ -1692,6 +1899,9 @@ let () =
             test_decomposition_caps;
           QCheck_alcotest.to_alcotest prop_block_cost_z_reference;
           QCheck_alcotest.to_alcotest prop_drop_outside_picks;
+          QCheck_alcotest.to_alcotest prop_repair_eval_fused;
+          QCheck_alcotest.to_alcotest prop_knapsack_order_kept;
+          QCheck_alcotest.to_alcotest prop_singleton_savings_one_pass;
         ] );
       ( "ablations",
         [
@@ -1702,6 +1912,8 @@ let () =
       ( "solver",
         [
           Alcotest.test_case "infeasible" `Quick test_solver_infeasible;
+          Alcotest.test_case "feasibility LP only when it can fail" `Quick
+            test_solver_feasibility_closed_form;
           Alcotest.test_case "paths agree" `Slow test_solver_paths_agree;
           Alcotest.test_case "certified" `Quick test_solver_certified;
           Alcotest.test_case "time limit returns the seed" `Quick

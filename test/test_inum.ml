@@ -762,6 +762,239 @@ let hom20_pins =
      cost 0x1.9adf265d33937p+17 0x1.36b433d0c11c4p+10";
   ]
 
+(* --- Bit-identity of the per-shape, per-probe and prepared kernels --- *)
+
+let shuffled ~seed xs =
+  let rng = Random.State.make [| seed |] in
+  let a = Array.of_list xs in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* [w] shuffled, with repeats: every statement again under a fresh id,
+   and each SELECT with two or more GROUP BY columns once more with them
+   reversed — the same canonical key, another raw shape, other
+   group-by candidates. *)
+let with_repeats ~seed (w : Ast.workload) =
+  let extra =
+    List.mapi
+      (fun i (ws : Ast.weighted) ->
+        let stmt =
+          match ws.Ast.stmt with
+          | Ast.Select q -> Ast.Select { q with Ast.query_id = 10_000 + i }
+          | Ast.Update u -> Ast.Update { u with Ast.update_id = 10_000 + i }
+        in
+        { ws with Ast.stmt })
+      w
+  in
+  let reversed =
+    List.filter_map
+      (fun (ws : Ast.weighted) ->
+        match ws.Ast.stmt with
+        | Ast.Select q when List.length q.Ast.group_by >= 2 ->
+            Some
+              { ws with
+                Ast.stmt =
+                  Ast.Select
+                    { q with
+                      Ast.query_id = 20_000 + q.Ast.query_id;
+                      group_by = List.rev q.Ast.group_by } }
+        | _ -> None)
+      w
+  in
+  shuffled ~seed (w @ extra @ reversed)
+
+(* [Cgen.generate] expands each raw shape once; the set is the union of
+   [query_candidates] over every statement. *)
+let test_cgen_per_shape () =
+  List.iter
+    (fun (label, w) ->
+      let union =
+        List.concat_map
+          (fun (q, _) -> Cophy.Cgen.query_candidates q)
+          (Ast.selects w)
+        |> Storage.Config.of_list |> Storage.Config.to_list
+      in
+      let reversed =
+        List.exists
+          (fun (q, _) -> List.length q.Ast.group_by >= 2)
+          (Ast.selects w)
+      in
+      Alcotest.(check bool) (label ^ ": has a reordered GROUP BY") true reversed;
+      Alcotest.(check bool) label true
+        (List.equal Storage.Index.equal union (Cophy.Cgen.generate w)))
+    [
+      ("hom n=60", with_repeats ~seed:1 (Workload.Gen.hom schema ~n:60 ~seed:7));
+      ("het n=30", with_repeats ~seed:2 (Workload.Gen.het schema ~n:30 ~seed:7));
+      ("het n=40", with_repeats ~seed:3 (Workload.Gen.het schema ~n:40 ~seed:8));
+    ]
+
+(* The spec orders of the probe loop, as written in its design: the
+   reference the per-probe bounds are checked against. *)
+let rec prefix o1 o2 =
+  match (o1, o2) with
+  | [], _ -> true
+  | _, [] -> false
+  | a :: r1, b :: r2 -> String.equal a b && prefix r1 r2
+
+let spec_beta_le (s1 : Optimizer.Whatif.slot_spec)
+    (s2 : Optimizer.Whatif.slot_spec) =
+  match (s1, s2) with
+  | Spec_any, (Spec_any | Spec_ordered _) -> true
+  | Spec_ordered a, Spec_ordered b -> prefix a b
+  | Spec_nlj a, Spec_nlj b -> String.equal a b
+  | _ -> false
+
+let spec_gamma_le (s1 : Optimizer.Whatif.slot_spec)
+    (s2 : Optimizer.Whatif.slot_spec) =
+  match (s1, s2) with
+  | Spec_any, _ -> true
+  | Spec_ordered a, Spec_ordered b -> prefix a b
+  | _ -> false
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Every combination's [lb]/[ub] against the folds over its probed
+   neighbors in index order (max from the floor over the probed
+   combinations above it in the beta order, min from infinity over the
+   probed templates below it in the gamma order), bit for bit, and every
+   state against the certificates those folds give: a pending
+   combination has none, a skipped one has its own. *)
+let check_bounds label c =
+  let cs = Inum.combinations c in
+  let n = Array.length cs in
+  let all le i j =
+    let ok = ref true in
+    Array.iteri (fun k s -> if not (le s cs.(j).Inum.specs.(k)) then ok := false)
+      cs.(i).Inum.specs;
+    !ok
+  in
+  let stronger i j = j <> i && all spec_beta_le i j in
+  let gweaker i j = j <> i && all (fun si sj -> spec_gamma_le sj si) i j in
+  for i = 0 to n - 1 do
+    let lb = ref (Inum.cost_floor c) and ub = ref infinity in
+    let infeasible = ref false in
+    for j = 0 to n - 1 do
+      match cs.(j).Inum.state with
+      | Inum.Probed (Some tpl) ->
+          if stronger i j && tpl.Inum.beta > !lb then lb := tpl.Inum.beta;
+          if gweaker i j && tpl.Inum.beta < !ub then ub := tpl.Inum.beta
+      | Inum.Probed None -> if stronger i j then infeasible := true
+      | Inum.Skipped_dominated | Inum.Skipped_infeasible | Inum.Pending -> ()
+    done;
+    let dominated =
+      Array.exists Fun.id
+        (Array.init n (fun j ->
+             gweaker i j
+             &&
+             match cs.(j).Inum.state with
+             | Inum.Probed (Some tpl) -> tpl.Inum.beta <= !lb
+             | _ -> false))
+    in
+    let what = Printf.sprintf "%s: combination %d" label i in
+    Alcotest.(check string) (what ^ " lb") (Printf.sprintf "%h" !lb)
+      (Printf.sprintf "%h" cs.(i).Inum.lb);
+    Alcotest.(check bool) (what ^ " lb bits") true (same_bits !lb cs.(i).Inum.lb);
+    Alcotest.(check string) (what ^ " ub") (Printf.sprintf "%h" !ub)
+      (Printf.sprintf "%h" cs.(i).Inum.ub);
+    let state_ok =
+      match cs.(i).Inum.state with
+      | Inum.Pending -> (not !infeasible) && not dominated
+      | Inum.Skipped_infeasible -> !infeasible
+      | Inum.Skipped_dominated -> dominated
+      | Inum.Probed _ -> true
+    in
+    Alcotest.(check bool) (what ^ " state") true state_ok
+  done
+
+let test_bounds_match_folds () =
+  let e = env () in
+  List.iter
+    (fun (label, w) ->
+      let all = Storage.Config.of_list (Cophy.Cgen.generate w) in
+      List.iter
+        (fun budget ->
+          List.iter
+            (fun ((q : Ast.query), _) ->
+              let c = Inum.build ?probe_budget:budget e q in
+              let at =
+                Printf.sprintf "%s/%d budget %s" label q.Ast.query_id
+                  (match budget with Some b -> string_of_int b | None -> "-")
+              in
+              check_bounds (at ^ " built") c;
+              ignore (Inum.refine c ~config:all);
+              check_bounds (at ^ " refined") c)
+            (Ast.selects w))
+        [ Some 1; Some 4; Some 16; None ])
+    [
+      ("het", Workload.Gen.het schema ~n:12 ~seed:7);
+      ("hom", Workload.Gen.hom schema ~n:20 ~seed:7);
+    ]
+
+let plan_opt_sig = function None -> "none" | Some p -> plan_sig p
+
+(* Every spec combination of every W_het statement, planned through one
+   prepared DP (its sub-mask memo shared by all of them, in two orders)
+   and by a fresh [template_plan]: the same plan, every cost and row
+   count bit for bit. *)
+let test_prepared_dp_matches_fresh () =
+  let e = env () in
+  List.iter
+    (fun ((q : Ast.query), _) ->
+      let combos =
+        Array.map (fun c -> c.Inum.specs) (Inum.combinations (Inum.build e q))
+      in
+      let tables = Array.of_list q.Ast.tables in
+      (* each table's specs in first-appearance order, and every
+         combination's positions among them *)
+      let specs =
+        Array.mapi
+          (fun k _ ->
+            Array.fold_left
+              (fun acc combo ->
+                if List.mem combo.(k) acc then acc else acc @ [ combo.(k) ])
+              [] combos
+            |> Array.of_list)
+          tables
+      in
+      let position k s =
+        let rec go i = if specs.(k).(i) = s then i else go (i + 1) in
+        go 0
+      in
+      let prepared = Optimizer.Whatif.prepare e q specs in
+      let fresh combo =
+        plan_opt_sig
+          (Optimizer.Whatif.template_plan e q
+             ~slot_specs:
+               (List.filter_map
+                  (fun (k, s) ->
+                    match s with
+                    | Optimizer.Whatif.Spec_any -> None
+                    | _ -> Some (tables.(k), s))
+                  (Array.to_list (Array.mapi (fun k s -> (k, s)) combo))))
+      in
+      List.iter
+        (fun order ->
+          let dp = Optimizer.Whatif.dp prepared in
+          List.iter
+            (fun i ->
+              let combo = combos.(i) in
+              let pos = Array.mapi position combo in
+              Alcotest.(check string)
+                (Printf.sprintf "het/%d combination %d" q.Ast.query_id i)
+                (fresh combo)
+                (plan_opt_sig (Optimizer.Whatif.template_plan_at dp pos)))
+            order)
+        [
+          List.init (Array.length combos) Fun.id;
+          List.rev (List.init (Array.length combos) Fun.id);
+        ])
+    (Ast.selects (Workload.Gen.het schema ~n:12 ~seed:7))
+
 let () =
   Alcotest.run "inum"
     [
@@ -805,6 +1038,12 @@ let () =
             (test_pins "het" (Workload.Gen.het schema ~n:12 ~seed:7) het12_pins);
           Alcotest.test_case "W_hom n=20" `Quick
             (test_pins "hom" (Workload.Gen.hom schema ~n:20 ~seed:7) hom20_pins);
+          Alcotest.test_case "CGen once per raw shape = union over statements"
+            `Quick test_cgen_per_shape;
+          Alcotest.test_case "per-probe bounds = neighbor folds (budgets 1/4/16/-)"
+            `Quick test_bounds_match_folds;
+          Alcotest.test_case "prepared, memoized DP = fresh DP (W_het)" `Quick
+            test_prepared_dp_matches_fresh;
         ] );
       ( "keyed",
         [

@@ -325,7 +325,8 @@ let prop_canon_key_distinct =
 (* [raw_equal] agrees with [raw_key] equality on every pair drawn from a
    generated workload and its edits: a new query id, scrambled clauses,
    a selectivity halved, set to 0. or -0., or to NaN of either sign (the
-   last four bypass [Ast.predicate]'s range check). *)
+   last four bypass [Ast.predicate]'s range check); and a [Raw_tbl]
+   holding one of two raw-equal queries finds the other. *)
 let prop_raw_equal_is_raw_key =
   QCheck.Test.make ~name:"raw_equal = raw_key equality" ~count:20
     QCheck.(pair bool (int_range 0 10_000))
@@ -359,7 +360,12 @@ let prop_raw_equal_is_raw_key =
           List.for_all
             (fun b ->
               Bool.equal (Canon.raw_equal a b)
-                (String.equal (Canon.raw_key a) (Canon.raw_key b)))
+                (String.equal (Canon.raw_key a) (Canon.raw_key b))
+              && ((not (Canon.raw_equal a b))
+                 ||
+                 let tbl = Canon.Raw_tbl.create 1 in
+                 Canon.Raw_tbl.replace tbl a ();
+                 Canon.Raw_tbl.mem tbl b))
             qs)
         qs)
 
