@@ -202,50 +202,29 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~weight ~price
    dual by complementary slackness over the sorted ratios.
 
    [denom.(a)] is [max 1.0 sizes.(a)], the per-byte denominator,
-   computed once per solve.  [knapsack_order ~w ~denom ~ratio ~perm]
-   fills [ratio.(a)] with [w.(a) /. denom.(a)] and returns the greedy's
-   item order: the candidates with [w < 0] by ascending ratio, stably.
-   It depends on [w] only, so one subgradient iteration sorts it once
-   and every greedy call of the iteration walks it, skipping its own
-   forced candidates — a filtered stable sort is the stable sort of the
-   filtered list.  A stable sort of ascending positions orders them by
-   (ratio under [Float.compare], position), a total order, so the
-   order is also the filter of every candidate sorted by that pair.
-   [perm] keeps that sort of every candidate from one call to the
-   next: the multipliers move a little per iteration, so an insertion
-   sort of the previous permutation has little to move. *)
-let knapsack_order ~w ~denom ~ratio ~(perm : int array) =
+   computed once per solve.  [knapsack_order ~w ~denom ~ratio] fills
+   [ratio.(a)] with [w.(a) /. denom.(a)] and returns the greedy's item
+   order: the candidates with [w < 0] by ascending ratio, stably.  It
+   depends on [w] only, so one subgradient iteration sorts it once and
+   every greedy call of the iteration walks it, skipping its own forced
+   candidates — a filtered stable sort is the stable sort of the
+   filtered list. *)
+let knapsack_order ~w ~denom ~ratio =
   let n = Array.length w in
   let count = ref 0 in
   for a = 0 to n - 1 do
     ratio.(a) <- w.(a) /. denom.(a);
     if w.(a) < 0.0 then incr count
   done;
-  for i = 1 to n - 1 do
-    let a = perm.(i) in
-    let ra = ratio.(a) in
-    let j = ref (i - 1) in
-    while
-      !j >= 0
-      &&
-      let b = perm.(!j) in
-      let c = Float.compare ratio.(b) ra in
-      c > 0 || (c = 0 && b > a)
-    do
-      perm.(!j + 1) <- perm.(!j);
-      decr j
-    done;
-    perm.(!j + 1) <- a
-  done;
   let order = Array.make !count 0 in
   let k = ref 0 in
-  for i = 0 to n - 1 do
-    let a = perm.(i) in
+  for a = 0 to n - 1 do
     if w.(a) < 0.0 then begin
       order.(!k) <- a;
       incr k
     end
   done;
+  Array.stable_sort (fun a b -> Float.compare ratio.(a) ratio.(b)) order;
   order
 
 (* [min 1.0 (cap /. d)], written out: [Stdlib.min] on floats is a
@@ -427,93 +406,62 @@ let delta_toggle (sp : Sproblem.t) (z : bool array) (bcost : float array) a =
   z.(a) <- not z.(a);
   (!delta, !changed)
 
-(* A block's slot minima under a selection [z], by template [k] and
-   slot [s] at [off + s] ([off]: the slot count of the templates before
-   [k]): [smin] is the slot minimum and [sarg] the candidate of its first
-   argmin ([-1]: the no-index choice, or no admissible choice).  [tcost]
-   and [tpicks] are [Sproblem.block_cost_picks b z]: the scan below is
-   that kernel's, storing what it finds. *)
-type minima = {
-  smin : float array;
-  sarg : int array;
-  tcost : float;
-  tpicks : int list;
-}
-
-let slot_minima (b : Sproblem.block) (z : bool array) =
-  let templates = b.Sproblem.templates in
-  let nslots = ref 0 in
-  for k = 0 to Array.length templates - 1 do
-    nslots := !nslots + Array.length templates.(k).Sproblem.choices
-  done;
-  let smin = Array.make !nslots infinity and sarg = Array.make !nslots (-1) in
-  let best = ref infinity and picks = ref [] in
-  let off = ref 0 in
-  for k = 0 to Array.length templates - 1 do
-    let tpl = templates.(k) in
-    let total = ref tpl.Sproblem.beta and tpl_picks = ref [] in
-    let choices = tpl.Sproblem.choices in
-    for s = 0 to Array.length choices - 1 do
-      let slot = choices.(s) in
-      let m = ref infinity and pick = ref (-1) in
-      for i = 0 to Array.length slot - 1 do
-        let { Sproblem.cand; gamma } = slot.(i) in
-        if (cand < 0 || z.(cand)) && gamma < !m then begin
-          m := gamma;
-          pick := cand
-        end
-      done;
-      smin.(!off + s) <- !m;
-      sarg.(!off + s) <- !pick;
-      total := !total +. !m;
-      if !pick >= 0 then tpl_picks := !pick :: !tpl_picks
-    done;
-    off := !off + Array.length choices;
-    if !total < !best then begin
-      best := !total;
-      picks := !tpl_picks
-    end
-  done;
-  { smin; sarg; tcost = !best; tpicks = !picks }
-
-(* [Sproblem.block_cost_z b z] for [z] with [a] unselected, where [mn] is
-   [slot_minima] of [z] with [a] selected: a slot whose first argmin is
-   not [a] keeps that argmin, so its minimum is read from [mn]; only
-   the slots [a] won are scanned again.  The template totals and their
-   minimum run in the kernel's order, so the cost is bit-identical. *)
-let cost_without (b : Sproblem.block) mn (z : bool array) a =
+(* The least template total of [b] over per-slot values [vals],
+   numbered as [Sproblem.slot_minima]'s: each template's [beta] plus its
+   slot values in slot order, the first least one kept.  With the slot
+   minima under [z] as [vals], these are [Sproblem.block_cost_z]'s
+   operations in its order, so the value is bit-identical to it. *)
+let least_total (b : Sproblem.block) (vals : float array) =
   let templates = b.Sproblem.templates in
   let best = ref infinity in
   let off = ref 0 in
   for k = 0 to Array.length templates - 1 do
     let tpl = templates.(k) in
     let total = ref tpl.Sproblem.beta in
-    let choices = tpl.Sproblem.choices in
+    let n = Array.length tpl.Sproblem.choices in
+    for s = 0 to n - 1 do
+      total := !total +. vals.(!off + s)
+    done;
+    off := !off + n;
+    if !total < !best then best := !total
+  done;
+  !best
+
+(* [Sproblem.block_cost_z b z] for [z] with [a] unselected, where [mn] is
+   [Sproblem.slot_minima] of [z] with [a] selected: a slot whose first
+   argmin is not [a] keeps that argmin, so its minimum is read from
+   [mn]; only the slots [a] won are scanned again.  [vals] is scratch
+   at least as long as [mn.smin]. *)
+let cost_without (b : Sproblem.block) (mn : Sproblem.minima) ~vals
+    (z : bool array) a =
+  Array.blit mn.Sproblem.smin 0 vals 0 (Array.length mn.Sproblem.smin);
+  let templates = b.Sproblem.templates in
+  let off = ref 0 in
+  for k = 0 to Array.length templates - 1 do
+    let choices = templates.(k).Sproblem.choices in
     for s = 0 to Array.length choices - 1 do
-      if mn.sarg.(!off + s) = a then begin
+      if mn.Sproblem.sarg.(!off + s) = a then begin
         let slot = choices.(s) in
         let m = ref infinity in
         for i = 0 to Array.length slot - 1 do
           let { Sproblem.cand; gamma } = slot.(i) in
           if (cand < 0 || z.(cand)) && gamma < !m then m := gamma
         done;
-        total := !total +. !m
+        vals.(!off + s) <- !m
       end
-      else total := !total +. mn.smin.(!off + s)
     done;
-    off := !off + Array.length choices;
-    if !total < !best then best := !total
+    off := !off + Array.length choices
   done;
-  !best
+  least_total b vals
 
 (* [delta_toggle]'s delta for dropping the selected [a], against the
-   start state [start] ([slot_minima] per block).  A block whose picks
-   do not contain [a] keeps its cost bit for bit, so it is not
-   re-priced: its term is [weight *. (c -. c)] on the cost it already
-   has, the very value the re-pricing would give (a signed zero, or nan
-   on an infinite cost).  A block that loses a pick is re-priced from
-   its slot minima. *)
-let drop_delta (sp : Sproblem.t) (z : bool array) start a =
+   start state [start] ([Sproblem.slot_minima] per block).  A block
+   whose picks do not contain [a] keeps its cost bit for bit, so it is
+   not re-priced: its term is [weight *. (c -. c)] on the cost it
+   already has, the very value the re-pricing would give (a signed
+   zero, or nan on an infinite cost).  A block that loses a pick is
+   re-priced from its slot minima. *)
+let drop_delta (sp : Sproblem.t) (z : bool array) start ~vals a =
   let delta = ref (-.sp.Sproblem.ucost.(a)) in
   z.(a) <- false;
   let blocks = sp.Sproblem.cand_blocks.(a) in
@@ -521,9 +469,11 @@ let drop_delta (sp : Sproblem.t) (z : bool array) start a =
     let bi = blocks.(j) in
     let b = sp.Sproblem.blocks.(bi) in
     let mn = start.(bi) in
-    let c0 = mn.tcost in
+    let c0 = mn.Sproblem.tcost in
     let c =
-      if List.exists (Int.equal a) mn.tpicks then cost_without b mn z a else c0
+      if List.exists (Int.equal a) mn.Sproblem.tpicks then
+        cost_without b mn ~vals z a
+      else c0
     in
     delta := !delta +. (b.Sproblem.weight *. (c -. c0))
   done;
@@ -588,12 +538,22 @@ let repair_eval ~jobs (sp : Sproblem.t) ~budget ~z_rows ~mandatory
   if z_feasible sp ~budget ~z_rows z then (z, Sproblem.eval ~jobs sp z)
   else begin
     let start =
-      Runtime.parallel_map ~jobs (fun b -> slot_minima b z) sp.Sproblem.blocks
+      Runtime.parallel_map ~jobs
+        (fun b -> Sproblem.slot_minima b z)
+        sp.Sproblem.blocks
+    in
+    (* [cost_without]'s scratch, for the sequential scoring below *)
+    let vals =
+      Array.make
+        (Array.fold_left
+           (fun n mn -> Int.max n (Array.length mn.Sproblem.smin))
+           0 start)
+        0.0
     in
     let scored = ref [] in
     for a = 0 to Array.length z - 1 do
       if z.(a) && not mandatory.(a) then begin
-        let d = drop_delta sp z start a in
+        let d = drop_delta sp z start ~vals a in
         (* dropping increases cost by [d]; prefer small increase per byte
            freed *)
         scored := (a, -.d /. max 1.0 sp.Sproblem.sizes.(a)) :: !scored
@@ -617,9 +577,9 @@ let repair_eval ~jobs (sp : Sproblem.t) ~budget ~z_rows ~mandatory
       Runtime.parallel_map ~jobs
         (fun bi ->
           let mn = start.(bi) in
-          if List.exists (fun a -> not z.(a)) mn.tpicks then
+          if List.exists (fun a -> not z.(a)) mn.Sproblem.tpicks then
             Sproblem.block_cost_z sp.Sproblem.blocks.(bi) z
-          else mn.tcost)
+          else mn.Sproblem.tcost)
         (Array.init (Array.length start) Fun.id)
     in
     (z, Sproblem.eval_costs sp z costs)
@@ -671,8 +631,8 @@ let local_search ?(jobs = 1) (sp : Sproblem.t) ~budget ~z_rows (z : bool array)
    choices' scan), then per candidate the scan of each slot it appears
    in, restricted to the no-index choices and its own — the scan
    [Sproblem.block_cost_z] makes of that slot under the singleton — and
-   every other slot's [m0].  Template totals and their minimum run in
-   the kernel's order, so each saving is bit-identical to
+   every other slot's [m0], totalled by [least_total], so each saving
+   is bit-identical to
    [weight *. (block_cost_z b empty -. block_cost_z b {a})]. *)
 let singleton_saving (b : Sproblem.block) =
   let templates = b.Sproblem.templates in
@@ -711,26 +671,11 @@ let singleton_saving (b : Sproblem.block) =
     off := !off + Array.length choices
   done;
   let vals = Array.copy m0 in
-  let cost () =
-    let best = ref infinity in
-    let off = ref 0 in
-    for k = 0 to Array.length templates - 1 do
-      let tpl = templates.(k) in
-      let total = ref tpl.Sproblem.beta in
-      let n = Array.length tpl.Sproblem.choices in
-      for s = 0 to n - 1 do
-        total := !total +. vals.(!off + s)
-      done;
-      off := !off + n;
-      if !total < !best then best := !total
-    done;
-    !best
-  in
-  let empty = cost () in
+  let empty = least_total b vals in
   Array.map
     (fun l ->
       List.iter (fun (f, v) -> vals.(f) <- v) l;
-      let c = cost () in
+      let c = least_total b vals in
       List.iter (fun (f, _) -> vals.(f) <- m0.(f)) l;
       b.Sproblem.weight *. (empty -. c))
     occ
@@ -974,12 +919,10 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let w = Array.make ncand 0.0 in
   let usage = Array.make nblocks [] in
   (* Per-solve scratch, written only on this domain: the per-byte
-     denominators, the knapsack ratios and their sorted permutation, the
-     probes' fixing thresholds,
+     denominators, the knapsack ratios, the probes' fixing thresholds,
      and the subgradient's mark of each block's used candidates. *)
   let denom = Array.map (fun s -> max 1.0 s) sp.Sproblem.sizes in
   let ratio = Array.make ncand 0.0 in
-  let perm = Array.init ncand Fun.id in
   let one_at = Array.make ncand neg_infinity in
   let zero_at = Array.make ncand neg_infinity in
   let mark = Array.make ncand false in
@@ -1063,7 +1006,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
        done;
        let base = !lower in
        let order =
-         if z_rows = [] then knapsack_order ~w ~denom ~ratio ~perm else [||]
+         if z_rows = [] then knapsack_order ~w ~denom ~ratio else [||]
        in
        let zval, zfrac, zdual, zstatus =
          if z_rows = [] then

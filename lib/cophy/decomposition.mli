@@ -90,7 +90,7 @@ val solve :
 
 (** {1 Kernels}
 
-    Three of the solver's kernels, each bit-identical to the simpler
+    Two of the solver's kernels, each bit-identical to the simpler
     computation it replaces; exposed for the properties that pin it. *)
 
 (** [repair_eval ~jobs sp ~budget ~z_rows ~mandatory z] — [z] with
@@ -107,18 +107,6 @@ val repair_eval :
   mandatory:bool array ->
   bool array ->
   bool array * float
-
-(** [knapsack_order ~w ~denom ~ratio ~perm] fills [ratio.(a)] with
-    [w.(a) /. denom.(a)] and returns the candidates with [w.(a) < 0] in
-    ascending ratio, ties in ascending position (the stable sort).
-    [perm], a permutation of the candidates, is re-sorted in place by
-    (ratio, position) and kept for the next call. *)
-val knapsack_order :
-  w:float array ->
-  denom:float array ->
-  ratio:float array ->
-  perm:int array ->
-  int array
 
 (** [singleton_savings ~jobs sp].(a).(j): the weighted cost block
     [sp.cand_blocks.(a).(j)] saves when [a] is the only index selected,

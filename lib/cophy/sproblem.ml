@@ -453,13 +453,31 @@ let block_cost_z (b : block) (z : bool array) =
   done;
   !best
 
-(* [block_cost_z] plus the candidates its first minimizing assignment
-   picks: the first template attaining the minimum and, in each of its
-   slots, the first choice attaining the slot minimum.  The same float
-   operations in the same order, so the cost is bit-identical. *)
-let block_cost_picks (b : block) (z : bool array) =
-  let best = ref infinity and picks = ref [] in
+(* A block's slot minima under a selection [z], by template [k] and
+   slot [s] at [off + s] ([off]: the slot count of the templates before
+   [k]): [smin] is the slot minimum and [sarg] the candidate of its first
+   argmin ([-1]: the no-index choice, or no admissible choice).  [tcost]
+   is [block_cost_z b z] and [tpicks] the candidates its first
+   minimizing assignment picks: the first template attaining the
+   minimum and, in each of its slots, the first choice attaining the
+   slot minimum.  The same float operations in the same order as
+   [block_cost_z], so the cost is bit-identical. *)
+type minima = {
+  smin : float array;
+  sarg : int array;
+  tcost : float;
+  tpicks : int list;
+}
+
+let slot_minima (b : block) (z : bool array) =
   let templates = b.templates in
+  let nslots = ref 0 in
+  for k = 0 to Array.length templates - 1 do
+    nslots := !nslots + Array.length templates.(k).choices
+  done;
+  let smin = Array.make !nslots infinity and sarg = Array.make !nslots (-1) in
+  let best = ref infinity and picks = ref [] in
+  let off = ref 0 in
   for k = 0 to Array.length templates - 1 do
     let tpl = templates.(k) in
     let total = ref tpl.beta and tpl_picks = ref [] in
@@ -474,15 +492,22 @@ let block_cost_picks (b : block) (z : bool array) =
           pick := cand
         end
       done;
+      smin.(!off + s) <- !m;
+      sarg.(!off + s) <- !pick;
       total := !total +. !m;
       if !pick >= 0 then tpl_picks := !pick :: !tpl_picks
     done;
+    off := !off + Array.length choices;
     if !total < !best then begin
       best := !total;
       picks := !tpl_picks
     end
   done;
-  (!best, !picks)
+  { smin; sarg; tcost = !best; tpicks = !picks }
+
+let block_cost_picks (b : block) (z : bool array) =
+  let m = slot_minima b z in
+  (m.tcost, m.tpicks)
 
 (* The objective from per-block query costs [costs] (as [block_cost_z]
    gives them under [z]): weighted costs, then maintenance, onto the

@@ -123,6 +123,22 @@ val compress : t -> t * int array
 (** Query-cost part of one block given a selection. *)
 val block_cost_z : block -> bool array -> float
 
+(** A block's slot minima under a selection [z].  Slots are numbered
+    template by template: slot [s] of template [k] is at [off + s],
+    [off] the slot count of the templates before [k]. *)
+type minima = {
+  smin : float array;  (** each slot's minimum *)
+  sarg : int array;
+      (** the candidate of each slot's first argmin ([-1]: the no-index
+          choice, or no admissible choice) *)
+  tcost : float;  (** [block_cost_z b z], bit-identical *)
+  tpicks : int list;  (** [snd (block_cost_picks b z)] *)
+}
+
+(** [slot_minima b z]: one scan of [b] under [z], the one
+    {!block_cost_picks} makes, keeping what it finds per slot. *)
+val slot_minima : block -> bool array -> minima
+
 (** [block_cost_picks b z] — [block_cost_z b z] (bit-identical) with the
     candidates its first minimizing assignment picks: the first template
     attaining the minimum and, in each of its slots, the first choice

@@ -950,38 +950,6 @@ let prop_singleton_savings_one_pass =
           Array.for_all2 (Array.for_all2 same_bits) reference got)
         [ 1; 3 ])
 
-(* A run of knapsack weights over one kept permutation: after every
-   call the order equals the stable sort of the negative-weight
-   positions by ratio.  Weights and sizes come from small grids, so
-   equal ratios (and signed zeros) are common. *)
-let prop_knapsack_order_kept =
-  QCheck.Test.make ~name:"kept knapsack order = stable sort by ratio"
-    ~count:1000
-    QCheck.(
-      pair (int_range 1 12)
-        (list_of_size Gen.(int_range 1 6)
-           (pair (array_of_size (Gen.return 12) (int_range (-6) 3))
-              (array_of_size (Gen.return 12) (int_range 1 4)))))
-    (fun (n, steps) ->
-      let perm = Array.init n Fun.id in
-      let ratio = Array.make n 0.0 in
-      List.for_all
-        (fun (ws, ds) ->
-          let w = Array.init n (fun a -> if ws.(a) = 0 then -0.0 else float_of_int ws.(a)) in
-          let denom = Array.init n (fun a -> float_of_int ds.(a)) in
-          let got = Cophy.Decomposition.knapsack_order ~w ~denom ~ratio ~perm in
-          let expected =
-            Array.of_list
-              (List.filter (fun a -> w.(a) < 0.0) (List.init n Fun.id))
-          in
-          Array.stable_sort
-            (fun a b -> Float.compare (w.(a) /. denom.(a)) (w.(b) /. denom.(b)))
-            expected;
-          got = expected
-          && Array.for_all Fun.id
-               (Array.init n (fun a -> same_bits ratio.(a) (w.(a) /. denom.(a)))))
-        steps)
-
 (* Bit-identity pins on W_het: het n=8 seed 7 over every generated
    candidate, at 0.5x budget.  Four solves — cold; warm from the cold
    solve's multipliers and selection; the clustered rule plus a
@@ -1900,7 +1868,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_block_cost_z_reference;
           QCheck_alcotest.to_alcotest prop_drop_outside_picks;
           QCheck_alcotest.to_alcotest prop_repair_eval_fused;
-          QCheck_alcotest.to_alcotest prop_knapsack_order_kept;
           QCheck_alcotest.to_alcotest prop_singleton_savings_one_pass;
         ] );
       ( "ablations",
