@@ -1020,6 +1020,48 @@ let test_decomposition_het_pins () =
           show "accept" gated ])
     [ 1; 4 ]
 
+(* The fig6a path pinned: W_hom n=20 seed 7 over every generated
+   candidate at the whole database as budget, 150 iterations at most and
+   a 0.005 gap — the feedback stream bench fig6a prints.  Every event's
+   (incumbent, bound) pair, as hex floats, is digested with the event
+   count and the last pair. *)
+let fig6a_path_pins =
+  [
+    "events 152 digest 2cd583f97d32f1c9341ecb519e2f3845 \
+     last 0x1.5abacaae593c8p+20 0x1.47469255d2e94p+20";
+  ]
+
+let test_decomposition_fig6a_path_pins () =
+  let e = env () in
+  let w = Workload.Gen.hom schema ~n:20 ~seed:7 in
+  let cache = Inum.build_workload e w in
+  let cands = Array.of_list (Cophy.Cgen.generate w) in
+  let sp = Cophy.Sproblem.build e cache cands in
+  let events = ref [] in
+  let options =
+    { Cophy.Decomposition.default_options with
+      Cophy.Decomposition.gap_tolerance = 0.005;
+      max_iters = 150;
+      on_event =
+        (fun (ev : Cophy.Decomposition.event) ->
+          events :=
+            (ev.Cophy.Decomposition.incumbent, ev.Cophy.Decomposition.bound)
+            :: !events) }
+  in
+  ignore
+    (Cophy.Decomposition.solve ~options sp ~budget:db_size ~z_rows:[]
+       ~block_caps:[]);
+  let events = List.rev !events in
+  let pairs =
+    List.map (fun (inc, bound) -> Printf.sprintf "%h %h" inc bound) events
+  in
+  let last = List.nth pairs (List.length pairs - 1) in
+  Alcotest.(check (list string)) "incumbent and bound sequence"
+    fig6a_path_pins
+    [ Printf.sprintf "events %d digest %s last %s" (List.length pairs)
+        (Digest.to_hex (Digest.string (String.concat "\n" pairs)))
+        last ]
+
 let test_update_heavy_advisor () =
   let w =
     Workload.Gen.hom schema ~n:8 ~seed:13
@@ -1501,6 +1543,41 @@ let test_pareto_sweep () =
   in
   check points
 
+(* Pareto.sweep pinned: W_hom n=20 seed 7 over every generated
+   candidate, storage as the metric, the default sweep — each point's
+   lambda, cost and metric as hex floats with its selection, and the
+   solve count. *)
+let pareto_sweep_pins =
+  [
+    "solves 5";
+    "lambda 0x1.0624dd2f1a9fcp-10 cost 0x1.a60dbb9c249ep+21 metric 0x0p+0 z []";
+    "lambda 0x1.fefba330e1351p-1 cost 0x1.3c216d8e5a145p+21 \
+     metric 0x1.14fep+28 z [12;52;83;126]";
+    "lambda 0x1.ff7ced916872bp-1 cost 0x1.8cca10552bad5p+20 \
+     metric 0x1.b6f3p+29 z [9;12;20;34;52;80;81;96;116;126]";
+  ]
+
+let test_pareto_sweep_pins () =
+  let e = env () in
+  let w = Workload.Gen.hom schema ~n:20 ~seed:7 in
+  let cache = Inum.build_workload e w in
+  let cands = Array.of_list (Cophy.Cgen.generate w) in
+  let sp = Cophy.Sproblem.build e cache cands in
+  let points, solves =
+    Cophy.Pareto.sweep sp ~metric_coeff:(Cophy.Pareto.storage_metric sp)
+  in
+  let show (p : Cophy.Pareto.point) =
+    let z = p.Cophy.Pareto.z in
+    Printf.sprintf "lambda %h cost %h metric %h z [%s]" p.Cophy.Pareto.lambda
+      p.Cophy.Pareto.cost p.Cophy.Pareto.metric
+      (String.concat ";"
+         (List.filter_map
+            (fun a -> if z.(a) then Some (string_of_int a) else None)
+            (List.init (Array.length z) Fun.id)))
+  in
+  Alcotest.(check (list string)) "points and solves" pareto_sweep_pins
+    (Printf.sprintf "solves %d" solves :: List.map show points)
+
 let test_pareto_chord_vs_dense () =
   (* the chord sweep's points must not be dominated by a dense lambda
      sweep (same solver, 21 evenly spaced lambdas) *)
@@ -1861,6 +1938,8 @@ let () =
             test_decomposition_never_branches;
           Alcotest.test_case "W_het pins (cold, warm, z rows, accept)" `Quick
             test_decomposition_het_pins;
+          Alcotest.test_case "fig6a path pins (W_hom n=20)" `Quick
+            test_decomposition_fig6a_path_pins;
           Alcotest.test_case "mandatory row (Ge) never violated" `Quick
             test_decomposition_mandatory_row;
           Alcotest.test_case "query-cost caps (hom n=4, n=8)" `Quick
@@ -1906,6 +1985,8 @@ let () =
       ( "pareto",
         [
           Alcotest.test_case "sweep" `Quick test_pareto_sweep;
+          Alcotest.test_case "sweep pins (W_hom n=20)" `Quick
+            test_pareto_sweep_pins;
           Alcotest.test_case "chord vs dense" `Slow test_pareto_chord_vs_dense;
         ] );
       ( "interactive",
