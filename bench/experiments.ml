@@ -229,28 +229,25 @@ let fig6a () =
       let budget = Catalog.Tpch.database_size schema in
       let events = ref [] in
       let options =
-        { Cophy.Decomposition.default_options with
-          Cophy.Decomposition.gap_tolerance = 0.005;
+        { Cophy.Solver.default_options with
+          Cophy.Solver.gap_tolerance = 0.005;
           max_iters = 150;
-          on_event = (fun e -> events := e :: !events) }
+          on_feedback = (fun e -> events := e :: !events) }
       in
-      ignore
-        (Cophy.Decomposition.solve ~options sp ~budget ~z_rows:[]
-           ~block_caps:[]);
+      ignore (Cophy.Solver.solve ~options sp ~budget ~z_rows:[] ~block_caps:[]);
       let events = List.rev !events in
       Fmt.pr "@.W_%d (%d stmts): %d feedback events@." paper_n n
         (List.length events);
       Fmt.pr "  %-10s %-14s %-14s %-8s@." "t(s)" "incumbent" "bound" "gap%";
       let total = List.length events in
       List.iteri
-        (fun i (e : Cophy.Decomposition.event) ->
+        (fun i (e : Cophy.Solver.feedback) ->
           if i < 3 || i mod (max 1 (total / 8)) = 0 || i = total - 1 then
-            Fmt.pr "  %-10.3f %-14.0f %-14.0f %-8.2f@."
-              e.Cophy.Decomposition.elapsed e.Cophy.Decomposition.incumbent
-              e.Cophy.Decomposition.bound
+            Fmt.pr "  %-10.3f %-14.0f %-14.0f %-8.2f@." e.Cophy.Solver.elapsed
+              e.Cophy.Solver.incumbent e.Cophy.Solver.bound
               (100.0
-              *. (e.Cophy.Decomposition.incumbent -. e.Cophy.Decomposition.bound)
-              /. (abs_float e.Cophy.Decomposition.incumbent +. 1e-9)))
+              *. (e.Cophy.Solver.incumbent -. e.Cophy.Solver.bound)
+              /. (abs_float e.Cophy.Solver.incumbent +. 1e-9)))
         events)
     scaled
 

@@ -37,7 +37,7 @@ type session = {
   baseline : Storage.Config.t;  (* what query-cost caps are relative to *)
   mutable problem : Sproblem.t option;          (* invalidated by deltas *)
   prices : Sproblem.prices;  (* template pricings, reused across rebuilds *)
-  mutable multipliers : Decomposition.multipliers option;
+  mutable multipliers : Solver.multipliers option;
   mutable last : Solver.report option;  (* previous selection and report *)
 }
 

@@ -26,7 +26,7 @@ type point = {
 (* Scalarized solve: min lambda*cost + (1-lambda)*metric where metric =
    sum metric_coeff_a z_a + metric_offset.  Implemented by scaling the
    problem's per-candidate fixed coefficients.  [warm] carries multipliers
-   across solves; every solve runs at [Decomposition.default_options]. *)
+   across solves; every solve runs at [Solver.default_options]. *)
 let scalarized_solve sp ~(metric_coeff : float array) ~lambda ~warm =
   (* Shift the per-candidate coefficient: lambda*ucost + (1-lambda)*coeff.
      Because the Lagrangian multipliers are tied to (statement, index)
@@ -50,18 +50,16 @@ let scalarized_solve sp ~(metric_coeff : float array) ~lambda ~warm =
       Sproblem.blocks = blocks';
       Sproblem.fixed = lambda *. sp.Sproblem.fixed }
   in
-  let options = { Decomposition.default_options with Decomposition.warm } in
-  let r =
-    Decomposition.solve ~options sp' ~budget:infinity ~z_rows:[] ~block_caps:[]
-  in
-  let z = r.Decomposition.z in
+  let options = { Solver.default_options with Solver.warm } in
+  let r = Solver.solve ~options sp' ~budget:infinity ~z_rows:[] ~block_caps:[] in
+  let z = r.Solver.z in
   let cost = Sproblem.eval sp z in
   let metric =
     let acc = ref 0.0 in
     Array.iteri (fun a sel -> if sel then acc := !acc +. metric_coeff.(a)) z;
     !acc
   in
-  ({ lambda; z; cost; metric }, r.Decomposition.multipliers)
+  ({ lambda; z; cost; metric }, r.Solver.multipliers)
 
 (* Perpendicular distance of point p from the segment (a, b) in the
    normalized (metric, cost) plane. *)

@@ -12,14 +12,14 @@ type point = {
   metric : float;  (** soft-constraint metric of this solution *)
 }
 
-(** One scalarized solve at {!Decomposition.default_options}; returns the
+(** One scalarized solve at {!Solver.default_options}; returns the
     point and the multipliers for warm starting the next one. *)
 val scalarized_solve :
   Sproblem.t ->
   metric_coeff:float array ->
   lambda:float ->
-  warm:Decomposition.multipliers option ->
-  point * Decomposition.multipliers
+  warm:Solver.multipliers option ->
+  point * Solver.multipliers
 
 (** Chord sweep: Pareto points sorted by metric, plus the number of solver
     invocations.  [epsilon] is the relative chord-distance tolerance;

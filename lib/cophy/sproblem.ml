@@ -7,8 +7,8 @@
    no-index gamma.  The z variables, sizes, and update-maintenance costs
    complete the program.
 
-   [Decomposition], the one solver, exploits the block structure
-   directly; [to_lp] materializes the explicit BIP of Theorem 1 for the
+   [Solver]'s Lagrangian decomposition, the one solver, exploits the
+   block structure directly; [to_lp] materializes the explicit BIP of Theorem 1 for the
    generic simplex + branch-and-bound solver, which serves as a
    reference. *)
 

@@ -4,8 +4,8 @@
     choice is dropped only when its gamma is infinite or no better than
     the no-index gamma; the candidate's z variable always survives).
 
-    {!Decomposition}, the one solver, exploits the block structure
-    directly; {!to_lp} materializes the explicit BIP for simplex +
+    {!Solver}'s Lagrangian decomposition, the one solver, exploits the
+    block structure directly; {!to_lp} materializes the explicit BIP for simplex +
     branch-and-bound, which serves as a reference. *)
 
 type slot_choice = { cand : int; gamma : float }

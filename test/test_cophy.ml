@@ -596,19 +596,19 @@ let prop_theorem1_random_instances =
           abs_float (Cophy.Sproblem.eval sp z -. expected) < 1.0
       | None -> expected = infinity)
 
-(* --- Decomposition solver --- *)
+(* --- Solver: the Lagrangian decomposition --- *)
 
 let test_decomposition_respects_budget () =
   let _, _, _, sp = build_problem ~n:8 () in
   let budget = 0.3 *. db_size in
-  let r = Cophy.Decomposition.solve sp ~budget ~z_rows:[] ~block_caps:[] in
+  let r = Cophy.Solver.solve sp ~budget ~z_rows:[] ~block_caps:[] in
   Alcotest.(check bool) "within budget" true
-    (Cophy.Sproblem.total_size sp r.Cophy.Decomposition.z <= budget +. 1.0);
+    (Cophy.Sproblem.total_size sp r.Cophy.Solver.z <= budget +. 1.0);
   Alcotest.(check bool) "bound <= obj" true
-    (r.Cophy.Decomposition.bound <= r.Cophy.Decomposition.obj +. 1e-6);
+    (r.Cophy.Solver.bound <= r.Cophy.Solver.objective +. 1e-6);
   Alcotest.(check (float 1.0)) "obj = eval(z)"
-    (Cophy.Sproblem.eval sp r.Cophy.Decomposition.z)
-    r.Cophy.Decomposition.obj
+    (Cophy.Sproblem.eval sp r.Cophy.Solver.z)
+    r.Cophy.Solver.objective
 
 let test_decomposition_near_exact () =
   (* on a small instance the decomposition incumbent should be close to
@@ -623,37 +623,37 @@ let test_decomposition_near_exact () =
   let sp = Cophy.Sproblem.build e cache cands in
   let budget = 0.5 *. db_size in
   let exact = exhaustive_optimum sp ~budget in
-  let r = Cophy.Decomposition.solve sp ~budget ~z_rows:[] ~block_caps:[] in
+  let r = Cophy.Solver.solve sp ~budget ~z_rows:[] ~block_caps:[] in
   Alcotest.(check bool) "within 10% of optimum" true
-    (r.Cophy.Decomposition.obj <= exact *. 1.10 +. 1.0);
+    (r.Cophy.Solver.objective <= exact *. 1.10 +. 1.0);
   Alcotest.(check bool) "bound below optimum" true
-    (r.Cophy.Decomposition.bound <= exact +. 1.0)
+    (r.Cophy.Solver.bound <= exact +. 1.0)
 
 let test_decomposition_events_monotone () =
   let _, _, _, sp = build_problem ~n:8 () in
   let events = ref [] in
   let options =
-    { Cophy.Decomposition.default_options with
-      Cophy.Decomposition.gap_tolerance = 1e-4; max_iters = 60;
-      on_event = (fun e -> events := e :: !events) }
+    { Cophy.Solver.default_options with
+      Cophy.Solver.gap_tolerance = 1e-4; max_iters = 60;
+      on_feedback = (fun e -> events := e :: !events) }
   in
   ignore
-    (Cophy.Decomposition.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows:[]
+    (Cophy.Solver.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows:[]
        ~block_caps:[]);
   let events = List.rev !events in
   Alcotest.(check bool) "events streamed" true (List.length events >= 2);
   let rec check_monotone prev = function
     | [] -> ()
-    | (e : Cophy.Decomposition.event) :: rest ->
+    | (e : Cophy.Solver.feedback) :: rest ->
         Alcotest.(check bool) "incumbent non-increasing" true
-          (e.Cophy.Decomposition.incumbent <= prev.Cophy.Decomposition.incumbent +. 1e-6);
+          (e.Cophy.Solver.incumbent <= prev.Cophy.Solver.incumbent +. 1e-6);
         check_monotone e rest
   in
   (match events with e :: rest -> check_monotone e rest | [] -> ());
   (* gap is eventually reported *)
   let final = List.nth events (List.length events - 1) in
   Alcotest.(check bool) "final bound below incumbent" true
-    (final.Cophy.Decomposition.bound <= final.Cophy.Decomposition.incumbent +. 1e-6)
+    (final.Cophy.Solver.bound <= final.Cophy.Solver.incumbent +. 1e-6)
 
 let test_decomposition_z_rows () =
   let _, _, _, sp = build_problem ~n:6 () in
@@ -662,45 +662,45 @@ let test_decomposition_z_rows () =
     [ { Constr.row_coeffs = [ (forbidden_pos, 1.0) ]; row_cmp = Constr.Le;
         row_rhs = 0.0; row_name = "forbid0" } ]
   in
-  let r = Cophy.Decomposition.solve sp ~budget:db_size ~z_rows ~block_caps:[] in
+  let r = Cophy.Solver.solve sp ~budget:db_size ~z_rows ~block_caps:[] in
   Alcotest.(check bool) "forbidden not selected" false
-    r.Cophy.Decomposition.z.(forbidden_pos)
+    r.Cophy.Solver.z.(forbidden_pos)
 
 let test_decomposition_time_limit () =
   (* even with (almost) no time, a feasible incumbent and a valid bound
      come back — the early-termination contract *)
   let _, _, _, sp = build_problem ~n:8 () in
   let options =
-    { Cophy.Decomposition.default_options with
-      Cophy.Decomposition.time_limit = 0.001; max_iters = 1 }
+    { Cophy.Solver.default_options with
+      Cophy.Solver.time_limit = 0.001; max_iters = 1 }
   in
   let budget = 0.5 *. db_size in
   let r =
-    Cophy.Decomposition.solve ~options sp ~budget ~z_rows:[] ~block_caps:[]
+    Cophy.Solver.solve ~options sp ~budget ~z_rows:[] ~block_caps:[]
   in
   Alcotest.(check bool) "feasible" true
-    (Cophy.Sproblem.total_size sp r.Cophy.Decomposition.z <= budget +. 1.0);
+    (Cophy.Sproblem.total_size sp r.Cophy.Solver.z <= budget +. 1.0);
   Alcotest.(check bool) "bound valid" true
-    (r.Cophy.Decomposition.bound <= r.Cophy.Decomposition.obj +. 1e-6)
+    (r.Cophy.Solver.bound <= r.Cophy.Solver.objective +. 1e-6)
 
 let test_decomposition_warm_start () =
   let _, _, _, sp = build_problem ~n:8 () in
   let budget = 0.5 *. db_size in
-  let r1 = Cophy.Decomposition.solve sp ~budget ~z_rows:[] ~block_caps:[] in
+  let r1 = Cophy.Solver.solve sp ~budget ~z_rows:[] ~block_caps:[] in
   (* the full warm seam: prior multipliers plus the prior incumbent
      selection — the retune pattern — makes the restart never worse *)
-  let warm_sel = Cophy.Sproblem.config_of sp r1.Cophy.Decomposition.z in
+  let warm_sel = Cophy.Sproblem.config_of sp r1.Cophy.Solver.z in
   let options =
-    { Cophy.Decomposition.default_options with
-      Cophy.Decomposition.warm = Some r1.Cophy.Decomposition.multipliers;
+    { Cophy.Solver.default_options with
+      Cophy.Solver.warm = Some r1.Cophy.Solver.multipliers;
       warm_z = Some warm_sel;
       max_iters = 50 }
   in
   let r2 =
-    Cophy.Decomposition.solve ~options sp ~budget ~z_rows:[] ~block_caps:[]
+    Cophy.Solver.solve ~options sp ~budget ~z_rows:[] ~block_caps:[]
   in
   Alcotest.(check bool) "warm restart no worse" true
-    (r2.Cophy.Decomposition.obj <= r1.Cophy.Decomposition.obj +. 1e-6)
+    (r2.Cophy.Solver.objective <= r1.Cophy.Solver.objective +. 1e-6)
 
 (* --- Block cost kernels (properties) --- *)
 
@@ -922,7 +922,7 @@ let prop_repair_eval_fused =
       List.for_all
         (fun jobs ->
           let zf, objf =
-            Cophy.Decomposition.repair_eval ~jobs sp ~budget ~z_rows ~mandatory z
+            Cophy.Solver.repair_eval ~jobs sp ~budget ~z_rows ~mandatory z
           in
           zf = zr && same_bits objf obj)
         [ 1; 3 ])
@@ -946,7 +946,7 @@ let prop_singleton_savings_one_pass =
       in
       List.for_all
         (fun jobs ->
-          let got = Cophy.Decomposition.singleton_savings ~jobs sp in
+          let got = Cophy.Solver.singleton_savings ~jobs sp in
           Array.for_all2 (Array.for_all2 same_bits) reference got)
         [ 1; 3 ])
 
@@ -979,18 +979,18 @@ let test_decomposition_het_pins () =
   let selected z =
     List.filter (fun a -> z.(a)) (List.init (Array.length z) Fun.id)
   in
-  let show label (r : Cophy.Decomposition.result) =
+  let show label (r : Cophy.Solver.report) =
     Printf.sprintf "%s: obj %h bound %h iterations %d z [%s]" label
-      r.Cophy.Decomposition.obj r.Cophy.Decomposition.bound
-      r.Cophy.Decomposition.iterations
+      r.Cophy.Solver.objective r.Cophy.Solver.bound
+      r.Cophy.Solver.iterations
       (String.concat ";"
-         (List.map string_of_int (selected r.Cophy.Decomposition.z)))
+         (List.map string_of_int (selected r.Cophy.Solver.z)))
   in
   List.iter
     (fun jobs ->
-      let options = { Cophy.Decomposition.default_options with jobs } in
+      let options = { Cophy.Solver.default_options with jobs } in
       let solve ?(options = options) ?accept z_rows =
-        Cophy.Decomposition.solve ~options ?accept sp ~budget ~z_rows
+        Cophy.Solver.solve ~options ?accept sp ~budget ~z_rows
           ~block_caps:[]
       in
       let cold = solve [] in
@@ -998,13 +998,13 @@ let test_decomposition_het_pins () =
         solve
           ~options:
             { options with
-              Cophy.Decomposition.warm =
-                Some cold.Cophy.Decomposition.multipliers;
+              Cophy.Solver.warm =
+                Some cold.Cophy.Solver.multipliers;
               warm_z =
-                Some (Cophy.Sproblem.config_of sp cold.Cophy.Decomposition.z) }
+                Some (Cophy.Sproblem.config_of sp cold.Cophy.Solver.z) }
           []
       in
-      let banned = cands.(List.hd (selected cold.Cophy.Decomposition.z)) in
+      let banned = cands.(List.hd (selected cold.Cophy.Solver.z)) in
       let rows =
         (Constr.split schema cands
            [ Constr.At_most_one_clustered; Constr.Forbidden [ banned ] ])
@@ -1039,17 +1039,17 @@ let test_decomposition_fig6a_path_pins () =
   let sp = Cophy.Sproblem.build e cache cands in
   let events = ref [] in
   let options =
-    { Cophy.Decomposition.default_options with
-      Cophy.Decomposition.gap_tolerance = 0.005;
+    { Cophy.Solver.default_options with
+      Cophy.Solver.gap_tolerance = 0.005;
       max_iters = 150;
-      on_event =
-        (fun (ev : Cophy.Decomposition.event) ->
+      on_feedback =
+        (fun (ev : Cophy.Solver.feedback) ->
           events :=
-            (ev.Cophy.Decomposition.incumbent, ev.Cophy.Decomposition.bound)
+            (ev.Cophy.Solver.incumbent, ev.Cophy.Solver.bound)
             :: !events) }
   in
   ignore
-    (Cophy.Decomposition.solve ~options sp ~budget:db_size ~z_rows:[]
+    (Cophy.Solver.solve ~options sp ~budget:db_size ~z_rows:[]
        ~block_caps:[]);
   let events = List.rev !events in
   let pairs =
@@ -1081,7 +1081,7 @@ let test_update_heavy_advisor () =
    Ge row, so it must never stand as the incumbent, and repair must not
    drop the index.  The solver reaches branch and bound's optimum and
    certifies; below the index's size the z polytope is empty and the
-   decomposition says so with an infinite bound. *)
+   solver raises [Infeasible]. *)
 let test_decomposition_mandatory_row () =
   let w =
     Workload.Gen.hom schema ~n:8 ~seed:13
@@ -1106,13 +1106,11 @@ let test_decomposition_mandatory_row () =
     (Storage.Config.mem ix decomposed.Cophy.Solver.config);
   Alcotest.(check (float 1e-6)) "objective = branch and bound's"
     (bb_optimum ~z_rows sp ~budget) decomposed.Cophy.Solver.objective;
-  let r =
-    Cophy.Decomposition.solve sp ~budget:(0.5 *. size) ~z_rows ~block_caps:[]
-  in
-  Alcotest.(check (float 0.0)) "no incumbent below the index's size"
-    infinity r.Cophy.Decomposition.obj;
-  Alcotest.(check (float 0.0)) "infeasible z polytope: infinite bound"
-    infinity r.Cophy.Decomposition.bound
+  match
+    Cophy.Solver.solve sp ~budget:(0.5 *. size) ~z_rows ~block_caps:[]
+  with
+  | exception Cophy.Solver.Infeasible _ -> ()
+  | _ -> Alcotest.fail "expected Infeasible below the index's size"
 
 let test_pruning_ablation_same_optimum () =
   (* dominance pruning is lossless: both problems have the same optimum *)
@@ -1163,8 +1161,10 @@ let test_solver_infeasible () =
 (* The feasibility check needs no LP when the empty selection is
    feasible: with no z rows and a nonnegative budget a solve runs no
    simplex at all.  A negative budget, or z rows, still go through the
-   LP: only its proof gives the "no single offender" verdict (a search
-   that merely finds nothing says "not proven impossible"). *)
+   LP: only its proof names an offender — [storage] when the budget
+   alone cannot hold, with or without z rows — or gives the "no single
+   offender" verdict (a search that merely finds nothing says "not
+   proven impossible"). *)
 let test_solver_feasibility_closed_form () =
   let _, _, _, sp = build_problem () in
   let lp_counts f =
@@ -1192,8 +1192,15 @@ let test_solver_feasibility_closed_form () =
     | _ -> Alcotest.fail "expected Infeasible"
   in
   let proof = [ "constraint conjunction (no single offender)" ] in
-  Alcotest.(check (list string)) "budget -1 goes through the LP" proof
+  Alcotest.(check (list string)) "budget -1 goes through the LP"
+    [ "storage" ]
     (verdict ~budget:(-1.0) ~z_rows:[]);
+  Alcotest.(check (list string)) "budget -1 names storage beside a z row"
+    [ "storage" ]
+    (verdict ~budget:(-1.0)
+       ~z_rows:
+         [ { Constr.row_coeffs = [ (0, 1.0) ]; row_cmp = Constr.Le;
+             row_rhs = 0.0; row_name = "forbid0" } ]);
   Alcotest.(check (list string)) "a z row goes through the LP" proof
     (verdict ~budget:db_size
        ~z_rows:
@@ -1724,13 +1731,13 @@ let test_parallel_determinism () =
     let sp = Cophy.Sproblem.build e cache cands in
     let options =
       {
-        Cophy.Decomposition.default_options with
-        Cophy.Decomposition.max_iters = 60;
+        Cophy.Solver.default_options with
+        Cophy.Solver.max_iters = 60;
         jobs;
       }
     in
     let r =
-      Cophy.Decomposition.solve ~options sp ~budget:(0.5 *. db_size)
+      Cophy.Solver.solve ~options sp ~budget:(0.5 *. db_size)
         ~z_rows:[] ~block_caps:[]
     in
     (cache, r)
@@ -1750,14 +1757,14 @@ let test_parallel_determinism () =
       Alcotest.(check int) "init calls" (Inum.init_calls i1)
         (Inum.init_calls i4))
     c1.Inum.selects c4.Inum.selects;
-  Alcotest.(check (float 0.0)) "objective identical" r1.Cophy.Decomposition.obj
-    r4.Cophy.Decomposition.obj;
-  Alcotest.(check (float 0.0)) "bound identical" r1.Cophy.Decomposition.bound
-    r4.Cophy.Decomposition.bound;
+  Alcotest.(check (float 0.0)) "objective identical" r1.Cophy.Solver.objective
+    r4.Cophy.Solver.objective;
+  Alcotest.(check (float 0.0)) "bound identical" r1.Cophy.Solver.bound
+    r4.Cophy.Solver.bound;
   Alcotest.(check int) "iteration count identical"
-    r1.Cophy.Decomposition.iterations r4.Cophy.Decomposition.iterations;
-  Alcotest.(check (array bool)) "selection identical" r1.Cophy.Decomposition.z
-    r4.Cophy.Decomposition.z
+    r1.Cophy.Solver.iterations r4.Cophy.Solver.iterations;
+  Alcotest.(check (array bool)) "selection identical" r1.Cophy.Solver.z
+    r4.Cophy.Solver.z
 
 let test_parallel_determinism_advisor () =
   let w = small_workload ~n:8 ~seed:11 () in
@@ -1780,8 +1787,8 @@ let test_jobs_determinism_decomposition () =
     let sp = Cophy.Sproblem.build e cache cands in
     let options =
       {
-        Cophy.Decomposition.default_options with
-        Cophy.Decomposition.max_iters = 40;
+        Cophy.Solver.default_options with
+        Cophy.Solver.max_iters = 40;
         jobs;
       }
     in
@@ -1796,14 +1803,14 @@ let test_jobs_determinism_decomposition () =
         };
       ]
     in
-    Cophy.Decomposition.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows
+    Cophy.Solver.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows
       ~block_caps:[]
   in
   let r1 = run 1 and r4 = run 4 in
-  Alcotest.(check (array bool)) "selection identical" r1.Cophy.Decomposition.z
-    r4.Cophy.Decomposition.z;
-  Alcotest.(check (float 0.0)) "objective identical" r1.Cophy.Decomposition.obj
-    r4.Cophy.Decomposition.obj
+  Alcotest.(check (array bool)) "selection identical" r1.Cophy.Solver.z
+    r4.Cophy.Solver.z;
+  Alcotest.(check (float 0.0)) "objective identical" r1.Cophy.Solver.objective
+    r4.Cophy.Solver.objective
 
 (* Guard: the Lagrangian loop never calls branch and bound.  With tracing
    on, a decomposed solve on hom n=30 — once on the greedy knapsack path
@@ -1816,7 +1823,7 @@ let test_decomposition_never_branches () =
   let cands = Array.of_list (Cophy.Cgen.generate w) in
   let sp = Cophy.Sproblem.build e cache cands in
   let options =
-    { Cophy.Decomposition.default_options with Cophy.Decomposition.max_iters = 40 }
+    { Cophy.Solver.default_options with Cophy.Solver.max_iters = 40 }
   in
   let at_most_6 =
     {
@@ -1832,14 +1839,14 @@ let test_decomposition_never_branches () =
       Runtime.Trace.enable ();
       let r =
         Fun.protect ~finally:Runtime.Trace.disable @@ fun () ->
-        Cophy.Decomposition.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows
+        Cophy.Solver.solve ~options sp ~budget:(0.5 *. db_size) ~z_rows
       ~block_caps:[]
       in
       let counters = Runtime.Trace.counters () in
       let get name = Option.value ~default:0 (List.assoc_opt name counters) in
       Alcotest.(check bool) (label ^ ": the loop ran") true
-        (r.Cophy.Decomposition.iterations > 0
-        && get "decomposition.iterations" = r.Cophy.Decomposition.iterations);
+        (r.Cophy.Solver.iterations > 0
+        && get "decomposition.iterations" = r.Cophy.Solver.iterations);
       Alcotest.(check int) (label ^ ": bb.nodes") 0 (get "bb.nodes");
       List.iter
         (fun (name, v) ->
