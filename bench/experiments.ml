@@ -118,7 +118,16 @@ let run_ilp ?(options = Advisors.Ilp.default_options) schema w ~m ~candidates =
     inum_s = r.Advisors.Ilp.timings.Advisors.Ilp.inum_seconds;
     build_s = r.Advisors.Ilp.timings.Advisors.Ilp.build_seconds;
     solve_s = r.Advisors.Ilp.timings.Advisors.Ilp.solve_seconds;
-    note = Printf.sprintf "%d atomic configs" r.Advisors.Ilp.configurations;
+    note =
+      (* An infinite objective means branch and bound stopped at its
+         time limit before finding any incumbent: the time is the limit
+         and the configuration is empty, not a result. *)
+      (if r.Advisors.Ilp.objective < infinity then
+         Printf.sprintf "%d atomic configs, obj %.2f"
+           r.Advisors.Ilp.configurations r.Advisors.Ilp.objective
+       else
+         Printf.sprintf "%d atomic configs; limit, no incumbent"
+           r.Advisors.Ilp.configurations);
   }
 
 let section title =
@@ -390,9 +399,9 @@ let fig10 () =
           time_limit = 180.0 }
       in
       let i = run_ilp ~options:ilp_opts schema w ~m:1.0 ~candidates:cands in
-      Fmt.pr "%-8d | %6.2f %6.2f %6.2f (%6.2f) | %6.2f %6.2f %6.2f (%6.2f)@."
+      Fmt.pr "%-8d | %6.2f %6.2f %6.2f (%6.2f) | %6.2f %6.2f %6.2f (%6.2f) %s@."
         n c.inum_s c.build_s c.solve_s c.seconds i.inum_s i.build_s i.solve_s
-        i.seconds)
+        i.seconds i.note)
     [ 15; 30; 60 ]
 
 (* --- Ablations: the design choices DESIGN.md calls out --- *)

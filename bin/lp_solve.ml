@@ -1,19 +1,17 @@
 (* A small MIP solver front-end for CPLEX LP format files:
 
      dune exec bin/lp_solve.exe -- model.lp [--gap 0.01] [--time 60]
-                                  [--no-presolve] [--jobs 4] [--no-cuts]
-                                  [--no-warm] [--stats] [--check]
-                                  [--trace FILE]
+                                  [--no-presolve] [--jobs 4] [--stats]
+                                  [--check] [--trace FILE]
 
    Prints the status, objective, and nonzero variable values (integer
-   models also print their node and cut counts) — handy for inspecting
-   BIPs exported with Lp.Lp_format.to_file.  Continuous
-   models run presolve and the sparse simplex ([--no-presolve] skips
-   presolve).  Integer models run the best-first branch-and-bound:
-   [--jobs] sets the parallel node-evaluation width (the certified
-   objective is identical at every job count), [--no-cuts] disables
-   cover-cut separation, and [--no-warm] makes every node re-solve cold
-   instead of warm-starting the dual simplex from its parent basis.
+   models also print their node count) — handy for inspecting BIPs
+   exported with Lp.Lp_format.to_file.  Continuous models run presolve
+   and the sparse simplex ([--no-presolve] skips presolve).  Integer
+   models run the cold best-first branch-and-bound, each node a fresh
+   sparse solve: [--jobs] sets the parallel node-evaluation width (the
+   certified objective and the node count are identical at every job
+   count).
    [--stats] prints the trace counters of the layers that ran:
    simplex.*, plus bb.* on integer models and presolve.* when presolve
    ran.
@@ -31,18 +29,12 @@ let () =
   let want_check = ref false in
   let trace = ref None in
   let jobs = ref 1 in
-  let cuts = ref true in
-  let warm = ref true in
   let specs =
     [ ("--gap", Arg.Set_float gap, "relative optimality gap (default 1e-6)");
       ("--time", Arg.Set_float time, "time limit in seconds");
       ( "--jobs",
         Arg.Set_int jobs,
         "parallel node evaluations in branch and bound (default 1)" );
-      ("--no-cuts", Arg.Clear cuts, "disable cover-cut separation");
-      ( "--no-warm",
-        Arg.Clear warm,
-        "re-solve every node cold instead of warm-starting the dual simplex" );
       ( "--no-presolve",
         Arg.Clear presolve,
         "solve continuous models without the presolve pass" );
@@ -114,8 +106,6 @@ let () =
             Lp.Branch_bound.gap_tolerance = !gap;
             time_limit = !time;
             jobs = max 1 !jobs;
-            cuts = !cuts;
-            warm_start = !warm;
             certify_incumbents = !want_check }
         in
         let r =
@@ -138,9 +128,8 @@ let () =
             print_stats ();
             exit (if r.Lp.Branch_bound.status = Lp.Branch_bound.Infeasible then 1 else 3)
         | Some x ->
-            Fmt.pr "objective: %.9g@.nodes: %d@.cuts: %d (uncertified %d)@."
-              r.Lp.Branch_bound.obj r.Lp.Branch_bound.nodes
-              r.Lp.Branch_bound.cuts_added r.Lp.Branch_bound.cuts_uncertified;
+            Fmt.pr "objective: %.9g@.nodes: %d@." r.Lp.Branch_bound.obj
+              r.Lp.Branch_bound.nodes;
             Array.iteri
               (fun v value ->
                 if abs_float value > 1e-9 then

@@ -20,7 +20,7 @@
      any linear z constraints), solved as an LP for a valid lower bound;
    - subgradient ascent from benefit-initialized multipliers tightens
      the bound, and without extra z rows the knapsack's reduced costs
-     harden z variables and probe thresholds against the incumbent;
+     harden z variables against the incumbent;
    - rounding plus incremental local search produce incumbents.
 
    Blocks are merged by [Sproblem.compress] first.  Nothing in the loop
@@ -211,8 +211,8 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~weight ~price
    is a fractional knapsack, solved greedily: its value is the analytic
    LP optimum, so it carries a proof.  It also returns the knapsack dual
    [y] (<= 0): the reduced cost [w_a - y * max 1 s_a] prices moving a
-   variable to its opposite bound, which is what the hardening and the
-   threshold probes consume.  The dual is the ratio of the first
+   variable to its opposite bound, which is what the hardening
+   consumes.  The dual is the ratio of the first
    fractional item, or of the best unselected item when the capacity
    came out exactly, or 0 when the budget does not bind — each a valid
    dual by complementary slackness over the sorted ratios.
@@ -279,35 +279,6 @@ let greedy_z_with_duals ~order ~w ~(sizes : float array) ~denom ~ratio
     incr i
   done;
   (!value, z, !y)
-
-(* A threshold probe's knapsack value: the greedy above under the probe's
-   fixings, without building [z] or the dual.  Candidate [a] is fixed to
-   one when [one_at.(a) > t] and to zero when [zero_at.(a) > t] (one
-   taking precedence, as in the greedy); the caller encodes the fixings
-   it holds for every threshold as [infinity] and the ones it never
-   makes as [neg_infinity], which is exact for the finite [t] a probe
-   uses. *)
-let probe_value ~order ~w ~(sizes : float array) ~denom ~budget
-    ~(one_at : float array) ~(zero_at : float array) (t : float) =
-  let value = ref 0.0 in
-  let cap = ref budget in
-  for a = 0 to Array.length w - 1 do
-    if one_at.(a) > t then begin
-      value := !value +. w.(a);
-      cap := !cap -. sizes.(a)
-    end
-  done;
-  let i = ref 0 in
-  while !i < Array.length order && !cap > 0.0 do
-    let a = order.(!i) in
-    if not (one_at.(a) > t || zero_at.(a) > t) then begin
-      let frac = fill_fraction !cap denom.(a) in
-      value := !value +. (frac *. w.(a));
-      cap := !cap -. (frac *. sizes.(a))
-    end;
-    incr i
-  done;
-  !value
 
 (* The z polytope: the storage budget and the linear z rows over
    relaxed binary variables, one per candidate.  The feasibility probe,
@@ -963,12 +934,10 @@ let decompose ~options ~accept (sp : Sproblem.t) ~budget
   let w = Array.make ncand 0.0 in
   let usage = Array.make nblocks [] in
   (* Per-solve scratch, written only on this domain: the per-byte
-     denominators, the knapsack ratios, the probes' fixing thresholds,
-     and the subgradient's mark of each block's used candidates. *)
+     denominators, the knapsack ratios, and the subgradient's mark of
+     each block's used candidates. *)
   let denom = Array.map (fun s -> max 1.0 s) sp.Sproblem.sizes in
   let ratio = Array.make ncand 0.0 in
-  let one_at = Array.make ncand neg_infinity in
-  let zero_at = Array.make ncand neg_infinity in
   let mark = Array.make ncand false in
   (* The block subproblems run in contiguous chunks of blocks (one at
      jobs 1), one pool task per chunk.  Each task allocates its own
@@ -1106,9 +1075,7 @@ let decompose ~options ~accept (sp : Sproblem.t) ~budget
            let u = !best_obj in
            let margin = 1e-6 *. (1.0 +. abs_float u) in
            (* [lower + rc a] and [lower - rc a], the costs of moving [a] to
-              its opposite bound, once per iteration; the same loop
-              records each candidate's probe thresholds (below) from its
-              state after hardening *)
+              its opposite bound, once per iteration *)
            for a = 0 to ncand - 1 do
              let free = (not forced_one.(a)) && not forced_zero.(a) in
              let at_zero = free && Runtime.Fx.is_zero zfrac.(a) in
@@ -1126,52 +1093,8 @@ let decompose ~options ~accept (sp : Sproblem.t) ~budget
                forced_one.(a) <- true;
                incr cg_hardened;
                Runtime.Trace.incr tr_cg_hardened
-             end;
-             if forced_one.(a) then begin
-               one_at.(a) <- infinity;
-               zero_at.(a) <- neg_infinity
              end
-             else if forced_zero.(a) then begin
-               one_at.(a) <- neg_infinity;
-               zero_at.(a) <- infinity
-             end
-             else begin
-               one_at.(a) <- (if at_one then down else neg_infinity);
-               zero_at.(a) <- (if at_zero then up else neg_infinity)
-             end
-           done;
-           (* Threshold binary search: to prove "optimum > t", fix every
-              variable whose reduced cost already forbids a solution of
-              value <= t from disagreeing with the greedy, re-price the
-              knapsack under those fixings, and check that even then the
-              bound clears t.  Solutions violating a fixing cost more
-              than t by construction, so the probe covers all of them.
-              A probe runs only while [lo] and [hi] are finite and apart,
-              so [t] is finite, as [probe_value]'s encoding needs. *)
-           if
-             u -. !best_bound
-             > options.gap_tolerance *. (abs_float u +. 1e-9)
-           then begin
-             let lo = ref (max !best_bound lower) and hi = ref u in
-             for _ = 1 to 8 do
-               if !hi -. !lo > margin then begin
-                 let t = !lo +. (0.5 *. (!hi -. !lo)) in
-                 let zv =
-                   probe_value ~order ~w ~sizes:sp.Sproblem.sizes ~denom
-                     ~budget ~one_at ~zero_at t
-                 in
-                 if base +. zv > t then lo := t else hi := t
-               end
-             done;
-             if !lo > !best_bound +. 1e-9 then begin
-               best_bound :=
-                 (!lo
-                 [@bound.sink bound
-                     "threshold-probe bound promotion; valid only over \
-                      proven re-priced knapsack values"]);
-               no_improve := 0
-             end
-           end
+           done
        | _ -> ());
        (* primal: round the z subproblem, enrich with the most-used
           candidates up to a small budget overshoot, repair, occasionally

@@ -10,10 +10,9 @@
     multiplier per capped block.  A cold start initializes the linking
     multipliers from a one-pass benefit estimate.  Without extra z rows
     the knapsack's reduced costs harden z variables against the
-    incumbent (trace counter [cg.hardened]) and a binary search over
-    thresholds between the bound and the incumbent raises the proven
-    bound; every fixing is conditional on the incumbent, which the final
-    [min bound obj] keeps sound.  No step solves an integer program. *)
+    incumbent (trace counter [cg.hardened]); every fixing is conditional
+    on the incumbent, which the final [min bound obj] keeps sound.  No
+    step solves an integer program. *)
 
 (** Raised when the constraints cannot be satisfied; carries the names
     of the offending constraints (paper: the DBA then removes them or

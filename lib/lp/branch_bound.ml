@@ -1,21 +1,14 @@
 (* Branch & bound for binary/mixed-integer programs over the simplex
-   relaxation, rebuilt as a warm-started, cut-generating, parallel
-   best-first node-pool search.
+   relaxation: a cold, best-first, parallel node-pool search.
 
-   The engine never mutates variable bounds of the input problem: a node
-   is a list of bound tightenings passed to the simplex session as
-   overrides, which is what lets one immutable {!Problem.t} be shared by
-   every worker domain.  Root processing separates lifted cover cuts
-   from the storage-budget knapsack rows ({!Cuts}) and installs the
-   violated ones as ordinary rows before the tree starts.  Node
-   re-solves restore the parent's basis snapshot and repair primal
-   feasibility with the dual simplex ({!Simplex.warm_solve}) — typically
-   a handful of pivots instead of a full two-phase solve.
+   The engine never mutates the input problem: a node is a list of bound
+   tightenings passed to {!Simplex.solve} as overrides, which is what
+   lets one immutable {!Problem.t} be shared by every worker domain.
+   Every node LP is a stateless two-phase sparse solve.
 
    Parallelism is bulk-synchronous through {!Runtime.Search}: each round
-   pops up to [batch] best nodes, evaluates their LPs concurrently (node
-   [i] of a round always runs on session [i]), and merges sequentially
-   in pop order.  Pop order, slot assignment and merge order are all
+   pops up to [batch] best nodes, evaluates their LPs concurrently, and
+   merges sequentially in pop order.  Pop order and merge order are
    independent of the job count, so the search trajectory — incumbent,
    bound, and node counts — is bit-identical at any [jobs].  The
    incumbent objective lives in an [Atomic] cell: written only during
@@ -36,8 +29,6 @@ type options = {
      violates rows, bounds, or integrality of the branched variables. *)
   certify_incumbents : bool;
   jobs : int;                (* concurrent node evaluations per round *)
-  cuts : bool;               (* separate cover cuts at the root *)
-  warm_start : bool;         (* dual-simplex re-solves from parent bases *)
 }
 
 let default_options =
@@ -47,8 +38,6 @@ let default_options =
     decision_vars = None;
     certify_incumbents = false;
     jobs = 1;
-    cuts = true;
-    warm_start = true;
   }
 
 type status = Optimal | Infeasible | Unbounded | Limit
@@ -59,8 +48,6 @@ type result = {
   obj : float;               (* objective of [x] (with problem offset) *)
   bound : float;             (* proven lower bound (with offset) *)
   nodes : int;
-  cuts_added : int;          (* cover cuts installed at the root *)
-  cuts_uncertified : int;    (* added cuts violated by the incumbent (0!) *)
 }
 
 let int_tol = 1e-6
@@ -84,29 +71,25 @@ let branch_var int_vars x =
     int_vars;
   if !best >= 0 then Some !best else None
 
-(* A node: its parent's LP bound, the accumulated bound tightenings
-   (newest first; they are passed oldest-first to the session so the
-   newest — tightest — override wins), and the parent basis snapshot to
-   warm the dual re-solve from.  [seq] is the deterministic creation
-   index used to break every ordering tie. *)
+(* A node: its parent's LP bound and the accumulated bound tightenings
+   (newest first; they are passed oldest-first to the simplex so the
+   newest — tightest — override wins).  [seq] is the deterministic
+   creation index used to break every ordering tie. *)
 type node = {
   nb : float;
   fixings : (int * float * float) list;
   depth : int;
   seq : int;
-  parent : Simplex.Basis.t option;
 }
 
 type eval_out =
   | Pruned  (* start-of-round bound prune, no LP solved *)
-  | Solved of Simplex.result * Simplex.Basis.t option
+  | Solved of Simplex.result
 
 (* Trace probes: single [Atomic.get] each when tracing is off. *)
 let tr_nodes = Runtime.Trace.counter "bb.nodes"
 let tr_incumbents = Runtime.Trace.counter "bb.incumbents"
 let tr_prunes = Runtime.Trace.counter "bb.prunes"
-let tr_cuts_added = Runtime.Trace.counter "bb.cuts_added"
-let tr_cuts_uncertified = Runtime.Trace.counter "bb.cuts_uncertified"
 
 let rounding_heuristic p int_vars x =
   let x' = Array.copy x in
@@ -124,10 +107,6 @@ let node_compare (a : node) (b : node) =
   | c -> c
 
 let solve ?(options = default_options) (p : Problem.t) =
-  (* Root cover cuts are installed as rows, so they go into a private
-     copy: a caller that solves one problem twice (cuts on/off, or at
-     another job count) must see the same model both times. *)
-  let p = if options.cuts then Problem.copy p else p in
   let t0 = Runtime.Clock.now () in
   let elapsed () = Runtime.Clock.now () -. t0 in
   let int_vars =
@@ -138,9 +117,6 @@ let solve ?(options = default_options) (p : Problem.t) =
   let restricted = options.decision_vars <> None in
   let offset = Problem.obj_offset p in
   let jobs = max 1 options.jobs in
-  (* One simplex session per evaluation slot, all bound to the shared
-     problem. *)
-  let sessions = Array.init batch (fun _ -> Simplex.new_session p) in
   let incumbent = ref None in
   (* Objective of the incumbent, without offset.  Written only in the
      sequential merge; read concurrently by evaluators for the
@@ -177,7 +153,7 @@ let solve ?(options = default_options) (p : Problem.t) =
     inc < infinity
     && inc -. !global_bound <= options.gap_tolerance *. (abs_float inc +. 1e-9)
   in
-  let mk_result status cuts_uncertified cuts_added =
+  let mk_result status =
     let best_x = !incumbent in
     let inc = Atomic.get incumbent_obj in
     {
@@ -200,97 +176,49 @@ let solve ?(options = default_options) (p : Problem.t) =
             "reported dual bound: callers derive the certified optimality \
              gap from it"]);
       nodes = !nodes;
-      cuts_added;
-      cuts_uncertified;
     }
   in
-  (* --- Root relaxation + cover-cut loop (sequential) --- *)
-  let root = Simplex.session_solve sessions.(0) in
+  (* --- Root relaxation (sequential) --- *)
+  let root = Simplex.solve ~basis:Simplex.Sparse p in
   match root.Simplex.status with
   | Simplex.Infeasible ->
       global_bound := infinity;
       Atomic.set incumbent_obj infinity;
       incumbent := None;
-      mk_result Infeasible 0 0
+      mk_result Infeasible
   | Simplex.Unbounded ->
       global_bound := neg_infinity;
-      mk_result Unbounded 0 0
+      mk_result Unbounded
   | Simplex.Iter_limit | Simplex.Optimal ->
       (* An iteration-limited relaxation proves nothing: its objective is
          the value of an arbitrary iterate, so it must not seed the
-         proven bound — and its basis must not seed warm starts. *)
+         proven bound. *)
       let root_solved = root.Simplex.status = Simplex.Optimal in
       let root_bound =
-        ref
-          ((if root_solved then root.Simplex.obj else neg_infinity)
-          [@bound.sink bound
-              "seed of the proven dual bound: an Iter_limit relaxation \
-               objective here fabricates the reported gap"])
+        (if root_solved then root.Simplex.obj else neg_infinity)
+        [@bound.sink bound
+            "seed of the proven dual bound: an Iter_limit relaxation \
+             objective here fabricates the reported gap"]
       in
-      let root_x = ref root.Simplex.x in
-      let pool = if options.cuts && root_solved then Some (Cuts.detect p) else None in
-      let cuts_added = ref 0 in
-      (match pool with
-      | None -> ()
-      | Some pool ->
-          (* Separate, install, re-solve; the re-solved objective is a
-             valid MIP bound because cover cuts hold at every integer
-             point.  Stop when separation dries up or a re-solve fails
-             to prove optimality (keep the last proven bound then). *)
-          let continue_ = ref true in
-          let round = ref 0 in
-          while !continue_ && !round < 8 do
-            incr round;
-            match Cuts.separate pool !root_x with
-            | [] -> continue_ := false
-            | violated ->
-                List.iter
-                  (fun c ->
-                    Cuts.add_to_problem pool p c;
-                    incr cuts_added;
-                    Runtime.Trace.incr tr_cuts_added)
-                  violated;
-                let r = Simplex.session_solve sessions.(0) in
-                if r.Simplex.status = Simplex.Optimal then begin
-                  root_bound :=
-                    (r.Simplex.obj
-                    [@bound.sink bound
-                        "cut-loop re-solve objective adopted as the root \
-                         bound; valid only for a proven optimum"]);
-                  root_x := r.Simplex.x
-                end
-                else continue_ := false
-          done);
-      global_bound := !root_bound;
-      (* Root incumbents: integral decision variables, else rounding. *)
-      (match branch_var int_vars !root_x with
-      | None ->
-          if root_solved || Problem.feasible p !root_x then
-            try_incumbent !root_x
-              (if root_solved then !root_bound
-               else Problem.objective_value p !root_x -. offset)
-      | Some _ ->
-          if not restricted then
-            match rounding_heuristic p int_vars !root_x with
-            | Some xr ->
-                try_incumbent xr (Problem.objective_value p xr -. offset)
-            | None -> ());
-      let certify_cuts () =
-        match (pool, !incumbent) with
-        | Some pool, Some x ->
-            let bad = Cuts.certify pool x in
-            Runtime.Trace.add tr_cuts_uncertified bad;
-            bad
-        | _ -> 0
-      in
-      (match branch_var int_vars !root_x with
+      let root_x = root.Simplex.x in
+      global_bound := root_bound;
+      (match branch_var int_vars root_x with
       | None ->
           (* Root already integral on the branched variables. *)
+          if root_solved || Problem.feasible p root_x then
+            try_incumbent root_x
+              (if root_solved then root_bound
+               else Problem.objective_value p root_x -. offset);
           global_bound := Atomic.get incumbent_obj;
           mk_result
             (if Atomic.get incumbent_obj < infinity then Optimal else Infeasible)
-            (certify_cuts ()) !cuts_added
       | Some v ->
+          (* Root incumbent by rounding. *)
+          (if not restricted then
+             match rounding_heuristic p int_vars root_x with
+             | Some xr ->
+                 try_incumbent xr (Problem.objective_value p xr -. offset)
+             | None -> ());
           (* --- Best-first node-pool search over Runtime.Search --- *)
           let seq = ref 0 in
           let next_seq () =
@@ -310,7 +238,7 @@ let solve ?(options = default_options) (p : Problem.t) =
           (* Children of a node at branching variable [v]: the child
              diving toward the rounded LP value is created first (smaller
              seq), so on equal bounds the heap explores it first. *)
-          let children node v xv snap =
+          let children node v xv =
             let lb, ub = eff_bounds node.fixings v in
             let lo = floor xv in
             let frac = xv -. lo in
@@ -320,7 +248,6 @@ let solve ?(options = default_options) (p : Problem.t) =
                 fixings = fixing :: node.fixings;
                 depth = node.depth + 1;
                 seq = next_seq ();
-                parent = snap;
               }
             in
             let down () = mk (v, lb, min ub lo) in
@@ -334,25 +261,15 @@ let solve ?(options = default_options) (p : Problem.t) =
               let u = up () in
               [ d; u ]
           in
-          let root_snap =
-            if options.warm_start && root_solved then
-              Simplex.save_basis sessions.(0)
-            else None
-          in
-          let root_node =
-            { nb = !root_bound; fixings = []; depth = 0; seq = 0;
-              parent = root_snap }
-          in
-          let roots = children root_node v !root_x.(v) root_snap in
+          let root_node = { nb = root_bound; fixings = []; depth = 0; seq = 0 } in
+          let roots = children root_node v root_x.(v) in
           let stop_status = ref None in
           (* [stop] is polled once per round; it also marks the round
              boundary so the first merge of each round can advance the
              proven bound (under best-first order the first pop of a
              round is the open-pool minimum, and it is non-decreasing).
              A closed gap is [Optimal] (within [gap_tolerance]), the same
-             label an exhausted pool gets: which round the gap test
-             trips on depends on warm starts and cuts, the claim does
-             not. *)
+             label an exhausted pool gets. *)
           let round_fresh = ref true in
           let stop () =
             round_fresh := true;
@@ -367,7 +284,7 @@ let solve ?(options = default_options) (p : Problem.t) =
             end
             else false
           in
-          let eval ~slot node =
+          let eval node =
             if
               (node.nb >= Atomic.get incumbent_obj -. 1e-9)
               [@bound.sink prune
@@ -375,21 +292,10 @@ let solve ?(options = default_options) (p : Problem.t) =
                    both sides must be proven (node bound / certified \
                    incumbent)"]
             then Pruned
-            else begin
-              let sess = sessions.(slot) in
-              let bounds = List.rev node.fixings in
-              let r =
-                match (options.warm_start, node.parent) with
-                | true, Some snap -> Simplex.warm_solve ~bounds sess snap
-                | _ -> Simplex.session_solve ~bounds sess
-              in
-              let snap =
-                if options.warm_start && r.Simplex.status = Simplex.Optimal
-                then Simplex.save_basis sess
-                else None
-              in
-              Solved (r, snap)
-            end
+            else
+              Solved
+                (Simplex.solve ~basis:Simplex.Sparse
+                   ~bounds:(List.rev node.fixings) p)
           in
           let expand node out =
             if !round_fresh then begin
@@ -400,7 +306,7 @@ let solve ?(options = default_options) (p : Problem.t) =
             | Pruned ->
                 Runtime.Trace.incr tr_prunes;
                 []
-            | Solved (r, snap) -> (
+            | Solved r -> (
                 incr nodes;
                 Runtime.Trace.incr tr_nodes;
                 match r.Simplex.status with
@@ -440,7 +346,7 @@ let solve ?(options = default_options) (p : Problem.t) =
                                  try_incumbent xr
                                    (Problem.objective_value p xr -. offset)
                              | None -> ());
-                          children { node with nb } v r.Simplex.x.(v) snap))
+                          children { node with nb } v r.Simplex.x.(v)))
           in
           Runtime.Search.run ~jobs ~batch ~compare:node_compare ~roots ~eval
             ~expand ~stop ();
@@ -454,4 +360,4 @@ let solve ?(options = default_options) (p : Problem.t) =
                 if Atomic.get incumbent_obj < infinity then Optimal
                 else Infeasible
           in
-          mk_result status (certify_cuts ()) !cuts_added)
+          mk_result status)

@@ -1,23 +1,22 @@
-(** Branch and bound over the simplex relaxation, run as a warm-started,
-    cut-generating, parallel best-first node-pool search.
+(** Branch and bound over the simplex relaxation, run as a cold,
+    best-first, parallel node-pool search.
 
-    Nodes are bound tightenings passed to per-slot {!Simplex.session}s
-    as overrides — the input problem's variable bounds are never
-    mutated, so one immutable problem is shared by all worker domains.
-    (Root cover cuts, when enabled, are installed as extra rows of a
-    private copy; the caller's problem is never changed, so solving it
-    again — cuts off, or at another [jobs] — starts from the same
-    model.)  Node
-    re-solves restore the parent's basis snapshot and repair primal
-    feasibility with the dual simplex; cover cuts from the
-    storage-budget knapsack rows tighten the root.  The node order is
-    best-bound (deeper nodes first on equal bounds) and the branching
-    rule most-fractional; a round pops 8 nodes, and the search stops
-    with [Limit] after 200,000.  It runs in
-    deterministic bulk-synchronous rounds over {!Runtime.Search}: the
-    trajectory, incumbent, bound, and node counts are bit-identical at
-    every [jobs] value.  It solves the ILP baseline ({!Advisors.Ilp}),
-    integer models in [lp_solve], and reference optima in tests. *)
+    A node is a list of bound tightenings passed to {!Simplex.solve} as
+    overrides — the input problem is never mutated, so one immutable
+    problem is shared by all worker domains — and every node LP is a
+    stateless two-phase sparse solve.  The node order is best-bound
+    (deeper nodes first on equal bounds) and the branching rule
+    most-fractional; a round pops 8 nodes, and the search stops with
+    [Limit] after 200,000.  It runs in deterministic bulk-synchronous
+    rounds over {!Runtime.Search}: the trajectory, incumbent, bound, and
+    node counts are bit-identical at every [jobs] value.  It solves the
+    ILP baseline ({!Advisors.Ilp}), integer models in [lp_solve], and
+    reference optima in tests.
+
+    Nodes re-solve cold on purpose: on the ILP baseline's Fig. 5/10
+    instances a dual-simplex warm start from the parent's basis cost a
+    node more than it saved, and root cover cuts did not shrink the
+    tree (DESIGN.md, section 13). *)
 
 type options = {
   gap_tolerance : float;  (** stop when (inc - bound)/|inc| <= this *)
@@ -33,12 +32,10 @@ type options = {
           recomputation) before accepting it.
           @raise Analyze.Certification_failed on a bad incumbent. *)
   jobs : int;  (** concurrent node evaluations per round *)
-  cuts : bool;  (** separate lifted cover cuts at the root *)
-  warm_start : bool;  (** dual-simplex re-solves from parent bases *)
 }
 
 val default_options : options
-(** jobs 1, cuts and warm starts on, no time limit, gap 1e-6. *)
+(** jobs 1, no time limit, gap 1e-6. *)
 
 type status =
   | Optimal
@@ -57,10 +54,6 @@ type result = {
   obj : float;  (** objective of [x], including the problem offset *)
   bound : float;  (** proven lower bound, including the offset *)
   nodes : int;
-  cuts_added : int;  (** cover cuts installed at the root *)
-  cuts_uncertified : int;
-      (** added cuts violated by the final incumbent — always 0 unless a
-          separation bug produced an invalid cut *)
 }
 
 val solve : ?options:options -> Problem.t -> result

@@ -30,12 +30,6 @@ exception Singular of int
 
 let nnz t = t.nnz
 
-(* The factor arrays are immutable after [factor]; only [work] is written
-   by the solves.  A fresh-scratch alias therefore lets two domains use
-   the same factorization concurrently — the basis-snapshot machinery in
-   {!Simplex} relies on this to share a parent LU across search workers. *)
-let with_fresh_scratch t = { t with work = Array.make t.m 0.0 }
-
 (* Entries smaller than this created by elimination updates are dropped
    (pure fill noise; original coefficients are never dropped). *)
 let drop_tol = 1e-12

@@ -26,12 +26,6 @@ val factor : m:int -> cols:(int * float) array array -> basis:int array -> t
     refactorization trigger). *)
 val nnz : t -> int
 
-(** An alias of [t] sharing the (immutable) factor arrays but carrying a
-    private solve scratch, so two domains can run [solve] on the same
-    factorization concurrently.  Used by {!Simplex}'s basis snapshots,
-    which share a parent factorization across search workers. *)
-val with_fresh_scratch : t -> t
-
 (** [solve t b] overwrites the row-indexed [b] with the
     basis-position-indexed solution of [B w = b]. *)
 val solve : t -> float array -> unit

@@ -1,8 +1,7 @@
 (* BIP/LP presolve (see the .mli for the rule list).
 
    The pass works on shadow bound arrays — the input problem is never
-   mutated, so branch-and-bound can presolve every node against its own
-   branching bounds.  A round sweeps all live rows computing activity
+   mutated, so a caller can presolve a problem it still shares.  A round sweeps all live rows computing activity
    bounds; singleton rows degenerate to a bound update and then drop as
    redundant, so they need no special case. *)
 
@@ -12,6 +11,7 @@ module Fx = Runtime.Fx
 let tr_rows_removed = Runtime.Trace.counter "presolve.rows_removed"
 let tr_vars_removed = Runtime.Trace.counter "presolve.vars_removed"
 let tr_bounds_tightened = Runtime.Trace.counter "presolve.bounds_tightened"
+let tr_infeasible = Runtime.Trace.counter "presolve.infeasible"
 
 type mapping = {
   reduced : Problem.t;
@@ -263,7 +263,9 @@ let run (p : Problem.t) =
        None
      with Infeas reason -> Some reason)
   with
-  | Some reason -> Proved_infeasible reason
+  | Some reason ->
+      Runtime.Trace.incr tr_infeasible;
+      Proved_infeasible reason
   | None ->
       (* --- build the reduced problem --- *)
       let reduced = Problem.create () in

@@ -39,7 +39,9 @@ type outcome =
 val run : Problem.t -> outcome
 (** Reductions tick the [Runtime.Trace] counters [presolve.rows_removed],
     [presolve.vars_removed] (variables fixed and substituted out) and
-    [presolve.bounds_tightened] when tracing is on. *)
+    [presolve.bounds_tightened] when tracing is on; a proof of
+    infeasibility ticks [presolve.infeasible], so a trace shows that the
+    LP ran even when presolve alone decided it. *)
 
 (** Lift a reduced-space solution back to the original variables. *)
 val restore_x : mapping -> float array -> float array

@@ -43,13 +43,6 @@ let create () =
 let nvars t = t.nvars
 let nrows t = t.nrows
 
-let copy t =
-  {
-    t with
-    vars = Array.init t.nvars (fun v -> { (t.vars.(v)) with obj = t.vars.(v).obj });
-    frozen_rows = None;
-  }
-
 let grow t =
   let cap = Array.length t.vars in
   if t.nvars >= cap then begin

@@ -30,10 +30,6 @@ val create : unit -> t
 val nvars : t -> int
 val nrows : t -> int
 
-(** An independent copy: adding rows to it or changing its variables
-    or bounds leaves the original untouched. *)
-val copy : t -> t
-
 (** Add a variable, returning its id (dense, starting at 0).  Binary
     variables are clamped to [0, 1].
     @raise Invalid_argument when [lb > ub]. *)

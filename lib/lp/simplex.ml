@@ -46,8 +46,6 @@ let tr_pivots = Runtime.Trace.counter "simplex.pivots"
 let tr_refactorizations = Runtime.Trace.counter "simplex.refactorizations"
 let tr_etas = Runtime.Trace.counter "simplex.etas_pushed"
 let tr_solves = Runtime.Trace.counter "simplex.solves"
-let tr_dual_iterations = Runtime.Trace.counter "simplex.dual_iterations"
-let tr_warm_resolves = Runtime.Trace.counter "simplex.warm_resolves"
 
 let tol = 1e-7
 let pivot_tol = 1e-9
@@ -147,24 +145,6 @@ let ftran s j w =
       Array.iter (fun (i, a) -> w.(i) <- w.(i) +. a) s.cols.(j);
       Lu.solve sb.lu w;
       eta_sweep sb w
-
-(* Row [r] (a basis position) of B^-1, row-indexed: a unit btran. *)
-let btran_unit s r rho =
-  match s.repr with
-  | Dense_binv binv ->
-      for j = 0 to s.m - 1 do
-        rho.(j) <- binv.((r * s.m) + j)
-      done
-  | Sparse_lu sb ->
-      Array.fill rho 0 s.m 0.0;
-      rho.(r) <- 1.0;
-      for t = sb.neta - 1 downto 0 do
-        let e = sb.etas.(t) in
-        let acc = ref rho.(e.er) in
-        Array.iter (fun (i, w) -> acc := !acc -. (w *. rho.(i))) e.entries;
-        rho.(e.er) <- !acc /. e.epiv
-      done;
-      Lu.solve_transpose sb.lu rho
 
 (* Raised (and contained inside this module) when a refactorization finds
    the current basis numerically singular. *)
@@ -397,11 +377,11 @@ let run_phase s ~max_iters =
 let default_iters m n = 2000 + (60 * (m + n))
 
 (* Build the canonical state for [p]: sparse columns for structurals,
-   slacks and phase-1 artificials, bound arrays (with optional per-var
-   overrides, used by warm node re-solves so the shared problem is never
+   slacks and phase-1 artificials, bound arrays (with per-var overrides,
+   which branch-and-bound nodes pass so the shared problem is never
    mutated), nonbasic values at bounds, and the all-artificial starting
    basis.  [bounds] entries are (var, lb, ub) with var < nvars. *)
-let make_state ?(bounds = []) ~basis (p : Problem.t) =
+let make_state ~bounds ~basis (p : Problem.t) =
   let m = Problem.nrows p in
   let n = Problem.nvars p in
   let rows = Problem.rows p in
@@ -558,346 +538,10 @@ let solve_state s ~need_phase1 ~max_iters (p : Problem.t) =
 let[@bound.source heuristic
      "the result may carry status Iter_limit or Unbounded, whose obj/x are \
       the last iterate, not a proven optimum; only Optimal results are \
-      certified"] solve ?(max_iters = 0) ?(basis = Dense) (p : Problem.t) =
+      certified"] solve ?(max_iters = 0) ?(basis = Dense) ?(bounds = [])
+    (p : Problem.t) =
   Runtime.Trace.incr tr_solves;
   let m = Problem.nrows p and n = Problem.nvars p in
   let max_iters = if max_iters > 0 then max_iters else default_iters m n in
-  let s, need_phase1 = make_state ~basis p in
+  let s, need_phase1 = make_state ~bounds ~basis p in
   solve_state s ~need_phase1 ~max_iters p
-
-(* --- Dual simplex over a restored basis --- *)
-
-(* After tightening variable bounds on an optimal basis the reduced costs
-   are unchanged (still dual feasible) but basic values may fall outside
-   the new box.  The bounded-variable dual simplex drives the primal
-   infeasibility out while the min-ratio rule keeps the duals feasible —
-   the textbook warm start for branch-and-bound child nodes.  Returns
-   [Optimal] when no primal infeasibility remains (callers run a primal
-   cleanup phase to certify), [Infeasible] when a row proves the bound
-   box empty (a sign-pattern argument independent of dual feasibility),
-   [Iter_limit] otherwise. *)
-let run_dual s ~max_iters =
-  let y = Array.make s.m 0.0 in
-  let rho = Array.make s.m 0.0 in
-  let w = Array.make s.m 0.0 in
-  let rec loop () =
-    if s.iters >= max_iters then Iter_limit
-    else begin
-      (* leaving row: most-infeasible basic variable (fixed scan order,
-         strict improvement — deterministic) *)
-      let r = ref (-1) and viol = ref tol and sigma = ref 0.0 in
-      for i = 0 to s.m - 1 do
-        let b = s.basis.(i) in
-        let v = s.value.(b) in
-        let below = s.lb.(b) -. v and above = v -. s.ub.(b) in
-        if below > !viol then begin
-          viol := below;
-          r := i;
-          sigma := -1.0
-        end;
-        if above > !viol then begin
-          viol := above;
-          r := i;
-          sigma := 1.0
-        end
-      done;
-      if !r < 0 then Optimal
-      else begin
-        s.iters <- s.iters + 1;
-        Runtime.Trace.incr tr_dual_iterations;
-        let r = !r and sigma = !sigma in
-        compute_duals s y;
-        btran_unit s r rho;
-        (* Dual ratio test.  A nonbasic [j] moving inward in direction
-           [delta] changes the leaving basic by [-alpha*delta] per unit;
-           eligibility needs that movement toward feasibility, i.e.
-           [sigma*alpha*delta > 0].  Among eligible candidates the
-           smallest ratio |d_j|/|alpha_j| keeps the duals feasible. *)
-        let best = ref (-1)
-        and best_dir = ref 0.0
-        and best_adir = ref 0.0
-        and best_ratio = ref infinity in
-        for j = 0 to s.total - 1 do
-          if s.in_basis.(j) < 0 && s.lb.(j) < s.ub.(j) then begin
-            let alpha = ref 0.0 in
-            Array.iter
-              (fun (i, a) -> alpha := !alpha +. (rho.(i) *. a))
-              s.cols.(j);
-            let alpha = !alpha in
-            if abs_float alpha > pivot_tol then begin
-              let v = s.value.(j) in
-              let at_lb = v <= s.lb.(j) +. tol in
-              let at_ub = v >= s.ub.(j) -. tol in
-              let d = reduced_cost s y j in
-              let try_dir delta =
-                let adir = alpha *. delta in
-                if sigma *. adir > pivot_tol then begin
-                  let dbar = max 0.0 (delta *. d) in
-                  let ratio = dbar /. abs_float alpha in
-                  if
-                    ratio < !best_ratio -. 1e-12
-                    || (ratio < !best_ratio +. 1e-12 && !best >= 0 && j < !best)
-                  then begin
-                    best := j;
-                    best_dir := delta;
-                    best_adir := adir;
-                    best_ratio := ratio
-                  end
-                end
-              in
-              (* from its lower bound a nonbasic can only rise, from its
-                 upper only fall; a free/interior nonbasic may do either *)
-              if at_lb then try_dir 1.0
-              else if at_ub then try_dir (-1.0)
-              else begin
-                try_dir 1.0;
-                try_dir (-1.0)
-              end
-            end
-          end
-        done;
-        if !best < 0 then Infeasible
-        else begin
-          let b_r = s.basis.(r) in
-          let target = if sigma > 0.0 then s.ub.(b_r) else s.lb.(b_r) in
-          let delta_b = s.value.(b_r) -. target in
-          let t = delta_b /. !best_adir in
-          let enter = !best and dir = !best_dir in
-          let span = s.ub.(enter) -. s.lb.(enter) in
-          if t > span +. tol then begin
-            (* the entering candidate hits its opposite bound first: a
-               bound flip — no basis change, infeasibility shrinks by
-               |alpha|*span, loop again *)
-            ftran s enter w;
-            s.value.(enter) <- (if dir > 0.0 then s.ub.(enter) else s.lb.(enter));
-            for i = 0 to s.m - 1 do
-              let b = s.basis.(i) in
-              s.value.(b) <- s.value.(b) -. (dir *. span *. w.(i))
-            done;
-            loop ()
-          end
-          else begin
-            ftran s enter w;
-            if abs_float w.(r) <= pivot_tol then begin
-              (* the eta-updated column disagrees with the btran row:
-                 numerically stale representation — rebuild and retry
-                 (the refactorization counter bounds how often) *)
-              match s.repr with
-              | Sparse_lu sb ->
-                  refactor s sb;
-                  loop ()
-              | Dense_binv _ -> Iter_limit
-            end
-            else begin
-              let t = delta_b /. (w.(r) *. dir) in
-              s.value.(enter) <- s.value.(enter) +. (dir *. t);
-              for i = 0 to s.m - 1 do
-                if i <> r then begin
-                  let b = s.basis.(i) in
-                  s.value.(b) <- s.value.(b) -. (dir *. t *. w.(i))
-                end
-              done;
-              s.value.(b_r) <- target;
-              s.in_basis.(b_r) <- -1;
-              s.basis.(r) <- enter;
-              s.in_basis.(enter) <- r;
-              (try update_basis s r w
-               with Singular_basis ->
-                 (* mirror the primal recovery: undo the swap, rebuild *)
-                 s.basis.(r) <- b_r;
-                 s.in_basis.(b_r) <- r;
-                 s.in_basis.(enter) <- -1;
-                 (match s.repr with
-                 | Sparse_lu sb -> refactor s sb
-                 | Dense_binv _ -> ()));
-              loop ()
-            end
-          end
-        end
-      end
-    end
-  in
-  try loop () with Singular_basis -> Iter_limit
-
-(* --- Basis snapshots and warm sessions --- *)
-
-module Basis = struct
-  (* A snapshot is the basis assignment, the rest position of every
-     nonbasic (lower vs upper bound), and a frozen reference to the LU +
-     eta representation that was valid for that basis.  The factor and
-     eta entries are immutable, so snapshots share them structurally:
-     restoring costs a few array copies, not a refactorization. *)
-  type frozen = {
-    flu : Lu.t;
-    fetas : eta array;  (* only the first [fneta] entries belong to us *)
-    fneta : int;
-    feta_nnz : int;
-  }
-
-  type t = {
-    sbasis : int array;
-    at_upper : bool array;  (* indexed by variable, length [total] *)
-    frozen : frozen option;
-  }
-end
-
-type session = {
-  sess_p : Problem.t;
-  mutable sess_state : state option;  (* built on first solve *)
-}
-
-let new_session (p : Problem.t) = { sess_p = p; sess_state = None }
-
-(* Cold solve: fresh state (warm machinery is sparse-only), full two-phase
-   primal run.  Leaves the state in the session for [save_basis]. *)
-let[@bound.source heuristic
-     "like [solve], the result may carry an Iter_limit/Unbounded status \
-      whose obj/x are an unproven last iterate"] session_solve
-    ?(bounds = []) sess =
-  Runtime.Trace.incr tr_solves;
-  let p = sess.sess_p in
-  let max_iters = default_iters (Problem.nrows p) (Problem.nvars p) in
-  let s, need_phase1 = make_state ~bounds ~basis:Sparse p in
-  sess.sess_state <- Some s;
-  solve_state s ~need_phase1 ~max_iters p
-
-let save_basis sess =
-  match sess.sess_state with
-  | None -> None
-  | Some s ->
-      let at_upper = Array.make s.total false in
-      for j = 0 to s.total - 1 do
-        if s.in_basis.(j) < 0 && s.ub.(j) < infinity then
-          (* nonbasic rest position: nearer bound wins (free vars rest
-             at zero and reload as lower) *)
-          at_upper.(j) <-
-            s.value.(j) -. s.lb.(j) > s.ub.(j) -. s.value.(j)
-      done;
-      let frozen =
-        match s.repr with
-        | Sparse_lu sb ->
-            Some
-              {
-                Basis.flu = sb.lu;
-                fetas = Array.sub sb.etas 0 sb.neta;
-                fneta = sb.neta;
-                feta_nnz = sb.eta_nnz;
-              }
-        | Dense_binv _ -> None
-      in
-      Some
-        { Basis.sbasis = Array.copy s.basis; at_upper; frozen }
-
-(* Restore a snapshot into the session's state under the problem's
-   current bounds plus [bounds] overrides, then re-solve with the dual
-   simplex.  Any failure (no frozen factors, numerical trouble, an
-   iteration-limited dual run) falls back to a cold primal solve with the
-   same bound overrides, so the result is always trustworthy. *)
-let[@bound.source heuristic
-     "warm dual re-solves stall at Iter_limit like cold ones; the primal \
-      cleanup certifies only the Optimal outcome"] warm_solve
-    ?(bounds = []) sess (snap : Basis.t) =
-  let p = sess.sess_p in
-  let m = Problem.nrows p and n = Problem.nvars p in
-  let max_iters = default_iters m n in
-  match snap.Basis.frozen with
-  | None -> session_solve ~bounds sess
-  | Some _ when Array.length snap.Basis.sbasis <> m ->
-      (* snapshot taken before the problem gained rows (e.g. cuts):
-         its basis no longer matches the constraint matrix *)
-      session_solve ~bounds sess
-  | Some fz ->
-      Runtime.Trace.incr tr_solves;
-      let s =
-        match sess.sess_state with
-        | Some s when s.m = m && s.nstruct = n -> s
-        | _ ->
-            let s, _ = make_state ~basis:Sparse p in
-            sess.sess_state <- Some s;
-            s
-      in
-      (* bounds: problem base + overrides; artificials pinned at zero *)
-      for v = 0 to n - 1 do
-        s.lb.(v) <- (Problem.var p v).Problem.lb;
-        s.ub.(v) <- (Problem.var p v).Problem.ub
-      done;
-      List.iter
-        (fun (v, l, u) ->
-          s.lb.(v) <- l;
-          s.ub.(v) <- u)
-        bounds;
-      let rows = Problem.rows p in
-      Array.iteri
-        (fun i (r : Problem.row) ->
-          match r.Problem.sense with
-          | Problem.Le ->
-              s.lb.(n + i) <- 0.0;
-              s.ub.(n + i) <- infinity
-          | Problem.Ge ->
-              s.lb.(n + i) <- neg_infinity;
-              s.ub.(n + i) <- 0.0
-          | Problem.Eq ->
-              s.lb.(n + i) <- 0.0;
-              s.ub.(n + i) <- 0.0)
-        rows;
-      for i = 0 to m - 1 do
-        s.lb.(n + m + i) <- 0.0;
-        s.ub.(n + m + i) <- 0.0
-      done;
-      (* install the snapshot basis and rest positions *)
-      Array.blit snap.Basis.sbasis 0 s.basis 0 m;
-      Array.fill s.in_basis 0 s.total (-1);
-      for i = 0 to m - 1 do
-        s.in_basis.(s.basis.(i)) <- i
-      done;
-      for j = 0 to s.total - 1 do
-        if s.in_basis.(j) < 0 then
-          s.value.(j) <-
-            (if snap.Basis.at_upper.(j) && s.ub.(j) < infinity then s.ub.(j)
-             else if s.lb.(j) > neg_infinity then s.lb.(j)
-             else if s.ub.(j) < infinity then s.ub.(j)
-             else 0.0)
-      done;
-      (* shared factors, private scratch and a private eta prefix *)
-      (match s.repr with
-      | Sparse_lu sb ->
-          sb.lu <- Lu.with_fresh_scratch fz.Basis.flu;
-          sb.etas <- Array.sub fz.Basis.fetas 0 fz.Basis.fneta;
-          sb.neta <- fz.Basis.fneta;
-          sb.eta_nnz <- fz.Basis.feta_nnz
-      | Dense_binv _ -> assert false);
-      (* basic values: x_B = B^-1 (b - N x_N) *)
-      let resid = Array.make m 0.0 in
-      Array.iteri (fun i (r : Problem.row) -> resid.(i) <- r.Problem.rhs) rows;
-      for j = 0 to s.total - 1 do
-        if s.in_basis.(j) < 0 && Fx.nonzero s.value.(j) then
-          Array.iter
-            (fun (i, c) -> resid.(i) <- resid.(i) -. (c *. s.value.(j)))
-            s.cols.(j)
-      done;
-      (match s.repr with
-      | Sparse_lu sb ->
-          Lu.solve sb.lu resid;
-          eta_sweep sb resid
-      | Dense_binv _ -> assert false);
-      for i = 0 to m - 1 do
-        s.value.(s.basis.(i)) <- resid.(i)
-      done;
-      (* phase-2 costs *)
-      Array.fill s.cost 0 s.total 0.0;
-      for v = 0 to n - 1 do
-        s.cost.(v) <- (Problem.var p v).Problem.obj
-      done;
-      s.iters <- 0;
-      Runtime.Trace.incr tr_warm_resolves;
-      match run_dual s ~max_iters with
-      | Optimal ->
-          (* primal cleanup certifies optimality (usually zero pivots) *)
-          let st = run_phase s ~max_iters in
-          extract s p st
-      | Infeasible ->
-          (* the sign-pattern infeasibility proof can be spoiled by
-             drop-tolerance zeros; confirm with a cold solve before
-             letting a search prune on it *)
-          session_solve ~bounds sess
-      | Iter_limit | Unbounded -> session_solve ~bounds sess

@@ -519,12 +519,10 @@ module Search = struct
 
      One global priority queue (pairing heap under a caller-supplied
      total order) feeds rounds: each round pops up to [batch] best nodes
-     in heap order, evaluates them concurrently on the domain pool —
-     node [i] of the round always runs in evaluation slot [i], so a
-     caller can pin per-slot scratch state (e.g. a warm simplex session)
-     — and merges the results sequentially in pop order.  Because the
-     batch size, the pop order, the slot assignment and the merge order
-     are all independent of the job count, the search trajectory (and
+     in heap order, evaluates them concurrently on the domain pool, and
+     merges the results sequentially in pop order.  Because the batch
+     size, the pop order and the merge order are all independent of the
+     job count, the search trajectory (and
      with it every result, node count included) is bit-identical at any
      [jobs].  Shared state such as an incumbent must only be written
      during [expand] (sequential); [eval] may read it freely — between
@@ -536,7 +534,7 @@ module Search = struct
   type 'n heap = Empty | Node of 'n * 'n heap list
 
   let run (type n r) ?(jobs = 1) ~batch ~(compare : n -> n -> int)
-      ~(roots : n list) ~(eval : slot:int -> n -> r)
+      ~(roots : n list) ~(eval : n -> r)
       ~(expand : n -> r -> n list) ~(stop : unit -> bool) () =
     let jobs = max 1 jobs in
     let batch = max 1 batch in
@@ -577,10 +575,7 @@ module Search = struct
           ()
         done;
         let nodes = Array.of_list (List.rev !round) in
-        let slots = Array.mapi (fun i n -> (i, n)) nodes in
-        let results =
-          parallel_map ~jobs (fun (i, n) -> eval ~slot:i n) slots
-        in
+        let results = parallel_map ~jobs eval nodes in
         Array.iteri
           (fun i n ->
             Trace.incr tr_expanded;

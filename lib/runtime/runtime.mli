@@ -175,12 +175,10 @@ end
     parallel node-pool engine behind {!Lp}'s branch and bound.
 
     Rounds pop up to [batch] best nodes (under [compare]) from one
-    global priority queue, evaluate them concurrently on the domain pool
-    with a stable node-to-slot assignment (node [i] of a round always
-    runs in slot [i], so callers can pin per-slot scratch such as warm
-    simplex sessions), and merge sequentially in pop order via [expand].
-    Batch size, pop order, slot assignment and merge order are all
-    independent of [jobs], so the search trajectory — node counts
+    global priority queue, evaluate them concurrently on the domain
+    pool, and merge sequentially in pop order via [expand].  Batch
+    size, pop order and merge order are all independent of [jobs], so
+    the search trajectory — node counts
     included — is bit-identical at every job count.  [eval] runs
     concurrently and must not write shared state; [expand] runs
     sequentially and is where incumbents move.  [stop] is polled between
@@ -192,7 +190,7 @@ module Search : sig
     batch:int ->
     compare:('n -> 'n -> int) ->
     roots:'n list ->
-    eval:(slot:int -> 'n -> 'r) ->
+    eval:('n -> 'r) ->
     expand:('n -> 'r -> 'n list) ->
     stop:(unit -> bool) ->
     unit ->

@@ -110,6 +110,10 @@ let test_ilp_small () =
   let r = Advisors.Ilp.solve ~options env w cands ~budget:(0.5 *. db_size) in
   Alcotest.(check bool) "configurations enumerated" true
     (r.Advisors.Ilp.configurations > 0);
+  (* an empty configuration is within any budget: the search must also
+     have found an incumbent *)
+  Alcotest.(check bool) "incumbent found" true
+    (r.Advisors.Ilp.objective < infinity);
   Alcotest.(check bool) "within budget" true
     (Storage.Config.total_size schema r.Advisors.Ilp.config
      <= (0.5 *. db_size) +. 1.0);
@@ -131,6 +135,8 @@ let test_ilp_vs_cophy_quality () =
       Advisors.Ilp.per_table_cap = 3; per_query_cap = 16 }
   in
   let ri = Advisors.Ilp.solve ~options env w cands ~budget in
+  Alcotest.(check bool) "ilp incumbent found" true
+    (ri.Advisors.Ilp.objective < infinity);
   let rc =
     Cophy.Advisor.advise ~candidates:(Array.to_list cands) schema w
       ~budget_fraction:0.5

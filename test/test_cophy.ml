@@ -1209,6 +1209,26 @@ let test_solver_feasibility_closed_form () =
            { Constr.row_coeffs = [ (0, 1.0); (1, 1.0) ]; row_cmp = Constr.Le;
              row_rhs = 0.5; row_name = "pair_off" } ])
 
+(* Presolve alone proves a negative storage budget infeasible, before
+   any simplex runs; the proof still shows in a trace, once for the
+   check and once for the offender re-test of the storage row. *)
+let test_solver_presolve_infeasible_counted () =
+  let _, _, _, sp = build_problem () in
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  let names =
+    Fun.protect ~finally:Runtime.Trace.disable (fun () ->
+        match
+          Cophy.Solver.solve sp ~budget:(-1.0) ~z_rows:[] ~block_caps:[]
+        with
+        | exception Cophy.Solver.Infeasible names -> names
+        | _ -> Alcotest.fail "expected Infeasible")
+  in
+  Alcotest.(check (list string)) "storage named" [ "storage" ] names;
+  Alcotest.(check int) "presolve.infeasible" 2
+    (Option.value ~default:0
+       (List.assoc_opt "presolve.infeasible" (Runtime.Trace.counters ())))
+
 (* A search stopped before its first iteration still answers: with a
    zero time limit the decomposition returns the incumbent its greedy
    construction (and the local search after it) found, with no bound
@@ -1967,6 +1987,8 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_solver_infeasible;
           Alcotest.test_case "feasibility LP only when it can fail" `Quick
             test_solver_feasibility_closed_form;
+          Alcotest.test_case "presolve infeasibility is counted" `Quick
+            test_solver_presolve_infeasible_counted;
           Alcotest.test_case "paths agree" `Slow test_solver_paths_agree;
           Alcotest.test_case "certified" `Quick test_solver_certified;
           Alcotest.test_case "time limit returns the seed" `Quick

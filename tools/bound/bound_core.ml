@@ -19,8 +19,8 @@
    summaries joined to a fixpoint (Ak_graph.fixpoint), locals and refs
    carry levels in a monotone environment, and everything else joins
    its operands.  A value is *laundered* (capped back to certified)
-   only by passing through a recognized certifier (Analyze.certify,
-   Cuts.certify, the Problem.feasible re-check, or a function marked
+   only by passing through a recognized certifier (Analyze.certify, the
+   Problem.feasible re-check, or a function marked
    [@bound.certifier <tag> "why"]), or by flowing under a guard that
    syntactically establishes optimality — an if/&&/match arm whose
    condition or pattern mentions the [Optimal] constructor (and, for
@@ -208,7 +208,7 @@ let create () =
     sources = Hashtbl.create 16;
     certifiers =
       SSet.of_list
-        [ "Lp.Analyze.certify"; "Lp.Cuts.certify"; "Lp.Problem.feasible" ];
+        [ "Lp.Analyze.certify"; "Lp.Problem.feasible" ];
     edges = Hashtbl.create 128;
     env = Hashtbl.create 512;
     guards = Hashtbl.create 64;
@@ -507,8 +507,8 @@ let check_sink st v ~label ~why ~where =
         report st.an Tainted_sink where
           ~path:(chain @ [ Printf.sprintf "sink:%s at %s" label where ])
           "%s value reaches the %s sink (%s) in %s, produced by %s via %s; \
-           re-derive it through a certifier (Analyze.certify / Cuts.certify \
-           / a feasibility re-check), gate the flow on Optimal, or justify \
+           re-derive it through a certifier (Analyze.certify / a feasibility \
+           re-check), gate the flow on Optimal, or justify \
            with [@bound.trust %s \"...\"]"
           (level_name (level v))
           label why st.node producer
