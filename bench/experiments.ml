@@ -119,15 +119,21 @@ let run_ilp ?(options = Advisors.Ilp.default_options) schema w ~m ~candidates =
     build_s = r.Advisors.Ilp.timings.Advisors.Ilp.build_seconds;
     solve_s = r.Advisors.Ilp.timings.Advisors.Ilp.solve_seconds;
     note =
-      (* An infinite objective means branch and bound stopped at its
-         time limit before finding any incumbent: the time is the limit
-         and the configuration is empty, not a result. *)
-      (if r.Advisors.Ilp.objective < infinity then
-         Printf.sprintf "%d atomic configs, obj %.2f"
-           r.Advisors.Ilp.configurations r.Advisors.Ilp.objective
-       else
-         Printf.sprintf "%d atomic configs; limit, no incumbent"
-           r.Advisors.Ilp.configurations);
+      (* A [Limit] status means branch and bound stopped at its time
+         limit: with an incumbent the objective is unproven, without one
+         the configuration is empty and the time is the limit, not a
+         result. *)
+      (match r.Advisors.Ilp.status with
+      | Lp.Branch_bound.Limit when r.Advisors.Ilp.objective < infinity ->
+          Printf.sprintf "%d atomic configs, obj %.2f (limit, unproven)"
+            r.Advisors.Ilp.configurations r.Advisors.Ilp.objective
+      | Lp.Branch_bound.Limit ->
+          Printf.sprintf "%d atomic configs; limit, no incumbent"
+            r.Advisors.Ilp.configurations
+      | Lp.Branch_bound.Optimal | Lp.Branch_bound.Infeasible
+      | Lp.Branch_bound.Unbounded ->
+          Printf.sprintf "%d atomic configs, obj %.2f"
+            r.Advisors.Ilp.configurations r.Advisors.Ilp.objective);
   }
 
 let section title =

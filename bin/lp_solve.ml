@@ -1,30 +1,28 @@
 (* A small MIP solver front-end for CPLEX LP format files:
 
      dune exec bin/lp_solve.exe -- model.lp [--gap 0.01] [--time 60]
-                                  [--no-presolve] [--jobs 4] [--stats]
-                                  [--check] [--trace FILE]
+                                  [--jobs 4] [--stats] [--check]
+                                  [--trace FILE]
 
    Prints the status, objective, and nonzero variable values (integer
-   models also print their node count) — handy for inspecting BIPs
-   exported with Lp.Lp_format.to_file.  Continuous models run presolve
-   and the sparse simplex ([--no-presolve] skips presolve).  Integer
-   models run the cold best-first branch-and-bound, each node a fresh
-   sparse solve: [--jobs] sets the parallel node-evaluation width (the
-   certified objective and the node count are identical at every job
-   count).
+   models also print their node count).  Continuous models run the
+   sparse simplex.  Integer models run the cold best-first
+   branch-and-bound, each node a fresh sparse solve: [--jobs] sets the
+   parallel node-evaluation width (the certified objective and the node
+   count are identical at every job count).
    [--stats] prints the trace counters of the layers that ran:
-   simplex.*, plus bb.* on integer models and presolve.* when presolve
-   ran.
+   simplex.*, plus bb.* on integer models.
    [--check] runs the Lp.Analyze model checks before solving (static
    errors abort with exit code 4) and certifies the solution afterwards
-   (a failed certificate aborts with exit code 5); on an integer model
-   it also certifies every incumbent branch and bound accepts. *)
+   (a failed certificate aborts with exit code 5): a continuous optimum
+   is certified with its row duals against the LP optimality
+   conditions; on an integer model every incumbent branch and bound
+   accepts is certified too. *)
 
 let () =
   let file = ref "" in
   let gap = ref 1e-6 in
   let time = ref infinity in
-  let presolve = ref true in
   let want_stats = ref false in
   let want_check = ref false in
   let trace = ref None in
@@ -35,12 +33,9 @@ let () =
       ( "--jobs",
         Arg.Set_int jobs,
         "parallel node evaluations in branch and bound (default 1)" );
-      ( "--no-presolve",
-        Arg.Clear presolve,
-        "solve continuous models without the presolve pass" );
       ( "--stats",
         Arg.Set want_stats,
-        "print simplex, branch-and-bound and presolve counters after solving" );
+        "print simplex and branch-and-bound counters after solving" );
       ( "--check",
         Arg.Set want_check,
         "analyze the model before solving and certify the solution after" );
@@ -88,9 +83,7 @@ let () =
       end;
       let certify ?duals ~obj x =
         if !want_check then begin
-          (* --no-presolve removes the removed-row caveat, so certify
-             then enforces the dual-residual bound too *)
-          let cert = Lp.Analyze.certify ~presolve:!presolve ?duals ~obj p x in
+          let cert = Lp.Analyze.certify ?duals ~obj p x in
           Fmt.pr "certificate: %s@." (Lp.Analyze.certificate_summary cert);
           if not cert.Lp.Analyze.cert_ok then begin
             List.iter (Fmt.epr "certify: %s@.") cert.Lp.Analyze.cert_issues;
@@ -139,13 +132,8 @@ let () =
             print_stats ()
       end
       else begin
-        let print_stats =
-          print_stats ("simplex." :: (if !presolve then [ "presolve." ] else []))
-        in
-        let r =
-          if !presolve then Lp.Presolve.solve p
-          else Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p
-        in
+        let print_stats = print_stats [ "simplex." ] in
+        let r = Lp.Simplex.solve p in
         (match r.Lp.Simplex.status with
         | Lp.Simplex.Optimal ->
             Fmt.pr "status: optimal@.objective: %.9g@.iterations: %d@."

@@ -30,6 +30,7 @@ type timings = {
 type result = {
   config : Storage.Config.t;
   objective : float;
+  status : Lp.Branch_bound.status;
   timings : timings;
   configurations : int;    (* atomic configurations after pruning *)
 }
@@ -187,6 +188,7 @@ let solve ?(options = default_options) (env : Optimizer.Whatif.env)
   {
     config;
     objective = r.Lp.Branch_bound.obj;
+    status = r.Lp.Branch_bound.status;
     timings =
       { inum_seconds = t1 -. t0; build_seconds = t2 -. t1;
         solve_seconds = t3 -. t2 };

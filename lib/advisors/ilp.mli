@@ -23,6 +23,9 @@ type timings = {
 type result = {
   config : Storage.Config.t;
   objective : float;
+  status : Lp.Branch_bound.status;
+      (** how the search ended: [Optimal] within the 5% gap, or [Limit]
+          at the time limit, with or without an incumbent *)
   timings : timings;
   configurations : int;  (** atomic configurations after pruning *)
 }

@@ -314,10 +314,7 @@ let z_lp (sp : Sproblem.t) ~w ~budget ~(z_rows : Constr.z_row list)
       Lp.Problem.set_bounds p v ~lb ~ub:(max lb ub);
       Lp.Problem.set_obj p v w.(a))
     vars;
-  (* No presolve here: its bound tightening and row scaling can land on
-     a different optimal vertex of this (often degenerate) LP, and the
-     fractional vertex feeds the rounding heuristic. *)
-  let r = Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p in
+  let r = Lp.Simplex.solve p in
   match r.Lp.Simplex.status with
   | Lp.Simplex.Optimal ->
       ( r.Lp.Simplex.obj,
@@ -1244,7 +1241,7 @@ let cap_offenders (sp : Sproblem.t) ~block_caps (z : bool array) =
 let check_feasibility (sp : Sproblem.t) ~budget ~z_rows ~block_caps =
   let infeasible ~budget ~z_rows =
     let p, _ = z_polytope sp ~budget ~z_rows in
-    match (Lp.Presolve.solve p).Lp.Simplex.status with
+    match (Lp.Simplex.solve p).Lp.Simplex.status with
     | Lp.Simplex.Infeasible -> true
     | _ -> false
   in

@@ -212,8 +212,7 @@ exception Certification_failed of string
 (* The tolerance every certificate test runs at. *)
 let tol = 1e-6
 
-let certify ?(presolve = true) ?duals ?obj ?int_vars
-    (p : Problem.t) x =
+let certify ?duals ?obj ?int_vars (p : Problem.t) x =
   let nvars = Problem.nvars p in
   let rows = Problem.rows p in
   let issues = ref [] in
@@ -232,14 +231,18 @@ let certify ?(presolve = true) ?duals ?obj ?int_vars
   end
   else begin
     (* primal row residuals, scaled by 1 + |rhs| *)
-    let max_row = ref 0.0 and worst_row = ref "" in
-    Array.iter
-      (fun (r : Problem.row) ->
-        let lhs =
+    let row_lhs =
+      Array.map
+        (fun (r : Problem.row) ->
           Array.fold_left
             (fun acc (v, c) -> acc +. (c *. x.(v)))
-            0.0 r.Problem.coeffs
-        in
+            0.0 r.Problem.coeffs)
+        rows
+    in
+    let max_row = ref 0.0 and worst_row = ref "" in
+    Array.iteri
+      (fun i (r : Problem.row) ->
+        let lhs = row_lhs.(i) in
         let viol =
           match r.Problem.sense with
           | Problem.Le -> lhs -. r.Problem.rhs
@@ -313,12 +316,19 @@ let certify ?(presolve = true) ?duals ?obj ?int_vars
     if obj_gap > tol then
       fail "reported objective differs from c'x + offset by %.3g (relative)"
         obj_gap;
-    (* dual residuals: reduced costs of variables strictly inside their
-       bounds should vanish at an LP optimum.  Report-only when the
-       solve ran with presolve (duals of presolve-removed rows are
-       slack, see Presolve.solve); a hard failure when [~presolve:false]
-       says every row's dual came straight from the simplex basis. *)
-    let max_dual = ref 0.0 in
+    (* LP optimality conditions on the row duals, in the simplex's sign
+       convention for a minimization (reduced cost d = c - A'y): a <= row
+       has y <= 0 and a >= row y >= 0; a row with slack has y = 0; a
+       variable at its lower bound has d >= 0, at its upper bound d <= 0
+       and strictly between them d = 0.  Every residual is scaled by
+       [1 + |c|] of its column (a row's slack has cost 0). *)
+    let max_dual = ref 0.0 and worst_dual = ref "" in
+    let residual name scaled =
+      if scaled > !max_dual then begin
+        max_dual := scaled;
+        worst_dual := name
+      end
+    in
     (match duals with
     | Some y when Array.length y = Array.length rows ->
         let ay = Array.make (max 1 nvars) 0.0 in
@@ -327,28 +337,40 @@ let certify ?(presolve = true) ?duals ?obj ?int_vars
             if Fx.nonzero y.(i) then
               Array.iter
                 (fun (v, c) -> ay.(v) <- ay.(v) +. (y.(i) *. c))
-                r.Problem.coeffs)
+                r.Problem.coeffs;
+            let slack =
+              (r.Problem.rhs -. row_lhs.(i)) /. (1.0 +. abs_float r.Problem.rhs)
+            in
+            residual r.Problem.rname
+              (match r.Problem.sense with
+              | Problem.Le ->
+                  if slack > tol then abs_float y.(i) else max 0.0 y.(i)
+              | Problem.Ge ->
+                  if slack < -.tol then abs_float y.(i) else max 0.0 (-.y.(i))
+              | Problem.Eq -> 0.0))
           rows;
         for v = 0 to nvars - 1 do
           let var = Problem.var p v in
-          let interior =
-            x.(v) > var.Problem.lb +. tol && x.(v) < var.Problem.ub -. tol
+          let d = var.Problem.obj -. ay.(v) in
+          let at_lb = x.(v) <= var.Problem.lb +. tol in
+          let at_ub = x.(v) >= var.Problem.ub -. tol in
+          let viol =
+            match (at_lb, at_ub) with
+            | true, true -> 0.0
+            | true, false -> max 0.0 (-.d)
+            | false, true -> max 0.0 d
+            | false, false -> abs_float d
           in
-          if interior then begin
-            let d = var.Problem.obj -. ay.(v) in
-            let scaled = abs_float d /. (1.0 +. abs_float var.Problem.obj) in
-            if scaled > !max_dual then max_dual := scaled
-          end
+          residual var.Problem.vname
+            (viol /. (1.0 +. abs_float var.Problem.obj))
         done
     | Some y ->
         fail "dual vector has %d entries for %d rows" (Array.length y)
           (Array.length rows)
     | None -> ());
-    if (not presolve) && !max_dual > tol then
-      fail
-        "dual residual %.3g exceeds tolerance (solve ran without \
-         presolve, so no removed-row slack can excuse it)"
-        !max_dual;
+    if !max_dual > tol then
+      fail "dual residual %.3g at %s breaks the optimality conditions"
+        !max_dual !worst_dual;
     {
       cert_ok = !issues = [];
       max_row_violation = !max_row;

@@ -5,10 +5,11 @@
     hazardous models (dangling variables, empty/duplicate/conflicting
     rows, bound conflicts, NaN data, coefficient dynamic range).
     {!certify} runs after a solve and validates an incumbent against the
-    rows, bounds, and integrality marks within a tolerance, reporting
-    primal (and, when duals are supplied, dual) residuals — the cheap
-    verification layer that what-if tuning pipelines need before trusting
-    the optimizer's answer. *)
+    rows, bounds, and integrality marks within a tolerance and, when row
+    duals are supplied, checks the LP optimality conditions on them — the
+    cheap verification layer that what-if tuning pipelines need before
+    trusting the optimizer's answer, and the tests' reference for
+    {!Simplex.solve}. *)
 
 (** {1 Pre-solve model checks} *)
 
@@ -39,8 +40,9 @@ val pp_issue : issue Fmt.t
 
 type certificate = {
   cert_ok : bool;
-      (** primal residuals, bound violations, integrality violations and
-          the objective gap are all within tolerance *)
+      (** primal residuals, bound violations, integrality violations,
+          the objective gap and (when [duals] are given) the dual
+          residual are all within tolerance *)
   max_row_violation : float;
       (** max over rows of the constraint violation, scaled by
           [1 + |rhs|] *)
@@ -50,15 +52,14 @@ type certificate = {
   objective_gap : float;
       (** [|objective_value x - reported|], relative, when [obj] given *)
   max_dual_residual : float;
-      (** max reduced-cost magnitude over variables strictly inside their
-          bounds when [duals] are given ([0.] otherwise) — reported, not
-          gating: duals of presolve-removed rows can be slack
-          (see {!Presolve.solve}) *)
+      (** worst breach of the LP optimality conditions when [duals] are
+          given ([0.] otherwise): a row dual of the wrong sign for its
+          sense, a nonzero dual on a row with slack, or a reduced cost of
+          the wrong sign at a bound or nonzero strictly between bounds *)
   cert_issues : string list;  (** human-readable description of failures *)
 }
 
 val certify :
-  ?presolve:bool ->
   ?duals:float array ->
   ?obj:float ->
   ?int_vars:int list ->
@@ -73,14 +74,15 @@ val certify :
     [int_vars] restricts the integrality check to a subset (default: all
     integer/binary variables of [p]) — branch-and-bound's restricted
     mode certifies only the decision variables it branched on.
-    [duals] (one per row) adds the dual-residual check.
-
-    [presolve] (default [true]) states how the incumbent was produced.
-    With presolve on, the dual-residual check is report-only: duals of
-    presolve-removed rows are reconstructed as zero and can be slack
-    (the documented caveat in {!Presolve.solve}).  Pass [~presolve:false]
-    when the solve ran on the full model — the caveat doesn't apply, and
-    a dual residual above the tolerance then fails the certificate. *)
+    [duals] (one per row, as {!Simplex.solve} returns them) adds the
+    LP optimality conditions for a minimization, with reduced costs
+    [d = c - A'y]: a [<=] row has [y <= 0] and a [>=] row [y >= 0]; a
+    row with slack has [y = 0]; a variable at its lower bound has
+    [d >= 0], at its upper bound [d <= 0], and strictly between its
+    bounds [d = 0].  Each residual is scaled by [1 + |c|] of its column
+    (a row's slack has cost 0); a residual above the tolerance fails
+    the certificate.  Together with primal feasibility these conditions
+    prove [x] optimal for the LP relaxation. *)
 
 exception Certification_failed of string
 (** Raised by debug-mode wirings ({!Branch_bound} incumbent acceptance,

@@ -179,7 +179,7 @@ let solve ?(options = default_options) (p : Problem.t) =
     }
   in
   (* --- Root relaxation (sequential) --- *)
-  let root = Simplex.solve ~basis:Simplex.Sparse p in
+  let root = Simplex.solve p in
   match root.Simplex.status with
   | Simplex.Infeasible ->
       global_bound := infinity;
@@ -268,8 +268,11 @@ let solve ?(options = default_options) (p : Problem.t) =
              boundary so the first merge of each round can advance the
              proven bound (under best-first order the first pop of a
              round is the open-pool minimum, and it is non-decreasing).
-             A closed gap is [Optimal] (within [gap_tolerance]), the same
-             label an exhausted pool gets. *)
+             A pool minimum at or above the incumbent proves the
+             incumbent optimal, not the minimum, so the bound advances
+             to the incumbent at most and never exceeds the reported
+             objective.  A closed gap is [Optimal] (within
+             [gap_tolerance]), the same label an exhausted pool gets. *)
           let round_fresh = ref true in
           let stop () =
             round_fresh := true;
@@ -293,13 +296,12 @@ let solve ?(options = default_options) (p : Problem.t) =
                    incumbent)"]
             then Pruned
             else
-              Solved
-                (Simplex.solve ~basis:Simplex.Sparse
-                   ~bounds:(List.rev node.fixings) p)
+              Solved (Simplex.solve ~bounds:(List.rev node.fixings) p)
           in
           let expand node out =
             if !round_fresh then begin
-              global_bound := max !global_bound node.nb;
+              global_bound :=
+                max !global_bound (min node.nb (Atomic.get incumbent_obj));
               round_fresh := false
             end;
             match out with

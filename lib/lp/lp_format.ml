@@ -118,11 +118,6 @@ let to_string (p : Problem.t) =
   Buffer.add_string buf "End\n";
   Buffer.contents buf
 
-let to_file p path =
-  let oc = open_out path in
-  output_string oc (to_string p);
-  close_out oc
-
 (* --- Reading --- *)
 
 type token =

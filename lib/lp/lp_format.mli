@@ -4,7 +4,6 @@
 exception Format_error of string
 
 val to_string : Problem.t -> string
-val to_file : Problem.t -> string -> unit
 
 (** @raise Format_error on malformed input. *)
 val of_string : string -> Problem.t

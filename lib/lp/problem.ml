@@ -7,8 +7,6 @@
 
    Rows store their coefficients sparsely. *)
 
-module Fx = Runtime.Fx
-
 type var_kind = Continuous | Binary | Integer
 type sense = Le | Ge | Eq
 
@@ -140,20 +138,3 @@ let feasible ?(tol = 1e-6) t x =
   let ok_var v (vr : var) = x.(v) >= vr.lb -. tol && x.(v) <= vr.ub +. tol in
   let rec vars_ok v = v >= t.nvars || (ok_var v t.vars.(v) && vars_ok (v + 1)) in
   vars_ok 0 && Array.for_all ok_row (rows t)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>minimize ";
-  for v = 0 to t.nvars - 1 do
-    let c = t.vars.(v).obj in
-    if Fx.nonzero c then Fmt.pf ppf "%+g %s " c t.vars.(v).vname
-  done;
-  Fmt.pf ppf "@ subject to:@ ";
-  Array.iter
-    (fun (r : row) ->
-      Fmt.pf ppf "  %s: " r.rname;
-      Array.iter (fun (v, c) -> Fmt.pf ppf "%+g %s " c t.vars.(v).vname) r.coeffs;
-      Fmt.pf ppf "%s %g@ "
-        (match r.sense with Le -> "<=" | Ge -> ">=" | Eq -> "=")
-        r.rhs)
-    (rows t);
-  Fmt.pf ppf "@]"

@@ -66,5 +66,3 @@ val objective_value : t -> float array -> float
 
 (** Row and bound satisfaction within [tol]. *)
 val feasible : ?tol:float -> t -> float array -> bool
-
-val pp : t Fmt.t

@@ -1,5 +1,4 @@
-(* Bounded-variable primal simplex (revised form) over a pluggable basis
-   representation.
+(* Bounded-variable primal simplex (revised form) over a sparse LU basis.
 
    The problem is canonicalized as
 
@@ -9,22 +8,12 @@
    phase-1 artificials.  Nonbasic variables rest at one of their bounds;
    the ratio test handles bound-to-bound "flips" without basis changes.
 
-   Two basis kernels implement the ftran/btran/update triple:
-
-   - [Dense]: the historical reference — an explicit dense B^-1 updated
-     by elementary row operations, O(m^2) per pivot;
-   - [Sparse]: sparse LU with Markowitz pivoting ({!Lu}), maintained
-     across pivots by product-form eta vectors and refactorized when the
-     eta file grows past a fill bound or a pivot looks numerically
-     untrustworthy.  Per-pivot cost tracks the factor nonzeros instead
-     of m^2, which is what lets the kernel keep up with the large
-     decomposition subproblems and materialized CoPhy BIPs.
-
-   Both kernels run the identical pricing/ratio-test loop and agree on
-   the optimum value; because they compute duals and ftran results with
-   different floating-point arithmetic, sub-tolerance ties can resolve
-   differently, so degenerate problems may end on different optimal
-   vertices. *)
+   The basis is a sparse LU with Markowitz pivoting ({!Lu}), maintained
+   across pivots by product-form eta vectors and refactorized when the
+   eta file grows past a fill bound or a pivot looks numerically
+   untrustworthy.  Per-pivot cost tracks the factor nonzeros, which is
+   what lets the kernel keep up with the large decomposition
+   subproblems and materialized CoPhy BIPs. *)
 
 module Fx = Runtime.Fx
 
@@ -38,8 +27,6 @@ type result = {
   iterations : int;
 }
 
-type basis_kind = Dense | Sparse
-
 (* Trace probes: single [Atomic.get] each when tracing is off. *)
 let tr_iterations = Runtime.Trace.counter "simplex.iterations"
 let tr_pivots = Runtime.Trace.counter "simplex.pivots"
@@ -50,7 +37,7 @@ let tr_solves = Runtime.Trace.counter "simplex.solves"
 let tol = 1e-7
 let pivot_tol = 1e-9
 
-(* --- basis representations --- *)
+(* --- basis representation --- *)
 
 type eta = { er : int; epiv : float; entries : (int * float) array }
 
@@ -60,8 +47,6 @@ type sparse_basis = {
   mutable neta : int;
   mutable eta_nnz : int;
 }
-
-type repr = Dense_binv of float array | Sparse_lu of sparse_basis
 
 (* Refactorization triggers for the sparse basis. *)
 let max_etas = 64
@@ -78,38 +63,24 @@ type state = {
   value : float array;
   basis : int array;            (* var in basis position i *)
   in_basis : int array;         (* var -> basis position, -1 if nonbasic *)
-  repr : repr;
+  sb : sparse_basis;
   mutable iters : int;
 }
 
 (* y = c_B' B^-1 (row-indexed duals) *)
 let compute_duals s y =
-  match s.repr with
-  | Dense_binv binv ->
-      Array.fill y 0 s.m 0.0;
-      for i = 0 to s.m - 1 do
-        let cb = s.cost.(s.basis.(i)) in
-        if Fx.nonzero cb then begin
-          let base = i * s.m in
-          for j = 0 to s.m - 1 do
-            Array.unsafe_set y j
-              (Array.unsafe_get y j
-              +. (cb *. Array.unsafe_get binv (base + j)))
-          done
-        end
-      done
-  | Sparse_lu sb ->
-      for i = 0 to s.m - 1 do
-        y.(i) <- s.cost.(s.basis.(i))
-      done;
-      (* B^-T = B0^-T E_1^-T ... E_k^-T: newest eta first, then the LU. *)
-      for t = sb.neta - 1 downto 0 do
-        let e = sb.etas.(t) in
-        let acc = ref y.(e.er) in
-        Array.iter (fun (i, w) -> acc := !acc -. (w *. y.(i))) e.entries;
-        y.(e.er) <- !acc /. e.epiv
-      done;
-      Lu.solve_transpose sb.lu y
+  let sb = s.sb in
+  for i = 0 to s.m - 1 do
+    y.(i) <- s.cost.(s.basis.(i))
+  done;
+  (* B^-T = B0^-T E_1^-T ... E_k^-T: newest eta first, then the LU. *)
+  for t = sb.neta - 1 downto 0 do
+    let e = sb.etas.(t) in
+    let acc = ref y.(e.er) in
+    Array.iter (fun (i, w) -> acc := !acc -. (w *. y.(i))) e.entries;
+    y.(e.er) <- !acc /. e.epiv
+  done;
+  Lu.solve_transpose sb.lu y
 
 let reduced_cost s y j =
   let d = ref s.cost.(j) in
@@ -128,29 +99,17 @@ let eta_sweep sb w =
 
 (* w = B^-1 A_j (basis-position-indexed) *)
 let ftran s j w =
-  match s.repr with
-  | Dense_binv binv ->
-      Array.fill w 0 s.m 0.0;
-      Array.iter
-        (fun (i, a) ->
-          if Fx.nonzero a then
-            for r = 0 to s.m - 1 do
-              Array.unsafe_set w r
-                (Array.unsafe_get w r
-                +. (Array.unsafe_get binv ((r * s.m) + i) *. a))
-            done)
-        s.cols.(j)
-  | Sparse_lu sb ->
-      Array.fill w 0 s.m 0.0;
-      Array.iter (fun (i, a) -> w.(i) <- w.(i) +. a) s.cols.(j);
-      Lu.solve sb.lu w;
-      eta_sweep sb w
+  Array.fill w 0 s.m 0.0;
+  Array.iter (fun (i, a) -> w.(i) <- w.(i) +. a) s.cols.(j);
+  Lu.solve s.sb.lu w;
+  eta_sweep s.sb w
 
 (* Raised (and contained inside this module) when a refactorization finds
    the current basis numerically singular. *)
 exception Singular_basis
 
-let refactor s sb =
+let refactor s =
+  let sb = s.sb in
   match Lu.factor ~m:s.m ~cols:s.cols ~basis:s.basis with
   | lu ->
       sb.lu <- lu;
@@ -173,50 +132,31 @@ let push_eta sb e =
    where [w] = B_old^-1 A_enter. *)
 let update_basis s r w =
   Runtime.Trace.incr tr_pivots;
-  match s.repr with
-  | Dense_binv binv ->
-      let piv = w.(r) in
-      let rbase = r * s.m in
-      for j = 0 to s.m - 1 do
-        Array.unsafe_set binv (rbase + j)
-          (Array.unsafe_get binv (rbase + j) /. piv)
-      done;
-      for i = 0 to s.m - 1 do
-        let f = Array.unsafe_get w i in
-        if i <> r && abs_float f > 1e-13 then begin
-          let ibase = i * s.m in
-          for j = 0 to s.m - 1 do
-            Array.unsafe_set binv (ibase + j)
-              (Array.unsafe_get binv (ibase + j)
-              -. (f *. Array.unsafe_get binv (rbase + j)))
-          done
-        end
-      done
-  | Sparse_lu sb ->
-      let maxw = ref 0.0 in
-      let count = ref 0 in
-      for i = 0 to s.m - 1 do
-        let a = abs_float w.(i) in
-        if a > !maxw then maxw := a;
-        if i <> r && a > 1e-13 then incr count
-      done;
-      if
-        abs_float w.(r) < 1e-7 *. !maxw
-        || sb.neta >= max_etas
-        || sb.eta_nnz > (eta_fill_factor * Lu.nnz sb.lu) + (4 * s.m)
-      then refactor s sb
-      else begin
-        let entries = Array.make !count (0, 0.0) in
-        let k = ref 0 in
-        for i = 0 to s.m - 1 do
-          if i <> r && abs_float w.(i) > 1e-13 then begin
-            entries.(!k) <- (i, w.(i));
-            incr k
-          end
-        done;
-        push_eta sb { er = r; epiv = w.(r); entries };
-        Runtime.Trace.incr tr_etas
+  let sb = s.sb in
+  let maxw = ref 0.0 in
+  let count = ref 0 in
+  for i = 0 to s.m - 1 do
+    let a = abs_float w.(i) in
+    if a > !maxw then maxw := a;
+    if i <> r && a > 1e-13 then incr count
+  done;
+  if
+    abs_float w.(r) < 1e-7 *. !maxw
+    || sb.neta >= max_etas
+    || sb.eta_nnz > (eta_fill_factor * Lu.nnz sb.lu) + (4 * s.m)
+  then refactor s
+  else begin
+    let entries = Array.make !count (0, 0.0) in
+    let k = ref 0 in
+    for i = 0 to s.m - 1 do
+      if i <> r && abs_float w.(i) > 1e-13 then begin
+        entries.(!k) <- (i, w.(i));
+        incr k
       end
+    done;
+    push_eta sb { er = r; epiv = w.(r); entries };
+    Runtime.Trace.incr tr_etas
+  end
 
 (* Entering-variable direction: +1 when it will increase from its current
    value, -1 when it will decrease. *)
@@ -359,9 +299,7 @@ let run_phase s ~max_iters =
                   s.basis.(r) <- leaving;
                   s.in_basis.(leaving) <- r;
                   s.in_basis.(enter) <- -1;
-                  (match s.repr with
-                  | Sparse_lu sb -> refactor s sb
-                  | Dense_binv _ -> ())));
+                  refactor s));
             loop ()
           end
     end
@@ -381,7 +319,7 @@ let default_iters m n = 2000 + (60 * (m + n))
    which branch-and-bound nodes pass so the shared problem is never
    mutated), nonbasic values at bounds, and the all-artificial starting
    basis.  [bounds] entries are (var, lb, ub) with var < nvars. *)
-let make_state ~bounds ~basis (p : Problem.t) =
+let make_state ~bounds (p : Problem.t) =
   let m = Problem.nrows p in
   let n = Problem.nvars p in
   let rows = Problem.rows p in
@@ -455,27 +393,16 @@ let make_state ~bounds ~basis (p : Problem.t) =
     bas.(i) <- a;
     in_basis.(a) <- i
   done;
-  let repr =
-    match basis with
-    | Dense ->
-        let binv = Array.make (m * m) 0.0 in
-        for i = 0 to m - 1 do
-          binv.((i * m) + i) <- (if resid.(i) >= 0.0 then 1.0 else -1.0)
-        done;
-        Dense_binv binv
-    | Sparse ->
-        let lu =
-          (* The all-artificial starting basis is a signed diagonal, so
-             factorization cannot fail; the handler keeps [Lu.Singular]
-             syntactically contained in this module either way. *)
-          try Lu.factor ~m ~cols ~basis:bas
-          with Lu.Singular _ -> assert false
-        in
-        Sparse_lu { lu; etas = [||]; neta = 0; eta_nnz = 0 }
+  let lu =
+    (* The all-artificial starting basis is a signed diagonal, so
+       factorization cannot fail; the handler keeps [Lu.Singular]
+       syntactically contained in this module either way. *)
+    try Lu.factor ~m ~cols ~basis:bas with Lu.Singular _ -> assert false
   in
+  let sb = { lu; etas = [||]; neta = 0; eta_nnz = 0 } in
   let cost = Array.make total 0.0 in
   let s = { m; total; nstruct = n; cols; lb; ub; cost; value; basis = bas;
-            in_basis; repr; iters = 0 } in
+            in_basis; sb; iters = 0 } in
   let need_phase1 = Array.exists (fun r -> abs_float r > tol) resid in
   (s, need_phase1)
 
@@ -538,10 +465,9 @@ let solve_state s ~need_phase1 ~max_iters (p : Problem.t) =
 let[@bound.source heuristic
      "the result may carry status Iter_limit or Unbounded, whose obj/x are \
       the last iterate, not a proven optimum; only Optimal results are \
-      certified"] solve ?(max_iters = 0) ?(basis = Dense) ?(bounds = [])
-    (p : Problem.t) =
+      certified"] solve ?(max_iters = 0) ?(bounds = []) (p : Problem.t) =
   Runtime.Trace.incr tr_solves;
   let m = Problem.nrows p and n = Problem.nvars p in
   let max_iters = if max_iters > 0 then max_iters else default_iters m n in
-  let s, need_phase1 = make_state ~bounds ~basis p in
+  let s, need_phase1 = make_state ~bounds p in
   solve_state s ~need_phase1 ~max_iters p

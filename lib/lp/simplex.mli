@@ -1,20 +1,19 @@
-(** Bounded-variable primal simplex (revised form) over a pluggable
-    basis representation.
+(** Bounded-variable primal simplex (revised form) over a sparse LU
+    basis: the one LP path of the repository.
 
     Two phases: artificial variables establish feasibility, then the real
     objective is minimized.  Nonbasic variables rest at a bound; the
     ratio test includes bound-to-bound flips.  Dantzig pricing with a
     Bland's-rule fallback after stalling guards against cycling.
 
-    The basis inverse is kept either as an explicit dense matrix
-    ({!Dense}, the historical reference kernel, O(m^2) per pivot) or as
-    a sparse LU factorization maintained by product-form eta updates and
-    periodic refactorization ({!Sparse}, cost proportional to factor
-    nonzeros).  Both kernels run the identical pricing loop and agree on
-    the optimum value (degenerate ties can land on different optimal
-    vertices).  Every production LP runs the sparse kernel (through
-    {!Presolve.solve} or [~basis:Sparse]); the dense kernel is the
-    reference the tests compare it against.
+    The basis inverse is kept as a sparse LU factorization ({!Lu})
+    maintained by product-form eta updates and periodic
+    refactorization, so a pivot costs in proportion to the factor
+    nonzeros.  There is no second kernel to compare against: an
+    [Optimal] result's duals are straight from the final basis, and
+    {!Analyze.certify} [~duals] checks the full LP optimality conditions
+    on them (primal feasibility, dual signs, reduced-cost signs and
+    complementary slackness).
 
     A solve is stateless: it builds its kernel state from the problem,
     runs both phases from the all-artificial basis and returns.  Nothing
@@ -32,13 +31,10 @@ type result = {
   iterations : int;
 }
 
-type basis_kind =
-  | Dense  (** explicit dense B^-1, elementary row updates *)
-  | Sparse  (** Markowitz LU + eta file + refactorization trigger *)
-
 (** Solve the LP relaxation (integrality marks are ignored).
-    [max_iters = 0] picks a default proportional to the problem size.
-    [basis] selects the kernel (default [Dense], the reference).
+    [max_iters = 0] picks a default proportional to the problem size;
+    on reaching the limit the result has status [Iter_limit] and carries
+    the last iterate, with [obj = c'x] of that iterate.
     [bounds] are [(var, lb, ub)] overrides of the problem's variable
     bounds (later entries win); the problem itself is never mutated,
     which is what lets a parallel search share one immutable
@@ -49,7 +45,6 @@ type basis_kind =
     on. *)
 val solve :
   ?max_iters:int ->
-  ?basis:basis_kind ->
   ?bounds:(int * float * float) list ->
   Problem.t ->
   result

@@ -114,6 +114,9 @@ let test_ilp_small () =
      have found an incumbent *)
   Alcotest.(check bool) "incumbent found" true
     (r.Advisors.Ilp.objective < infinity);
+  (* a tiny instance: the search closes the gap long before its limit *)
+  Alcotest.(check bool) "status optimal" true
+    (r.Advisors.Ilp.status = Lp.Branch_bound.Optimal);
   Alcotest.(check bool) "within budget" true
     (Storage.Config.total_size schema r.Advisors.Ilp.config
      <= (0.5 *. db_size) +. 1.0);

@@ -488,9 +488,10 @@ let test_pricing_pins w expected () =
   Alcotest.(check (list string)) "problem digests" expected (pricing_pin_lines w)
 
 (* The materialized Theorem-1 BIP of hom n=20 at 0.5x: the model passes
-   the static checks, its LP relaxation solves to optimal on the
-   production path (presolve + sparse kernel), and the optimum passes
-   certification.  [int_vars:[]]: the relaxation is not integral. *)
+   the static checks, its LP relaxation solves to optimal on the one LP
+   path, and the optimum with its duals passes certification, the LP
+   optimality conditions included.  [int_vars:[]]: the relaxation is
+   not integral. *)
 let test_sproblem_lp_relaxation_certified () =
   let w = Workload.Gen.hom schema ~n:20 ~seed:7 in
   let e = env () in
@@ -502,7 +503,7 @@ let test_sproblem_lp_relaxation_certified () =
   Alcotest.(check bool)
     (Fmt.str "no static errors: %a" (Fmt.list Lp.Analyze.pp_issue) issues)
     false (Lp.Analyze.has_errors issues);
-  let r = Lp.Presolve.solve p in
+  let r = Lp.Simplex.solve p in
   Alcotest.(check bool) "optimal" true (r.Lp.Simplex.status = Lp.Simplex.Optimal);
   Alcotest.(check (float 1e-6)) "objective" 2032778.395716 r.Lp.Simplex.obj;
   let cert =
@@ -1174,10 +1175,7 @@ let test_solver_feasibility_closed_form () =
         f ();
         List.fold_left
           (fun acc (name, v) ->
-            if
-              String.starts_with ~prefix:"simplex." name
-              || String.starts_with ~prefix:"presolve." name
-            then acc + v
+            if String.starts_with ~prefix:"simplex." name then acc + v
             else acc)
           0 (Runtime.Trace.counters ()))
   in
@@ -1209,10 +1207,10 @@ let test_solver_feasibility_closed_form () =
            { Constr.row_coeffs = [ (0, 1.0); (1, 1.0) ]; row_cmp = Constr.Le;
              row_rhs = 0.5; row_name = "pair_off" } ])
 
-(* Presolve alone proves a negative storage budget infeasible, before
-   any simplex runs; the proof still shows in a trace, once for the
-   check and once for the offender re-test of the storage row. *)
-let test_solver_presolve_infeasible_counted () =
+(* A negative storage budget is proven infeasible by the simplex, and
+   the proof shows in a trace: one solve for the check and one for the
+   offender re-test of the storage row. *)
+let test_solver_infeasible_counted () =
   let _, _, _, sp = build_problem () in
   Runtime.Trace.reset ();
   Runtime.Trace.enable ();
@@ -1225,9 +1223,9 @@ let test_solver_presolve_infeasible_counted () =
         | _ -> Alcotest.fail "expected Infeasible")
   in
   Alcotest.(check (list string)) "storage named" [ "storage" ] names;
-  Alcotest.(check int) "presolve.infeasible" 2
+  Alcotest.(check int) "simplex.solves" 2
     (Option.value ~default:0
-       (List.assoc_opt "presolve.infeasible" (Runtime.Trace.counters ())))
+       (List.assoc_opt "simplex.solves" (Runtime.Trace.counters ())))
 
 (* A search stopped before its first iteration still answers: with a
    zero time limit the decomposition returns the incumbent its greedy
@@ -1987,8 +1985,8 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_solver_infeasible;
           Alcotest.test_case "feasibility LP only when it can fail" `Quick
             test_solver_feasibility_closed_form;
-          Alcotest.test_case "presolve infeasibility is counted" `Quick
-            test_solver_presolve_infeasible_counted;
+          Alcotest.test_case "infeasibility LP is counted" `Quick
+            test_solver_infeasible_counted;
           Alcotest.test_case "paths agree" `Slow test_solver_paths_agree;
           Alcotest.test_case "certified" `Quick test_solver_certified;
           Alcotest.test_case "time limit returns the seed" `Quick

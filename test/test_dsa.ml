@@ -268,27 +268,20 @@ let prop_solve_raises_within_allowlist =
     ~name:"Simplex.solve raises stay within the exceptions.toml allowlist"
     ~count:120 (QCheck.make random_lp_gen) (fun spec ->
       let allowed = Lazy.force solve_allowlist in
-      let check_kernel basis =
-        let p = build_lp spec in
-        match Lp.Simplex.solve ~basis p with
-        | (_ : Lp.Simplex.result) -> true
-        | exception e ->
-            let name = normalize_exn_name (Printexc.exn_slot_name e) in
-            if
-              Dsa_core.SSet.mem "*" allowed
-              || Dsa_core.SSet.mem name allowed
-            then true
-            else
-              QCheck.Test.fail_reportf
-                "%s escaped Lp.Simplex.solve (%s kernel) but the committed \
-                 allowlist for it is {%s}"
-                name
-                (match basis with
-                | Lp.Simplex.Dense -> "dense"
-                | Lp.Simplex.Sparse -> "sparse")
-                (String.concat ", " (Dsa_core.SSet.elements allowed))
-      in
-      check_kernel Lp.Simplex.Dense && check_kernel Lp.Simplex.Sparse)
+      let p = build_lp spec in
+      match Lp.Simplex.solve p with
+      | (_ : Lp.Simplex.result) -> true
+      | exception e ->
+          let name = normalize_exn_name (Printexc.exn_slot_name e) in
+          if
+            Dsa_core.SSet.mem "*" allowed || Dsa_core.SSet.mem name allowed
+          then true
+          else
+            QCheck.Test.fail_reportf
+              "%s escaped Lp.Simplex.solve but the committed allowlist for \
+               it is {%s}"
+              name
+              (String.concat ", " (Dsa_core.SSet.elements allowed)))
 
 let () =
   Alcotest.run "dsa"

@@ -125,8 +125,9 @@ let test_simplex_free_variable () =
 (* --- Randomized optimality certificates --- *)
 
 (* Generate a random feasible bounded LP: random A, x0 in box, b chosen so
-   x0 is feasible; objective random.  Check the simplex result is feasible
-   and no worse than a large random sample of feasible points. *)
+   x0 is feasible; objective random.  Rows are <= rows, or with [~mixed]
+   a random mix of <=, >= and = rows.  Check the simplex result is
+   feasible and no worse than a large random sample of feasible points. *)
 let random_lp_gen =
   QCheck.Gen.(
     let* n = int_range 2 6 in
@@ -134,7 +135,7 @@ let random_lp_gen =
     let* seed = int_range 0 1_000_000 in
     return (n, m, seed))
 
-let build_random_lp (n, m, seed) =
+let build_random_lp ?(mixed = false) (n, m, seed) =
   let rng = Random.State.make [| seed |] in
   let p = Lp.Problem.create () in
   let vars =
@@ -157,8 +158,15 @@ let build_random_lp (n, m, seed) =
     let lhs =
       List.fold_left (fun acc (v, c) -> acc +. (c *. x0.(v))) 0.0 coeffs
     in
-    (* make x0 feasible with slack *)
-    ignore (Lp.Problem.add_row p coeffs Lp.Problem.Le (lhs +. Random.State.float rng 2.0))
+    (* make x0 feasible, with slack on the inequality rows *)
+    let slack = Random.State.float rng 2.0 in
+    let sense, rhs =
+      match if mixed then Random.State.int rng 3 else 0 with
+      | 0 -> (Lp.Problem.Le, lhs +. slack)
+      | 1 -> (Lp.Problem.Ge, lhs -. slack)
+      | _ -> (Lp.Problem.Eq, lhs)
+    in
+    ignore (Lp.Problem.add_row p coeffs sense rhs)
   done;
   (p, vars, rng)
 
@@ -272,16 +280,29 @@ let brute_force p n =
   done;
   !best
 
+(* Branch and bound on one random BIP agrees with brute force, and its
+   proven bound never exceeds its incumbent. *)
+let bb_matches_brute_force spec =
+  let n, _, _ = spec in
+  let p, _ = build_random_bip spec in
+  let expected = brute_force p n in
+  let r = Lp.Branch_bound.solve p in
+  match r.Lp.Branch_bound.x with
+  | Some _ ->
+      abs_float (r.Lp.Branch_bound.obj -. expected) < 1e-5
+      && r.Lp.Branch_bound.bound <= r.Lp.Branch_bound.obj +. 1e-9
+  | None -> expected = infinity
+
 let prop_bb_matches_brute_force =
   QCheck.Test.make ~name:"branch&bound equals brute force" ~count:60
-    (QCheck.make random_bip_gen) (fun spec ->
-      let n, _, _ = spec in
-      let p, _ = build_random_bip spec in
-      let expected = brute_force p n in
-      let r = Lp.Branch_bound.solve p in
-      match r.Lp.Branch_bound.x with
-      | Some _ -> abs_float (r.Lp.Branch_bound.obj -. expected) < 1e-5
-      | None -> expected = infinity)
+    (QCheck.make random_bip_gen) bb_matches_brute_force
+
+(* An instance the property once failed on: the first merge of a round
+   raised the bound to a pruned node's LP bound, above the incumbent
+   (-0.79 against -1.51), and the gap test stopped on a negative gap. *)
+let test_bb_bound_regression () =
+  Alcotest.(check bool) "bound <= obj = brute force" true
+    (bb_matches_brute_force (4, 3, 44))
 
 (* --- MIP engine invariants: cuts / warm starts / parallel driver --- *)
 
@@ -637,44 +658,25 @@ let test_lu_singular () =
   | exception Lp.Lu.Singular _ -> ()
   | _ -> Alcotest.fail "expected Singular"
 
-(* --- Sparse kernel vs dense reference --- *)
+(* --- Degenerate instances, the iteration limit, and the optimality
+   certificate as the kernel's reference --- *)
 
-let solve_sparse p = Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p
-
-let test_sparse_matches_dense_knowns () =
-  List.iter
-    (fun build ->
-      let p = build () in
-      let rd = solve_lp p and rs = solve_sparse p in
-      check_status "same status" rd.Lp.Simplex.status rs;
-      if rd.Lp.Simplex.status = Lp.Simplex.Optimal then
-        check_float ~eps:1e-6 "same objective" rd.Lp.Simplex.obj
-          rs.Lp.Simplex.obj)
-    [
-      (fun () ->
-        let p = Lp.Problem.create () in
-        let x = Lp.Problem.add_var ~obj:(-3.0) p in
-        let y = Lp.Problem.add_var ~obj:(-5.0) p in
-        ignore (Lp.Problem.add_row p [ (x, 1.0) ] Lp.Problem.Le 4.0);
-        ignore (Lp.Problem.add_row p [ (y, 2.0) ] Lp.Problem.Le 12.0);
-        ignore (Lp.Problem.add_row p [ (x, 3.0); (y, 2.0) ] Lp.Problem.Le 18.0);
-        p);
-      (fun () ->
-        let p = Lp.Problem.create () in
-        let a = Lp.Problem.add_var ~obj:2.0 ~lb:3.0 p in
-        let b = Lp.Problem.add_var ~obj:1.0 ~ub:4.0 p in
-        ignore (Lp.Problem.add_row p [ (a, 1.0); (b, 1.0) ] Lp.Problem.Eq 10.0);
-        p);
-      (fun () ->
-        let p = Lp.Problem.create () in
-        let x = Lp.Problem.add_var ~lb:neg_infinity ~obj:1.0 p in
-        ignore (Lp.Problem.add_row p [ (x, 1.0) ] Lp.Problem.Ge (-7.0));
-        p);
-    ]
+(* The kernel's optimum with its own duals passes the full LP optimality
+   conditions of [Analyze.certify ~duals]. *)
+let certified_optimum p (r : Lp.Simplex.result) =
+  r.Lp.Simplex.status = Lp.Simplex.Optimal
+  &&
+  let cert =
+    Lp.Analyze.certify ~duals:r.Lp.Simplex.duals
+      ~obj:(r.Lp.Simplex.obj +. Lp.Problem.obj_offset p)
+      p r.Lp.Simplex.x
+  in
+  cert.Lp.Analyze.cert_ok
 
 let test_sparse_degenerate_beale () =
   (* Bland's-rule stalling regression: Beale's cycling instance must
-     terminate at the optimum through the sparse kernel too. *)
+     terminate at the optimum, and the degenerate vertex it ends on must
+     carry duals that prove it optimal. *)
   let p = Lp.Problem.create () in
   let x1 = Lp.Problem.add_var ~obj:(-0.75) p in
   let x2 = Lp.Problem.add_var ~obj:150.0 p in
@@ -689,13 +691,10 @@ let test_sparse_degenerate_beale () =
        [ (x1, 0.5); (x2, -90.0); (x3, -0.02); (x4, 3.0) ]
        Lp.Problem.Le 0.0);
   ignore (Lp.Problem.add_row p [ (x3, 1.0) ] Lp.Problem.Le 1.0);
-  let r = solve_sparse p in
-  check_status "beale optimal (sparse)" Lp.Simplex.Optimal r;
-  check_float ~eps:1e-4 "beale optimum (sparse)" (-0.05) r.Lp.Simplex.obj;
-  (* and through the production path (presolve on) *)
-  let rb = Lp.Presolve.solve p in
-  check_status "beale optimal (presolved)" Lp.Simplex.Optimal rb;
-  check_float ~eps:1e-4 "beale optimum (presolved)" (-0.05) rb.Lp.Simplex.obj
+  let r = solve_lp p in
+  check_status "beale optimal" Lp.Simplex.Optimal r;
+  check_float ~eps:1e-4 "beale optimum" (-0.05) r.Lp.Simplex.obj;
+  Alcotest.(check bool) "beale duals certify" true (certified_optimum p r)
 
 let test_sparse_degenerate_assignment () =
   (* n x n assignment LP: every basic solution is massively degenerate,
@@ -722,152 +721,44 @@ let test_sparse_degenerate_assignment () =
          (List.init n (fun i -> (v.(i).(j), 1.0)))
          Lp.Problem.Eq 1.0)
   done;
-  let rs, count =
-    traced (fun () -> Lp.Simplex.solve ~basis:Lp.Simplex.Sparse p)
-  in
-  let rd = solve_lp p in
-  check_status "assignment optimal (sparse)" Lp.Simplex.Optimal rs;
-  check_status "assignment optimal (dense)" Lp.Simplex.Optimal rd;
-  check_float ~eps:1e-6 "assignment objectives agree" rd.Lp.Simplex.obj
-    rs.Lp.Simplex.obj;
+  let r, count = traced (fun () -> solve_lp p) in
+  check_status "assignment optimal" Lp.Simplex.Optimal r;
+  Alcotest.(check bool) "assignment duals certify" true (certified_optimum p r);
   Alcotest.(check bool) "pivots counted" true (count "simplex.pivots" > 0)
 
-let prop_sparse_matches_dense_random_lp =
-  QCheck.Test.make ~name:"sparse kernel = dense kernel on random LPs"
-    ~count:80 (QCheck.make random_lp_gen) (fun spec ->
-      let p, _, _ = build_random_lp spec in
-      let rd = solve_lp p in
-      let rs = solve_sparse p in
-      rd.Lp.Simplex.status = rs.Lp.Simplex.status
-      && (rd.Lp.Simplex.status <> Lp.Simplex.Optimal
-         || abs_float (rd.Lp.Simplex.obj -. rs.Lp.Simplex.obj) < 1e-6))
+(* Random LPs with <=, >= and = rows, each feasible (x0 satisfies every
+   row) and bounded (a finite box): the simplex must reach [Optimal], and
+   its optimum with its own duals must pass the LP optimality
+   conditions. *)
+let prop_simplex_certified_random_lp =
+  QCheck.Test.make
+    ~name:"simplex optimum passes certify ~duals on random LPs" ~count:80
+    (QCheck.make random_lp_gen) (fun spec ->
+      let p, _, _ = build_random_lp ~mixed:true spec in
+      certified_optimum p (solve_lp p))
 
-(* --- Presolve --- *)
-
-let test_presolve_singleton_row () =
-  let p = Lp.Problem.create () in
-  let x = Lp.Problem.add_var ~ub:10.0 ~obj:(-1.0) p in
-  let y = Lp.Problem.add_var ~ub:10.0 ~obj:(-1.0) p in
-  ignore (Lp.Problem.add_row p [ (x, 2.0) ] Lp.Problem.Le 4.0);
-  ignore (Lp.Problem.add_row p [ (x, 1.0); (y, 1.0) ] Lp.Problem.Le 8.0);
-  Runtime.Trace.reset ();
-  Runtime.Trace.enable ();
-  let outcome = Lp.Presolve.run p in
-  Runtime.Trace.disable ();
-  let counter name =
-    Option.value ~default:0 (List.assoc_opt name (Runtime.Trace.counters ()))
-  in
-  (match outcome with
-  | Lp.Presolve.Feasible map ->
-      (* the singleton row becomes the bound x <= 2 and is dropped *)
-      Alcotest.(check int) "rows after" 1 (Lp.Problem.nrows map.Lp.Presolve.reduced);
-      Alcotest.(check bool) "a bound was tightened" true
-        (counter "presolve.bounds_tightened" > 0);
-      Alcotest.(check int) "row removal counted" 1
-        (counter "presolve.rows_removed")
-  | Lp.Presolve.Proved_infeasible r -> Alcotest.failf "unexpected infeasible: %s" r);
-  (* and the solved result matches the unpresolved problem *)
-  let rd = solve_lp p in
-  let rb = Lp.Presolve.solve p in
-  check_float ~eps:1e-6 "objective preserved" rd.Lp.Simplex.obj rb.Lp.Simplex.obj
-
-let test_presolve_fixes_oversized_binary () =
-  (* a binary whose activation alone overruns the budget row is fixed 0 *)
-  let p = Lp.Problem.create () in
-  let z1 = Lp.Problem.add_var ~kind:Lp.Problem.Binary ~obj:(-5.0) p in
-  let z2 = Lp.Problem.add_var ~kind:Lp.Problem.Binary ~obj:(-3.0) p in
-  ignore (Lp.Problem.add_row p [ (z1, 9.0); (z2, 2.0) ] Lp.Problem.Le 4.0);
-  match Lp.Presolve.run p with
-  | Lp.Presolve.Feasible map -> (
-      match map.Lp.Presolve.entries.(0) with
-      | Lp.Presolve.Fixed v -> check_float "z1 fixed to zero" 0.0 v
-      | Lp.Presolve.Kept _ -> Alcotest.fail "z1 should be fixed by implied bounds")
-  | Lp.Presolve.Proved_infeasible r -> Alcotest.failf "unexpected infeasible: %s" r
-
-let test_presolve_duplicate_rows () =
-  let p = Lp.Problem.create () in
-  let x = Lp.Problem.add_var ~ub:10.0 ~obj:(-1.0) p in
-  let y = Lp.Problem.add_var ~ub:10.0 ~obj:(-2.0) p in
-  ignore (Lp.Problem.add_row p [ (x, 1.0); (y, 1.0) ] Lp.Problem.Le 8.0);
-  ignore (Lp.Problem.add_row p [ (x, 2.0); (y, 2.0) ] Lp.Problem.Le 12.0);
-  (* same direction after normalization; the tighter rhs (6) must win *)
-  (match Lp.Presolve.run p with
-  | Lp.Presolve.Feasible map ->
-      Alcotest.(check int) "merged" 1 (Lp.Problem.nrows map.Lp.Presolve.reduced)
-  | Lp.Presolve.Proved_infeasible r -> Alcotest.failf "unexpected infeasible: %s" r);
-  let rd = solve_lp p in
-  let rb = Lp.Presolve.solve p in
-  check_float ~eps:1e-6 "objective preserved" rd.Lp.Simplex.obj rb.Lp.Simplex.obj
-
-let test_presolve_proves_infeasible () =
-  let p = Lp.Problem.create () in
-  let z = Lp.Problem.add_var ~kind:Lp.Problem.Binary p in
-  (* activity of z in [0,3] can never reach 5 *)
-  ignore (Lp.Problem.add_row p [ (z, 3.0) ] Lp.Problem.Ge 5.0);
-  (match Lp.Presolve.run p with
-  | Lp.Presolve.Proved_infeasible _ -> ()
-  | Lp.Presolve.Feasible _ -> Alcotest.fail "expected infeasibility proof");
-  (* the presolved solve surfaces it as an Infeasible result *)
-  let r = Lp.Presolve.solve p in
-  check_status "presolved solve infeasible" Lp.Simplex.Infeasible r
-
-let test_presolve_scaling_and_duals () =
-  (* byte-scale storage row: scaled internally, duals must be restored to
-     the original row scale *)
-  let p = Lp.Problem.create () in
-  let x = Lp.Problem.add_var ~ub:1.0 ~obj:(-3.0) p in
-  let y = Lp.Problem.add_var ~ub:1.0 ~obj:(-2.0) p in
-  ignore
-    (Lp.Problem.add_row p [ (x, 2e9); (y, 1e9) ] Lp.Problem.Le 2.5e9);
-  let rd = solve_lp p in
-  let rb = Lp.Presolve.solve p in
-  check_status "optimal" Lp.Simplex.Optimal rb;
-  check_float ~eps:1e-6 "objective" rd.Lp.Simplex.obj rb.Lp.Simplex.obj;
-  check_float ~eps:1e-12 "dual restored to original scale"
-    rd.Lp.Simplex.duals.(0) rb.Lp.Simplex.duals.(0);
-  (* restored primal stays feasible for the original rows *)
-  Alcotest.(check bool) "restored x feasible" true
-    (Lp.Problem.feasible ~tol:1e-5 p rb.Lp.Simplex.x)
-
-let test_presolve_does_not_mutate_input () =
-  let p = Lp.Problem.create () in
-  let x = Lp.Problem.add_var ~ub:10.0 ~obj:(-1.0) p in
-  ignore (Lp.Problem.add_row p [ (x, 2.0) ] Lp.Problem.Le 4.0);
-  (match Lp.Presolve.run p with
-  | Lp.Presolve.Feasible _ -> ()
-  | Lp.Presolve.Proved_infeasible r -> Alcotest.failf "unexpected: %s" r);
-  let v = Lp.Problem.var p x in
-  check_float "lb untouched" 0.0 v.Lp.Problem.lb;
-  check_float "ub untouched" 10.0 v.Lp.Problem.ub;
-  Alcotest.(check int) "rows untouched" 1 (Lp.Problem.nrows p)
-
-let test_presolve_iter_limit_restores () =
-  (* A non-Optimal (Iter_limit) presolved solve must lift the kernel's
-     real iterate back to the original space — presolve-fixed variables
-     at their fixed values, objective recomputed from the lifted point —
-     not a fabricated all-zeros solution with obj = 0 (which
-     branch-and-bound would mistake for an integral incumbent). *)
+let test_simplex_iter_limit () =
+  (* An iteration-limited solve returns the kernel's last iterate in the
+     original variables, with the objective recomputed from it — not a
+     fabricated all-zeros point with obj = 0, which branch and bound
+     would mistake for an integral incumbent. *)
   let p = Lp.Problem.create () in
   let x0 = Lp.Problem.add_var ~ub:5.0 ~obj:(-1.0) p in
   let x1 = Lp.Problem.add_var ~ub:10.0 ~obj:(-1.0) p in
   let x2 = Lp.Problem.add_var ~ub:10.0 ~obj:(-1.0) p in
   let x3 = Lp.Problem.add_var ~ub:10.0 ~obj:(-1.0) p in
-  (* singleton equality: presolve fixes x0 = 1 *)
   ignore (Lp.Problem.add_row p [ (x0, 2.0) ] Lp.Problem.Eq 2.0);
   ignore (Lp.Problem.add_row p [ (x1, 1.0); (x2, 1.0) ] Lp.Problem.Le 8.0);
   ignore (Lp.Problem.add_row p [ (x2, 1.0); (x3, 1.0) ] Lp.Problem.Le 8.0);
   ignore (Lp.Problem.add_row p [ (x1, 1.0); (x3, 1.0) ] Lp.Problem.Le 8.0);
-  let r = Lp.Presolve.solve ~max_iters:1 p in
+  let r = Lp.Simplex.solve ~max_iters:1 p in
   check_status "hits the iteration limit" Lp.Simplex.Iter_limit r;
-  Alcotest.(check int) "x in original space" 4 (Array.length r.Lp.Simplex.x);
-  check_float ~eps:1e-9 "fixed variable restored, not zeroed" 1.0
-    r.Lp.Simplex.x.(x0);
+  Alcotest.(check int) "one value per variable" 4 (Array.length r.Lp.Simplex.x);
   let cx = ref 0.0 in
   Array.iteri
     (fun v xv -> cx := !cx +. ((Lp.Problem.var p v).Lp.Problem.obj *. xv))
     r.Lp.Simplex.x;
-  check_float ~eps:1e-9 "obj recomputed from the lifted iterate" !cx
-    r.Lp.Simplex.obj
+  check_float ~eps:1e-9 "obj = c'x of the iterate" !cx r.Lp.Simplex.obj
 
 (* --- decision-variable restricted branching --- *)
 
@@ -1009,10 +900,9 @@ let test_certify_accepts_and_rejects () =
   Alcotest.(check bool) "length mismatch rejected" false
     cert.Lp.Analyze.cert_ok
 
-let test_certify_presolve_dual_gate () =
-  (* x free in [0, 10], optimum interior-adjacent: use a model where some
-     variable sits strictly inside its bounds at the optimum so the
-     reduced-cost test has teeth, then feed corrupted duals. *)
+let test_certify_dual_gate () =
+  (* the dantzig optimum (2, 6): x sits strictly inside its bounds and
+     the first row has slack, so every optimality condition has teeth *)
   let p = Lp.Problem.create () in
   let x = Lp.Problem.add_var ~obj:(-3.0) p in
   let y = Lp.Problem.add_var ~obj:(-5.0) p in
@@ -1021,35 +911,53 @@ let test_certify_presolve_dual_gate () =
   ignore (Lp.Problem.add_row p [ (x, 3.0); (y, 2.0) ] Lp.Problem.Le 18.0);
   let r = solve_lp p in
   check_status "optimal" Lp.Simplex.Optimal r;
-  (* honest duals certify under both regimes *)
   let cert =
-    Lp.Analyze.certify ~presolve:false ~duals:r.Lp.Simplex.duals
-      ~obj:r.Lp.Simplex.obj p r.Lp.Simplex.x
-  in
-  Alcotest.(check bool) "honest duals pass the hard gate" true
-    cert.Lp.Analyze.cert_ok;
-  (* corrupt the duals: the residual must appear in the report either
-     way, but only ~presolve:false turns it into a failure *)
-  let bad = Array.map (fun d -> d +. 0.5) r.Lp.Simplex.duals in
-  let report_only =
-    Lp.Analyze.certify ~duals:bad ~obj:r.Lp.Simplex.obj p r.Lp.Simplex.x
-  in
-  Alcotest.(check bool) "presolve mode stays report-only" true
-    report_only.Lp.Analyze.cert_ok;
-  Alcotest.(check bool) "residual still reported" true
-    (report_only.Lp.Analyze.max_dual_residual > 1e-3);
-  let hard =
-    Lp.Analyze.certify ~presolve:false ~duals:bad ~obj:r.Lp.Simplex.obj p
+    Lp.Analyze.certify ~duals:r.Lp.Simplex.duals ~obj:r.Lp.Simplex.obj p
       r.Lp.Simplex.x
   in
-  Alcotest.(check bool) "no-presolve mode fails hard" false
-    hard.Lp.Analyze.cert_ok;
+  Alcotest.(check bool) "honest duals pass" true cert.Lp.Analyze.cert_ok;
+  let bad = Array.map (fun d -> d +. 0.5) r.Lp.Simplex.duals in
+  let cert =
+    Lp.Analyze.certify ~duals:bad ~obj:r.Lp.Simplex.obj p r.Lp.Simplex.x
+  in
+  Alcotest.(check bool) "corrupted duals fail" false cert.Lp.Analyze.cert_ok;
+  Alcotest.(check bool) "residual reported" true
+    (cert.Lp.Analyze.max_dual_residual > 1e-3);
   Alcotest.(check bool) "failure names the dual residual" true
     (List.exists
-       (fun issue ->
-         (* the message cites the no-presolve rationale *)
-         String.length issue >= 13 && String.sub issue 0 13 = "dual residual")
-       hard.Lp.Analyze.cert_issues)
+       (String.starts_with ~prefix:"dual residual")
+       cert.Lp.Analyze.cert_issues);
+  (* Each condition alone.  A variable fixed by its bounds is at both of
+     them, so it puts no condition on its reduced cost, and a model
+     without rows puts none on the duals: each case below breaks exactly
+     one condition. *)
+  let dual_ok ~lb ~ub ~obj rows xv y =
+    let p = Lp.Problem.create () in
+    let v = Lp.Problem.add_var ~lb ~ub ~obj p in
+    List.iter
+      (fun (sense, rhs) -> ignore (Lp.Problem.add_row p [ (v, 1.0) ] sense rhs))
+      rows;
+    (Lp.Analyze.certify ~duals:y p [| xv |]).Lp.Analyze.cert_ok
+  in
+  let fixed = dual_ok ~lb:3.0 ~ub:3.0 ~obj:0.0 in
+  let free_box = dual_ok ~lb:0.0 ~ub:10.0 in
+  List.iter
+    (fun (name, expected, ok) -> Alcotest.(check bool) name expected ok)
+    [
+      ("tight <= row, y <= 0", true, fixed [ (Lp.Problem.Le, 3.0) ] 3.0 [| -1.0 |]);
+      ("tight <= row, y > 0", false, fixed [ (Lp.Problem.Le, 3.0) ] 3.0 [| 1.0 |]);
+      ("tight >= row, y >= 0", true, fixed [ (Lp.Problem.Ge, 3.0) ] 3.0 [| 1.0 |]);
+      ("tight >= row, y < 0", false, fixed [ (Lp.Problem.Ge, 3.0) ] 3.0 [| -1.0 |]);
+      ("= row, any sign", true, fixed [ (Lp.Problem.Eq, 3.0) ] 3.0 [| 7.0 |]);
+      ("<= row with slack, y <> 0", false, fixed [ (Lp.Problem.Le, 4.0) ] 3.0 [| -1.0 |]);
+      (">= row with slack, y <> 0", false, fixed [ (Lp.Problem.Ge, 2.0) ] 3.0 [| 1.0 |]);
+      ("at lower bound, d >= 0", true, free_box ~obj:1.0 [] 0.0 [||]);
+      ("at lower bound, d < 0", false, free_box ~obj:(-1.0) [] 0.0 [||]);
+      ("at upper bound, d <= 0", true, free_box ~obj:(-1.0) [] 10.0 [||]);
+      ("at upper bound, d > 0", false, free_box ~obj:1.0 [] 10.0 [||]);
+      ("between bounds, d = 0", true, free_box ~obj:0.0 [] 5.0 [||]);
+      ("between bounds, d <> 0", false, free_box ~obj:1.0 [] 5.0 [||]);
+    ]
 
 let test_bb_certify_incumbents () =
   (* knapsack-style BIP solved with incumbent certification on: same
@@ -1141,28 +1049,13 @@ let () =
         ] );
       ( "sparse_kernel",
         [
-          Alcotest.test_case "matches dense on knowns" `Quick
-            test_sparse_matches_dense_knowns;
           Alcotest.test_case "degenerate (beale)" `Quick
             test_sparse_degenerate_beale;
           Alcotest.test_case "degenerate (assignment)" `Quick
             test_sparse_degenerate_assignment;
-          QCheck_alcotest.to_alcotest prop_sparse_matches_dense_random_lp;
-        ] );
-      ( "presolve",
-        [
-          Alcotest.test_case "singleton row" `Quick test_presolve_singleton_row;
-          Alcotest.test_case "oversized binary fixed" `Quick
-            test_presolve_fixes_oversized_binary;
-          Alcotest.test_case "duplicate rows" `Quick test_presolve_duplicate_rows;
-          Alcotest.test_case "proves infeasible" `Quick
-            test_presolve_proves_infeasible;
-          Alcotest.test_case "scaling + duals" `Quick
-            test_presolve_scaling_and_duals;
-          Alcotest.test_case "input immutable" `Quick
-            test_presolve_does_not_mutate_input;
-          Alcotest.test_case "iter-limit lifts real iterate" `Quick
-            test_presolve_iter_limit_restores;
+          Alcotest.test_case "iteration limit keeps the iterate" `Quick
+            test_simplex_iter_limit;
+          QCheck_alcotest.to_alcotest prop_simplex_certified_random_lp;
         ] );
       ( "branch_bound",
         [
@@ -1172,6 +1065,8 @@ let () =
           Alcotest.test_case "decision vars" `Quick test_bb_decision_vars;
           Alcotest.test_case "jobs 1/4 identity" `Quick test_bb_jobs_identity;
           QCheck_alcotest.to_alcotest prop_bb_matches_brute_force;
+          Alcotest.test_case "bound <= obj: spec (4, 3, 44)" `Quick
+            test_bb_bound_regression;
           QCheck_alcotest.to_alcotest prop_bb_jobs_agree;
           Alcotest.test_case "jobs 1/4 agree: seed 1087" `Quick
             (test_bb_agree_regression 1087);
@@ -1187,8 +1082,8 @@ let () =
           Alcotest.test_case "clean model" `Quick test_analyze_clean_model;
           Alcotest.test_case "certify accepts/rejects" `Quick
             test_certify_accepts_and_rejects;
-          Alcotest.test_case "certify presolve dual gate" `Quick
-            test_certify_presolve_dual_gate;
+          Alcotest.test_case "certify dual gate" `Quick
+            test_certify_dual_gate;
           Alcotest.test_case "bb certify_incumbents" `Quick
             test_bb_certify_incumbents;
           QCheck_alcotest.to_alcotest prop_analyze_accepts_solvable;
