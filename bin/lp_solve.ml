@@ -5,8 +5,11 @@
                                   [--trace FILE]
 
    Prints the status, objective, and nonzero variable values (integer
-   models also print their node count).  Continuous models run the
-   sparse simplex.  Integer models run the cold best-first
+   models also print their node count).  The objective is in the
+   model's own sense, so a Maximize model prints its maximum; the
+   relative gap and the certificate's objective residual are
+   differences and read the same in either sense.  Continuous models
+   run the sparse simplex.  Integer models run the cold best-first
    branch-and-bound, each node a fresh sparse solve: [--jobs] sets the
    parallel node-evaluation width (the certified objective and the node
    count are identical at every job count).
@@ -72,7 +75,8 @@ let () =
   | exception Lp.Lp_format.Format_error msg ->
       Fmt.epr "parse error: %s@." msg;
       exit 1
-  | p ->
+  | p, direction ->
+      let in_sense = Lp.Lp_format.directed direction in
       if !want_check then begin
         let issues = Lp.Analyze.check p in
         List.iter (fun i -> Fmt.pr "check: %a@." Lp.Analyze.pp_issue i) issues;
@@ -121,7 +125,8 @@ let () =
             print_stats ();
             exit (if r.Lp.Branch_bound.status = Lp.Branch_bound.Infeasible then 1 else 3)
         | Some x ->
-            Fmt.pr "objective: %.9g@.nodes: %d@." r.Lp.Branch_bound.obj
+            Fmt.pr "objective: %.9g@.nodes: %d@."
+              (in_sense r.Lp.Branch_bound.obj)
               r.Lp.Branch_bound.nodes;
             Array.iteri
               (fun v value ->
@@ -137,7 +142,7 @@ let () =
         (match r.Lp.Simplex.status with
         | Lp.Simplex.Optimal ->
             Fmt.pr "status: optimal@.objective: %.9g@.iterations: %d@."
-              (r.Lp.Simplex.obj +. Lp.Problem.obj_offset p)
+              (in_sense (r.Lp.Simplex.obj +. Lp.Problem.obj_offset p))
               r.Lp.Simplex.iterations;
             Array.iteri
               (fun v value ->

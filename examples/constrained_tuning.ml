@@ -15,7 +15,7 @@ let advise_with label schema workload constraints =
   Fmt.pr "@.--- %s ---@." label;
   Fmt.pr "indexes=%d  est. cost=%.0f  storage=%.0f MB@."
     (Storage.Config.cardinal r.Cophy.Advisor.config)
-    r.Cophy.Advisor.estimated_cost
+    r.Cophy.Advisor.report.Cophy.Solver.objective
     (Storage.Config.total_size schema r.Cophy.Advisor.config /. 1e6);
   r
 

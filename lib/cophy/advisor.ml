@@ -18,8 +18,6 @@ type recommendation = {
   cache : Inum.workload_cache;
   candidates : Storage.Index.t array;
   timings : timings;
-  estimated_cost : float;      (* INUM workload cost under [config] *)
-  estimated_base : float;      (* INUM workload cost with no candidate *)
 }
 
 let total_seconds r =
@@ -48,23 +46,18 @@ let advise ?constraints ?candidates ?(dba_candidates = [])
   let t3 = Runtime.Clock.now () in
   (* The BIP the final re-solve ran on: refine rounds rebuild it, so the
      one built above may predate the tightened cost model. *)
-  let sp = Interactive.problem session in
-  let cands = Array.of_list (Interactive.candidates session) in
-  let zero = Array.make (Array.length cands) false in
   {
     config = report.Solver.config;
     report;
-    problem = sp;
+    problem = Interactive.problem session;
     cache = Interactive.cache session;
-    candidates = cands;
+    candidates = Array.of_list (Interactive.candidates session);
     timings =
       {
         inum_seconds = t1 -. t0;
         build_seconds = t2 -. t1;
         solve_seconds = t3 -. t2;
       };
-    estimated_cost = report.Solver.objective;
-    estimated_base = Sproblem.eval ~jobs sp zero;
   }
 
 (* Per-statement explanation of a recommendation: which template the INUM

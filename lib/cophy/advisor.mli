@@ -13,8 +13,6 @@ type recommendation = {
   cache : Inum.workload_cache;
   candidates : Storage.Index.t array;
   timings : timings;
-  estimated_cost : float;  (** INUM workload cost under [config] *)
-  estimated_base : float;  (** INUM workload cost with no candidates *)
 }
 
 val total_seconds : recommendation -> float

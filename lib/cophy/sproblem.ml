@@ -63,7 +63,7 @@ let variable_count t =
 
 (* --- Construction --- *)
 
-(* The access paths of one slot table of a raw statement: the
+(* The access paths of one slot table of an INUM entry's statement: the
    (statement, table) context, the no-index access, and one access per
    candidate on the table, by descending position — the order
    [table_cands] lists them in. *)
@@ -73,28 +73,26 @@ type slot_paths = {
   accs : (int * Optimizer.Access.access) list;
 }
 
-(* One raw statement shape of one INUM entry, as a build priced it: a
-   statement of that shape, its slot tables' paths ([None] until one of
-   its templates is priced), each template's priced form, by INUM
-   template (physical identity), and the block arrays the build gave
-   every statement of the shape. *)
-type shape = {
-  stmt : Sqlast.Ast.query;
+(* One INUM entry as a build priced it: its slot tables' paths ([None]
+   until one of its templates is priced), each template's priced form,
+   by INUM template (physical identity), and the block arrays the build
+   gave every statement that resolves to the entry. *)
+type entry = {
   paths : slot_paths array option;
   priced : (Inum.template * template) list;
   tpls : template array;
   used : int array;
 }
 
-(* The pricing memo: INUM entry id -> its raw shapes, as the last build
-   made them.  [env] and [seen] are that build's environment and
-   candidate array: every path and template was priced against [seen].
-   A build under another environment, or over an array that does not
-   extend [seen] position by position, reuses nothing. *)
+(* The pricing memo: INUM entry id -> the entry as the last build priced
+   it.  [env] and [seen] are that build's environment and candidate
+   array: every path and template was priced against [seen].  A build
+   under another environment, or over an array that does not extend
+   [seen] position by position, reuses nothing. *)
 type prices = {
   mutable env : Optimizer.Whatif.env option;
   mutable seen : Storage.Index.t array;
-  mutable memo : (int, shape list) Hashtbl.t;
+  mutable memo : (int, entry) Hashtbl.t;
 }
 
 let prices () = { env = None; seen = [||]; memo = Hashtbl.create 1 }
@@ -116,13 +114,6 @@ let reusable p env candidates =
   | Some e when e == env && extends p.seen candidates ->
       (p.memo, Array.length p.seen)
   | _ -> (Hashtbl.create 1, 0)
-
-(* The shape of [q] among [tbl]'s shapes of INUM entry [id], by
-   {!Sqlast.Canon.raw_equal}. *)
-let find_shape tbl id q =
-  List.find_opt
-    (fun s -> Sqlast.Canon.raw_equal s.stmt q)
-    (Option.value ~default:[] (Hashtbl.find_opt tbl id))
 
 (* [prune = false] disables the lossless slot-level dominance pruning, for
    ablation: every finite-gamma candidate is kept in every slot. *)
@@ -161,7 +152,7 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
     | x :: rest when pos_of x >= count -> x :: appended pos_of rest
     | _ -> []
   in
-  (* The paths of [table] for the raw statement [q]: [old]'s, with the
+  (* The paths of [table] for the statement [q]: [old]'s, with the
      candidates appended since in front, or all of them afresh. *)
   let slot_paths q table old =
     let add ctx positions =
@@ -236,15 +227,15 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
     ((if !grew then { old with choices } else old), !priced)
   in
   let next = Hashtbl.create 64 in
-  (* The shape of the raw statement [q] against INUM entry [inum]: each
-     template comes from the memo's shape [known] when it holds it,
-     extended by any candidates appended since, and is priced afresh
-     otherwise.  The slot paths are made (or extended) only when a
-     template needs them. *)
-  let price_shape q inum known =
+  (* INUM entry [inum] priced on its own statement: each template comes
+     from the memo's entry [known] when it holds it, extended by any
+     candidates appended since, and is priced afresh otherwise.  The slot
+     paths are made (or extended) only when a template needs them. *)
+  let price_entry inum known =
+    let q = Inum.query inum in
     let tables = Inum.tables inum in
     let known_priced, known_paths =
-      match known with Some s -> (s.priced, s.paths) | None -> ([], None)
+      match known with Some e -> (e.priced, e.paths) | None -> ([], None)
     in
     let paths = ref None in
     let get_paths () =
@@ -283,7 +274,6 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
           t.choices)
       templates;
     {
-      stmt = q;
       (* Paths no template needed stay only while no candidate was
          appended, so what the memo keeps is priced against [seen]. *)
       paths =
@@ -295,31 +285,27 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
       used = Runtime.Tbl.sorted_keys used |> Array.of_list;
     }
   in
-  (* Statements that resolve to one INUM entry and are written alike get
-     the same block arrays, priced once and shared physically.  The
-     entry is told apart by its id, and the statement by its raw shape
-     ([Canon.raw_equal]), not its canonical one: gammas are priced on
-     the statement as written, and its clause order moves them (an index
-     seeks on the first matching range predicate, and selectivities fold
-     left to right). *)
+  (* Statements that resolve to one INUM entry get the same block
+     arrays, priced once on the entry's statement and shared physically:
+     the BIP prices the surface [Inum.cost] evaluates, whatever clause
+     order a statement was written in. *)
   let blocks =
     List.map
       (fun (q, weight, inum) ->
         let id = Inum.id inum in
-        let s =
-          match find_shape next id q with
-          | Some s -> s
+        let e =
+          match Hashtbl.find_opt next id with
+          | Some e -> e
           | None ->
-              let s = price_shape q inum (find_shape memo id q) in
-              Hashtbl.replace next id
-                (s :: Option.value ~default:[] (Hashtbl.find_opt next id));
-              s
+              let e = price_entry inum (Hashtbl.find_opt memo id) in
+              Hashtbl.replace next id e;
+              e
         in
         {
           qid = q.Sqlast.Ast.query_id;
           weight;
-          templates = s.tpls;
-          cands_used = s.used;
+          templates = e.tpls;
+          cands_used = e.used;
         })
       cache.Inum.selects
     |> Array.of_list
@@ -373,7 +359,7 @@ let build ?prices ?(prune = true) (env : Optimizer.Whatif.env)
    memoized slot arrays, in patterns that differ between equal blocks.
    Identical blocks come from identical computations, so float equality
    is bit-exact here.  A build shares its block arrays physically
-   between statements of one entry and shape, so the key is marshalled
+   between statements of one entry, so the key is marshalled
    and looked up once per physical pair, which remembers its group. *)
 let compress t =
   let tbl = Hashtbl.create 97 in

@@ -47,10 +47,9 @@ val num_blocks : t -> int
 val variable_count : t -> int
 
 (** A pricing memo for successive builds of one session: what a build
-    priced, keyed by INUM entry ({!Inum.id}), raw statement shape and
-    INUM template (by physical identity) — the priced templates and the
-    access paths they were priced from — with the candidate set it was
-    priced against. *)
+    priced, keyed by INUM entry ({!Inum.id}) and INUM template (by
+    physical identity) — the priced templates and the access paths they
+    were priced from — with the candidate set it was priced against. *)
 type prices
 
 val prices : unit -> prices
@@ -60,11 +59,22 @@ val prices : unit -> prices
     [prune = false] disables the lossless slot dominance pruning
     (ablation only).
 
-    Each (INUM entry, raw statement shape) is priced through one
+    Each INUM entry is priced on its own statement ({!Inum.query}, the
+    canonical form the entry was built from) through one
     {!Optimizer.Access.context} per slot table: every candidate's access
     path on the table is computed once, and each template's slot
     requirement is answered from those paths (an order check, or a
-    multiplication for a nested-loop inner).
+    multiplication for a nested-loop inner).  This is the surface
+    {!Inum.cost}, {!Inum.refine} and {!Inum.best_instantiation}
+    evaluate, so a configuration at which refine certifies the INUM cost
+    exact is exact in the BIP too, and two spellings of one statement
+    (one {!Sqlast.Canon.key}) get the same block.
+
+    A block's [templates] and [cands_used] are therefore computed once
+    per INUM entry and shared physically by every statement that
+    resolves to it; only [qid] and [weight] are per statement.  Entries
+    are told apart by {!Inum.id}.  Each block is bit-identical to the
+    block of a one-statement build.
 
     With [prices], a template the memo holds is not priced again: it is
     reused physically when the candidate set is unchanged, and extended
@@ -77,28 +87,7 @@ val prices : unit -> prices
     updates it.  After the build the memo holds exactly the entries the
     build used.  Either way the problem is bit-identical to a build
     without [prices]: each gamma is the same float operations on the
-    same inputs, and every choice array keeps its order.
-
-    Gammas are priced on each statement as written, not on the
-    canonical form its INUM entry was built from.  A block's
-    [templates] and [cands_used] are therefore computed once per
-    (INUM entry, raw statement shape) and shared physically by every
-    statement with that pair; only [qid] and [weight] are per
-    statement.  Entries are told apart by {!Inum.id} and shapes by
-    {!Sqlast.Canon.raw_equal} (equality of {!Sqlast.Canon.raw_key},
-    without serializing).  Each block is bit-identical to the block of a
-    one-statement build.
-
-    This raw pricing is not the surface {!Inum.cost}, {!Inum.refine}
-    and {!Inum.best_instantiation} evaluate: they price slots on the
-    canonical form, so the configuration at which refine certifies the
-    INUM cost exact is certified for the canonical statement, and a
-    statement whose clause order differs from its canonical form can
-    be priced differently here (an index seeks on the first matching
-    range predicate, and selectivities fold left to right).  Pricing
-    the blocks on the canonical form instead is not bit-identical: on
-    W_hom n=1000 it moves the optimality gap from 0.0467 to 0.0488.
-    Left as is because aligning the two surfaces changes results. *)
+    same inputs, and every choice array keeps its order. *)
 val build :
   ?prices:prices ->
   ?prune:bool ->

@@ -204,6 +204,11 @@ let rec parse_expr acc sign toks =
       parse_expr ((v, sign) :: acc) 1.0 rest
   | _ -> (List.rev acc, toks)
 
+type direction = Minimize | Maximize
+
+let directed direction v =
+  match direction with Minimize -> v | Maximize -> -.v
+
 let of_string text =
   let toks = tokenize text in
   let p = Problem.create () in
@@ -217,14 +222,15 @@ let of_string text =
         v
   in
   (* Minimize / Maximize *)
-  let sign, toks =
+  let direction, toks =
     match toks with
     | Word w :: rest when is_keyword w "minimize" || is_keyword w "min" ->
-        (1.0, rest)
+        (Minimize, rest)
     | Word w :: rest when is_keyword w "maximize" || is_keyword w "max" ->
-        (-1.0, rest)
+        (Maximize, rest)
     | _ -> fail "expected Minimize or Maximize"
   in
+  let sign = directed direction 1.0 in
   (* optional objective label *)
   let toks =
     match toks with Word _ :: Colon :: rest -> rest | _ -> toks
@@ -359,37 +365,40 @@ let of_string text =
   in
   ignore (parse_sections toks);
   (* Rebuild the problem with correct kinds (kind is fixed at add_var). *)
-  if !binaries = [] && !generals = [] then p
-  else begin
-    let p2 = Problem.create () in
-    let map = Hashtbl.create 64 in
-    (* Rebuild in ascending original-id order: p2's variable ids then
-       mirror p's exactly instead of following hash order. *)
-    List.iter
-      (fun (name, v) ->
-        let var = Problem.var p v in
-        let kind =
-          if List.mem name !binaries then Problem.Binary
-          else if List.mem name !generals then Problem.Integer
-          else Problem.Continuous
-        in
-        let v2 =
-          Problem.add_var ~kind ~lb:var.Problem.lb ~ub:var.Problem.ub
-            ~obj:var.Problem.obj ~name p2
-        in
-        Hashtbl.add map v v2)
-      (Runtime.Tbl.sorted_bindings vars
-      |> List.sort (fun (_, a) (_, b) -> compare a b));
-    Array.iter
-      (fun (r : Problem.row) ->
-        ignore
-          (Problem.add_row ~name:r.Problem.rname p2
-             (Array.to_list
-                (Array.map (fun (v, c) -> (Hashtbl.find map v, c)) r.Problem.coeffs))
-             r.Problem.sense r.Problem.rhs))
-      (Problem.rows p);
-    p2
-  end
+  let problem =
+    if !binaries = [] && !generals = [] then p
+    else begin
+      let p2 = Problem.create () in
+      let map = Hashtbl.create 64 in
+      (* Rebuild in ascending original-id order: p2's variable ids then
+         mirror p's exactly instead of following hash order. *)
+      List.iter
+        (fun (name, v) ->
+          let var = Problem.var p v in
+          let kind =
+            if List.mem name !binaries then Problem.Binary
+            else if List.mem name !generals then Problem.Integer
+            else Problem.Continuous
+          in
+          let v2 =
+            Problem.add_var ~kind ~lb:var.Problem.lb ~ub:var.Problem.ub
+              ~obj:var.Problem.obj ~name p2
+          in
+          Hashtbl.add map v v2)
+        (Runtime.Tbl.sorted_bindings vars
+        |> List.sort (fun (_, a) (_, b) -> compare a b));
+      Array.iter
+        (fun (r : Problem.row) ->
+          ignore
+            (Problem.add_row ~name:r.Problem.rname p2
+               (Array.to_list
+                  (Array.map (fun (v, c) -> (Hashtbl.find map v, c)) r.Problem.coeffs))
+               r.Problem.sense r.Problem.rhs))
+        (Problem.rows p);
+      p2
+    end
+  in
+  (problem, direction)
 
 let of_file path =
   let ic = open_in path in

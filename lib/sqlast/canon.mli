@@ -34,7 +34,8 @@ val raw_key : Ast.query -> string
     query as written: every field but [query_id], in the order given.
     Equal iff the two queries are equal up to [query_id], so two
     statements with one [key] can still differ here in clause order —
-    which is what per-statement costs priced on the raw form depend on
+    which candidate generation reads (it follows the written GROUP BY
+    order); costs are priced on the canonical form
     ([key q = raw_key (normalize q)]). *)
 
 val raw_equal : Ast.query -> Ast.query -> bool

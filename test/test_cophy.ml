@@ -89,6 +89,15 @@ let build_problem ?(n = 4) ?(seed = 3) ?(cand_cap = 10) () =
   in
   (e, w, cache, Cophy.Sproblem.build e cache cands)
 
+(* A recommendation's reported objective, and what its problem charges
+   with no index selected. *)
+let objective (r : Cophy.Advisor.recommendation) =
+  r.Cophy.Advisor.report.Cophy.Solver.objective
+
+let no_index_cost (r : Cophy.Advisor.recommendation) =
+  let sp = r.Cophy.Advisor.problem in
+  Cophy.Sproblem.eval sp (Array.make (Cophy.Sproblem.num_candidates sp) false)
+
 let test_sproblem_eval_matches_inum () =
   let e, _, cache, sp = build_problem () in
   (* evaluating the structured problem at z must equal the INUM workload
@@ -142,9 +151,10 @@ let same_block (a : Cophy.Sproblem.block) (b : Cophy.Sproblem.block) =
   same_array same_template a.Cophy.Sproblem.templates b.Cophy.Sproblem.templates
   && same_array Int.equal a.Cophy.Sproblem.cands_used b.Cophy.Sproblem.cands_used
 
-(* Statements resolving to one INUM entry share their block arrays, but
-   only when written alike: gammas are priced on the raw statement, and
-   the first matching range predicate is the one an index seeks on. *)
+(* Statements resolving to one INUM entry share their block arrays,
+   however they are written: gammas are priced on the entry's canonical
+   statement, so two range predicates in swapped order (an index seeks
+   on the first matching one) price alike. *)
 let test_sproblem_shared_blocks () =
   let e = env () in
   let date = Ast.col_ref "orders" "o_orderdate" in
@@ -192,12 +202,76 @@ let test_sproblem_shared_blocks () =
   Alcotest.(check bool) "all three resolve to one entry" true
     (entry 0 == entry 1 && entry 0 == entry 2);
   let block i = sp.Cophy.Sproblem.blocks.(i) in
-  Alcotest.(check bool) "reordered ranges price differently" false
+  Alcotest.(check bool) "reordered ranges price alike" true
     (same_block (block 0) (block 1));
   Alcotest.(check bool) "an exact repeat shares its templates" true
     ((block 2).Cophy.Sproblem.templates == (block 0).Cophy.Sproblem.templates);
-  Alcotest.(check bool) "a reordered statement does not" false
+  Alcotest.(check bool) "a reordered statement shares them too" true
     ((block 1).Cophy.Sproblem.templates == (block 0).Cophy.Sproblem.templates)
+
+(* A permutation of [l] drawn from [rng]. *)
+let shuffle rng l =
+  List.map (fun x -> (Random.State.bits rng, x)) l
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+(* The BIP prices one surface, the one [Inum.cost] evaluates: with each
+   SELECT's predicates and FROM list permuted, every block equals the
+   unpermuted build's, and at random selections each block costs what
+   [Inum.cost] gives its statement's unlimited-budget entry. *)
+let prop_sproblem_one_surface =
+  QCheck.Test.make ~name:"permuted statements price on the INUM surface"
+    ~count:6
+    QCheck.(triple (int_range 1 8) (oneofl [ 1; 2; 7 ]) (int_range 0 1000))
+    (fun (n, seed, perm) ->
+      let e = env () in
+      let w = Workload.Gen.het schema ~n ~seed in
+      let rng = Random.State.make [| perm |] in
+      let permuted =
+        List.map
+          (fun (s : Ast.weighted) ->
+            match s.Ast.stmt with
+            | Ast.Select q ->
+                let q =
+                  { q with
+                    Ast.tables = shuffle rng q.Ast.tables;
+                    predicates = shuffle rng q.Ast.predicates }
+                in
+                { s with Ast.stmt = Ast.Select q }
+            | Ast.Update _ -> s)
+          w
+      in
+      let cands = Array.of_list (Cophy.Cgen.generate w) in
+      let sp = Cophy.Sproblem.build e (Inum.build_workload e w) cands in
+      let cache = Inum.build_workload e permuted in
+      let sp' = Cophy.Sproblem.build e cache cands in
+      let blocks = sp.Cophy.Sproblem.blocks
+      and blocks' = sp'.Cophy.Sproblem.blocks in
+      let same =
+        Array.length blocks = Array.length blocks'
+        && Array.for_all2
+             (fun (a : Cophy.Sproblem.block) (b : Cophy.Sproblem.block) ->
+               Int.equal a.Cophy.Sproblem.qid b.Cophy.Sproblem.qid
+               && Runtime.Fx.exactly a.Cophy.Sproblem.weight
+                    b.Cophy.Sproblem.weight
+               && same_block a b)
+             blocks blocks'
+      in
+      let zrng = Random.State.make [| perm; n; seed |] in
+      let priced_as_inum _ =
+        let z =
+          Array.init (Cophy.Sproblem.num_candidates sp') (fun _ ->
+              Random.State.bool zrng)
+        in
+        let config = Cophy.Sproblem.config_of sp' z in
+        List.for_all2
+          (fun b (_, _, inum) ->
+            Runtime.Fx.approx_rel
+              (Cophy.Sproblem.block_cost_z b z)
+              (Inum.cost inum config))
+          (Array.to_list blocks') cache.Inum.selects
+      in
+      same && List.for_all priced_as_inum [ 1; 2; 3; 4; 5 ])
 
 (* [compress] merges blocks by content, not by memory layout: a block
    whose two choices share one boxed gamma and a block with a copy per
@@ -277,22 +351,16 @@ let pricing f =
   let get name = Option.value ~default:0 (List.assoc_opt name counters) in
   (get "sproblem.templates_priced", get "sproblem.templates_reused")
 
-(* The distinct (raw shape, INUM entry) pairs of [cache]: a build
-   prices each template of each pair once. *)
+(* The distinct INUM entries of [cache]: a build prices each template of
+   each entry once. *)
 let priced_entries (cache : Inum.workload_cache) =
   List.fold_left
-    (fun seen ((q : Ast.query), _, inum) ->
-      let shape = Canon.raw_key q in
-      if List.exists (fun (k, e) -> String.equal k shape && e == inum) seen
-      then seen
-      else (shape, inum) :: seen)
+    (fun seen (_, _, inum) -> if List.memq inum seen then seen else inum :: seen)
     [] cache.Inum.selects
 
 (* Templates a build of [cache] prices without a memo. *)
 let distinct_templates cache =
-  List.fold_left
-    (fun n (_, inum) -> n + Inum.template_count inum)
-    0 (priced_entries cache)
+  List.fold_left (fun n inum -> n + Inum.template_count inum) 0 (priced_entries cache)
 
 (* A session's memoized rebuilds equal memo-less builds after every kind
    of delta, including a refine that forces probes and a candidate
@@ -382,7 +450,7 @@ let test_sproblem_memo_reuse () =
   Alcotest.(check (pair int int)) "set_weight prices nothing" (0, total) (build ());
   let before =
     List.map
-      (fun (_, inum) -> (inum, Inum.templates inum))
+      (fun inum -> (inum, Inum.templates inum))
       (priced_entries (Cophy.Interactive.cache s))
   in
   let forced =
@@ -1075,7 +1143,7 @@ let test_update_heavy_advisor () =
   (* the estimated cost includes maintenance, so it can never be worse
      than selecting nothing *)
   Alcotest.(check bool) "never worse than empty" true
-    (r.Cophy.Advisor.estimated_cost <= r.Cophy.Advisor.estimated_base +. 1e-6)
+    (objective r <= no_index_cost r +. 1e-6)
 
 (* A mandatory index whose singleton saving is negative (maintenance
    only, on the update-heavy workload): the empty selection violates the
@@ -1292,8 +1360,7 @@ let test_advisor_end_to_end () =
   let r = Cophy.Advisor.advise schema w ~budget_fraction:0.5 in
   Alcotest.(check bool) "some indexes chosen" true
     (Storage.Config.cardinal r.Cophy.Advisor.config > 0);
-  Alcotest.(check bool) "improves" true
-    (r.Cophy.Advisor.estimated_cost < r.Cophy.Advisor.estimated_base);
+  Alcotest.(check bool) "improves" true (objective r < no_index_cost r);
   Alcotest.(check bool) "within budget" true
     (Storage.Config.total_size schema r.Cophy.Advisor.config
      <= (0.5 *. db_size) +. 1.0);
@@ -1314,12 +1381,11 @@ let test_advisor_problem_after_refine () =
       (fun c -> Storage.Config.mem c r.Cophy.Advisor.config)
       sp.Cophy.Sproblem.candidates
   in
-  Alcotest.(check bool) "problem prices the config at estimated_cost" true
-    (Runtime.Fx.approx_rel (Cophy.Sproblem.eval sp z)
-       r.Cophy.Advisor.estimated_cost);
+  Alcotest.(check bool) "problem prices the config at the objective" true
+    (Runtime.Fx.approx_rel (Cophy.Sproblem.eval sp z) (objective r));
   let u = Cophy.Advisor.advise schema w ~budget_fraction:0.5 in
-  Alcotest.(check (float 0.0)) "unlimited-budget estimated_base"
-    0x1.a60dbb9c249ep+21 u.Cophy.Advisor.estimated_base
+  Alcotest.(check (float 0.0)) "unlimited-budget no-index cost"
+    0x1.a60dbb9c249ep+21 (no_index_cost u)
 
 let test_udf_constraint () =
   (* black-box rule: at most 3 indexes total (appendix E.5 mechanism) *)
@@ -1400,9 +1466,9 @@ let test_decomposition_caps () =
         capped;
       Alcotest.(check bool)
         (Printf.sprintf "n=%d: objective %.1f within 3%% of %.1f" n
-           r.Cophy.Advisor.estimated_cost reference)
+           (objective r) reference)
         true
-        (r.Cophy.Advisor.estimated_cost <= 1.03 *. reference))
+        (objective r <= 1.03 *. reference))
     [ (4, 311_083.0); (8, 1_011_934.0) ]
 
 (* Capped problems: 0.5x under the empty baseline, 0.6x under the
@@ -1506,7 +1572,7 @@ let test_advisor_clustered_rule () =
     (fun c ->
       let r = advise [ c ] in
       Alcotest.(check bool) "pays off alone" true
-        (r.Cophy.Advisor.estimated_cost < r.Cophy.Advisor.estimated_base))
+        (objective r < no_index_cost r))
     [ c1; c2 ];
   Alcotest.(check int) "no rule: both" 2
     (picked (advise ~constraints:[] [ c1; c2 ]));
@@ -1929,6 +1995,7 @@ let () =
           Alcotest.test_case "slot pruning lossless form" `Quick test_sproblem_slot_pruning;
           Alcotest.test_case "blocks shared per entry and shape" `Quick
             test_sproblem_shared_blocks;
+          QCheck_alcotest.to_alcotest prop_sproblem_one_surface;
           Alcotest.test_case "memoized rebuilds = fresh builds" `Quick
             test_sproblem_memo_exact;
           Alcotest.test_case "memoized rebuilds = fresh builds (drift)" `Quick

@@ -412,6 +412,10 @@ let test_bb_jobs_identity () =
 
 (* --- LP file format --- *)
 
+let is_maximize = function
+  | Lp.Lp_format.Maximize -> true
+  | Lp.Lp_format.Minimize -> false
+
 let test_lp_format_roundtrip () =
   let p = Lp.Problem.create () in
   let x = Lp.Problem.add_var ~obj:2.0 ~ub:4.0 ~name:"x" p in
@@ -420,7 +424,7 @@ let test_lp_format_roundtrip () =
   ignore (Lp.Problem.add_row ~name:"c1" p [ (x, 1.0); (y, 2.0) ] Lp.Problem.Le 5.0);
   ignore (Lp.Problem.add_row ~name:"c2" p [ (z, 1.0); (x, -1.0) ] Lp.Problem.Ge (-2.0));
   let text = Lp.Lp_format.to_string p in
-  let p' = Lp.Lp_format.of_string text in
+  let p', _ = Lp.Lp_format.of_string text in
   Alcotest.(check int) "vars" 3 (Lp.Problem.nvars p');
   Alcotest.(check int) "rows" 2 (Lp.Problem.nrows p');
   (* both versions optimize to the same value *)
@@ -441,12 +445,33 @@ Bounds
  b <= 7
 End|}
   in
-  let p = Lp.Lp_format.of_string text in
+  let p, direction = Lp.Lp_format.of_string text in
+  Alcotest.(check bool) "minimizes" true (not (is_maximize direction));
   Alcotest.(check int) "vars" 2 (Lp.Problem.nvars p);
   let r = Lp.Simplex.solve p in
   check_status "solves" Lp.Simplex.Optimal r;
   (* min 3a - 2b: a = 0, b = 4 from r2?  r2: a - b >= -4 -> b <= a + 4 = 4 *)
   check_float ~eps:1e-6 "optimum" (-8.0) r.Lp.Simplex.obj
+
+(* The two Maximize fixtures lp_solve runs in CI parse to their
+   minimization form with the sense they declare, and each optimum read
+   in that sense is the model's maximum: 36 at x = 2, y = 6 for
+   Dantzig's LP, 15 taking b and d for the knapsack. *)
+let test_lp_format_maximize_fixtures () =
+  let dantzig, direction = Lp.Lp_format.of_file "fixtures/dantzig.lp" in
+  Alcotest.(check bool) "dantzig maximizes" true (is_maximize direction);
+  let r = Lp.Simplex.solve dantzig in
+  check_status "dantzig solves" Lp.Simplex.Optimal r;
+  check_float "dantzig minimization form" (-36.0) r.Lp.Simplex.obj;
+  check_float "dantzig maximum" 36.0
+    (Lp.Lp_format.directed direction r.Lp.Simplex.obj);
+  let knapsack, direction = Lp.Lp_format.of_file "fixtures/knapsack.lp" in
+  Alcotest.(check bool) "knapsack maximizes" true (is_maximize direction);
+  let r = Lp.Branch_bound.solve knapsack in
+  Alcotest.(check bool) "knapsack optimal" true
+    (r.Lp.Branch_bound.status = Lp.Branch_bound.Optimal);
+  check_float "knapsack maximum" 15.0
+    (Lp.Lp_format.directed direction r.Lp.Branch_bound.obj)
 
 let test_lp_format_errors () =
   (match Lp.Lp_format.of_string "Garbage" with
@@ -563,7 +588,7 @@ let prop_lp_format_roundtrip_random =
     (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
     (fun seed ->
       let p = build_random_lp_file_problem seed in
-      let p' = Lp.Lp_format.of_string (Lp.Lp_format.to_string p) in
+      let p', _ = Lp.Lp_format.of_string (Lp.Lp_format.to_string p) in
       let vs = lp_vars_by_name p and vs' = lp_vars_by_name p' in
       let rs = lp_rows_by_name p and rs' = lp_rows_by_name p' in
       List.length vs = List.length vs'
@@ -1093,6 +1118,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_lp_format_roundtrip;
           Alcotest.test_case "handwritten" `Quick test_lp_format_parse_handwritten;
+          Alcotest.test_case "maximize fixtures" `Quick
+            test_lp_format_maximize_fixtures;
           Alcotest.test_case "errors" `Quick test_lp_format_errors;
           QCheck_alcotest.to_alcotest prop_lp_format_roundtrip_random;
         ] );

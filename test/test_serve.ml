@@ -636,6 +636,49 @@ let test_fixture_replay () =
          String.starts_with ~prefix:"serve." sp.Runtime.Trace.sname)
        (Runtime.Trace.spans ()))
 
+(* Two spellings of one statement (one canonical key): two range
+   predicates on [o_orderdate] in swapped order.  An index seeks on the
+   first matching range predicate, so pricing the statement as written
+   would make the session's costs depend on which spelling came first;
+   the BIP prices the canonical form, so fresh engines fed the spellings
+   in either order give bit-identical recommend replies. *)
+let test_engine_spelling_order () =
+  let date = Ast.col_ref "orders" "o_orderdate" in
+  let spelling predicates =
+    Ast.Select
+      {
+        Ast.query_id = 1;
+        tables = [ "orders" ];
+        select = [ Ast.Col (Ast.col_ref "orders" "o_totalprice") ];
+        predicates;
+        joins = [];
+        group_by = [];
+        order_by = [];
+      }
+  in
+  let before = Ast.predicate ~selectivity:0.001 date Ast.Lt in
+  let after = Ast.predicate ~selectivity:0.02 date Ast.Gt in
+  let a = spelling [ before; after ] and b = spelling [ after; before ] in
+  Alcotest.(check string) "one canonical key" (Canon.statement_key a)
+    (Canon.statement_key b);
+  Alcotest.(check bool) "two spellings" true (sql_of a <> sql_of b);
+  let others = List.map statement_line (statements ~n:3 ~seed:7) in
+  let recommend first second =
+    match
+      run_stream
+        (others @ [ statement_line first; statement_line second;
+                    {|{"op":"recommend"}|} ])
+      |> List.rev
+    with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "no reply"
+  in
+  let ab = recommend a b in
+  Alcotest.(check bool) "recommend ok" true
+    (member_exn "ok" (Serve.Json.of_string ab) = Serve.Json.Bool true);
+  Alcotest.(check string) "arrival order does not change the reply" ab
+    (recommend b a)
+
 (* A drifting stream over 100 templates through observe/recommend at
    window 256, long enough (300 events) for the window to evict: a
    repeat of a canonical key never costs an optimizer probe, so the
@@ -694,5 +737,7 @@ let () =
             test_fixture_replay;
           Alcotest.test_case "drift replay: no repeat probes" `Quick
             test_drift_replay_no_repeat_probes;
+          Alcotest.test_case "two spellings, either arrival order" `Quick
+            test_engine_spelling_order;
         ] );
     ]
