@@ -12,7 +12,7 @@ type options = {
   per_table_cap : int;   (* candidates kept per table per query *)
   per_query_cap : int;   (* atomic configurations kept per query *)
   time_limit : float;
-  jobs : int;            (* domains for the INUM build *)
+  jobs : int;            (* domains for the INUM build and the B&B rounds *)
 }
 
 let default_options =
@@ -169,6 +169,7 @@ let solve ?(options = default_options) (env : Optimizer.Whatif.env)
     { Lp.Branch_bound.default_options with
       Lp.Branch_bound.gap_tolerance;
       time_limit = options.time_limit;
+      jobs = options.jobs;
       (* branch on the index variables; the per-query configuration
          choice is a pure minimum once z is fixed *)
       decision_vars = Some (Array.to_list z_var) }

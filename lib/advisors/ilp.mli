@@ -9,7 +9,10 @@ type options = {
   per_table_cap : int;  (** candidates shortlisted per table per query *)
   per_query_cap : int;  (** atomic configurations kept per query *)
   time_limit : float;
-  jobs : int;  (** domains for the INUM build (default [1]) *)
+  jobs : int;
+      (** domains for the INUM build and for branch and bound's node
+          evaluations (default [1]); the result is the same at every
+          value *)
 }
 
 val default_options : options

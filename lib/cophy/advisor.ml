@@ -34,8 +34,11 @@ let advise ?constraints ?candidates ?(dba_candidates = [])
   let t0 = Runtime.Clock.now () in
   let session =
     Runtime.Trace.span "advisor.inum_build" (fun () ->
+        let store =
+          Inum.Keyed.create ?probe_budget (Optimizer.Whatif.make_env schema)
+        in
         Interactive.create ?constraints ~baseline ~jobs ?candidates
-          ~dba_candidates ?probe_budget schema w ~budget)
+          ~dba_candidates ~store schema w ~budget)
   in
   let t1 = Runtime.Clock.now () in
   ignore

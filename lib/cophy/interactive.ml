@@ -43,12 +43,11 @@ type session = {
 
 let create ?(constraints = [ Constr.At_most_one_clustered ])
     ?(baseline = Storage.Config.empty) ?(jobs = 1) ?candidates
-    ?(dba_candidates = []) ?store ?probe_budget schema workload ~budget =
+    ?(dba_candidates = []) ?store schema workload ~budget =
   let store =
     match store with
     | Some st -> st
-    | None ->
-        Inum.Keyed.create ?probe_budget (Optimizer.Whatif.make_env schema)
+    | None -> Inum.Keyed.create (Optimizer.Whatif.make_env schema)
   in
   let env = Inum.Keyed.env store in
   let cache = Inum.add_statements ~jobs store Inum.empty_cache workload in

@@ -11,12 +11,13 @@ type session
     optimizer probes), and CGen builds the initial candidate set unless
     [candidates] overrides it ([dba_candidates] extends it).  [jobs]
     (default [1]) sets the domain fan-out for the session's INUM builds
-    and re-tunes.  [store] shares a keyed store across sessions (its
-    environment is used; [probe_budget] is then ignored).  Without it
-    the session's store prices with {!Optimizer.Cost_params.default}.
-    [probe_budget] caps the optimizer probes each INUM build spends up
-    front (see {!Inum.build}); deferred probes resolve lazily through
-    {!refine_at} / {!recommend} / {!Inum.cost}.  [constraints] (default
+    and re-tunes.  [store] shares a keyed store across sessions: its
+    environment prices the session, and its probe budget caps the
+    optimizer probes each INUM build spends up front (see
+    {!Inum.Keyed.create}); deferred probes resolve lazily through
+    {!refine_at} / {!recommend} / {!Inum.cost}.  Without it the session
+    gets a fresh store that prices with {!Optimizer.Cost_params.default}
+    and probes eagerly.  [constraints] (default
     [[Constr.At_most_one_clustered]], the same as {!Advisor.advise}'s)
     are enforced at every re-tune next to the [budget]; [baseline]
     (default empty) is the configuration query-cost caps are relative
@@ -28,7 +29,6 @@ val create :
   ?candidates:Storage.Index.t list ->
   ?dba_candidates:Storage.Index.t list ->
   ?store:Inum.Keyed.store ->
-  ?probe_budget:int ->
   Catalog.Schema.t ->
   Sqlast.Ast.workload ->
   budget:float ->

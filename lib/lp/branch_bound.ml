@@ -6,8 +6,9 @@
    lets one immutable {!Problem.t} be shared by every worker domain.
    Every node LP is a stateless two-phase sparse solve.
 
-   Parallelism is bulk-synchronous through {!Runtime.Search}: each round
-   pops up to [batch] best nodes, evaluates their LPs concurrently, and
+   Parallelism is bulk-synchronous, in one loop at the end of [solve]:
+   each round pops up to [batch] best nodes from a [Set] of open nodes,
+   evaluates their LPs concurrently with {!Runtime.parallel_map}, and
    merges sequentially in pop order.  Pop order and merge order are
    independent of the job count, so the search trajectory — incumbent,
    bound, and node counts — is bit-identical at any [jobs].  The
@@ -106,6 +107,14 @@ let node_compare (a : node) (b : node) =
       | c -> c)
   | c -> c
 
+(* The open nodes.  [seq] is unique per node, so [node_compare] is a
+   total order and [min_elt] is always the one best node. *)
+module Pool = Set.Make (struct
+  type t = node
+
+  let compare = node_compare
+end)
+
 let solve ?(options = default_options) (p : Problem.t) =
   let t0 = Runtime.Clock.now () in
   let elapsed () = Runtime.Clock.now () -. t0 in
@@ -174,7 +183,13 @@ let solve ?(options = default_options) (p : Problem.t) =
         (!global_bound +. offset
         [@bound.sink certified_output
             "reported dual bound: callers derive the certified optimality \
-             gap from it"]);
+             gap from it"]
+        [@bound.trust children
+            "the bound advances to the [nb] of a round's first pop, which \
+             [expand] gates on Optimal (its [bound] sink); the node record \
+             is tainted only as a whole, through the branching points its \
+             fixings read from the relaxation's x, and any branching point \
+             splits the parent's box without loosening its bound"]);
       nodes = !nodes;
     }
   in
@@ -219,7 +234,7 @@ let solve ?(options = default_options) (p : Problem.t) =
              | Some xr ->
                  try_incumbent xr (Problem.objective_value p xr -. offset)
              | None -> ());
-          (* --- Best-first node-pool search over Runtime.Search --- *)
+          (* --- Best-first node-pool search --- *)
           let seq = ref 0 in
           let next_seq () =
             incr seq;
@@ -262,31 +277,7 @@ let solve ?(options = default_options) (p : Problem.t) =
               [ d; u ]
           in
           let root_node = { nb = root_bound; fixings = []; depth = 0; seq = 0 } in
-          let roots = children root_node v root_x.(v) in
-          let stop_status = ref None in
-          (* [stop] is polled once per round; it also marks the round
-             boundary so the first merge of each round can advance the
-             proven bound (under best-first order the first pop of a
-             round is the open-pool minimum, and it is non-decreasing).
-             A pool minimum at or above the incumbent proves the
-             incumbent optimal, not the minimum, so the bound advances
-             to the incumbent at most and never exceeds the reported
-             objective.  A closed gap is [Optimal] (within
-             [gap_tolerance]), the same label an exhausted pool gets. *)
-          let round_fresh = ref true in
-          let stop () =
-            round_fresh := true;
-            if gap_ok () then begin
-              stop_status := Some Optimal;
-              true
-            end
-            else if elapsed () > options.time_limit || !nodes >= node_limit
-            then begin
-              stop_status := Some Limit;
-              true
-            end
-            else false
-          in
+          let pool = ref (Pool.of_list (children root_node v root_x.(v))) in
           let eval node =
             if
               (node.nb >= Atomic.get incumbent_obj -. 1e-9)
@@ -299,11 +290,6 @@ let solve ?(options = default_options) (p : Problem.t) =
               Solved (Simplex.solve ~bounds:(List.rev node.fixings) p)
           in
           let expand node out =
-            if !round_fresh then begin
-              global_bound :=
-                max !global_bound (min node.nb (Atomic.get incumbent_obj));
-              round_fresh := false
-            end;
             match out with
             | Pruned ->
                 Runtime.Trace.incr tr_prunes;
@@ -350,16 +336,47 @@ let solve ?(options = default_options) (p : Problem.t) =
                              | None -> ());
                           children { node with nb } v r.Simplex.x.(v)))
           in
-          Runtime.Search.run ~jobs ~batch ~compare:node_compare ~roots ~eval
-            ~expand ~stop ();
-          let status =
-            match !stop_status with
-            | Some s -> s
-            | None ->
-                (* Pool exhausted: the incumbent is proven optimal (or
-                   the problem integer-infeasible). *)
-                global_bound := Atomic.get incumbent_obj;
-                if Atomic.get incumbent_obj < infinity then Optimal
-                else Infeasible
+          (* Bulk-synchronous rounds.  The stop test is polled before
+             the pool is checked for emptiness, so a gap closed on an
+             empty pool reports the bound as it stands.  Each round pops
+             up to [batch] best nodes, evaluates them concurrently, and
+             merges them sequentially in pop order; pop and merge order
+             do not depend on [jobs].  Under best-first order the first
+             pop of a round is the open-pool minimum, and it is
+             non-decreasing, so the proven bound advances to it before
+             the round merges.  A pool minimum at or above the incumbent
+             proves the incumbent optimal, not the minimum, so the bound
+             advances to the incumbent at most and never exceeds the
+             reported objective.  A closed gap is [Optimal] (within
+             [gap_tolerance]), the same label an exhausted pool gets. *)
+          let push node = pool := Pool.add node !pool in
+          let rec pop k acc =
+            match Pool.min_elt_opt !pool with
+            | Some node when k > 0 ->
+                pool := Pool.remove node !pool;
+                pop (k - 1) (node :: acc)
+            | _ -> Array.of_list (List.rev acc)
           in
-          mk_result status)
+          let rec rounds () =
+            if gap_ok () then Optimal
+            else if elapsed () > options.time_limit || !nodes >= node_limit
+            then Limit
+            else if Pool.is_empty !pool then begin
+              (* Pool exhausted: the incumbent is proven optimal (or the
+                 problem integer-infeasible). *)
+              global_bound := Atomic.get incumbent_obj;
+              if Atomic.get incumbent_obj < infinity then Optimal
+              else Infeasible
+            end
+            else begin
+              let round = pop batch [] in
+              let outs = Runtime.parallel_map ~jobs eval round in
+              let inc = Atomic.get incumbent_obj in
+              global_bound := max !global_bound (min round.(0).nb inc);
+              Array.iteri
+                (fun i node -> List.iter push (expand node outs.(i)))
+                round;
+              rounds ()
+            end
+          in
+          mk_result (rounds ()))

@@ -8,8 +8,10 @@
     (deeper nodes first on equal bounds) and the branching rule
     most-fractional; a round pops 8 nodes, and the search stops with
     [Limit] after 200,000.  It runs in deterministic bulk-synchronous
-    rounds over {!Runtime.Search}: the trajectory, incumbent, bound, and
-    node counts are bit-identical at every [jobs] value.  It solves the
+    rounds: each pops the best nodes, evaluates their LPs with
+    {!Runtime.parallel_map} and merges them in pop order, so the
+    trajectory, incumbent, bound, and node counts are bit-identical at
+    every [jobs] value.  It solves the
     ILP baseline ({!Advisors.Ilp}), integer models in [lp_solve], and
     reference optima in tests.
 

@@ -513,74 +513,3 @@ module Trace = struct
             close_out oc);
         Ok ()
 end
-
-module Search = struct
-  (* Deterministic bulk-synchronous best-first search.
-
-     One global priority queue (pairing heap under a caller-supplied
-     total order) feeds rounds: each round pops up to [batch] best nodes
-     in heap order, evaluates them concurrently on the domain pool, and
-     merges the results sequentially in pop order.  Because the batch
-     size, the pop order and the merge order are all independent of the
-     job count, the search trajectory (and
-     with it every result, node count included) is bit-identical at any
-     [jobs].  Shared state such as an incumbent must only be written
-     during [expand] (sequential); [eval] may read it freely — between
-     two merges its value is deterministic. *)
-
-  let tr_rounds = Trace.counter "search.rounds"
-  let tr_expanded = Trace.counter "search.expanded"
-
-  type 'n heap = Empty | Node of 'n * 'n heap list
-
-  let run (type n r) ?(jobs = 1) ~batch ~(compare : n -> n -> int)
-      ~(roots : n list) ~(eval : n -> r)
-      ~(expand : n -> r -> n list) ~(stop : unit -> bool) () =
-    let jobs = max 1 jobs in
-    let batch = max 1 batch in
-    let merge a b =
-      match (a, b) with
-      | Empty, x | x, Empty -> x
-      | Node (na, ca), Node (nb, cb) ->
-          if compare na nb <= 0 then Node (na, b :: ca) else Node (nb, a :: cb)
-    in
-    let rec merge_pairs = function
-      | [] -> Empty
-      | [ h ] -> h
-      | a :: b :: rest -> merge (merge a b) (merge_pairs rest)
-    in
-    let heap = ref Empty in
-    let push n = heap := merge (Node (n, [])) !heap in
-    let pop () =
-      match !heap with
-      | Empty -> None
-      | Node (n, children) ->
-          heap := merge_pairs children;
-          Some n
-    in
-    List.iter push roots;
-    let finished = ref false in
-    while not !finished do
-      if stop () || !heap = Empty then finished := true
-      else begin
-        Trace.incr tr_rounds;
-        let round = ref [] in
-        let k = ref 0 in
-        while !k < batch && !heap <> Empty do
-          (match pop () with
-          | Some n ->
-              round := n :: !round;
-              incr k
-          | None -> ());
-          ()
-        done;
-        let nodes = Array.of_list (List.rev !round) in
-        let results = parallel_map ~jobs eval nodes in
-        Array.iteri
-          (fun i n ->
-            Trace.incr tr_expanded;
-            List.iter push (expand n results.(i)))
-          nodes
-      end
-    done
-end

@@ -2,8 +2,9 @@
 
     The advisor pipeline has two embarrassingly parallel hot stages
     (per-statement INUM cache construction and per-block Lagrangian
-    subproblems).  Both fan out through {!parallel_map}, which runs on a
-    lazily-created pool of reusable worker domains.  The pool is a process
+    subproblems), and branch and bound evaluates each round's node LPs
+    concurrently.  All of them fan out through {!parallel_map}, which
+    runs on a lazily-created pool of reusable worker domains.  The pool is a process
     singleton: repeated parallel sections reuse the same domains instead of
     paying [Domain.spawn] on every call.
 
@@ -169,30 +170,4 @@ module Trace : sig
       an uncaught exception.  [Error msg] when [file] cannot be opened
       ([msg] is the system's ["FILE: reason"]); tracing is then left as
       it was. *)
-end
-
-(** Deterministic bulk-synchronous best-first search driver — the
-    parallel node-pool engine behind {!Lp}'s branch and bound.
-
-    Rounds pop up to [batch] best nodes (under [compare]) from one
-    global priority queue, evaluate them concurrently on the domain
-    pool, and merge sequentially in pop order via [expand].  Batch
-    size, pop order and merge order are all independent of [jobs], so
-    the search trajectory — node counts
-    included — is bit-identical at every job count.  [eval] runs
-    concurrently and must not write shared state; [expand] runs
-    sequentially and is where incumbents move.  [stop] is polled between
-    rounds.  The work is counted only by the [search.rounds] and
-    [search.expanded] trace counters. *)
-module Search : sig
-  val run :
-    ?jobs:int ->
-    batch:int ->
-    compare:('n -> 'n -> int) ->
-    roots:'n list ->
-    eval:('n -> 'r) ->
-    expand:('n -> 'r -> 'n list) ->
-    stop:(unit -> bool) ->
-    unit ->
-    unit
 end

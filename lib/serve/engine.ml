@@ -101,9 +101,10 @@ let create ?(window = 256) ?(jobs = 1) ?(budget_fraction = 0.25)
     ?(certify = true) ?probe_budget schema =
   if window < 1 then invalid_arg "Engine.create: window < 1";
   let budget = budget_fraction *. Catalog.Tpch.database_size schema in
-  let session =
-    Cophy.Interactive.create ~jobs ?probe_budget schema [] ~budget
+  let store =
+    Inum.Keyed.create ?probe_budget (Optimizer.Whatif.make_env schema)
   in
+  let session = Cophy.Interactive.create ~jobs ~store schema [] ~budget in
   {
     schema;
     jobs;

@@ -123,6 +123,32 @@ let test_ilp_small () =
   Alcotest.(check bool) "build time recorded" true
     (r.Advisors.Ilp.timings.Advisors.Ilp.build_seconds >= 0.0)
 
+(* [jobs] reaches the ILP's branch and bound, whose rounds are
+   bit-identical at every job count: jobs 1 and 2 give the same
+   configuration, objective bits and status on a small W_hom instance. *)
+let test_ilp_jobs_agree () =
+  let env = Optimizer.Whatif.make_env schema in
+  let w = workload ~n:6 ~seed:5 () in
+  let cands =
+    Cophy.Cgen.generate w |> List.filteri (fun i _ -> i mod 3 = 0)
+    |> Array.of_list
+  in
+  let solve jobs =
+    let options =
+      { Advisors.Ilp.default_options with
+        Advisors.Ilp.per_table_cap = 3; per_query_cap = 16; jobs }
+    in
+    Advisors.Ilp.solve ~options env w cands ~budget:(0.3 *. db_size)
+  in
+  let r1 = solve 1 and r2 = solve 2 in
+  Alcotest.(check bool) "same configuration" true
+    (Storage.Config.equal r1.Advisors.Ilp.config r2.Advisors.Ilp.config);
+  Alcotest.(check int64) "same objective bits"
+    (Int64.bits_of_float r1.Advisors.Ilp.objective)
+    (Int64.bits_of_float r2.Advisors.Ilp.objective);
+  Alcotest.(check bool) "same status" true
+    (r1.Advisors.Ilp.status = r2.Advisors.Ilp.status)
+
 let test_ilp_vs_cophy_quality () =
   (* on a tiny instance both formulations should find solutions of
      comparable quality *)
@@ -178,6 +204,7 @@ let () =
       ( "ilp",
         [
           Alcotest.test_case "small instance" `Slow test_ilp_small;
+          Alcotest.test_case "jobs 1/2 agree" `Slow test_ilp_jobs_agree;
           Alcotest.test_case "vs cophy" `Slow test_ilp_vs_cophy_quality;
         ] );
     ]

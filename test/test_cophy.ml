@@ -370,8 +370,9 @@ let test_sproblem_memo_exact () =
   let all = Cophy.Cgen.generate w in
   let half = List.filteri (fun i _ -> i mod 2 = 0) all in
   let s =
-    Cophy.Interactive.create ~candidates:half ~probe_budget:2 schema w
-      ~budget:(0.5 *. db_size)
+    Cophy.Interactive.create ~candidates:half
+      ~store:(Inum.Keyed.create ~probe_budget:2 (env ()))
+      schema w ~budget:(0.5 *. db_size)
   in
   check_memo_exact "initial" s;
   Cophy.Interactive.add_candidates s
@@ -436,7 +437,11 @@ let test_sproblem_memo_drift () =
    emptied by a build with no statements keeps nothing stale. *)
 let test_sproblem_memo_reuse () =
   let w = small_workload ~n:6 () in
-  let s = Cophy.Interactive.create ~probe_budget:2 schema w ~budget:(0.5 *. db_size) in
+  let s =
+    Cophy.Interactive.create
+      ~store:(Inum.Keyed.create ~probe_budget:2 (env ()))
+      schema w ~budget:(0.5 *. db_size)
+  in
   let total = distinct_templates (Cophy.Interactive.cache s) in
   let build () = pricing (fun () -> ignore (Cophy.Interactive.problem s)) in
   Alcotest.(check (pair int int)) "first build prices every template"
@@ -525,8 +530,9 @@ let pricing_pin_lines w =
   let even = List.filteri (fun i _ -> i mod 2 = 0) cands in
   let odd = List.filteri (fun i _ -> i mod 2 = 1) cands in
   let s =
-    Cophy.Interactive.create ~candidates:even ~probe_budget:16 schema w
-      ~budget:(0.5 *. db_size)
+    Cophy.Interactive.create ~candidates:even
+      ~store:(Inum.Keyed.create ~probe_budget:16 (env ()))
+      schema w ~budget:(0.5 *. db_size)
   in
   let built = problem_sig (Cophy.Interactive.problem s) in
   let forced = Cophy.Interactive.refine_at s (Storage.Config.of_list even) in

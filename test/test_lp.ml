@@ -217,7 +217,8 @@ let test_bb_infeasible_integrality () =
   let r = Lp.Branch_bound.solve p in
   Alcotest.(check bool) "no solution" true (r.Lp.Branch_bound.x = None)
 
-let test_bb_gap_termination () =
+(* A 12-item knapsack whose search a 25% gap tolerance stops early. *)
+let gap_instance () =
   let p = Lp.Problem.create () in
   let vars =
     Array.init 12 (fun i ->
@@ -229,6 +230,10 @@ let test_bb_gap_termination () =
     (Lp.Problem.add_row p
        (Array.to_list (Array.mapi (fun i v -> (v, float_of_int (3 + (i mod 4)))) vars))
        Lp.Problem.Le 20.0);
+  p
+
+let test_bb_gap_termination () =
+  let p = gap_instance () in
   let options =
     { Lp.Branch_bound.default_options with Lp.Branch_bound.gap_tolerance = 0.25 }
   in
@@ -304,12 +309,11 @@ let test_bb_bound_regression () =
   Alcotest.(check bool) "bound <= obj = brute force" true
     (bb_matches_brute_force (4, 3, 44))
 
-(* --- MIP engine invariants: cuts / warm starts / parallel driver --- *)
+(* --- MIP engine invariants: the parallel search --- *)
 
 (* Knapsack-shaped BIPs (Le rows with positive coefficients and a rhs
-   between 30% and 80% of the row total) exercise the cover-cut
-   separator and leave room for fractional roots, so nodes actually
-   branch and warm-resolve. *)
+   between 30% and 80% of the row total) leave room for fractional
+   roots, so nodes actually branch. *)
 let random_knapsack_bip_gen =
   QCheck.Gen.(int_range 0 1_000_000 >|= fun seed -> seed)
 
@@ -409,6 +413,54 @@ let test_bb_jobs_identity () =
     (Int64.equal
        (Int64.bits_of_float r1.Lp.Branch_bound.obj)
        (Int64.bits_of_float r4.Lp.Branch_bound.obj))
+
+(* The search trajectory pinned at jobs 1 and 4: status, objective and
+   bound as hex floats, and the node count, on the four random knapsack
+   BIPs above, the knapsack fixture, and a gap-stopped instance.  The
+   jobs 1/4 tests only compare the two job counts with each other; this
+   pin fails when a change to the engine moves both together. *)
+let bb_pin_status = function
+  | Lp.Branch_bound.Optimal -> "optimal"
+  | Lp.Branch_bound.Infeasible -> "infeasible"
+  | Lp.Branch_bound.Unbounded -> "unbounded"
+  | Lp.Branch_bound.Limit -> "limit"
+
+let bb_pin ?(gap_tolerance = Lp.Branch_bound.default_options.gap_tolerance)
+    p jobs =
+  let options =
+    { Lp.Branch_bound.default_options with Lp.Branch_bound.gap_tolerance; jobs }
+  in
+  let r = Lp.Branch_bound.solve ~options p in
+  Printf.sprintf "%s obj=%h bound=%h nodes=%d"
+    (bb_pin_status r.Lp.Branch_bound.status)
+    r.Lp.Branch_bound.obj r.Lp.Branch_bound.bound r.Lp.Branch_bound.nodes
+
+let test_bb_trajectory_pin () =
+  let seed n = build_random_knapsack_bip n in
+  List.iter
+    (fun (name, gap_tolerance, p, expected) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at jobs %d" name jobs)
+            expected
+            (bb_pin ?gap_tolerance p jobs))
+        [ 1; 4 ])
+    [
+      ( "seed 68", None, seed 68,
+        "optimal obj=-0x1.2e28102b9d977p+5 bound=-0x1.2e28102b9d977p+5 nodes=32" );
+      ( "seed 1087", None, seed 1087,
+        "optimal obj=-0x1.528aa050bec26p+4 bound=-0x1.528aa050bec26p+4 nodes=38" );
+      ( "seed 98158", None, seed 98158,
+        "optimal obj=-0x1.07d358579e05ap+2 bound=-0x1.07d358579e05ap+2 nodes=12" );
+      ( "seed 448740", None, seed 448740,
+        "optimal obj=-0x1.7b84f3951e194p+4 bound=-0x1.7b84f3951e194p+4 nodes=28" );
+      ( "knapsack.lp", None,
+        fst (Lp.Lp_format.of_file "fixtures/knapsack.lp"),
+        "optimal obj=-0x1.ep+3 bound=-0x1.ep+3 nodes=8" );
+      ( "gap 0.25", Some 0.25, gap_instance (),
+        "optimal obj=-0x1p+6 bound=-0x1.12aaaaaaaaaabp+6 nodes=14" );
+    ]
 
 (* --- LP file format --- *)
 
@@ -1099,6 +1151,8 @@ let () =
             (test_bb_agree_regression 98158);
           Alcotest.test_case "jobs 1/4 agree: seed 448740" `Quick
             (test_bb_agree_regression 448740);
+          Alcotest.test_case "trajectory pin at jobs 1 and 4" `Quick
+            test_bb_trajectory_pin;
         ] );
       ( "analyze",
         [

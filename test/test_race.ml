@@ -141,6 +141,26 @@ let test_lib_tree_clean () =
   Alcotest.(check bool) "the audit actually covered the seams" true
     (List.length (Race_core.spawn_roots t) >= 10)
 
+(* Both whole-program analyzers read the one seam list in the kernel
+   ([Ak_seams.seams]), argument position included, so cophy-dsa audits
+   the effects of exactly the closures whose writes cophy-race audits:
+   branch and bound's node evaluator at [parallel_map], and the pool's
+   helper job at [Runtime.submit]'s second argument. *)
+let test_dsa_same_roots () =
+  let files =
+    List.concat_map
+      (fun l -> cmts_of (Printf.sprintf "%s../lib/%s/.%s.objs/byte" base l l))
+      lib_names
+  in
+  let race = Race_core.spawn_roots (Race_core.analyze files) in
+  let dsa = Dsa_core.spawn_roots (Dsa_core.analyze files) in
+  Alcotest.(check (list string)) "same spawn roots" race dsa;
+  List.iter
+    (fun root ->
+      Alcotest.(check bool) (root ^ " is a spawn root") true
+        (List.mem root dsa))
+    [ "Lp.Branch_bound.solve.eval"; "Runtime.parallel_map.helper_job" ]
+
 let () =
   Alcotest.run "race"
     [ ( "fixtures",
@@ -156,4 +176,6 @@ let () =
             test_roots_registered ] );
       ( "lib tree",
         [ Alcotest.test_case "committed spawn seams are clean" `Quick
-            test_lib_tree_clean ] ) ]
+            test_lib_tree_clean;
+          Alcotest.test_case "cophy-dsa audits the same spawn roots" `Quick
+            test_dsa_same_roots ] ) ]

@@ -113,3 +113,14 @@ let rec strip_module_constraints (me : module_expr) =
   match me.mod_desc with
   | Tmod_constraint (me', _, _, _) -> strip_module_constraints me'
   | _ -> me
+
+(* The [k]-th positional argument of an application, skipping labeled
+   and optional ones. *)
+let nth_positional k (args : (Asttypes.arg_label * expression option) list) =
+  let rec go k = function
+    | (Asttypes.Nolabel, (Some _ as a)) :: tl ->
+        if k = 0 then a else go (k - 1) tl
+    | _ :: tl -> go k tl
+    | [] -> None
+  in
+  go k args

@@ -417,14 +417,6 @@ let child_exprs e =
   super.expr it e;
   List.rev !acc
 
-let nth_positional k args =
-  let rec go k = function
-    | (Asttypes.Nolabel, (Some _ as a)) :: tl -> if k = 0 then a else go (k - 1) tl
-    | _ :: tl -> go k tl
-    | [] -> None
-  in
-  go k args
-
 (* ------------------------------------------------------------------ *)
 (* Attribute parsing                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -662,7 +654,7 @@ and eval_apply st hd args =
         in
         go k vals
       in
-      match (nth_positional tpos args, nth vpos) with
+      match (Ak_resolve.nth_positional tpos args, nth vpos) with
       | Some { exp_desc = Texp_ident (p, _, _); _ }, Some v -> (
           (match p with
           | Path.Pident id

@@ -5,8 +5,10 @@
    rules, this layer proves *whole-program* properties of lib/:
 
      1. domain_safety     every function transitively reachable from a
-                          closure passed to [Runtime.parallel_map] or
-                          [Domain.spawn] is free of [mutates_global],
+                          closure handed to a spawn seam
+                          ([Ak_seams.seams]: [Runtime.parallel_map],
+                          [Domain.spawn], [Runtime.submit]'s job) is
+                          free of [mutates_global],
                           [io] and [nondet] effects (unless justified
                           with [@dsa.allow <effect> "<why>"]).
      2. exception_escape  the inferred escaping-exception set of every
@@ -118,7 +120,7 @@ type node = {
   n_name : string;
   n_loc : string;  (* "file:line" of the defining binding *)
   mutable n_function : bool;  (* the bound value has arrow type *)
-  mutable n_spawn_root : bool;  (* passed to parallel_map / Domain.spawn *)
+  mutable n_spawn_root : bool;  (* handed to a spawn seam ([Ak_seams]) *)
   (* direct effects: (effect, loc, what) *)
   mutable n_direct : (effect_kind * string * string) list;
   mutable n_atoms : atom list;
@@ -273,15 +275,6 @@ let mutator_heads =
       "Array.stable_sort"; "Array.unsafe_set"; "Bytes.set"; "Bytes.fill";
       "Bytes.blit"; "Bytes.unsafe_set";
     ]
-
-(* Spawn points: a function-valued argument handed to one of these runs
-   on another domain. *)
-let spawn_points = SSet.of_list [ "Runtime.parallel_map"; "Domain.spawn" ]
-
-let is_spawn_point name =
-  SSet.mem name spawn_points
-  || (* intra-library reference to the runtime's own entry point *)
-  Ak_names.has_suffix ~suffix:".parallel_map" name
 
 (* ------------------------------------------------------------------ *)
 (* Typedtree helpers                                                   *)
@@ -472,9 +465,9 @@ let rec collect_body ctx ~(nd : node) ~allows expr0 =
                 raise_arg self arg;
                 List.iter (fun (_, a) -> Option.iter (expr self) a) rest
             | _ -> add_raise "*")
-        | Some name when is_spawn_point name ->
+        | Some name when Ak_seams.seam_of name <> None ->
             reference name (loc_string e.exp_loc) fvd;
-            spawn_site self e.exp_loc args
+            spawn_site self (Option.get (Ak_seams.seam_of name)) e.exp_loc args
         | Some name when SSet.mem name mutator_heads ->
             (* the mutated value is the first positional argument —
                except for the sort family, whose first argument is the
@@ -482,8 +475,8 @@ let rec collect_body ctx ~(nd : node) ~allows expr0 =
             let mutated =
               match name with
               | "Array.sort" | "Array.fast_sort" | "Array.stable_sort" ->
-                  nth_positional 1 args
-              | _ -> first_positional args
+                  Ak_resolve.nth_positional 1 args
+              | _ -> Ak_resolve.nth_positional 0 args
             in
             (match mutated with
             | Some { exp_desc = Texp_ident (tp, _, _); exp_loc; _ } -> (
@@ -622,10 +615,10 @@ let rec collect_body ctx ~(nd : node) ~allows expr0 =
         (* raising a computed exception value; unknown statically *)
         add_raise "*";
         expr self arg
-  and spawn_site self loc args =
-    (* the first positional argument of a spawn point runs on another
-       domain: analyze it under its own (root) node *)
-    let f_arg = first_positional args in
+  and spawn_site self k loc args =
+    (* the seam's [k]-th positional argument runs on another domain:
+       analyze it under its own (root) node *)
+    let f_arg = Ak_resolve.nth_positional k args in
     List.iter
       (fun (_, a) ->
         match (a, f_arg) with
@@ -662,15 +655,6 @@ let rec collect_body ctx ~(nd : node) ~allows expr0 =
         | Some arg, _ -> expr self arg
         | None, _ -> ())
       args
-  and first_positional args = nth_positional 0 args
-  and nth_positional n args =
-    let rec go n = function
-      | (Asttypes.Nolabel, (Some _ as a)) :: tl ->
-          if n = 0 then a else go (n - 1) tl
-      | _ :: tl -> go n tl
-      | [] -> None
-    in
-    go n args
   in
   let it = { super with expr } in
   it.expr it expr0

@@ -5,7 +5,7 @@
               [--json FILE] CMT_OR_CMTI_FILES...
 
    - default mode runs the whole-program checks (domain_safety over
-     parallel_map / Domain.spawn closures, exception_escape against the
+     spawn-seam closures, exception_escape against the
      @raises allowlist, allowlist staleness, signature_drift against the
      committed snapshot) and exits 1 when any violation remains;
    - [--json FILE] additionally writes the findings as a single-run

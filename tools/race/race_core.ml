@@ -32,12 +32,9 @@
    an unjustified write.
 
    Spawn seams — the points where a function value crosses onto another
-   domain:
-
-     Runtime.parallel_map f arr        f            (positional 0)
-     Domain.spawn f                    f            (positional 0)
-     Runtime.submit w job              job          (positional 1)
-     Runtime.Search.run ~eval ...      ~eval        (labeled)
+   domain — are the one list cophy-dsa uses too, [Ak_seams.seams]:
+   [Runtime.parallel_map] and [Domain.spawn] (positional 0) and
+   [Runtime.submit] (positional 1).
 
    Soundness caveats (deliberate, shared with cophy-dsa — see
    DESIGN.md §14): writes whose target is a function *parameter* are
@@ -158,26 +155,6 @@ let node t name loc =
 (* ------------------------------------------------------------------ *)
 (* Builtin tables                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Spawn seams: which argument of which callee crosses onto another
-   domain.  Names are matched after normalization; the [.parallel_map]
-   suffix covers aliased module paths, as in cophy-dsa. *)
-type argspec = Pos of int | Labeled of string
-
-let seams =
-  [
-    ("Runtime.parallel_map", Pos 0);
-    ("Domain.spawn", Pos 0);
-    ("Runtime.submit", Pos 1);
-    ("Runtime.Search.run", Labeled "eval");
-  ]
-
-let seam_of name =
-  match List.assoc_opt name seams with
-  | Some s -> Some s
-  | None ->
-      if Ak_names.has_suffix ~suffix:".parallel_map" name then Some (Pos 0)
-      else None
 
 (* Writes through Atomic are the sanctioned cross-domain mutation. *)
 let atomic_heads =
@@ -305,7 +282,7 @@ let rec collect_body ctx ~(nd : node) expr0 =
   let tainted = Hashtbl.create 16 in
   let taint id = Hashtbl.replace tainted (Ident.unique_name id) () in
   (* slot sources: the node's own outermost parameter chain — for a
-     closure at a [parallel_map]/[Search.run] seam these carry the
+     closure at a [parallel_map] seam these carry the
      per-task element / slot index *)
   let rec seed_params (e : expression) =
     match e.exp_desc with
@@ -389,9 +366,10 @@ let rec collect_body ctx ~(nd : node) expr0 =
           List.iter (fun (_, a) -> Option.iter (expr self) a) args
         in
         match fname with
-        | Some name when seam_of name <> None ->
+        | Some name when Ak_seams.seam_of name <> None ->
             Option.iter (fun n -> reference n fvd) fname;
-            spawn_site self name (Option.get (seam_of name)) e.exp_loc args
+            spawn_site self name (Option.get (Ak_seams.seam_of name)) e.exp_loc
+              args
         | Some name when SSet.mem name atomic_heads -> (
             (* sanctioned; recorded for --debug completeness *)
             match args with
@@ -432,8 +410,8 @@ let rec collect_body ctx ~(nd : node) expr0 =
             let target =
               match name with
               | "Array.sort" | "Array.fast_sort" | "Array.stable_sort" ->
-                  nth_positional 1 args
-              | _ -> nth_positional 0 args
+                  Ak_resolve.nth_positional 1 args
+              | _ -> Ak_resolve.nth_positional 0 args
             in
             Option.iter (fun tgt -> record_write tgt ~kind:name loc) target;
             walk_args ()
@@ -502,23 +480,8 @@ let rec collect_body ctx ~(nd : node) expr0 =
           taint id;
         expr self fbody
     | _ -> super.expr self e
-  and spawn_site self seam spec loc args =
-    let arg =
-      match spec with
-      | Pos k ->
-          let rec go k = function
-            | (Asttypes.Nolabel, (Some _ as a)) :: tl ->
-                if k = 0 then a else go (k - 1) tl
-            | _ :: tl -> go k tl
-            | [] -> None
-          in
-          go k args
-      | Labeled l ->
-          List.find_map
-            (fun ((lbl : Asttypes.arg_label), a) ->
-              match lbl with Asttypes.Labelled s when s = l -> a | _ -> None)
-            args
-    in
+  and spawn_site self seam k loc args =
+    let arg = Ak_resolve.nth_positional k args in
     let site = Printf.sprintf "%s at %s" seam (loc_string loc) in
     let mark_root n =
       n.r_spawn_root <- true;
@@ -552,14 +515,6 @@ let rec collect_body ctx ~(nd : node) expr0 =
         | Some ae, _ -> expr self ae
         | None, _ -> ())
       args
-  and nth_positional k args =
-    let rec go k = function
-      | (Asttypes.Nolabel, (Some _ as a)) :: tl ->
-          if k = 0 then a else go (k - 1) tl
-      | _ :: tl -> go k tl
-      | [] -> None
-    in
-    go k args
   in
   let it = { super with expr } in
   (* binding-level allows arrive via [collect_with_scope] *)
